@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 
@@ -345,9 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON experiment manifest")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("CDL_THREADS", "1")),
-                       help="worker pool cap (mirrors CDL_THREADS)")
         p.add_argument("--set", action="append", dest="overrides", default=[],
                        metavar="KEY=VALUE", help="override an option leaf")
     return parser

@@ -90,17 +90,27 @@ def _hermgauss(n: int):
 def mixing_nodes(mixing: MixingSpec, integration: Integration):
     """Return (B, w): node matrix (M, dim) and weights (M,) summing to 1."""
     if integration.kind == "monte-carlo":
-        rng = np.random.Generator(np.random.Philox(integration.seed))
-        return _mc_nodes(mixing, integration.draws, rng)
+        return _mc_nodes_cached(mixing, integration)
     return _gh_nodes_cached(mixing, integration.nodes)
+
+
+def _read_only(b: np.ndarray, w: np.ndarray):
+    b.setflags(write=False)
+    w.setflags(write=False)
+    return b, w
 
 
 @lru_cache(maxsize=256)
 def _gh_nodes_cached(mixing: MixingSpec, n: int):
-    b, w = _gh_nodes(mixing, n)
-    b.setflags(write=False)
-    w.setflags(write=False)
-    return b, w
+    return _read_only(*_gh_nodes(mixing, n))
+
+
+@lru_cache(maxsize=16)
+def _mc_nodes_cached(mixing: MixingSpec, integration: Integration):
+    """The draws are a pure function of (mixing, integration), so they are
+    drawn once rather than on every share evaluation."""
+    rng = np.random.Generator(np.random.Philox(integration.seed))
+    return _read_only(*_mc_nodes(mixing, integration.draws, rng))
 
 
 def _gh_nodes(mixing: MixingSpec, n: int):

@@ -19,7 +19,9 @@ from scipy.special import expit, logit
 
 from . import laws
 from .demand import _hermgauss, _node_shares
-from .errors import ConfigError, IntegrationFailure, NoConvergence, NonUnique, NotIdentified
+from .errors import (ConfigError, IntegrationFailure, NoConvergence, NonUnique, NotIdentified,
+                     RootNotBracketed)
+from .inversion import InversionConfig, _solve_log_shares
 from .population import market_rng
 from .types import Bundle, SharesVector, validate_shares
 
@@ -142,29 +144,24 @@ def micro_invert_1d(dgp: MicroDgp, y, p, tol: float = 1e-12,
 
 def micro_invert(dgp: MicroDgp, y: np.ndarray, p: np.ndarray,
                  tol: float = 1e-12, max_iter: int = 10_000) -> np.ndarray:
-    """Solve sigma(delta, p) = y for general J via contraction plus Newton."""
+    """Solve sigma(delta, p) = y for general J by the safeguarded Newton
+    inversion of :mod:`cdlab.inversion`, from the plain-logit start."""
     if dgp.J == 1:
         return micro_invert_1d(dgp, np.atleast_1d(y), np.atleast_1d(p), tol)
     y = np.asarray(y, dtype=float)
-    delta = logit(y)  # rough start
+    p = np.asarray(p, dtype=float)
     nu, w = _nu_nodes(dgp.sigma, dgp.nu_nodes)
-    log_y = np.log(y)
-    for it in range(max_iter):
-        T = delta[None, :] + nu - dgp.alpha * p[None, :]
-        S = _node_shares(T)
-        s = w @ S
-        if np.max(np.abs(s - y)) <= tol:
-            return delta
-        step_log = log_y - np.log(s)
-        if np.max(np.abs(step_log)) < 1e-4:
-            jac = (np.diag(w @ S) - np.einsum("m,mj,mk->jk", w, S, S)) / s[:, None]
-            try:
-                delta = delta + np.linalg.solve(jac, step_log)
-                continue
-            except np.linalg.LinAlgError:
-                pass
-        delta = delta + step_log
-    raise NoConvergence(max_iter, float(np.max(np.abs(s - y))))
+
+    def node_shares(delta):
+        return _node_shares(delta[None, :] + nu - dgp.alpha * p[None, :])
+
+    def jac(delta):
+        S = node_shares(delta)
+        return np.diag(w @ S) - np.einsum("m,mj,mk->jk", w, S, S)
+
+    start = np.log(y) - np.log(1.0 - y.sum()) + dgp.alpha * p
+    return _solve_log_shares(lambda d: w @ node_shares(d), jac, y, start,
+                             InversionConfig(tol=tol, max_iter=max_iter))
 
 
 @dataclass(frozen=True)
@@ -483,7 +480,8 @@ def _invert_candidate(cand: MicroCandidate, vals: np.ndarray, a: Bundle,
 
         flo, fhi = f(lo), f(hi)
         if flo > 0 or fhi < 0:
-            raise RootError(v, flo, fhi)
+            raise RootNotBracketed(f"candidate transform cannot reach value {v} "
+                                   f"(f range [{flo}, {fhi}])")
         for _ in range(max_iter):
             mid = 0.5 * (lo + hi)
             if f(mid) <= 0:
@@ -494,11 +492,6 @@ def _invert_candidate(cand: MicroCandidate, vals: np.ndarray, a: Bundle,
                 break
         out[i, 0] = 0.5 * (lo + hi)
     return out
-
-
-class RootError(ConfigError):
-    def __init__(self, v, flo, fhi):
-        super().__init__(f"candidate transform cannot reach value {v} (f range [{flo}, {fhi}])")
 
 
 def price_coefficient_from_levels(model: CompletedMicroModel) -> float:

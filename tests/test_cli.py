@@ -4,7 +4,7 @@ import json
 import pytest
 
 from cdlab import cli
-from cdlab.errors import NoConvergence
+from cdlab.errors import NoConvergence, RootNotBracketed
 
 
 def run(args):
@@ -154,6 +154,17 @@ def test_exit_code_2_writes_failure_report(tmp_path, monkeypatch):
     rows = read_csv(out / "report.csv")
     assert rows[0] == ["experiment", "failure"]
     assert rows[1][0] == "invert"
+
+
+def test_unbracketed_root_exits_2_with_report(tmp_path, monkeypatch):
+    def boom(cfg, out):
+        raise RootNotBracketed("candidate transform cannot reach value 5.0")
+
+    monkeypatch.setitem(cli.RUNNERS, "micro-identify", boom)
+    out = tmp_path / "out"
+    assert run(["micro-identify", "--out", out]) == 2
+    rows = read_csv(out / "report.csv")
+    assert rows[1] == ["micro-identify", "candidate transform cannot reach value 5.0"]
 
 
 def test_acceptance_subset_runs_and_reports(tmp_path):

@@ -135,6 +135,17 @@ def test_monte_carlo_integration_deterministic_and_close():
     np.testing.assert_allclose(y1.values, MIXED_ORACLE, atol=3e-3)
 
 
+def test_monte_carlo_nodes_are_cached_and_read_only():
+    mix = finite_mixture((0.5, 0.5), (lognormal_mixing(0.0, 0.5),
+                                      lognormal_mixing(-0.5, 2.0)))
+    b1, w1 = mixing_nodes(mix, monte_carlo(300, seed=7))
+    b2, w2 = mixing_nodes(mix, monte_carlo(300, seed=7))
+    np.testing.assert_array_equal(b1, b2)
+    np.testing.assert_array_equal(w1, w2)
+    for arr in (b1, w1, b2, w2):
+        assert not arr.flags.writeable
+
+
 def test_integration_validation():
     with pytest.raises(ConfigError):
         Integration("trapezoid")

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cdlab.demand import mixed_logit, plain_logit, shares
+import cdlab.inversion as inversion
+from cdlab import laws
+from cdlab.demand import (
+    gauss_hermite,
+    mixed_logit,
+    monte_carlo,
+    plain_logit,
+    share_jacobian,
+    shares,
+    shares_array,
+)
 from cdlab.errors import ConfigError, NoConvergence
 from cdlab.inversion import (
     InversionConfig,
@@ -9,8 +21,16 @@ from cdlab.inversion import (
     logit_closed_form,
     structural_shock,
 )
-from cdlab.population import market_rng
-from cdlab.types import bundle, degenerate, lognormal_mixing, normal_mixing
+from cdlab.population import PopulationSpec, market_rng, sample_market
+from cdlab.types import (
+    bundle,
+    degenerate,
+    finite_mixture,
+    lognormal_mixing,
+    normal_mixing,
+)
+
+CONTRACTION = InversionConfig(newton_polish=False)
 
 
 def test_plain_logit_closed_form_round_trip():
@@ -93,3 +113,74 @@ def test_structural_shock_x1_shift_cancellation():
     y2 = shares(m, np.array([0.9 + 1.7]), shifted_a)
     np.testing.assert_allclose(structural_shock(m, y2, shifted_a), base,
                                atol=1e-14)
+
+
+@pytest.mark.parametrize("J", [5, 25, 50])
+def test_newton_agrees_with_contraction_reference(J):
+    m = mixed_logit(lognormal_mixing(0.0, 0.3))
+    rng = market_rng(11, J)
+    for _ in range(3):
+        delta = rng.uniform(-3.0, 1.0, J)
+        a = bundle(np.zeros(J), rng.uniform(0.5, 3.0, J))
+        y = shares(m, delta, a)
+        np.testing.assert_allclose(invert(m, y, a), invert(m, y, a, CONTRACTION),
+                                   atol=1e-10, rtol=0)
+
+
+MIXINGS = {
+    "lognormal": lognormal_mixing(0.0, 0.3),
+    "finite-mixture": finite_mixture((0.4, 0.6), (lognormal_mixing(-0.5, 0.2),
+                                                  lognormal_mixing(0.5, 0.4))),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(J=st.integers(1, 50),
+       log10_outside=st.floats(-8.0, -0.3),
+       mixing=st.sampled_from(sorted(MIXINGS)),
+       mc_seed=st.none() | st.integers(0, 2**16),
+       seed=st.integers(0, 2**16))
+def test_round_trip_property(J, log10_outside, mixing, mc_seed, seed):
+    """Round trip over J, outside shares down to 1e-8, a finite mixture and
+    Monte Carlo integration. The shares must match to the solver tolerance;
+    delta within a tolerance scaled by the conditioning of the log-share
+    Jacobian, which grows like 1/s0."""
+    integration = gauss_hermite(16) if mc_seed is None else monte_carlo(500, mc_seed)
+    m = mixed_logit(MIXINGS[mixing], integration=integration)
+    rng = market_rng(seed, 0)
+    a = bundle(np.zeros(J), rng.uniform(0.5, 3.0, J))
+    # Utilities at price coefficient 1, shifted so that their plain-logit
+    # outside share is 10**log10_outside; the mixing moves it a little.
+    u = rng.uniform(-2.0, 2.0, J)
+    s0 = 10.0 ** log10_outside
+    delta = u + np.log1p(-s0) - np.log(s0) - np.log(np.exp(u).sum()) + a.p
+    y = shares(m, delta, a)
+    back = invert(m, y, a)
+    np.testing.assert_allclose(shares_array(m, back, a), y.values, atol=1e-12, rtol=0)
+    s = y.values
+    cond = np.linalg.norm(np.linalg.inv(share_jacobian(m, delta, a) / s[:, None]), np.inf)
+    # To first order the delta error is at most cond * tol; the factor 2
+    # covers the rounding in y itself.
+    assert np.max(np.abs(back - delta)) <= 1e-10 + 2 * 1e-12 * cond
+
+
+def test_cost_guard_on_a_saturated_market(monkeypatch):
+    """A J = 25 market at a ~2 % outside share: the contraction alone needs
+    about 250 share evaluations here."""
+    spec = PopulationSpec(J=25, market_count=1,
+                          mixing_by_type=(lognormal_mixing(0.0, 0.3),),
+                          type_probabilities=(1.0,), x1_law=laws.constant(2.3),
+                          xi_law=laws.normal(0.0, 0.3), integration=gauss_hermite(32))
+    d = sample_market(spec, 0)
+    assert 0.01 < d.y.outside < 0.04
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return shares_array(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "shares_array", counting)
+    delta = invert(spec.share_map(0), d.y, d.a)
+    assert 0 < len(calls) <= 25
+    np.testing.assert_allclose(delta, d.a.x1 + d.xi, atol=1e-9)
+

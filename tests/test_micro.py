@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cdlab import micro as mi
-from cdlab.errors import ConfigError, NotIdentified
+from cdlab.errors import ConfigError, NotIdentified, RootNotBracketed
 from cdlab.types import Bundle
 
 
@@ -41,10 +41,14 @@ def test_micro_invert_round_trip_1d():
 def test_micro_invert_round_trip_2d():
     dgp = dgp_2d()
     p = np.array([1.0, 2.0])
-    for delta in ([0.5, -0.3], [2.0, 1.0], [-2.0, 0.5]):
+    for delta in ([0.5, -0.3], [2.0, 1.0], [-2.0, 0.5], [4.0, 3.5]):
         delta = np.array(delta)
         y = mi.micro_shares(dgp, delta, p)
-        np.testing.assert_allclose(mi.micro_invert(dgp, y, p), delta, atol=1e-9)
+        back = mi.micro_invert(dgp, y, p)
+        np.testing.assert_allclose(back, delta, atol=1e-9)
+        # converged in the log-share residual too, not only the share residual
+        np.testing.assert_allclose(np.log(mi.micro_shares(dgp, back, p)), np.log(y),
+                                   atol=1e-12, rtol=0)
 
 
 def test_profile_validation():
@@ -201,3 +205,14 @@ def test_verify_theorem2_fails_when_index_structure_breaks():
     markets = mi.simulate_micro(dgp, spec)
     rep = mi.verify_theorem2(dgp, markets, spec.level_bundle(dgp, 0))
     assert not rep.passed
+
+
+def test_unreachable_candidate_value_is_a_numerical_failure():
+    cand = mi.MicroCandidate(h=mi.identity_candidate(), g_hat=np.zeros((1, 1)),
+                             w_grid=np.zeros((1, 1)), w0_index=0,
+                             params=np.zeros(1), residual=0.0, scale=np.eye(1))
+    a = Bundle(np.zeros(1), np.ones(1), np.zeros((1, 0)))
+    with pytest.raises(RootNotBracketed) as err:
+        mi._invert_candidate(cand, np.array([[5.0]]), a)
+    assert not isinstance(err.value, ConfigError)
+    assert "cannot reach value 5.0" in str(err.value)
