@@ -215,14 +215,10 @@ def criterion_5(seed: int) -> CriterionResult:
     from scipy.special import expit
 
     data, shocks, mu = demeaned_oracle_data(seed + 5)
-    dfam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"),
-                                     ex.MEAN_INDEPENDENCE, data)
-    qfam, _ = ex.solve_orthogonality(ex.quantile_family(),
-                                     ex.MEAN_INDEPENDENCE, data[:2000])
+    dfam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
+    qfam, _ = ex.solve_orthogonality(ex.quantile_family(), data[:2000])
     pl_data = _pl_data(seed + 5, 300, x2=False)
-    pfam, _ = ex.solve_orthogonality(ex.partially_linear_family(n_params=1),
-                                     ex.MEAN_INDEPENDENCE, pl_data, starts=4,
-                                     seed=seed)
+    pfam, _ = ex.solve_orthogonality(ex.partially_linear_family(n_params=1), pl_data)
 
     ident = 0.0
     for o in data[:20]:
@@ -248,13 +244,10 @@ def criterion_5(seed: int) -> CriterionResult:
 def criterion_6(seed: int) -> CriterionResult:
     """Rule-based and structural predictions coincide (both directions)."""
     data, _, mu = demeaned_oracle_data(seed + 6, n=400)
-    dfam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"),
-                                     ex.MEAN_INDEPENDENCE, data)
+    dfam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
     r1 = ex.check_prop32(dfam, data[:50], targets=list(range(len(mu))))
     pl_data = _pl_data(seed + 6, 1000)
-    pfam, _ = ex.solve_orthogonality(ex.partially_linear_family(n_params=2),
-                                     ex.MEAN_INDEPENDENCE, pl_data, starts=6,
-                                     seed=seed)
+    pfam, _ = ex.solve_orthogonality(ex.partially_linear_family(n_params=2), pl_data)
     targets = [o.a.replace(p=np.array([pp]))
                for o, pp in zip(pl_data[:10], np.linspace(0.6, 2.8, 10))]
     r2 = ex.check_prop32(pfam, pl_data[:50], targets=targets)

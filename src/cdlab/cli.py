@@ -220,8 +220,7 @@ def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
 def run_extrapolate(cfg: ExperimentConfig, out: Path) -> None:
     n = int(cfg.options.get("n", 2000))
     data, _, mu = acc.demeaned_oracle_data(cfg.seed, n=n)
-    fam, rep = ex.solve_orthogonality(ex.demeaned_family("logit"),
-                                      ex.MEAN_INDEPENDENCE, data)
+    fam, rep = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
     rows = []
     for i, o in enumerate(data[:200]):
         for t in range(len(mu)):

@@ -19,6 +19,7 @@ from .errors import ConfigError, IntegrationFailure
 from .types import Bundle, MixingSpec, SharesVector, validate_shares
 
 DEFAULT_GH_NODES = 32
+MAX_GH_NODES = 2**20  # tensor-product grids grow as nodes ** dim
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,10 @@ def _gh_nodes(mixing: MixingSpec, n: int):
             blocks.append(b)
             weights.append(wgt * w)
         return np.vstack(blocks), np.concatenate(weights)
-    x, w = _hermgauss(n)
     dim = mixing.dim
+    if n**dim > MAX_GH_NODES:
+        raise ConfigError(f"Gauss-Hermite grid of {n}^{dim} nodes exceeds {MAX_GH_NODES}")
+    x, w = _hermgauss(n)
     loc = np.asarray(mixing.loc)
     scale = np.asarray(mixing.scale)
     grids = np.meshgrid(*([x] * dim), indexing="ij")

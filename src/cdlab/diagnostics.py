@@ -8,13 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import laws
-from .demand import share_curve_1d, share_curve_slope_1d
+from .demand import gauss_hermite, mixed_logit, share_curve_1d, share_curve_slope_1d
 from .errors import InsufficientData, RootNotBracketed
+from .inversion import invert
 from .population import PopulationSpec, true_counterfactual
-from .types import Bundle, MarketDraw, MixingSpec, lognormal_mixing
+from .types import (Bundle, MarketDraw, MixingSpec, bundle, lognormal_mixing,
+                    validate_shares)
 
-BISECTION_TOL = 1e-10
-BISECTION_MAX_ITER = 200
 CURVE_POINT_TOL = 1e-8
 
 
@@ -109,36 +109,11 @@ def conditional_variance(population: list[MarketDraw], spec: PopulationSpec,
 
 def _invert_curve_xi(mixing: MixingSpec, price: float, target: float,
                      nodes: int) -> float:
-    """Find xi with share(xi, price) = target by bisection on the strictly
-    increasing map xi -> share, expanding the bracket geometrically."""
-    lo, hi = -10.0, 10.0
-
-    def f(xi):
-        return float(share_curve_1d(mixing, np.array(xi), np.array(price), nodes)) - target
-
-    flo, fhi = f(lo), f(hi)
-    expansions = 0
-    while flo > 0 or fhi < 0:
-        expansions += 1
-        if expansions > 40:
-            raise RootNotBracketed(
-                f"share {target} unreachable at price {price} within xi bracket")
-        if flo > 0:
-            lo *= 2.0
-            flo = f(lo)
-        if fhi < 0:
-            hi *= 2.0
-            fhi = f(hi)
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm <= 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < BISECTION_TOL:
-            break
-    return 0.5 * (lo + hi)
+    """The xi with share(xi, price) = target: a J = 1 share inversion."""
+    if not 0.0 < target < 1.0:
+        raise RootNotBracketed(f"share {target} unreachable at price {price}")
+    m = mixed_logit(mixing, integration=gauss_hermite(nodes))
+    return float(invert(m, validate_shares([target]), bundle(0.0, price))[0])
 
 
 @dataclass

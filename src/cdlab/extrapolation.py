@@ -9,22 +9,17 @@ has zero individual treatment effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit, logit
-from scipy.stats import qmc
 
 from .counterfactual import CounterfactualEngine
 from .demand import plain_logit
 from .errors import ConfigError, InversionFailure, NonUnique
+from .transforms import interp_extrap
 from .types import Bundle, SharesVector, validate_shares
-
-CRITERION_TOL = 1e-10
-THETA_UNIQUE_TOL = 1e-6
-DEFAULT_STARTS = 16
 
 
 @dataclass(frozen=True)
@@ -54,37 +49,6 @@ _F_TRANSFORMS = {
 
 
 @dataclass(frozen=True)
-class TestFunctionSet:
-    """Test functions applied to H(Y, A) before instrument orthogonality.
-
-    mean-independence uses the identity; indicator-grid uses centered
-    indicators 1(h <= c) - mean over the sample, for each cutpoint c.
-    """
-
-    kind: str = "mean-independence"
-    grid: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("mean-independence", "indicator-grid"):
-            raise ConfigError(f"unknown test function kind: {self.kind!r}")
-        g = tuple(float(c) for c in self.grid)
-        if list(g) != sorted(g) or any(not np.isfinite(c) for c in g):
-            raise ConfigError("indicator grid must be sorted and finite")
-        object.__setattr__(self, "grid", g)
-
-    def apply(self, h: np.ndarray) -> np.ndarray:
-        """(n,) transformed values -> (n, q) matrix of test evaluations."""
-        if self.kind == "mean-independence":
-            return h[:, None]
-        cols = [(h <= c).astype(float) for c in self.grid]
-        M = np.column_stack(cols)
-        return M - M.mean(axis=0)
-
-
-MEAN_INDEPENDENCE = TestFunctionSet()
-
-
-@dataclass(frozen=True)
 class RuleFamily:
     """A parameterized class of invertible outcome transformations.
 
@@ -103,7 +67,7 @@ class RuleFamily:
     theta: tuple | None = None  # fitted parameters
     levels: tuple = ()  # demeaned/quantile: treatment support
     samples: tuple = ()  # quantile: per-level sorted outcome samples
-    bounds: tuple = (-5.0, 5.0)  # per-parameter search box
+    n_params: int = 1  # partially-linear without a param_map: len(theta)
 
     def __post_init__(self):
         kinds = ("demeaned-transform", "quantile-rank", "partially-linear-index")
@@ -167,32 +131,21 @@ def quantile_family() -> RuleFamily:
     return RuleFamily("quantile-rank")
 
 
-def partially_linear_family(n_params: int = 1, param_map=(), bounds=(-5.0, 5.0)) -> RuleFamily:
-    fam = RuleFamily("partially-linear-index",
-                     param_map=tuple(tuple(row) for row in param_map), bounds=bounds)
-    object.__setattr__(fam, "_n_params", n_params)
-    return fam
+def partially_linear_family(n_params: int = 1, param_map=()) -> RuleFamily:
+    return RuleFamily("partially-linear-index", n_params=n_params,
+                      param_map=tuple(tuple(row) for row in param_map))
 
 
 def _cdf_interp(sorted_sample: np.ndarray, y: float) -> float:
     """Monotone piecewise-linear empirical CDF with linear tails."""
     m = len(sorted_sample)
     ranks = (np.arange(1, m + 1) - 0.5) / m
-    return float(_interp_extrap(y, sorted_sample, ranks))
+    return float(interp_extrap(y, sorted_sample, ranks))
 
 def _quantile_interp(sorted_sample: np.ndarray, u: float) -> float:
     m = len(sorted_sample)
     ranks = (np.arange(1, m + 1) - 0.5) / m
-    return float(_interp_extrap(u, ranks, sorted_sample))
-
-
-def _interp_extrap(t, xs, ys):
-    out = np.interp(t, xs, ys)
-    s0 = (ys[1] - ys[0]) / (xs[1] - xs[0])
-    s1 = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-    out = np.where(t < xs[0], ys[0] + s0 * (t - xs[0]), out)
-    out = np.where(t > xs[-1], ys[-1] + s1 * (t - xs[-1]), out)
-    return out
+    return float(interp_extrap(u, ranks, sorted_sample))
 
 
 # --- instrument basis -------------------------------------------------------
@@ -227,12 +180,6 @@ class FitReport:
     unique: bool
 
 
-def _moment_matrix(H_vals: np.ndarray, tests: TestFunctionSet, B: np.ndarray) -> np.ndarray:
-    """Per-observation moment contributions: (n, q * n_basis)."""
-    M = tests.apply(H_vals)
-    return (M[:, :, None] * B[:, None, :]).reshape(len(H_vals), -1)
-
-
 def _two_step_weight(contrib: np.ndarray) -> np.ndarray:
     S = np.cov(contrib, rowvar=False, bias=True)
     S = np.atleast_2d(S)
@@ -240,22 +187,21 @@ def _two_step_weight(contrib: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(S + ridge * np.eye(len(S)))
 
 
-def solve_orthogonality(family: RuleFamily, tests: TestFunctionSet,
-                        data: Sequence[Obs], starts: int = DEFAULT_STARTS,
-                        seed: int = 0) -> tuple[RuleFamily, FitReport]:
+def solve_orthogonality(family: RuleFamily,
+                        data: Sequence[Obs]) -> tuple[RuleFamily, FitReport]:
     """Select the family member orthogonal to the instruments.
 
-    Two-step GMM on moments E[m(H_theta(Y, A)) (x) b(Z)]. The solve is
-    closed-form for families linear in theta; otherwise derivative-free
-    simplex search from Latin-hypercube starts. Raises NonUnique when two
-    starts reach the same criterion at materially different theta.
+    Two-step GMM on the mean-independence moments E[H_theta(Y, A) b(Z)] = 0.
+    They are linear in theta for the demeaned and partially linear
+    families, so both are solved in closed form; raises NonUnique when the
+    moment system is rank deficient.
     """
     data = list(data)
     if family.kind == "quantile-rank":
         return _fit_quantile(family, data)
     if family.kind == "demeaned-transform":
-        return _fit_demeaned(family, tests, data)
-    return _fit_partially_linear(family, tests, data, starts, seed)
+        return _fit_demeaned(family, data)
+    return _fit_partially_linear(family, data)
 
 
 def _require_size(n: int, dim: int):
@@ -275,24 +221,49 @@ def _fit_quantile(family: RuleFamily, data: list[Obs]) -> tuple[RuleFamily, FitR
     return fitted, report
 
 
-def _fit_demeaned(family: RuleFamily, tests: TestFunctionSet,
-                  data: list[Obs]) -> tuple[RuleFamily, FitReport]:
+def _fit_demeaned(family: RuleFamily, data: list[Obs]) -> tuple[RuleFamily, FitReport]:
     levels = sorted({o.a for o in data})
     _require_size(len(data), len(levels))
     fwd, _ = _F_TRANSFORMS[family.f]
     fy = np.array([fwd(float(o.y)) for o in data])
     D = np.column_stack([[1.0 if o.a == lev else 0.0 for o in data] for lev in levels])
-    B = instrument_basis(data)
-    # moments g(theta) = mean(b_l * (fy - D theta)): linear GMM, closed form
-    G = B.T @ D / len(data)
-    c = B.T @ fy / len(data)
-    theta = _linear_gmm(G, c, lambda th: (fy - D @ th)[:, None] * B)
-    crit = float(np.sum((c - G @ theta) ** 2))
-    fitted = replace(family, theta=tuple(theta), levels=tuple(levels))
+    report = _fit_linear(fy, D, instrument_basis(data))
+    return replace(family, theta=tuple(report.theta), levels=tuple(levels)), report
+
+
+def _fit_partially_linear(family: RuleFamily, data: list[Obs]) -> tuple[RuleFamily, FitReport]:
+    M = np.atleast_2d(np.asarray(family.param_map, dtype=float)) if family.param_map \
+        else np.eye(family.n_params)
+    _require_size(len(data), M.shape[1])
+    y = np.array([float(o.y.values[0]) if isinstance(o.y, SharesVector) else float(o.y)
+                  for o in data])
+    x1 = np.array([o.a.x1[0] for o in data])
+    p = np.array([o.a.p[0] for o in data])
+    X2 = np.array([o.a.x2[0] for o in data])
+    # H = logit(y) - x1 + (p, -x2) M theta
+    X = np.column_stack([p, -X2])
+    report = _fit_linear(logit(y) - x1, -X @ M[:X.shape[1]], instrument_basis(data))
+    return replace(family, theta=tuple(report.theta)), report
+
+
+def _fit_linear(u: np.ndarray, D: np.ndarray, B: np.ndarray) -> FitReport:
+    """Two-step GMM on the moments mean(b (u - D theta)) = 0, in closed form.
+
+    Raises NonUnique when G = mean(b D') has rank below dim(theta); its
+    candidates are the least-squares theta and theta plus a null-space
+    vector of G, which attain the same criterion.
+    """
+    G = B.T @ D / len(u)
+    c = B.T @ u / len(u)
     rank = np.linalg.matrix_rank(G, tol=1e-10)
-    if rank < len(levels):
-        raise NonUnique(f"moment system rank {rank} < {len(levels)} parameters")
-    return fitted, FitReport(theta, crit, starts=1, unique=True)
+    if rank < D.shape[1]:
+        theta, *_ = np.linalg.lstsq(G, c, rcond=None)
+        null = np.linalg.svd(G)[2][-1]
+        raise NonUnique(f"moment system rank {rank} < {D.shape[1]} parameters",
+                        candidates=[theta, theta + null])
+    theta = _linear_gmm(G, c, lambda th: (u - D @ th)[:, None] * B)
+    crit = float(np.sum((c - G @ theta) ** 2))
+    return FitReport(theta, crit, starts=1, unique=True)
 
 
 def _linear_gmm(G: np.ndarray, c: np.ndarray, contrib_fn) -> np.ndarray:
@@ -300,63 +271,6 @@ def _linear_gmm(G: np.ndarray, c: np.ndarray, contrib_fn) -> np.ndarray:
     W = _two_step_weight(contrib_fn(theta1))
     A = G.T @ W @ G
     return np.linalg.solve(A, G.T @ W @ c)
-
-
-def _fit_partially_linear(family: RuleFamily, tests: TestFunctionSet,
-                          data: list[Obs], starts: int, seed: int):
-    if family.param_map:
-        dim = len(family.param_map[0])
-    else:
-        dim = getattr(family, "_n_params", 1)
-    _require_size(len(data), dim)
-    B = instrument_basis(data)
-    y = np.array([float(o.y.values[0]) if isinstance(o.y, SharesVector) else float(o.y)
-                  for o in data])
-    x1 = np.array([o.a.x1[0] for o in data])
-    p = np.array([o.a.p[0] for o in data])
-    X2 = np.array([o.a.x2[0] for o in data])
-    M = np.atleast_2d(np.asarray(family.param_map, dtype=float)) if family.param_map \
-        else np.eye(dim)
-    ly = logit(y)
-
-    def H_vals(theta):
-        coeffs = M @ theta
-        x2term = X2 @ coeffs[1:1 + X2.shape[1]] if X2.shape[1] else 0.0
-        return ly + coeffs[0] * p - x2term - x1
-
-    def criterion(theta, W):
-        contrib = _moment_matrix(H_vals(theta), tests, B)
-        g = contrib.mean(axis=0)
-        return float(g @ W @ g)
-
-    lo, hi = family.bounds
-    sampler = qmc.LatinHypercube(d=dim, seed=seed)
-    start_pts = lo + (hi - lo) * sampler.random(starts)
-
-    def multistart(W):
-        sols = []
-        for s in start_pts:
-            res = minimize(criterion, s, args=(W,), method="Nelder-Mead",
-                           options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
-            sols.append((float(res.fun), res.x))
-        sols.sort(key=lambda t: (t[0], tuple(t[1])))
-        return sols
-
-    q = tests.apply(np.zeros(1)).shape[1] * B.shape[1]
-    W1 = np.eye(q)
-    sols = multistart(W1)
-    theta1 = sols[0][1]
-    W2 = _two_step_weight(_moment_matrix(H_vals(theta1), tests, B))
-    sols = multistart(W2)
-    best_crit, best_theta = sols[0]
-    near = [th for cr, th in sols if cr <= best_crit + 1e-8]
-    unique = all(np.max(np.abs(th - best_theta)) <= THETA_UNIQUE_TOL for th in near)
-    if not unique:
-        raise NonUnique("multiple theta attain the GMM minimum",
-                        candidates=[best_theta] + [th for th in near
-                                                   if np.max(np.abs(th - best_theta)) > THETA_UNIQUE_TOL])
-    fitted = replace(family, theta=tuple(best_theta))
-    return fitted, FitReport(best_theta, best_crit, starts=starts, unique=True)
 
 
 def extrapolate(fitted: RuleFamily, y, a, target_a):

@@ -18,12 +18,12 @@ import numpy as np
 from scipy.special import expit, logit
 
 from . import laws
-from .demand import _hermgauss, _node_shares
+from .demand import _gh_nodes_cached, _node_shares
 from .errors import (ConfigError, IntegrationFailure, NoConvergence, NonUnique, NotIdentified,
                      RootNotBracketed)
 from .inversion import InversionConfig, _solve_log_shares
 from .population import market_rng
-from .types import Bundle, SharesVector, validate_shares
+from .types import Bundle, normal_mixing, validate_shares
 
 PARALLEL_TOL = 1e-8
 DEFAULT_NU_NODES = 16
@@ -86,19 +86,14 @@ class MicroDgp:
 
 
 def _nu_nodes(sigma: np.ndarray, n: int):
-    """Product Gauss-Hermite nodes for nu ~ N(0, diag(sigma^2))."""
-    x, w = _hermgauss(n)
-    J = len(sigma)
-    active = [j for j in range(J) if sigma[j] > 0]
-    if not active:
-        return np.zeros((1, J)), np.array([1.0])
-    grids = np.meshgrid(*([x] * len(active)), indexing="ij")
-    z = np.stack([g.ravel() for g in grids], axis=1)
-    wg = np.meshgrid(*([w] * len(active)), indexing="ij")
-    wts = np.prod(np.stack([g.ravel() for g in wg], axis=1), axis=1)
-    nu = np.zeros((len(z), J))
-    for col, j in enumerate(active):
-        nu[:, j] = np.sqrt(2.0) * sigma[j] * z[:, col]
+    """Product Gauss-Hermite nodes for nu ~ N(0, diag(sigma^2)): the nodes
+    of the nonzero-scale coordinates, zero elsewhere."""
+    active = sigma > 0
+    if not active.any():
+        return np.zeros((1, len(sigma))), np.array([1.0])
+    b, wts = _gh_nodes_cached(normal_mixing(np.zeros(active.sum()), sigma[active]), n)
+    nu = np.zeros((len(b), len(sigma)))
+    nu[:, active] = b
     return nu, wts
 
 
@@ -467,31 +462,32 @@ class CompletedMicroModel:
 
 def _invert_candidate(cand: MicroCandidate, vals: np.ndarray, a: Bundle,
                       tol: float = 1e-10, max_iter: int = 400) -> np.ndarray:
-    """Invert a normalized candidate transform row by row (J = 1 bisection)."""
+    """Invert a normalized candidate transform (J = 1): one bisection on
+    all rows at once, one call of the transform per step."""
     J = vals.shape[1]
     if J != 1:
         raise ConfigError("candidate inversion implemented for J = 1")
-    out = np.empty_like(vals)
-    for i, v in enumerate(vals[:, 0]):
-        lo, hi = 1e-9, 1.0 - 1e-9
+    v = vals[:, 0]
+    lo = np.full_like(v, 1e-9)
+    hi = np.full_like(v, 1.0 - 1e-9)
 
-        def f(y):
-            return float(cand.h(np.array([[y]]), a)[0, 0]) - v
+    def f(y):
+        return cand.h(y[:, None], a)[:, 0] - v
 
-        flo, fhi = f(lo), f(hi)
-        if flo > 0 or fhi < 0:
-            raise RootNotBracketed(f"candidate transform cannot reach value {v} "
-                                   f"(f range [{flo}, {fhi}])")
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            if f(mid) <= 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < tol * max(1.0, abs(mid)):
-                break
-        out[i, 0] = 0.5 * (lo + hi)
-    return out
+    flo, fhi = f(lo), f(hi)
+    bad = (flo > 0) | (fhi < 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RootNotBracketed(f"candidate transform cannot reach value {v[i]} "
+                               f"(f range [{flo[i]}, {fhi[i]}])")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        below = f(mid) <= 0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if np.all(hi - lo < tol * np.maximum(1.0, np.abs(mid))):
+            break
+    return 0.5 * (lo + hi)[:, None]
 
 
 def price_coefficient_from_levels(model: CompletedMicroModel) -> float:

@@ -1,4 +1,4 @@
-"""Registry of invertible outcome transformations h(y, p, x2).
+"""Invertible outcome transformations h(y, p, x2).
 
 Each transform maps a J-vector outcome to R^J, invertibly in y, possibly
 depending on the rest of the bundle. Built-in families keep every
@@ -132,55 +132,22 @@ class MonotoneSpline(Transform):
         if np.any(np.diff(self.knots) <= 0) or np.any(np.diff(self.values) <= 0):
             raise ConfigError("spline knots and values must be strictly increasing")
 
-    def _interp(self, t, xs, ys):
-        out = np.interp(t, xs, ys)
-        lo = t < xs[0]
-        hi = t > xs[-1]
-        s0 = (ys[1] - ys[0]) / (xs[1] - xs[0])
-        s1 = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        out = np.where(lo, ys[0] + s0 * (t - xs[0]), out)
-        out = np.where(hi, ys[-1] + s1 * (t - xs[-1]), out)
-        return out
-
     def apply(self, y, p, x2):
-        return self._interp(y, self.knots, self.values)
+        return interp_extrap(y, self.knots, self.values)
 
     def invert(self, v, p, x2):
-        return self._interp(v, self.values, self.knots)
+        return interp_extrap(v, self.values, self.knots)
 
 
-@dataclass
-class Shifted(Transform):
-    """base plus a constant vector; inverse subtracts it."""
-
-    base: Transform
-    c: np.ndarray
-
-    def __post_init__(self):
-        self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
-
-    def apply(self, y, p, x2):
-        return self.base.apply(y, p, x2) + self.c
-
-    def invert(self, v, p, x2):
-        return self.base.invert(v - self.c, p, x2)
-
-    def jac_y(self, y, p, x2):
-        return self.base.jac_y(y, p, x2)
-
-
-@dataclass
-class Composed(Transform):
-    """outer after inner: h(y, p, x2) = outer(inner(y, p, x2), p, x2)."""
-
-    outer: Transform
-    inner: Transform
-
-    def apply(self, y, p, x2):
-        return self.outer.apply(self.inner.apply(y, p, x2), p, x2)
-
-    def invert(self, v, p, x2):
-        return self.inner.invert(self.outer.invert(v, p, x2), p, x2)
+def interp_extrap(t, xs, ys):
+    """Piecewise-linear interpolation through (xs, ys), xs increasing,
+    extended linearly beyond both ends with the end segments' slopes."""
+    out = np.interp(t, xs, ys)
+    s0 = (ys[1] - ys[0]) / (xs[1] - xs[0])
+    s1 = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    out = np.where(t < xs[0], ys[0] + s0 * (t - xs[0]), out)
+    out = np.where(t > xs[-1], ys[-1] + s1 * (t - xs[-1]), out)
+    return out
 
 
 class Phi:
@@ -199,24 +166,3 @@ class Phi:
     def inverse(self, y) -> np.ndarray:
         return self.h.apply(np.asarray(y, dtype=float), self.a0.p, self.a0.x2) - self.a0.x1
 
-
-_REGISTRY = {
-    "logit-inverse": LogitInverse,
-    "mixed-logit-inverse": MixedLogitInverse,
-    "affine": Affine,
-    "monotone-spline": MonotoneSpline,
-}
-
-
-def from_config(d: dict) -> Transform:
-    """Build a transform from a config mapping with a `family` key."""
-    d = dict(d)
-    family = d.pop("family", None)
-    if family == "logit-inverse":
-        return LogitInverse(alpha=float(d.get("alpha", 0.0)),
-                            gamma=tuple(d.get("gamma", ())))
-    if family == "affine":
-        return Affine(A=np.asarray(d["A"]), b=np.asarray(d["b"]))
-    if family == "monotone-spline":
-        return MonotoneSpline(knots=np.asarray(d["knots"]), values=np.asarray(d["values"]))
-    raise ConfigError(f"unknown transform family: {family!r}")

@@ -144,6 +144,20 @@ def test_exit_code_1_on_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_oversized_quadrature_grid_exits_1(tmp_path, capsys):
+    """A 5-dimensional mixing at 32 Gauss-Hermite nodes asks for 32^5 nodes."""
+    cfg = {"schema_version": 1, "experiment": "simulate", "seed": 2,
+           "population": {"J": 1, "market_count": 3,
+                          "mixing_by_type": [{"kind": "normal", "loc": [0.0] * 5,
+                                              "scale": [0.4] * 5}],
+                          "type_probabilities": [1.0],
+                          "integration": {"kind": "gauss-hermite", "nodes": 32}}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["simulate", "--config", path, "--out", tmp_path / "out"]) == 1
+    assert "32^5 nodes exceeds" in capsys.readouterr().err
+
+
 def test_exit_code_2_writes_failure_report(tmp_path, monkeypatch):
     def boom(cfg, out):
         raise NoConvergence(5, 0.1)

@@ -96,6 +96,7 @@ class TestCrossingCurve:
             at_p = float(share_curve_1d(opp_mix, np.array(pair.xi_opposite),
                                         np.array(price), self.spec.quad_nodes))
             assert abs(at_p - float(draw.y.values[0])) < 1e-8
+            assert abs(np.log(at_p) - np.log(float(draw.y.values[0]))) <= 1e-12
 
     def test_slopes_differ_at_the_crossing(self):
         pop = sample_population(self.spec.population_spec())

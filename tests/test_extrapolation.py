@@ -10,24 +10,6 @@ from cdlab.transforms import LogitInverse
 from cdlab.types import validate_shares
 
 
-class TestTestFunctionSet:
-    def test_mean_independence_is_identity_column(self):
-        h = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(ex.MEAN_INDEPENDENCE.apply(h), h[:, None])
-
-    def test_indicator_grid_columns_are_centered(self):
-        t = ex.TestFunctionSet("indicator-grid", grid=(0.0, 1.0))
-        M = t.apply(np.array([-1.0, 0.5, 2.0]))
-        assert M.shape == (3, 2)
-        np.testing.assert_allclose(M.mean(axis=0), 0.0, atol=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ex.TestFunctionSet("characteristic-function")
-        with pytest.raises(ConfigError):
-            ex.TestFunctionSet("indicator-grid", grid=(1.0, 0.0))
-
-
 def test_rule_family_validation():
     with pytest.raises(ConfigError):
         ex.RuleFamily("spline")
@@ -39,8 +21,7 @@ def test_demeaned_fit_equals_per_cell_means():
     """With dummy instruments on a balanced design, the fitted mu are the
     per-level means of f(Y)."""
     data, _, _ = demeaned_oracle_data(seed=11, n=400)
-    fam, rep = ex.solve_orthogonality(ex.demeaned_family("logit"),
-                                      ex.MEAN_INDEPENDENCE, data)
+    fam, rep = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
     ly = np.array([logit(float(o.y)) for o in data])
     lev = np.array([o.a for o in data])
     for k, level in enumerate(fam.levels):
@@ -51,8 +32,7 @@ def test_demeaned_fit_equals_per_cell_means():
 
 def test_demeaned_oracle_recovers_counterfactuals_exactly():
     data, shocks, mu = demeaned_oracle_data(seed=3, n=800)
-    fam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"),
-                                    ex.MEAN_INDEPENDENCE, data)
+    fam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
     worst = 0.0
     for o, xi in zip(data[:200], shocks[:200]):
         for t in range(len(mu)):
@@ -65,8 +45,7 @@ def test_extrapolate_requires_fit_and_known_level():
     with pytest.raises(ConfigError):
         ex.extrapolate(ex.demeaned_family("logit"), 0.4, 0, 1)
     data, _, _ = demeaned_oracle_data(seed=1, n=80)
-    fam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"),
-                                    ex.MEAN_INDEPENDENCE, data)
+    fam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
     with pytest.raises(ConfigError):
         ex.extrapolate(fam, 0.4, 0, 99)
 
@@ -74,15 +53,14 @@ def test_extrapolate_requires_fit_and_known_level():
 def test_extrapolate_returns_y_at_same_treatment():
     data, _, _ = demeaned_oracle_data(seed=2, n=80)
     for fam_proto in (ex.demeaned_family("logit"), ex.quantile_family()):
-        fam, _ = ex.solve_orthogonality(fam_proto, ex.MEAN_INDEPENDENCE, data)
+        fam, _ = ex.solve_orthogonality(fam_proto, data)
         o = data[7]
         assert ex.extrapolate(fam, o.y, o.a, o.a) == o.y
 
 
 def test_quantile_family_rank_round_trip():
     data, _, _ = demeaned_oracle_data(seed=4, n=400)
-    fam, _ = ex.solve_orthogonality(ex.quantile_family(),
-                                    ex.MEAN_INDEPENDENCE, data)
+    fam, _ = ex.solve_orthogonality(ex.quantile_family(), data)
     o = data[10]
     u = fam.H(float(o.y), o.a)
     np.testing.assert_allclose(fam.H_inverse(u, o.a), float(o.y), atol=1e-10)
@@ -94,29 +72,68 @@ def test_quantile_family_rank_round_trip():
 
 def test_partially_linear_recovers_price_and_x2_coefficients():
     data = _pl_data(seed=6, n=1000)
-    fam, rep = ex.solve_orthogonality(ex.partially_linear_family(n_params=2),
-                                      ex.MEAN_INDEPENDENCE, data, starts=6,
-                                      seed=0)
+    fam, rep = ex.solve_orthogonality(ex.partially_linear_family(n_params=2), data)
     alpha, gamma = fam.theta
     assert abs(alpha - 1.3) < 0.1
     assert abs(gamma - 0.6) < 0.1
     assert rep.unique
 
 
+def _nelder_mead_two_step(data):
+    """Reference fit: the partially linear two-step GMM criterion minimised
+    by Nelder-Mead, identity weight first, then the inverse covariance of
+    the first step's moment contributions."""
+    from scipy.optimize import minimize
+
+    B = ex.instrument_basis(data)
+    u = logit([float(o.y.values[0]) for o in data]) - np.array([o.a.x1[0] for o in data])
+    X = np.array([np.concatenate([o.a.p, -o.a.x2[0]]) for o in data])
+
+    def contrib(theta):
+        return (u + X @ theta)[:, None] * B
+
+    def crit(theta, W):
+        g = contrib(theta).mean(axis=0)
+        return g @ W @ g
+
+    def solve(W, start):
+        return minimize(crit, start, args=(W,), method="Nelder-Mead",
+                        options={"xatol": 1e-12, "fatol": 1e-30, "maxiter": 20000}).x
+
+    theta1 = solve(np.eye(B.shape[1]), np.zeros(X.shape[1]))
+    W = np.linalg.inv(np.cov(contrib(theta1), rowvar=False, bias=True))
+    return solve(W, theta1)
+
+
+@pytest.mark.parametrize("seed,n,x2", [(6, 1000, True), (5, 300, False)])
+def test_partially_linear_closed_form_matches_nelder_mead(seed, n, x2):
+    data = _pl_data(seed, n, x2=x2)
+    family = ex.partially_linear_family(n_params=2 if x2 else 1)
+    fam, rep = ex.solve_orthogonality(family, data)
+    np.testing.assert_allclose(fam.theta, _nelder_mead_two_step(data), atol=1e-7, rtol=0)
+    assert rep.unique
+
+
+def test_refitting_a_fitted_family_keeps_its_dimension():
+    data = _pl_data(seed=6, n=200)
+    fam, _ = ex.solve_orthogonality(ex.partially_linear_family(n_params=2), data)
+    refit, _ = ex.solve_orthogonality(fam, data)
+    assert refit.n_params == 2
+    np.testing.assert_array_equal(refit.theta, fam.theta)
+
+
 def test_partially_linear_nonunique_with_redundant_param_map():
     data = _pl_data(seed=7, n=200, x2=False)
     fam = ex.partially_linear_family(param_map=((1.0, 1.0),))
     with pytest.raises(NonUnique) as err:
-        ex.solve_orthogonality(fam, ex.MEAN_INDEPENDENCE, data, starts=8,
-                               seed=0)
+        ex.solve_orthogonality(fam, data)
     assert len(err.value.candidates) >= 2
 
 
 def test_sample_size_guard():
     data = _pl_data(seed=8, n=12)
     with pytest.raises(ConfigError):
-        ex.solve_orthogonality(ex.partially_linear_family(n_params=2),
-                               ex.MEAN_INDEPENDENCE, data)
+        ex.solve_orthogonality(ex.partially_linear_family(n_params=2), data)
 
 
 def test_instrument_basis_dummies_vs_polynomials():
@@ -131,15 +148,12 @@ def test_instrument_basis_dummies_vs_polynomials():
 
 def test_check_prop32_demeaned_and_partially_linear():
     data, _, mu = demeaned_oracle_data(seed=9, n=200)
-    dfam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"),
-                                     ex.MEAN_INDEPENDENCE, data)
+    dfam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
     rep = ex.check_prop32(dfam, data[:20], targets=list(range(len(mu))))
     assert rep.passed and rep.max_gap <= 1e-10
 
     pl_data = _pl_data(seed=9, n=400)
-    pfam, _ = ex.solve_orthogonality(ex.partially_linear_family(n_params=2),
-                                     ex.MEAN_INDEPENDENCE, pl_data, starts=4,
-                                     seed=0)
+    pfam, _ = ex.solve_orthogonality(ex.partially_linear_family(n_params=2), pl_data)
     targets = [o.a.replace(p=np.array([pp]))
                for o, pp in zip(pl_data[:5], np.linspace(0.6, 2.8, 5))]
     rep2 = ex.check_prop32(pfam, pl_data[:20], targets=targets)

@@ -216,3 +216,34 @@ def test_unreachable_candidate_value_is_a_numerical_failure():
         mi._invert_candidate(cand, np.array([[5.0]]), a)
     assert not isinstance(err.value, ConfigError)
     assert "cannot reach value 5.0" in str(err.value)
+
+
+def test_vectorised_candidate_inversion_matches_row_bisection():
+    dgp = dgp_1d()
+    h = mi.truth_candidate(dgp)
+    cand = mi.MicroCandidate(h=h, g_hat=np.zeros((1, 1)), w_grid=np.zeros((1, 1)),
+                             w0_index=0, params=np.zeros(1), residual=0.0,
+                             scale=np.eye(1))
+    a = Bundle(np.zeros(1), np.full(1, 1.5), np.zeros((1, 0)))
+    y = np.linspace(0.02, 0.95, 15)[:, None]
+    vals = h(y, a)
+    ref = []
+    for v in vals[:, 0]:
+        lo, hi = 1e-9, 1.0 - 1e-9
+        while hi - lo >= 1e-10:
+            mid = 0.5 * (lo + hi)
+            if h(np.array([[mid]]), a)[0, 0] <= v:
+                lo = mid
+            else:
+                hi = mid
+        ref.append(0.5 * (lo + hi))
+    got = mi._invert_candidate(cand, vals, a)
+    np.testing.assert_allclose(got[:, 0], ref, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(got, y, atol=1e-9, rtol=0)
+
+
+def test_oversized_quadrature_grid_is_a_config_error():
+    """16 nodes per intercept at J = 6 would be 16^6 Gauss-Hermite nodes."""
+    dgp = mi.MicroDgp(Pi=np.eye(6), sigma=np.full(6, 0.5), alpha=1.0)
+    with pytest.raises(ConfigError):
+        mi.micro_shares(dgp, np.zeros(6), np.ones(6))

@@ -5,13 +5,10 @@ from cdlab.demand import mixed_logit
 from cdlab.errors import ConfigError, InversionFailure
 from cdlab.transforms import (
     Affine,
-    Composed,
     LogitInverse,
     MixedLogitInverse,
     MonotoneSpline,
     Phi,
-    Shifted,
-    from_config,
 )
 from cdlab.types import bundle, lognormal_mixing
 
@@ -70,17 +67,6 @@ def test_monotone_spline_round_trip_including_tails():
         MonotoneSpline(knots=[0.0, 0.0], values=[0.0, 1.0])
 
 
-def test_shifted_and_composed():
-    base = Affine(A=[[2.0]], b=[0.0])
-    h = Shifted(base, c=[1.0])
-    y = np.array([0.4])
-    np.testing.assert_allclose(h.apply(y, None, None), [1.8])
-    np.testing.assert_allclose(h.invert(np.array([1.8]), None, None), y)
-    comp = Composed(outer=Shifted(base, c=[1.0]), inner=Affine(A=[[3.0]], b=[0.0]))
-    v = comp.apply(y, None, None)
-    np.testing.assert_allclose(comp.invert(v, None, None), y, atol=1e-14)
-
-
 def test_phi_is_the_baseline_slice_of_h():
     h = LogitInverse(alpha=0.5)
     a0 = bundle([0.3], [1.5])
@@ -90,14 +76,3 @@ def test_phi_is_the_baseline_slice_of_h():
     np.testing.assert_allclose(phi.apply(v), y, atol=1e-14)
     np.testing.assert_allclose(v, h.apply_bundle(y, a0) - a0.x1)
 
-
-def test_from_config_registry():
-    h = from_config({"family": "logit-inverse", "alpha": 0.5})
-    assert isinstance(h, LogitInverse) and h.alpha == 0.5
-    h2 = from_config({"family": "affine", "A": [[1.0]], "b": [0.0]})
-    assert isinstance(h2, Affine)
-    h3 = from_config({"family": "monotone-spline", "knots": [0, 1],
-                      "values": [0, 1]})
-    assert isinstance(h3, MonotoneSpline)
-    with pytest.raises(ConfigError):
-        from_config({"family": "fourier"})
