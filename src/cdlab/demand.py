@@ -82,12 +82,6 @@ def mixed_logit(mixing: MixingSpec, gamma=(), integration: Integration | None = 
                     integration=integration or gauss_hermite())
 
 
-@lru_cache(maxsize=64)
-def _hermgauss(n: int):
-    x, w = np.polynomial.hermite.hermgauss(n)
-    return x, w / np.sqrt(np.pi)
-
-
 def mixing_nodes(mixing: MixingSpec, integration: Integration):
     """Return (B, w): node matrix (M, dim) and weights (M,) summing to 1."""
     if integration.kind == "monte-carlo":
@@ -114,6 +108,21 @@ def _mc_nodes_cached(mixing: MixingSpec, integration: Integration):
     return _read_only(*_mc_nodes(mixing, integration.draws, rng))
 
 
+@lru_cache(maxsize=64)
+def hermite_grid(dim: int, n: int):
+    """Tensor-product Gauss-Hermite abscissae z (n^dim, dim) and weights summing
+    to 1: loc + sqrt(2) * scale * z are the nodes of N(loc, diag(scale^2))."""
+    if n**dim > MAX_GH_NODES:
+        raise ConfigError(f"Gauss-Hermite grid of {n}^{dim} nodes exceeds {MAX_GH_NODES}")
+    x, w = np.polynomial.hermite.hermgauss(n)
+    w = w / np.sqrt(np.pi)
+    grids = np.meshgrid(*([x] * dim), indexing="ij")
+    z = np.stack([g.ravel() for g in grids], axis=1)
+    wgrids = np.meshgrid(*([w] * dim), indexing="ij")
+    wts = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
+    return _read_only(z, wts)
+
+
 def _gh_nodes(mixing: MixingSpec, n: int):
     if mixing.kind == "degenerate":
         return np.array([mixing.loc]), np.array([1.0])
@@ -124,17 +133,8 @@ def _gh_nodes(mixing: MixingSpec, n: int):
             blocks.append(b)
             weights.append(wgt * w)
         return np.vstack(blocks), np.concatenate(weights)
-    dim = mixing.dim
-    if n**dim > MAX_GH_NODES:
-        raise ConfigError(f"Gauss-Hermite grid of {n}^{dim} nodes exceeds {MAX_GH_NODES}")
-    x, w = _hermgauss(n)
-    loc = np.asarray(mixing.loc)
-    scale = np.asarray(mixing.scale)
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    z = np.stack([g.ravel() for g in grids], axis=1)  # (n^dim, dim)
-    wgrids = np.meshgrid(*([w] * dim), indexing="ij")
-    wts = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    b = loc + np.sqrt(2.0) * scale * z
+    z, wts = hermite_grid(mixing.dim, n)
+    b = np.asarray(mixing.loc) + np.sqrt(2.0) * np.asarray(mixing.scale) * z
     if mixing.kind == "lognormal":
         b = np.exp(b)
     return b, wts
@@ -239,24 +239,29 @@ def share_jacobian(m: ShareMap, delta, a: Bundle) -> np.ndarray:
     return jac
 
 
+def expit_mixture(delta, offsets, weights, slope_weights=None):
+    """Single-product shares s = sum_m w_m expit(delta + o_m), with delta (...)
+    against node offsets (..., M). Given `slope_weights` v_m = w_m r_m, also
+    the derivative of s when each delta + o_m moves at rate r_m: v = w gives
+    ds/ddelta."""
+    lam = expit(np.asarray(delta, dtype=float)[..., None] + offsets)
+    if slope_weights is None:
+        return lam @ weights
+    return lam @ weights, (lam * (1.0 - lam)) @ slope_weights
+
+
 def share_curve_1d(mixing: MixingSpec, delta, p, nodes: int = DEFAULT_GH_NODES):
     """Single-product mixed-logit shares integral(Lambda(delta - beta p)) dG.
 
     `delta` and `p` broadcast; returns an array of the broadcast shape.
     Vectorized across many markets or grid points at once.
     """
-    B, w = _gh_nodes(mixing, nodes)
-    delta = np.asarray(delta, dtype=float)
-    p = np.asarray(p, dtype=float)
-    t = delta[..., None] - p[..., None] * B[:, 0]
-    return expit(t) @ w
+    B, w = _gh_nodes_cached(mixing, nodes)
+    return expit_mixture(delta, -np.asarray(p, dtype=float)[..., None] * B[:, 0], w)
 
 
 def share_curve_slope_1d(mixing: MixingSpec, delta, p, nodes: int = DEFAULT_GH_NODES):
     """d/dp of :func:`share_curve_1d` at (delta, p)."""
-    B, w = _gh_nodes(mixing, nodes)
-    delta = np.asarray(delta, dtype=float)
-    p = np.asarray(p, dtype=float)
-    t = delta[..., None] - p[..., None] * B[:, 0]
-    lam = expit(t)
-    return (lam * (1.0 - lam) * (-B[:, 0])) @ w
+    B, w = _gh_nodes_cached(mixing, nodes)
+    offsets = -np.asarray(p, dtype=float)[..., None] * B[:, 0]
+    return expit_mixture(delta, offsets, w, slope_weights=-B[:, 0] * w)[1]

@@ -18,12 +18,12 @@ import numpy as np
 from scipy.special import expit, logit
 
 from . import laws
-from .demand import _gh_nodes_cached, _node_shares
+from .demand import _node_shares, expit_mixture, hermite_grid
 from .errors import (ConfigError, IntegrationFailure, NoConvergence, NonUnique, NotIdentified,
                      RootNotBracketed)
-from .inversion import InversionConfig, _solve_log_shares
+from .inversion import InversionConfig, _solve_log_shares, solve_share_curve
 from .population import market_rng
-from .types import Bundle, normal_mixing, validate_shares
+from .types import Bundle, validate_shares
 
 PARALLEL_TOL = 1e-8
 DEFAULT_NU_NODES = 16
@@ -38,12 +38,10 @@ class Profile:
     w0_index: int = 0
 
     def __post_init__(self):
-        w = np.atleast_2d(np.asarray(self.w_grid, dtype=float))
-        if w.shape[0] == 1 and w.shape[1] > 1 and np.asarray(self.shares).shape[0] > 1:
-            w = w.T
-        s = np.asarray(self.shares, dtype=float)
+        s = np.array(self.shares, dtype=float)
         if s.ndim == 1:
             s = s[:, None]
+        w = _w_matrix(self.w_grid, s.shape[1])
         if w.shape[0] != s.shape[0]:
             raise ConfigError("w_grid and shares must align")
         for row in s:
@@ -89,18 +87,20 @@ def _nu_nodes(sigma: np.ndarray, n: int):
     """Product Gauss-Hermite nodes for nu ~ N(0, diag(sigma^2)): the nodes
     of the nonzero-scale coordinates, zero elsewhere."""
     active = sigma > 0
-    if not active.any():
+    k = np.count_nonzero(active)
+    if k == 0:
         return np.zeros((1, len(sigma))), np.array([1.0])
-    b, wts = _gh_nodes_cached(normal_mixing(np.zeros(active.sum()), sigma[active]), n)
-    nu = np.zeros((len(b), len(sigma)))
-    nu[:, active] = b
+    z, wts = hermite_grid(k, n)
+    if k == len(sigma):
+        return np.sqrt(2.0) * sigma * z, wts
+    nu = np.zeros((len(z), len(sigma)))
+    nu[:, active] = np.sqrt(2.0) * sigma[active] * z
     return nu, wts
 
 
-def micro_shares(dgp: MicroDgp, delta: np.ndarray, p: np.ndarray,
-                 sigma_scale: float = 1.0) -> np.ndarray:
+def micro_shares(dgp: MicroDgp, delta: np.ndarray, p: np.ndarray) -> np.ndarray:
     """sigma(delta, p): shares at mean utility delta and prices p."""
-    nu, w = _nu_nodes(dgp.sigma * sigma_scale, dgp.nu_nodes)
+    nu, w = _nu_nodes(dgp.sigma, dgp.nu_nodes)
     T = delta[None, :] + nu - dgp.alpha * p[None, :]
     s = w @ _node_shares(T)
     if not np.all(np.isfinite(s)):
@@ -108,33 +108,25 @@ def micro_shares(dgp: MicroDgp, delta: np.ndarray, p: np.ndarray,
     return s
 
 
-def micro_shares_1d(dgp: MicroDgp, delta, p, sigma_scale=1.0) -> np.ndarray:
+def _curve_1d(dgp: MicroDgp, p, sigma_scale=None):
+    """Node offsets c nu_m - alpha p (..., M), for sigma scaled by c, and weights
+    of the J = 1 share curve; c and p broadcast."""
+    nu, w = _nu_nodes(dgp.sigma, dgp.nu_nodes)
+    nu = nu[:, 0] if sigma_scale is None else np.asarray(sigma_scale)[..., None] * nu[:, 0]
+    return nu - dgp.alpha * np.asarray(p, dtype=float)[..., None], w
+
+
+def micro_shares_1d(dgp: MicroDgp, delta, p, sigma_scale=None) -> np.ndarray:
     """Vectorized J = 1 path: delta and p broadcast elementwise."""
-    nu, w = _nu_nodes(dgp.sigma * np.asarray(sigma_scale), dgp.nu_nodes)
-    t = (np.asarray(delta, dtype=float)[..., None] + nu[:, 0]
-         - dgp.alpha * np.asarray(p, dtype=float)[..., None])
-    return expit(t) @ w
+    return expit_mixture(delta, *_curve_1d(dgp, p, sigma_scale))
 
 
 def micro_invert_1d(dgp: MicroDgp, y, p, tol: float = 1e-12,
                     max_iter: int = 200) -> np.ndarray:
-    """Solve sigma(delta, p) = y elementwise (J = 1), Newton on log shares."""
-    y = np.asarray(y, dtype=float)
-    p = np.asarray(p, dtype=float)
-    nu, w = _nu_nodes(dgp.sigma, dgp.nu_nodes)
-    delta = logit(y) + dgp.alpha * p
-    log_y = np.log(y)
-    for it in range(max_iter):
-        t = delta[..., None] + nu[:, 0] - dgp.alpha * p[..., None]
-        lam = expit(t)
-        s = lam @ w
-        resid = s - y
-        if np.max(np.abs(resid)) <= tol:
-            return delta
-        sprime = (lam * (1.0 - lam)) @ w
-        step = (np.log(s) - log_y) * s / sprime
-        delta = delta - np.clip(step, -10.0, 10.0)
-    raise NoConvergence(max_iter, float(np.max(np.abs(resid))))
+    """Solve sigma(delta, p) = y elementwise (J = 1) with the bracketed
+    share-curve solver of :mod:`cdlab.inversion`."""
+    return solve_share_curve(*_curve_1d(dgp, p), y,
+                             InversionConfig(tol=tol, max_iter=max_iter))
 
 
 def micro_invert(dgp: MicroDgp, y: np.ndarray, p: np.ndarray,
@@ -197,11 +189,12 @@ class MicroMarket:
 
 
 def _w_matrix(w_grid, J: int) -> np.ndarray:
-    w = np.atleast_2d(np.asarray(w_grid, dtype=float))
-    if w.shape[0] == 1 and w.shape[1] != J:
-        w = w.T
-    if w.shape[1] != J:
-        w = np.asarray(w_grid, dtype=float).reshape(-1, J)
+    """The demographic grid as a (G, J) matrix; a 1-d grid only when J = 1."""
+    w = np.array(w_grid, dtype=float)
+    if w.ndim == 1 and J == 1:
+        w = w[:, None]
+    if w.ndim != 2 or w.shape[1] != J:
+        raise ConfigError(f"w_grid must be (G, {J}), or 1-d when J = 1; got shape {w.shape}")
     return w
 
 
@@ -210,14 +203,8 @@ def true_profile(dgp: MicroDgp, xi: np.ndarray, a: Bundle, w_grid,
     """The market's potential profile at bundle a from its stored shock."""
     W = _w_matrix(w_grid, dgp.J)
     if dgp.J == 1:
-        scale = 1.0 + dgp.sigma_w_slope * W[:, 0]
-        if dgp.sigma_w_slope == 0.0:
-            s = micro_shares_1d(dgp, dgp.Pi[0, 0] * W[:, 0] + xi[0], np.full(len(W), a.p[0]))
-        else:
-            s = np.array([
-                float(micro_shares_1d(dgp, np.array(dgp.Pi[0, 0] * wv + xi[0]),
-                                      np.array(a.p[0]), sigma_scale=sc))
-                for wv, sc in zip(W[:, 0], scale)])
+        s = micro_shares_1d(dgp, dgp.Pi[0, 0] * W[:, 0] + xi[0], a.p[0],
+                            sigma_scale=1.0 + dgp.sigma_w_slope * W[:, 0])
         return Profile(W, s[:, None], w0_index)
     rows = np.array([micro_shares(dgp, dgp.Pi @ wv + xi, a.p) for wv in W])
     return Profile(W, rows, w0_index)
@@ -255,45 +242,53 @@ def simulate_micro(dgp: MicroDgp, spec: MicroPopulationSpec,
 
 # --- candidate transforms and parallelism ----------------------------------
 
-def truth_candidate(dgp: MicroDgp) -> Callable:
-    """h = sigma^{-1}(., a) of the DGP itself."""
+@dataclass(frozen=True)
+class Candidate:
+    """A candidate transform h(y, a), row by row on a (G, J) share matrix,
+    with its forward map: the shares(v, a) whose transform is v."""
+
+    h: Callable
+    shares: Callable
+
+    def __call__(self, shares_matrix: np.ndarray, a: Bundle) -> np.ndarray:
+        return self.h(shares_matrix, a)
+
+
+def truth_candidate(dgp: MicroDgp) -> Candidate:
+    """h = sigma^{-1}(., a) of the DGP itself; its forward map is sigma."""
 
     def h(shares_matrix: np.ndarray, a: Bundle) -> np.ndarray:
         if dgp.J == 1:
-            return micro_invert_1d(dgp, shares_matrix[:, 0],
-                                   np.full(len(shares_matrix), a.p[0]))[:, None]
+            return micro_invert_1d(dgp, shares_matrix[:, 0], a.p[0])[:, None]
         return np.array([micro_invert(dgp, row, a.p) for row in shares_matrix])
 
-    return h
+    def shares(v: np.ndarray, a: Bundle) -> np.ndarray:
+        if dgp.J == 1:
+            return micro_shares_1d(dgp, v[:, 0], a.p[0])[:, None]
+        return np.array([micro_shares(dgp, row, a.p) for row in v])
+
+    return Candidate(h, shares)
 
 
-def identity_candidate() -> Callable:
-    return lambda shares_matrix, a: np.array(shares_matrix, dtype=float)
+def identity_candidate() -> Candidate:
+    def same(m, a):
+        return np.array(m, dtype=float)
+
+    return Candidate(same, same)
 
 
-def logit_candidate() -> Callable:
-    return lambda shares_matrix, a: logit(np.array(shares_matrix, dtype=float))
+def logit_candidate() -> Candidate:
+    return Candidate(lambda m, a: logit(np.array(m, dtype=float)),
+                     lambda v, a: expit(np.asarray(v, dtype=float)))
 
 
 @dataclass
 class CandidateFamily:
     """Parametric family of candidate transforms for the parallelism search."""
 
-    build: Callable[[np.ndarray], Callable]
+    build: Callable[[np.ndarray], Candidate]
     bounds: tuple  # ((lo, hi), ...) per parameter
     name: str = "candidate"
-
-
-def mixed_logit_inverse_family(template: MicroDgp) -> CandidateFamily:
-    """Candidates sigma^{-1} with unknown (alpha, sigma) on the template DGP."""
-
-    def build(params: np.ndarray) -> Callable:
-        cand = MicroDgp(Pi=template.Pi, sigma=np.full(template.J, abs(params[1])),
-                        alpha=params[0], nu_nodes=template.nu_nodes)
-        return truth_candidate(cand)
-
-    return CandidateFamily(build=build, bounds=((0.05, 5.0), (0.0, 4.0)),
-                           name="mixed-logit-inverse")
 
 
 def sigma_family(template: MicroDgp, alpha_fixed: float = 0.0) -> CandidateFamily:
@@ -305,7 +300,7 @@ def sigma_family(template: MicroDgp, alpha_fixed: float = 0.0) -> CandidateFamil
     price coefficient reappears later in the identified level constants.
     """
 
-    def build(params: np.ndarray) -> Callable:
+    def build(params: np.ndarray) -> Candidate:
         cand = MicroDgp(Pi=template.Pi, sigma=np.full(template.J, abs(params[0])),
                         alpha=alpha_fixed, nu_nodes=template.nu_nodes)
         return truth_candidate(cand)
@@ -317,9 +312,10 @@ def scaled_logit_family() -> CandidateFamily:
     """Candidates theta * logit(y): on a plain-logit DGP every member is
     parallel, and members differ by more than a vertical shift."""
 
-    def build(params: np.ndarray) -> Callable:
+    def build(params: np.ndarray) -> Candidate:
         theta = float(params[0])
-        return lambda shares_matrix, a: theta * logit(np.asarray(shares_matrix, dtype=float))
+        return Candidate(lambda m, a: theta * logit(np.asarray(m, dtype=float)),
+                         lambda v, a: expit(np.asarray(v, dtype=float) / theta))
 
     return CandidateFamily(build=build, bounds=((0.5, 3.0),), name="scaled-logit")
 
@@ -344,13 +340,26 @@ def parallel_residual(candidate_h: Callable, profiles: Sequence[Profile],
 class MicroCandidate:
     """An accepted transform with its recovered demographic index."""
 
-    h: Callable  # normalized: h(y0, a) = 0 at the stored baseline
+    h: Candidate  # normalized: h(y0, a) = 0 at the stored baseline
     g_hat: np.ndarray  # (G, J) on the grid, g_hat(w0) = 0
     w_grid: np.ndarray
     w0_index: int
     params: np.ndarray
     residual: float
     scale: np.ndarray  # affine reparameterization enforcing dg/dw(w0) = I
+
+    def h_inverse(self, vals: np.ndarray, a: Bundle) -> np.ndarray:
+        """The shares y with h(y, a) = vals, by the forward map; RootNotBracketed
+        when a row's image leaves the open simplex."""
+        vals = np.atleast_2d(vals)
+        y = self.h.shares(vals, a)
+        inside = np.all(y > 0.0, axis=1) & (y.sum(axis=1) < 1.0)  # False for nan
+        if not inside.all():
+            i = int(np.argmin(inside))
+            raise RootNotBracketed(
+                f"candidate transform cannot reach value {', '.join(map(str, vals[i]))} "
+                f"(image {y[i].tolist()} outside the open simplex)")
+        return y
 
 
 def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
@@ -402,7 +411,7 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
     return _normalize_candidate(h_best, best_params, best_res, profiles, a, y0)
 
 
-def _normalize_candidate(h_raw: Callable, params, residual,
+def _normalize_candidate(h_raw: Candidate, params, residual,
                          profiles: Sequence[Profile], a: Bundle,
                          y0: np.ndarray | None) -> MicroCandidate:
     W = profiles[0].w_grid
@@ -429,8 +438,11 @@ def _normalize_candidate(h_raw: Callable, params, residual,
     def h(y_matrix: np.ndarray, bundle: Bundle) -> np.ndarray:
         return (h_raw(np.atleast_2d(y_matrix), bundle) - base) @ Minv.T
 
+    def shares(vals: np.ndarray, bundle: Bundle) -> np.ndarray:
+        return h_raw.shares(np.atleast_2d(vals) @ M.T + base, bundle)
+
     g_hat = g_raw @ Minv.T
-    return MicroCandidate(h=h, g_hat=g_hat, w_grid=W, w0_index=w0,
+    return MicroCandidate(h=Candidate(h, shares), g_hat=g_hat, w_grid=W, w0_index=w0,
                           params=np.asarray(params, dtype=float),
                           residual=float(residual), scale=M)
 
@@ -457,37 +469,7 @@ class CompletedMicroModel:
         xi_hat = self.h_full(market.profile.shares[w0][None, :], market.level)[0]
         cand_t = self.candidates[target_level]
         vals = g + xi_hat - self.levels_c[target_level]
-        return _invert_candidate(cand_t, vals, self.dgp_levels[target_level])
-
-
-def _invert_candidate(cand: MicroCandidate, vals: np.ndarray, a: Bundle,
-                      tol: float = 1e-10, max_iter: int = 400) -> np.ndarray:
-    """Invert a normalized candidate transform (J = 1): one bisection on
-    all rows at once, one call of the transform per step."""
-    J = vals.shape[1]
-    if J != 1:
-        raise ConfigError("candidate inversion implemented for J = 1")
-    v = vals[:, 0]
-    lo = np.full_like(v, 1e-9)
-    hi = np.full_like(v, 1.0 - 1e-9)
-
-    def f(y):
-        return cand.h(y[:, None], a)[:, 0] - v
-
-    flo, fhi = f(lo), f(hi)
-    bad = (flo > 0) | (fhi < 0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise RootNotBracketed(f"candidate transform cannot reach value {v[i]} "
-                               f"(f range [{flo[i]}, {fhi[i]}])")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        below = f(mid) <= 0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.all(hi - lo < tol * np.maximum(1.0, np.abs(mid))):
-            break
-    return 0.5 * (lo + hi)[:, None]
+        return cand_t.h_inverse(vals, self.dgp_levels[target_level])
 
 
 def price_coefficient_from_levels(model: CompletedMicroModel) -> float:
@@ -565,22 +547,19 @@ def verify_theorem2(dgp: MicroDgp, markets: Sequence[MicroMarket],
     the DGP's own share map as the transform."""
     base = MicroDgp(Pi=dgp.Pi, sigma=dgp.sigma, alpha=dgp.alpha,
                     nu_nodes=dgp.nu_nodes)  # index-structure version of sigma
+    h = truth_candidate(base)
     m1 = m2 = m3 = 0.0
     for mkt in markets:
         W = mkt.profile.w_grid
-        prof_a = mkt.profile.shares
-        prof_a0 = true_profile(dgp, mkt.xi, a0, W, mkt.profile.w0_index).shares
+        w0 = mkt.profile.w0_index
+        prof_a0 = true_profile(dgp, mkt.xi, a0, W, w0).shares
         # (i) profile conversion through the baseline treatment
-        delta = np.array([micro_invert(base, row, mkt.a.p) for row in prof_a])
-        conv = np.array([micro_shares(base, d, a0.p) for d in delta])
-        m1 = max(m1, float(np.max(np.abs(conv - prof_a0))))
+        delta = h(mkt.profile.shares, mkt.a)
+        m1 = max(m1, float(np.max(np.abs(h.shares(delta, a0) - prof_a0))))
         # (ii) parallel paths of the transformed baseline profile
-        phi_vals = np.array([micro_invert(base, row, a0.p) for row in prof_a0])
-        g = (W - W[mkt.profile.w0_index]) @ base.Pi.T
-        incr = phi_vals - phi_vals[mkt.profile.w0_index]
-        m2 = max(m2, float(np.max(np.abs(incr - g))))
+        phi_vals = h(prof_a0, a0)
+        g = (W - W[w0]) @ base.Pi.T
+        m2 = max(m2, float(np.max(np.abs(phi_vals - phi_vals[w0] - g))))
         # (iii) combined transformed-shift form
-        h_a = delta
-        h_a0_w0 = micro_invert(base, prof_a0[mkt.profile.w0_index], a0.p)
-        m3 = max(m3, float(np.max(np.abs(h_a - h_a0_w0[None, :] - g))))
+        m3 = max(m3, float(np.max(np.abs(delta - phi_vals[w0] - g))))
     return MicroEquivalenceReport(m1, m2, m3, tol=tol)

@@ -78,6 +78,17 @@ def test_invert_curve_xi_finds_exact_root():
     assert abs(at - 0.42) < 1e-9
 
 
+@pytest.mark.parametrize("price", [1.0, 2.5, 3.0])
+@pytest.mark.parametrize("target", [0.95, 0.98, 0.99])
+def test_invert_curve_xi_on_a_staircase_share_curve(price, target):
+    """lognormal(-0.5, 2) at 32 nodes makes the share curve a staircase in
+    xi; the inversion must still reach targets near 1."""
+    mix = lognormal_mixing(-0.5, 2.0)
+    xi = _invert_curve_xi(mix, price, target, 32)
+    at = float(share_curve_1d(mix, np.array(xi), np.array(price), 32))
+    assert abs(np.log(at) - np.log(target)) <= 1e-12
+
+
 def test_invert_curve_xi_unreachable_target():
     with pytest.raises(RootNotBracketed):
         _invert_curve_xi(lognormal_mixing(0.0, 0.5), price=1.0, target=1.5,

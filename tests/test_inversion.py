@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import cdlab.inversion as inversion
 from cdlab import laws
 from cdlab.demand import (
+    _gh_nodes,
+    expit_mixture,
     gauss_hermite,
     mixed_logit,
     monte_carlo,
@@ -19,6 +22,7 @@ from cdlab.inversion import (
     InversionConfig,
     invert,
     logit_closed_form,
+    solve_share_curve,
     structural_shock,
 )
 from cdlab.population import PopulationSpec, market_rng, sample_market
@@ -82,10 +86,10 @@ def test_no_convergence_reports_iterations_and_residual():
 
 def test_newton_polish_can_be_disabled():
     m = mixed_logit(lognormal_mixing(0.0, 0.3))
-    a = bundle([0.0], [1.0])
-    y = shares(m, np.array([1.0]), a)
+    a = bundle([0.0, 0.0], [1.0, 2.0])
+    y = shares(m, np.array([1.0, 0.5]), a)
     delta = invert(m, y, a, InversionConfig(newton_polish=False))
-    np.testing.assert_allclose(delta, [1.0], atol=1e-10)
+    np.testing.assert_allclose(delta, [1.0, 0.5], atol=1e-10)
 
 
 def test_config_validation():
@@ -125,6 +129,39 @@ def test_newton_agrees_with_contraction_reference(J):
         y = shares(m, delta, a)
         np.testing.assert_allclose(invert(m, y, a), invert(m, y, a, CONTRACTION),
                                    atol=1e-10, rtol=0)
+
+
+def _bisect_share_curve(offsets, w, y):
+    """Reference root of sum_m w_m expit(delta + o_m) = y for one target."""
+    lo = np.log(y) - np.log1p(-y) - offsets.max()
+    hi = np.log(y) - np.log1p(-y) - offsets.min()
+    for _ in range(2000):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if float(w @ expit(mid + offsets)) < y:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
+def test_share_curve_solver_matches_bisection():
+    """A dispersed 32-node mixing makes the share curve a staircase; the
+    grid includes the targets near 1 where unbracketed Newton failed.
+    Where the curve is flat, the log-share tolerance 1e-12 leaves delta
+    uncertain by about 1e-12 * s / s', so the bound scales with it."""
+    B, w = _gh_nodes(lognormal_mixing(-0.5, 2.0), 32)
+    prices = np.array([0.5, 1.0, 2.5, 3.0])
+    targets = np.array([0.02, 0.3, 0.7, 0.95, 0.98, 0.99, 0.999])
+    p, y = (g.ravel() for g in np.meshgrid(prices, targets, indexing="ij"))
+    offsets = -p[:, None] * B[:, 0]
+    got = solve_share_curve(offsets, w, y)
+    ref = np.array([_bisect_share_curve(o, w, t) for o, t in zip(offsets, y)])
+    s, slope = expit_mixture(ref, offsets, w, w)
+    assert np.all(np.abs(got - ref) <= 1e-10 + 2e-12 * s / slope)
+    staircase = (p >= 1.0) & (y >= 0.95) & (y <= 0.99)
+    np.testing.assert_allclose(got[staircase], ref[staircase], atol=1e-10, rtol=0)
 
 
 MIXINGS = {

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cdlab import micro as mi
+from cdlab.demand import _gh_nodes
 from cdlab.errors import ConfigError, NotIdentified, RootNotBracketed
-from cdlab.types import Bundle
+from cdlab.types import Bundle, normal_mixing
 
 
 def dgp_1d(**kwargs):
@@ -54,6 +55,49 @@ def test_micro_invert_round_trip_2d():
 def test_profile_validation():
     with pytest.raises(ConfigError):
         mi.Profile(np.zeros((3, 1)), np.full((2, 1), 0.3))
+
+
+def test_w_grid_is_g_by_j_or_1d_only_at_j_1():
+    shares = np.full((2, 2), 0.3)
+    np.testing.assert_array_equal(mi._w_matrix((0.0, 0.5, 1.0), 1), [[0.0], [0.5], [1.0]])
+    assert mi.Profile(np.zeros((2, 2)), shares).w_grid.shape == (2, 2)
+    # a 1-d grid of 4 values at J = 2 used to be read silently as 2 pairs
+    with pytest.raises(ConfigError):
+        mi._w_matrix(np.arange(4.0), 2)
+    with pytest.raises(ConfigError):
+        mi.Profile(np.arange(4.0), shares)
+    with pytest.raises(ConfigError):  # (J, G) instead of (G, J)
+        mi.Profile(np.zeros((1, 3)), np.full((3, 1), 0.3))
+
+
+def _scattered_normal_grid(sigma, n):
+    """The construction _nu_nodes replaces: the Gauss-Hermite grid of
+    normal_mixing(0, sigma[active]), built from hermgauss, scattered into
+    the active columns."""
+    active = sigma > 0
+    k = int(active.sum())
+    x, w = np.polynomial.hermite.hermgauss(n)
+    w = w / np.sqrt(np.pi)
+    z = np.stack([g.ravel() for g in np.meshgrid(*([x] * k), indexing="ij")], axis=1)
+    wts = np.prod(np.stack([g.ravel() for g in np.meshgrid(*([w] * k), indexing="ij")],
+                           axis=1), axis=1)
+    nu = np.zeros((len(z), len(sigma)))
+    nu[:, active] = np.zeros(k) + np.sqrt(2.0) * sigma[active] * z
+    return nu, wts
+
+
+@pytest.mark.parametrize("sigma", [[0.8], [0.5, 0.0, 0.3], [0.2, 0.7, 1.1]])
+@pytest.mark.parametrize("n", [3, 4, 8, 16])
+def test_nu_nodes_are_bit_identical_to_the_scattered_normal_grid(sigma, n):
+    """1, 2 and 3 active dimensions, through the shared cached grid."""
+    sigma = np.array(sigma)
+    ref, w_ref = _scattered_normal_grid(sigma, n)
+    nu, w = mi._nu_nodes(sigma, n)
+    assert nu.tobytes() == ref.tobytes()
+    assert w.tobytes() == w_ref.tobytes()
+    active = sigma > 0
+    b, w_gh = _gh_nodes(normal_mixing(np.zeros(active.sum()), sigma[active]), n)
+    assert b.tobytes() == ref[:, active].tobytes() and w_gh.tobytes() == w_ref.tobytes()
 
 
 def test_spec_validation():
@@ -213,7 +257,7 @@ def test_unreachable_candidate_value_is_a_numerical_failure():
                              params=np.zeros(1), residual=0.0, scale=np.eye(1))
     a = Bundle(np.zeros(1), np.ones(1), np.zeros((1, 0)))
     with pytest.raises(RootNotBracketed) as err:
-        mi._invert_candidate(cand, np.array([[5.0]]), a)
+        cand.h_inverse(np.array([[5.0]]), a)
     assert not isinstance(err.value, ConfigError)
     assert "cannot reach value 5.0" in str(err.value)
 
@@ -237,7 +281,7 @@ def test_vectorised_candidate_inversion_matches_row_bisection():
             else:
                 hi = mid
         ref.append(0.5 * (lo + hi))
-    got = mi._invert_candidate(cand, vals, a)
+    got = cand.h_inverse(vals, a)
     np.testing.assert_allclose(got[:, 0], ref, atol=1e-10, rtol=0)
     np.testing.assert_allclose(got, y, atol=1e-9, rtol=0)
 
