@@ -20,8 +20,7 @@ from . import micro as mi
 from .counterfactual import HomTriple, verify_theorem1
 from .demand import mixed_logit, shares
 from .dgps import ScaledX1Spec, sample_scaled_x1_population
-from .diagnostics import Fig1Spec, conditional_variance, crossing_curve
-from .errors import NonUnique, RootNotBracketed
+from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
 from .inversion import invert
 from .population import PopulationSpec, market_rng, sample_population, true_counterfactual
 from .transforms import LogitInverse, MixedLogitInverse
@@ -132,10 +131,8 @@ def criterion_3(seed: int) -> CriterionResult:
     spec = Fig1Spec(market_count=2000, seed=seed + 3)
     pop = sample_population(spec.population_spec())
     good = 0
-    for draw in pop:
-        try:
-            pair = crossing_curve(spec, draw)
-        except RootNotBracketed:
+    for draw, pair in zip(pop, crossing_curves(spec, pop)):
+        if pair is None:  # the opposite type cannot reach the observed share
             continue
         price = float(draw.a.p[0])
         y_obs = float(draw.y.values[0])
@@ -181,8 +178,10 @@ def demeaned_oracle_data(seed: int, n: int = 10_000, levels: int = 4):
     data, shocks = [], []
     for i in range(n):
         block, pos = divmod(i, levels)
-        xi = float(market_rng(seed, block, 1).normal(0.0, 0.8))
-        lev = int(market_rng(seed, block, 2).permutation(levels)[pos])
+        if pos == 0:  # each block's shock and permutation are drawn once
+            xi = float(market_rng(seed, block, 1).normal(0.0, 0.8))
+            perm = market_rng(seed, block, 2).permutation(levels)
+        lev = int(perm[pos])
         data.append(ex.observe(float(expit(mu[lev] + xi)), lev, [float(lev)]))
         shocks.append(xi)
     return data, shocks, mu

@@ -23,8 +23,8 @@ from . import micro as mi
 from .config import EXPERIMENTS, ExperimentConfig, apply_overrides, load_config
 from .counterfactual import CounterfactualEngine, HomTriple, verify_theorem1
 from .dgps import ScaledX1Spec, sample_scaled_x1_population
-from .diagnostics import Fig1Spec, conditional_variance, crossing_curve
-from .errors import CdlabError, ConfigError
+from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
+from .errors import CdlabError, ConfigError, RootNotBracketed
 from .inversion import invert
 from .population import PopulationSpec, sample_population, true_counterfactual
 from .svgplot import Panel, write_svg
@@ -112,8 +112,10 @@ def run_fig1(cfg: ExperimentConfig, out: Path) -> None:
     rows = []
     panel = Panel(title="crossing demand curves", xlabel="price", ylabel="share")
     labels = {0: "type 0", 1: "type 1"}
-    for i, d in enumerate(pop[:plotted]):
-        pair = crossing_curve(spec, d)
+    for i, (d, pair) in enumerate(zip(pop[:plotted], crossing_curves(spec, pop[:plotted]))):
+        if pair is None:
+            raise RootNotBracketed(f"market {i}: share {d.y.values[0]} unreachable "
+                                   f"by the opposite type")
         for g, own, opp in zip(pair.grid, pair.own, pair.opposite):
             rows.append([i, d.zeta, float(g), float(own), float(opp)])
         panel.add(pair.grid, pair.own, color=TYPE_COLORS[d.zeta],

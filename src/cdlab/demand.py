@@ -16,10 +16,11 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, IntegrationFailure
-from .types import Bundle, MixingSpec, SharesVector, validate_shares
+from .types import Bundle, Bundles, MixingSpec, SharesVector, validate_shares
 
 DEFAULT_GH_NODES = 32
 MAX_GH_NODES = 2**20  # tensor-product grids grow as nodes ** dim
+MAX_BLOCK_ELEMENTS = 2**19  # markets x nodes x products per node-share block (4 MB)
 
 
 @dataclass(frozen=True)
@@ -156,23 +157,24 @@ def _mc_nodes(mixing: MixingSpec, draws: int, rng):
     return b, np.full(draws, 1.0 / draws)
 
 
-def _fixed_index(m: ShareMap, a: Bundle) -> np.ndarray:
-    g = np.zeros(a.J)
+def _fixed_index(m: ShareMap, a: Bundle | Bundles) -> np.ndarray:
+    """Non-random index g(a): (..., J) for p (..., J)."""
+    g = np.zeros(np.shape(a.p))
     if m.kind == "plain-logit":
         g -= m.alpha * a.p
     if m.gamma:
-        k = min(len(m.gamma), a.x2.shape[1])
-        g += a.x2[:, :k] @ np.asarray(m.gamma[:k])
+        k = min(len(m.gamma), a.x2.shape[-1])
+        g += a.x2[..., :k] @ np.asarray(m.gamma[:k])
     return g
 
 
-def _random_index(B: np.ndarray, a: Bundle) -> np.ndarray:
-    """Per-node utility from random coefficients: (M, J)."""
-    out = -np.outer(B[:, 0], a.p)
+def _random_index(B: np.ndarray, a: Bundle | Bundles) -> np.ndarray:
+    """Per-node utility from random coefficients: (..., M, J)."""
+    out = -(B[:, :1] * a.p[..., None, :])
     extra = B.shape[1] - 1
     if extra:
-        k = min(extra, a.x2.shape[1])
-        out += B[:, 1:1 + k] @ a.x2[:, :k].T
+        k = min(extra, a.x2.shape[-1])
+        out += B[:, 1:1 + k] @ np.swapaxes(a.x2[..., :k], -1, -2)
     return out
 
 
@@ -183,13 +185,23 @@ def _node_shares(T: np.ndarray) -> np.ndarray:
     return np.exp(T - lse)
 
 
-def _weighted_node_shares(m: ShareMap, delta: np.ndarray, a: Bundle):
+def _weighted_node_shares(m: ShareMap, delta: np.ndarray, a: Bundle | Bundles):
+    """Node shares S (..., M, J) at delta (..., J), and the node weights."""
     B, w = mixing_nodes(m.mixing, m.integration)
-    T = delta[None, :] + _fixed_index(m, a)[None, :] + _random_index(B, a)
+    T = (delta + _fixed_index(m, a))[..., None, :] + _random_index(B, a)
     S = _node_shares(T)
     if not np.all(np.isfinite(S)):
         raise IntegrationFailure("non-finite node shares")
     return S, w
+
+
+def node_jacobian(S: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """J x J share Jacobian in delta from one market's node shares S (M, J):
+    diag(w S) - sum_m w_m S_m S_m'."""
+    jac = np.diag(w @ S) - np.einsum("m,mj,mk->jk", w, S, S)
+    if not np.all(np.isfinite(jac)):
+        raise IntegrationFailure("integration produced non-finite jacobian")
+    return jac
 
 
 def shares(m: ShareMap, delta, a: Bundle) -> SharesVector:
@@ -199,27 +211,35 @@ def shares(m: ShareMap, delta, a: Bundle) -> SharesVector:
         raise ConfigError(f"delta shape {delta.shape} does not match J={a.J}")
     if not np.all(np.isfinite(delta)):
         raise IntegrationFailure(f"non-finite delta: {delta}")
-    if m.kind == "plain-logit":
-        s = _node_shares(delta + _fixed_index(m, a))
-    else:
-        S, w = _weighted_node_shares(m, delta, a)
-        s = w @ S
+    s = shares_array(m, delta, a)
     if not np.all(np.isfinite(s)):
         raise IntegrationFailure("integration produced non-finite shares")
     return validate_shares(s)
 
 
-def shares_array(m: ShareMap, delta, a: Bundle) -> np.ndarray:
+def shares_array(m: ShareMap, delta, a: Bundle | Bundles) -> np.ndarray:
     """Like :func:`shares` but returns the raw array without validation.
 
-    Used by inner solver loops where intermediate iterates may graze the
-    simplex boundary.
+    One market: delta (J,) under a Bundle. n markets: delta (n, J) under
+    Bundles of n rows, in blocks of at most MAX_BLOCK_ELEMENTS node shares,
+    so the temporaries do not grow with n. Used by inner solver loops, where
+    intermediate iterates may graze the simplex boundary, and by batched
+    sampling and counterfactuals, which validate all rows at once.
     """
     delta = np.asarray(delta, dtype=float)
     if m.kind == "plain-logit":
         return _node_shares(delta + _fixed_index(m, a))
-    S, w = _weighted_node_shares(m, delta, a)
-    return w @ S
+    if delta.ndim == 1:
+        S, w = _weighted_node_shares(m, delta, a)
+        return w @ S
+    n, J = delta.shape
+    step = max(1, MAX_BLOCK_ELEMENTS // (len(mixing_nodes(m.mixing, m.integration)[1]) * J))
+    out = np.empty((n, J))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        S, w = _weighted_node_shares(m, delta[rows], a[rows])
+        out[rows] = w @ S
+    return out
 
 
 def share_jacobian(m: ShareMap, delta, a: Bundle) -> np.ndarray:
@@ -232,11 +252,7 @@ def share_jacobian(m: ShareMap, delta, a: Bundle) -> np.ndarray:
     if m.kind == "plain-logit":
         s = _node_shares(delta + _fixed_index(m, a))
         return np.diag(s) - np.outer(s, s)
-    S, w = _weighted_node_shares(m, delta, a)
-    jac = np.diag(w @ S) - np.einsum("m,mj,mk->jk", w, S, S)
-    if not np.all(np.isfinite(jac)):
-        raise IntegrationFailure("integration produced non-finite jacobian")
-    return jac
+    return node_jacobian(*_weighted_node_shares(m, delta, a))
 
 
 def expit_mixture(delta, offsets, weights, slope_weights=None):
@@ -244,10 +260,18 @@ def expit_mixture(delta, offsets, weights, slope_weights=None):
     against node offsets (..., M). Given `slope_weights` v_m = w_m r_m, also
     the derivative of s when each delta + o_m moves at rate r_m: v = w gives
     ds/ddelta."""
-    lam = expit(np.asarray(delta, dtype=float)[..., None] + offsets)
+    lam = np.asarray(delta, dtype=float)[..., None] + offsets
+    expit(lam, out=lam)  # in place: one (..., M) temporary, not two
     if slope_weights is None:
         return lam @ weights
     return lam @ weights, (lam * (1.0 - lam)) @ slope_weights
+
+
+def curve_offsets(mixing: MixingSpec, p, nodes: int = DEFAULT_GH_NODES):
+    """Node offsets -beta_m p (..., M) of the single-product price curve at
+    prices p (...), and the node weights."""
+    B, w = _gh_nodes_cached(mixing, nodes)
+    return -np.asarray(p, dtype=float)[..., None] * B[:, 0], w
 
 
 def share_curve_1d(mixing: MixingSpec, delta, p, nodes: int = DEFAULT_GH_NODES):
@@ -256,8 +280,7 @@ def share_curve_1d(mixing: MixingSpec, delta, p, nodes: int = DEFAULT_GH_NODES):
     `delta` and `p` broadcast; returns an array of the broadcast shape.
     Vectorized across many markets or grid points at once.
     """
-    B, w = _gh_nodes_cached(mixing, nodes)
-    return expit_mixture(delta, -np.asarray(p, dtype=float)[..., None] * B[:, 0], w)
+    return expit_mixture(delta, *curve_offsets(mixing, p, nodes))
 
 
 def share_curve_slope_1d(mixing: MixingSpec, delta, p, nodes: int = DEFAULT_GH_NODES):

@@ -8,12 +8,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import laws
-from .demand import gauss_hermite, mixed_logit, share_curve_1d, share_curve_slope_1d
+from .demand import curve_offsets, share_curve_1d, share_curve_slope_1d
 from .errors import InsufficientData, RootNotBracketed
-from .inversion import invert
-from .population import PopulationSpec, true_counterfactual
-from .types import (Bundle, MarketDraw, MixingSpec, bundle, lognormal_mixing,
-                    validate_shares)
+from .inversion import solve_share_curve
+from .population import PopulationSpec, true_counterfactuals
+from .types import Bundle, MarketDraw, MixingSpec, lognormal_mixing
 
 CURVE_POINT_TOL = 1e-8
 
@@ -83,8 +82,10 @@ def conditional_variance(population: list[MarketDraw], spec: PopulationSpec,
     """
     if len(population) < 2:
         raise InsufficientData(f"need at least 2 markets, got {len(population)}")
-    ya = np.array([true_counterfactual(spec, d, a).values for d in population])
-    yap = np.array([true_counterfactual(spec, d, a_prime).values for d in population])
+    xi = np.array([d.xi for d in population])
+    zeta = np.array([d.zeta for d in population])
+    ya = true_counterfactuals(spec, xi, zeta, a)
+    yap = true_counterfactuals(spec, xi, zeta, a_prime)
     groups = _partition(ya, bins)
     worst = 0.0
     for idx in groups:
@@ -107,13 +108,16 @@ def conditional_variance(population: list[MarketDraw], spec: PopulationSpec,
     return worst
 
 
-def _invert_curve_xi(mixing: MixingSpec, price: float, target: float,
-                     nodes: int) -> float:
-    """The xi with share(xi, price) = target: a J = 1 share inversion."""
-    if not 0.0 < target < 1.0:
-        raise RootNotBracketed(f"share {target} unreachable at price {price}")
-    m = mixed_logit(mixing, integration=gauss_hermite(nodes))
-    return float(invert(m, validate_shares([target]), bundle(0.0, price))[0])
+def _invert_curve_xi(mixing: MixingSpec, price, target, nodes: int) -> np.ndarray:
+    """The xi with share(xi, price) = target: J = 1 share inversions, one per
+    element of the broadcast price and target, in one solver call."""
+    price, target = np.broadcast_arrays(np.asarray(price, dtype=float),
+                                        np.asarray(target, dtype=float))
+    unreachable = ~((0.0 < target) & (target < 1.0))
+    if unreachable.any():
+        i = int(np.argmax(unreachable))
+        raise RootNotBracketed(f"share {target.flat[i]} unreachable at price {price.flat[i]}")
+    return solve_share_curve(*curve_offsets(mixing, price, nodes), target)
 
 
 @dataclass
@@ -128,29 +132,49 @@ class CurvePair:
     xi_opposite: float
 
 
-def crossing_curve(spec: Fig1Spec, market: MarketDraw) -> CurvePair:
-    """Single-product price curves through the observed point.
+def crossing_curves(spec: Fig1Spec, markets: list[MarketDraw]) -> list:
+    """Single-product price curves through each market's observed point.
 
     The own curve uses the market's stored latent state; the opposite-type
     curve uses the xi that makes the other mixing distribution pass through
-    (P, Y) exactly.
+    (P, Y) exactly. Per mixing type, one inversion solves the markets that
+    have it as their opposite type, and one curve and one slope evaluation
+    each serve its own and its opposite curves. A market whose observed
+    share no curve can reach gets None in place of its pair.
     """
-    if market.a.J != 1:
+    if any(d.a.J != 1 for d in markets):
         raise ValueError("crossing curves are defined for J = 1")
-    price = float(market.a.p[0])
-    y_obs = float(market.y.values[0])
     grid = np.asarray(spec.curve_grid, dtype=float)
-    own_mix = spec.mixing(market.zeta)
-    opp_mix = spec.mixing(1 - market.zeta)
-    delta_own = float(market.a.x1[0] + market.xi[0])
-    xi_opp = _invert_curve_xi(opp_mix, price, y_obs, spec.quad_nodes)
-    own = share_curve_1d(own_mix, np.full_like(grid, delta_own), grid, spec.quad_nodes)
-    opp = share_curve_1d(opp_mix, np.full_like(grid, xi_opp), grid, spec.quad_nodes)
-    own_slope = float(share_curve_slope_1d(own_mix, np.array(delta_own),
-                                           np.array(price), spec.quad_nodes))
-    opp_slope = float(share_curve_slope_1d(opp_mix, np.array(xi_opp),
-                                           np.array(price), spec.quad_nodes))
-    return CurvePair(grid, own, opp, own_slope, opp_slope, xi_opp)
+    zeta = np.array([d.zeta for d in markets], dtype=int)
+    price = np.array([d.a.p[0] for d in markets], dtype=float)
+    y_obs = np.array([d.y.values[0] for d in markets], dtype=float)
+    delta = np.array([d.a.x1[0] + d.xi[0] for d in markets], dtype=float)
+    n, reachable = len(markets), (0.0 < y_obs) & (y_obs < 1.0)
+    xi_opp = np.full(n, np.nan)
+    own, opp = np.empty((n, len(grid))), np.full((n, len(grid)), np.nan)
+    own_slope, opp_slope = np.empty(n), np.full(n, np.nan)
+    for t in (0, 1):
+        mix = spec.mixing(t)
+        mine = np.flatnonzero(zeta == t)
+        other = np.flatnonzero((zeta != t) & reachable)
+        if len(other):
+            xi_opp[other] = _invert_curve_xi(mix, price[other], y_obs[other], spec.quad_nodes)
+        for rows, d, curves, slopes in ((mine, delta, own, own_slope),
+                                        (other, xi_opp, opp, opp_slope)):
+            curves[rows] = share_curve_1d(mix, d[rows, None], grid, spec.quad_nodes)
+            slopes[rows] = share_curve_slope_1d(mix, d[rows], price[rows], spec.quad_nodes)
+    return [CurvePair(grid, own[i], opp[i], float(own_slope[i]), float(opp_slope[i]),
+                      float(xi_opp[i])) if reachable[i] else None for i in range(n)]
+
+
+def crossing_curve(spec: Fig1Spec, market: MarketDraw) -> CurvePair:
+    """:func:`crossing_curves` for one market; RootNotBracketed when the
+    opposite type cannot reach its observed share."""
+    pair = crossing_curves(spec, [market])[0]
+    if pair is None:
+        raise RootNotBracketed(f"share {market.y.values[0]} unreachable at price "
+                               f"{market.a.p[0]}")
+    return pair
 
 
 def demand_curves_identical_or_disjoint(curve_a: np.ndarray, curve_b: np.ndarray,

@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import logit
 
-from .demand import (ShareMap, _fixed_index, _random_index, expit_mixture, mixing_nodes,
-                     share_jacobian, shares_array)
+from .demand import (ShareMap, _fixed_index, _random_index, _weighted_node_shares,
+                     expit_mixture, mixing_nodes, node_jacobian)
 from .errors import ConfigError, IntegrationFailure, NoConvergence
 from .types import Bundle, SharesVector
 
@@ -51,69 +51,75 @@ def logit_closed_form(m: ShareMap, y: SharesVector, a: Bundle) -> np.ndarray:
     return np.log(v) - np.log(y.outside) - _fixed_index(m, a)
 
 
-def _trial_shares(share_fn: Callable, delta: np.ndarray):
-    """Shares at a line-search trial point, or None when they are unusable."""
+def _trial_shares(node_shares: Callable, weights: np.ndarray, delta: np.ndarray):
+    """Node shares and shares at a line-search trial point, or None when they
+    are unusable."""
     try:
-        s = share_fn(delta)
+        S = node_shares(delta)
     except IntegrationFailure:
         return None
+    s = weights @ S
     if not np.all(np.isfinite(s)) or np.any(s <= 0.0):
         return None
-    return s
+    return S, s
 
 
-def _newton_step(share_fn: Callable, jac_fn: Callable, log_target: np.ndarray,
-                 delta: np.ndarray, s: np.ndarray, step_log: np.ndarray,
+def _newton_step(node_shares: Callable, weights: np.ndarray, log_target: np.ndarray,
+                 delta: np.ndarray, S: np.ndarray, s: np.ndarray, step_log: np.ndarray,
                  log_residual: float):
-    """Backtracking Newton step on F = log y - log s(delta).
+    """Backtracking Newton step on F = log y - log s(delta), with the
+    Jacobian built from the node shares S at delta.
 
-    Returns the accepted (delta, shares), or None when the Jacobian is
-    singular or no trial within MAX_HALVINGS halvings lowers max|F| by the
-    Armijo factor.
+    Returns the accepted (delta, node shares, shares), or None when the
+    Jacobian is singular or no trial within MAX_HALVINGS halvings lowers
+    max|F| by the Armijo factor.
     """
     try:
-        step = np.linalg.solve(jac_fn(delta) / s[:, None], step_log)
+        step = np.linalg.solve(node_jacobian(S, weights) / s[:, None], step_log)
     except np.linalg.LinAlgError:
         return None
     t = 1.0
     for _ in range(MAX_HALVINGS + 1):
         trial = delta + t * step
-        s_trial = _trial_shares(share_fn, trial)
-        if s_trial is not None:
-            trial_residual = float(np.max(np.abs(log_target - np.log(s_trial))))
+        accepted = _trial_shares(node_shares, weights, trial)
+        if accepted is not None:
+            trial_residual = float(np.max(np.abs(log_target - np.log(accepted[1]))))
             if trial_residual <= (1.0 - ARMIJO * t) * log_residual:
-                return trial, s_trial
+                return (trial,) + accepted
         t *= 0.5
     return None
 
 
-def _solve_log_shares(share_fn: Callable, jac_fn: Callable, target: np.ndarray,
+def _solve_log_shares(node_shares: Callable, weights: np.ndarray, target: np.ndarray,
                       delta: np.ndarray, cfg: InversionConfig) -> np.ndarray:
-    """Solve share_fn(delta) = target from the start `delta` (J >= 2).
+    """Solve weights @ node_shares(delta) = target from the start `delta`
+    (J >= 2).
 
-    `share_fn(delta)` returns the J shares and `jac_fn(delta)` their J x J
-    Jacobian in delta. Converged when both max|s - y| and max|log y - log s|
-    are within cfg.tol: the share residual alone says little about delta
-    when shares are tiny. Raises NoConvergence(iterations, residual) after
-    cfg.max_iter iterations.
+    `node_shares(delta)` returns the (M, J) node shares; the shares and the
+    Jacobian at each accepted point both come from that one evaluation.
+    Converged when both max|s - y| and max|log y - log s| are within
+    cfg.tol: the share residual alone says little about delta when shares
+    are tiny. Raises NoConvergence(iterations, residual) after cfg.max_iter
+    iterations.
     """
     log_target = np.log(target)
-    s = None
+    S = None
     residual = np.inf
     for _ in range(cfg.max_iter):
-        if s is None:
-            s = share_fn(delta)
+        if S is None:
+            S = node_shares(delta)
+            s = weights @ S
         residual = float(np.max(np.abs(s - target)))
         step_log = log_target - np.log(s)
         log_residual = float(np.max(np.abs(step_log)))
         if residual <= cfg.tol and log_residual <= cfg.tol:
             return delta
-        accepted = (_newton_step(share_fn, jac_fn, log_target, delta, s, step_log,
+        accepted = (_newton_step(node_shares, weights, log_target, delta, S, s, step_log,
                                  log_residual) if cfg.newton_polish else None)
         if accepted is None:
-            delta, s = delta + step_log, None  # contraction step
+            delta, S = delta + step_log, None  # contraction step
         else:
-            delta, s = accepted
+            delta, S, s = accepted
     raise NoConvergence(cfg.max_iter, residual)
 
 
@@ -125,9 +131,11 @@ def solve_share_curve(offsets, weights, y,
     s lies between expit(delta + min o) and expit(delta + max o), so the root
     lies in [logit(y) - max o, logit(y) - min o]. Newton on log y - log s
     from logit(y) - mean o; every evaluation narrows the bracket, and a step
-    that leaves it or is not finite becomes its midpoint. Converged when the
-    share and log-share residuals of every row are within cfg.tol;
-    NoConvergence(iterations, residual) after cfg.max_iter.
+    that leaves it or is not finite becomes its midpoint. A row stops moving
+    once its share and log-share residuals are both within cfg.tol, so it is
+    not moved on by the iterations that other rows of the batch still need;
+    NoConvergence(iterations, residual) when some row has not converged after
+    cfg.max_iter.
     """
     y = np.asarray(y, dtype=float)
     log_y = np.log(y)
@@ -139,16 +147,20 @@ def solve_share_curve(offsets, weights, y,
         for _ in range(cfg.max_iter):
             s, slope = expit_mixture(delta, offsets, weights, weights)
             gap = log_y - np.log(s)
-            residual = float(abs(s - y).max())
-            if residual <= cfg.tol and abs(gap).max() <= cfg.tol:
-                return delta
+            gap_abs = abs(gap)
+            done = None
+            if gap_abs.min() <= cfg.tol:  # a row may have converged
+                done = (abs(s - y) <= cfg.tol) & (gap_abs <= cfg.tol)
+                if done.all():
+                    return delta
             below = s < y
             lo = np.where(below, delta, lo)
             hi = np.where(below, hi, delta)
             step = delta + gap * s / slope
-            inside = (lo <= step) & (step <= hi)  # inclusive, so a converged row stays
-            delta = step if inside.all() else np.where(inside, step, 0.5 * (lo + hi))
-    raise NoConvergence(cfg.max_iter, residual)
+            inside = (lo <= step) & (step <= hi)
+            step = step if inside.all() else np.where(inside, step, 0.5 * (lo + hi))
+            delta = step if done is None else np.where(done, delta, step)
+    raise NoConvergence(cfg.max_iter, float(abs(s - y).max()))
 
 
 def invert(m: ShareMap, y: SharesVector, a: Bundle,
@@ -167,8 +179,8 @@ def invert(m: ShareMap, y: SharesVector, a: Bundle,
         offsets = _fixed_index(m, a) + _random_index(B, a)[:, 0]
         return solve_share_curve(offsets, w, target, cfg)
     # Plain-logit start ignoring the mixing and the fixed index.
-    return _solve_log_shares(lambda d: shares_array(m, d, a),
-                             lambda d: share_jacobian(m, d, a),
+    w = mixing_nodes(m.mixing, m.integration)[1]
+    return _solve_log_shares(lambda d: _weighted_node_shares(m, d, a)[0], w,
                              target, np.log(target) - np.log(y.outside), cfg)
 
 

@@ -138,17 +138,9 @@ def micro_invert(dgp: MicroDgp, y: np.ndarray, p: np.ndarray,
     y = np.asarray(y, dtype=float)
     p = np.asarray(p, dtype=float)
     nu, w = _nu_nodes(dgp.sigma, dgp.nu_nodes)
-
-    def node_shares(delta):
-        return _node_shares(delta[None, :] + nu - dgp.alpha * p[None, :])
-
-    def jac(delta):
-        S = node_shares(delta)
-        return np.diag(w @ S) - np.einsum("m,mj,mk->jk", w, S, S)
-
     start = np.log(y) - np.log(1.0 - y.sum()) + dgp.alpha * p
-    return _solve_log_shares(lambda d: w @ node_shares(d), jac, y, start,
-                             InversionConfig(tol=tol, max_iter=max_iter))
+    return _solve_log_shares(lambda d: _node_shares(d[None, :] + nu - dgp.alpha * p[None, :]),
+                             w, y, start, InversionConfig(tol=tol, max_iter=max_iter))
 
 
 @dataclass(frozen=True)
@@ -223,8 +215,10 @@ def simulate_micro(dgp: MicroDgp, spec: MicroPopulationSpec,
     for i in range(spec.market_count):
         if spec.assignment == "stratified":
             block, pos = divmod(i, K)
-            xi = dgp.xi_law.sample(market_rng(spec.seed, block, 1), dgp.J)
-            perm = market_rng(spec.seed, block, 2).permutation(K)
+            if pos == 0:  # each block's shock and permutation are drawn once
+                block_xi = dgp.xi_law.sample(market_rng(spec.seed, block, 1), dgp.J)
+                perm = market_rng(spec.seed, block, 2).permutation(K)
+            xi = block_xi.copy()
             z_level = level = int(perm[pos])
         else:
             rng = market_rng(spec.seed, i)

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import laws
-from .demand import Integration, ShareMap, gauss_hermite, mixed_logit, shares
+from .demand import Integration, ShareMap, gauss_hermite, mixed_logit, shares_array
 from .errors import ConfigError
-from .types import Bundle, MarketDraw, MixingSpec, SharesVector
+from .types import Bundle, Bundles, MarketDraw, SharesVector, validate_share_rows
 
 
 @dataclass(frozen=True)
@@ -65,27 +65,58 @@ def market_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _sample(spec: PopulationSpec, indices) -> list[MarketDraw]:
+    """Draws of the markets `indices`: each market's latent state and bundle
+    from its own substream, then the observed shares of all of them at once."""
+    n, J, d2 = len(indices), spec.J, spec.x2_dim
+    zeta = np.empty(n, dtype=int)
+    xi, x1, p, z = (np.empty((n, J)) for _ in range(4))
+    x2 = np.empty((n, J, d2))
+    for k, i in enumerate(indices):
+        rng = market_rng(spec.seed, i)
+        zeta[k] = rng.choice(spec.n_types, p=spec.type_probabilities)
+        xi[k] = spec.xi_law.sample(rng, J)
+        x1[k] = spec.x1_law.sample(rng, J)
+        p[k] = spec.price_law.sample(rng, J)
+        x2[k] = spec.x2_law.sample(rng, J * d2).reshape(J, d2)
+        z[k] = p[k] if spec.instrument_law is None else spec.instrument_law.sample(rng, J)
+    xi.setflags(write=False)  # each MarketDraw holds a view of its row
+    z.setflags(write=False)
+    y = _outcomes(spec, zeta, xi, Bundles(x1, p, x2), ids=indices)
+    return [MarketDraw(xi=xi[k], zeta=int(zeta[k]), y=SharesVector(y[k]),
+                       a=Bundle(x1[k], p[k], x2[k]), z=z[k]) for k in range(n)]
+
+
+def _outcomes(spec: PopulationSpec, zeta, xi: np.ndarray, a: Bundles,
+              ids=None) -> np.ndarray:
+    """Validated (n, J) shares of n markets with types zeta and shocks xi at
+    their bundles a: one share-kernel call per type."""
+    zeta = np.asarray(zeta)
+    delta = a.x1 + xi
+    y = np.empty(delta.shape)
+    for t in range(spec.n_types):
+        rows = np.flatnonzero(zeta == t)
+        if len(rows):
+            y[rows] = shares_array(spec.share_map(t), delta[rows], a[rows])
+    return validate_share_rows(y, ids)
+
+
 def sample_market(spec: PopulationSpec, index: int) -> MarketDraw:
-    rng = market_rng(spec.seed, index)
-    zeta = int(rng.choice(spec.n_types, p=spec.type_probabilities))
-    xi = spec.xi_law.sample(rng, spec.J)
-    x1 = spec.x1_law.sample(rng, spec.J)
-    p = spec.price_law.sample(rng, spec.J)
-    x2 = spec.x2_law.sample(rng, spec.J * spec.x2_dim).reshape(spec.J, spec.x2_dim)
-    if spec.instrument_law is None:
-        z = p.copy()
-    else:
-        z = spec.instrument_law.sample(rng, spec.J)
-    a = Bundle(x1, p, x2)
-    y = shares(spec.share_map(zeta), x1 + xi, a)
-    return MarketDraw(xi=xi, zeta=zeta, y=y, a=a, z=z)
+    return _sample(spec, [index])[0]
 
 
 def sample_population(spec: PopulationSpec) -> list[MarketDraw]:
     """market_count i.i.d. draws; bit-identical across repeated calls."""
-    return [sample_market(spec, i) for i in range(spec.market_count)]
+    return _sample(spec, range(spec.market_count))
+
+
+def true_counterfactuals(spec: PopulationSpec, xi, zeta, a: Bundle) -> np.ndarray:
+    """Potential outcomes at bundle a of the markets with stacked shocks xi
+    (n, J) and types zeta (n,): a validated (n, J) array."""
+    xi = np.asarray(xi, dtype=float).reshape(len(zeta), spec.J)
+    return _outcomes(spec, zeta, xi, Bundles.repeat(a, len(zeta)))
 
 
 def true_counterfactual(spec: PopulationSpec, draw: MarketDraw, a: Bundle) -> SharesVector:
     """The market's potential outcome at bundle a, from its stored latent state."""
-    return shares(spec.share_map(draw.zeta), a.x1 + draw.xi, a)
+    return SharesVector(true_counterfactuals(spec, draw.xi[None, :], [draw.zeta], a)[0])

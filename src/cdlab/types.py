@@ -65,6 +65,26 @@ def validate_shares(values) -> SharesVector:
     return SharesVector(v)
 
 
+def validate_share_rows(values, ids=None) -> np.ndarray:
+    """Validate an (n, J) matrix of share vectors, one market per row, by the
+    rule of :func:`validate_shares`; returns it read-only.
+
+    The SimplexViolation names the first failing market by its entry in
+    `ids` (default: its row number).
+    """
+    v = _frozen(values, ndim=2)
+    # False for a row with a nan, as in validate_shares.
+    ok = ((v > SIMPLEX_EPS).all(axis=1) & (v < 1.0 - SIMPLEX_EPS).all(axis=1)
+          & (v.sum(axis=1) < 1.0 - SIMPLEX_EPS))
+    if not ok.all():
+        row = int(np.argmin(ok))
+        try:
+            validate_shares(v[row])
+        except SimplexViolation as exc:
+            raise SimplexViolation(f"market {row if ids is None else ids[row]}: {exc}") from None
+    return v
+
+
 @dataclass(frozen=True)
 class Bundle:
     """A treatment bundle: special characteristic, price, and other
@@ -100,6 +120,25 @@ class Bundle:
             self.p if p is None else p,
             self.x2 if x2 is None else x2,
         )
+
+
+@dataclass(frozen=True)
+class Bundles:
+    """The bundles of n markets stacked as arrays: x1 and p (n, J), x2
+    (n, J, d2). The share kernel reads p and x2 from it as from a Bundle,
+    one market per row."""
+
+    x1: np.ndarray
+    p: np.ndarray
+    x2: np.ndarray
+
+    @classmethod
+    def repeat(cls, a: Bundle, n: int) -> "Bundles":
+        """Bundle a in each of n markets (read-only broadcast views)."""
+        return cls(*(np.broadcast_to(v, (n,) + v.shape) for v in (a.x1, a.p, a.x2)))
+
+    def __getitem__(self, rows) -> "Bundles":
+        return Bundles(self.x1[rows], self.p[rows], self.x2[rows])
 
 
 def bundle(x1, p, x2=None) -> Bundle:

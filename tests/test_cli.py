@@ -1,9 +1,10 @@
 import csv
+import functools
 import json
 
 import pytest
 
-from cdlab import cli
+from cdlab import cli, laws
 from cdlab.errors import NoConvergence, RootNotBracketed
 
 
@@ -179,6 +180,28 @@ def test_unbracketed_root_exits_2_with_report(tmp_path, monkeypatch):
     assert run(["micro-identify", "--out", out]) == 2
     rows = read_csv(out / "report.csv")
     assert rows[1] == ["micro-identify", "candidate transform cannot reach value 5.0"]
+
+
+def test_saturated_shares_exit_2_naming_the_market(tmp_path, monkeypatch):
+    """Shares that round to 1 leave the open simplex: `cdl simulate` and
+    `cdl fig1` fail with a report naming the market."""
+    cfg = {"schema_version": 1, "experiment": "simulate",
+           "population": {"J": 1, "market_count": 5,
+                          "x1_law": {"kind": "constant", "value": 500.0},
+                          "mixing_by_type": [{"kind": "lognormal", "loc": [0.0],
+                                              "scale": [0.5]}],
+                          "type_probabilities": [1.0]}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "simulate"
+    assert run(["simulate", "--config", path, "--out", out]) == 2
+    assert read_csv(out / "report.csv")[1][1].startswith("market 0: share outside")
+
+    monkeypatch.setattr(cli, "Fig1Spec", functools.partial(
+        cli.Fig1Spec, xi_law=laws.constant(500.0), type_probabilities=(1.0, 0.0)))
+    out = tmp_path / "fig1"
+    assert run(["fig1", "--out", out, "--set", "market_count=20"]) == 2
+    assert read_csv(out / "report.csv")[1][1].startswith("market 0: share outside")
 
 
 def test_acceptance_subset_runs_and_reports(tmp_path):

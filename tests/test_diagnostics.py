@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from cdlab.demand import share_curve_1d
+from cdlab import diagnostics
+from cdlab.demand import share_curve_1d, shares
 from cdlab.diagnostics import (
     Fig1Spec,
     _invert_curve_xi,
     _partition,
     conditional_variance,
     crossing_curve,
+    crossing_curves,
     demand_curves_identical_or_disjoint,
 )
 from cdlab.errors import InsufficientData, RootNotBracketed
 from cdlab.population import PopulationSpec, sample_population
-from cdlab.types import bundle, lognormal_mixing
+from cdlab.types import MarketDraw, SharesVector, bundle, lognormal_mixing
 
 
 class TestPartition:
@@ -69,6 +71,22 @@ def test_conditional_variance_requires_enough_markets():
     with pytest.raises(InsufficientData):
         conditional_variance(sample_population(spec4), spec4,
                              bundle(0.0, 1.5), bundle(0.0, 2.0), bins=4)
+
+
+@pytest.mark.parametrize("spec", [single_type_spec(400, seed=5),
+                                  Fig1Spec(market_count=400, seed=5).population_spec()])
+def test_conditional_variance_equals_per_market_reference(spec, monkeypatch):
+    """The batched truth against one `shares` call per market and bundle."""
+    pop = sample_population(spec)
+    a, a_prime = bundle(0.0, 1.5), bundle(0.0, 2.0)
+    batched = conditional_variance(pop, spec, a, a_prime, bins=20)
+
+    def per_market(spec, xi, zeta, a):
+        return np.array([shares(spec.share_map(t), a.x1 + x, a).values
+                         for x, t in zip(xi, zeta)])
+
+    monkeypatch.setattr(diagnostics, "true_counterfactuals", per_market)
+    assert conditional_variance(pop, spec, a, a_prime, bins=20) == batched
 
 
 def test_invert_curve_xi_finds_exact_root():
@@ -133,6 +151,34 @@ class TestCrossingCurve:
         a = crossing_curve(self.spec, pop[0])
         b = crossing_curve(self.spec, pop[0])
         np.testing.assert_array_equal(a.opposite, b.opposite)
+
+
+def test_crossing_curves_equal_per_market_curves():
+    spec = Fig1Spec(market_count=60, seed=7)
+    pop = sample_population(spec.population_spec())
+    pairs = crossing_curves(spec, pop)
+    assert {d.zeta for d in pop} == {0, 1}
+    for draw, pair in zip(pop, pairs):
+        one = crossing_curve(spec, draw)
+        np.testing.assert_allclose(pair.own, one.own, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair.opposite, one.opposite, rtol=0, atol=1e-12)
+        for name in ("own_slope", "opposite_slope", "xi_opposite"):
+            assert abs(getattr(pair, name) - getattr(one, name)) <= 1e-12
+
+
+def test_crossing_curves_skip_an_unreachable_market():
+    """A share outside (0, 1) has no opposite-type curve through it: the
+    batch gives None for that market, the single-market call raises."""
+    spec = Fig1Spec(market_count=3, seed=1)
+    pop = sample_population(spec.population_spec())
+    # SharesVector itself does not validate; validate_shares would reject 1.5.
+    bad = MarketDraw(xi=pop[1].xi, zeta=pop[1].zeta, y=SharesVector(np.array([1.5])),
+                     a=pop[1].a, z=pop[1].z)
+    pairs = crossing_curves(spec, [pop[0], bad, pop[2]])
+    assert pairs[1] is None
+    assert pairs[0] is not None and pairs[2] is not None
+    with pytest.raises(RootNotBracketed):
+        crossing_curve(spec, bad)
 
 
 def test_identical_or_disjoint_classification():

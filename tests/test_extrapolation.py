@@ -17,6 +17,20 @@ def test_rule_family_validation():
         ex.demeaned_family("sqrt")
 
 
+@pytest.mark.parametrize("n", [1, 7, 401])
+def test_oracle_data_draws_each_block_once(n):
+    """Reference: every observation redraws its block's shock and permutation
+    from the block's two substreams; a truncated last block included."""
+    data, shocks, mu = demeaned_oracle_data(seed=12, n=n)
+    assert len(data) == len(shocks) == n
+    for i, (o, xi) in enumerate(zip(data, shocks)):
+        block, pos = divmod(i, 4)
+        ref_xi = float(market_rng(12, block, 1).normal(0.0, 0.8))
+        lev = int(market_rng(12, block, 2).permutation(4)[pos])
+        assert xi == ref_xi
+        assert (o.y, o.a, list(o.z)) == (float(expit(mu[lev] + ref_xi)), lev, [float(lev)])
+
+
 def test_demeaned_fit_equals_per_cell_means():
     """With dummy instruments on a balanced design, the fitted mu are the
     per-level means of f(Y)."""

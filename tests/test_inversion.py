@@ -211,12 +211,13 @@ def test_cost_guard_on_a_saturated_market(monkeypatch):
     d = sample_market(spec, 0)
     assert 0.01 < d.y.outside < 0.04
     calls = []
+    node_shares = inversion._weighted_node_shares
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return shares_array(*args, **kwargs)
+        return node_shares(*args, **kwargs)
 
-    monkeypatch.setattr(inversion, "shares_array", counting)
+    monkeypatch.setattr(inversion, "_weighted_node_shares", counting)
     delta = invert(spec.share_map(0), d.y, d.a)
     assert 0 < len(calls) <= 25
     np.testing.assert_allclose(delta, d.a.x1 + d.xi, atol=1e-9)

@@ -4,6 +4,7 @@ import pytest
 from cdlab import micro as mi
 from cdlab.demand import _gh_nodes
 from cdlab.errors import ConfigError, NotIdentified, RootNotBracketed
+from cdlab.population import market_rng
 from cdlab.types import Bundle, normal_mixing
 
 
@@ -128,6 +129,23 @@ def test_stratified_assignment_is_balanced_with_shared_shocks():
         block = markets[3 * b:3 * b + 3]
         assert sorted(m.level for m in block) == [0, 1, 2]
         assert len({float(m.xi[0]) for m in block}) == 1
+
+
+def test_stratified_blocks_follow_their_substreams():
+    """Reference: each market redraws its block's shock and permutation; the
+    last block of 7 markets in blocks of 3 is truncated."""
+    dgp = dgp_1d()
+    spec = mi.MicroPopulationSpec(market_count=7, price_levels=(0.5, 1.0, 2.0),
+                                  w_grid=(0.0, 0.5), seed=4, assignment="stratified")
+    markets = mi.simulate_micro(dgp, spec)
+    assert len(markets) == 7
+    for i, m in enumerate(markets):
+        block, pos = divmod(i, 3)
+        xi = dgp.xi_law.sample(market_rng(4, block, 1), 1)
+        level = int(market_rng(4, block, 2).permutation(3)[pos])
+        np.testing.assert_array_equal(m.xi, xi)
+        assert (m.level, m.z_level) == (level, level)
+    assert len({id(m.xi) for m in markets}) == 7  # no market shares its shock array
 
 
 def test_endogeneity_correlates_level_with_shock():

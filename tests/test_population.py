@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from cdlab import laws
-from cdlab.demand import shares
-from cdlab.errors import ConfigError
+from cdlab import demand, laws
+from cdlab.demand import monte_carlo, shares
+from cdlab.errors import ConfigError, SimplexViolation
 from cdlab.population import (
     PopulationSpec,
     market_rng,
     sample_market,
     sample_population,
     true_counterfactual,
+    true_counterfactuals,
 )
-from cdlab.types import bundle, lognormal_mixing, normal_mixing
+from cdlab.types import Bundle, SharesVector, bundle, lognormal_mixing, normal_mixing
 
 
 def two_type_spec(n=50, seed=0, **kwargs):
@@ -105,3 +106,76 @@ def test_true_counterfactual_responds_to_price():
         lo = true_counterfactual(spec, d, bundle(d.a.x1, [0.5]))
         hi = true_counterfactual(spec, d, bundle(d.a.x1, [3.0]))
         assert lo.values[0] > hi.values[0]  # demand slopes down
+
+
+# --- batched sampling and truth against the per-market share map ------------
+
+def _batch_specs():
+    """J in {1, 2, 25}; two types; x2 with gamma and a random x2 coefficient;
+    Monte Carlo integration."""
+    return [
+        two_type_spec(n=30, seed=4),
+        PopulationSpec(J=2, market_count=25, seed=1, x2_dim=2, gamma=(0.3, -0.2),
+                       x2_law=laws.uniform(-1.0, 1.0),
+                       mixing_by_type=(normal_mixing((1.0, 0.5), (0.3, 0.2)),
+                                       lognormal_mixing(0.0, 0.5)),
+                       type_probabilities=(0.4, 0.6)),
+        PopulationSpec(J=25, market_count=12, seed=2, x1_law=laws.constant(2.3),
+                       mixing_by_type=(lognormal_mixing(0.0, 0.3),),
+                       type_probabilities=(1.0,)),
+        PopulationSpec(J=3, market_count=20, seed=3, integration=monte_carlo(300, 5),
+                       mixing_by_type=(lognormal_mixing(0.0, 0.5),
+                                       lognormal_mixing(-0.5, 1.0)),
+                       type_probabilities=(0.5, 0.5)),
+    ]
+
+
+@pytest.mark.parametrize("spec", _batch_specs())
+@pytest.mark.parametrize("block", [None, 3])
+def test_batched_sampling_and_truth_match_per_market_shares(spec, block, monkeypatch):
+    """`block` shrinks the node-share blocks to 3 markets, so the batch runs
+    through several blocks of the kernel."""
+    if block is not None:
+        M = len(demand.mixing_nodes(spec.mixing_by_type[0], spec.integration)[1])
+        monkeypatch.setattr(demand, "MAX_BLOCK_ELEMENTS", block * M * spec.J)
+    pop = sample_population(spec)
+    assert len({d.zeta for d in pop}) == spec.n_types
+    J, d2 = spec.J, spec.x2_dim
+    target = Bundle(np.full(J, 0.1), np.linspace(0.8, 2.0, J), np.full((J, d2), 0.25))
+    truth = true_counterfactuals(spec, np.array([d.xi for d in pop]),
+                                 np.array([d.zeta for d in pop]), target)
+    assert truth.shape == (len(pop), J)
+    for d, row in zip(pop, truth):
+        m = spec.share_map(d.zeta)
+        np.testing.assert_allclose(d.y.values, shares(m, d.a.x1 + d.xi, d.a).values,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row, shares(m, target.x1 + d.xi, target).values,
+                                   rtol=0, atol=1e-12)
+        assert true_counterfactual(spec, d, target) == SharesVector(row)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_batched_sampling_and_truth_at_zero_and_one_market(n):
+    spec = two_type_spec(n=n, seed=6)
+    pop = sample_population(spec)
+    assert len(pop) == n
+    a = bundle([0.0], [2.0])
+    truth = true_counterfactuals(spec, np.array([d.xi for d in pop]),
+                                 np.array([d.zeta for d in pop], dtype=int), a)
+    assert truth.shape == (n, 1)
+    for d, row in zip(pop, truth):
+        np.testing.assert_array_equal(d.y.values, sample_market(spec, 0).y.values)
+        np.testing.assert_array_equal(row, true_counterfactual(spec, d, a).values)
+
+
+def test_saturated_market_is_a_named_simplex_violation():
+    spec = PopulationSpec(J=1, market_count=6, x1_law=laws.constant(500.0),
+                          mixing_by_type=(lognormal_mixing(0.0, 0.5),),
+                          type_probabilities=(1.0,))
+    with pytest.raises(SimplexViolation, match="market 0:"):
+        sample_population(spec)
+    with pytest.raises(SimplexViolation, match="market 5:"):
+        sample_market(spec, 5)
+    xi = np.array([[0.0], [0.5], [60.0], [0.2]])
+    with pytest.raises(SimplexViolation, match="market 2:"):
+        true_counterfactuals(spec, xi, np.zeros(4, dtype=int), bundle([0.0], [1.0]))

@@ -12,6 +12,7 @@ from cdlab.types import (
     finite_mixture,
     lognormal_mixing,
     normal_mixing,
+    validate_share_rows,
     validate_shares,
 )
 
@@ -56,6 +57,34 @@ class TestValidateShares:
         s = validate_shares(v)
         assert np.array_equal(s.values, v)
         assert s.outside > 0
+
+
+def _near_eps_rows():
+    eps = SIMPLEX_EPS
+    up, down = np.nextafter(eps, 1.0), np.nextafter(eps, 0.0)
+    top = 1.0 - eps
+    return [[eps], [up], [down], [2 * eps], [top], [np.nextafter(top, 0.0)],
+            [np.nextafter(top, 1.0)], [0.5, 0.5 - eps], [0.5, np.nextafter(0.5 - eps, 0.0)],
+            [0.5, 0.5 - 2 * eps], [up, up], [0.3, np.nan], [np.inf, 0.1], [0.2, 0.3]]
+
+
+@pytest.mark.parametrize("row", _near_eps_rows())
+def test_batched_validation_agrees_with_validate_shares(row):
+    def accepted(check, values):
+        try:
+            check(values)
+        except SimplexViolation:
+            return False
+        return True
+
+    single = accepted(validate_shares, row)
+    assert accepted(validate_share_rows, [row]) == single
+    good = [0.1] * len(row)
+    rows = np.array([good, row, good])
+    assert accepted(validate_share_rows, rows) == single
+    if not single:
+        with pytest.raises(SimplexViolation, match="market 7:"):
+            validate_share_rows(rows, ids=[6, 7, 8])
 
 
 class TestBundle:
