@@ -338,7 +338,7 @@ def criterion_8(seed: int) -> CriterionResult:
     nm = neg.mean(axis=0)
     nse = neg.std(axis=0, ddof=1) / np.sqrt(len(neg))
     neg_dev = float(np.min(np.abs(nm - true_c)[1:] / nse[1:]))
-    return CriterionResult(8, "micro completion", checks=[
+    return CriterionResult(8, "micro completion", budget=30.0, checks=[
         Check("stratified_profile_error", worst, 1e-6, "<="),
         Check("endogenous_dev_in_ses", exo_dev, 2.0, "<="),
         Check("negative_control_dev_in_ses", neg_dev, 3.0, ">"),

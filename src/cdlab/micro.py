@@ -18,12 +18,12 @@ import numpy as np
 from scipy.special import expit, logit
 
 from . import laws
-from .demand import _node_shares, expit_mixture, hermite_grid
+from .demand import MAX_BLOCK_ELEMENTS, _node_shares, expit_mixture, hermite_grid
 from .errors import (ConfigError, IntegrationFailure, NoConvergence, NonUnique, NotIdentified,
                      RootNotBracketed)
 from .inversion import InversionConfig, _solve_log_shares, solve_share_curve
 from .population import market_rng
-from .types import Bundle, validate_shares
+from .types import Bundle, validate_share_rows
 
 PARALLEL_TOL = 1e-8
 DEFAULT_NU_NODES = 16
@@ -38,16 +38,11 @@ class Profile:
     w0_index: int = 0
 
     def __post_init__(self):
-        s = np.array(self.shares, dtype=float)
-        if s.ndim == 1:
-            s = s[:, None]
+        s = np.asarray(self.shares, dtype=float)
+        s = validate_share_rows(s[:, None] if s.ndim == 1 else s)
         w = _w_matrix(self.w_grid, s.shape[1])
         if w.shape[0] != s.shape[0]:
             raise ConfigError("w_grid and shares must align")
-        for row in s:
-            validate_shares(row)
-        w.setflags(write=False)
-        s.setflags(write=False)
         object.__setattr__(self, "w_grid", w)
         object.__setattr__(self, "shares", s)
 
@@ -99,9 +94,10 @@ def _nu_nodes(sigma: np.ndarray, n: int):
 
 
 def micro_shares(dgp: MicroDgp, delta: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sigma(delta, p): shares at mean utility delta and prices p."""
+    """sigma(delta, p): shares at mean utility delta and prices p, both (..., J)
+    and broadcasting over the leading axes."""
     nu, w = _nu_nodes(dgp.sigma, dgp.nu_nodes)
-    T = delta[None, :] + nu - dgp.alpha * p[None, :]
+    T = delta[..., None, :] + nu - dgp.alpha * p[..., None, :]
     s = w @ _node_shares(T)
     if not np.all(np.isfinite(s)):
         raise IntegrationFailure("non-finite micro shares")
@@ -181,8 +177,13 @@ class MicroMarket:
 
 
 def _w_matrix(w_grid, J: int) -> np.ndarray:
-    """The demographic grid as a (G, J) matrix; a 1-d grid only when J = 1."""
-    w = np.array(w_grid, dtype=float)
+    """The demographic grid as a read-only (G, J) matrix; a 1-d grid only when
+    J = 1. A read-only grid is used as it is, so profiles built on one grid
+    share its array."""
+    w = np.asarray(w_grid, dtype=float)
+    if w.flags.writeable:  # never freeze the caller's array
+        w = w.copy()
+        w.setflags(write=False)
     if w.ndim == 1 and J == 1:
         w = w[:, None]
     if w.ndim != 2 or w.shape[1] != J:
@@ -190,16 +191,33 @@ def _w_matrix(w_grid, J: int) -> np.ndarray:
     return w
 
 
+def _profile_shares(dgp: MicroDgp, xi: np.ndarray, p: np.ndarray,
+                    W: np.ndarray) -> np.ndarray:
+    """Shares (n, G, J) on the grid W (G, J) of n markets with shocks xi (n, J)
+    at prices p (n, J): one share-kernel call per block of markets with at
+    most MAX_BLOCK_ELEMENTS node shares, so the temporaries do not grow with n."""
+    n, (G, J) = len(xi), W.shape
+    index = W @ dgp.Pi.T
+    nodes = len(_nu_nodes(dgp.sigma, dgp.nu_nodes)[1])
+    step = max(1, MAX_BLOCK_ELEMENTS // (G * nodes * J))
+    out = np.empty((n, G, J))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        delta = index + xi[rows, None, :]
+        if J == 1:
+            out[rows, :, 0] = micro_shares_1d(dgp, delta[..., 0], p[rows],
+                                              sigma_scale=1.0 + dgp.sigma_w_slope * W[:, 0])
+        else:
+            out[rows] = micro_shares(dgp, delta, p[rows, None, :])
+    return out
+
+
 def true_profile(dgp: MicroDgp, xi: np.ndarray, a: Bundle, w_grid,
                  w0_index: int = 0) -> Profile:
     """The market's potential profile at bundle a from its stored shock."""
     W = _w_matrix(w_grid, dgp.J)
-    if dgp.J == 1:
-        s = micro_shares_1d(dgp, dgp.Pi[0, 0] * W[:, 0] + xi[0], a.p[0],
-                            sigma_scale=1.0 + dgp.sigma_w_slope * W[:, 0])
-        return Profile(W, s[:, None], w0_index)
-    rows = np.array([micro_shares(dgp, dgp.Pi @ wv + xi, a.p) for wv in W])
-    return Profile(W, rows, w0_index)
+    s = _profile_shares(dgp, np.asarray(xi, dtype=float)[None], a.p[None], W)
+    return Profile(W, s[0], w0_index)
 
 
 def simulate_micro(dgp: MicroDgp, spec: MicroPopulationSpec,
@@ -209,9 +227,10 @@ def simulate_micro(dgp: MicroDgp, spec: MicroPopulationSpec,
     Under stratified assignment, markets come in blocks of K sharing one
     market shock, with each treatment level appearing exactly once per
     block: the shock distribution is balanced across cells by construction.
+    The profiles come from the batched profile kernel and share one grid array.
     """
     K = len(spec.price_levels)
-    markets = []
+    draws = []  # (xi, level, z_level) per market
     for i in range(spec.market_count):
         if spec.assignment == "stratified":
             block, pos = divmod(i, K)
@@ -226,12 +245,17 @@ def simulate_micro(dgp: MicroDgp, spec: MicroPopulationSpec,
             xi = dgp.xi_law.sample(rng, dgp.J)
             shift = int(np.round(spec.endogeneity * float(np.mean(xi))))
             level = int(np.clip(z_level + shift, 0, K - 1))
-        a = spec.level_bundle(dgp, level)
-        prof = true_profile(dgp, xi, a, spec.w_grid, w0_index)
-        markets.append(MicroMarket(profile=prof, a=a,
-                                   z=np.array([float(z_level)]), xi=xi,
-                                   level=level, z_level=z_level))
-    return markets
+        draws.append((xi, level, z_level))
+    W = _w_matrix(spec.w_grid, dgp.J)
+    bundles = [spec.level_bundle(dgp, k) for k in range(K)]
+    n = len(draws)
+    xis = np.array([xi for xi, _, _ in draws]).reshape(n, dgp.J)
+    prices = np.array([bundles[level].p for _, level, _ in draws]).reshape(n, dgp.J)
+    S = _profile_shares(dgp, xis, prices, W)
+    return [MicroMarket(profile=Profile(W, s, w0_index), a=bundles[level],
+                        z=np.array([float(z_level)]), xi=xi, level=level,
+                        z_level=z_level)
+            for s, (xi, level, z_level) in zip(S, draws)]
 
 
 # --- candidate transforms and parallelism ----------------------------------
@@ -314,18 +338,35 @@ def scaled_logit_family() -> CandidateFamily:
     return CandidateFamily(build=build, bounds=((0.5, 3.0),), name="scaled-logit")
 
 
+def _common_grid(profiles: Sequence[Profile]) -> np.ndarray:
+    """The demographic grid all profiles share; ConfigError when they differ."""
+    W = profiles[0].w_grid
+    for p in profiles[1:]:
+        if p.w_grid is not W and not np.array_equal(p.w_grid, W):
+            raise ConfigError("profiles must share one demographic grid")
+    return W
+
+
+def _stacked_increments(candidate_h: Callable, profiles: Sequence[Profile],
+                        a: Bundle) -> np.ndarray:
+    """Transformed profile increments H - H[w0] (n, G, J), from one candidate
+    call on the rows of all profiles stacked."""
+    G, J = _common_grid(profiles).shape
+    n = len(profiles)
+    H = candidate_h(np.concatenate([p.shares for p in profiles]), a).reshape(n, G, J)
+    w0 = [p.w0_index for p in profiles]
+    return H - H[np.arange(n), w0][:, None, :]
+
+
 def parallel_residual(candidate_h: Callable, profiles: Sequence[Profile],
                       a: Bundle) -> float:
     """Max deviation of transformed profile increments from their
-    cross-market median; zero iff the transformed paths are parallel."""
+    cross-market median; zero iff the transformed paths are parallel.
+    ConfigError unless the profiles share one demographic grid."""
     if len(profiles) < 2:
         warnings.warn("single profile is vacuously parallel", stacklevel=2)
         return 0.0
-    devs = []
-    for prof in profiles:
-        H = candidate_h(prof.shares, a)
-        devs.append(H - H[prof.w0_index])
-    D = np.array(devs)  # (n, G, J)
+    D = _stacked_increments(candidate_h, profiles, a)
     med = np.median(D, axis=0)
     return float(np.max(np.abs(D - med)))
 
@@ -341,6 +382,9 @@ class MicroCandidate:
     params: np.ndarray
     residual: float
     scale: np.ndarray  # affine reparameterization enforcing dg/dw(w0) = I
+    # Objective evaluations of the search that raised NoConvergence or
+    # FloatingPointError and were scored 1e6.
+    swallowed_failures: int = 0
 
     def h_inverse(self, vals: np.ndarray, a: Bundle) -> np.ndarray:
         """The shares y with h(y, a) = vals, by the forward map; RootNotBracketed
@@ -373,10 +417,14 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
     bounds = np.asarray(family.bounds, dtype=float)
     dim = len(bounds)
 
+    failures = 0
+
     def objective(params):
+        nonlocal failures
         try:
             return parallel_residual(family.build(params), profiles, a)
         except (NoConvergence, FloatingPointError):
+            failures += 1
             return 1e6
 
     sampler = qmc.LatinHypercube(d=dim, seed=seed)
@@ -402,12 +450,13 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
             raise NotIdentified("near-optimal candidates differ beyond a vertical shift",
                                 candidates=[best_params, params])
 
-    return _normalize_candidate(h_best, best_params, best_res, profiles, a, y0)
+    return _normalize_candidate(h_best, best_params, best_res, profiles, a, y0,
+                                failures)
 
 
 def _normalize_candidate(h_raw: Candidate, params, residual,
                          profiles: Sequence[Profile], a: Bundle,
-                         y0: np.ndarray | None) -> MicroCandidate:
+                         y0: np.ndarray | None, failures: int) -> MicroCandidate:
     W = profiles[0].w_grid
     w0 = profiles[0].w0_index
     J = W.shape[1]
@@ -416,9 +465,7 @@ def _normalize_candidate(h_raw: Candidate, params, residual,
     y0 = np.asarray(y0, dtype=float)
 
     base = h_raw(y0[None, :], a)[0]
-    diffs = np.array([h_raw(p.shares, a) - h_raw(p.shares, a)[p.w0_index]
-                      for p in profiles])
-    g_raw = np.median(diffs, axis=0)  # (G, J), zero at w0
+    g_raw = np.median(_stacked_increments(h_raw, profiles, a), axis=0)  # (G, J), zero at w0
 
     # dg/dw at w0 by least squares on nearby grid points
     order = np.argsort(np.linalg.norm(W - W[w0], axis=1))
@@ -438,7 +485,8 @@ def _normalize_candidate(h_raw: Candidate, params, residual,
     g_hat = g_raw @ Minv.T
     return MicroCandidate(h=Candidate(h, shares), g_hat=g_hat, w_grid=W, w0_index=w0,
                           params=np.asarray(params, dtype=float),
-                          residual=float(residual), scale=M)
+                          residual=float(residual), scale=M,
+                          swallowed_failures=failures)
 
 
 # --- instrument step and completion -----------------------------------------
@@ -496,13 +544,15 @@ def instrument_step(candidates: Sequence[MicroCandidate],
     if w_index is None:
         w_index = candidates[0].w0_index
     n = len(data)
-    r = np.empty((n, J))
+    level = np.array([mkt.level for mkt in data], dtype=int)
     D = np.zeros((n, K))
-    for i, mkt in enumerate(data):
-        cand = candidates[mkt.level]
-        h_val = cand.h(mkt.profile.shares[w_index][None, :], level_bundles[mkt.level])[0]
-        r[i] = cand.g_hat[w_index] - h_val
-        D[i, mkt.level] = 1.0
+    D[np.arange(n), level] = 1.0
+    r = np.empty((n, J))
+    for k in np.unique(level):  # one candidate call per treatment level
+        rows = np.flatnonzero(level == k)
+        cand = candidates[k]
+        Y = np.array([data[i].profile.shares[w_index] for i in rows])
+        r[rows] = cand.g_hat[w_index] - cand.h(Y, level_bundles[k])
     zvals = np.array([mkt.z for mkt in data])
     uniq = np.unique(zvals, axis=0)
     B = np.column_stack([np.all(zvals == u, axis=1).astype(float) for u in uniq])
@@ -538,22 +588,36 @@ class MicroEquivalenceReport:
 def verify_theorem2(dgp: MicroDgp, markets: Sequence[MicroMarket],
                     a0: Bundle, tol: float = PARALLEL_TOL) -> MicroEquivalenceReport:
     """Numerically check the three equivalent micro-data formulations using
-    the DGP's own share map as the transform."""
+    the DGP's own share map as the transform.
+
+    The markets share one demographic grid; markets of one treatment level
+    share its bundle. The baseline profiles come from the batched profile
+    kernel, and the transform runs once on them and once per treatment level.
+    """
+    if not markets:
+        return MicroEquivalenceReport(0.0, 0.0, 0.0, tol=tol)
     base = MicroDgp(Pi=dgp.Pi, sigma=dgp.sigma, alpha=dgp.alpha,
                     nu_nodes=dgp.nu_nodes)  # index-structure version of sigma
     h = truth_candidate(base)
-    m1 = m2 = m3 = 0.0
-    for mkt in markets:
-        W = mkt.profile.w_grid
-        w0 = mkt.profile.w0_index
-        prof_a0 = true_profile(dgp, mkt.xi, a0, W, w0).shares
-        # (i) profile conversion through the baseline treatment
-        delta = h(mkt.profile.shares, mkt.a)
-        m1 = max(m1, float(np.max(np.abs(h.shares(delta, a0) - prof_a0))))
-        # (ii) parallel paths of the transformed baseline profile
-        phi_vals = h(prof_a0, a0)
-        g = (W - W[w0]) @ base.Pi.T
-        m2 = max(m2, float(np.max(np.abs(phi_vals - phi_vals[w0] - g))))
-        # (iii) combined transformed-shift form
-        m3 = max(m3, float(np.max(np.abs(delta - phi_vals[w0] - g))))
-    return MicroEquivalenceReport(m1, m2, m3, tol=tol)
+    W = _common_grid([m.profile for m in markets])
+    n, (G, J) = len(markets), W.shape
+    w0 = np.array([m.profile.w0_index for m in markets])
+    prof_a0 = _profile_shares(dgp, np.array([m.xi for m in markets]),
+                              np.broadcast_to(a0.p, (n, J)), W)
+    # h of each observed profile at its own treatment
+    level = np.array([m.level for m in markets])
+    delta = np.empty((n, G, J))
+    for k in np.unique(level):
+        idx = np.flatnonzero(level == k)
+        Y = np.concatenate([markets[i].profile.shares for i in idx])
+        delta[idx] = h(Y, markets[idx[0]].a).reshape(len(idx), G, J)
+    # (i) profile conversion through the baseline treatment
+    m1 = np.max(np.abs(h.shares(delta.reshape(n * G, J), a0).reshape(n, G, J) - prof_a0))
+    # (ii) parallel paths of the transformed baseline profile
+    phi_vals = h(prof_a0.reshape(n * G, J), a0).reshape(n, G, J)
+    phi_w0 = phi_vals[np.arange(n), w0][:, None, :]
+    g = (W - W[w0][:, None, :]) @ base.Pi.T
+    m2 = np.max(np.abs(phi_vals - phi_w0 - g))
+    # (iii) combined transformed-shift form
+    m3 = np.max(np.abs(delta - phi_w0 - g))
+    return MicroEquivalenceReport(float(m1), float(m2), float(m3), tol=tol)

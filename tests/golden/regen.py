@@ -1,0 +1,57 @@
+"""Regenerate the golden reference CSVs of the micro subcommands.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+Each case runs one `cdl` subcommand at a fixed seed and small size and
+keeps its CSV artifacts (SVGs are convenience output and are not kept)
+under tests/golden/<case>/. `tests/test_golden.py` reruns the same cases
+and compares against these files. Regenerate only when an output is meant
+to change, and say which reference moved and why.
+"""
+
+from __future__ import annotations
+
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+from cdlab import cli
+
+GOLDEN = Path(__file__).resolve().parent
+SEED = 3
+
+#: case name -> `cdl` arguments (without --out).
+CASES = {
+    "micro-identify": ["micro-identify", "--seed", str(SEED), "--set", "market_count=16"],
+    "verify-thm2": ["verify-thm2", "--seed", str(SEED), "--set", "market_count=20"],
+    "fig2": ["fig2", "--seed", str(SEED), "--set", "market_count=6"],
+}
+
+
+def run_case(name: str, out: Path) -> list[Path]:
+    """Run a case into `out`; return its CSV artifacts, sorted by name."""
+    code = cli.main(CASES[name] + ["--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"golden case {name!r} exited with code {code}")
+    return sorted(out.glob("*.csv"))
+
+
+def main() -> int:
+    for name in CASES:
+        dest = GOLDEN / name
+        with tempfile.TemporaryDirectory() as tmp:
+            csvs = run_case(name, Path(tmp))
+            if dest.exists():
+                shutil.rmtree(dest)
+            dest.mkdir()
+            for path in csvs:
+                shutil.copyfile(path, dest / path.name)
+        print(f"{name}: {', '.join(p.name for p in csvs)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

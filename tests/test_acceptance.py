@@ -82,6 +82,7 @@ def test_criterion_8_micro_completion():
     assert c["stratified_profile_error"].value <= 1e-6
     assert c["endogenous_dev_in_ses"].value <= 2.0
     assert c["negative_control_dev_in_ses"].value > 3.0
+    assert r.runtime < 30.0
     assert r.passed
 
 

@@ -27,6 +27,7 @@ from cdlab.inversion import (
 )
 from cdlab.population import PopulationSpec, market_rng, sample_market
 from cdlab.types import (
+    SIMPLEX_EPS,
     bundle,
     degenerate,
     finite_mixture,
@@ -199,6 +200,23 @@ def test_round_trip_property(J, log10_outside, mixing, mc_seed, seed):
     # To first order the delta error is at most cond * tol; the factor 2
     # covers the rounding in y itself.
     assert np.max(np.abs(back - delta)) <= 1e-10 + 2 * 1e-12 * cond
+
+
+@pytest.mark.parametrize("delta", [[-25.5], [-25.5, 0.4], [-25.5, -24.0]],
+                         ids=["J1-curve", "J2-one-small", "J2-both-small"])
+def test_round_trip_with_inside_shares_near_simplex_eps(delta):
+    """Inside shares a few times SIMPLEX_EPS above 0, through the J = 1 share
+    curve solver and the J >= 2 Newton loop: delta comes back, and the shares
+    match in logs, not only to the absolute tolerance they are below."""
+    m = mixed_logit(lognormal_mixing(0.0, 0.3))
+    delta = np.array(delta)
+    a = bundle(np.zeros(len(delta)), np.linspace(1.0, 2.0, len(delta)))
+    y = shares(m, delta, a)
+    assert SIMPLEX_EPS < y.values.min() < 10 * SIMPLEX_EPS
+    back = invert(m, y, a)
+    np.testing.assert_allclose(back, delta, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(np.log(shares_array(m, back, a)), np.log(y.values),
+                               atol=1e-12, rtol=0)
 
 
 def test_cost_guard_on_a_saturated_market(monkeypatch):

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cdlab import micro as mi
+from cdlab.acceptance import micro_dgp
 from cdlab.demand import _gh_nodes
-from cdlab.errors import ConfigError, NotIdentified, RootNotBracketed
+from cdlab.errors import ConfigError, NoConvergence, NotIdentified, RootNotBracketed
 from cdlab.population import market_rng
 from cdlab.types import Bundle, normal_mixing
 
@@ -148,6 +151,65 @@ def test_stratified_blocks_follow_their_substreams():
     assert len({id(m.xi) for m in markets}) == 7  # no market shares its shock array
 
 
+@pytest.mark.parametrize("dgp, spec", [
+    (dgp_1d(), spec_1d(n=25, seed=11)),
+    (dgp_1d(), mi.MicroPopulationSpec(market_count=7, price_levels=(0.5, 1.0, 2.0),
+                                      w_grid=tuple(np.linspace(-1.0, 1.0, 9)), seed=4,
+                                      assignment="stratified")),  # truncated last block
+    (dgp_1d(), mi.MicroPopulationSpec(market_count=30, price_levels=(0.5, 1.0, 2.0),
+                                      w_grid=tuple(np.linspace(-1.0, 1.0, 9)), seed=1,
+                                      endogeneity=0.8)),
+    (dgp_1d(sigma_w_slope=0.6), spec_1d(n=12, seed=8)),
+    (dgp_2d(), mi.MicroPopulationSpec(market_count=9, price_levels=((1.0, 2.0), (1.5, 0.5)),
+                                      w_grid=((-1.0, 0.0), (0.0, 0.5), (0.5, 1.0)),
+                                      seed=2)),
+], ids=["iid", "stratified", "endogenous", "sigma-w-slope", "J2"])
+def test_simulate_micro_is_bit_identical_to_per_market_true_profile(dgp, spec):
+    markets = mi.simulate_micro(dgp, spec, w0_index=1)
+    assert len(markets) == spec.market_count
+    for m in markets:
+        a = spec.level_bundle(dgp, m.level)
+        np.testing.assert_array_equal(m.a.p, a.p)
+        ref = mi.true_profile(dgp, m.xi, a, spec.w_grid, w0_index=1)
+        assert m.profile.shares.tobytes() == ref.shares.tobytes()
+        np.testing.assert_array_equal(m.profile.w_grid, ref.w_grid)
+        assert m.profile.w0_index == 1
+    assert len({id(m.profile.w_grid) for m in markets}) == 1  # one shared grid
+
+
+@pytest.mark.parametrize("per_block", [2, 3])
+@pytest.mark.parametrize("dgp", [dgp_1d(), dgp_2d()], ids=["J1", "J2"])
+def test_profile_blocks_leave_the_shares_unchanged(monkeypatch, dgp, per_block):
+    """Blocks of 2 and 3 markets (a truncated last block of 1) give the bytes
+    of per-market true_profile, a block of one market each."""
+    w_grid = np.linspace(-1.0, 1.0, 2 * dgp.J).reshape(2, dgp.J)
+    spec = mi.MicroPopulationSpec(market_count=10, price_levels=(np.full(dgp.J, 1.5),),
+                                  w_grid=w_grid, seed=5)
+    nodes = len(mi._nu_nodes(dgp.sigma, dgp.nu_nodes)[1])
+    monkeypatch.setattr(mi, "MAX_BLOCK_ELEMENTS", per_block * 2 * nodes * dgp.J)
+    for m in mi.simulate_micro(dgp, spec):
+        ref = mi.true_profile(dgp, m.xi, m.a, w_grid)
+        assert m.profile.shares.tobytes() == ref.shares.tobytes()
+
+
+def test_true_profile_matches_the_per_grid_point_share_map():
+    """Reference: one micro_shares call per grid point at J = 2, and the
+    J = 1 share curve at each point's own index and scale."""
+    dgp = dgp_2d()
+    W = np.array([[-1.0, 0.0], [0.0, 0.5], [0.5, 1.0]])
+    xi = np.array([0.3, -0.2])
+    a = Bundle(np.zeros(2), np.array([1.0, 2.0]), np.zeros((2, 0)))
+    ref = np.array([mi.micro_shares(dgp, dgp.Pi @ w + xi, a.p) for w in W])
+    np.testing.assert_allclose(mi.true_profile(dgp, xi, a, W).shares, ref,
+                               rtol=1e-14, atol=0)
+    dgp = dgp_1d(sigma_w_slope=0.6)
+    w = np.linspace(-1.0, 1.0, 9)
+    a = Bundle(np.zeros(1), np.array([1.5]), np.zeros((1, 0)))
+    ref = [mi.micro_shares_1d(dgp, wv + 0.3, 1.5, sigma_scale=1.0 + 0.6 * wv) for wv in w]
+    np.testing.assert_allclose(mi.true_profile(dgp, np.array([0.3]), a, w).shares[:, 0],
+                               ref, rtol=1e-14, atol=0)
+
+
 def test_endogeneity_correlates_level_with_shock():
     dgp = dgp_1d()
     spec = mi.MicroPopulationSpec(market_count=400, price_levels=(0.5, 1.0, 2.0),
@@ -171,6 +233,57 @@ def test_parallel_residual_true_vs_identity():
     assert mi.parallel_residual(mi.logit_candidate(), profiles, a) > 0.01
 
 
+def per_profile_residual(candidate_h, profiles, a):
+    """Reference: one candidate call per profile."""
+    devs = []
+    for prof in profiles:
+        H = candidate_h(prof.shares, a)
+        devs.append(H - H[prof.w0_index])
+    D = np.array(devs)
+    return float(np.max(np.abs(D - np.median(D, axis=0))))
+
+
+@pytest.fixture(scope="module")
+def criterion_7_profiles():
+    dgp = micro_dgp()
+    spec = mi.MicroPopulationSpec(market_count=200, price_levels=(1.5,),
+                                  w_grid=tuple(np.linspace(-1.0, 1.0, 20)), seed=7)
+    return dgp, [m.profile for m in mi.simulate_micro(dgp, spec)], spec.level_bundle(dgp, 0)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.8, 1.7, 3.9])
+def test_stacked_parallel_residual_equals_per_profile_loop(criterion_7_profiles, sigma):
+    dgp, profiles, a = criterion_7_profiles
+    cand = mi.sigma_family(dgp, alpha_fixed=0.0).build(np.array([sigma]))
+    assert mi.parallel_residual(cand, profiles, a) == per_profile_residual(cand, profiles, a)
+
+
+def test_parallel_residual_takes_each_profiles_own_baseline_row():
+    dgp = dgp_1d()
+    markets = mi.simulate_micro(dgp, spec_1d(n=6, seed=3))
+    a = markets[0].a
+    profiles = [dataclasses.replace(m.profile, w0_index=i % 3)
+                for i, m in enumerate(markets)]
+    cand = mi.identity_candidate()
+    assert mi.parallel_residual(cand, profiles, a) == per_profile_residual(cand, profiles, a)
+
+
+def test_parallel_residual_requires_one_grid():
+    dgp = dgp_1d()
+    markets = mi.simulate_micro(dgp, spec_1d(n=3, seed=3))
+    a = markets[0].a
+    profiles = [m.profile for m in markets]
+    # an equal grid in another array is accepted
+    moved = mi.Profile(np.linspace(-1.0, 1.0, 9), profiles[0].shares)
+    assert mi.parallel_residual(mi.identity_candidate(), profiles + [moved], a) >= 0.0
+    other = mi.Profile(np.linspace(-1.0, 1.5, 9), profiles[0].shares)
+    with pytest.raises(ConfigError):
+        mi.parallel_residual(mi.identity_candidate(), profiles + [other], a)
+    short = mi.Profile(np.linspace(-1.0, 1.0, 8), profiles[0].shares[:8])
+    with pytest.raises(ConfigError):
+        mi.parallel_residual(mi.identity_candidate(), [short] + profiles, a)
+
+
 def test_parallel_residual_single_profile_warns():
     dgp = dgp_1d()
     spec = spec_1d(n=1)
@@ -191,9 +304,36 @@ def test_identify_h_and_g_recovers_sigma():
                                y0=np.array([0.3]), starts=3, seed=0)
     assert abs(abs(cand.params[0]) - 0.8) < 1e-4
     assert cand.residual <= 1e-6
+    assert cand.swallowed_failures == 0
     # recovered index matches Pi w - Pi w0 up to the enforced normalization
     g_true = (cand.w_grid - cand.w_grid[cand.w0_index]) @ dgp.Pi.T
     np.testing.assert_allclose(cand.g_hat, g_true, atol=1e-5)
+
+
+def test_identify_counts_swallowed_failures():
+    """A family whose build fails on part of its bounds: each failed
+    objective evaluation is counted, and the fit still recovers sigma."""
+    dgp = dgp_1d()
+    spec = spec_1d(n=12, seed=5)
+    markets = mi.simulate_micro(dgp, spec)
+    inner = mi.sigma_family(dgp, alpha_fixed=0.0)
+    failed = []
+
+    def build(params):
+        if params[0] > 3.0:
+            failed.append(params[0])
+            raise FloatingPointError("overflow")
+        if params[0] > 2.0:
+            failed.append(params[0])
+            raise NoConvergence(200, 1.0)
+        return inner.build(params)
+
+    fam = mi.CandidateFamily(build=build, bounds=inner.bounds, name="fails above 2")
+    cand = mi.identify_h_and_g(fam, [m.profile for m in markets],
+                               spec.level_bundle(dgp, 0), y0=np.array([0.3]),
+                               starts=3, seed=0)
+    assert cand.swallowed_failures == len(failed) > 0
+    assert abs(abs(cand.params[0]) - 0.8) < 1e-4
 
 
 def test_identify_raises_not_identified_on_flat_family():
@@ -237,6 +377,19 @@ def test_instrument_step_and_prediction_under_stratification():
         true = mi.true_profile(dgp, m.xi, levels[target], spec.w_grid).shares
         worst = max(worst, float(np.max(np.abs(pred - true))))
     assert worst <= 1e-6
+
+
+def test_batched_instrument_step_agrees_with_per_market_candidate_calls():
+    """Reference: the same candidates, called on one market's row at a time."""
+    dgp, spec, markets, levels, model = complete_small_model()
+
+    def row_by_row(cand):
+        def h(Y, a):
+            return np.concatenate([cand.h(y[None, :], a) for y in Y])
+        return dataclasses.replace(cand, h=mi.Candidate(h, cand.h.shares))
+
+    ref = mi.instrument_step([row_by_row(c) for c in model.candidates], markets, levels)
+    np.testing.assert_allclose(model.levels_c, ref.levels_c, rtol=0, atol=1e-12)
 
 
 def test_price_coefficient_from_levels():
