@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .demand import mixed_logit, shares
 from .dgps import ScaledX1Spec, sample_scaled_x1_population
 from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
 from .inversion import invert
-from .population import PopulationSpec, market_rng, sample_population, true_counterfactual
+from .population import PopulationSpec, market_rng, potential_outcomes, sample_population
 from .transforms import LogitInverse, MixedLogitInverse
 from .types import Bundle, bundle, lognormal_mixing, validate_shares
 
@@ -106,15 +107,14 @@ def criterion_2(seed: int) -> CriterionResult:
     triple = HomTriple(MixedLogitInverse(m), a0)
     grid = [bundle(np.full(spec.J, x1), np.full(spec.J, p))
             for x1, p in zip(np.linspace(-0.5, 0.5, 10), np.linspace(0.6, 2.8, 10))]
-    rep = verify_theorem1(triple, grid, pop,
-                          lambda d, a: true_counterfactual(spec, d, a))
+    rep = verify_theorem1(triple, grid, pop, partial(potential_outcomes, spec))
 
     fig1 = Fig1Spec(market_count=100, seed=seed + 2)
     fpop = sample_population(fig1.population_spec())
     ftriple = HomTriple(MixedLogitInverse(mixed_logit(fig1.blue)), bundle(0.0, 1.5))
     fgrid = [bundle(0.0, p) for p in np.linspace(0.6, 2.8, 10)]
     frep = verify_theorem1(ftriple, fgrid, fpop,
-                           lambda d, a: true_counterfactual(fig1.population_spec(), d, a))
+                           partial(potential_outcomes, fig1.population_spec()))
     return CriterionResult(2, "theorem 1 equivalence", checks=[
         Check("index_model", rep.max_index_model, 1e-8, "<="),
         Check("inverse_model", rep.max_inverse_model, 1e-8, "<="),

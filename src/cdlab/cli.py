@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +23,16 @@ from . import extrapolation as ex
 from . import micro as mi
 from .config import EXPERIMENTS, ExperimentConfig, apply_overrides, load_config
 from .counterfactual import CounterfactualEngine, HomTriple, verify_theorem1
+from .demand import shares_array
 from .dgps import ScaledX1Spec, sample_scaled_x1_population
 from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
 from .errors import CdlabError, ConfigError, RootNotBracketed
-from .inversion import invert
-from .population import PopulationSpec, sample_population, true_counterfactual
+from .inversion import invert_rows
+from .population import (PopulationSpec, potential_outcomes, sample_population,
+                         true_counterfactuals)
 from .svgplot import Panel, write_svg
 from .transforms import LogitInverse, MixedLogitInverse
-from .types import bundle, lognormal_mixing
+from .types import Bundles, bundle, lognormal_mixing
 
 #: Marker colors per latent type, matching the two-type figure convention.
 TYPE_COLORS = ("#1f77b4", "#ff7f0e")
@@ -71,17 +74,26 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> None:
               rows)
 
 
+def _stacked(spec: PopulationSpec, pop):
+    """The sampled markets' shares (n, J), bundles and types, and the rows
+    of each type present."""
+    y = np.array([d.y.values for d in pop]).reshape(len(pop), spec.J)
+    zeta = np.array([d.zeta for d in pop], dtype=int)
+    types = [(t, r) for t in range(spec.n_types) if len(r := np.flatnonzero(zeta == t))]
+    return y, Bundles.stack([d.a for d in pop]), zeta, types
+
+
 def run_invert(cfg: ExperimentConfig, out: Path) -> None:
     spec = _population(cfg)
-    rows = []
-    for i, d in enumerate(sample_population(spec)):
-        m = spec.share_map(d.zeta)
-        delta = invert(m, d.y, d.a)
-        from .demand import shares_array
-        resid = float(np.max(np.abs(shares_array(m, delta, d.a) - d.y.values)))
-        for j in range(spec.J):
-            rows.append([i, j, float(delta[j]),
-                         float(d.a.x1[j] + d.xi[j]), resid])
+    pop = sample_population(spec)
+    y, a, _, types = _stacked(spec, pop)
+    delta, resid = np.empty(y.shape), np.empty(len(pop))
+    for t, r in types:  # all markets of a type in one solve
+        m = spec.share_map(t)
+        delta[r] = invert_rows(m, y[r], a[r], ids=r)
+        resid[r] = np.abs(shares_array(m, delta[r], a[r]) - y[r]).max(axis=1)
+    rows = [[i, j, float(delta[i, j]), float(d.a.x1[j] + d.xi[j]), float(resid[i])]
+            for i, d in enumerate(pop) for j in range(spec.J)]
     write_csv(out / "inversion.csv",
               ["market_id", "product", "delta_hat", "delta_true", "residual"],
               rows)
@@ -90,15 +102,15 @@ def run_invert(cfg: ExperimentConfig, out: Path) -> None:
 def run_predict(cfg: ExperimentConfig, out: Path) -> None:
     spec = _population(cfg)
     price_shift = float(cfg.options.get("price_shift", 0.5))
-    rows = []
-    for i, d in enumerate(sample_population(spec)):
-        engine = CounterfactualEngine(spec.share_map(d.zeta))
-        target = d.a.replace(p=d.a.p + price_shift)
-        pred = engine.predict(d.y, d.a, target)
-        truth = true_counterfactual(spec, d, target)
-        for j in range(spec.J):
-            rows.append([i, j, float(d.y.values[j]), float(pred.values[j]),
-                         float(truth.values[j])])
+    pop = sample_population(spec)
+    y, a, zeta, types = _stacked(spec, pop)
+    target = a.replace(p=a.p + price_shift)
+    pred = np.empty(y.shape)
+    for t, r in types:  # all markets of a type in one solve
+        pred[r] = CounterfactualEngine(spec.share_map(t)).predict(y[r], a[r], target[r])
+    truth = true_counterfactuals(spec, [d.xi for d in pop], zeta, target)
+    rows = [[i, j, float(y[i, j]), float(pred[i, j]), float(truth[i, j])]
+            for i in range(len(pop)) for j in range(spec.J)]
     write_csv(out / "predictions.csv",
               ["market_id", "product", "observed_share", "predicted_share",
                "true_share"], rows)
@@ -151,8 +163,7 @@ def run_verify_thm1(cfg: ExperimentConfig, out: Path) -> None:
     triple = HomTriple(MixedLogitInverse(m), a0)
     grid = [bundle(np.full(spec.J, x1), np.full(spec.J, p))
             for x1, p in zip(np.linspace(-0.5, 0.5, 10), np.linspace(0.6, 2.8, 10))]
-    rep = verify_theorem1(triple, grid, pop,
-                          lambda d, a: true_counterfactual(spec, d, a))
+    rep = verify_theorem1(triple, grid, pop, partial(potential_outcomes, spec))
     write_csv(out / "thm1_report.csv", ["check", "max_deviation", "passed"],
               [[name, val, passed] for name, val, passed in rep.rows()])
     if not rep.passed:

@@ -1,10 +1,11 @@
 """Unit-level counterfactual engine and homogeneity checks.
 
 `predict` routes an observed (Y, A) through the share-map inversion to the
-target bundle. `convert` does the same through an explicit transformed-
-outcome representation (h, phi, a0); the two agree whenever h is the
-inverse of the share map. The equivalence report checks, market by market,
-that the three formulations coincide on a simulated population.
+target bundle, for one market or for stacked markets in one call.
+`convert` does the same through an explicit transformed-outcome
+representation (h, phi, a0); the two agree whenever h is the inverse of the
+share map. The equivalence report checks, market by market, that the three
+formulations coincide on a simulated population.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .demand import ShareMap, shares
+from .demand import ShareMap, shares_array
 from .errors import InversionFailure
-from .inversion import DEFAULT_INVERSION, InversionConfig, structural_shock
+from .inversion import DEFAULT_INVERSION, InversionConfig, invert_rows
 from .transforms import FD_STEP, Phi, Transform
-from .types import Bundle, MarketDraw, SharesVector, validate_shares
+from .types import (Bundle, Bundles, MarketDraw, SharesVector, validate_share_rows,
+                    validate_shares)
 
 EQUIV_TOL = 1e-8
 
@@ -28,20 +30,24 @@ class CounterfactualEngine:
     map: ShareMap
     inversion: InversionConfig = DEFAULT_INVERSION
 
-    def predict(self, observed_y: SharesVector, observed_a: Bundle,
-                target_a: Bundle) -> SharesVector:
+    def predict(self, observed_y, observed_a, target_a):
         return predict(self, observed_y, observed_a, target_a)
 
 
-def predict(engine: CounterfactualEngine, observed_y: SharesVector,
-            observed_a: Bundle, target_a: Bundle) -> SharesVector:
-    """Counterfactual shares at target_a implied by the observed market.
+def predict(engine: CounterfactualEngine, observed_y, observed_a, target_a):
+    """Counterfactual shares at target_a implied by the observed market: one
+    market's SharesVector under a Bundle, or the validated rows (n, J) of
+    markets with shares observed_y (n, J) under Bundles, solved in one call.
 
     A deterministic function of (observed_y, observed_a, target_a) alone:
     markets agreeing on observables receive identical predictions.
     """
-    xi_hat = structural_shock(engine.map, observed_y, observed_a, engine.inversion)
-    return shares(engine.map, target_a.x1 + xi_hat, target_a)
+    if isinstance(observed_a, Bundle):
+        return SharesVector(predict(engine, observed_y.values[None],
+                                    Bundles.repeat(observed_a, 1),
+                                    Bundles.repeat(target_a, 1))[0])
+    xi_hat = invert_rows(engine.map, observed_y, observed_a, engine.inversion) - observed_a.x1
+    return validate_share_rows(shares_array(engine.map, target_a.x1 + xi_hat, target_a))
 
 
 @dataclass
@@ -95,29 +101,29 @@ class EquivalenceReport:
 
 def verify_theorem1(triple: HomTriple, grid: Sequence[Bundle],
                     population: Sequence[MarketDraw],
-                    truth: Callable[[MarketDraw, Bundle], SharesVector],
+                    truth: Callable[[Sequence[MarketDraw], Bundle], np.ndarray],
                     tol: float = EQUIV_TOL) -> EquivalenceReport:
     """Check the three equivalent homogeneity formulations numerically.
 
-    `truth` evaluates a market's potential outcome at any bundle from its
-    stored latent state. On a population whose DGP satisfies homogeneity
-    with the given triple, all three maxima should be at solver tolerance;
-    on a heterogeneous (multi-type) population the transformed-shift check
-    fails for any single triple.
+    `truth(population, a)` evaluates the markets' potential outcomes (n, J)
+    at bundle a from their stored latent states. Each bundle takes one truth
+    call and one `apply` and one `invert` of h on the stacked markets. On a
+    population whose DGP satisfies homogeneity with the given triple, all
+    three maxima should be at solver tolerance; on a heterogeneous
+    (multi-type) population the transformed-shift check fails for any
+    single triple.
     """
     m1 = m2 = m3 = 0.0
     a0 = triple.a0
-    for draw in population:
-        y0 = truth(draw, a0).values
-        xi = triple.phi.inverse(y0)
-        h0 = triple.h.apply_bundle(y0, a0)
-        for a in grid:
-            ya = truth(draw, a).values
-            ha = triple.h.apply_bundle(ya, a)
-            pred = triple.h.invert_bundle(a.x1 + xi, a)
-            m1 = max(m1, float(np.max(np.abs(ya - pred))))
-            m2 = max(m2, float(np.max(np.abs(a.x1 + xi - ha))))
-            m3 = max(m3, float(np.max(np.abs(ha - h0 - (a.x1 - a0.x1)))))
+    h0 = triple.h.apply_bundle(truth(population, a0), a0)
+    xi = h0 - a0.x1  # phi^{-1}(Y(a0))
+    for a in grid:
+        ya = truth(population, a)
+        ha = triple.h.apply_bundle(ya, a)
+        pred = triple.h.invert_bundle(a.x1 + xi, a)
+        m1 = max(m1, float(np.max(np.abs(ya - pred), initial=0.0)))
+        m2 = max(m2, float(np.max(np.abs(a.x1 + xi - ha), initial=0.0)))
+        m3 = max(m3, float(np.max(np.abs(ha - h0 - (a.x1 - a0.x1)), initial=0.0)))
     return EquivalenceReport(m1, m2, m3, tol=tol)
 
 

@@ -178,18 +178,24 @@ def _random_index(B: np.ndarray, a: Bundle | Bundles) -> np.ndarray:
     return out
 
 
-def _node_shares(T: np.ndarray) -> np.ndarray:
-    """Row-wise logit shares with an outside option, via log-sum-exp."""
+def _node_shares(T: np.ndarray, outside: bool = False) -> np.ndarray:
+    """Row-wise logit shares with an outside option, via log-sum-exp. With
+    `outside`, the outside good's share exp(-lse) is appended as a last
+    column: accurate to rounding where 1 - sum(shares) is not."""
     peak = np.maximum(T.max(axis=-1, keepdims=True), 0.0)
     lse = peak + np.log(np.exp(-peak) + np.exp(T - peak).sum(axis=-1, keepdims=True))
+    if outside:
+        T = np.concatenate([T, np.zeros_like(lse)], axis=-1)
     return np.exp(T - lse)
 
 
-def _weighted_node_shares(m: ShareMap, delta: np.ndarray, a: Bundle | Bundles):
-    """Node shares S (..., M, J) at delta (..., J), and the node weights."""
+def _weighted_node_shares(m: ShareMap, delta: np.ndarray, a: Bundle | Bundles,
+                          outside: bool = False):
+    """Node shares S (..., M, J) at delta (..., J), and the node weights;
+    with `outside`, (..., M, J + 1) with the outside good last."""
     B, w = mixing_nodes(m.mixing, m.integration)
     T = (delta + _fixed_index(m, a))[..., None, :] + _random_index(B, a)
-    S = _node_shares(T)
+    S = _node_shares(T, outside)
     if not np.all(np.isfinite(S)):
         raise IntegrationFailure("non-finite node shares")
     return S, w

@@ -14,7 +14,7 @@ from scipy.special import expit
 
 from . import laws
 from .population import market_rng
-from .types import Bundle, MarketDraw, validate_shares
+from .types import Bundle, Bundles, MarketDraw, validate_share_rows, validate_shares
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,12 @@ class ScaledX1Spec:
     def outcome(self, zeta: int, x1: float, p: float, xi: float) -> float:
         return float(expit(self.c_by_type[zeta] * x1 - self.alpha * p + xi))
 
-    def truth(self, draw: MarketDraw, a: Bundle):
-        return validate_shares([self.outcome(draw.zeta, float(a.x1[0]),
-                                             float(a.p[0]), float(draw.xi[0]))])
+    def truth(self, draws, a: Bundles) -> np.ndarray:
+        """Potential outcomes (n, 1) of the markets `draws` at their bundles
+        a, one row each, from their stored types and shocks."""
+        c = np.array([self.c_by_type[d.zeta] for d in draws])
+        xi = np.array([d.xi[0] for d in draws])
+        return validate_share_rows(expit(c * a.x1[:, 0] - self.alpha * a.p[:, 0] + xi)[:, None])
 
 
 def sample_scaled_x1_population(spec: ScaledX1Spec) -> list[MarketDraw]:

@@ -20,11 +20,13 @@ class NoConvergence(CdlabError):
     too tight for the problem at hand.
     """
 
-    def __init__(self, iterations, residual):
+    def __init__(self, iterations, residual, market=None):
         self.iterations = iterations
         self.residual = residual
+        self.market = market
+        where = "" if market is None else f"market {market}: "
         super().__init__(
-            f"no convergence after {iterations} iterations (residual {residual:.3e})"
+            f"{where}no convergence after {iterations} iterations (residual {residual:.3e})"
         )
 
 

@@ -19,7 +19,7 @@ from .counterfactual import CounterfactualEngine
 from .demand import plain_logit
 from .errors import ConfigError, InversionFailure, NonUnique
 from .transforms import interp_extrap
-from .types import Bundle, SharesVector, validate_shares
+from .types import Bundle, Bundles, SharesVector, validate_shares
 
 
 @dataclass(frozen=True)
@@ -360,22 +360,21 @@ def price_ccs_check(h_transform, population, truth: Callable,
     the x1 response, model-implied price counterfactuals should match the
     truth while x1 counterfactuals err for at least one type.
 
-    `truth(draw, bundle)` evaluates the stored potential outcome.
+    `truth(population, bundles)` evaluates the stored potential outcomes
+    (n, J) of the markets at Bundles, one row each. The markets are stacked:
+    one `apply` of h, then one `invert` and one truth call per target.
     """
+    y = np.array([d.y.values for d in population])
+    a = Bundles.stack([d.a for d in population])
+    v = h_transform.apply_bundle(y, a)
     max_price = 0.0
-    x1_err: dict = {}
-    for draw in population:
-        a = draw.a
-        y = draw.y.values
-        v = h_transform.apply_bundle(y, a)
-        for pp in price_grid:
-            target = a.replace(p=np.full(a.J, float(pp)))
-            pred = h_transform.invert_bundle(v, target)  # price move: x1 unchanged
-            true_y = truth(draw, target).values
-            max_price = max(max_price, float(np.max(np.abs(pred - true_y))))
-        target = a.replace(x1=a.x1 + x1_shift)
-        pred = h_transform.invert_bundle(v - a.x1 + target.x1, target)
-        true_y = truth(draw, target).values
-        err = float(np.max(np.abs(pred - true_y)))
-        x1_err[draw.zeta] = max(x1_err.get(draw.zeta, 0.0), err)
+    for pp in price_grid:
+        target = a.replace(p=np.full(a.p.shape, float(pp)))
+        pred = h_transform.invert_bundle(v, target)  # price move: x1 unchanged
+        max_price = max(max_price, float(np.max(np.abs(pred - truth(population, target)))))
+    target = a.replace(x1=a.x1 + x1_shift)
+    pred = h_transform.invert_bundle(v - a.x1 + target.x1, target)
+    err = np.abs(pred - truth(population, target)).max(axis=1)
+    zeta = np.array([d.zeta for d in population])
+    x1_err = {z: float(err[zeta == z].max()) for z in dict.fromkeys(zeta.tolist())}
     return PriceCcsReport(max_price, x1_err)

@@ -1,17 +1,30 @@
 """Recover the index delta from observed shares.
 
-Plain logit has a closed form. A J = 1 mixed logit is one increasing curve,
-solved by bracketed Newton (:func:`solve_share_curve`). Mixed logit with
-J >= 2 runs a safeguarded Newton iteration on the log-share residual
-F(delta) = log y - log sigma(delta), from the plain-logit start. Each Newton
-step is halved until the sup-norm of F falls by an Armijo factor; a trial
-point whose shares are unusable (integration failure, non-positive or
-non-finite shares) is rejected like one that does not descend. When the
-halvings run out, or the Jacobian is singular, the iteration takes one BLP
-contraction step delta <- delta + F(delta) instead. The contraction is
+Every solver here takes a batch of markets: shares y (n, J) under
+`types.Bundles`, one market per row, and one market is the batch of one
+(:func:`invert`). Plain logit has a closed form. A J = 1 mixed logit is one
+increasing curve per market, solved by bracketed Newton
+(:func:`solve_share_curve`). Mixed logit with J >= 2 runs a safeguarded
+Newton iteration over all markets at once (:func:`_solve_log_shares`), from
+the plain-logit start. Each iteration solves the stacked J x J Newton
+systems of the rows still active in one call, and each line-search trial
+evaluates the node shares of the rows still searching in one call. Each
+row's step is halved until the sup-norm of its log-share residual falls by
+an Armijo factor; a row whose trial point has unusable
+shares (integration failure, non-positive or non-finite shares) is rejected
+on its own, like one that does not descend. A row whose halvings run out, or
+whose Jacobian is singular, takes one BLP contraction step
+delta <- delta + log y - log sigma(delta) instead. The contraction is
 globally stable but its modulus approaches 1 as the outside share shrinks
 (Dube, Fox and Su, 2012), which is why it is the fallback rather than the
-method.
+method. Converged rows leave the active set, and rows are solved in blocks
+of at most MAX_BLOCK_ELEMENTS node shares.
+
+Both root loops also match the outside share in logs. Near the simplex
+boundary the inside shares say little about delta: at an outside share of
+6e-12, inside shares within 1e-12 of their targets leave it 15 % off. Below
+MIN_OUTSIDE_SHARE the shares, being doubles, do not determine delta, and
+the loops raise SimplexViolation rather than iterate.
 """
 
 from __future__ import annotations
@@ -22,20 +35,27 @@ from typing import Callable
 import numpy as np
 from scipy.special import logit
 
-from .demand import (ShareMap, _fixed_index, _random_index, _weighted_node_shares,
-                     expit_mixture, mixing_nodes, node_jacobian)
-from .errors import ConfigError, IntegrationFailure, NoConvergence
-from .types import Bundle, SharesVector
+from .demand import (MAX_BLOCK_ELEMENTS, ShareMap, _fixed_index, _random_index,
+                     _weighted_node_shares, expit_mixture, mixing_nodes)
+from .errors import ConfigError, IntegrationFailure, NoConvergence, SimplexViolation
+from .types import Bundle, Bundles, SharesVector, validate_share_rows
 
 ARMIJO = 1e-4  # required fractional decrease of max|F| per unit step length
 MAX_HALVINGS = 6  # backtracking halvings before the contraction fallback
+#: Delta moves one for one with the log outside share log y0, which the
+#: inside shares fix only to J tol / y0. Both loops also match log y0 to
+#: this tolerance, which the inside tests already meet wherever y0 is above
+#: about 1e-3.
+OUTSIDE_TOL = 1e-9
+#: y0 = 1 - sum(y) carries the rounding of the inside shares, about 1e-16:
+#: below this floor that is more than 1e-6 in delta.
+MIN_OUTSIDE_SHARE = 1e-10
 
 
 @dataclass(frozen=True)
 class InversionConfig:
     tol: float = 1e-12  # sup-norm tolerance on shares(delta) - y
     max_iter: int = 10_000
-    newton_polish: bool = True  # J >= 2; False: contraction only (the reference path)
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_iter < 1:
@@ -45,82 +65,172 @@ class InversionConfig:
 DEFAULT_INVERSION = InversionConfig()
 
 
-def logit_closed_form(m: ShareMap, y: SharesVector, a: Bundle) -> np.ndarray:
-    """delta_j = log y_j - log(1 - sum y) - g(a_j) for plain logit."""
-    v = y.values
-    return np.log(v) - np.log(y.outside) - _fixed_index(m, a)
+def _check_outside(y0, ids=None) -> None:
+    """Raise SimplexViolation naming the first market (by its entry in `ids`,
+    default its row) whose outside share is below MIN_OUTSIDE_SHARE."""
+    low = np.ravel(y0) < MIN_OUTSIDE_SHARE
+    if low.any():
+        row = int(np.argmax(low))
+        raise SimplexViolation(
+            f"market {row if ids is None else ids[row]}: outside share "
+            f"{np.ravel(y0)[row]:.3e} below {MIN_OUTSIDE_SHARE:g} does not determine delta")
 
 
-def _trial_shares(node_shares: Callable, weights: np.ndarray, delta: np.ndarray):
-    """Node shares and shares at a line-search trial point, or None when they
-    are unusable."""
+def logit_closed_form(m: ShareMap, y: np.ndarray, a: Bundle | Bundles) -> np.ndarray:
+    """delta_j = log y_j - log(1 - sum y) - g(a_j) for plain logit, for
+    shares y (..., J)."""
+    return np.log(y) - np.log(1.0 - y.sum(axis=-1, keepdims=True)) - _fixed_index(m, a)
+
+
+def _trial_node_shares(node_shares: Callable, delta: np.ndarray, rows: np.ndarray,
+                       nodes: int) -> np.ndarray:
+    """Node shares at the trial points delta of `rows`. When the batch raises
+    IntegrationFailure, each row is evaluated on its own, and a row that
+    raises gets NaN shares: it is rejected without rejecting the others."""
     try:
-        S = node_shares(delta)
+        return node_shares(delta, rows)
     except IntegrationFailure:
-        return None
-    s = weights @ S
-    if not np.all(np.isfinite(s)) or np.any(s <= 0.0):
-        return None
-    return S, s
+        if len(rows) == 1:
+            return np.full((1, nodes, delta.shape[1] + 1), np.nan)
+        return np.concatenate([_trial_node_shares(node_shares, delta[i:i + 1],
+                                                  rows[i:i + 1], nodes)
+                               for i in range(len(rows))])
 
 
-def _newton_step(node_shares: Callable, weights: np.ndarray, log_target: np.ndarray,
-                 delta: np.ndarray, S: np.ndarray, s: np.ndarray, step_log: np.ndarray,
-                 log_residual: float):
-    """Backtracking Newton step on F = log y - log s(delta), with the
-    Jacobian built from the node shares S at delta.
+def _newton_directions(P: np.ndarray, weights: np.ndarray, s: np.ndarray,
+                       F: np.ndarray, odds: np.ndarray):
+    """Newton steps of k rows on their inside log-share residuals F[:, :J],
+    or, for the rows `odds`, on the log odds F_j - F_0 against the outside
+    good, from the node shares P (k, M, J + 1) and shares s (k, J + 1), the
+    outside good last. The log odds weight the outside share as the inside
+    shares cannot: their sum fixes it only to rounding.
 
-    Returns the accepted (delta, node shares, shares), or None when the
-    Jacobian is singular or no trial within MAX_HALVINGS halvings lowers
-    max|F| by the Armijo factor.
+    All k systems are solved in one call. Returns the steps (k, J) and the
+    mask of rows with a finite step; a singular row gets none.
     """
+    J = F.shape[1] - 1
+    # d s_j / d delta_k = sum_m w_m P_mj (1[j = k] - P_mk); no 1[j = k] for
+    # the outside good.
+    jac = -np.matmul(np.swapaxes(P * weights[:, None], 1, 2), P[..., :J])
+    jac[:, np.arange(J), np.arange(J)] += s[:, :J]
+    jac /= s[..., None]
+    lhs, rhs = jac[:, :J], F[:, :J, None]
+    if odds.any():
+        lhs = np.where(odds[:, None, None], lhs - jac[:, J:], lhs)
+        rhs = np.where(odds[:, None, None], rhs - F[:, J:, None], rhs)
     try:
-        step = np.linalg.solve(node_jacobian(S, weights) / s[:, None], step_log)
-    except np.linalg.LinAlgError:
-        return None
+        step = np.linalg.solve(lhs, rhs)[..., 0]
+    except np.linalg.LinAlgError:  # some row is singular: solve each alone
+        step = np.full(rhs.shape[:2], np.nan)
+        for i in range(len(step)):
+            try:
+                step[i] = np.linalg.solve(lhs[i], rhs[i])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+    return step, np.isfinite(step).all(axis=1)
+
+
+def _merit(F: np.ndarray, odds: np.ndarray) -> np.ndarray:
+    """max|F| of each row over its inside goods, or over all J + 1 goods for
+    the rows `odds`."""
+    inside = np.abs(F[:, :-1]).max(axis=1)
+    return np.where(odds, np.maximum(inside, np.abs(F[:, -1])), inside)
+
+
+def _newton_steps(node_shares: Callable, weights: np.ndarray, log_target: np.ndarray,
+                  delta: np.ndarray, active: np.ndarray, P: np.ndarray, s: np.ndarray,
+                  F: np.ndarray, odds: np.ndarray) -> np.ndarray:
+    """One backtracking Newton step for each active row.
+
+    Updates delta (at the rows `active`), P and s in place for the rows whose
+    trial lowers their merit by the Armijo factor within MAX_HALVINGS
+    halvings, and returns their mask. Each halving evaluates the rows still
+    pending in one call.
+    """
+    step, pending = _newton_directions(P, weights, s, F, odds)
+    merit = _merit(F, odds)
+    accepted = np.zeros(len(active), dtype=bool)
+    pending = np.flatnonzero(pending)
     t = 1.0
     for _ in range(MAX_HALVINGS + 1):
-        trial = delta + t * step
-        accepted = _trial_shares(node_shares, weights, trial)
-        if accepted is not None:
-            trial_residual = float(np.max(np.abs(log_target - np.log(accepted[1]))))
-            if trial_residual <= (1.0 - ARMIJO * t) * log_residual:
-                return (trial,) + accepted
+        if not len(pending):
+            break
+        rows = active[pending]
+        trial = delta[rows] + t * step[pending]
+        P_trial = _trial_node_shares(node_shares, trial, rows, len(weights))
+        s_trial = weights @ P_trial
+        usable = np.isfinite(s_trial).all(axis=1) & (s_trial > 0.0).all(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            trial_merit = _merit(log_target[rows] - np.log(s_trial), odds[pending])
+        good = usable & (trial_merit <= (1.0 - ARMIJO * t) * merit[pending])
+        took = pending[good]
+        delta[active[took]] = trial[good]
+        P[took], s[took], accepted[took] = P_trial[good], s_trial[good], True
+        pending = pending[~good]
         t *= 0.5
-    return None
+    return accepted
+
+
+def _solve_block(node_shares: Callable, weights: np.ndarray, target: np.ndarray,
+                 log_target: np.ndarray, delta: np.ndarray, rows: np.ndarray,
+                 cfg: InversionConfig, ids) -> None:
+    """Iterate the rows `rows` of delta in place until each has converged."""
+    J = target.shape[1]
+    active = rows
+    P = node_shares(delta[active], active)
+    s = weights @ P
+    stale = np.zeros(len(active), dtype=bool)  # rows that took a contraction step
+    odds = np.zeros(len(active), dtype=bool)  # rows on log-odds steps
+    for _ in range(cfg.max_iter):
+        if stale.any():
+            P[stale] = node_shares(delta[active[stale]], active[stale])
+            s[stale] = weights @ P[stale]
+        F = log_target[active] - np.log(s)
+        residual = np.abs(s[:, :J] - target[active]).max(axis=1)
+        inside = (residual <= cfg.tol) & (np.abs(F[:, :J]).max(axis=1) <= cfg.tol)
+        outside = np.abs(F[:, J]) <= OUTSIDE_TOL
+        done = inside & outside
+        if done.any():
+            keep = ~done
+            active, P, s, F = active[keep], P[keep], s[keep], F[keep]
+            residual, odds, inside = residual[keep], odds[keep], inside[keep]
+            if not len(active):
+                return
+        odds |= inside  # the inside shares are matched, the outside one is not
+        stale = ~_newton_steps(node_shares, weights, log_target, delta, active, P, s, F,
+                               odds)
+        delta[active[stale]] += F[stale, :J]  # contraction step
+    row = int(active[0])
+    raise NoConvergence(cfg.max_iter, float(residual[0]), row if ids is None else ids[row])
 
 
 def _solve_log_shares(node_shares: Callable, weights: np.ndarray, target: np.ndarray,
-                      delta: np.ndarray, cfg: InversionConfig) -> np.ndarray:
-    """Solve weights @ node_shares(delta) = target from the start `delta`
-    (J >= 2).
+                      delta: np.ndarray, cfg: InversionConfig, ids=None) -> np.ndarray:
+    """Solve weights @ node_shares = target for the markets of target (n, J),
+    J >= 2, from the starts delta (n, J); returns the solutions (n, J).
 
-    `node_shares(delta)` returns the (M, J) node shares; the shares and the
-    Jacobian at each accepted point both come from that one evaluation.
-    Converged when both max|s - y| and max|log y - log s| are within
-    cfg.tol: the share residual alone says little about delta when shares
-    are tiny. Raises NoConvergence(iterations, residual) after cfg.max_iter
-    iterations.
+    `node_shares(delta, rows)` returns the node shares (k, M, J + 1), the
+    outside good last, of the markets `rows` (indices into target) at delta
+    (k, J). The shares and the Jacobian at each accepted point both come
+    from that one evaluation. A row has converged when max|s - y| and
+    max|log y - log s| over the inside goods are both within cfg.tol (the
+    share residual alone says little about delta when shares are tiny) and
+    |log y0 - log s0| of the outside good within OUTSIDE_TOL. Raises
+    SimplexViolation when an outside share is below MIN_OUTSIDE_SHARE, and
+    NoConvergence(iterations, residual, market), naming the first market
+    that has not converged (its entry in `ids`, default its row), after
+    cfg.max_iter iterations.
     """
-    log_target = np.log(target)
-    S = None
-    residual = np.inf
-    for _ in range(cfg.max_iter):
-        if S is None:
-            S = node_shares(delta)
-            s = weights @ S
-        residual = float(np.max(np.abs(s - target)))
-        step_log = log_target - np.log(s)
-        log_residual = float(np.max(np.abs(step_log)))
-        if residual <= cfg.tol and log_residual <= cfg.tol:
-            return delta
-        accepted = (_newton_step(node_shares, weights, log_target, delta, S, s, step_log,
-                                 log_residual) if cfg.newton_polish else None)
-        if accepted is None:
-            delta, S = delta + step_log, None  # contraction step
-        else:
-            delta, S, s = accepted
-    raise NoConvergence(cfg.max_iter, residual)
+    n, J = target.shape
+    y0 = 1.0 - target.sum(axis=1)
+    _check_outside(y0, ids)
+    log_target = np.log(np.column_stack([target, y0]))
+    delta = np.array(delta, dtype=float)
+    block = max(1, MAX_BLOCK_ELEMENTS // (len(weights) * (J + 1)))
+    for lo in range(0, n, block):
+        _solve_block(node_shares, weights, target, log_target, delta,
+                     np.arange(lo, min(n, lo + block)), cfg, ids)
+    return delta
 
 
 def solve_share_curve(offsets, weights, y,
@@ -128,16 +238,29 @@ def solve_share_curve(offsets, weights, y,
     """Solve sum_m w_m expit(delta + o_m) = y elementwise for targets y (...)
     in (0, 1), node offsets (..., M) and weights summing to 1.
 
-    s lies between expit(delta + min o) and expit(delta + max o), so the root
-    lies in [logit(y) - max o, logit(y) - min o]. Newton on log y - log s
-    from logit(y) - mean o; every evaluation narrows the bracket, and a step
-    that leaves it or is not finite becomes its midpoint. A row stops moving
-    once its share and log-share residuals are both within cfg.tol, so it is
-    not moved on by the iterations that other rows of the batch still need;
-    NoConvergence(iterations, residual) when some row has not converged after
-    cfg.max_iter.
+    A target whose outside share 1 - y is too small for the tests below to
+    match it in logs within OUTSIDE_TOL (1 - y < cfg.tol / OUTSIDE_TOL) is
+    solved through that share: 1 - s is the curve sum_m w_m expit(-delta -
+    o_m), so the target 1 - y (exact in floating point) at offsets -o has
+    the root -delta. s lies between
+    expit(delta + min o) and expit(delta + max o), so the root lies in
+    [logit(y) - max o, logit(y) - min o]. Newton on log y - log s from
+    logit(y) - mean o; every evaluation narrows the bracket, and a step that
+    leaves it or is not finite becomes its midpoint. A row stops moving once
+    its share and log-share residuals are both within cfg.tol, so it is not
+    moved on by the iterations that other rows of the batch still need.
+    Raises SimplexViolation when some 1 - y is below MIN_OUTSIDE_SHARE, and
+    NoConvergence(iterations, residual) when some row has not converged
+    after cfg.max_iter.
     """
     y = np.asarray(y, dtype=float)
+    _check_outside(1.0 - y)
+    sign = 1.0
+    mirror = (y > 0.5) & (1.0 - y < cfg.tol / OUTSIDE_TOL)
+    if mirror.any():
+        sign = np.where(mirror, -1.0, 1.0)
+        y = np.where(mirror, 1.0 - y, y)
+        offsets = sign[..., None] * offsets
     log_y = np.log(y)
     z = logit(y)
     lo = z - offsets.max(axis=-1)
@@ -152,7 +275,7 @@ def solve_share_curve(offsets, weights, y,
             if gap_abs.min() <= cfg.tol:  # a row may have converged
                 done = (abs(s - y) <= cfg.tol) & (gap_abs <= cfg.tol)
                 if done.all():
-                    return delta
+                    return sign * delta
             below = s < y
             lo = np.where(below, delta, lo)
             hi = np.where(below, hi, delta)
@@ -163,25 +286,35 @@ def solve_share_curve(offsets, weights, y,
     raise NoConvergence(cfg.max_iter, float(abs(s - y).max()))
 
 
-def invert(m: ShareMap, y: SharesVector, a: Bundle,
-           cfg: InversionConfig = DEFAULT_INVERSION) -> np.ndarray:
-    """Solve shares(m, delta, a) = y for delta.
+def invert_rows(m: ShareMap, y, a: Bundles, cfg: InversionConfig = DEFAULT_INVERSION,
+                ids=None) -> np.ndarray:
+    """Solve shares(m, delta, a) = y for the markets of y (n, J) under the
+    bundles a, one market per row; returns delta (n, J).
 
-    Raises NoConvergence(iterations, residual) when the iteration budget is
-    exhausted; this is the operational signal of an invertibility failure
-    or a tolerance that is too tight.
+    y is validated by `validate_share_rows`. Errors name the failing market
+    by its entry in `ids` (default: its row). NoConvergence(iterations,
+    residual) when the iteration budget is exhausted is the operational
+    signal of an invertibility failure or a tolerance that is too tight.
     """
+    y = validate_share_rows(y, ids)
     if m.kind == "plain-logit":
         return logit_closed_form(m, y, a)
-    target = y.values
-    if a.J == 1:
-        B, w = mixing_nodes(m.mixing, m.integration)
-        offsets = _fixed_index(m, a) + _random_index(B, a)[:, 0]
-        return solve_share_curve(offsets, w, target, cfg)
+    B, w = mixing_nodes(m.mixing, m.integration)
+    if y.shape[1] == 1:
+        offsets = _fixed_index(m, a) + _random_index(B, a)[..., 0]
+        return solve_share_curve(offsets, w, y[:, 0], cfg)[:, None]
     # Plain-logit start ignoring the mixing and the fixed index.
-    w = mixing_nodes(m.mixing, m.integration)[1]
-    return _solve_log_shares(lambda d: _weighted_node_shares(m, d, a)[0], w,
-                             target, np.log(target) - np.log(y.outside), cfg)
+    start = np.log(y) - np.log(1.0 - y.sum(axis=1, keepdims=True))
+    return _solve_log_shares(
+        lambda d, rows: _weighted_node_shares(m, d, a[rows], outside=True)[0],
+        w, y, start, cfg, ids)
+
+
+def invert(m: ShareMap, y: SharesVector, a: Bundle,
+           cfg: InversionConfig = DEFAULT_INVERSION) -> np.ndarray:
+    """Solve shares(m, delta, a) = y for delta: :func:`invert_rows` on the
+    batch of one."""
+    return invert_rows(m, y.values[None], Bundles.repeat(a, 1), cfg)[0]
 
 
 def structural_shock(m: ShareMap, y: SharesVector, a: Bundle,

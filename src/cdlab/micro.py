@@ -10,6 +10,7 @@ then pin down the remaining per-treatment levels.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -77,6 +78,19 @@ class MicroDgp:
     def J(self) -> int:
         return self.Pi.shape[0]
 
+    def with_coefficients(self, sigma, alpha: float) -> "MicroDgp":
+        """This DGP with other random-coefficient scales and price
+        coefficient. Pi is not checked again: that check is an SVD, and a
+        candidate search builds one DGP per objective evaluation."""
+        sigma = np.array(sigma, dtype=float)
+        if sigma.shape != self.sigma.shape or np.any(sigma < 0):
+            raise ConfigError(f"sigma must be {self.J} nonnegative scales, got {sigma}")
+        sigma.setflags(write=False)
+        out = copy.copy(self)
+        object.__setattr__(out, "sigma", sigma)
+        object.__setattr__(out, "alpha", alpha)
+        return out
+
 
 def _nu_nodes(sigma: np.ndarray, n: int):
     """Product Gauss-Hermite nodes for nu ~ N(0, diag(sigma^2)): the nodes
@@ -128,15 +142,20 @@ def micro_invert_1d(dgp: MicroDgp, y, p, tol: float = 1e-12,
 def micro_invert(dgp: MicroDgp, y: np.ndarray, p: np.ndarray,
                  tol: float = 1e-12, max_iter: int = 10_000) -> np.ndarray:
     """Solve sigma(delta, p) = y for general J by the safeguarded Newton
-    inversion of :mod:`cdlab.inversion`, from the plain-logit start."""
+    inversion of :mod:`cdlab.inversion`, from the plain-logit start: y is
+    one share vector (J,) or rows (n, J), all solved in one call, and p
+    (J,) or (n, J)."""
     if dgp.J == 1:
         return micro_invert_1d(dgp, np.atleast_1d(y), np.atleast_1d(p), tol)
     y = np.asarray(y, dtype=float)
-    p = np.asarray(p, dtype=float)
+    rows = np.atleast_2d(y)
+    p = np.broadcast_to(np.asarray(p, dtype=float), rows.shape)
     nu, w = _nu_nodes(dgp.sigma, dgp.nu_nodes)
-    start = np.log(y) - np.log(1.0 - y.sum()) + dgp.alpha * p
-    return _solve_log_shares(lambda d: _node_shares(d[None, :] + nu - dgp.alpha * p[None, :]),
-                             w, y, start, InversionConfig(tol=tol, max_iter=max_iter))
+    start = np.log(rows) - np.log(1.0 - rows.sum(axis=1, keepdims=True)) + dgp.alpha * p
+    delta = _solve_log_shares(
+        lambda d, k: _node_shares(d[:, None, :] + nu - dgp.alpha * p[k, None, :], outside=True),
+        w, rows, start, InversionConfig(tol=tol, max_iter=max_iter))
+    return delta.reshape(y.shape)
 
 
 @dataclass(frozen=True)
@@ -278,12 +297,12 @@ def truth_candidate(dgp: MicroDgp) -> Candidate:
     def h(shares_matrix: np.ndarray, a: Bundle) -> np.ndarray:
         if dgp.J == 1:
             return micro_invert_1d(dgp, shares_matrix[:, 0], a.p[0])[:, None]
-        return np.array([micro_invert(dgp, row, a.p) for row in shares_matrix])
+        return micro_invert(dgp, shares_matrix, a.p)
 
     def shares(v: np.ndarray, a: Bundle) -> np.ndarray:
         if dgp.J == 1:
             return micro_shares_1d(dgp, v[:, 0], a.p[0])[:, None]
-        return np.array([micro_shares(dgp, row, a.p) for row in v])
+        return micro_shares(dgp, v, a.p)
 
     return Candidate(h, shares)
 
@@ -319,9 +338,8 @@ def sigma_family(template: MicroDgp, alpha_fixed: float = 0.0) -> CandidateFamil
     """
 
     def build(params: np.ndarray) -> Candidate:
-        cand = MicroDgp(Pi=template.Pi, sigma=np.full(template.J, abs(params[0])),
-                        alpha=alpha_fixed, nu_nodes=template.nu_nodes)
-        return truth_candidate(cand)
+        sigma = np.full(template.J, abs(params[0]))
+        return truth_candidate(template.with_coefficients(sigma, alpha_fixed))
 
     return CandidateFamily(build=build, bounds=((0.0, 4.0),), name="sigma-only")
 

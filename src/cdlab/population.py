@@ -110,11 +110,20 @@ def sample_population(spec: PopulationSpec) -> list[MarketDraw]:
     return _sample(spec, range(spec.market_count))
 
 
-def true_counterfactuals(spec: PopulationSpec, xi, zeta, a: Bundle) -> np.ndarray:
-    """Potential outcomes at bundle a of the markets with stacked shocks xi
-    (n, J) and types zeta (n,): a validated (n, J) array."""
+def true_counterfactuals(spec: PopulationSpec, xi, zeta, a: Bundle | Bundles) -> np.ndarray:
+    """Potential outcomes of the markets with stacked shocks xi (n, J) and
+    types zeta (n,) at bundle a, or at Bundles a, one row each: a validated
+    (n, J) array."""
     xi = np.asarray(xi, dtype=float).reshape(len(zeta), spec.J)
-    return _outcomes(spec, zeta, xi, Bundles.repeat(a, len(zeta)))
+    if isinstance(a, Bundle):
+        a = Bundles.repeat(a, len(zeta))
+    return _outcomes(spec, zeta, xi, a)
+
+
+def potential_outcomes(spec: PopulationSpec, draws, a: Bundle | Bundles) -> np.ndarray:
+    """:func:`true_counterfactuals` of the sampled markets `draws`, from their
+    stored latent states: the batched truth of `verify_theorem1`."""
+    return true_counterfactuals(spec, [d.xi for d in draws], [d.zeta for d in draws], a)
 
 
 def true_counterfactual(spec: PopulationSpec, draw: MarketDraw, a: Bundle) -> SharesVector:

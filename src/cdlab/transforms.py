@@ -1,7 +1,11 @@
 """Invertible outcome transformations h(y, p, x2).
 
 Each transform maps a J-vector outcome to R^J, invertibly in y, possibly
-depending on the rest of the bundle. Built-in families keep every
+depending on the rest of the bundle. `apply` and `invert` take one market,
+y (J,) at p (J,) and x2 (J, d2); those of LogitInverse, MixedLogitInverse
+and MonotoneSpline also take stacked markets, y (n, J) at one market's p and
+x2 or at stacked p (n, J) and x2 (n, J, d2), and MixedLogitInverse inverts
+all stacked rows in one call. Built-in families keep every
 configuration serializable; fully general function classes are out of
 scope.
 """
@@ -14,8 +18,8 @@ import numpy as np
 
 from .demand import ShareMap, plain_logit, shares_array
 from .errors import ConfigError, InversionFailure
-from .inversion import DEFAULT_INVERSION, InversionConfig, invert
-from .types import Bundle, validate_shares
+from .inversion import DEFAULT_INVERSION, InversionConfig, invert_rows
+from .types import Bundle, Bundles
 
 FD_STEP = 1e-5
 
@@ -39,11 +43,22 @@ class Transform:
             out[:, k] = (self.apply(y + e, p, x2) - self.apply(y - e, p, x2)) / (2 * FD_STEP)
         return out
 
-    def apply_bundle(self, y, a: Bundle) -> np.ndarray:
+    def apply_bundle(self, y, a: Bundle | Bundles) -> np.ndarray:
         return self.apply(np.asarray(y, dtype=float), a.p, a.x2)
 
-    def invert_bundle(self, v, a: Bundle) -> np.ndarray:
+    def invert_bundle(self, v, a: Bundle | Bundles) -> np.ndarray:
         return self.invert(np.asarray(v, dtype=float), a.p, a.x2)
+
+
+def _bundles(y: np.ndarray, p, x2) -> Bundle | Bundles:
+    """The bundle of y's markets as the share kernel reads it: a Bundle for
+    one market y (J,), or Bundles of the rows of y (n, J), with p and x2
+    either one market's or stacked."""
+    if y.ndim == 1:
+        return Bundle(np.zeros(len(y)), p, x2)
+    x2 = np.asarray(x2, dtype=float)
+    return Bundles(np.zeros(y.shape), np.broadcast_to(p, y.shape),
+                   np.broadcast_to(x2, y.shape + x2.shape[-1:]))
 
 
 @dataclass
@@ -57,18 +72,15 @@ class LogitInverse(Transform):
     def _map(self) -> ShareMap:
         return plain_logit(self.alpha, self.gamma)
 
-    def _g(self, p, x2) -> np.ndarray:
-        from .demand import _fixed_index
-        return _fixed_index(self._map, Bundle(np.zeros(len(p)), p, x2))
-
     def apply(self, y, p, x2):
-        outside = 1.0 - y.sum()
-        if outside <= 0 or np.any(y <= 0):
+        from .demand import _fixed_index
+        outside = 1.0 - y.sum(axis=-1, keepdims=True)
+        if np.any(outside <= 0) or np.any(y <= 0):
             raise InversionFailure(f"shares outside the open simplex: {y}")
-        return np.log(y) - np.log(outside) - self._g(p, x2)
+        return np.log(y) - np.log(outside) - _fixed_index(self._map, _bundles(y, p, x2))
 
     def invert(self, v, p, x2):
-        return shares_array(self._map, v, Bundle(np.zeros(len(v)), p, x2))
+        return shares_array(self._map, v, _bundles(v, p, x2))
 
     def jac_y(self, y, p, x2):
         outside = 1.0 - y.sum()
@@ -83,17 +95,17 @@ class MixedLogitInverse(Transform):
     inversion: InversionConfig = DEFAULT_INVERSION
 
     def apply(self, y, p, x2):
-        a = Bundle(np.zeros(len(y)), p, x2)
-        return invert(self.map, validate_shares(y), a, self.inversion)
+        rows = np.atleast_2d(y)
+        delta = invert_rows(self.map, rows, _bundles(rows, p, x2), self.inversion)
+        return delta if y.ndim == 2 else delta[0]
 
     def invert(self, v, p, x2):
-        return shares_array(self.map, v, Bundle(np.zeros(len(v)), p, x2))
+        return shares_array(self.map, v, _bundles(v, p, x2))
 
     def jac_y(self, y, p, x2):
         from .demand import share_jacobian
-        a = Bundle(np.zeros(len(y)), p, x2)
-        delta = invert(self.map, validate_shares(y), a, self.inversion)
-        return np.linalg.inv(share_jacobian(self.map, delta, a))
+        delta = self.apply(y, p, x2)
+        return np.linalg.inv(share_jacobian(self.map, delta, _bundles(y, p, x2)))
 
 
 @dataclass

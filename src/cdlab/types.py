@@ -137,8 +137,17 @@ class Bundles:
         """Bundle a in each of n markets (read-only broadcast views)."""
         return cls(*(np.broadcast_to(v, (n,) + v.shape) for v in (a.x1, a.p, a.x2)))
 
+    @classmethod
+    def stack(cls, bundles) -> "Bundles":
+        """The bundles of markets with a common J and d2, one row each."""
+        return cls(*(np.array([getattr(b, k) for b in bundles]) for k in ("x1", "p", "x2")))
+
     def __getitem__(self, rows) -> "Bundles":
         return Bundles(self.x1[rows], self.p[rows], self.x2[rows])
+
+    def replace(self, x1=None, p=None, x2=None) -> "Bundles":
+        return Bundles(self.x1 if x1 is None else x1, self.p if p is None else p,
+                       self.x2 if x2 is None else x2)
 
 
 def bundle(x1, p, x2=None) -> Bundle:

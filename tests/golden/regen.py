@@ -1,11 +1,12 @@
-"""Regenerate the golden reference CSVs of the micro subcommands.
+"""Regenerate the golden reference CSVs of the `cdl` subcommands.
 
 Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py
 
-Each case runs one `cdl` subcommand at a fixed seed and small size and
-keeps its CSV artifacts (SVGs are convenience output and are not kept)
+Each case runs one `cdl` subcommand at a fixed seed and small size (the
+micro cases through option overrides, the market cases through the
+population configs in tests/golden/configs/) and keeps its CSV artifacts (SVGs are convenience output and are not kept)
 under tests/golden/<case>/. `tests/test_golden.py` reruns the same cases
 and compares against these files. Regenerate only when an output is meant
 to change, and say which reference moved and why.
@@ -21,6 +22,7 @@ from pathlib import Path
 from cdlab import cli
 
 GOLDEN = Path(__file__).resolve().parent
+CONFIGS = GOLDEN / "configs"
 SEED = 3
 
 #: case name -> `cdl` arguments (without --out).
@@ -28,6 +30,11 @@ CASES = {
     "micro-identify": ["micro-identify", "--seed", str(SEED), "--set", "market_count=16"],
     "verify-thm2": ["verify-thm2", "--seed", str(SEED), "--set", "market_count=20"],
     "fig2": ["fig2", "--seed", str(SEED), "--set", "market_count=6"],
+    # 12 markets of J = 5 (invert) and J = 2 (predict, verify-thm1); invert
+    # and predict draw two types, so both solve one batch per type.
+    "invert": ["invert", "--config", str(CONFIGS / "invert.json")],
+    "predict": ["predict", "--config", str(CONFIGS / "predict.json")],
+    "verify-thm1": ["verify-thm1", "--config", str(CONFIGS / "verify-thm1.json")],
 }
 
 

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -12,9 +14,9 @@ from cdlab.counterfactual import (
 from cdlab.demand import mixed_logit, plain_logit, shares
 from cdlab.diagnostics import Fig1Spec
 from cdlab.errors import InversionFailure
-from cdlab.population import PopulationSpec, sample_population, true_counterfactual
+from cdlab.population import PopulationSpec, potential_outcomes, sample_population
 from cdlab.transforms import LogitInverse, MixedLogitInverse
-from cdlab.types import bundle, lognormal_mixing, validate_shares
+from cdlab.types import Bundles, bundle, lognormal_mixing, validate_shares
 
 
 def test_predict_plain_logit_matches_hand_computation():
@@ -36,6 +38,23 @@ def test_predict_depends_only_on_observables():
     p1 = engine.predict(y, a, target)
     p2 = engine.predict(validate_shares([0.35]), bundle([0.0], [1.0]), target)
     np.testing.assert_array_equal(p1.values, p2.values)
+
+
+def test_batched_predict_matches_one_market_predictions():
+    """Markets stacked under Bundles are predicted in one call, as each
+    market on its own to 1e-12."""
+    spec = PopulationSpec(J=3, market_count=8, mixing_by_type=(lognormal_mixing(0.0, 0.4),),
+                          type_probabilities=(1.0,), seed=2)
+    pop = sample_population(spec)
+    engine = CounterfactualEngine(spec.share_map(0))
+    a = Bundles.stack([d.a for d in pop])
+    target = a.replace(p=a.p + 0.5, x1=a.x1 - 0.2)
+    y = np.array([d.y.values for d in pop])
+    got = engine.predict(y, a, target)
+    one = [engine.predict(d.y, d.a, d.a.replace(p=d.a.p + 0.5, x1=d.a.x1 - 0.2)).values
+           for d in pop]
+    np.testing.assert_allclose(got, one, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(got, potential_outcomes(spec, pop, target), atol=1e-10, rtol=0)
 
 
 def test_convert_agrees_with_predict_for_inverse_transform():
@@ -95,8 +114,7 @@ def test_verify_theorem1_passes_on_homogeneous_population():
     triple = HomTriple(MixedLogitInverse(spec.share_map(0)), bundle([0.0], [1.5]))
     grid = [bundle([x1], [p]) for x1, p in
             zip(np.linspace(-0.5, 0.5, 5), np.linspace(0.7, 2.7, 5))]
-    rep = verify_theorem1(triple, grid, pop,
-                          lambda d, a: true_counterfactual(spec, d, a))
+    rep = verify_theorem1(triple, grid, pop, partial(potential_outcomes, spec))
     assert rep.passed
     assert rep.max_index_model <= 1e-8
     assert len(rep.rows()) == 3
@@ -108,8 +126,7 @@ def test_verify_theorem1_fails_on_two_type_population():
     pop = sample_population(spec)
     triple = HomTriple(MixedLogitInverse(mixed_logit(fig1.blue)), bundle([0.0], [1.5]))
     grid = [bundle([0.0], [p]) for p in np.linspace(0.7, 2.7, 5)]
-    rep = verify_theorem1(triple, grid, pop,
-                          lambda d, a: true_counterfactual(spec, d, a))
+    rep = verify_theorem1(triple, grid, pop, partial(potential_outcomes, spec))
     assert not rep.passed
     assert rep.max_transformed_shift > 0.01
 

@@ -1,4 +1,4 @@
-"""Golden references for the micro subcommands.
+"""Golden references for `cdl` subcommands.
 
 `tests/golden/regen.py` wrote the reference CSVs; this test reruns each
 case and compares cell by cell. Numeric cells agree to a relative error of

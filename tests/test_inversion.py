@@ -8,6 +8,7 @@ import cdlab.inversion as inversion
 from cdlab import laws
 from cdlab.demand import (
     _gh_nodes,
+    _weighted_node_shares,
     expit_mixture,
     gauss_hermite,
     mixed_logit,
@@ -17,10 +18,12 @@ from cdlab.demand import (
     shares,
     shares_array,
 )
-from cdlab.errors import ConfigError, NoConvergence
+from cdlab.errors import ConfigError, IntegrationFailure, NoConvergence, SimplexViolation
 from cdlab.inversion import (
+    OUTSIDE_TOL,
     InversionConfig,
     invert,
+    invert_rows,
     logit_closed_form,
     solve_share_curve,
     structural_shock,
@@ -28,14 +31,30 @@ from cdlab.inversion import (
 from cdlab.population import PopulationSpec, market_rng, sample_market
 from cdlab.types import (
     SIMPLEX_EPS,
+    Bundles,
     bundle,
     degenerate,
     finite_mixture,
     lognormal_mixing,
     normal_mixing,
+    validate_shares,
 )
 
-CONTRACTION = InversionConfig(newton_polish=False)
+
+
+def contraction_reference(m, y, a, tol=1e-12, max_iter=10_000):
+    """The BLP contraction delta <- delta + log y - log s(delta) alone, from
+    the plain-logit start, to both share tolerances: the reference path the
+    Newton solver is checked against."""
+    log_y = np.log(y.values)
+    delta = log_y - np.log(y.outside)
+    for _ in range(max_iter):
+        s = shares_array(m, delta, a)
+        step = log_y - np.log(s)
+        if np.max(np.abs(s - y.values)) <= tol and np.max(np.abs(step)) <= tol:
+            return delta
+        delta = delta + step
+    raise NoConvergence(max_iter, float(np.max(np.abs(s - y.values))))
 
 
 def test_plain_logit_closed_form_round_trip():
@@ -71,7 +90,7 @@ def test_degenerate_mixing_agrees_with_closed_form():
     mp = plain_logit(alpha=0.8)
     a = bundle([0.0, 0.0], [1.0, 2.5])
     y = shares(mp, np.array([0.4, -0.6]), a)
-    np.testing.assert_allclose(invert(md, y, a), logit_closed_form(mp, y, a),
+    np.testing.assert_allclose(invert(md, y, a), logit_closed_form(mp, y.values, a),
                                atol=1e-10)
 
 
@@ -85,12 +104,13 @@ def test_no_convergence_reports_iterations_and_residual():
     assert err.value.residual > 0
 
 
-def test_newton_polish_can_be_disabled():
+def test_contraction_reference_round_trip():
     m = mixed_logit(lognormal_mixing(0.0, 0.3))
     a = bundle([0.0, 0.0], [1.0, 2.0])
     y = shares(m, np.array([1.0, 0.5]), a)
-    delta = invert(m, y, a, InversionConfig(newton_polish=False))
-    np.testing.assert_allclose(delta, [1.0, 0.5], atol=1e-10)
+    np.testing.assert_allclose(contraction_reference(m, y, a), [1.0, 0.5], atol=1e-10)
+    with pytest.raises(NoConvergence):
+        contraction_reference(m, y, a, max_iter=3)
 
 
 def test_config_validation():
@@ -128,7 +148,7 @@ def test_newton_agrees_with_contraction_reference(J):
         delta = rng.uniform(-3.0, 1.0, J)
         a = bundle(np.zeros(J), rng.uniform(0.5, 3.0, J))
         y = shares(m, delta, a)
-        np.testing.assert_allclose(invert(m, y, a), invert(m, y, a, CONTRACTION),
+        np.testing.assert_allclose(invert(m, y, a), contraction_reference(m, y, a),
                                    atol=1e-10, rtol=0)
 
 
@@ -240,3 +260,107 @@ def test_cost_guard_on_a_saturated_market(monkeypatch):
     assert 0 < len(calls) <= 25
     np.testing.assert_allclose(delta, d.a.x1 + d.xi, atol=1e-9)
 
+
+
+@pytest.mark.parametrize("delta, p", [([27.5], [1.5]), ([27.0, 26.0], [1.0, 2.0])],
+                         ids=["J1-curve", "J2-newton"])
+def test_outside_share_near_simplex_eps_is_refused_before_iterating(delta, p, monkeypatch):
+    """At an outside share of 5e-12, inside shares within 1e-12 of their
+    targets used to leave delta 0.1 off without an error, and the rounding
+    of the shares alone moves it by 2e-5: both loops refuse such markets
+    before any share evaluation."""
+    m = mixed_logit(lognormal_mixing(0.0, 0.3))
+    a = bundle(np.zeros(len(p)), p)
+    y = shares(m, np.array(delta), a)
+    assert SIMPLEX_EPS < y.outside < 1e-11
+    calls = []
+    for name in ("_weighted_node_shares", "expit_mixture"):
+        fn = getattr(inversion, name)
+        monkeypatch.setattr(inversion, name,
+                            lambda *args, fn=fn, **kwargs: calls.append(1) or fn(*args, **kwargs))
+    with pytest.raises(SimplexViolation, match="outside share"):
+        invert(m, y, a)
+    assert calls == []
+
+
+@pytest.mark.parametrize("delta, p", [([20.0], [1.5]), ([18.0, 17.0], [1.0, 2.0]),
+                                      ([22.0, 21.0], [1.0, 2.0])])
+def test_small_outside_share_is_matched_in_logs(delta, p):
+    """Outside shares of 4e-8 to 8e-10: the returned delta matches the
+    outside share in logs to OUTSIDE_TOL, so it is off only by what the
+    rounding of the shares allows, about eps / y0 (it was 4e-5 at 1e-8)."""
+    m = mixed_logit(lognormal_mixing(0.0, 0.3))
+    a = bundle(np.zeros(len(p)), p)
+    delta = np.array(delta)
+    y = shares(m, delta, a)
+    assert 1e-10 < y.outside < 5e-8
+    back = invert(m, y, a)
+    S, w = _weighted_node_shares(m, back, a, outside=True)
+    assert abs(np.log(w @ S[:, -1]) - np.log(y.outside)) <= OUTSIDE_TOL
+    assert np.max(np.abs(back - delta)) <= 1e-10 + 2 * np.finfo(float).eps / y.outside
+
+
+def _market_rows(m, J, saturated, seed):
+    """Shares and bundles of one market per entry of `saturated`, each on its
+    own prices: an outside share near 2 % where True, 0.1 to 0.6 elsewhere."""
+    rng = market_rng(seed, J)
+    y, p = [], []
+    for sat in saturated:
+        pj = rng.uniform(0.5, 3.0, J)
+        u = rng.uniform(-2.0, 2.0, J)
+        s0 = 0.02 if sat else rng.uniform(0.1, 0.6)
+        delta = u + np.log1p(-s0) - np.log(s0) - np.log(np.exp(u).sum()) + pj
+        y.append(shares(m, delta, bundle(np.zeros(J), pj)).values)
+        p.append(pj)
+    return np.array(y), Bundles(np.zeros((len(p), J)), np.array(p), np.zeros((len(p), J, 0)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(J=st.sampled_from([2, 5, 25]),
+       saturated=st.lists(st.booleans(), min_size=2, max_size=6),
+       failing=st.integers(0, 5),
+       seed=st.integers(0, 2**16))
+def test_batched_inversion_matches_one_market_solves(J, saturated, failing, seed):
+    """All rows in one solve agree with one solve per market to 1e-12, and
+    a row whose first trial point fails to integrate is rejected on its own:
+    the other rows come out bit for bit as without the failure."""
+    m = mixed_logit(lognormal_mixing(0.0, 0.3), integration=gauss_hermite(16))
+    y, a = _market_rows(m, J, saturated, seed)
+    one = np.array([invert(m, validate_shares(y[i]), bundle(np.zeros(J), a.p[i]))
+                    for i in range(len(y))])
+    batched = invert_rows(m, y, a)
+    np.testing.assert_allclose(batched, one, atol=1e-12, rtol=0)
+
+    failing %= len(y)
+    seen = []
+
+    def node_shares(d, rows):
+        # the failing row's evaluations 2 and 3: its first trial in the batch, then alone
+        seen.extend(rows == failing)
+        if failing in rows and sum(seen) in (2, 3):
+            raise IntegrationFailure("injected")
+        return _weighted_node_shares(m, d, a[rows], outside=True)[0]
+
+    w = _weighted_node_shares(m, y[0], a[0:1])[1]
+    start = np.log(y) - np.log(1.0 - y.sum(axis=1, keepdims=True))
+    got = inversion._solve_log_shares(node_shares, w, y, start, InversionConfig())
+    assert sum(seen) > 3
+    others = np.arange(len(y)) != failing
+    np.testing.assert_array_equal(got[others], batched[others])
+    row = slice(failing, failing + 1)
+    np.testing.assert_allclose(shares_array(m, got[row], a[row]), y[row], atol=1e-12, rtol=0)
+
+
+def test_batched_inversion_blocks_and_names_the_failing_market(monkeypatch):
+    m = mixed_logit(lognormal_mixing(0.0, 0.3), integration=gauss_hermite(16))
+    y, a = _market_rows(m, 5, [True, False, True, False, False], seed=4)
+    whole = invert_rows(m, y, a)
+    monkeypatch.setattr(inversion, "MAX_BLOCK_ELEMENTS", 2 * 16 * 6)  # two rows a block
+    np.testing.assert_array_equal(invert_rows(m, y, a), whole)
+    with pytest.raises(NoConvergence, match="market 17:") as err:
+        invert_rows(m, y, a, InversionConfig(max_iter=1), ids=range(17, 22))
+    assert err.value.market == 17 and err.value.iterations == 1
+    bad = y.copy()
+    bad[3] *= 1.0 / bad[3].sum()
+    with pytest.raises(SimplexViolation, match="market 20:"):
+        invert_rows(m, bad, a, ids=range(17, 22))

@@ -56,6 +56,42 @@ def test_micro_invert_round_trip_2d():
                                    atol=1e-12, rtol=0)
 
 
+def test_truth_candidate_at_j2_matches_a_row_loop():
+    """The candidate inverts and maps forward all rows of a J = 2 share
+    matrix in one call; a loop over the rows agrees to 1e-12."""
+    dgp = dgp_2d()
+    cand = mi.truth_candidate(dgp)
+    a = Bundle(np.zeros(2), np.array([1.0, 2.0]), np.zeros((2, 0)))
+    rng = market_rng(5, 2)
+    Y = mi.micro_shares(dgp, rng.uniform(-2.0, 3.0, (12, 2)), a.p)
+    V = cand(Y, a)
+    assert V.shape == Y.shape
+    np.testing.assert_allclose(V, [mi.micro_invert(dgp, row, a.p) for row in Y],
+                               atol=1e-12, rtol=0)
+    np.testing.assert_allclose(cand.shares(V, a), [mi.micro_shares(dgp, v, a.p) for v in V],
+                               atol=1e-12, rtol=0)
+    np.testing.assert_allclose(cand.shares(V, a), Y, atol=1e-12, rtol=0)
+
+
+def test_sigma_family_checks_pi_once(monkeypatch):
+    """Pi is checked (an SVD) when the template is built, not again for each
+    candidate, and a candidate inverts with the sigma it was built with."""
+    template = dgp_2d()
+    fam = mi.sigma_family(template, alpha_fixed=0.0)
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda *args: calls.append(1) or cond(*args))
+    cands = [fam.build(np.array([s])) for s in (0.2, -0.9, 1.7)]
+    assert calls == []
+    a = Bundle(np.zeros(2), np.array([1.0, 2.0]), np.zeros((2, 0)))
+    Y = np.array([[0.3, 0.2], [0.1, 0.6]])
+    ref = mi.MicroDgp(Pi=template.Pi, sigma=np.full(2, 0.9), alpha=0.0,
+                      nu_nodes=template.nu_nodes)
+    np.testing.assert_array_equal(cands[1](Y, a), mi.truth_candidate(ref)(Y, a))
+    with pytest.raises(ConfigError):
+        template.with_coefficients(np.array([-0.1, 0.2]), 0.0)
+
+
 def test_profile_validation():
     with pytest.raises(ConfigError):
         mi.Profile(np.zeros((3, 1)), np.full((2, 1), 0.3))
