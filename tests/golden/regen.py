@@ -2,14 +2,15 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [CASE ...]
 
 Each case runs one `cdl` subcommand at a fixed seed and small size (the
 micro cases through option overrides, the market cases through the
 population configs in tests/golden/configs/) and keeps its CSV artifacts (SVGs are convenience output and are not kept)
 under tests/golden/<case>/. `tests/test_golden.py` reruns the same cases
 and compares against these files. Regenerate only when an output is meant
-to change, and say which reference moved and why.
+to change, and say which reference moved and why; name the cases to
+regenerate only those (default: all).
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ CASES = {
     "invert": ["invert", "--config", str(CONFIGS / "invert.json")],
     "predict": ["predict", "--config", str(CONFIGS / "predict.json")],
     "verify-thm1": ["verify-thm1", "--config", str(CONFIGS / "verify-thm1.json")],
+    # 12 markets of J = 3 with two types, x2 and instruments of their own.
+    "simulate": ["simulate", "--config", str(CONFIGS / "simulate.json")],
+    "extrapolate": ["extrapolate", "--seed", str(SEED), "--set", "n=400"],
+    "prop32": ["prop32", "--seed", str(SEED)],
+    "price-ccs": ["price-ccs", "--seed", str(SEED), "--set", "market_count=40"],
 }
 
 
@@ -46,8 +52,11 @@ def run_case(name: str, out: Path) -> list[Path]:
     return sorted(out.glob("*.csv"))
 
 
-def main() -> int:
-    for name in CASES:
+def main(names=None) -> int:
+    unknown = set(names or ()) - set(CASES)
+    if unknown:
+        raise SystemExit(f"unknown golden cases: {sorted(unknown)}")
+    for name in names or CASES:
         dest = GOLDEN / name
         with tempfile.TemporaryDirectory() as tmp:
             csvs = run_case(name, Path(tmp))
@@ -61,4 +70,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
