@@ -19,13 +19,14 @@ from . import extrapolation as ex
 from . import laws
 from . import micro as mi
 from .counterfactual import HomTriple, verify_theorem1
-from .demand import mixed_logit, shares
+from .demand import mixed_logit, shares_array
 from .dgps import ScaledX1Spec, sample_scaled_x1_population
 from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
-from .inversion import invert
-from .population import PopulationSpec, market_rng, potential_outcomes, sample_population
+from .inversion import invert_rows
+from .population import (PopulationSpec, market_rng, market_rngs, potential_outcomes,
+                         sample_population)
 from .transforms import LogitInverse, MixedLogitInverse
-from .types import Bundle, bundle, lognormal_mixing, validate_shares
+from .types import Bundle, Bundles, SharesVector, bundle, lognormal_mixing, validate_share_rows
 
 
 @dataclass
@@ -76,14 +77,14 @@ def criterion_1(seed: int) -> CriterionResult:
     mixing = lognormal_mixing(0.0, 0.3)
     m = mixed_logit(mixing)
     rng = market_rng(seed, 1)
+    draws = {J: [(rng.uniform(-5.0, 5.0, J), rng.uniform(0.5, 3.0, J)) for _ in range(100)]
+             for J in (1, 5, 25)}
     worst = 0.0
-    for J in (1, 5, 25):
-        for _ in range(100):
-            delta = rng.uniform(-5.0, 5.0, J)
-            a = bundle(np.zeros(J), rng.uniform(0.5, 3.0, J))
-            y = shares(m, delta, a)
-            back = invert(m, y, a)
-            worst = max(worst, float(np.max(np.abs(back - delta))))
+    for J, pairs in draws.items():  # 100 markets of each J in one solve
+        delta, p = (np.array(v) for v in zip(*pairs))
+        a = Bundles(np.zeros(delta.shape), p, np.zeros(delta.shape + (0,)))
+        back = invert_rows(m, shares_array(m, delta, a), a)
+        worst = max(worst, float(np.max(np.abs(back - delta))))
     return CriterionResult(1, "inversion round trip", budget=5.0, checks=[
         Check("round_trip_sup_norm", worst, 1e-10, "<="),
     ])
@@ -170,42 +171,43 @@ def demeaned_oracle_data(seed: int, n: int = 10_000, levels: int = 4):
     Each block of `levels` consecutive observations shares one shock and
     receives every treatment level exactly once, so level-cell shock means
     cancel exactly and the fitted rule reproduces the truth to solver
-    precision rather than sampling precision.
+    precision rather than sampling precision. Block b's shock and
+    permutation come from substreams (b, 1) and (b, 2).
     """
     from scipy.special import expit
 
     mu = np.array([0.0, 0.7, -0.4, 1.2])[:levels]
-    data, shocks = [], []
-    for i in range(n):
-        block, pos = divmod(i, levels)
-        if pos == 0:  # each block's shock and permutation are drawn once
-            xi = float(market_rng(seed, block, 1).normal(0.0, 0.8))
-            perm = market_rng(seed, block, 2).permutation(levels)
-        lev = int(perm[pos])
-        data.append(ex.observe(float(expit(mu[lev] + xi)), lev, [float(lev)]))
-        shocks.append(xi)
-    return data, shocks, mu
+    blocks = range(-(-n // levels))
+    shocks = [r.normal(0.0, 0.8) for r in market_rngs(seed, [(b, 1) for b in blocks])]
+    perms = [r.permutation(levels) for r in market_rngs(seed, [(b, 2) for b in blocks])]
+    xi = np.repeat(np.array(shocks, dtype=float), levels)[:n]
+    lev = np.array(perms, dtype=int).reshape(-1)[:n]
+    y = validate_share_rows(expit(mu[lev] + xi)[:, None])[:, 0]
+    z = lev.astype(float)[:, None]
+    data = [ex.Obs(yi, li, zi) for yi, li, zi in zip(y.tolist(), lev.tolist(), z)]
+    return data, xi.tolist(), mu
 
 
 def _pl_data(seed: int, n: int, x2: bool = True):
+    """Partially linear logit data, market i from substream i:
+    Y = Lambda(x1 - 1.3 p + 0.6 x2 + xi), instruments (p, x2)."""
     from scipy.special import expit
 
-    out = []
-    for i in range(n):
-        rng = market_rng(seed, i)
-        xi = rng.normal(0.0, 0.5)
-        x1 = rng.uniform(-1.0, 1.0)
-        p = rng.uniform(0.5, 3.0)
+    d2 = int(x2)
+    draws = np.empty((n, 3 + d2))  # xi, x1, p and x2 of each market
+    for i, rng in enumerate(market_rngs(seed, range(n))):
+        draws[i, 0] = rng.normal(0.0, 0.5)
+        draws[i, 1] = rng.uniform(-1.0, 1.0)
+        draws[i, 2] = rng.uniform(0.5, 3.0)
         if x2:
-            x2v = rng.uniform(-1.0, 1.0)
-            y = float(expit(x1 - 1.3 * p + 0.6 * x2v + xi))
-            a = Bundle(np.array([x1]), np.array([p]), np.array([[x2v]]))
-            out.append(ex.observe(validate_shares([y]), a, [p, x2v]))
-        else:
-            y = float(expit(x1 - 1.3 * p + xi))
-            a = Bundle(np.array([x1]), np.array([p]), np.zeros((1, 0)))
-            out.append(ex.observe(validate_shares([y]), a, [p]))
-    return out
+            draws[i, 3] = rng.uniform(-1.0, 1.0)
+    xi, x1, p = draws[:, 0], draws[:, 1], draws[:, 2]
+    index = x1 - 1.3 * p + 0.6 * draws[:, 3] if x2 else x1 - 1.3 * p
+    y = validate_share_rows(expit(index + xi)[:, None])
+    z = draws[:, 2:]  # (p, x2) or (p,)
+    return [ex.Obs(SharesVector(y[i]), Bundle(x1[i:i + 1], p[i:i + 1],
+                                              draws[i, 3:].reshape(1, d2)), z[i])
+            for i in range(n)]
 
 
 @_timed
@@ -220,19 +222,16 @@ def criterion_5(seed: int) -> CriterionResult:
     pfam, _ = ex.solve_orthogonality(ex.partially_linear_family(n_params=1), pl_data)
 
     ident = 0.0
-    for o in data[:20]:
-        ident = max(ident, abs(ex.extrapolate(dfam, o.y, o.a, o.a) - o.y))
-        ident = max(ident, abs(ex.extrapolate(qfam, o.y, o.a, o.a) - o.y))
-    for o in pl_data[:20]:
-        ident = max(ident, abs(float(ex.extrapolate(pfam, o.y, o.a, o.a).values[0])
-                               - float(o.y.values[0])))
+    for fam, obs in ((dfam, data[:20]), (qfam, data[:20]), (pfam, pl_data[:20])):
+        y, a = ex.stack_obs(obs)
+        ident = max(ident, float(np.max(np.abs(ex.extrapolate(fam, y, a, a) - y))))
 
+    y, a = ex.stack_obs(data[:1000])
+    xi = np.array(shocks[:1000])
     oracle = 0.0
-    K = len(mu)
-    for o, xi in zip(data[:1000], shocks[:1000]):
-        for t in range(K):
-            pred = ex.extrapolate(dfam, o.y, o.a, t)
-            oracle = max(oracle, abs(pred - float(expit(mu[t] + xi))))
+    for t in range(len(mu)):
+        pred = ex.extrapolate(dfam, y, a, t)
+        oracle = max(oracle, float(np.max(np.abs(pred - expit(mu[t] + xi)))))
     return CriterionResult(5, "extrapolation identity and oracle", checks=[
         Check("same_treatment_identity", ident, 0.0, "<="),
         Check("demeaned_oracle_error", oracle, 1e-6, "<="),

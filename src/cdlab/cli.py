@@ -28,7 +28,7 @@ from .dgps import ScaledX1Spec, sample_scaled_x1_population
 from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
 from .errors import CdlabError, ConfigError, RootNotBracketed
 from .inversion import invert_rows
-from .population import (PopulationSpec, potential_outcomes, sample_population,
+from .population import (PopulationSpec, check_seed, potential_outcomes, sample_population,
                          true_counterfactuals)
 from .svgplot import Panel, write_svg
 from .transforms import LogitInverse, MixedLogitInverse
@@ -234,10 +234,9 @@ def run_extrapolate(cfg: ExperimentConfig, out: Path) -> None:
     n = int(cfg.options.get("n", 2000))
     data, _, mu = acc.demeaned_oracle_data(cfg.seed, n=n)
     fam, rep = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
-    rows = []
-    for i, o in enumerate(data[:200]):
-        for t in range(len(mu)):
-            rows.append([i, t, float(ex.extrapolate(fam, o.y, o.a, t))])
+    y, a = ex.stack_obs(data[:200])
+    pred = np.array([ex.extrapolate(fam, y, a, t) for t in range(len(mu))])
+    rows = [[i, t, float(pred[t, i])] for i in range(len(y)) for t in range(len(mu))]
     write_csv(out / "predictions.csv", ["market_id", "target_a", "y_tilde"], rows)
     write_csv(out / "gmm_report.csv",
               ["parameter", "estimate", "criterion", "starts", "unique"],
@@ -372,7 +371,7 @@ def main(argv=None) -> int:
         else:
             cfg = ExperimentConfig(args.experiment)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = check_seed(args.seed, "--seed")
         if args.out is not None:
             cfg.output_dir = args.out
         apply_overrides(cfg, args.overrides)

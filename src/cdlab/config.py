@@ -14,7 +14,7 @@ from pathlib import Path
 from . import laws
 from .demand import Integration, gauss_hermite
 from .errors import ConfigError
-from .population import PopulationSpec
+from .population import PopulationSpec, check_seed
 from .types import MixingSpec
 
 SCHEMA_VERSION = 1
@@ -80,7 +80,7 @@ def integration_from_dict(d: dict) -> Integration:
     return Integration(kind=d.get("kind", "gauss-hermite"),
                        nodes=int(d.get("nodes", 32)),
                        draws=int(d.get("draws", 1000)),
-                       seed=int(d.get("seed", 0)))
+                       seed=check_seed(d.get("seed", 0), "integration seed"))
 
 
 def integration_to_dict(i: Integration) -> dict:
@@ -104,7 +104,7 @@ def population_from_dict(d: dict) -> PopulationSpec:
         type_probabilities=tuple(float(p) for p in d["type_probabilities"]),
         x2_dim=int(d.get("x2_dim", 0)),
         gamma=tuple(float(g) for g in d.get("gamma", ())),
-        seed=int(d.get("seed", 0)),
+        seed=check_seed(d.get("seed", 0), "population seed"),
     )
     for name in ("price_law", "x1_law", "x2_law", "xi_law"):
         if name in d:
@@ -152,7 +152,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         raise ConfigError("options must be a mapping")
     return ExperimentConfig(experiment=d["experiment"],
                             output_dir=str(d.get("output_dir", "out")),
-                            seed=int(d.get("seed", 0)),
+                            seed=check_seed(d.get("seed", 0)),
                             population=population, options=dict(options))
 
 

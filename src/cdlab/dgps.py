@@ -13,8 +13,8 @@ import numpy as np
 from scipy.special import expit
 
 from . import laws
-from .population import market_rng
-from .types import Bundle, Bundles, MarketDraw, validate_share_rows, validate_shares
+from .population import market_rngs
+from .types import Bundle, Bundles, MarketDraw, SharesVector, validate_share_rows
 
 
 @dataclass(frozen=True)
@@ -35,26 +35,34 @@ class ScaledX1Spec:
     xi_law: laws.Law = field(default_factory=lambda: laws.normal(0.0, 0.5))
     seed: int = 0
 
-    def outcome(self, zeta: int, x1: float, p: float, xi: float) -> float:
-        return float(expit(self.c_by_type[zeta] * x1 - self.alpha * p + xi))
+    def outcomes(self, zeta, x1, p, xi) -> np.ndarray:
+        """Validated outcomes (n, 1) of n markets with types zeta (n,) and
+        x1, p and shocks xi (n,)."""
+        c = np.asarray(self.c_by_type, dtype=float)[np.asarray(zeta, dtype=int)]
+        return validate_share_rows(expit(c * x1 - self.alpha * p + xi)[:, None])
 
     def truth(self, draws, a: Bundles) -> np.ndarray:
         """Potential outcomes (n, 1) of the markets `draws` at their bundles
         a, one row each, from their stored types and shocks."""
-        c = np.array([self.c_by_type[d.zeta] for d in draws])
-        xi = np.array([d.xi[0] for d in draws])
-        return validate_share_rows(expit(c * a.x1[:, 0] - self.alpha * a.p[:, 0] + xi)[:, None])
+        return self.outcomes([d.zeta for d in draws], a.x1[:, 0], a.p[:, 0],
+                             np.array([d.xi[0] for d in draws]))
 
 
 def sample_scaled_x1_population(spec: ScaledX1Spec) -> list[MarketDraw]:
-    draws = []
-    for i in range(spec.market_count):
-        rng = market_rng(spec.seed, i)
-        zeta = int(rng.choice(len(spec.c_by_type), p=spec.type_probabilities))
-        xi = spec.xi_law.sample(rng, 1)
-        x1 = spec.x1_law.sample(rng, 1)
-        p = spec.price_law.sample(rng, 1)
-        a = Bundle(x1, p, np.zeros((1, 0)))
-        y = validate_shares([spec.outcome(zeta, x1[0], p[0], xi[0])])
-        draws.append(MarketDraw(xi=xi, zeta=zeta, y=y, a=a, z=p.copy()))
-    return draws
+    """Market i's type, shock, x1 and price from its own substream; the
+    outcomes of all markets at once."""
+    n = spec.market_count
+    zeta = np.empty(n, dtype=int)
+    xi, x1, p = np.empty((n, 1)), np.empty((n, 1)), np.empty((n, 1))
+    for i, rng in enumerate(market_rngs(spec.seed, range(n))):
+        zeta[i] = rng.choice(len(spec.c_by_type), p=spec.type_probabilities)
+        xi[i] = spec.xi_law.sample(rng, 1)
+        x1[i] = spec.x1_law.sample(rng, 1)
+        p[i] = spec.price_law.sample(rng, 1)
+    y = spec.outcomes(zeta, x1[:, 0], p[:, 0], xi[:, 0])
+    z = p.copy()
+    xi.setflags(write=False)  # each MarketDraw holds a view of its row
+    z.setflags(write=False)
+    return [MarketDraw(xi=xi[i], zeta=int(zeta[i]), y=SharesVector(y[i]),
+                       a=Bundle(x1[i], p[i], np.zeros((1, 0))), z=z[i])
+            for i in range(n)]

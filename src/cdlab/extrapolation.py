@@ -5,6 +5,12 @@ A rule family is a finite-dimensionally parameterized class of outcome
 transformations H(y, a), invertible in y. Instrument orthogonality selects
 one member; predictions then act as if the selected transformed outcome
 has zero individual treatment effects.
+
+Rules act on arrays: `H`, `H_inverse` and `extrapolate` take one
+observation or a batch of them (an array of outcomes with an array of
+treatment levels, or the J = 1 shares of stacked markets under `Bundles`),
+and one observation is the batch of one. `check_prop32` makes one
+extrapolation and one structural prediction per target.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .counterfactual import CounterfactualEngine
 from .demand import plain_logit
 from .errors import ConfigError, InversionFailure, NonUnique
 from .transforms import interp_extrap
-from .types import Bundle, Bundles, SharesVector, validate_shares
+from .types import Bundle, Bundles, SharesVector
 
 
 @dataclass(frozen=True)
@@ -27,16 +33,13 @@ class Obs:
     """One observation: outcome, treatment, instruments.
 
     y is a scalar outcome or a share vector; a is a hashable treatment
-    level (demeaned / quantile families) or a Bundle (partially linear).
+    level (demeaned / quantile families) or a Bundle (partially linear);
+    z is the 1-d float array of instruments.
     """
 
     y: object
     a: object
     z: np.ndarray
-
-
-def observe(y, a, z) -> Obs:
-    return Obs(y, a, np.atleast_1d(np.asarray(z, dtype=float)))
 
 
 # --- scalar monotone transforms for the demeaned family ---------------------
@@ -81,46 +84,79 @@ class RuleFamily:
         return self.theta is not None or bool(self.samples)
 
     # -- transformed outcome and its inverse --------------------------------
+    #
+    # For the demeaned and quantile families y is an outcome or an array of
+    # outcomes and a a treatment level or an array of levels; for the
+    # partially linear family y is the inside share of J = 1 markets (a
+    # SharesVector, a float or an (n,) array) under a Bundle or Bundles. A
+    # scalar input gives a float.
 
-    def _mu(self, a) -> float:
-        try:
-            k = self.levels.index(a)
-        except ValueError:
-            raise ConfigError(f"treatment level {a!r} outside the fitted support")
-        return self.theta[k]
+    def _level_index(self, a) -> np.ndarray:
+        """Position in `levels` of each treatment level in a."""
+        a = np.asarray(a)
+        hit = a[..., None] == np.asarray(self.levels)
+        found = hit.any(axis=-1)
+        if not found.all():
+            bad = np.atleast_1d(a)[~np.atleast_1d(found)][0].item()
+            raise ConfigError(f"treatment level {bad!r} outside the fitted support")
+        return hit.argmax(axis=-1)
+
+    def _mu(self, a) -> np.ndarray:
+        return np.asarray(self.theta, dtype=float)[self._level_index(a)]
+
+    def _by_level(self, fn, x, a) -> np.ndarray:
+        """fn(sorted sample of level k, entries of x at level k), for each k."""
+        idx = self._level_index(a)
+        x, idx = np.broadcast_arrays(np.asarray(x, dtype=float), idx)
+        out = np.empty(x.shape)
+        for k in np.unique(idx):
+            rows = idx == k
+            out[rows] = fn(np.asarray(self.samples[k]), x[rows])
+        return out
 
     def _pl_coeffs(self) -> np.ndarray:
         M = np.atleast_2d(np.asarray(self.param_map, dtype=float)) if self.param_map \
             else np.eye(len(self.theta))
         return M @ np.asarray(self.theta, dtype=float)
 
-    def H(self, y, a) -> float:
-        """Transformed outcome at (y, a); scalar for scalar families."""
+    def _pl_index(self, a: Bundle | Bundles):
+        """alpha, and p, x2 gamma and x1 of the J = 1 markets at a."""
+        coeffs = self._pl_coeffs()
+        d2 = a.x2.shape[-1]
+        x2term = a.x2[..., 0, :] @ coeffs[1:1 + d2] if d2 else 0.0
+        return coeffs[0], a.p[..., 0], x2term, a.x1[..., 0]
+
+    def H(self, y, a):
+        """Transformed outcome at (y, a)."""
         if self.kind == "demeaned-transform":
             fwd, _ = _F_TRANSFORMS[self.f]
-            return float(fwd(float(y)) - self._mu(a))
+            return _scalar(fwd(np.asarray(y, dtype=float)) - self._mu(a))
         if self.kind == "quantile-rank":
-            k = self.levels.index(a)
-            return float(_cdf_interp(np.asarray(self.samples[k]), float(y)))
-        coeffs = self._pl_coeffs()
-        y = float(np.atleast_1d(np.asarray(y, dtype=float) if not isinstance(y, SharesVector) else y.values)[0])
-        a: Bundle
-        x2term = float(a.x2[0] @ coeffs[1:1 + a.x2.shape[1]]) if a.x2.shape[1] else 0.0
-        return float(logit(y) + coeffs[0] * a.p[0] - x2term - a.x1[0])
+            return _scalar(self._by_level(_cdf_interp, y, a))
+        alpha, p, x2term, x1 = self._pl_index(a)
+        y = y.values[0] if isinstance(y, SharesVector) else np.asarray(y, dtype=float)
+        return _scalar(logit(y) + alpha * p - x2term - x1)
 
-    def H_inverse(self, v: float, a) -> float:
+    def H_inverse(self, v, a):
+        """The outcome y with H(y, a) = v."""
+        v = np.asarray(v, dtype=float)
         if self.kind == "demeaned-transform":
             _, inv = _F_TRANSFORMS[self.f]
-            return float(inv(v + self._mu(a)))
+            return _scalar(inv(v + self._mu(a)))
         if self.kind == "quantile-rank":
-            k = self.levels.index(a)
-            return float(_quantile_interp(np.asarray(self.samples[k]), v))
-        coeffs = self._pl_coeffs()
-        x2term = float(a.x2[0] @ coeffs[1:1 + a.x2.shape[1]]) if a.x2.shape[1] else 0.0
-        out = float(expit(v - coeffs[0] * a.p[0] + x2term + a.x1[0]))
-        if not 0.0 < out < 1.0:
-            raise InversionFailure(f"inverse left the outcome space: {out}")
-        return out
+            return _scalar(self._by_level(_quantile_interp, v, a))
+        alpha, p, x2term, x1 = self._pl_index(a)
+        out = expit(v - alpha * p + x2term + x1)
+        inside = (0.0 < out) & (out < 1.0)
+        if not inside.all():
+            bad = np.atleast_1d(out)[~np.atleast_1d(inside)][0]
+            raise InversionFailure(f"inverse left the outcome space: {bad}")
+        return _scalar(out)
+
+
+def _scalar(x):
+    """A 0-d result as a float; arrays as they are."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def demeaned_family(f: str = "identity") -> RuleFamily:
@@ -136,16 +172,27 @@ def partially_linear_family(n_params: int = 1, param_map=()) -> RuleFamily:
                       param_map=tuple(tuple(row) for row in param_map))
 
 
-def _cdf_interp(sorted_sample: np.ndarray, y: float) -> float:
-    """Monotone piecewise-linear empirical CDF with linear tails."""
-    m = len(sorted_sample)
-    ranks = (np.arange(1, m + 1) - 0.5) / m
-    return float(interp_extrap(y, sorted_sample, ranks))
+def _ranks(m: int) -> np.ndarray:
+    return (np.arange(1, m + 1) - 0.5) / m
 
-def _quantile_interp(sorted_sample: np.ndarray, u: float) -> float:
-    m = len(sorted_sample)
-    ranks = (np.arange(1, m + 1) - 0.5) / m
-    return float(interp_extrap(u, ranks, sorted_sample))
+
+def _cdf_interp(sorted_sample: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Monotone piecewise-linear empirical CDF with linear tails."""
+    return interp_extrap(y, sorted_sample, _ranks(len(sorted_sample)))
+
+
+def _quantile_interp(sorted_sample: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return interp_extrap(u, _ranks(len(sorted_sample)), sorted_sample)
+
+
+def stack_obs(data: Sequence[Obs]):
+    """Outcomes (n,) and treatments of the observations: an (n,) array of
+    levels, or the Bundles of their bundles. A SharesVector outcome gives its
+    first inside share."""
+    y = np.array([o.y.values[0] if isinstance(o.y, SharesVector) else o.y for o in data],
+                 dtype=float)
+    a = [o.a for o in data]
+    return y, Bundles.stack(a) if isinstance(a[0], Bundle) else np.array(a)
 
 
 # --- instrument basis -------------------------------------------------------
@@ -197,6 +244,8 @@ def solve_orthogonality(family: RuleFamily,
     moment system is rank deficient.
     """
     data = list(data)
+    if not data:
+        raise ConfigError("no observations to fit the rule family on")
     if family.kind == "quantile-rank":
         return _fit_quantile(family, data)
     if family.kind == "demeaned-transform":
@@ -210,10 +259,9 @@ def _require_size(n: int, dim: int):
 
 
 def _fit_quantile(family: RuleFamily, data: list[Obs]) -> tuple[RuleFamily, FitReport]:
-    levels = sorted({o.a for o in data})
-    samples = tuple(
-        tuple(sorted(float(o.y) for o in data if o.a == lev)) for lev in levels
-    )
+    y, a = stack_obs(data)
+    levels = sorted(set(a.tolist()))
+    samples = tuple(tuple(np.sort(y[a == lev]).tolist()) for lev in levels)
     if any(len(s) < 2 for s in samples):
         raise ConfigError("each treatment level needs at least 2 outcomes")
     fitted = replace(family, levels=tuple(levels), samples=samples)
@@ -222,12 +270,12 @@ def _fit_quantile(family: RuleFamily, data: list[Obs]) -> tuple[RuleFamily, FitR
 
 
 def _fit_demeaned(family: RuleFamily, data: list[Obs]) -> tuple[RuleFamily, FitReport]:
-    levels = sorted({o.a for o in data})
+    y, a = stack_obs(data)
+    levels = sorted(set(a.tolist()))
     _require_size(len(data), len(levels))
     fwd, _ = _F_TRANSFORMS[family.f]
-    fy = np.array([fwd(float(o.y)) for o in data])
-    D = np.column_stack([[1.0 if o.a == lev else 0.0 for o in data] for lev in levels])
-    report = _fit_linear(fy, D, instrument_basis(data))
+    D = (a[:, None] == np.array(levels)).astype(float)
+    report = _fit_linear(fwd(y), D, instrument_basis(data))
     return replace(family, theta=tuple(report.theta), levels=tuple(levels)), report
 
 
@@ -235,14 +283,10 @@ def _fit_partially_linear(family: RuleFamily, data: list[Obs]) -> tuple[RuleFami
     M = np.atleast_2d(np.asarray(family.param_map, dtype=float)) if family.param_map \
         else np.eye(family.n_params)
     _require_size(len(data), M.shape[1])
-    y = np.array([float(o.y.values[0]) if isinstance(o.y, SharesVector) else float(o.y)
-                  for o in data])
-    x1 = np.array([o.a.x1[0] for o in data])
-    p = np.array([o.a.p[0] for o in data])
-    X2 = np.array([o.a.x2[0] for o in data])
+    y, a = stack_obs(data)
     # H = logit(y) - x1 + (p, -x2) M theta
-    X = np.column_stack([p, -X2])
-    report = _fit_linear(logit(y) - x1, -X @ M[:X.shape[1]], instrument_basis(data))
+    X = np.column_stack([a.p[:, 0], -a.x2[:, 0]])
+    report = _fit_linear(logit(y) - a.x1[:, 0], -X @ M[:X.shape[1]], instrument_basis(data))
     return replace(family, theta=tuple(report.theta)), report
 
 
@@ -276,20 +320,26 @@ def _linear_gmm(G: np.ndarray, c: np.ndarray, contrib_fn) -> np.ndarray:
 def extrapolate(fitted: RuleFamily, y, a, target_a):
     """Predicted outcome at target_a: H^{-1}(H(y, a), target_a).
 
-    Returns y exactly when target_a equals a.
+    y and a are one observation or a batch (see `RuleFamily.H`); target_a
+    is one treatment for every row or one per row. Rows whose target equals
+    their treatment return y exactly, and y itself when all of them do.
     """
     if not fitted.fitted:
         raise ConfigError("family must be fitted by solve_orthogonality first")
-    if _same_treatment(a, target_a):
+    same = _same_treatment(a, target_a)
+    if same.all():
         return y
-    return fitted.H_inverse(fitted.H(y, a), target_a)
+    out = fitted.H_inverse(fitted.H(y, a), target_a)
+    return np.where(same, y, out) if same.any() else out
 
 
-def _same_treatment(a, b) -> bool:
-    if isinstance(a, Bundle) and isinstance(b, Bundle):
-        return (np.array_equal(a.x1, b.x1) and np.array_equal(a.p, b.p)
-                and np.array_equal(a.x2, b.x2))
-    return a == b
+def _same_treatment(a, b) -> np.ndarray:
+    """Whether treatments a and b are equal, row by row: levels as values,
+    bundles on x1, p and x2."""
+    if isinstance(a, (Bundle, Bundles)):
+        return ((a.x1 == b.x1).all(axis=-1) & (a.p == b.p).all(axis=-1)
+                & (a.x2 == b.x2).all(axis=(-2, -1)))
+    return np.asarray(a) == np.asarray(b)
 
 
 @dataclass
@@ -305,39 +355,41 @@ class Prop32Report:
 def check_prop32(fitted: RuleFamily, data: Sequence[Obs],
                  targets: Sequence) -> Prop32Report:
     """Agreement between rule-based extrapolation and the structural model
-    constructed from the fitted rule, on every market and target.
+    constructed from the fitted rule, on every market and target: one
+    extrapolation and one structural prediction of all markets per target.
 
     For the partially linear family the structural route goes through the
     share-map inversion engine, an independent code path; for the demeaned
     family the structural conversion map is composed explicitly.
     """
+    y, a = stack_obs(data)
     gap = 0.0
-    for o in data:
-        for t in targets:
-            tilde = extrapolate(fitted, o.y, o.a, t)
-            structural = _structural_predict(fitted, o.y, o.a, t)
-            gap = max(gap, abs(float(tilde) - float(structural)))
+    for t in targets:
+        tilde = extrapolate(fitted, y, a, t)
+        structural = _structural_predict(fitted, y, a, t)
+        gap = max(gap, float(np.max(np.abs(tilde - structural))))
     return Prop32Report(gap)
 
 
-def _structural_predict(fitted: RuleFamily, y, a, target_a) -> float:
+def _structural_predict(fitted: RuleFamily, y: np.ndarray, a, target_a) -> np.ndarray:
+    """Structural predictions at target_a of the stacked observations (y, a)."""
     if fitted.kind == "partially-linear-index":
         coeffs = fitted._pl_coeffs()
         engine = CounterfactualEngine(plain_logit(alpha=float(coeffs[0]),
                                                   gamma=tuple(coeffs[1:])))
-        yv = y if isinstance(y, SharesVector) else validate_shares([float(y)])
-        return float(engine.predict(yv, a, target_a).values[0])
+        if isinstance(target_a, Bundle):
+            target_a = Bundles.repeat(target_a, len(y))
+        return engine.predict(y[:, None], a, target_a)[:, 0]
     if fitted.kind == "demeaned-transform":
         # conversion to the baseline level and back, composed explicitly
         fwd, inv = _F_TRANSFORMS[fitted.f]
         base = fitted.levels[0]
-        y0 = inv(fwd(float(y)) - fitted._mu(a) + fitted._mu(base))
-        return float(inv(fwd(y0) - fitted._mu(base) + fitted._mu(target_a)))
+        y0 = inv(fwd(y) - fitted._mu(a) + fitted._mu(base))
+        return inv(fwd(y0) - fitted._mu(base) + fitted._mu(target_a))
     # quantile-rank: via the baseline-level quantile scale
     base = fitted.levels[0]
-    u = fitted.H(float(y), a)
-    y0 = fitted.H_inverse(u, base)
-    return float(fitted.H_inverse(fitted.H(y0, base), target_a))
+    y0 = fitted.H_inverse(fitted.H(y, a), base)
+    return fitted.H_inverse(fitted.H(y0, base), target_a)
 
 
 @dataclass

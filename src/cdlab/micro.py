@@ -23,7 +23,7 @@ from .demand import MAX_BLOCK_ELEMENTS, _node_shares, expit_mixture, hermite_gri
 from .errors import (ConfigError, IntegrationFailure, NoConvergence, NonUnique, NotIdentified,
                      RootNotBracketed)
 from .inversion import InversionConfig, _solve_log_shares, solve_share_curve
-from .population import market_rng
+from .population import market_rngs
 from .types import Bundle, validate_share_rows
 
 PARALLEL_TOL = 1e-8
@@ -250,21 +250,21 @@ def simulate_micro(dgp: MicroDgp, spec: MicroPopulationSpec,
     """
     K = len(spec.price_levels)
     draws = []  # (xi, level, z_level) per market
-    for i in range(spec.market_count):
-        if spec.assignment == "stratified":
-            block, pos = divmod(i, K)
-            if pos == 0:  # each block's shock and permutation are drawn once
-                block_xi = dgp.xi_law.sample(market_rng(spec.seed, block, 1), dgp.J)
-                perm = market_rng(spec.seed, block, 2).permutation(K)
-            xi = block_xi.copy()
-            z_level = level = int(perm[pos])
-        else:
-            rng = market_rng(spec.seed, i)
+    if spec.assignment == "stratified":
+        # block b's shock and permutation come from substreams (b, 1), (b, 2)
+        blocks = range(-(-spec.market_count // K))
+        shocks = market_rngs(spec.seed, [(b, 1) for b in blocks])
+        perms = market_rngs(spec.seed, [(b, 2) for b in blocks])
+        for b, shock_rng, perm_rng in zip(blocks, shocks, perms):
+            xi = dgp.xi_law.sample(shock_rng, dgp.J)
+            perm = perm_rng.permutation(K)[:spec.market_count - b * K]
+            draws += [(xi.copy(), int(level), int(level)) for level in perm]
+    else:
+        for rng in market_rngs(spec.seed, range(spec.market_count)):
             z_level = int(rng.integers(K))
             xi = dgp.xi_law.sample(rng, dgp.J)
             shift = int(np.round(spec.endogeneity * float(np.mean(xi))))
-            level = int(np.clip(z_level + shift, 0, K - 1))
-        draws.append((xi, level, z_level))
+            draws.append((xi, int(np.clip(z_level + shift, 0, K - 1)), z_level))
     W = _w_matrix(spec.w_grid, dgp.J)
     bundles = [spec.level_bundle(dgp, k) for k in range(K)]
     n = len(draws)

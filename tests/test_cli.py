@@ -145,6 +145,33 @@ def test_exit_code_1_on_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_negative_seed_flag_exits_1_naming_it(tmp_path, capsys):
+    assert run(["simulate", "--seed", "-1", "--out", tmp_path / "out"]) == 1
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where,cfg", [
+    ("seed", {"seed": -1}),
+    ("population seed", {"population": {"seed": -2}}),
+    ("integration seed", {"population": {"integration": {"kind": "monte-carlo",
+                                                         "draws": 10, "seed": -3}}}),
+])
+def test_negative_config_seed_exits_1_naming_it(tmp_path, capsys, where, cfg):
+    population = {"J": 1, "market_count": 3, "mixing_by_type": [{"kind": "lognormal"}],
+                  "type_probabilities": [1.0], **cfg.get("population", {})}
+    doc = {"schema_version": 1, "experiment": "simulate", "seed": cfg.get("seed", 0),
+           "population": population}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert run(["simulate", "--config", path, "--out", tmp_path / "out"]) == 1
+    assert f"{where} must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_multi_word_seed_runs(tmp_path):
+    assert run(["simulate", "--seed", 2**64 + 3, "--out", tmp_path]) == 0
+    assert len(read_csv(tmp_path / "population.csv")) == 201
+
+
 def test_oversized_quadrature_grid_exits_1(tmp_path, capsys):
     """A 5-dimensional mixing at 32 Gauss-Hermite nodes asks for 32^5 nodes."""
     cfg = {"schema_version": 1, "experiment": "simulate", "seed": 2,

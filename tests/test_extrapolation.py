@@ -4,10 +4,12 @@ from scipy.special import expit, logit
 
 from cdlab import extrapolation as ex
 from cdlab.acceptance import _pl_data, demeaned_oracle_data
+from cdlab.counterfactual import CounterfactualEngine
+from cdlab.demand import plain_logit
 from cdlab.errors import ConfigError, NonUnique
 from cdlab.population import market_rng
 from cdlab.transforms import LogitInverse
-from cdlab.types import validate_shares
+from cdlab.types import Bundles, SharesVector, validate_shares
 
 
 def test_rule_family_validation():
@@ -148,14 +150,17 @@ def test_sample_size_guard():
     data = _pl_data(seed=8, n=12)
     with pytest.raises(ConfigError):
         ex.solve_orthogonality(ex.partially_linear_family(n_params=2), data)
+    for family in (ex.demeaned_family("logit"), ex.quantile_family()):
+        with pytest.raises(ConfigError, match="no observations"):
+            ex.solve_orthogonality(family, demeaned_oracle_data(seed=8, n=0)[0])
 
 
 def test_instrument_basis_dummies_vs_polynomials():
-    few = [ex.observe(0.5, 0, [float(k % 3)]) for k in range(30)]
+    few = [ex.Obs(0.5, 0, np.array([float(k % 3)])) for k in range(30)]
     B = ex.instrument_basis(few)
     assert B.shape == (30, 3)
     rng = market_rng(0, 0)
-    many = [ex.observe(0.5, 0, rng.normal(size=2)) for _ in range(30)]
+    many = [ex.Obs(0.5, 0, rng.normal(size=2)) for _ in range(30)]
     B2 = ex.instrument_basis(many, degree=2)
     assert B2.shape == (30, 6)  # 1, z1, z2, z1^2, z1 z2, z2^2
 
@@ -185,3 +190,99 @@ def test_price_ccs_check_contrast():
     assert rep.price_correct
     assert rep.max_price_error <= 1e-8
     assert max(rep.x1_error_by_type.values()) > 0.01
+
+
+# --- batched rules against the per-observation loop ---------------------------
+
+def _value(y):
+    return float(y.values[0]) if isinstance(y, SharesVector) else float(y)
+
+
+def _loop_extrapolate(fam, data, targets):
+    """Reference: one observation at a time, each with its own target."""
+    return np.array([_value(ex.extrapolate(fam, o.y, o.a, t)) for o, t in zip(data, targets)])
+
+
+def _loop_structural(fam, o, t):
+    """Reference: the structural prediction of one observation, as composed
+    before the rules took arrays."""
+    if fam.kind == "partially-linear-index":
+        c = fam._pl_coeffs()
+        engine = CounterfactualEngine(plain_logit(alpha=float(c[0]), gamma=tuple(c[1:])))
+        return float(engine.predict(o.y, o.a, t).values[0])
+    base = fam.levels[0]
+    if fam.kind == "demeaned-transform":
+        mu = dict(zip(fam.levels, fam.theta))
+        y0 = expit(logit(o.y) - mu[o.a] + mu[base])
+        return float(expit(logit(y0) - mu[base] + mu[t]))
+    y0 = fam.H_inverse(fam.H(float(o.y), o.a), base)
+    return float(fam.H_inverse(fam.H(y0, base), t))
+
+
+def _loop_prop32(fam, data, targets):
+    return max(abs(_value(ex.extrapolate(fam, o.y, o.a, t)) - _loop_structural(fam, o, t))
+               for o in data for t in targets)
+
+
+def _fitted_cases():
+    """The three families as criteria 5 and 6 fit them, each with observations
+    and targets: every level, or price moves of observed bundles."""
+    d5, _, mu = demeaned_oracle_data(seed=5)
+    d6, _, _ = demeaned_oracle_data(seed=6, n=400)
+    p5 = _pl_data(5, 300, x2=False)
+    p6 = _pl_data(6, 1000)
+    levels = list(range(len(mu)))
+    prices = np.linspace(0.6, 2.8, 10)
+    fit = lambda fam, data: ex.solve_orthogonality(fam, data)[0]  # noqa: E731
+    return [
+        ("demeaned-5", fit(ex.demeaned_family("logit"), d5), d5[:200], levels),
+        ("quantile-5", fit(ex.quantile_family(), d5[:2000]), d5[:200], levels),
+        ("pl-5", fit(ex.partially_linear_family(n_params=1), p5), p5[:50],
+         [o.a.replace(p=np.array([pp])) for o, pp in zip(p5[:10], prices)]),
+        ("demeaned-6", fit(ex.demeaned_family("logit"), d6), d6[:50], levels),
+        ("pl-6", fit(ex.partially_linear_family(n_params=2), p6), p6[:50],
+         [o.a.replace(p=np.array([pp])) for o, pp in zip(p6[:10], prices)]),
+    ]
+
+
+@pytest.fixture(scope="module")
+def fitted_cases():
+    return _fitted_cases()
+
+
+def test_batched_extrapolate_equals_the_per_observation_loop(fitted_cases):
+    for name, fam, data, targets in fitted_cases:
+        y, a = ex.stack_obs(data)
+        for t in targets:  # one target for every row
+            got = ex.extrapolate(fam, y, a, t)
+            np.testing.assert_array_equal(got, _loop_extrapolate(fam, data, [t] * len(data)),
+                                          err_msg=name)
+        # one target per row, every third row at its own treatment
+        rows = np.arange(len(data))
+        own = rows % 3 == 0
+        if isinstance(a, Bundles):
+            moved = a.replace(p=np.where(own[:, None], a.p, a.p + 0.25))
+            per_row = [o.a if k else o.a.replace(p=o.a.p + 0.25) for o, k in zip(data, own)]
+        else:
+            moved = np.where(own, a, (a + 1) % len(fam.levels))
+            per_row = moved.tolist()
+        got = ex.extrapolate(fam, y, a, moved)
+        np.testing.assert_array_equal(got, _loop_extrapolate(fam, data, per_row), err_msg=name)
+        np.testing.assert_array_equal(got[own], y[own], err_msg=name)
+        assert ex.extrapolate(fam, y, a, a) is y  # all rows at their own treatment
+
+
+def test_batched_check_prop32_equals_the_per_observation_loop(fitted_cases):
+    for name, fam, data, targets in fitted_cases:
+        got = ex.check_prop32(fam, data, targets).max_gap
+        assert got == _loop_prop32(fam, data, targets), name
+        assert got <= 1e-10, name
+
+
+def test_batched_rules_name_a_level_outside_the_support(fitted_cases):
+    _, fam, data, _ = fitted_cases[0]
+    y, a = ex.stack_obs(data[:8])
+    with pytest.raises(ConfigError, match="treatment level 7 outside"):
+        ex.extrapolate(fam, y, a, np.where(np.arange(8) == 5, 7, a))
+    with pytest.raises(ConfigError, match="treatment level 9 outside"):
+        fam.H(y, np.full(8, 9))

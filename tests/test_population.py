@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdlab import demand, laws
 from cdlab.demand import monte_carlo, shares
@@ -7,6 +9,7 @@ from cdlab.errors import ConfigError, SimplexViolation
 from cdlab.population import (
     PopulationSpec,
     market_rng,
+    market_rngs,
     sample_market,
     sample_population,
     true_counterfactual,
@@ -64,6 +67,51 @@ def test_market_rng_streams_are_distinct():
     c = market_rng(1, 1).standard_normal(4)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+WORD = 2**32 - 1
+# Seeds of one to five uint32 words, each word count with its edge values.
+SEEDS = st.one_of(st.sampled_from([0, 1, WORD, 2**32, 2**64 - 1, 2**64, 2**128, 2**160 - 1]),
+                  st.integers(0, 2**160 - 1))
+KEY_WORDS = st.one_of(st.sampled_from([0, 1, WORD]), st.integers(0, WORD))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, width=st.integers(1, 3), n=st.integers(1, 1000), data=st.data())
+def test_market_rngs_match_seed_sequence(seed, width, n, data):
+    """Each substream is Philox keyed by SeedSequence(seed, spawn_key=key):
+    the same 128-bit key and the same first draws, at any batch size."""
+    drawn = data.draw(st.lists(st.lists(KEY_WORDS, min_size=width, max_size=width),
+                               min_size=1, max_size=min(n, 20)))
+    keys = np.resize(np.array(drawn, dtype=np.int64), (n, width))  # repeats the drawn keys
+    checked = sorted({0, n - 1, *data.draw(st.lists(st.integers(0, n - 1), max_size=5))})
+    rngs = list(market_rngs(seed, keys))
+    assert len(rngs) == n
+    for i in checked:
+        ref = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in keys[i]))
+        got = rngs[i]
+        np.testing.assert_array_equal(got.bit_generator.state["state"]["key"],
+                                      ref.generate_state(2, np.uint64))
+        ref_rng = np.random.Generator(np.random.Philox(ref))
+        np.testing.assert_array_equal(got.random(3), ref_rng.random(3))
+        np.testing.assert_array_equal(got.standard_normal(3), ref_rng.standard_normal(3))
+
+
+def test_market_rng_is_the_batch_of_one():
+    for key in [(), (7,), (3, 1), (0, WORD, 5)]:
+        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(11, spawn_key=key)))
+        np.testing.assert_array_equal(market_rng(11, *key).random(4), ref.random(4))
+    assert list(market_rngs(11, [])) == []
+
+
+@pytest.mark.parametrize("seed,keys,named", [
+    (-1, [1], "-1"), (1.5, [1], "1.5"), ("3", [1], "'3'"),
+    (3, [-1], "-1"), (3, [2**32], "4294967296"), (3, [[1, 2**70]], str(2**70)),
+    (3, [0.5], "0.5"),
+])
+def test_market_rngs_reject_bad_seeds_and_keys(seed, keys, named):
+    with pytest.raises(ConfigError, match=named):
+        market_rngs(seed, keys)
 
 
 def test_observed_shares_reconstruct_from_latent_state():
