@@ -41,6 +41,8 @@ CASES = {
     "extrapolate": ["extrapolate", "--seed", str(SEED), "--set", "n=400"],
     "prop32": ["prop32", "--seed", str(SEED)],
     "price-ccs": ["price-ccs", "--seed", str(SEED), "--set", "market_count=40"],
+    "fig1": ["fig1", "--seed", str(SEED), "--set", "market_count=40",
+             "--set", "curves_plotted=4"],
 }
 
 

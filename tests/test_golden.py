@@ -66,3 +66,8 @@ def test_cell_comparison_rules():
     assert not cells_agree("True", "False")
     assert not cells_agree("identity", "true")
     assert cells_agree("0", "0")
+
+
+def test_every_subcommand_but_acceptance_has_a_golden_case():
+    from cdlab import cli
+    assert set(cli.RUNNERS) - {"acceptance"} == set(regen.CASES)
