@@ -18,7 +18,7 @@ import numpy as np
 from . import extrapolation as ex
 from . import laws
 from . import micro as mi
-from .counterfactual import HomTriple, verify_theorem1
+from .counterfactual import verify_theorem1
 from .demand import mixed_logit, shares_array
 from .dgps import ScaledX1Spec, sample_scaled_x1_population
 from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
@@ -105,17 +105,16 @@ def criterion_2(seed: int) -> CriterionResult:
     pop = sample_population(spec)
     m = spec.share_map(0)
     a0 = bundle(np.zeros(spec.J), np.full(spec.J, 1.5))
-    triple = HomTriple(MixedLogitInverse(m), a0)
     grid = [bundle(np.full(spec.J, x1), np.full(spec.J, p))
             for x1, p in zip(np.linspace(-0.5, 0.5, 10), np.linspace(0.6, 2.8, 10))]
-    rep = verify_theorem1(triple, grid, pop, partial(potential_outcomes, spec))
+    rep = verify_theorem1(MixedLogitInverse(m), a0, grid, pop,
+                          partial(potential_outcomes, spec))
 
     fig1 = Fig1Spec(market_count=100, seed=seed + 2)
     fpop = sample_population(fig1.population_spec())
-    ftriple = HomTriple(MixedLogitInverse(mixed_logit(fig1.blue)), bundle(0.0, 1.5))
     fgrid = [bundle(0.0, p) for p in np.linspace(0.6, 2.8, 10)]
-    frep = verify_theorem1(ftriple, fgrid, fpop,
-                           partial(potential_outcomes, fig1.population_spec()))
+    frep = verify_theorem1(MixedLogitInverse(mixed_logit(fig1.blue)), bundle(0.0, 1.5), fgrid,
+                           fpop, partial(potential_outcomes, fig1.population_spec()))
     return CriterionResult(2, "theorem 1 equivalence", checks=[
         Check("index_model", rep.max_index_model, 1e-8, "<="),
         Check("inverse_model", rep.max_inverse_model, 1e-8, "<="),

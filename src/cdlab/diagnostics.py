@@ -14,8 +14,6 @@ from .inversion import solve_share_curve
 from .population import PopulationSpec, true_counterfactuals
 from .types import Bundle, MarketDraw, MixingSpec, lognormal_mixing
 
-CURVE_POINT_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class Fig1Spec:
@@ -176,12 +174,3 @@ def crossing_curve(spec: Fig1Spec, market: MarketDraw) -> CurvePair:
                                f"{market.a.p[0]}")
     return pair
 
-
-def demand_curves_identical_or_disjoint(curve_a: np.ndarray, curve_b: np.ndarray,
-                                        tol: float = CURVE_POINT_TOL) -> bool:
-    """True iff the curves agree everywhere or nowhere on their common grid.
-
-    False marks a proper crossing: a homogeneity-violation witness.
-    """
-    gap = np.abs(np.asarray(curve_a) - np.asarray(curve_b))
-    return bool(np.max(gap) <= tol or np.min(gap) > tol)

@@ -24,7 +24,6 @@ from scipy.special import expit, logit
 from .counterfactual import CounterfactualEngine
 from .demand import plain_logit
 from .errors import ConfigError, InversionFailure, NonUnique
-from .transforms import interp_extrap
 from .types import Bundle, Bundles, SharesVector
 
 
@@ -176,6 +175,17 @@ def _ranks(m: int) -> np.ndarray:
     return (np.arange(1, m + 1) - 0.5) / m
 
 
+def interp_extrap(t, xs, ys):
+    """Piecewise-linear interpolation through (xs, ys), xs increasing,
+    extended linearly beyond both ends with the end segments' slopes."""
+    out = np.interp(t, xs, ys)
+    s0 = (ys[1] - ys[0]) / (xs[1] - xs[0])
+    s1 = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    out = np.where(t < xs[0], ys[0] + s0 * (t - xs[0]), out)
+    out = np.where(t > xs[-1], ys[-1] + s1 * (t - xs[-1]), out)
+    return out
+
+
 def _cdf_interp(sorted_sample: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Monotone piecewise-linear empirical CDF with linear tails."""
     return interp_extrap(y, sorted_sample, _ranks(len(sorted_sample)))
@@ -223,8 +233,6 @@ def instrument_basis(data: Sequence[Obs], degree: int = 2,
 class FitReport:
     theta: np.ndarray
     criterion: float
-    starts: int
-    unique: bool
 
 
 def _two_step_weight(contrib: np.ndarray) -> np.ndarray:
@@ -264,9 +272,7 @@ def _fit_quantile(family: RuleFamily, data: list[Obs]) -> tuple[RuleFamily, FitR
     samples = tuple(tuple(np.sort(y[a == lev]).tolist()) for lev in levels)
     if any(len(s) < 2 for s in samples):
         raise ConfigError("each treatment level needs at least 2 outcomes")
-    fitted = replace(family, levels=tuple(levels), samples=samples)
-    report = FitReport(np.array([]), 0.0, starts=1, unique=True)
-    return fitted, report
+    return replace(family, levels=tuple(levels), samples=samples), FitReport(np.array([]), 0.0)
 
 
 def _fit_demeaned(family: RuleFamily, data: list[Obs]) -> tuple[RuleFamily, FitReport]:
@@ -307,7 +313,7 @@ def _fit_linear(u: np.ndarray, D: np.ndarray, B: np.ndarray) -> FitReport:
                         candidates=[theta, theta + null])
     theta = _linear_gmm(G, c, lambda th: (u - D @ th)[:, None] * B)
     crit = float(np.sum((c - G @ theta) ** 2))
-    return FitReport(theta, crit, starts=1, unique=True)
+    return FitReport(theta, crit)
 
 
 def _linear_gmm(G: np.ndarray, c: np.ndarray, contrib_fn) -> np.ndarray:
@@ -418,14 +424,14 @@ def price_ccs_check(h_transform, population, truth: Callable,
     """
     y = np.array([d.y.values for d in population])
     a = Bundles.stack([d.a for d in population])
-    v = h_transform.apply_bundle(y, a)
+    v = h_transform.apply(y, a)
     max_price = 0.0
     for pp in price_grid:
         target = a.replace(p=np.full(a.p.shape, float(pp)))
-        pred = h_transform.invert_bundle(v, target)  # price move: x1 unchanged
+        pred = h_transform.invert(v, target)  # price move: x1 unchanged
         max_price = max(max_price, float(np.max(np.abs(pred - truth(population, target)))))
     target = a.replace(x1=a.x1 + x1_shift)
-    pred = h_transform.invert_bundle(v - a.x1 + target.x1, target)
+    pred = h_transform.invert(v - a.x1 + target.x1, target)
     err = np.abs(pred - truth(population, target)).max(axis=1)
     zeta = np.array([d.zeta for d in population])
     x1_err = {z: float(err[zeta == z].max()) for z in dict.fromkeys(zeta.tolist())}

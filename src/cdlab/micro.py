@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit, logit
 
 from . import laws
 from .demand import MAX_BLOCK_ELEMENTS, _node_shares, expit_mixture, hermite_grid
@@ -58,7 +57,7 @@ class MicroDgp:
     alpha: float  # price coefficient
     xi_law: laws.Law = field(default_factory=lambda: laws.normal(0.0, 1.0))
     nu_nodes: int = DEFAULT_NU_NODES
-    sigma_w_slope: float = 0.0  # nonzero breaks the index structure
+    sigma_w_slope: float = 0.0  # J = 1 only; nonzero breaks the index structure
 
     def __post_init__(self):
         Pi = np.atleast_2d(np.asarray(self.Pi, dtype=float))
@@ -69,6 +68,9 @@ class MicroDgp:
             raise ConfigError("Pi is rank deficient (condition number > 1e8)")
         if np.any(sigma < 0):
             raise ConfigError("sigma must be nonnegative")
+        if self.sigma_w_slope != 0.0 and len(sigma) != 1:
+            raise ConfigError(f"sigma_w_slope = {self.sigma_w_slope} needs J = 1, "
+                              f"got J = {len(sigma)}")
         Pi.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "Pi", Pi)
@@ -314,11 +316,6 @@ def identity_candidate() -> Candidate:
     return Candidate(same, same)
 
 
-def logit_candidate() -> Candidate:
-    return Candidate(lambda m, a: logit(np.array(m, dtype=float)),
-                     lambda v, a: expit(np.asarray(v, dtype=float)))
-
-
 @dataclass
 class CandidateFamily:
     """Parametric family of candidate transforms for the parallelism search."""
@@ -342,18 +339,6 @@ def sigma_family(template: MicroDgp, alpha_fixed: float = 0.0) -> CandidateFamil
         return truth_candidate(template.with_coefficients(sigma, alpha_fixed))
 
     return CandidateFamily(build=build, bounds=((0.0, 4.0),), name="sigma-only")
-
-
-def scaled_logit_family() -> CandidateFamily:
-    """Candidates theta * logit(y): on a plain-logit DGP every member is
-    parallel, and members differ by more than a vertical shift."""
-
-    def build(params: np.ndarray) -> Candidate:
-        theta = float(params[0])
-        return Candidate(lambda m, a: theta * logit(np.asarray(m, dtype=float)),
-                         lambda v, a: expit(np.asarray(v, dtype=float) / theta))
-
-    return CandidateFamily(build=build, bounds=((0.5, 3.0),), name="scaled-logit")
 
 
 def _common_grid(profiles: Sequence[Profile]) -> np.ndarray:

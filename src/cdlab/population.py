@@ -178,29 +178,7 @@ def market_rng(seed: int, *key: int) -> np.random.Generator:
     return next(market_rngs(seed, [key]))
 
 
-def _sample(spec: PopulationSpec, indices) -> list[MarketDraw]:
-    """Draws of the markets `indices`: each market's latent state and bundle
-    from its own substream, then the observed shares of all of them at once."""
-    n, J, d2 = len(indices), spec.J, spec.x2_dim
-    zeta = np.empty(n, dtype=int)
-    xi, x1, p, z = (np.empty((n, J)) for _ in range(4))
-    x2 = np.empty((n, J, d2))
-    for k, rng in enumerate(market_rngs(spec.seed, indices)):
-        zeta[k] = rng.choice(spec.n_types, p=spec.type_probabilities)
-        xi[k] = spec.xi_law.sample(rng, J)
-        x1[k] = spec.x1_law.sample(rng, J)
-        p[k] = spec.price_law.sample(rng, J)
-        x2[k] = spec.x2_law.sample(rng, J * d2).reshape(J, d2)
-        z[k] = p[k] if spec.instrument_law is None else spec.instrument_law.sample(rng, J)
-    xi.setflags(write=False)  # each MarketDraw holds a view of its row
-    z.setflags(write=False)
-    y = _outcomes(spec, zeta, xi, Bundles(x1, p, x2), ids=indices)
-    return [MarketDraw(xi=xi[k], zeta=int(zeta[k]), y=SharesVector(y[k]),
-                       a=Bundle(x1[k], p[k], x2[k]), z=z[k]) for k in range(n)]
-
-
-def _outcomes(spec: PopulationSpec, zeta, xi: np.ndarray, a: Bundles,
-              ids=None) -> np.ndarray:
+def _outcomes(spec: PopulationSpec, zeta, xi: np.ndarray, a: Bundles) -> np.ndarray:
     """Validated (n, J) shares of n markets with types zeta and shocks xi at
     their bundles a: one share-kernel call per type."""
     zeta = np.asarray(zeta)
@@ -210,16 +188,29 @@ def _outcomes(spec: PopulationSpec, zeta, xi: np.ndarray, a: Bundles,
         rows = np.flatnonzero(zeta == t)
         if len(rows):
             y[rows] = shares_array(spec.share_map(t), delta[rows], a[rows])
-    return validate_share_rows(y, ids)
-
-
-def sample_market(spec: PopulationSpec, index: int) -> MarketDraw:
-    return _sample(spec, [index])[0]
+    return validate_share_rows(y)
 
 
 def sample_population(spec: PopulationSpec) -> list[MarketDraw]:
-    """market_count i.i.d. draws; bit-identical across repeated calls."""
-    return _sample(spec, range(spec.market_count))
+    """market_count i.i.d. draws; bit-identical across repeated calls. Each
+    market's latent state and bundle come from its own substream, then the
+    observed shares of all of them from one share-kernel call per type."""
+    n, J, d2 = spec.market_count, spec.J, spec.x2_dim
+    zeta = np.empty(n, dtype=int)
+    xi, x1, p, z = (np.empty((n, J)) for _ in range(4))
+    x2 = np.empty((n, J, d2))
+    for k, rng in enumerate(market_rngs(spec.seed, range(n))):
+        zeta[k] = rng.choice(spec.n_types, p=spec.type_probabilities)
+        xi[k] = spec.xi_law.sample(rng, J)
+        x1[k] = spec.x1_law.sample(rng, J)
+        p[k] = spec.price_law.sample(rng, J)
+        x2[k] = spec.x2_law.sample(rng, J * d2).reshape(J, d2)
+        z[k] = p[k] if spec.instrument_law is None else spec.instrument_law.sample(rng, J)
+    xi.setflags(write=False)  # each MarketDraw holds a view of its row
+    z.setflags(write=False)
+    y = _outcomes(spec, zeta, xi, Bundles(x1, p, x2))
+    return [MarketDraw(xi=xi[k], zeta=int(zeta[k]), y=SharesVector(y[k]),
+                       a=Bundle(x1[k], p[k], x2[k]), z=z[k]) for k in range(n)]
 
 
 def true_counterfactuals(spec: PopulationSpec, xi, zeta, a: Bundle | Bundles) -> np.ndarray:

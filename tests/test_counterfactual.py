@@ -4,18 +4,12 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from cdlab.counterfactual import (
-    CounterfactualEngine,
-    HomTriple,
-    convert,
-    jacobian_identity_check,
-    verify_theorem1,
-)
+from cdlab.counterfactual import CounterfactualEngine, verify_theorem1
 from cdlab.demand import mixed_logit, plain_logit, shares
 from cdlab.diagnostics import Fig1Spec
-from cdlab.errors import InversionFailure
+from cdlab.errors import SimplexViolation
 from cdlab.population import PopulationSpec, potential_outcomes, sample_population
-from cdlab.transforms import LogitInverse, MixedLogitInverse
+from cdlab.transforms import MixedLogitInverse
 from cdlab.types import Bundles, bundle, lognormal_mixing, validate_shares
 
 
@@ -58,18 +52,23 @@ def test_batched_predict_matches_one_market_predictions():
 
 
 def test_convert_agrees_with_predict_for_inverse_transform():
+    """Conversion through the transform, h^{-1}(h(y, a) - x1 + x1', a'),
+    is the engine's prediction when h inverts the share map."""
     m = mixed_logit(lognormal_mixing(0.0, 0.5))
     engine = CounterfactualEngine(m)
-    triple = HomTriple(MixedLogitInverse(m), bundle([0.0], [1.5]))
+    h = MixedLogitInverse(m)
     a = bundle([0.2], [1.0])
     y = validate_shares([0.3])
     target = bundle([-0.1], [2.2])
-    np.testing.assert_allclose(convert(triple, y, a, target).values,
-                               engine.predict(y, a, target).values, atol=1e-10)
+    converted = h.invert(h.apply(y.values, a) - a.x1 + target.x1, target)
+    np.testing.assert_allclose(converted, engine.predict(y, a, target).values, atol=1e-10)
 
 
 class TestConversionGroupLaws:
-    triple = HomTriple(LogitInverse(alpha=0.5), bundle([0.0], [1.5]))
+    """The conversion maps C_{a -> a'} that `predict` computes form a group
+    action: C_{a -> a} is the identity, C_{b -> c} C_{a -> b} = C_{a -> c}."""
+
+    engine = CounterfactualEngine(plain_logit(alpha=0.5))
     bundles = [bundle([x1], [p]) for x1, p in
                [(0.0, 1.0), (0.5, 2.0), (-0.3, 0.7), (0.2, 2.8)]]
 
@@ -77,29 +76,29 @@ class TestConversionGroupLaws:
         y = validate_shares([0.3])
         for a in self.bundles:
             np.testing.assert_allclose(
-                convert(self.triple, y, a, a).values, y.values, atol=1e-14)
+                self.engine.predict(y, a, a).values, y.values, atol=1e-14)
 
     def test_composition(self):
         y = validate_shares([0.3])
         a, b, c = self.bundles[:3]
-        via_b = convert(self.triple, convert(self.triple, y, a, b), b, c)
-        direct = convert(self.triple, y, a, c)
+        via_b = self.engine.predict(self.engine.predict(y, a, b), b, c)
+        direct = self.engine.predict(y, a, c)
         np.testing.assert_allclose(via_b.values, direct.values, atol=1e-12)
 
     def test_inverse(self):
         y = validate_shares([0.3])
         a, b = self.bundles[:2]
-        back = convert(self.triple, convert(self.triple, y, a, b), b, a)
+        back = self.engine.predict(self.engine.predict(y, a, b), b, a)
         np.testing.assert_allclose(back.values, y.values, atol=1e-12)
 
 
 def test_convert_signals_simplex_exit():
-    triple = HomTriple(LogitInverse(alpha=0.0), bundle([0.0], [1.0]))
+    engine = CounterfactualEngine(plain_logit(alpha=0.0))
     y = validate_shares([1.0 - 1e-9])
-    with pytest.raises(InversionFailure):
+    with pytest.raises(SimplexViolation):
         # a huge positive x1 shift pushes the logit index past representable
         # shares, so the conversion leaves the open simplex
-        convert(triple, y, bundle([0.0], [1.0]), bundle([60.0], [1.0]))
+        engine.predict(y, bundle([0.0], [1.0]), bundle([60.0], [1.0]))
 
 
 def _single_type_spec(n=30, seed=0):
@@ -111,10 +110,10 @@ def _single_type_spec(n=30, seed=0):
 def test_verify_theorem1_passes_on_homogeneous_population():
     spec = _single_type_spec()
     pop = sample_population(spec)
-    triple = HomTriple(MixedLogitInverse(spec.share_map(0)), bundle([0.0], [1.5]))
     grid = [bundle([x1], [p]) for x1, p in
             zip(np.linspace(-0.5, 0.5, 5), np.linspace(0.7, 2.7, 5))]
-    rep = verify_theorem1(triple, grid, pop, partial(potential_outcomes, spec))
+    rep = verify_theorem1(MixedLogitInverse(spec.share_map(0)), bundle([0.0], [1.5]), grid,
+                          pop, partial(potential_outcomes, spec))
     assert rep.passed
     assert rep.max_index_model <= 1e-8
     assert len(rep.rows()) == 3
@@ -124,15 +123,9 @@ def test_verify_theorem1_fails_on_two_type_population():
     fig1 = Fig1Spec(market_count=40, seed=1)
     spec = fig1.population_spec()
     pop = sample_population(spec)
-    triple = HomTriple(MixedLogitInverse(mixed_logit(fig1.blue)), bundle([0.0], [1.5]))
     grid = [bundle([0.0], [p]) for p in np.linspace(0.7, 2.7, 5)]
-    rep = verify_theorem1(triple, grid, pop, partial(potential_outcomes, spec))
+    rep = verify_theorem1(MixedLogitInverse(mixed_logit(fig1.blue)), bundle([0.0], [1.5]),
+                          grid, pop, partial(potential_outcomes, spec))
     assert not rep.passed
     assert rep.max_transformed_shift > 0.01
 
-
-def test_jacobian_identity_check():
-    triple = HomTriple(LogitInverse(alpha=0.5, gamma=(0.3,)), bundle([0.0], [1.5]))
-    a = bundle([0.1], [1.2], np.array([[0.4]]))
-    rep = jacobian_identity_check(triple, validate_shares([0.3]), a)
-    assert rep.max_dev < 1e-6

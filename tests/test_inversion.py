@@ -28,7 +28,7 @@ from cdlab.inversion import (
     solve_share_curve,
     structural_shock,
 )
-from cdlab.population import PopulationSpec, market_rng, sample_market
+from cdlab.population import PopulationSpec, market_rng, sample_population
 from cdlab.types import (
     SIMPLEX_EPS,
     Bundles,
@@ -246,7 +246,7 @@ def test_cost_guard_on_a_saturated_market(monkeypatch):
                           mixing_by_type=(lognormal_mixing(0.0, 0.3),),
                           type_probabilities=(1.0,), x1_law=laws.constant(2.3),
                           xi_law=laws.normal(0.0, 0.3), integration=gauss_hermite(32))
-    d = sample_market(spec, 0)
+    d = sample_population(spec)[0]
     assert 0.01 < d.y.outside < 0.04
     calls = []
     node_shares = inversion._weighted_node_shares

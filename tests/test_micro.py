@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from scipy.special import expit, logit
+
 from cdlab import micro as mi
 from cdlab.acceptance import micro_dgp
 from cdlab.demand import _gh_nodes
@@ -14,6 +16,18 @@ from cdlab.types import Bundle, normal_mixing
 def dgp_1d(**kwargs):
     return mi.MicroDgp(Pi=np.array([[1.0]]), sigma=np.array([0.8]),
                        alpha=1.0, nu_nodes=16, **kwargs)
+
+
+def scaled_logit_family():
+    """Candidates theta * logit(y): on a plain-logit DGP every member is
+    parallel, and members differ by more than a vertical shift."""
+
+    def build(params):
+        theta = float(params[0])
+        return mi.Candidate(lambda m, a: theta * logit(np.asarray(m, dtype=float)),
+                            lambda v, a: expit(np.asarray(v, dtype=float) / theta))
+
+    return mi.CandidateFamily(build=build, bounds=((0.5, 3.0),), name="scaled-logit")
 
 
 def dgp_2d():
@@ -33,6 +47,15 @@ def test_dgp_validation():
                     sigma=np.array([0.5, 0.5]), alpha=1.0)
     with pytest.raises(ConfigError):
         mi.MicroDgp(Pi=np.array([[1.0]]), sigma=np.array([-0.1]), alpha=1.0)
+
+
+def test_sigma_w_slope_is_rejected_above_one_product():
+    """The J >= 2 share kernel has no demographic-varying scale, so a slope
+    there would be silently ignored."""
+    with pytest.raises(ConfigError, match="sigma_w_slope"):
+        mi.MicroDgp(Pi=np.eye(2), sigma=np.array([0.5, 0.3]), alpha=0.7,
+                    sigma_w_slope=0.6)
+    assert dgp_1d(sigma_w_slope=0.6).sigma_w_slope == 0.6
 
 
 def test_micro_invert_round_trip_1d():
@@ -266,7 +289,8 @@ def test_parallel_residual_true_vs_identity():
     profiles = [m.profile for m in markets]
     assert mi.parallel_residual(mi.truth_candidate(dgp), profiles, a) <= 1e-8
     assert mi.parallel_residual(mi.identity_candidate(), profiles, a) > 0.01
-    assert mi.parallel_residual(mi.logit_candidate(), profiles, a) > 0.01
+    logit_candidate = scaled_logit_family().build(np.array([1.0]))
+    assert mi.parallel_residual(logit_candidate, profiles, a) > 0.01
 
 
 def per_profile_residual(candidate_h, profiles, a):
@@ -380,7 +404,7 @@ def test_identify_raises_not_identified_on_flat_family():
     spec = spec_1d(n=15, seed=6)
     markets = mi.simulate_micro(dgp, spec)
     with pytest.raises(NotIdentified) as err:
-        mi.identify_h_and_g(mi.scaled_logit_family(),
+        mi.identify_h_and_g(scaled_logit_family(),
                             [m.profile for m in markets],
                             spec.level_bundle(dgp, 0), starts=6, seed=0)
     assert len(err.value.candidates) == 2

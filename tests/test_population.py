@@ -10,7 +10,6 @@ from cdlab.population import (
     PopulationSpec,
     market_rng,
     market_rngs,
-    sample_market,
     sample_population,
     true_counterfactual,
     true_counterfactuals,
@@ -56,8 +55,8 @@ def test_market_draw_depends_only_on_seed_and_index():
     small = two_type_spec(n=5, seed=9)
     large = two_type_spec(n=50, seed=9)
     for i in range(5):
-        da = sample_market(small, i)
-        db = sample_market(large, i)
+        da = sample_population(small)[i]
+        db = sample_population(large)[i]
         np.testing.assert_array_equal(da.y.values, db.y.values)
 
 
@@ -212,7 +211,7 @@ def test_batched_sampling_and_truth_at_zero_and_one_market(n):
                                  np.array([d.zeta for d in pop], dtype=int), a)
     assert truth.shape == (n, 1)
     for d, row in zip(pop, truth):
-        np.testing.assert_array_equal(d.y.values, sample_market(spec, 0).y.values)
+        np.testing.assert_array_equal(d.y.values, sample_population(spec)[0].y.values)
         np.testing.assert_array_equal(row, true_counterfactual(spec, d, a).values)
 
 
@@ -222,8 +221,6 @@ def test_saturated_market_is_a_named_simplex_violation():
                           type_probabilities=(1.0,))
     with pytest.raises(SimplexViolation, match="market 0:"):
         sample_population(spec)
-    with pytest.raises(SimplexViolation, match="market 5:"):
-        sample_market(spec, 5)
     xi = np.array([[0.0], [0.5], [60.0], [0.2]])
     with pytest.raises(SimplexViolation, match="market 2:"):
         true_counterfactuals(spec, xi, np.zeros(4, dtype=int), bundle([0.0], [1.0]))

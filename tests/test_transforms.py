@@ -1,78 +1,70 @@
 import numpy as np
 import pytest
 
-from cdlab.demand import mixed_logit
-from cdlab.errors import ConfigError, InversionFailure
-from cdlab.transforms import (
-    Affine,
-    LogitInverse,
-    MixedLogitInverse,
-    MonotoneSpline,
-    Phi,
-)
-from cdlab.types import bundle, lognormal_mixing
+from cdlab.demand import mixed_logit, share_jacobian
+from cdlab.errors import InversionFailure
+from cdlab.transforms import LogitInverse, MixedLogitInverse
+from cdlab.types import Bundles, bundle, lognormal_mixing
+
+FD_STEP = 1e-5
+
+
+def fd_jacobian(h, y, a):
+    """Central finite differences of h.apply in y."""
+    cols = []
+    for k in range(len(y)):
+        e = np.zeros(len(y))
+        e[k] = FD_STEP
+        cols.append((h.apply(y + e, a) - h.apply(y - e, a)) / (2 * FD_STEP))
+    return np.column_stack(cols)
 
 
 def test_logit_inverse_round_trip():
     h = LogitInverse(alpha=0.5, gamma=(0.2,))
-    p = np.array([1.0, 2.0])
-    x2 = np.array([[0.3], [-0.4]])
+    a = bundle([0.0, 0.0], [1.0, 2.0], np.array([[0.3], [-0.4]]))
     y = np.array([0.3, 0.2])
-    v = h.apply(y, p, x2)
-    np.testing.assert_allclose(h.invert(v, p, x2), y, atol=1e-14)
+    v = h.apply(y, a)
+    np.testing.assert_allclose(h.invert(v, a), y, atol=1e-14)
 
 
 def test_logit_inverse_rejects_boundary_shares():
     h = LogitInverse()
     with pytest.raises(InversionFailure):
-        h.apply(np.array([0.7, 0.3]), np.zeros(2), np.zeros((2, 0)))
+        h.apply(np.array([0.7, 0.3]), bundle([0.0, 0.0], [0.0, 0.0]))
 
 
 def test_logit_inverse_analytic_jacobian_matches_finite_differences():
+    """dh/dy of the logit inverse is diag(1 / y) + 1 / outside."""
     h = LogitInverse(alpha=0.5)
-    p = np.array([1.0, 2.0])
-    x2 = np.zeros((2, 0))
+    a = bundle([0.0, 0.0], [1.0, 2.0])
     y = np.array([0.25, 0.35])
-    analytic = h.jac_y(y, p, x2)
-    fd = super(LogitInverse, h).jac_y(y, p, x2)  # base-class FD fallback
-    np.testing.assert_allclose(analytic, fd, atol=1e-6)
+    analytic = np.diag(1.0 / y) + 1.0 / (1.0 - y.sum())
+    np.testing.assert_allclose(analytic, fd_jacobian(h, y, a), atol=1e-6)
 
 
 def test_mixed_logit_inverse_round_trip_and_jacobian():
+    """h inverts the share map, so dh/dy is the inverse share Jacobian."""
     h = MixedLogitInverse(mixed_logit(lognormal_mixing(0.0, 0.5)))
-    p = np.array([1.0, 2.0])
-    x2 = np.zeros((2, 0))
+    a = bundle([0.0, 0.0], [1.0, 2.0])
     y = np.array([0.3, 0.15])
-    v = h.apply(y, p, x2)
-    np.testing.assert_allclose(h.invert(v, p, x2), y, atol=1e-11)
-    fd = super(MixedLogitInverse, h).jac_y(y, p, x2)
-    np.testing.assert_allclose(h.jac_y(y, p, x2), fd, rtol=1e-4, atol=1e-6)
+    v = h.apply(y, a)
+    np.testing.assert_allclose(h.invert(v, a), y, atol=1e-11)
+    np.testing.assert_allclose(np.linalg.inv(share_jacobian(h.map, v, a)),
+                               fd_jacobian(h, y, a), rtol=1e-4, atol=1e-6)
 
 
-def test_affine_round_trip_and_validation():
-    h = Affine(A=[[2.0, 0.0], [1.0, 1.0]], b=[0.5, -0.5])
-    y = np.array([0.2, 0.3])
-    np.testing.assert_allclose(h.invert(h.apply(y, None, None), None, None),
-                               y, atol=1e-14)
-    with pytest.raises(ConfigError):
-        Affine(A=[[1.0, 1.0], [1.0, 1.0]], b=[0.0, 0.0])
-
-
-def test_monotone_spline_round_trip_including_tails():
-    h = MonotoneSpline(knots=[0.0, 0.5, 1.0], values=[0.0, 2.0, 3.0])
-    for y in (-0.5, 0.25, 0.75, 1.5):  # tails extrapolate linearly
-        v = h.apply(np.array([y]), None, None)
-        np.testing.assert_allclose(h.invert(v, None, None), [y], atol=1e-12)
-    with pytest.raises(ConfigError):
-        MonotoneSpline(knots=[0.0, 0.0], values=[0.0, 1.0])
-
-
-def test_phi_is_the_baseline_slice_of_h():
-    h = LogitInverse(alpha=0.5)
-    a0 = bundle([0.3], [1.5])
-    phi = Phi(h, a0)
-    y = np.array([0.4])
-    v = phi.inverse(y)
-    np.testing.assert_allclose(phi.apply(v), y, atol=1e-14)
-    np.testing.assert_allclose(v, h.apply_bundle(y, a0) - a0.x1)
-
+@pytest.mark.parametrize("h", [LogitInverse(alpha=0.5, gamma=(0.2,)),
+                               MixedLogitInverse(mixed_logit(lognormal_mixing(0.0, 0.5),
+                                                             gamma=(0.2,)))])
+def test_stacked_rows_match_one_market_calls(h):
+    """Rows under one Bundle, or under Bundles of their own, give what each
+    market gives on its own."""
+    y = np.array([[0.3, 0.2], [0.1, 0.6], [0.25, 0.25]])
+    a = bundle([0.0, 0.0], [1.0, 2.0], np.array([[0.3], [-0.4]]))
+    rows = Bundles.stack([a.replace(p=a.p + k) for k in range(3)])
+    one = np.array([h.apply(y[k], a) for k in range(3)])
+    np.testing.assert_allclose(h.apply(y, a), one, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(h.invert(one, a), y, rtol=0, atol=1e-11)
+    own = np.array([h.apply(y[k], a.replace(p=a.p + k)) for k in range(3)])
+    np.testing.assert_allclose(h.apply(y, rows), own, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(h.invert(own, rows), y, rtol=0, atol=1e-11)
