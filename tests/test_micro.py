@@ -2,7 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-
 from scipy.special import expit, logit
 
 from cdlab import micro as mi
