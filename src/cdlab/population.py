@@ -178,19 +178,6 @@ def market_rng(seed: int, *key: int) -> np.random.Generator:
     return next(market_rngs(seed, [key]))
 
 
-def _outcomes(spec: PopulationSpec, zeta, xi: np.ndarray, a: Bundles) -> np.ndarray:
-    """Validated (n, J) shares of n markets with types zeta and shocks xi at
-    their bundles a: one share-kernel call per type."""
-    zeta = np.asarray(zeta)
-    delta = a.x1 + xi
-    y = np.empty(delta.shape)
-    for t in range(spec.n_types):
-        rows = np.flatnonzero(zeta == t)
-        if len(rows):
-            y[rows] = shares_array(spec.share_map(t), delta[rows], a[rows])
-    return validate_share_rows(y)
-
-
 def sample_population(spec: PopulationSpec) -> list[MarketDraw]:
     """market_count i.i.d. draws; bit-identical across repeated calls. Each
     market's latent state and bundle come from its own substream, then the
@@ -211,6 +198,19 @@ def sample_population(spec: PopulationSpec) -> list[MarketDraw]:
     y = _outcomes(spec, zeta, xi, Bundles(x1, p, x2))
     return [MarketDraw(xi=xi[k], zeta=int(zeta[k]), y=SharesVector(y[k]),
                        a=Bundle(x1[k], p[k], x2[k]), z=z[k]) for k in range(n)]
+
+
+def _outcomes(spec: PopulationSpec, zeta, xi: np.ndarray, a: Bundles) -> np.ndarray:
+    """Validated (n, J) shares of n markets with types zeta and shocks xi at
+    their bundles a: one share-kernel call per type."""
+    zeta = np.asarray(zeta)
+    delta = a.x1 + xi
+    y = np.empty(delta.shape)
+    for t in range(spec.n_types):
+        rows = np.flatnonzero(zeta == t)
+        if len(rows):
+            y[rows] = shares_array(spec.share_map(t), delta[rows], a[rows])
+    return validate_share_rows(y)
 
 
 def true_counterfactuals(spec: PopulationSpec, xi, zeta, a: Bundle | Bundles) -> np.ndarray:
