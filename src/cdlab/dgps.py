@@ -13,6 +13,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import laws
+from .errors import ConfigError
 from .population import market_rngs
 from .types import Bundle, Bundles, MarketDraw, SharesVector, validate_share_rows
 
@@ -35,6 +36,15 @@ class ScaledX1Spec:
     xi_law: laws.Law = field(default_factory=lambda: laws.normal(0.0, 0.5))
     seed: int = 0
 
+    def __post_init__(self):
+        # The type draw searches these probabilities' CDF without the checks
+        # rng.choice makes, so a vector that is no distribution stops here.
+        probs = np.asarray(self.type_probabilities, dtype=float)
+        if (len(probs) != len(self.c_by_type) or np.any(probs < 0)
+                or abs(probs.sum() - 1.0) > 1e-10):
+            raise ConfigError(f"type_probabilities {self.type_probabilities} must be a "
+                              f"distribution over the {len(self.c_by_type)} types")
+
     def outcomes(self, zeta, x1, p, xi) -> np.ndarray:
         """Validated outcomes (n, 1) of n markets with types zeta (n,) and
         x1, p and shocks xi (n,)."""
@@ -54,8 +64,10 @@ def sample_scaled_x1_population(spec: ScaledX1Spec) -> list[MarketDraw]:
     n = spec.market_count
     zeta = np.empty(n, dtype=int)
     xi, x1, p = np.empty((n, 1)), np.empty((n, 1)), np.empty((n, 1))
+    cdf = np.cumsum(spec.type_probabilities)  # rng.choice's CDF, built once
+    cdf /= cdf[-1]
     for i, rng in enumerate(market_rngs(spec.seed, range(n))):
-        zeta[i] = rng.choice(len(spec.c_by_type), p=spec.type_probabilities)
+        zeta[i] = cdf.searchsorted(rng.random(), side="right")
         xi[i] = spec.xi_law.sample(rng, 1)
         x1[i] = spec.x1_law.sample(rng, 1)
         p[i] = spec.price_law.sample(rng, 1)

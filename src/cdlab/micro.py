@@ -407,54 +407,71 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
                      a: Bundle, y0: np.ndarray | None = None,
                      starts: int = 8, seed: int = 0,
                      tol: float = PARALLEL_TOL) -> MicroCandidate:
-    """Minimize the parallelism residual over the candidate family.
+    """Minimize the parallelism residual over a one-parameter candidate family.
 
-    Raises NotIdentified when two near-optimal candidates differ by more
-    than a vertical shift.
+    Scan: the residual at both bounds and at the `starts` points a Latin
+    hypercube seeded with `seed` draws between them, in increasing order.
+    NotIdentified test, on the scan: scan points whose residual is within
+    `tol` of the scan minimum must give candidates that agree with the best
+    one up to a vertical shift. A flat family ties the whole scan, so it is
+    caught here, before a refinement that needs a strict bracket.
+    Refinement: Brent's method on the bracket formed by the best scan point
+    and its two neighbours; when the best scan point is a bound, a bounded
+    search between it and its neighbour. The scan point is kept when its
+    residual is lower. A family with more than one parameter is a
+    ConfigError.
     """
-    from scipy.optimize import minimize
+    from scipy.optimize import minimize_scalar
     from scipy.stats import qmc
 
     if len(profiles) < 2:
         raise ConfigError("need at least 2 markets")
-    bounds = np.asarray(family.bounds, dtype=float)
-    dim = len(bounds)
+    if len(family.bounds) != 1:
+        raise ConfigError(f"candidate family {family.name!r} has {len(family.bounds)} "
+                          "parameters; the search takes one")
+    lo, hi = (float(b) for b in family.bounds[0])
 
     failures = 0
+    seen: dict[float, float] = {}  # the refinement re-evaluates its bracket
 
-    def objective(params):
+    def objective(x):
         nonlocal failures
-        try:
-            return parallel_residual(family.build(params), profiles, a)
-        except (NoConvergence, FloatingPointError):
-            failures += 1
-            return 1e6
+        x = float(x)
+        if x not in seen:
+            try:
+                seen[x] = parallel_residual(family.build(np.array([x])), profiles, a)
+            except (NoConvergence, FloatingPointError):
+                failures += 1
+                seen[x] = 1e6
+        return seen[x]
 
-    sampler = qmc.LatinHypercube(d=dim, seed=seed)
-    pts = bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * sampler.random(starts)
-    sols = []
-    for s in pts:
-        res = minimize(objective, s, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 600})
-        sols.append((float(res.fun), res.x))
-    sols.sort(key=lambda t: (t[0], tuple(t[1])))
-    best_res, best_params = sols[0]
+    draws = lo + (hi - lo) * qmc.LatinHypercube(d=1, seed=seed).random(starts)[:, 0]
+    xs = np.concatenate([[lo], np.sort(draws), [hi]])
+    rs = np.array([objective(x) for x in xs])
+    i = int(np.argmin(rs))
 
-    # Distinct near-optimal candidates must agree up to a vertical shift.
-    probe = profiles[0].shares
-    h_best = family.build(best_params)
-    ref = h_best(probe, a)
-    for r, params in sols[1:]:
-        if r > best_res + tol:
-            continue
-        other = family.build(params)(probe, a)
-        aligned = (other - other[0]) - (ref - ref[0])
-        if np.max(np.abs(aligned)) > 100 * tol:
-            raise NotIdentified("near-optimal candidates differ beyond a vertical shift",
-                                candidates=[best_params, params])
+    # Near-optimal scan points must agree with the best one up to a vertical shift.
+    near = [j for j in np.flatnonzero(rs <= rs[i] + tol) if j != i]
+    if near:
+        probe = profiles[0].shares
+        ref = family.build(xs[i:i + 1])(probe, a)
+        for j in near:
+            other = family.build(xs[j:j + 1])(probe, a)
+            aligned = (other - other[0]) - (ref - ref[0])
+            if np.max(np.abs(aligned)) > 100 * tol:
+                raise NotIdentified("near-optimal candidates differ beyond a vertical shift",
+                                    candidates=[xs[i:i + 1], xs[j:j + 1]])
 
-    return _normalize_candidate(h_best, best_params, best_res, profiles, a, y0,
-                                failures)
+    if 0 < i < len(xs) - 1:
+        res = minimize_scalar(objective, bracket=(xs[i - 1], xs[i], xs[i + 1]),
+                              method="brent", options={"xtol": 1e-10})
+    else:
+        res = minimize_scalar(objective, bounds=(xs[0], xs[1]) if i == 0 else (xs[-2], xs[-1]),
+                              method="bounded", options={"xatol": 1e-10})
+    best_x, best_res = (float(res.x), float(res.fun)) if res.fun < rs[i] else (xs[i], rs[i])
+    best_params = np.array([best_x])
+    return _normalize_candidate(family.build(best_params), best_params, best_res,
+                                profiles, a, y0, failures)
 
 
 def _normalize_candidate(h_raw: Candidate, params, residual,

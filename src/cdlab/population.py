@@ -186,8 +186,13 @@ def sample_population(spec: PopulationSpec) -> list[MarketDraw]:
     zeta = np.empty(n, dtype=int)
     xi, x1, p, z = (np.empty((n, J)) for _ in range(4))
     x2 = np.empty((n, J, d2))
+    # rng.choice(n_types, p=...) draws one double and searches this CDF;
+    # building it once per population instead of once per draw keeps each
+    # draw and the stream position the same.
+    cdf = np.cumsum(spec.type_probabilities)
+    cdf /= cdf[-1]
     for k, rng in enumerate(market_rngs(spec.seed, range(n))):
-        zeta[k] = rng.choice(spec.n_types, p=spec.type_probabilities)
+        zeta[k] = cdf.searchsorted(rng.random(), side="right")
         xi[k] = spec.xi_law.sample(rng, J)
         x1[k] = spec.x1_law.sample(rng, J)
         p[k] = spec.price_law.sample(rng, J)

@@ -409,6 +409,54 @@ def test_identify_raises_not_identified_on_flat_family():
     assert len(err.value.candidates) == 2
 
 
+def counting(family):
+    """The family with a list that grows by one per build call."""
+    calls = []
+
+    def build(params):
+        calls.append(float(params[0]))
+        return family.build(params)
+
+    return dataclasses.replace(family, build=build), calls
+
+
+def test_identify_builds_few_candidates_per_fit():
+    """Cost guard on the micro-completion benchmark's level-0 fit at seed
+    7919: a scan of 5 points and one Brent refinement stay under 60 builds."""
+    dgp = micro_dgp()
+    spec = mi.MicroPopulationSpec(market_count=8, price_levels=(0.5, 1.0, 1.5, 2.0),
+                                  w_grid=tuple(np.linspace(-1.0, 1.0, 20)),
+                                  seed=7919 + 8, assignment="stratified")
+    markets = mi.simulate_micro(dgp, spec)
+    fam, calls = counting(mi.sigma_family(dgp, alpha_fixed=0.0))
+    cand = mi.identify_h_and_g(fam, [m.profile for m in markets if m.level == 0],
+                               spec.level_bundle(dgp, 0), y0=np.array([0.3]),
+                               starts=3, seed=7919)
+    assert len(calls) <= 60
+    assert abs(cand.params[0] - 0.8) < 1e-8
+
+
+def test_identify_finds_a_minimum_at_a_bound():
+    """On a plain-logit DGP the best sigma is the lower bound 0."""
+    dgp = mi.MicroDgp(Pi=np.array([[1.0]]), sigma=np.array([0.0]), alpha=1.0)
+    spec = spec_1d(n=20, seed=5)
+    markets = mi.simulate_micro(dgp, spec)
+    cand = mi.identify_h_and_g(mi.sigma_family(dgp, alpha_fixed=0.0),
+                               [m.profile for m in markets], spec.level_bundle(dgp, 0),
+                               y0=np.array([0.3]), starts=3, seed=0)
+    assert abs(cand.params[0]) < 1e-5
+    assert cand.residual <= 1e-10
+
+
+def test_identify_rejects_a_two_parameter_family():
+    dgp = dgp_1d()
+    markets = mi.simulate_micro(dgp, spec_1d(n=4, seed=5))
+    fam = dataclasses.replace(mi.sigma_family(dgp), bounds=((0.0, 4.0), (0.0, 1.0)),
+                              name="two-parameter")
+    with pytest.raises(ConfigError, match="two-parameter"):
+        mi.identify_h_and_g(fam, [m.profile for m in markets], markets[0].a)
+
+
 def complete_small_model(seed=0):
     dgp = dgp_1d()
     K = 3

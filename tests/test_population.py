@@ -199,6 +199,38 @@ def test_batched_sampling_and_truth_match_per_market_shares(spec, block, monkeyp
         assert true_counterfactual(spec, d, target) == SharesVector(row)
 
 
+TYPE_PROBABILITIES = [(1.0,), (0.5, 0.5), (0.4, 0.6), (0.999, 0.001),
+                      (0.1, 0.2, 0.3, 0.4)]
+
+
+@pytest.mark.parametrize("probs", TYPE_PROBABILITIES)
+def test_type_draws_match_rng_choice_and_keep_the_stream_position(probs):
+    """Reference: rng.choice(n_types, p=probs) on each market's substream,
+    then the shock law, whose draw is equal only if the type draw left the
+    stream where rng.choice leaves it."""
+    from cdlab.dgps import ScaledX1Spec, sample_scaled_x1_population
+
+    n = 1000
+    spec = PopulationSpec(J=1, market_count=n, seed=11,
+                          mixing_by_type=tuple(lognormal_mixing(0.0, 0.5) for _ in probs),
+                          type_probabilities=probs)
+    scaled = ScaledX1Spec(market_count=n, c_by_type=tuple(range(1, len(probs) + 1)),
+                          type_probabilities=probs, seed=12)
+    for s, pop in ((spec, sample_population(spec)),
+                   (scaled, sample_scaled_x1_population(scaled))):
+        for d, rng in zip(pop, market_rngs(s.seed, range(n))):
+            assert d.zeta == rng.choice(len(probs), p=probs)
+            np.testing.assert_array_equal(d.xi, s.xi_law.sample(rng, 1))
+
+
+@pytest.mark.parametrize("probs", [(0.5, 0.6), (1.2, -0.2), (1.0,)])
+def test_scaled_x1_spec_rejects_a_vector_that_is_no_type_distribution(probs):
+    from cdlab.dgps import ScaledX1Spec
+
+    with pytest.raises(ConfigError, match="type_probabilities"):
+        ScaledX1Spec(market_count=1, type_probabilities=probs)
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_batched_sampling_and_truth_at_zero_and_one_market(n):
     spec = two_type_spec(n=n, seed=6)
