@@ -43,6 +43,9 @@ CASES = {
     "price-ccs": ["price-ccs", "--seed", str(SEED), "--set", "market_count=40"],
     "fig1": ["fig1", "--seed", str(SEED), "--set", "market_count=40",
              "--set", "curves_plotted=4"],
+    # The acceptance criteria that run in about a second, at the gate's own
+    # seed 0; acceptance also writes the fig1 and fig2 artifacts.
+    "acceptance": ["acceptance", "--seed", "0", "--set", "criteria=[1,2,5,6,7,9]"],
 }
 
 

@@ -68,6 +68,6 @@ def test_cell_comparison_rules():
     assert cells_agree("0", "0")
 
 
-def test_every_subcommand_but_acceptance_has_a_golden_case():
+def test_every_subcommand_has_a_golden_case():
     from cdlab import cli
-    assert set(cli.RUNNERS) - {"acceptance"} == set(regen.CASES)
+    assert set(cli.RUNNERS) == set(regen.CASES)
