@@ -26,7 +26,7 @@ from .errors import (
     SimplexViolation,
 )
 from .inversion import InversionConfig, invert, structural_shock
-from .population import PopulationSpec, sample_population, true_counterfactual
+from .population import Population, PopulationSpec, sample_population, true_counterfactual
 from .types import (
     Bundle,
     MarketDraw,
@@ -56,6 +56,7 @@ __all__ = [
     "NoConvergence",
     "NonUnique",
     "NotIdentified",
+    "Population",
     "PopulationSpec",
     "RootNotBracketed",
     "ShareMap",

@@ -11,22 +11,20 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
+from scipy.special import expit
 
 from . import extrapolation as ex
-from . import laws
 from . import micro as mi
 from .counterfactual import verify_theorem1
-from .demand import mixed_logit, shares_array
+from .demand import mixed_logit, share_curve_1d, shares_array
 from .dgps import ScaledX1Spec, sample_scaled_x1_population
 from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
 from .inversion import invert_rows
-from .population import (PopulationSpec, market_rng, market_rngs, potential_outcomes,
-                         sample_population)
+from .population import PopulationSpec, market_rng, market_rngs, sample_population
 from .transforms import LogitInverse, MixedLogitInverse
-from .types import Bundle, Bundles, SharesVector, bundle, lognormal_mixing, validate_share_rows
+from .types import Bundles, bundle, lognormal_mixing, validate_share_rows
 
 
 @dataclass
@@ -107,14 +105,13 @@ def criterion_2(seed: int) -> CriterionResult:
     a0 = bundle(np.zeros(spec.J), np.full(spec.J, 1.5))
     grid = [bundle(np.full(spec.J, x1), np.full(spec.J, p))
             for x1, p in zip(np.linspace(-0.5, 0.5, 10), np.linspace(0.6, 2.8, 10))]
-    rep = verify_theorem1(MixedLogitInverse(m), a0, grid, pop,
-                          partial(potential_outcomes, spec))
+    rep = verify_theorem1(MixedLogitInverse(m), a0, grid, pop, spec.truth)
 
     fig1 = Fig1Spec(market_count=100, seed=seed + 2)
-    fpop = sample_population(fig1.population_spec())
+    fspec = fig1.population_spec()
     fgrid = [bundle(0.0, p) for p in np.linspace(0.6, 2.8, 10)]
     frep = verify_theorem1(MixedLogitInverse(mixed_logit(fig1.blue)), bundle(0.0, 1.5), fgrid,
-                           fpop, partial(potential_outcomes, fig1.population_spec()))
+                           sample_population(fspec), fspec.truth)
     return CriterionResult(2, "theorem 1 equivalence", checks=[
         Check("index_model", rep.max_index_model, 1e-8, "<="),
         Check("inverse_model", rep.max_inverse_model, 1e-8, "<="),
@@ -126,19 +123,16 @@ def criterion_2(seed: int) -> CriterionResult:
 @_timed
 def criterion_3(seed: int) -> CriterionResult:
     """Crossing demand curves through each sampled market's (P, Y)."""
-    from .demand import share_curve_1d
-
     spec = Fig1Spec(market_count=2000, seed=seed + 3)
     pop = sample_population(spec.population_spec())
     good = 0
-    for draw, pair in zip(pop, crossing_curves(spec, pop)):
+    for i, pair in enumerate(crossing_curves(spec, pop)):
         if pair is None:  # the opposite type cannot reach the observed share
             continue
-        price = float(draw.a.p[0])
-        y_obs = float(draw.y.values[0])
-        opp_mix = spec.mixing(1 - draw.zeta)
+        y_obs = float(pop.y[i, 0])
+        opp_mix = spec.mixing(1 - pop.zeta[i])
         at_p = float(share_curve_1d(opp_mix, np.array(pair.xi_opposite),
-                                    np.array(price), spec.quad_nodes))
+                                    pop.a.p[i, 0], spec.quad_nodes))
         if abs(at_p - y_obs) <= 1e-8 and abs(pair.own_slope - pair.opposite_slope) > 1e-3:
             good += 1
     return CriterionResult(3, "crossing demand curves", budget=30.0, checks=[
@@ -173,8 +167,6 @@ def demeaned_oracle_data(seed: int, n: int = 10_000, levels: int = 4):
     precision rather than sampling precision. Block b's shock and
     permutation come from substreams (b, 1) and (b, 2).
     """
-    from scipy.special import expit
-
     mu = np.array([0.0, 0.7, -0.4, 1.2])[:levels]
     blocks = range(-(-n // levels))
     shocks = [r.normal(0.0, 0.8) for r in market_rngs(seed, [(b, 1) for b in blocks])]
@@ -182,16 +174,12 @@ def demeaned_oracle_data(seed: int, n: int = 10_000, levels: int = 4):
     xi = np.repeat(np.array(shocks, dtype=float), levels)[:n]
     lev = np.array(perms, dtype=int).reshape(-1)[:n]
     y = validate_share_rows(expit(mu[lev] + xi)[:, None])[:, 0]
-    z = lev.astype(float)[:, None]
-    data = [ex.Obs(yi, li, zi) for yi, li, zi in zip(y.tolist(), lev.tolist(), z)]
-    return data, xi.tolist(), mu
+    return ex.ObsSet(y, lev, lev.astype(float)[:, None]), xi, mu
 
 
 def _pl_data(seed: int, n: int, x2: bool = True):
     """Partially linear logit data, market i from substream i:
     Y = Lambda(x1 - 1.3 p + 0.6 x2 + xi), instruments (p, x2)."""
-    from scipy.special import expit
-
     d2 = int(x2)
     draws = np.empty((n, 3 + d2))  # xi, x1, p and x2 of each market
     for i, rng in enumerate(market_rngs(seed, range(n))):
@@ -202,18 +190,14 @@ def _pl_data(seed: int, n: int, x2: bool = True):
             draws[i, 3] = rng.uniform(-1.0, 1.0)
     xi, x1, p = draws[:, 0], draws[:, 1], draws[:, 2]
     index = x1 - 1.3 * p + 0.6 * draws[:, 3] if x2 else x1 - 1.3 * p
-    y = validate_share_rows(expit(index + xi)[:, None])
-    z = draws[:, 2:]  # (p, x2) or (p,)
-    return [ex.Obs(SharesVector(y[i]), Bundle(x1[i:i + 1], p[i:i + 1],
-                                              draws[i, 3:].reshape(1, d2)), z[i])
-            for i in range(n)]
+    y = validate_share_rows(expit(index + xi)[:, None])[:, 0]
+    a = Bundles(x1[:, None], p[:, None], draws[:, 3:].reshape(n, 1, d2))
+    return ex.ObsSet(y, a, draws[:, 2:])  # instruments (p, x2) or (p,)
 
 
 @_timed
 def criterion_5(seed: int) -> CriterionResult:
     """Extrapolation identity for all families; demeaned-family oracle."""
-    from scipy.special import expit
-
     data, shocks, mu = demeaned_oracle_data(seed + 5)
     dfam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
     qfam, _ = ex.solve_orthogonality(ex.quantile_family(), data[:2000])
@@ -222,14 +206,13 @@ def criterion_5(seed: int) -> CriterionResult:
 
     ident = 0.0
     for fam, obs in ((dfam, data[:20]), (qfam, data[:20]), (pfam, pl_data[:20])):
-        y, a = ex.stack_obs(obs)
-        ident = max(ident, float(np.max(np.abs(ex.extrapolate(fam, y, a, a) - y))))
+        same = ex.extrapolate(fam, obs.y, obs.a, obs.a)
+        ident = max(ident, float(np.max(np.abs(same - obs.y))))
 
-    y, a = ex.stack_obs(data[:1000])
-    xi = np.array(shocks[:1000])
+    head, xi = data[:1000], shocks[:1000]
     oracle = 0.0
     for t in range(len(mu)):
-        pred = ex.extrapolate(dfam, y, a, t)
+        pred = ex.extrapolate(dfam, head.y, head.a, t)
         oracle = max(oracle, float(np.max(np.abs(pred - expit(mu[t] + xi)))))
     return CriterionResult(5, "extrapolation identity and oracle", checks=[
         Check("same_treatment_identity", ident, 0.0, "<="),
@@ -245,8 +228,7 @@ def criterion_6(seed: int) -> CriterionResult:
     r1 = ex.check_prop32(dfam, data[:50], targets=list(range(len(mu))))
     pl_data = _pl_data(seed + 6, 1000)
     pfam, _ = ex.solve_orthogonality(ex.partially_linear_family(n_params=2), pl_data)
-    targets = [o.a.replace(p=np.array([pp]))
-               for o, pp in zip(pl_data[:10], np.linspace(0.6, 2.8, 10))]
+    targets = pl_data.a[:10].replace(p=np.linspace(0.6, 2.8, 10)[:, None])
     r2 = ex.check_prop32(pfam, pl_data[:50], targets=targets)
     return CriterionResult(6, "rule/structural agreement", checks=[
         Check("demeaned_max_gap", r1.max_gap, 1e-10, "<="),

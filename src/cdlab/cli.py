@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +27,10 @@ from .dgps import ScaledX1Spec, sample_scaled_x1_population
 from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
 from .errors import CdlabError, ConfigError, RootNotBracketed
 from .inversion import invert_rows
-from .population import (PopulationSpec, check_seed, potential_outcomes, sample_population,
-                         true_counterfactuals)
+from .population import PopulationSpec, check_seed, sample_population
 from .svgplot import Panel, write_svg
 from .transforms import LogitInverse, MixedLogitInverse
-from .types import Bundles, bundle, lognormal_mixing
+from .types import bundle, lognormal_mixing
 
 #: Marker colors per latent type, matching the two-type figure convention.
 TYPE_COLORS = ("#1f77b4", "#ff7f0e")
@@ -60,80 +58,85 @@ def _population(cfg: ExperimentConfig) -> PopulationSpec:
     return _default_population(cfg.seed)
 
 
+def _require_markets(n: int) -> int:
+    """n, the run's market count; a run over no markets is a ConfigError."""
+    if n < 1:
+        raise ConfigError(f"need at least 1 market, got market_count={n}")
+    return n
+
+
+def _market_rows(*columns):
+    """One CSV row per market and product, market by market, from columns
+    that broadcast to (n, J): (n, 1) for a market's value, (J,) a product's."""
+    return zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*columns)))
+
+
+def _types(spec: PopulationSpec, zeta: np.ndarray):
+    """Each type present in zeta, with the rows that have it."""
+    return [(t, r) for t in range(spec.n_types) if len(r := np.flatnonzero(zeta == t))]
+
+
 # --- experiments -------------------------------------------------------------
 
 def run_simulate(cfg: ExperimentConfig, out: Path) -> None:
-    spec = _population(cfg)
-    rows = []
-    for i, d in enumerate(sample_population(spec)):
-        for j in range(spec.J):
-            rows.append([i, d.zeta, j, float(d.a.x1[j]), float(d.a.p[j]),
-                         float(d.xi[j]), float(d.z[j]), float(d.y.values[j])])
+    pop = sample_population(_population(cfg))
     write_csv(out / "population.csv",
               ["market_id", "type", "product", "x1", "p", "xi", "z", "share"],
-              rows)
-
-
-def _stacked(spec: PopulationSpec, pop):
-    """The sampled markets' shares (n, J), bundles and types, and the rows
-    of each type present."""
-    y = np.array([d.y.values for d in pop]).reshape(len(pop), spec.J)
-    zeta = np.array([d.zeta for d in pop], dtype=int)
-    types = [(t, r) for t in range(spec.n_types) if len(r := np.flatnonzero(zeta == t))]
-    return y, Bundles.stack([d.a for d in pop]), zeta, types
+              _market_rows(np.arange(len(pop))[:, None], pop.zeta[:, None],
+                           np.arange(pop.y.shape[1]), pop.a.x1, pop.a.p, pop.xi, pop.z, pop.y))
 
 
 def run_invert(cfg: ExperimentConfig, out: Path) -> None:
     spec = _population(cfg)
     pop = sample_population(spec)
-    y, a, _, types = _stacked(spec, pop)
+    y, a = pop.y, pop.a
     delta, resid = np.empty(y.shape), np.empty(len(pop))
-    for t, r in types:  # all markets of a type in one solve
+    for t, r in _types(spec, pop.zeta):  # all markets of a type in one solve
         m = spec.share_map(t)
         delta[r] = invert_rows(m, y[r], a[r], ids=r)
         resid[r] = np.abs(shares_array(m, delta[r], a[r]) - y[r]).max(axis=1)
-    rows = [[i, j, float(delta[i, j]), float(d.a.x1[j] + d.xi[j]), float(resid[i])]
-            for i, d in enumerate(pop) for j in range(spec.J)]
     write_csv(out / "inversion.csv",
               ["market_id", "product", "delta_hat", "delta_true", "residual"],
-              rows)
+              _market_rows(np.arange(len(pop))[:, None], np.arange(spec.J), delta,
+                           a.x1 + pop.xi, resid[:, None]))
 
 
 def run_predict(cfg: ExperimentConfig, out: Path) -> None:
     spec = _population(cfg)
+    _require_markets(spec.market_count)
     price_shift = float(cfg.options.get("price_shift", 0.5))
     pop = sample_population(spec)
-    y, a, zeta, types = _stacked(spec, pop)
+    y, a = pop.y, pop.a
     target = a.replace(p=a.p + price_shift)
     pred = np.empty(y.shape)
-    for t, r in types:  # all markets of a type in one solve
+    for t, r in _types(spec, pop.zeta):  # all markets of a type in one solve
         pred[r] = CounterfactualEngine(spec.share_map(t)).predict(y[r], a[r], target[r])
-    truth = true_counterfactuals(spec, [d.xi for d in pop], zeta, target)
-    rows = [[i, j, float(y[i, j]), float(pred[i, j]), float(truth[i, j])]
-            for i in range(len(pop)) for j in range(spec.J)]
     write_csv(out / "predictions.csv",
               ["market_id", "product", "observed_share", "predicted_share",
-               "true_share"], rows)
+               "true_share"],
+              _market_rows(np.arange(len(pop))[:, None], np.arange(spec.J), y, pred,
+                           spec.truth(pop, target)))
 
 
 def run_fig1(cfg: ExperimentConfig, out: Path) -> None:
-    spec = Fig1Spec(market_count=int(cfg.options.get("market_count", 2000)),
+    spec = Fig1Spec(market_count=_require_markets(int(cfg.options.get("market_count", 2000))),
                     seed=cfg.seed)
     plotted = int(cfg.options.get("curves_plotted", 12))
     pop = sample_population(spec.population_spec())
+    shown = pop[:plotted]
     rows = []
     panel = Panel(title="crossing demand curves", xlabel="price", ylabel="share")
     labels = {0: "type 0", 1: "type 1"}
-    for i, (d, pair) in enumerate(zip(pop[:plotted], crossing_curves(spec, pop[:plotted]))):
+    for i, (zeta, pair) in enumerate(zip(shown.zeta.tolist(), crossing_curves(spec, shown))):
         if pair is None:
-            raise RootNotBracketed(f"market {i}: share {d.y.values[0]} unreachable "
+            raise RootNotBracketed(f"market {i}: share {shown.y[i, 0]} unreachable "
                                    f"by the opposite type")
         for g, own, opp in zip(pair.grid, pair.own, pair.opposite):
-            rows.append([i, d.zeta, float(g), float(own), float(opp)])
-        panel.add(pair.grid, pair.own, color=TYPE_COLORS[d.zeta],
-                  label=labels.pop(d.zeta, ""))
-        panel.add(pair.grid, pair.opposite, color=TYPE_COLORS[1 - d.zeta],
-                  label=labels.pop(1 - d.zeta, ""), dash="4,3")
+            rows.append([i, zeta, float(g), float(own), float(opp)])
+        panel.add(pair.grid, pair.own, color=TYPE_COLORS[zeta],
+                  label=labels.pop(zeta, ""))
+        panel.add(pair.grid, pair.opposite, color=TYPE_COLORS[1 - zeta],
+                  label=labels.pop(1 - zeta, ""), dash="4,3")
     write_csv(out / "curves.csv",
               ["market_id", "type", "grid_price", "own_share", "opposite_share"],
               rows)
@@ -162,8 +165,7 @@ def run_verify_thm1(cfg: ExperimentConfig, out: Path) -> None:
     a0 = bundle(np.zeros(spec.J), np.full(spec.J, 1.5))
     grid = [bundle(np.full(spec.J, x1), np.full(spec.J, p))
             for x1, p in zip(np.linspace(-0.5, 0.5, 10), np.linspace(0.6, 2.8, 10))]
-    rep = verify_theorem1(MixedLogitInverse(m), a0, grid, pop,
-                          partial(potential_outcomes, spec))
+    rep = verify_theorem1(MixedLogitInverse(m), a0, grid, pop, spec.truth)
     write_csv(out / "thm1_report.csv", ["check", "max_deviation", "passed"],
               [[name, val, passed] for name, val, passed in rep.rows()])
     if not rep.passed:
@@ -199,7 +201,7 @@ def run_verify_thm2(cfg: ExperimentConfig, out: Path) -> None:
 def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
     dgp = acc.micro_dgp()
     spec = mi.MicroPopulationSpec(
-        market_count=int(cfg.options.get("market_count", 12)),
+        market_count=_require_markets(int(cfg.options.get("market_count", 12))),
         price_levels=(1.5,),
         w_grid=tuple(cfg.options.get("w_grid", np.linspace(-1.0, 1.0, 20))),
         seed=cfg.seed)
@@ -234,9 +236,9 @@ def run_extrapolate(cfg: ExperimentConfig, out: Path) -> None:
     n = int(cfg.options.get("n", 2000))
     data, _, mu = acc.demeaned_oracle_data(cfg.seed, n=n)
     fam, rep = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
-    y, a = ex.stack_obs(data[:200])
-    pred = np.array([ex.extrapolate(fam, y, a, t) for t in range(len(mu))])
-    rows = [[i, t, float(pred[t, i])] for i in range(len(y)) for t in range(len(mu))]
+    shown = data[:200]
+    pred = np.array([ex.extrapolate(fam, shown.y, shown.a, t) for t in range(len(mu))])
+    rows = [[i, t, float(pred[t, i])] for i in range(len(shown)) for t in range(len(mu))]
     write_csv(out / "predictions.csv", ["market_id", "target_a", "y_tilde"], rows)
     # A fit that is not unique raises NonUnique, so `unique` is always True;
     # the column stays because perfbench's transport-rules check reads it.

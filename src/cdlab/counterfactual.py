@@ -16,9 +16,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .demand import ShareMap, shares_array
+from .errors import ConfigError
 from .inversion import DEFAULT_INVERSION, InversionConfig, invert_rows
+from .population import Population
 from .transforms import Transform
-from .types import Bundle, Bundles, MarketDraw, SharesVector, validate_share_rows
+from .types import Bundle, Bundles, SharesVector, validate_share_rows
 
 EQUIV_TOL = 1e-8
 
@@ -70,8 +72,8 @@ class EquivalenceReport:
 
 
 def verify_theorem1(h: Transform, a0: Bundle, grid: Sequence[Bundle],
-                    population: Sequence[MarketDraw],
-                    truth: Callable[[Sequence[MarketDraw], Bundle], np.ndarray],
+                    population: Population,
+                    truth: Callable[[Population, Bundle], np.ndarray],
                     tol: float = EQUIV_TOL) -> EquivalenceReport:
     """Check the three equivalent homogeneity formulations numerically for
     the outcome transform h with baseline bundle a0.
@@ -82,8 +84,10 @@ def verify_theorem1(h: Transform, a0: Bundle, grid: Sequence[Bundle],
     population whose DGP satisfies homogeneity with the given (h, a0), all
     three maxima should be at solver tolerance; on a heterogeneous
     (multi-type) population the transformed-shift check fails for any
-    single (h, a0).
+    single (h, a0). No markets is a ConfigError, not a vacuous pass.
     """
+    if not len(population):
+        raise ConfigError("theorem 1 check needs at least 1 market, got 0")
     m1 = m2 = m3 = 0.0
     h0 = h.apply(truth(population, a0), a0)
     xi = h0 - a0.x1  # phi^{-1}(Y(a0)), phi the baseline map of (h, a0)
@@ -91,7 +95,7 @@ def verify_theorem1(h: Transform, a0: Bundle, grid: Sequence[Bundle],
         ya = truth(population, a)
         ha = h.apply(ya, a)
         pred = h.invert(a.x1 + xi, a)
-        m1 = max(m1, float(np.max(np.abs(ya - pred), initial=0.0)))
-        m2 = max(m2, float(np.max(np.abs(a.x1 + xi - ha), initial=0.0)))
-        m3 = max(m3, float(np.max(np.abs(ha - h0 - (a.x1 - a0.x1)), initial=0.0)))
+        m1 = max(m1, float(np.max(np.abs(ya - pred))))
+        m2 = max(m2, float(np.max(np.abs(a.x1 + xi - ha))))
+        m3 = max(m3, float(np.max(np.abs(ha - h0 - (a.x1 - a0.x1)))))
     return EquivalenceReport(m1, m2, m3, tol=tol)

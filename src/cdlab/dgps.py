@@ -14,8 +14,8 @@ from scipy.special import expit
 
 from . import laws
 from .errors import ConfigError
-from .population import market_rngs
-from .types import Bundle, Bundles, MarketDraw, SharesVector, validate_share_rows
+from .population import Population, market_rngs
+from .types import Bundles, validate_share_rows
 
 
 @dataclass(frozen=True)
@@ -51,30 +51,23 @@ class ScaledX1Spec:
         c = np.asarray(self.c_by_type, dtype=float)[np.asarray(zeta, dtype=int)]
         return validate_share_rows(expit(c * x1 - self.alpha * p + xi)[:, None])
 
-    def truth(self, draws, a: Bundles) -> np.ndarray:
-        """Potential outcomes (n, 1) of the markets `draws` at their bundles
-        a, one row each, from their stored types and shocks."""
-        return self.outcomes([d.zeta for d in draws], a.x1[:, 0], a.p[:, 0],
-                             np.array([d.xi[0] for d in draws]))
+    def truth(self, pop: Population, a: Bundles) -> np.ndarray:
+        """Potential outcomes (n, 1) of the sampled markets pop at their
+        bundles a, one row each, from their stored types and shocks."""
+        return self.outcomes(pop.zeta, a.x1[:, 0], a.p[:, 0], pop.xi[:, 0])
 
 
-def sample_scaled_x1_population(spec: ScaledX1Spec) -> list[MarketDraw]:
+def sample_scaled_x1_population(spec: ScaledX1Spec) -> Population:
     """Market i's type, shock, x1 and price from its own substream; the
     outcomes of all markets at once."""
     n = spec.market_count
     zeta = np.empty(n, dtype=int)
     xi, x1, p = np.empty((n, 1)), np.empty((n, 1)), np.empty((n, 1))
-    cdf = np.cumsum(spec.type_probabilities)  # rng.choice's CDF, built once
-    cdf /= cdf[-1]
+    draw_type = laws.categorical(spec.type_probabilities)
     for i, rng in enumerate(market_rngs(spec.seed, range(n))):
-        zeta[i] = cdf.searchsorted(rng.random(), side="right")
+        zeta[i] = draw_type(rng)
         xi[i] = spec.xi_law.sample(rng, 1)
         x1[i] = spec.x1_law.sample(rng, 1)
         p[i] = spec.price_law.sample(rng, 1)
-    y = spec.outcomes(zeta, x1[:, 0], p[:, 0], xi[:, 0])
-    z = p.copy()
-    xi.setflags(write=False)  # each MarketDraw holds a view of its row
-    z.setflags(write=False)
-    return [MarketDraw(xi=xi[i], zeta=int(zeta[i]), y=SharesVector(y[i]),
-                       a=Bundle(x1[i], p[i], np.zeros((1, 0))), z=z[i])
-            for i in range(n)]
+    return Population.frozen(zeta, xi, spec.outcomes(zeta, x1[:, 0], p[:, 0], xi[:, 0]),
+                             Bundles(x1, p, np.zeros((n, 1, 0))), p.copy())

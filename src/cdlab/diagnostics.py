@@ -11,8 +11,8 @@ from . import laws
 from .demand import curve_offsets, share_curve_1d, share_curve_slope_1d
 from .errors import InsufficientData, RootNotBracketed
 from .inversion import solve_share_curve
-from .population import PopulationSpec, true_counterfactuals
-from .types import Bundle, MarketDraw, MixingSpec, lognormal_mixing
+from .population import Population, PopulationSpec, true_counterfactuals
+from .types import Bundle, MixingSpec, lognormal_mixing
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def _partition(values: np.ndarray, bins: int) -> list:
     return [leaf for leaf in leaves if len(leaf)]
 
 
-def conditional_variance(population: list[MarketDraw], spec: PopulationSpec,
+def conditional_variance(population: Population, spec: PopulationSpec,
                          a: Bundle, a_prime: Bundle, bins: int) -> float:
     """Estimate max-over-bins conditional variance of Y(a') given Y(a).
 
@@ -80,8 +80,7 @@ def conditional_variance(population: list[MarketDraw], spec: PopulationSpec,
     """
     if len(population) < 2:
         raise InsufficientData(f"need at least 2 markets, got {len(population)}")
-    xi = np.array([d.xi for d in population])
-    zeta = np.array([d.zeta for d in population])
+    xi, zeta = population.xi, population.zeta
     ya = true_counterfactuals(spec, xi, zeta, a)
     yap = true_counterfactuals(spec, xi, zeta, a_prime)
     groups = _partition(ya, bins)
@@ -130,7 +129,7 @@ class CurvePair:
     xi_opposite: float
 
 
-def crossing_curves(spec: Fig1Spec, markets: list[MarketDraw]) -> list:
+def crossing_curves(spec: Fig1Spec, markets: Population) -> list:
     """Single-product price curves through each market's observed point.
 
     The own curve uses the market's stored latent state; the opposite-type
@@ -140,13 +139,11 @@ def crossing_curves(spec: Fig1Spec, markets: list[MarketDraw]) -> list:
     each serve its own and its opposite curves. A market whose observed
     share no curve can reach gets None in place of its pair.
     """
-    if any(d.a.J != 1 for d in markets):
+    if markets.y.shape[1] != 1:
         raise ValueError("crossing curves are defined for J = 1")
     grid = np.asarray(spec.curve_grid, dtype=float)
-    zeta = np.array([d.zeta for d in markets], dtype=int)
-    price = np.array([d.a.p[0] for d in markets], dtype=float)
-    y_obs = np.array([d.y.values[0] for d in markets], dtype=float)
-    delta = np.array([d.a.x1[0] + d.xi[0] for d in markets], dtype=float)
+    zeta, price, y_obs = markets.zeta, markets.a.p[:, 0], markets.y[:, 0]
+    delta = markets.a.x1[:, 0] + markets.xi[:, 0]
     n, reachable = len(markets), (0.0 < y_obs) & (y_obs < 1.0)
     xi_opp = np.full(n, np.nan)
     own, opp = np.empty((n, len(grid))), np.full((n, len(grid)), np.nan)
@@ -163,14 +160,4 @@ def crossing_curves(spec: Fig1Spec, markets: list[MarketDraw]) -> list:
             slopes[rows] = share_curve_slope_1d(mix, d[rows], price[rows], spec.quad_nodes)
     return [CurvePair(grid, own[i], opp[i], float(own_slope[i]), float(opp_slope[i]),
                       float(xi_opp[i])) if reachable[i] else None for i in range(n)]
-
-
-def crossing_curve(spec: Fig1Spec, market: MarketDraw) -> CurvePair:
-    """:func:`crossing_curves` for one market; RootNotBracketed when the
-    opposite type cannot reach its observed share."""
-    pair = crossing_curves(spec, [market])[0]
-    if pair is None:
-        raise RootNotBracketed(f"share {market.y.values[0]} unreachable at price "
-                               f"{market.a.p[0]}")
-    return pair
 

@@ -6,11 +6,11 @@ transformations H(y, a), invertible in y. Instrument orthogonality selects
 one member; predictions then act as if the selected transformed outcome
 has zero individual treatment effects.
 
-Rules act on arrays: `H`, `H_inverse` and `extrapolate` take one
-observation or a batch of them (an array of outcomes with an array of
-treatment levels, or the J = 1 shares of stacked markets under `Bundles`),
-and one observation is the batch of one. `check_prop32` makes one
-extrapolation and one structural prediction per target.
+Observations are one `ObsSet` of stacked arrays, and rules act on arrays:
+`H`, `H_inverse` and `extrapolate` take one observation or a batch (an
+array of outcomes with an array of treatment levels, or the J = 1 shares of
+stacked markets under `Bundles`). `check_prop32` makes one extrapolation
+and one structural prediction per target.
 """
 
 from __future__ import annotations
@@ -24,21 +24,27 @@ from scipy.special import expit, logit
 from .counterfactual import CounterfactualEngine
 from .demand import plain_logit
 from .errors import ConfigError, InversionFailure, NonUnique
-from .types import Bundle, Bundles, SharesVector
+from .population import Population
+from .types import Bundle, Bundles
 
 
 @dataclass(frozen=True)
-class Obs:
-    """One observation: outcome, treatment, instruments.
+class ObsSet:
+    """n observations as stacked arrays: outcomes y (n,), treatments a and
+    instruments z (n, k). a is an (n,) array of levels, or the Bundles of
+    J = 1 markets whose inside share is y. ``obs[rows]`` takes rows as
+    Population does; ``obs[i]`` is observation i's outcome, treatment and
+    (k,) instruments."""
 
-    y is a scalar outcome or a share vector; a is a hashable treatment
-    level (demeaned / quantile families) or a Bundle (partially linear);
-    z is the 1-d float array of instruments.
-    """
-
-    y: object
-    a: object
+    y: np.ndarray
+    a: np.ndarray | Bundles
     z: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, rows) -> "ObsSet":
+        return ObsSet(self.y[rows], self.a[rows], self.z[rows])
 
 
 # --- scalar monotone transforms for the demeaned family ---------------------
@@ -87,8 +93,8 @@ class RuleFamily:
     # For the demeaned and quantile families y is an outcome or an array of
     # outcomes and a a treatment level or an array of levels; for the
     # partially linear family y is the inside share of J = 1 markets (a
-    # SharesVector, a float or an (n,) array) under a Bundle or Bundles. A
-    # scalar input gives a float.
+    # float or an (n,) array) under a Bundle or Bundles. A scalar input
+    # gives a float.
 
     def _level_index(self, a) -> np.ndarray:
         """Position in `levels` of each treatment level in a."""
@@ -133,8 +139,7 @@ class RuleFamily:
         if self.kind == "quantile-rank":
             return _scalar(self._by_level(_cdf_interp, y, a))
         alpha, p, x2term, x1 = self._pl_index(a)
-        y = y.values[0] if isinstance(y, SharesVector) else np.asarray(y, dtype=float)
-        return _scalar(logit(y) + alpha * p - x2term - x1)
+        return _scalar(logit(np.asarray(y, dtype=float)) + alpha * p - x2term - x1)
 
     def H_inverse(self, v, a):
         """The outcome y with H(y, a) = v."""
@@ -195,23 +200,13 @@ def _quantile_interp(sorted_sample: np.ndarray, u: np.ndarray) -> np.ndarray:
     return interp_extrap(u, _ranks(len(sorted_sample)), sorted_sample)
 
 
-def stack_obs(data: Sequence[Obs]):
-    """Outcomes (n,) and treatments of the observations: an (n,) array of
-    levels, or the Bundles of their bundles. A SharesVector outcome gives its
-    first inside share."""
-    y = np.array([o.y.values[0] if isinstance(o.y, SharesVector) else o.y for o in data],
-                 dtype=float)
-    a = [o.a for o in data]
-    return y, Bundles.stack(a) if isinstance(a[0], Bundle) else np.array(a)
-
-
 # --- instrument basis -------------------------------------------------------
 
-def instrument_basis(data: Sequence[Obs], degree: int = 2,
+def instrument_basis(data: ObsSet, degree: int = 2,
                      max_cells: int = 12) -> np.ndarray:
     """b(Z) design: finite-support dummies when Z takes few values, else
     polynomials up to `degree` with pairwise interactions."""
-    Z = np.array([o.z for o in data])
+    Z = data.z
     uniq = np.unique(Z, axis=0)
     if len(uniq) <= max_cells:
         cols = [np.all(Z == u, axis=1).astype(float) for u in uniq]
@@ -243,7 +238,7 @@ def _two_step_weight(contrib: np.ndarray) -> np.ndarray:
 
 
 def solve_orthogonality(family: RuleFamily,
-                        data: Sequence[Obs]) -> tuple[RuleFamily, FitReport]:
+                        data: ObsSet) -> tuple[RuleFamily, FitReport]:
     """Select the family member orthogonal to the instruments.
 
     Two-step GMM on the mean-independence moments E[H_theta(Y, A) b(Z)] = 0.
@@ -251,8 +246,7 @@ def solve_orthogonality(family: RuleFamily,
     families, so both are solved in closed form; raises NonUnique when the
     moment system is rank deficient.
     """
-    data = list(data)
-    if not data:
+    if not len(data):
         raise ConfigError("no observations to fit the rule family on")
     if family.kind == "quantile-rank":
         return _fit_quantile(family, data)
@@ -266,8 +260,8 @@ def _require_size(n: int, dim: int):
         raise ConfigError(f"need at least {10 * dim} observations for {dim} parameters, got {n}")
 
 
-def _fit_quantile(family: RuleFamily, data: list[Obs]) -> tuple[RuleFamily, FitReport]:
-    y, a = stack_obs(data)
+def _fit_quantile(family: RuleFamily, data: ObsSet) -> tuple[RuleFamily, FitReport]:
+    y, a = data.y, data.a
     levels = sorted(set(a.tolist()))
     samples = tuple(tuple(np.sort(y[a == lev]).tolist()) for lev in levels)
     if any(len(s) < 2 for s in samples):
@@ -275,8 +269,8 @@ def _fit_quantile(family: RuleFamily, data: list[Obs]) -> tuple[RuleFamily, FitR
     return replace(family, levels=tuple(levels), samples=samples), FitReport(np.array([]), 0.0)
 
 
-def _fit_demeaned(family: RuleFamily, data: list[Obs]) -> tuple[RuleFamily, FitReport]:
-    y, a = stack_obs(data)
+def _fit_demeaned(family: RuleFamily, data: ObsSet) -> tuple[RuleFamily, FitReport]:
+    y, a = data.y, data.a
     levels = sorted(set(a.tolist()))
     _require_size(len(data), len(levels))
     fwd, _ = _F_TRANSFORMS[family.f]
@@ -285,11 +279,11 @@ def _fit_demeaned(family: RuleFamily, data: list[Obs]) -> tuple[RuleFamily, FitR
     return replace(family, theta=tuple(report.theta), levels=tuple(levels)), report
 
 
-def _fit_partially_linear(family: RuleFamily, data: list[Obs]) -> tuple[RuleFamily, FitReport]:
+def _fit_partially_linear(family: RuleFamily, data: ObsSet) -> tuple[RuleFamily, FitReport]:
     M = np.atleast_2d(np.asarray(family.param_map, dtype=float)) if family.param_map \
         else np.eye(family.n_params)
     _require_size(len(data), M.shape[1])
-    y, a = stack_obs(data)
+    y, a = data.y, data.a
     # H = logit(y) - x1 + (p, -x2) M theta
     X = np.column_stack([a.p[:, 0], -a.x2[:, 0]])
     report = _fit_linear(logit(y) - a.x1[:, 0], -X @ M[:X.shape[1]], instrument_basis(data))
@@ -358,17 +352,18 @@ class Prop32Report:
         return self.max_gap <= self.tol
 
 
-def check_prop32(fitted: RuleFamily, data: Sequence[Obs],
-                 targets: Sequence) -> Prop32Report:
+def check_prop32(fitted: RuleFamily, data: ObsSet, targets) -> Prop32Report:
     """Agreement between rule-based extrapolation and the structural model
     constructed from the fitted rule, on every market and target: one
     extrapolation and one structural prediction of all markets per target.
+    The targets are treatment levels, or Bundles whose rows are the target
+    bundles.
 
     For the partially linear family the structural route goes through the
     share-map inversion engine, an independent code path; for the demeaned
     family the structural conversion map is composed explicitly.
     """
-    y, a = stack_obs(data)
+    y, a = data.y, data.a
     gap = 0.0
     for t in targets:
         tilde = extrapolate(fitted, y, a, t)
@@ -383,7 +378,7 @@ def _structural_predict(fitted: RuleFamily, y: np.ndarray, a, target_a) -> np.nd
         coeffs = fitted._pl_coeffs()
         engine = CounterfactualEngine(plain_logit(alpha=float(coeffs[0]),
                                                   gamma=tuple(coeffs[1:])))
-        if isinstance(target_a, Bundle):
+        if target_a.x1.ndim == 1:  # one bundle for every row
             target_a = Bundles.repeat(target_a, len(y))
         return engine.predict(y[:, None], a, target_a)[:, 0]
     if fitted.kind == "demeaned-transform":
@@ -411,7 +406,7 @@ class PriceCcsReport:
         return self.max_price_error <= self.price_tol
 
 
-def price_ccs_check(h_transform, population, truth: Callable,
+def price_ccs_check(h_transform, population: Population, truth: Callable,
                     price_grid: Sequence[float],
                     x1_shift: float = 1.0) -> PriceCcsReport:
     """On a population homogeneous in price response but heterogeneous in
@@ -419,11 +414,12 @@ def price_ccs_check(h_transform, population, truth: Callable,
     truth while x1 counterfactuals err for at least one type.
 
     `truth(population, bundles)` evaluates the stored potential outcomes
-    (n, J) of the markets at Bundles, one row each. The markets are stacked:
-    one `apply` of h, then one `invert` and one truth call per target.
+    (n, J) of the markets at Bundles, one row each: one `apply` of h, then
+    one `invert` and one truth call per target. No markets is a ConfigError.
     """
-    y = np.array([d.y.values for d in population])
-    a = Bundles.stack([d.a for d in population])
+    if not len(population):
+        raise ConfigError("the price-CCS check needs at least 1 market, got 0")
+    y, a = population.y, population.a
     v = h_transform.apply(y, a)
     max_price = 0.0
     for pp in price_grid:
@@ -433,6 +429,6 @@ def price_ccs_check(h_transform, population, truth: Callable,
     target = a.replace(x1=a.x1 + x1_shift)
     pred = h_transform.invert(v - a.x1 + target.x1, target)
     err = np.abs(pred - truth(population, target)).max(axis=1)
-    zeta = np.array([d.zeta for d in population])
+    zeta = population.zeta
     x1_err = {z: float(err[zeta == z].max()) for z in dict.fromkeys(zeta.tolist())}
     return PriceCcsReport(max_price, x1_err)

@@ -50,9 +50,7 @@ class Law:
             return self.params["loc"] + self.params["scale"] * rng.standard_normal(size)
         # choice
         values = np.asarray(self.params["values"], dtype=float)
-        probs = np.asarray(self.params["probs"], dtype=float)
-        idx = rng.choice(len(values), size=size, p=probs)
-        return values[idx]
+        return values[categorical(self.params["probs"])(rng, size)]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **self.params}
@@ -62,6 +60,15 @@ class Law:
         d = dict(d)
         kind = d.pop("kind")
         return cls(kind=kind, params=d)
+
+
+def categorical(probs):
+    """``draw(rng, size=None)``: rng.choice(len(probs), size, p=probs) bit
+    for bit, leaving the stream where it does, from a CDF built once here
+    and without rng.choice's checks, which the caller makes."""
+    cdf = np.cumsum(probs, dtype=float)
+    cdf /= cdf[-1]
+    return lambda rng, size=None: cdf.searchsorted(rng.random(size), side="right")
 
 
 def constant(value: float) -> Law:

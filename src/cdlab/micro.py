@@ -250,33 +250,31 @@ def simulate_micro(dgp: MicroDgp, spec: MicroPopulationSpec,
     block: the shock distribution is balanced across cells by construction.
     The profiles come from the batched profile kernel and share one grid array.
     """
-    K = len(spec.price_levels)
-    draws = []  # (xi, level, z_level) per market
+    n, K = spec.market_count, len(spec.price_levels)
+    xi, level = np.empty((n, dgp.J)), np.empty(n, dtype=int)
+    z_level = level  # randomized: each market's instrument is its level
     if spec.assignment == "stratified":
         # block b's shock and permutation come from substreams (b, 1), (b, 2)
-        blocks = range(-(-spec.market_count // K))
+        blocks = range(-(-n // K))
         shocks = market_rngs(spec.seed, [(b, 1) for b in blocks])
         perms = market_rngs(spec.seed, [(b, 2) for b in blocks])
         for b, shock_rng, perm_rng in zip(blocks, shocks, perms):
-            xi = dgp.xi_law.sample(shock_rng, dgp.J)
-            perm = perm_rng.permutation(K)[:spec.market_count - b * K]
-            draws += [(xi.copy(), int(level), int(level)) for level in perm]
+            xi[b * K:(b + 1) * K] = dgp.xi_law.sample(shock_rng, dgp.J)
+            level[b * K:(b + 1) * K] = perm_rng.permutation(K)[:n - b * K]
     else:
-        for rng in market_rngs(spec.seed, range(spec.market_count)):
-            z_level = int(rng.integers(K))
-            xi = dgp.xi_law.sample(rng, dgp.J)
-            shift = int(np.round(spec.endogeneity * float(np.mean(xi))))
-            draws.append((xi, int(np.clip(z_level + shift, 0, K - 1)), z_level))
+        z_level = np.empty(n, dtype=int)
+        for i, rng in enumerate(market_rngs(spec.seed, range(n))):
+            z_level[i] = rng.integers(K)
+            xi[i] = dgp.xi_law.sample(rng, dgp.J)
+            shift = int(np.round(spec.endogeneity * float(np.mean(xi[i]))))
+            level[i] = np.clip(z_level[i] + shift, 0, K - 1)
+    xi.setflags(write=False)  # each market holds a view of its row
     W = _w_matrix(spec.w_grid, dgp.J)
     bundles = [spec.level_bundle(dgp, k) for k in range(K)]
-    n = len(draws)
-    xis = np.array([xi for xi, _, _ in draws]).reshape(n, dgp.J)
-    prices = np.array([bundles[level].p for _, level, _ in draws]).reshape(n, dgp.J)
-    S = _profile_shares(dgp, xis, prices, W)
-    return [MicroMarket(profile=Profile(W, s, w0_index), a=bundles[level],
-                        z=np.array([float(z_level)]), xi=xi, level=level,
-                        z_level=z_level)
-            for s, (xi, level, z_level) in zip(S, draws)]
+    S = _profile_shares(dgp, xi, np.array([b.p for b in bundles])[level], W)
+    return [MicroMarket(profile=Profile(W, s, w0_index), a=bundles[k], z=np.array([float(zk)]),
+                        xi=x, level=k, z_level=zk)
+            for s, x, k, zk in zip(S, xi, level.tolist(), z_level.tolist())]
 
 
 # --- candidate transforms and parallelism ----------------------------------
@@ -613,9 +611,10 @@ def verify_theorem2(dgp: MicroDgp, markets: Sequence[MicroMarket],
     The markets share one demographic grid; markets of one treatment level
     share its bundle. The baseline profiles come from the batched profile
     kernel, and the transform runs once on them and once per treatment level.
+    No markets is a ConfigError, not a vacuous pass.
     """
     if not markets:
-        return MicroEquivalenceReport(0.0, 0.0, 0.0, tol=tol)
+        raise ConfigError("theorem 2 check needs at least 1 market, got 0")
     base = MicroDgp(Pi=dgp.Pi, sigma=dgp.sigma, alpha=dgp.alpha,
                     nu_nodes=dgp.nu_nodes)  # index-structure version of sigma
     h = truth_candidate(base)

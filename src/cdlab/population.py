@@ -71,6 +71,10 @@ class PopulationSpec:
         return mixed_logit(self.mixing_by_type[zeta], gamma=self.gamma,
                            integration=self.integration)
 
+    def truth(self, pop: "Population", a: Bundle | Bundles) -> np.ndarray:
+        """Potential outcomes (n, J) of the markets pop at a Bundle or Bundles a."""
+        return true_counterfactuals(self, pop.xi, pop.zeta, a)
+
 
 def check_seed(value, where: str = "seed") -> int:
     """A seed as a non-negative integer of any size, as numpy's SeedSequence
@@ -178,7 +182,41 @@ def market_rng(seed: int, *key: int) -> np.random.Generator:
     return next(market_rngs(seed, [key]))
 
 
-def sample_population(spec: PopulationSpec) -> list[MarketDraw]:
+@dataclass(frozen=True)
+class Population:
+    """Sampled markets as read-only arrays, one market per row: types zeta
+    (n,), shocks xi, shares y and instruments z (n, J), and bundles a.
+    ``pop[rows]`` with a slice or an index array is a sub-population;
+    ``pop[i]`` builds market i's MarketDraw, so ``for d in pop`` works.
+    The samplers validate y, so construction checks nothing."""
+
+    zeta: np.ndarray
+    xi: np.ndarray
+    y: np.ndarray
+    a: Bundles
+    z: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.zeta)
+
+    def __getitem__(self, rows):
+        if isinstance(rows, (int, np.integer)):
+            return MarketDraw(xi=self.xi[rows], zeta=int(self.zeta[rows]),
+                              y=SharesVector(self.y[rows]),
+                              a=Bundle(self.a.x1[rows], self.a.p[rows], self.a.x2[rows]),
+                              z=self.z[rows])
+        return Population.frozen(self.zeta[rows], self.xi[rows], self.y[rows],
+                                 self.a[rows], self.z[rows])
+
+    @classmethod
+    def frozen(cls, zeta, xi, y, a: Bundles, z) -> "Population":
+        """The Population of these arrays, each made read-only in place."""
+        for v in (zeta, xi, y, a.x1, a.p, a.x2, z):
+            v.setflags(write=False)
+        return cls(zeta, xi, y, a, z)
+
+
+def sample_population(spec: PopulationSpec) -> Population:
     """market_count i.i.d. draws; bit-identical across repeated calls. Each
     market's latent state and bundle come from its own substream, then the
     observed shares of all of them from one share-kernel call per type."""
@@ -186,23 +224,16 @@ def sample_population(spec: PopulationSpec) -> list[MarketDraw]:
     zeta = np.empty(n, dtype=int)
     xi, x1, p, z = (np.empty((n, J)) for _ in range(4))
     x2 = np.empty((n, J, d2))
-    # rng.choice(n_types, p=...) draws one double and searches this CDF;
-    # building it once per population instead of once per draw keeps each
-    # draw and the stream position the same.
-    cdf = np.cumsum(spec.type_probabilities)
-    cdf /= cdf[-1]
+    draw_type = laws.categorical(spec.type_probabilities)
     for k, rng in enumerate(market_rngs(spec.seed, range(n))):
-        zeta[k] = cdf.searchsorted(rng.random(), side="right")
+        zeta[k] = draw_type(rng)
         xi[k] = spec.xi_law.sample(rng, J)
         x1[k] = spec.x1_law.sample(rng, J)
         p[k] = spec.price_law.sample(rng, J)
         x2[k] = spec.x2_law.sample(rng, J * d2).reshape(J, d2)
         z[k] = p[k] if spec.instrument_law is None else spec.instrument_law.sample(rng, J)
-    xi.setflags(write=False)  # each MarketDraw holds a view of its row
-    z.setflags(write=False)
-    y = _outcomes(spec, zeta, xi, Bundles(x1, p, x2))
-    return [MarketDraw(xi=xi[k], zeta=int(zeta[k]), y=SharesVector(y[k]),
-                       a=Bundle(x1[k], p[k], x2[k]), z=z[k]) for k in range(n)]
+    a = Bundles(x1, p, x2)
+    return Population.frozen(zeta, xi, _outcomes(spec, zeta, xi, a), a, z)
 
 
 def _outcomes(spec: PopulationSpec, zeta, xi: np.ndarray, a: Bundles) -> np.ndarray:
@@ -226,12 +257,6 @@ def true_counterfactuals(spec: PopulationSpec, xi, zeta, a: Bundle | Bundles) ->
     if isinstance(a, Bundle):
         a = Bundles.repeat(a, len(zeta))
     return _outcomes(spec, zeta, xi, a)
-
-
-def potential_outcomes(spec: PopulationSpec, draws, a: Bundle | Bundles) -> np.ndarray:
-    """:func:`true_counterfactuals` of the sampled markets `draws`, from their
-    stored latent states: the batched truth of `verify_theorem1`."""
-    return true_counterfactuals(spec, [d.xi for d in draws], [d.zeta for d in draws], a)
 
 
 def true_counterfactual(spec: PopulationSpec, draw: MarketDraw, a: Bundle) -> SharesVector:

@@ -126,21 +126,17 @@ class Bundle:
 class Bundles:
     """The bundles of n markets stacked as arrays: x1 and p (n, J), x2
     (n, J, d2). The share kernel reads p and x2 from it as from a Bundle,
-    one market per row."""
+    one market per row; an int index gives one market's as (J,) arrays."""
 
     x1: np.ndarray
     p: np.ndarray
     x2: np.ndarray
 
     @classmethod
-    def repeat(cls, a: Bundle, n: int) -> "Bundles":
-        """Bundle a in each of n markets (read-only broadcast views)."""
+    def repeat(cls, a: "Bundle | Bundles", n: int) -> "Bundles":
+        """One bundle a, a Bundle or one row of a Bundles, in each of n
+        markets (read-only broadcast views)."""
         return cls(*(np.broadcast_to(v, (n,) + v.shape) for v in (a.x1, a.p, a.x2)))
-
-    @classmethod
-    def stack(cls, bundles) -> "Bundles":
-        """The bundles of markets with a common J and d2, one row each."""
-        return cls(*(np.array([getattr(b, k) for b in bundles]) for k in ("x1", "p", "x2")))
 
     def __getitem__(self, rows) -> "Bundles":
         return Bundles(self.x1[rows], self.p[rows], self.x2[rows])

@@ -239,3 +239,32 @@ def test_acceptance_subset_runs_and_reports(tmp_path):
     assert {r[0] for r in rows[1:]} == {"9"}
     assert all(r[6] == "True" for r in rows[1:])
     assert (out / "fig1.svg").exists() and (out / "fig2.svg").exists()
+
+
+@pytest.mark.parametrize("cmd,source", [
+    ("predict", "config"), ("verify-thm1", "config"), ("fig1", "option"),
+    ("fig2", "option"), ("price-ccs", "option"), ("verify-thm2", "option"),
+])
+def test_zero_markets_exit_1_naming_the_market_count(tmp_path, capsys, cmd, source):
+    """No markets is a configuration error: no traceback, and no report row
+    that passes over nothing."""
+    out = tmp_path / "out"
+    args = [cmd, "--out", out]
+    if source == "config":
+        cfg = {"schema_version": 1, "experiment": cmd,
+               "population": {"J": 2, "market_count": 0,
+                              "mixing_by_type": [{"kind": "lognormal", "loc": [0.0],
+                                                  "scale": [0.3]}],
+                              "type_probabilities": [1.0]}}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        args += ["--config", path]
+    else:
+        args += ["--set", "market_count=0"]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "at least 1 market, got" in err and "0" in err.split("got", 1)[1]
+    for report in out.glob("*_report.csv"):
+        with open(report, newline="") as fh:
+            assert all(row.get("passed") != "True" for row in csv.DictReader(fh))

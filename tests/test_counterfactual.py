@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -8,9 +6,9 @@ from cdlab.counterfactual import CounterfactualEngine, verify_theorem1
 from cdlab.demand import mixed_logit, plain_logit, shares
 from cdlab.diagnostics import Fig1Spec
 from cdlab.errors import SimplexViolation
-from cdlab.population import PopulationSpec, potential_outcomes, sample_population
+from cdlab.population import PopulationSpec, sample_population
 from cdlab.transforms import MixedLogitInverse
-from cdlab.types import Bundles, bundle, lognormal_mixing, validate_shares
+from cdlab.types import bundle, lognormal_mixing, validate_shares
 
 
 def test_predict_plain_logit_matches_hand_computation():
@@ -41,14 +39,13 @@ def test_batched_predict_matches_one_market_predictions():
                           type_probabilities=(1.0,), seed=2)
     pop = sample_population(spec)
     engine = CounterfactualEngine(spec.share_map(0))
-    a = Bundles.stack([d.a for d in pop])
+    a = pop.a
     target = a.replace(p=a.p + 0.5, x1=a.x1 - 0.2)
-    y = np.array([d.y.values for d in pop])
-    got = engine.predict(y, a, target)
+    got = engine.predict(pop.y, a, target)
     one = [engine.predict(d.y, d.a, d.a.replace(p=d.a.p + 0.5, x1=d.a.x1 - 0.2)).values
            for d in pop]
     np.testing.assert_allclose(got, one, atol=1e-12, rtol=0)
-    np.testing.assert_allclose(got, potential_outcomes(spec, pop, target), atol=1e-10, rtol=0)
+    np.testing.assert_allclose(got, spec.truth(pop, target), atol=1e-10, rtol=0)
 
 
 def test_convert_agrees_with_predict_for_inverse_transform():
@@ -113,7 +110,7 @@ def test_verify_theorem1_passes_on_homogeneous_population():
     grid = [bundle([x1], [p]) for x1, p in
             zip(np.linspace(-0.5, 0.5, 5), np.linspace(0.7, 2.7, 5))]
     rep = verify_theorem1(MixedLogitInverse(spec.share_map(0)), bundle([0.0], [1.5]), grid,
-                          pop, partial(potential_outcomes, spec))
+                          pop, spec.truth)
     assert rep.passed
     assert rep.max_index_model <= 1e-8
     assert len(rep.rows()) == 3
@@ -125,7 +122,7 @@ def test_verify_theorem1_fails_on_two_type_population():
     pop = sample_population(spec)
     grid = [bundle([0.0], [p]) for p in np.linspace(0.7, 2.7, 5)]
     rep = verify_theorem1(MixedLogitInverse(mixed_logit(fig1.blue)), bundle([0.0], [1.5]),
-                          grid, pop, partial(potential_outcomes, spec))
+                          grid, pop, spec.truth)
     assert not rep.passed
     assert rep.max_transformed_shift > 0.01
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,11 @@ from cdlab.diagnostics import (
     _invert_curve_xi,
     _partition,
     conditional_variance,
-    crossing_curve,
     crossing_curves,
 )
 from cdlab.errors import InsufficientData, RootNotBracketed
 from cdlab.population import PopulationSpec, sample_population
-from cdlab.types import MarketDraw, SharesVector, bundle, lognormal_mixing
+from cdlab.types import bundle, lognormal_mixing
 
 
 class TestPartition:
@@ -113,12 +114,17 @@ def test_invert_curve_xi_unreachable_target():
 
 
 class TestCrossingCurve:
+    """One market at a time: the batch of one."""
+
     spec = Fig1Spec(market_count=30, seed=4)
+
+    def curve(self, pop, i):
+        return crossing_curves(self.spec, pop[[i]])[0]
 
     def test_opposite_curve_passes_through_observed_point(self):
         pop = sample_population(self.spec.population_spec())
-        for draw in pop[:10]:
-            pair = crossing_curve(self.spec, draw)
+        for i, draw in enumerate(pop[:10]):
+            pair = self.curve(pop, i)
             price = float(draw.a.p[0])
             opp_mix = self.spec.mixing(1 - draw.zeta)
             at_p = float(share_curve_1d(opp_mix, np.array(pair.xi_opposite),
@@ -128,14 +134,14 @@ class TestCrossingCurve:
 
     def test_slopes_differ_at_the_crossing(self):
         pop = sample_population(self.spec.population_spec())
-        for draw in pop[:10]:
-            pair = crossing_curve(self.spec, draw)
+        for i in range(10):
+            pair = self.curve(pop, i)
             assert abs(pair.own_slope - pair.opposite_slope) > 1e-3
 
     def test_curves_cross_once_the_grid_contains_the_observed_price(self):
         pop = sample_population(self.spec.population_spec())
         draw = pop[0]
-        pair = crossing_curve(self.spec, draw)
+        pair = self.curve(pop, 0)
         price = float(draw.a.p[0])
         y_obs = float(draw.y.values[0])
         opp_mix = self.spec.mixing(1 - draw.zeta)
@@ -148,8 +154,8 @@ class TestCrossingCurve:
 
     def test_deterministic(self):
         pop = sample_population(self.spec.population_spec())
-        a = crossing_curve(self.spec, pop[0])
-        b = crossing_curve(self.spec, pop[0])
+        a = self.curve(pop, 0)
+        b = self.curve(pop, 0)
         np.testing.assert_array_equal(a.opposite, b.opposite)
 
 
@@ -158,8 +164,8 @@ def test_crossing_curves_equal_per_market_curves():
     pop = sample_population(spec.population_spec())
     pairs = crossing_curves(spec, pop)
     assert {d.zeta for d in pop} == {0, 1}
-    for draw, pair in zip(pop, pairs):
-        one = crossing_curve(spec, draw)
+    for i, pair in enumerate(pairs):
+        one = crossing_curves(spec, pop[[i]])[0]
         np.testing.assert_allclose(pair.own, one.own, rtol=0, atol=1e-12)
         np.testing.assert_allclose(pair.opposite, one.opposite, rtol=0, atol=1e-12)
         for name in ("own_slope", "opposite_slope", "xi_opposite"):
@@ -168,14 +174,13 @@ def test_crossing_curves_equal_per_market_curves():
 
 def test_crossing_curves_skip_an_unreachable_market():
     """A share outside (0, 1) has no opposite-type curve through it: the
-    batch gives None for that market, the single-market call raises."""
+    batch gives None for that market, alone or among others."""
     spec = Fig1Spec(market_count=3, seed=1)
     pop = sample_population(spec.population_spec())
-    # SharesVector itself does not validate; validate_shares would reject 1.5.
-    bad = MarketDraw(xi=pop[1].xi, zeta=pop[1].zeta, y=SharesVector(np.array([1.5])),
-                     a=pop[1].a, z=pop[1].z)
-    pairs = crossing_curves(spec, [pop[0], bad, pop[2]])
+    y = pop.y.copy()
+    y[1] = 1.5  # Population does not validate; the sampler would reject 1.5.
+    bad = dataclasses.replace(pop, y=y)
+    pairs = crossing_curves(spec, bad)
     assert pairs[1] is None
     assert pairs[0] is not None and pairs[2] is not None
-    with pytest.raises(RootNotBracketed):
-        crossing_curve(spec, bad)
+    assert crossing_curves(spec, bad[[1]]) == [None]

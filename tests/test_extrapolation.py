@@ -9,7 +9,7 @@ from cdlab.demand import plain_logit
 from cdlab.errors import ConfigError, NonUnique
 from cdlab.population import market_rng
 from cdlab.transforms import LogitInverse
-from cdlab.types import Bundles, SharesVector, validate_shares
+from cdlab.types import Bundle, Bundles, SharesVector
 
 
 def test_rule_family_validation():
@@ -110,8 +110,8 @@ def _nelder_mead_two_step(data):
     from scipy.optimize import minimize
 
     B = ex.instrument_basis(data)
-    u = logit([float(o.y.values[0]) for o in data]) - np.array([o.a.x1[0] for o in data])
-    X = np.array([np.concatenate([o.a.p, -o.a.x2[0]]) for o in data])
+    u = logit(data.y) - data.a.x1[:, 0]
+    X = np.column_stack([data.a.p[:, 0], -data.a.x2[:, 0]])
 
     def contrib(theta):
         return (u + X @ theta)[:, None] * B
@@ -163,11 +163,11 @@ def test_sample_size_guard():
 
 
 def test_instrument_basis_dummies_vs_polynomials():
-    few = [ex.Obs(0.5, 0, np.array([float(k % 3)])) for k in range(30)]
+    y, a = np.full(30, 0.5), np.zeros(30, dtype=int)
+    few = ex.ObsSet(y, a, (np.arange(30) % 3).astype(float)[:, None])
     B = ex.instrument_basis(few)
     assert B.shape == (30, 3)
-    rng = market_rng(0, 0)
-    many = [ex.Obs(0.5, 0, rng.normal(size=2)) for _ in range(30)]
+    many = ex.ObsSet(y, a, market_rng(0, 0).normal(size=(30, 2)))
     B2 = ex.instrument_basis(many, degree=2)
     assert B2.shape == (30, 6)  # 1, z1, z2, z1^2, z1 z2, z2^2
 
@@ -180,8 +180,7 @@ def test_check_prop32_demeaned_and_partially_linear():
 
     pl_data = _pl_data(seed=9, n=400)
     pfam, _ = ex.solve_orthogonality(ex.partially_linear_family(n_params=2), pl_data)
-    targets = [o.a.replace(p=np.array([pp]))
-               for o, pp in zip(pl_data[:5], np.linspace(0.6, 2.8, 5))]
+    targets = pl_data.a[:5].replace(p=np.linspace(0.6, 2.8, 5)[:, None])
     rep2 = ex.check_prop32(pfam, pl_data[:20], targets=targets)
     assert rep2.passed and rep2.max_gap <= 1e-10
 
@@ -199,15 +198,25 @@ def test_price_ccs_check_contrast():
     assert max(rep.x1_error_by_type.values()) > 0.01
 
 
+def test_obs_set_rows():
+    data, _, _ = demeaned_oracle_data(seed=2, n=10)
+    assert len(data) == 10 and len(data[2:5]) == 3
+    sub = data[np.array([7, 1])]
+    np.testing.assert_array_equal(sub.y, data.y[[7, 1]])
+    np.testing.assert_array_equal(sub.a, data.a[[7, 1]])
+    o = data[7]
+    assert (o.y, o.a, o.z.tolist()) == (data.y[7], data.a[7], [float(data.a[7])])
+    pl = _pl_data(seed=2, n=10)
+    row = pl[3]
+    assert row.a.x1.shape == (1,) and row.a.x2.shape == (1, 1) and row.z.shape == (2,)
+    assert len(pl[[0, 3]].a.p) == 2
+
+
 # --- batched rules against the per-observation loop ---------------------------
-
-def _value(y):
-    return float(y.values[0]) if isinstance(y, SharesVector) else float(y)
-
 
 def _loop_extrapolate(fam, data, targets):
     """Reference: one observation at a time, each with its own target."""
-    return np.array([_value(ex.extrapolate(fam, o.y, o.a, t)) for o, t in zip(data, targets)])
+    return np.array([float(ex.extrapolate(fam, o.y, o.a, t)) for o, t in zip(data, targets)])
 
 
 def _loop_structural(fam, o, t):
@@ -216,7 +225,8 @@ def _loop_structural(fam, o, t):
     if fam.kind == "partially-linear-index":
         c = fam._pl_coeffs()
         engine = CounterfactualEngine(plain_logit(alpha=float(c[0]), gamma=tuple(c[1:])))
-        return float(engine.predict(o.y, o.a, t).values[0])
+        return float(engine.predict(SharesVector(np.array([o.y])), Bundle(o.a.x1, o.a.p, o.a.x2),
+                                    Bundle(t.x1, t.p, t.x2)).values[0])
     base = fam.levels[0]
     if fam.kind == "demeaned-transform":
         mu = dict(zip(fam.levels, fam.theta))
@@ -227,7 +237,7 @@ def _loop_structural(fam, o, t):
 
 
 def _loop_prop32(fam, data, targets):
-    return max(abs(_value(ex.extrapolate(fam, o.y, o.a, t)) - _loop_structural(fam, o, t))
+    return max(abs(float(ex.extrapolate(fam, o.y, o.a, t)) - _loop_structural(fam, o, t))
                for o in data for t in targets)
 
 
@@ -245,10 +255,10 @@ def _fitted_cases():
         ("demeaned-5", fit(ex.demeaned_family("logit"), d5), d5[:200], levels),
         ("quantile-5", fit(ex.quantile_family(), d5[:2000]), d5[:200], levels),
         ("pl-5", fit(ex.partially_linear_family(n_params=1), p5), p5[:50],
-         [o.a.replace(p=np.array([pp])) for o, pp in zip(p5[:10], prices)]),
+         p5.a[:10].replace(p=prices[:, None])),
         ("demeaned-6", fit(ex.demeaned_family("logit"), d6), d6[:50], levels),
         ("pl-6", fit(ex.partially_linear_family(n_params=2), p6), p6[:50],
-         [o.a.replace(p=np.array([pp])) for o, pp in zip(p6[:10], prices)]),
+         p6.a[:10].replace(p=prices[:, None])),
     ]
 
 
@@ -259,7 +269,7 @@ def fitted_cases():
 
 def test_batched_extrapolate_equals_the_per_observation_loop(fitted_cases):
     for name, fam, data, targets in fitted_cases:
-        y, a = ex.stack_obs(data)
+        y, a = data.y, data.a
         for t in targets:  # one target for every row
             got = ex.extrapolate(fam, y, a, t)
             np.testing.assert_array_equal(got, _loop_extrapolate(fam, data, [t] * len(data)),
@@ -288,7 +298,7 @@ def test_batched_check_prop32_equals_the_per_observation_loop(fitted_cases):
 
 def test_batched_rules_name_a_level_outside_the_support(fitted_cases):
     _, fam, data, _ = fitted_cases[0]
-    y, a = ex.stack_obs(data[:8])
+    y, a = data[:8].y, data[:8].a
     with pytest.raises(ConfigError, match="treatment level 7 outside"):
         ex.extrapolate(fam, y, a, np.where(np.arange(8) == 5, 7, a))
     with pytest.raises(ConfigError, match="treatment level 9 outside"):

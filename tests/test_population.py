@@ -7,6 +7,7 @@ from cdlab import demand, laws
 from cdlab.demand import monte_carlo, shares
 from cdlab.errors import ConfigError, SimplexViolation
 from cdlab.population import (
+    Population,
     PopulationSpec,
     market_rng,
     market_rngs,
@@ -14,7 +15,7 @@ from cdlab.population import (
     true_counterfactual,
     true_counterfactuals,
 )
-from cdlab.types import Bundle, SharesVector, bundle, lognormal_mixing, normal_mixing
+from cdlab.types import Bundle, MarketDraw, SharesVector, bundle, lognormal_mixing, normal_mixing
 
 
 def two_type_spec(n=50, seed=0, **kwargs):
@@ -56,6 +57,30 @@ def test_market_draw_depends_only_on_seed_and_index():
     large = two_type_spec(n=50, seed=9)
     for da, db in zip(sample_population(small), sample_population(large)[:5]):
         np.testing.assert_array_equal(da.y.values, db.y.values)
+
+
+def test_population_rows_and_markets():
+    """Slices and index arrays give read-only sub-populations; an int gives
+    that market's MarketDraw, so iteration visits every market."""
+    spec = PopulationSpec(J=2, market_count=6, seed=3, x2_dim=1,
+                          mixing_by_type=(lognormal_mixing(0.0, 0.5),),
+                          type_probabilities=(1.0,))
+    pop = sample_population(spec)
+    assert isinstance(pop, Population) and len(pop) == 6
+    assert pop.y.shape == pop.xi.shape == pop.z.shape == (6, 2) and pop.a.x2.shape == (6, 2, 1)
+    for rows in (slice(1, 4), np.array([4, 0, 4]), [5]):
+        sub = pop[rows]
+        assert isinstance(sub, Population)
+        np.testing.assert_array_equal(sub.xi, pop.xi[rows])
+        np.testing.assert_array_equal(sub.a.x2, pop.a.x2[rows])
+        for v in (sub.zeta, sub.xi, sub.y, sub.a.x1, sub.a.p, sub.a.x2, sub.z):
+            assert not v.flags.writeable
+    draws = list(pop)
+    assert len(draws) == 6 and all(isinstance(d, MarketDraw) for d in draws)
+    d = pop[np.int64(4)]
+    assert d.zeta == pop.zeta[4] and d.y == SharesVector(pop.y[4])
+    np.testing.assert_array_equal(d.a.x2, pop.a.x2[4])
+    np.testing.assert_array_equal(pop[-1].z, pop.z[5])
 
 
 def test_market_rng_streams_are_distinct():
@@ -207,7 +232,7 @@ TYPE_PROBABILITIES = [(1.0,), (0.5, 0.5), (0.4, 0.6), (0.999, 0.001),
 def test_type_draws_match_rng_choice_and_keep_the_stream_position(probs):
     """Reference: rng.choice(n_types, p=probs) on each market's substream,
     then the shock law, whose draw is equal only if the type draw left the
-    stream where rng.choice leaves it."""
+    stream where rng.choice leaves it. The choice law draws the same way."""
     from cdlab.dgps import ScaledX1Spec, sample_scaled_x1_population
 
     n = 1000
@@ -218,9 +243,17 @@ def test_type_draws_match_rng_choice_and_keep_the_stream_position(probs):
                           type_probabilities=probs, seed=12)
     for s, pop in ((spec, sample_population(spec)),
                    (scaled, sample_scaled_x1_population(scaled))):
-        for d, rng in zip(pop, market_rngs(s.seed, range(n))):
-            assert d.zeta == rng.choice(len(probs), p=probs)
-            np.testing.assert_array_equal(d.xi, s.xi_law.sample(rng, 1))
+        for k, rng in enumerate(market_rngs(s.seed, range(n))):
+            assert pop.zeta[k] == rng.choice(len(probs), p=probs)
+            np.testing.assert_array_equal(pop.xi[k], s.xi_law.sample(rng, 1))
+    values = 1.5 * np.arange(len(probs)) - 1.0
+    law = laws.choice(values, probs)
+    rngs = zip(market_rngs(13, range(n)), market_rngs(13, range(n)))
+    for k, (rng, ref) in enumerate(rngs):
+        size = 1 + k % 3
+        np.testing.assert_array_equal(law.sample(rng, size),
+                                      values[ref.choice(len(probs), size, p=probs)])
+        assert rng.standard_normal() == ref.standard_normal()
 
 
 @pytest.mark.parametrize("probs", [(0.5, 0.6), (1.2, -0.2), (1.0,)])
@@ -236,6 +269,7 @@ def test_batched_sampling_and_truth_at_zero_and_one_market(n):
     spec = two_type_spec(n=n, seed=6)
     pop = sample_population(spec)
     assert len(pop) == n
+    assert pop.y.shape == pop.xi.shape == (n, 1) and pop.a.x2.shape == (n, 1, 0)
     a = bundle([0.0], [2.0])
     truth = true_counterfactuals(spec, np.array([d.xi for d in pop]),
                                  np.array([d.zeta for d in pop], dtype=int), a)

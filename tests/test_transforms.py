@@ -61,7 +61,7 @@ def test_stacked_rows_match_one_market_calls(h):
     market gives on its own."""
     y = np.array([[0.3, 0.2], [0.1, 0.6], [0.25, 0.25]])
     a = bundle([0.0, 0.0], [1.0, 2.0], np.array([[0.3], [-0.4]]))
-    rows = Bundles.stack([a.replace(p=a.p + k) for k in range(3)])
+    rows = Bundles.repeat(a, 3).replace(p=a.p + np.arange(3)[:, None])
     one = np.array([h.apply(y[k], a) for k in range(3)])
     np.testing.assert_allclose(h.apply(y, a), one, rtol=0, atol=1e-12)
     np.testing.assert_allclose(h.invert(one, a), y, rtol=0, atol=1e-11)
