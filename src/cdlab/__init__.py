@@ -10,8 +10,6 @@ from .demand import (
     mixed_logit,
     monte_carlo,
     plain_logit,
-    share_jacobian,
-    shares,
 )
 from .errors import (
     CdlabError,
@@ -25,19 +23,16 @@ from .errors import (
     RootNotBracketed,
     SimplexViolation,
 )
-from .inversion import InversionConfig, invert, structural_shock
-from .population import Population, PopulationSpec, sample_population, true_counterfactual
+from .inversion import InversionConfig
+from .population import Population, PopulationSpec, sample_population
 from .types import (
     Bundle,
-    MarketDraw,
     MixingSpec,
-    SharesVector,
     bundle,
     degenerate,
     finite_mixture,
     lognormal_mixing,
     normal_mixing,
-    validate_shares,
 )
 
 __version__ = "0.1.0"
@@ -51,7 +46,6 @@ __all__ = [
     "IntegrationFailure",
     "InversionConfig",
     "InversionFailure",
-    "MarketDraw",
     "MixingSpec",
     "NoConvergence",
     "NonUnique",
@@ -60,22 +54,15 @@ __all__ = [
     "PopulationSpec",
     "RootNotBracketed",
     "ShareMap",
-    "SharesVector",
     "SimplexViolation",
     "bundle",
     "degenerate",
     "finite_mixture",
     "gauss_hermite",
-    "invert",
     "lognormal_mixing",
     "mixed_logit",
     "monte_carlo",
     "normal_mixing",
     "plain_logit",
     "sample_population",
-    "share_jacobian",
-    "shares",
-    "structural_shock",
-    "true_counterfactual",
-    "validate_shares",
 ]

@@ -53,9 +53,10 @@ def _default_population(seed: int) -> PopulationSpec:
 
 
 def _population(cfg: ExperimentConfig) -> PopulationSpec:
-    if cfg.population is not None:
-        return cfg.population
-    return _default_population(cfg.seed)
+    """The config's population, or the default one; no markets is a ConfigError."""
+    spec = cfg.population if cfg.population is not None else _default_population(cfg.seed)
+    _require_markets(spec.market_count)
+    return spec
 
 
 def _require_markets(n: int) -> int:
@@ -103,7 +104,6 @@ def run_invert(cfg: ExperimentConfig, out: Path) -> None:
 
 def run_predict(cfg: ExperimentConfig, out: Path) -> None:
     spec = _population(cfg)
-    _require_markets(spec.market_count)
     price_shift = float(cfg.options.get("price_shift", 0.5))
     pop = sample_population(spec)
     y, a = pop.y, pop.a

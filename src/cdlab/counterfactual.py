@@ -1,11 +1,11 @@
 """Unit-level counterfactual engine and homogeneity checks.
 
-`CounterfactualEngine.predict` routes an observed (Y, A) through the
-share-map inversion to the target bundle, for one market or for stacked
-markets in one call: the conversion map C_{a -> a'} of Theorem 1. The
-equivalence report checks, market by market, that the theorem's three
-formulations of homogeneity coincide on a simulated population for an
-invertible outcome transform h and a baseline bundle a0.
+`CounterfactualEngine.predict` routes observed (Y, A), stacked one market
+per row, through the share-map inversion to the target bundles in one call:
+the conversion map C_{a -> a'} of Theorem 1. The equivalence report checks,
+market by market, that the theorem's three formulations of homogeneity
+coincide on a simulated population for an invertible outcome transform h
+and a baseline bundle a0.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .inversion import DEFAULT_INVERSION, InversionConfig, invert_rows
 from .population import Population
 from .transforms import Transform
-from .types import Bundle, Bundles, SharesVector, validate_share_rows
+from .types import Bundle, Bundles, validate_share_rows
 
 EQUIV_TOL = 1e-8
 
@@ -30,19 +30,14 @@ class CounterfactualEngine:
     map: ShareMap
     inversion: InversionConfig = DEFAULT_INVERSION
 
-    def predict(self, observed_y, observed_a, target_a):
-        """Counterfactual shares at target_a implied by the observed market:
-        one market's SharesVector under a Bundle, or the validated rows
-        (n, J) of markets with shares observed_y (n, J) under Bundles,
-        solved in one call.
+    def predict(self, observed_y, observed_a: Bundles, target_a: Bundles) -> np.ndarray:
+        """Counterfactual shares at target_a implied by the observed markets:
+        the validated rows (n, J) of markets with shares observed_y (n, J)
+        under Bundles, solved in one call.
 
         A deterministic function of (observed_y, observed_a, target_a)
         alone: markets agreeing on observables receive identical predictions.
         """
-        if isinstance(observed_a, Bundle):
-            return SharesVector(self.predict(observed_y.values[None],
-                                             Bundles.repeat(observed_a, 1),
-                                             Bundles.repeat(target_a, 1))[0])
         xi_hat = invert_rows(self.map, observed_y, observed_a, self.inversion) - observed_a.x1
         return validate_share_rows(shares_array(self.map, target_a.x1 + xi_hat, target_a))
 

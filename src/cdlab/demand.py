@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, IntegrationFailure
-from .types import Bundle, Bundles, MixingSpec, SharesVector, validate_shares
+from .types import Bundle, Bundles, MixingSpec
 
 DEFAULT_GH_NODES = 32
 MAX_GH_NODES = 2**20  # tensor-product grids grow as nodes ** dim
@@ -201,38 +201,30 @@ def _weighted_node_shares(m: ShareMap, delta: np.ndarray, a: Bundle | Bundles,
     return S, w
 
 
-def node_jacobian(S: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """J x J share Jacobian in delta from one market's node shares S (M, J):
-    diag(w S) - sum_m w_m S_m S_m'."""
-    jac = np.diag(w @ S) - np.einsum("m,mj,mk->jk", w, S, S)
-    if not np.all(np.isfinite(jac)):
-        raise IntegrationFailure("integration produced non-finite jacobian")
+def node_jacobian(P: np.ndarray, w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Share Jacobians d s / d delta (k, J + 1, J) of k markets from their
+    node shares P (k, M, J + 1) and shares s = w @ P (k, J + 1), the outside
+    good last."""
+    J = P.shape[-1] - 1
+    # d s_j / d delta_k = sum_m w_m P_mj (1[j = k] - P_mk); no 1[j = k] for
+    # the outside good.
+    jac = -np.matmul(np.swapaxes(P * w[:, None], 1, 2), P[..., :J])
+    jac[:, np.arange(J), np.arange(J)] += s[:, :J]
     return jac
 
 
-def shares(m: ShareMap, delta, a: Bundle) -> SharesVector:
-    """Market shares at index delta under bundle a."""
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (a.J,):
-        raise ConfigError(f"delta shape {delta.shape} does not match J={a.J}")
-    if not np.all(np.isfinite(delta)):
-        raise IntegrationFailure(f"non-finite delta: {delta}")
-    s = shares_array(m, delta, a)
-    if not np.all(np.isfinite(s)):
-        raise IntegrationFailure("integration produced non-finite shares")
-    return validate_shares(s)
-
-
 def shares_array(m: ShareMap, delta, a: Bundle | Bundles) -> np.ndarray:
-    """Like :func:`shares` but returns the raw array without validation.
+    """Market shares at index delta under the bundles a, unvalidated: the
+    callers validate all rows at once (`types.validate_share_rows`).
 
-    One market: delta (J,) under a Bundle. n markets: delta (n, J) under
-    Bundles of n rows, in blocks of at most MAX_BLOCK_ELEMENTS node shares,
-    so the temporaries do not grow with n. Used by inner solver loops, where
-    intermediate iterates may graze the simplex boundary, and by batched
-    sampling and counterfactuals, which validate all rows at once.
+    n markets: delta (n, J) under Bundles of n rows, in blocks of at most
+    MAX_BLOCK_ELEMENTS node shares, so the temporaries do not grow with n;
+    one market: delta (J,) under a Bundle. A delta whose J is not the
+    bundles' is a ConfigError.
     """
     delta = np.asarray(delta, dtype=float)
+    if delta.shape[-1:] != np.shape(a.p)[-1:]:
+        raise ConfigError(f"delta shape {delta.shape} does not match J={np.shape(a.p)[-1]}")
     if m.kind == "plain-logit":
         return _node_shares(delta + _fixed_index(m, a))
     if delta.ndim == 1:
@@ -246,19 +238,6 @@ def shares_array(m: ShareMap, delta, a: Bundle | Bundles) -> np.ndarray:
         S, w = _weighted_node_shares(m, delta[rows], a[rows])
         out[rows] = w @ S
     return out
-
-
-def share_jacobian(m: ShareMap, delta, a: Bundle) -> np.ndarray:
-    """J x J matrix of d share_j / d delta_k.
-
-    For plain logit this is diag(s) - s s'; for mixed logit the node-wise
-    version averaged over the mixing distribution.
-    """
-    delta = np.asarray(delta, dtype=float)
-    if m.kind == "plain-logit":
-        s = _node_shares(delta + _fixed_index(m, a))
-        return np.diag(s) - np.outer(s, s)
-    return node_jacobian(*_weighted_node_shares(m, delta, a))
 
 
 def expit_mixture(delta, offsets, weights, slope_weights=None):

@@ -1,8 +1,8 @@
 """Recover the index delta from observed shares.
 
 Every solver here takes a batch of markets: shares y (n, J) under
-`types.Bundles`, one market per row, and one market is the batch of one
-(:func:`invert`). Plain logit has a closed form. A J = 1 mixed logit is one
+`types.Bundles`, one market per row (:func:`invert_rows`); one market is
+the batch of one. Plain logit has a closed form. A J = 1 mixed logit is one
 increasing curve per market, solved by bracketed Newton
 (:func:`solve_share_curve`). Mixed logit with J >= 2 runs a safeguarded
 Newton iteration over all markets at once (:func:`_solve_log_shares`), from
@@ -36,9 +36,9 @@ import numpy as np
 from scipy.special import logit
 
 from .demand import (MAX_BLOCK_ELEMENTS, ShareMap, _fixed_index, _random_index,
-                     _weighted_node_shares, expit_mixture, mixing_nodes)
+                     _weighted_node_shares, expit_mixture, mixing_nodes, node_jacobian)
 from .errors import ConfigError, IntegrationFailure, NoConvergence, SimplexViolation
-from .types import Bundle, Bundles, SharesVector, validate_share_rows
+from .types import Bundle, Bundles, validate_share_rows
 
 ARMIJO = 1e-4  # required fractional decrease of max|F| per unit step length
 MAX_HALVINGS = 6  # backtracking halvings before the contraction fallback
@@ -109,10 +109,7 @@ def _newton_directions(P: np.ndarray, weights: np.ndarray, s: np.ndarray,
     mask of rows with a finite step; a singular row gets none.
     """
     J = F.shape[1] - 1
-    # d s_j / d delta_k = sum_m w_m P_mj (1[j = k] - P_mk); no 1[j = k] for
-    # the outside good.
-    jac = -np.matmul(np.swapaxes(P * weights[:, None], 1, 2), P[..., :J])
-    jac[:, np.arange(J), np.arange(J)] += s[:, :J]
+    jac = node_jacobian(P, weights, s)
     jac /= s[..., None]
     lhs, rhs = jac[:, :J], F[:, :J, None]
     if odds.any():
@@ -288,8 +285,8 @@ def solve_share_curve(offsets, weights, y,
 
 def invert_rows(m: ShareMap, y, a: Bundles, cfg: InversionConfig = DEFAULT_INVERSION,
                 ids=None) -> np.ndarray:
-    """Solve shares(m, delta, a) = y for the markets of y (n, J) under the
-    bundles a, one market per row; returns delta (n, J).
+    """Solve shares_array(m, delta, a) = y for the markets of y (n, J) under
+    the bundles a, one market per row; returns delta (n, J).
 
     y is validated by `validate_share_rows`. Errors name the failing market
     by its entry in `ids` (default: its row). NoConvergence(iterations,
@@ -308,16 +305,3 @@ def invert_rows(m: ShareMap, y, a: Bundles, cfg: InversionConfig = DEFAULT_INVER
     return _solve_log_shares(
         lambda d, rows: _weighted_node_shares(m, d, a[rows], outside=True)[0],
         w, y, start, cfg, ids)
-
-
-def invert(m: ShareMap, y: SharesVector, a: Bundle,
-           cfg: InversionConfig = DEFAULT_INVERSION) -> np.ndarray:
-    """Solve shares(m, delta, a) = y for delta: :func:`invert_rows` on the
-    batch of one."""
-    return invert_rows(m, y.values[None], Bundles.repeat(a, 1), cfg)[0]
-
-
-def structural_shock(m: ShareMap, y: SharesVector, a: Bundle,
-                     cfg: InversionConfig = DEFAULT_INVERSION) -> np.ndarray:
-    """xi = invert(y) - x1: the latent demand shifter implied by (y, a)."""
-    return invert(m, y, a, cfg) - a.x1

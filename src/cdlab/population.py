@@ -1,5 +1,9 @@
 """Simulable market populations with a deterministic seeded sampling contract.
 
+A sampled population is one `Population` of read-only arrays, one market
+per row, and its potential outcomes at any bundle come from
+:func:`true_counterfactuals` on all markets at once.
+
 Draw i depends only on (seed, i): each market gets its own counter-based
 substream, so serial and parallel generation produce bit-identical output.
 
@@ -26,7 +30,7 @@ from numpy.random.bit_generator import ISeedSequence
 from . import laws
 from .demand import Integration, ShareMap, gauss_hermite, mixed_logit, shares_array
 from .errors import ConfigError
-from .types import Bundle, Bundles, MarketDraw, SharesVector, validate_share_rows
+from .types import Bundle, Bundles, validate_share_rows
 
 
 @dataclass(frozen=True)
@@ -186,9 +190,9 @@ def market_rng(seed: int, *key: int) -> np.random.Generator:
 class Population:
     """Sampled markets as read-only arrays, one market per row: types zeta
     (n,), shocks xi, shares y and instruments z (n, J), and bundles a.
-    ``pop[rows]`` with a slice or an index array is a sub-population;
-    ``pop[i]`` builds market i's MarketDraw, so ``for d in pop`` works.
-    The samplers validate y, so construction checks nothing."""
+    ``pop[rows]`` with a slice or an index array is a sub-population; an int
+    index, and so iteration, is a TypeError. The samplers validate y, so
+    construction checks nothing."""
 
     zeta: np.ndarray
     xi: np.ndarray
@@ -199,12 +203,9 @@ class Population:
     def __len__(self) -> int:
         return len(self.zeta)
 
-    def __getitem__(self, rows):
+    def __getitem__(self, rows) -> "Population":
         if isinstance(rows, (int, np.integer)):
-            return MarketDraw(xi=self.xi[rows], zeta=int(self.zeta[rows]),
-                              y=SharesVector(self.y[rows]),
-                              a=Bundle(self.a.x1[rows], self.a.p[rows], self.a.x2[rows]),
-                              z=self.z[rows])
+            raise TypeError(f"index a Population with a slice or an index array, not {rows!r}")
         return Population.frozen(self.zeta[rows], self.xi[rows], self.y[rows],
                                  self.a[rows], self.z[rows])
 
@@ -257,8 +258,3 @@ def true_counterfactuals(spec: PopulationSpec, xi, zeta, a: Bundle | Bundles) ->
     if isinstance(a, Bundle):
         a = Bundles.repeat(a, len(zeta))
     return _outcomes(spec, zeta, xi, a)
-
-
-def true_counterfactual(spec: PopulationSpec, draw: MarketDraw, a: Bundle) -> SharesVector:
-    """The market's potential outcome at bundle a, from its stored latent state."""
-    return SharesVector(true_counterfactuals(spec, draw.xi[None, :], [draw.zeta], a)[0])

@@ -1,12 +1,16 @@
 """Shared domain types and validation.
 
-All types are immutable after construction; arrays are defensively copied
-and marked read-only so instances are safe to share across threads.
+Markets are rows: the bundles of n markets are one `Bundles` of stacked
+arrays, and their shares one (n, J) matrix, which `validate_share_rows`
+checks against the open simplex. A `Bundle` is one bundle, applied to every
+row or repeated over them. Bundle and MixingSpec copy their inputs and mark
+the arrays read-only, so instances are safe to share across threads;
+Bundles holds the arrays it is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,63 +29,29 @@ def _frozen(a, dtype=float, ndim=None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SharesVector:
-    """Inside-good market shares on the interior of the simplex.
-
-    The outside share 1 - sum(values) is strictly positive. Construct via
-    :func:`validate_shares`.
-    """
-
-    values: np.ndarray
-
-    @property
-    def J(self) -> int:
-        return len(self.values)
-
-    @property
-    def outside(self) -> float:
-        return 1.0 - float(self.values.sum())
-
-    def __eq__(self, other):
-        return isinstance(other, SharesVector) and np.array_equal(
-            self.values, other.values
-        )
-
-
-def validate_shares(values) -> SharesVector:
-    """Validate a candidate share vector.
-
-    Raises SimplexViolation if any entry lies outside (eps, 1-eps) or the
-    entries sum to at least 1-eps, for eps = SIMPLEX_EPS.
-    """
-    v = _frozen(values, ndim=1)
-    if not np.all(np.isfinite(v)):
-        raise SimplexViolation(f"non-finite shares: {v}")
-    if np.any(v <= SIMPLEX_EPS) or np.any(v >= 1.0 - SIMPLEX_EPS):
-        raise SimplexViolation(f"share outside ({SIMPLEX_EPS}, 1-{SIMPLEX_EPS}): {v}")
-    if v.sum() >= 1.0 - SIMPLEX_EPS:
-        raise SimplexViolation(f"shares sum to {v.sum()} >= 1 - {SIMPLEX_EPS}")
-    return SharesVector(v)
-
-
 def validate_share_rows(values, ids=None) -> np.ndarray:
-    """Validate an (n, J) matrix of share vectors, one market per row, by the
-    rule of :func:`validate_shares`; returns it read-only.
+    """Validate an (n, J) matrix of share vectors, one market per row;
+    returns it read-only.
 
-    The SimplexViolation names the first failing market by its entry in
-    `ids` (default: its row number).
+    Raises SimplexViolation if some entry is not finite or lies outside
+    (eps, 1-eps), or some row sums to at least 1-eps, for eps = SIMPLEX_EPS,
+    naming the first failing market by its entry in `ids` (default: its row
+    number).
     """
     v = _frozen(values, ndim=2)
-    # False for a row with a nan, as in validate_shares.
+    # False for a row with a nan.
     ok = ((v > SIMPLEX_EPS).all(axis=1) & (v < 1.0 - SIMPLEX_EPS).all(axis=1)
           & (v.sum(axis=1) < 1.0 - SIMPLEX_EPS))
     if not ok.all():
         row = int(np.argmin(ok))
-        try:
-            validate_shares(v[row])
-        except SimplexViolation as exc:
-            raise SimplexViolation(f"market {row if ids is None else ids[row]}: {exc}") from None
+        r = v[row]
+        if not np.all(np.isfinite(r)):
+            why = f"non-finite shares: {r}"
+        elif np.any(r <= SIMPLEX_EPS) or np.any(r >= 1.0 - SIMPLEX_EPS):
+            why = f"share outside ({SIMPLEX_EPS}, 1-{SIMPLEX_EPS}): {r}"
+        else:
+            why = f"shares sum to {r.sum()} >= 1 - {SIMPLEX_EPS}"
+        raise SimplexViolation(f"market {row if ids is None else ids[row]}: {why}")
     return v
 
 
@@ -152,17 +122,6 @@ def bundle(x1, p, x2=None) -> Bundle:
     if x2 is None:
         x2 = np.zeros((len(x1), 0))
     return Bundle(x1, p, x2)
-
-
-@dataclass(frozen=True)
-class MarketDraw:
-    """One market's latent state plus its observed triple."""
-
-    xi: np.ndarray  # (J,) structural shock
-    zeta: int  # latent type tag
-    y: SharesVector  # observed shares, equals the type's share map at (a, xi)
-    a: Bundle
-    z: np.ndarray  # instruments
 
 
 _MIXING_KINDS = ("degenerate", "normal", "lognormal", "finite-mixture")

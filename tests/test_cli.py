@@ -1,6 +1,10 @@
 import csv
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -242,12 +246,13 @@ def test_acceptance_subset_runs_and_reports(tmp_path):
 
 
 @pytest.mark.parametrize("cmd,source", [
+    ("simulate", "config"), ("invert", "config"),
     ("predict", "config"), ("verify-thm1", "config"), ("fig1", "option"),
     ("fig2", "option"), ("price-ccs", "option"), ("verify-thm2", "option"),
 ])
 def test_zero_markets_exit_1_naming_the_market_count(tmp_path, capsys, cmd, source):
-    """No markets is a configuration error: no traceback, and no report row
-    that passes over nothing."""
+    """No markets is a configuration error: no traceback, and no CSV, neither
+    a header-only table nor a report row that passes over nothing."""
     out = tmp_path / "out"
     args = [cmd, "--out", out]
     if source == "config":
@@ -265,6 +270,17 @@ def test_zero_markets_exit_1_naming_the_market_count(tmp_path, capsys, cmd, sour
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "at least 1 market, got" in err and "0" in err.split("got", 1)[1]
-    for report in out.glob("*_report.csv"):
-        with open(report, newline="") as fh:
-            assert all(row.get("passed") != "True" for row in csv.DictReader(fh))
+    assert not list(out.glob("*.csv"))
+
+
+def test_importing_the_cli_loads_neither_scipy_optimize_nor_scipy_stats():
+    """Every `cdl` run imports cdlab.cli; scipy.optimize and scipy.stats add
+    start-up time and memory to each, so only the code that needs them
+    imports them, inside the function."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, cdlab.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

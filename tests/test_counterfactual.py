@@ -3,33 +3,38 @@ import pytest
 from scipy.special import expit
 
 from cdlab.counterfactual import CounterfactualEngine, verify_theorem1
-from cdlab.demand import mixed_logit, plain_logit, shares
+from cdlab.demand import mixed_logit, plain_logit, shares_array
 from cdlab.diagnostics import Fig1Spec
 from cdlab.errors import SimplexViolation
 from cdlab.population import PopulationSpec, sample_population
 from cdlab.transforms import MixedLogitInverse
-from cdlab.types import bundle, lognormal_mixing, validate_shares
+from cdlab.types import Bundles, bundle, lognormal_mixing
+
+
+def market(x1, p) -> Bundles:
+    """The Bundles of one market: one row."""
+    return Bundles.repeat(bundle(x1, p), 1)
 
 
 def test_predict_plain_logit_matches_hand_computation():
     engine = CounterfactualEngine(plain_logit(alpha=0.5))
-    a = bundle([0.2], [1.0])
+    a = market([0.2], [1.0])
     xi = 0.3
-    y = shares(engine.map, a.x1 + xi, a)
-    target = bundle([0.6], [2.0])
+    y = shares_array(engine.map, a.x1 + xi, a)
+    target = market([0.6], [2.0])
     pred = engine.predict(y, a, target)
     expected = expit(0.6 + xi - 0.5 * 2.0)
-    np.testing.assert_allclose(pred.values, [expected], atol=1e-14)
+    np.testing.assert_allclose(pred, [[expected]], atol=1e-14)
 
 
 def test_predict_depends_only_on_observables():
     engine = CounterfactualEngine(mixed_logit(lognormal_mixing(0.0, 0.5)))
-    a = bundle([0.0], [1.0])
-    y = validate_shares([0.35])
-    target = bundle([0.0], [2.0])
+    a = market([0.0], [1.0])
+    y = np.array([[0.35]])
+    target = market([0.0], [2.0])
     p1 = engine.predict(y, a, target)
-    p2 = engine.predict(validate_shares([0.35]), bundle([0.0], [1.0]), target)
-    np.testing.assert_array_equal(p1.values, p2.values)
+    p2 = engine.predict(np.array([[0.35]]), market([0.0], [1.0]), target)
+    np.testing.assert_array_equal(p1, p2)
 
 
 def test_batched_predict_matches_one_market_predictions():
@@ -42,8 +47,8 @@ def test_batched_predict_matches_one_market_predictions():
     a = pop.a
     target = a.replace(p=a.p + 0.5, x1=a.x1 - 0.2)
     got = engine.predict(pop.y, a, target)
-    one = [engine.predict(d.y, d.a, d.a.replace(p=d.a.p + 0.5, x1=d.a.x1 - 0.2)).values
-           for d in pop]
+    one = np.concatenate([engine.predict(pop.y[i:i + 1], a[i:i + 1], target[i:i + 1])
+                          for i in range(len(pop))])
     np.testing.assert_allclose(got, one, atol=1e-12, rtol=0)
     np.testing.assert_allclose(got, spec.truth(pop, target), atol=1e-10, rtol=0)
 
@@ -54,11 +59,11 @@ def test_convert_agrees_with_predict_for_inverse_transform():
     m = mixed_logit(lognormal_mixing(0.0, 0.5))
     engine = CounterfactualEngine(m)
     h = MixedLogitInverse(m)
-    a = bundle([0.2], [1.0])
-    y = validate_shares([0.3])
-    target = bundle([-0.1], [2.2])
-    converted = h.invert(h.apply(y.values, a) - a.x1 + target.x1, target)
-    np.testing.assert_allclose(converted, engine.predict(y, a, target).values, atol=1e-10)
+    a = market([0.2], [1.0])
+    y = np.array([[0.3]])
+    target = market([-0.1], [2.2])
+    converted = h.invert(h.apply(y, a) - a.x1 + target.x1, target)
+    np.testing.assert_allclose(converted, engine.predict(y, a, target), atol=1e-10)
 
 
 class TestConversionGroupLaws:
@@ -66,36 +71,34 @@ class TestConversionGroupLaws:
     action: C_{a -> a} is the identity, C_{b -> c} C_{a -> b} = C_{a -> c}."""
 
     engine = CounterfactualEngine(plain_logit(alpha=0.5))
-    bundles = [bundle([x1], [p]) for x1, p in
+    bundles = [market([x1], [p]) for x1, p in
                [(0.0, 1.0), (0.5, 2.0), (-0.3, 0.7), (0.2, 2.8)]]
+    y = np.array([[0.3]])
 
     def test_identity(self):
-        y = validate_shares([0.3])
         for a in self.bundles:
             np.testing.assert_allclose(
-                self.engine.predict(y, a, a).values, y.values, atol=1e-14)
+                self.engine.predict(self.y, a, a), self.y, atol=1e-14)
 
     def test_composition(self):
-        y = validate_shares([0.3])
         a, b, c = self.bundles[:3]
-        via_b = self.engine.predict(self.engine.predict(y, a, b), b, c)
-        direct = self.engine.predict(y, a, c)
-        np.testing.assert_allclose(via_b.values, direct.values, atol=1e-12)
+        via_b = self.engine.predict(self.engine.predict(self.y, a, b), b, c)
+        direct = self.engine.predict(self.y, a, c)
+        np.testing.assert_allclose(via_b, direct, atol=1e-12)
 
     def test_inverse(self):
-        y = validate_shares([0.3])
         a, b = self.bundles[:2]
-        back = self.engine.predict(self.engine.predict(y, a, b), b, a)
-        np.testing.assert_allclose(back.values, y.values, atol=1e-12)
+        back = self.engine.predict(self.engine.predict(self.y, a, b), b, a)
+        np.testing.assert_allclose(back, self.y, atol=1e-12)
 
 
 def test_convert_signals_simplex_exit():
     engine = CounterfactualEngine(plain_logit(alpha=0.0))
-    y = validate_shares([1.0 - 1e-9])
+    y = np.array([[1.0 - 1e-9]])
     with pytest.raises(SimplexViolation):
         # a huge positive x1 shift pushes the logit index past representable
         # shares, so the conversion leaves the open simplex
-        engine.predict(y, bundle([0.0], [1.0]), bundle([60.0], [1.0]))
+        engine.predict(y, market([0.0], [1.0]), market([60.0], [1.0]))
 
 
 def _single_type_spec(n=30, seed=0):

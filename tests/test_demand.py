@@ -3,23 +3,27 @@ import pytest
 
 from cdlab.demand import (
     Integration,
+    _fixed_index,
+    _node_shares,
+    _weighted_node_shares,
     mixed_logit,
     mixing_nodes,
     monte_carlo,
+    node_jacobian,
     plain_logit,
     share_curve_1d,
     share_curve_slope_1d,
-    share_jacobian,
-    shares,
     shares_array,
 )
 from cdlab.errors import ConfigError, IntegrationFailure, SimplexViolation
 from cdlab.types import (
+    Bundles,
     bundle,
     degenerate,
     finite_mixture,
     lognormal_mixing,
     normal_mixing,
+    validate_share_rows,
 )
 
 # Closed-form arithmetic oracle: alpha=0.5, gamma=(0.3,),
@@ -39,60 +43,83 @@ MIXED_MC_ORACLE = np.array([0.3336256, 0.06210349])
 CURVE_ORACLE = 0.2293504581567893
 
 
+def market(x1, p, x2=None) -> Bundles:
+    """The Bundles of one market: one row."""
+    return Bundles.repeat(bundle(x1, p, x2), 1)
+
+
+def observed(m, delta, a: Bundles) -> np.ndarray:
+    """Validated shares (n, J) at the index rows delta under a."""
+    return validate_share_rows(shares_array(m, np.atleast_2d(delta), a))
+
+
 def test_plain_logit_matches_arithmetic_oracle():
     m = plain_logit(alpha=0.5, gamma=(0.3,))
-    a = bundle([0.0, 0.0], [1.0, 2.0], np.array([[0.5], [-1.0]]))
-    y = shares(m, np.array([0.2, -0.4]), a)
-    np.testing.assert_allclose(y.values, PLAIN_ORACLE, rtol=0, atol=1e-15)
+    a = market([0.0, 0.0], [1.0, 2.0], np.array([[0.5], [-1.0]]))
+    y = observed(m, [0.2, -0.4], a)
+    np.testing.assert_allclose(y, [PLAIN_ORACLE], rtol=0, atol=1e-15)
 
 
 def test_mixed_logit_matches_quadrature_oracle():
     m = mixed_logit(lognormal_mixing(0.0, 0.5))
-    y = shares(m, np.array([0.5, -0.3]), bundle([0.0, 0.0], [1.0, 2.0]))
-    np.testing.assert_allclose(y.values, MIXED_ORACLE, rtol=0, atol=1e-10)
+    y = observed(m, [0.5, -0.3], market([0.0, 0.0], [1.0, 2.0]))
+    np.testing.assert_allclose(y, [MIXED_ORACLE], rtol=0, atol=1e-10)
 
 
 def test_mixed_logit_within_three_monte_carlo_ses_of_oracle():
     m = mixed_logit(lognormal_mixing(0.0, 0.5))
-    y = shares(m, np.array([0.5, -0.3]), bundle([0.0, 0.0], [1.0, 2.0]))
-    np.testing.assert_allclose(y.values, MIXED_MC_ORACLE, rtol=0, atol=1e-4)
+    y = observed(m, [0.5, -0.3], market([0.0, 0.0], [1.0, 2.0]))
+    np.testing.assert_allclose(y, [MIXED_MC_ORACLE], rtol=0, atol=1e-4)
 
 
 def test_degenerate_mixing_equals_plain_logit_exactly():
-    a = bundle([0.1, -0.2], [1.0, 2.5])
-    delta = np.array([0.4, -0.6])
-    y_plain = shares(plain_logit(alpha=0.8), delta, a)
-    y_mixed = shares(mixed_logit(degenerate(0.8)), delta, a)
-    np.testing.assert_array_equal(y_plain.values, y_mixed.values)
+    a = market([0.1, -0.2], [1.0, 2.5])
+    delta = [0.4, -0.6]
+    y_plain = observed(plain_logit(alpha=0.8), delta, a)
+    y_mixed = observed(mixed_logit(degenerate(0.8)), delta, a)
+    np.testing.assert_array_equal(y_plain, y_mixed)
 
 
 def test_shares_overflow_safe_for_large_indices():
     # extreme indices must not overflow; the boundary values themselves are
-    # rejected by the simplex validation in shares(), so check the raw array
-    s = shares_array(plain_logit(), np.array([700.0, -700.0]),
-                     bundle([0, 0], [0, 0]))
+    # rejected by the simplex validation, so check the raw array
+    a = market([0, 0], [0, 0])
+    s = shares_array(plain_logit(), np.array([[700.0, -700.0]]), a)
     assert np.all(np.isfinite(s))
-    assert s[0] > 1.0 - 1e-10 and s[1] >= 0.0
-    with pytest.raises(SimplexViolation):
-        shares(plain_logit(), np.array([700.0, -700.0]), bundle([0, 0], [0, 0]))
+    assert s[0, 0] > 1.0 - 1e-10 and s[0, 1] >= 0.0
+    with pytest.raises(SimplexViolation, match="market 0:"):
+        validate_share_rows(s)
 
 
 def test_delta_shape_and_finiteness_validated():
-    m = plain_logit()
-    a = bundle([0.0], [1.0])
-    with pytest.raises(ConfigError):
-        shares(m, np.array([0.1, 0.2]), a)
+    a = market([0.0], [1.0])
+    with pytest.raises(ConfigError, match="does not match J=1"):
+        shares_array(plain_logit(), np.array([[0.1, 0.2]]), a)
     with pytest.raises(IntegrationFailure):
-        shares(m, np.array([np.nan]), a)
+        shares_array(mixed_logit(lognormal_mixing(0.0, 0.5)), np.array([[np.nan]]), a)
+    with pytest.raises(SimplexViolation, match="non-finite"):
+        observed(plain_logit(), [np.nan], a)
+
+
+def node_shares(m, delta, a: Bundles):
+    """Node shares P (n, M, J + 1), the outside good last, and weights w of
+    the markets a at delta (n, J); plain logit is one node of weight 1."""
+    if m.kind == "plain-logit":
+        return _node_shares(delta + _fixed_index(m, a), outside=True)[:, None, :], np.ones(1)
+    return _weighted_node_shares(m, delta, a, outside=True)
 
 
 def test_share_jacobian_plain_closed_form():
+    """One node of weight 1: diag(s) - s s' for the inside goods, and
+    -s0 s' for the outside good."""
     m = plain_logit(alpha=0.5)
-    a = bundle([0.0, 0.0], [1.0, 2.0])
-    delta = np.array([0.3, -0.2])
-    s = shares(m, delta, a).values
-    np.testing.assert_allclose(share_jacobian(m, delta, a),
-                               np.diag(s) - np.outer(s, s), atol=1e-15)
+    a = market([0.0, 0.0], [1.0, 2.0])
+    delta = np.array([[0.3, -0.2]])
+    P, w = node_shares(m, delta, a)
+    s = observed(m, delta, a)[0]
+    s0 = 1.0 - s.sum()
+    np.testing.assert_allclose(node_jacobian(P, w, w @ P)[0],
+                               np.vstack([np.diag(s) - np.outer(s, s), -s0 * s]), atol=1e-15)
 
 
 @pytest.mark.parametrize("m", [
@@ -101,38 +128,41 @@ def test_share_jacobian_plain_closed_form():
     mixed_logit(normal_mixing((0.5, 0.2), (0.3, 0.4))),
 ])
 def test_share_jacobian_matches_finite_differences(m):
-    a = bundle([0.0, 0.0], [1.0, 2.0], np.array([[0.5], [-0.3]]))
-    delta = np.array([0.4, -0.1])
-    jac = share_jacobian(m, delta, a)
+    """Rows 0 and 1 of the Jacobian against central differences of the
+    inside shares, row 2 against those of the outside share."""
+    a = market([0.0, 0.0], [1.0, 2.0], np.array([[0.5], [-0.3]]))
+    delta = np.array([[0.4, -0.1]])
+    P, w = node_shares(m, delta, a)
+    jac = node_jacobian(P, w, w @ P)[0]
     step = 1e-6
-    fd = np.empty((2, 2))
+    fd = np.empty((3, 2))
     for k in range(2):
         e = np.zeros(2)
         e[k] = step
-        fd[:, k] = (shares(m, delta + e, a).values
-                    - shares(m, delta - e, a).values) / (2 * step)
+        diff = observed(m, delta + e, a)[0] - observed(m, delta - e, a)[0]
+        fd[:, k] = np.append(diff, -diff.sum()) / (2 * step)
     np.testing.assert_allclose(jac, fd, atol=1e-9)
 
 
 def test_finite_mixture_weights_average_components():
     comps = (lognormal_mixing(0.0, 0.5), lognormal_mixing(-0.5, 2.0))
     mix = finite_mixture((0.25, 0.75), comps)
-    a = bundle([0.0], [1.5])
-    delta = np.array([0.3])
-    y = shares(mixed_logit(mix), delta, a).values
-    parts = [shares(mixed_logit(c), delta, a).values for c in comps]
+    a = market([0.0], [1.5])
+    delta = [0.3]
+    y = observed(mixed_logit(mix), delta, a)
+    parts = [observed(mixed_logit(c), delta, a) for c in comps]
     np.testing.assert_allclose(y, 0.25 * parts[0] + 0.75 * parts[1], atol=1e-14)
 
 
 def test_monte_carlo_integration_deterministic_and_close():
     mix = lognormal_mixing(0.0, 0.5)
-    a = bundle([0.0, 0.0], [1.0, 2.0])
-    delta = np.array([0.5, -0.3])
+    a = market([0.0, 0.0], [1.0, 2.0])
+    delta = [0.5, -0.3]
     m1 = mixed_logit(mix, integration=monte_carlo(200_000, seed=4))
     m2 = mixed_logit(mix, integration=monte_carlo(200_000, seed=4))
-    y1, y2 = shares(m1, delta, a), shares(m2, delta, a)
-    np.testing.assert_array_equal(y1.values, y2.values)
-    np.testing.assert_allclose(y1.values, MIXED_ORACLE, atol=3e-3)
+    y1, y2 = observed(m1, delta, a), observed(m2, delta, a)
+    np.testing.assert_array_equal(y1, y2)
+    np.testing.assert_allclose(y1, [MIXED_ORACLE], atol=3e-3)
 
 
 def test_monte_carlo_nodes_are_cached_and_read_only():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdlab import diagnostics
-from cdlab.demand import share_curve_1d, shares
+from cdlab.demand import share_curve_1d, shares_array
 from cdlab.diagnostics import (
     Fig1Spec,
     _invert_curve_xi,
@@ -14,7 +14,7 @@ from cdlab.diagnostics import (
 )
 from cdlab.errors import InsufficientData, RootNotBracketed
 from cdlab.population import PopulationSpec, sample_population
-from cdlab.types import bundle, lognormal_mixing
+from cdlab.types import Bundles, bundle, lognormal_mixing
 
 
 class TestPartition:
@@ -76,14 +76,16 @@ def test_conditional_variance_requires_enough_markets():
 @pytest.mark.parametrize("spec", [single_type_spec(400, seed=5),
                                   Fig1Spec(market_count=400, seed=5).population_spec()])
 def test_conditional_variance_equals_per_market_reference(spec, monkeypatch):
-    """The batched truth against one `shares` call per market and bundle."""
+    """The batched truth against one share-kernel call per market and bundle,
+    each on the batch of one."""
     pop = sample_population(spec)
     a, a_prime = bundle(0.0, 1.5), bundle(0.0, 2.0)
     batched = conditional_variance(pop, spec, a, a_prime, bins=20)
 
     def per_market(spec, xi, zeta, a):
-        return np.array([shares(spec.share_map(t), a.x1 + x, a).values
-                         for x, t in zip(xi, zeta)])
+        one = Bundles.repeat(a, 1)
+        return np.concatenate([shares_array(spec.share_map(t), a.x1 + x[None], one)
+                               for x, t in zip(xi, zeta)])
 
     monkeypatch.setattr(diagnostics, "true_counterfactuals", per_market)
     assert conditional_variance(pop, spec, a, a_prime, bins=20) == batched
@@ -123,14 +125,14 @@ class TestCrossingCurve:
 
     def test_opposite_curve_passes_through_observed_point(self):
         pop = sample_population(self.spec.population_spec())
-        for i, draw in enumerate(pop[:10]):
+        for i in range(10):
             pair = self.curve(pop, i)
-            price = float(draw.a.p[0])
-            opp_mix = self.spec.mixing(1 - draw.zeta)
+            price, y_obs = float(pop.a.p[i, 0]), float(pop.y[i, 0])
+            opp_mix = self.spec.mixing(1 - pop.zeta[i])
             at_p = float(share_curve_1d(opp_mix, np.array(pair.xi_opposite),
                                         np.array(price), self.spec.quad_nodes))
-            assert abs(at_p - float(draw.y.values[0])) < 1e-8
-            assert abs(np.log(at_p) - np.log(float(draw.y.values[0]))) <= 1e-12
+            assert abs(at_p - y_obs) < 1e-8
+            assert abs(np.log(at_p) - np.log(y_obs)) <= 1e-12
 
     def test_slopes_differ_at_the_crossing(self):
         pop = sample_population(self.spec.population_spec())
@@ -140,11 +142,9 @@ class TestCrossingCurve:
 
     def test_curves_cross_once_the_grid_contains_the_observed_price(self):
         pop = sample_population(self.spec.population_spec())
-        draw = pop[0]
         pair = self.curve(pop, 0)
-        price = float(draw.a.p[0])
-        y_obs = float(draw.y.values[0])
-        opp_mix = self.spec.mixing(1 - draw.zeta)
+        price, y_obs = float(pop.a.p[0, 0]), float(pop.y[0, 0])
+        opp_mix = self.spec.mixing(1 - pop.zeta[0])
         at_p = float(share_curve_1d(opp_mix, np.array(pair.xi_opposite),
                                     np.array(price), self.spec.quad_nodes))
         own = np.append(pair.own, y_obs)
@@ -163,7 +163,7 @@ def test_crossing_curves_equal_per_market_curves():
     spec = Fig1Spec(market_count=60, seed=7)
     pop = sample_population(spec.population_spec())
     pairs = crossing_curves(spec, pop)
-    assert {d.zeta for d in pop} == {0, 1}
+    assert set(pop.zeta.tolist()) == {0, 1}
     for i, pair in enumerate(pairs):
         one = crossing_curves(spec, pop[[i]])[0]
         np.testing.assert_allclose(pair.own, one.own, rtol=0, atol=1e-12)

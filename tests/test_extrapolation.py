@@ -9,7 +9,7 @@ from cdlab.demand import plain_logit
 from cdlab.errors import ConfigError, NonUnique
 from cdlab.population import market_rng
 from cdlab.transforms import LogitInverse
-from cdlab.types import Bundle, Bundles, SharesVector
+from cdlab.types import Bundle, Bundles
 
 
 def test_rule_family_validation():
@@ -122,7 +122,7 @@ def _nelder_mead_two_step(data):
 
     def solve(W, start):
         return minimize(crit, start, args=(W,), method="Nelder-Mead",
-                        options={"xatol": 1e-12, "fatol": 1e-30, "maxiter": 20000}).x
+                        options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 20000}).x
 
     theta1 = solve(np.eye(B.shape[1]), np.zeros(X.shape[1]))
     W = np.linalg.inv(np.cov(contrib(theta1), rowvar=False, bias=True))
@@ -225,8 +225,8 @@ def _loop_structural(fam, o, t):
     if fam.kind == "partially-linear-index":
         c = fam._pl_coeffs()
         engine = CounterfactualEngine(plain_logit(alpha=float(c[0]), gamma=tuple(c[1:])))
-        return float(engine.predict(SharesVector(np.array([o.y])), Bundle(o.a.x1, o.a.p, o.a.x2),
-                                    Bundle(t.x1, t.p, t.x2)).values[0])
+        one = [Bundles.repeat(Bundle(b.x1, b.p, b.x2), 1) for b in (o.a, t)]
+        return float(engine.predict(np.array([[o.y]]), *one)[0, 0])
     base = fam.levels[0]
     if fam.kind == "demeaned-transform":
         mu = dict(zip(fam.levels, fam.theta))

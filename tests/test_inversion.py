@@ -13,20 +13,17 @@ from cdlab.demand import (
     gauss_hermite,
     mixed_logit,
     monte_carlo,
+    node_jacobian,
     plain_logit,
-    share_jacobian,
-    shares,
     shares_array,
 )
 from cdlab.errors import ConfigError, IntegrationFailure, NoConvergence, SimplexViolation
 from cdlab.inversion import (
     OUTSIDE_TOL,
     InversionConfig,
-    invert,
     invert_rows,
     logit_closed_form,
     solve_share_curve,
-    structural_shock,
 )
 from cdlab.population import PopulationSpec, market_rng, sample_population
 from cdlab.types import (
@@ -37,78 +34,89 @@ from cdlab.types import (
     finite_mixture,
     lognormal_mixing,
     normal_mixing,
-    validate_shares,
+    validate_share_rows,
 )
 
+
+def market(x1, p, x2=None) -> Bundles:
+    """The Bundles of one market: one row."""
+    return Bundles.repeat(bundle(x1, p, x2), 1)
+
+
+def observed(m, delta, a: Bundles) -> np.ndarray:
+    """Validated shares (n, J) at the index rows delta under a."""
+    return validate_share_rows(shares_array(m, np.atleast_2d(delta), a))
 
 
 def contraction_reference(m, y, a, tol=1e-12, max_iter=10_000):
     """The BLP contraction delta <- delta + log y - log s(delta) alone, from
-    the plain-logit start, to both share tolerances: the reference path the
-    Newton solver is checked against."""
-    log_y = np.log(y.values)
-    delta = log_y - np.log(y.outside)
+    the plain-logit start, to both share tolerances, for the markets of
+    y (n, J) under a: the reference path the Newton solver is checked
+    against."""
+    log_y = np.log(y)
+    delta = log_y - np.log(1.0 - y.sum(axis=1, keepdims=True))
     for _ in range(max_iter):
         s = shares_array(m, delta, a)
         step = log_y - np.log(s)
-        if np.max(np.abs(s - y.values)) <= tol and np.max(np.abs(step)) <= tol:
+        if np.max(np.abs(s - y)) <= tol and np.max(np.abs(step)) <= tol:
             return delta
         delta = delta + step
-    raise NoConvergence(max_iter, float(np.max(np.abs(s - y.values))))
+    raise NoConvergence(max_iter, float(np.max(np.abs(s - y))))
 
 
 def test_plain_logit_closed_form_round_trip():
     m = plain_logit(alpha=0.5, gamma=(0.3,))
-    a = bundle([0.1, -0.2], [1.0, 2.0], np.array([[0.5], [-1.0]]))
-    delta = np.array([0.7, -1.3])
-    y = shares(m, delta, a)
-    np.testing.assert_allclose(invert(m, y, a), delta, atol=1e-14)
+    a = market([0.1, -0.2], [1.0, 2.0], np.array([[0.5], [-1.0]]))
+    delta = np.array([[0.7, -1.3]])
+    y = observed(m, delta, a)
+    np.testing.assert_allclose(invert_rows(m, y, a), delta, atol=1e-14)
 
 
 def test_mixed_logit_round_trip_across_dimensions():
+    """Ten markets of each J, solved in one call."""
     m = mixed_logit(lognormal_mixing(0.0, 0.3))
     rng = market_rng(3, 0)
     for J in (1, 3, 8):
-        for _ in range(10):
-            delta = rng.uniform(-4.0, 4.0, J)
-            a = bundle(np.zeros(J), rng.uniform(0.5, 3.0, J))
-            y = shares(m, delta, a)
-            np.testing.assert_allclose(invert(m, y, a), delta, atol=1e-10)
+        draws = [(rng.uniform(-4.0, 4.0, J), rng.uniform(0.5, 3.0, J)) for _ in range(10)]
+        delta, p = (np.array(v) for v in zip(*draws))
+        a = Bundles(np.zeros(delta.shape), p, np.zeros(delta.shape + (0,)))
+        y = observed(m, delta, a)
+        np.testing.assert_allclose(invert_rows(m, y, a), delta, atol=1e-10)
 
 
 def test_round_trip_other_direction():
     m = mixed_logit(normal_mixing((0.8,), (0.2,)))
-    a = bundle([0.0, 0.0], [1.0, 2.0])
-    y = shares(m, np.array([0.5, -0.5]), a)
-    delta = invert(m, y, a)
-    back = shares(m, delta, a)
-    np.testing.assert_allclose(back.values, y.values, atol=1e-11)
+    a = market([0.0, 0.0], [1.0, 2.0])
+    y = observed(m, [0.5, -0.5], a)
+    delta = invert_rows(m, y, a)
+    back = observed(m, delta, a)
+    np.testing.assert_allclose(back, y, atol=1e-11)
 
 
 def test_degenerate_mixing_agrees_with_closed_form():
     md = mixed_logit(degenerate(0.8))
     mp = plain_logit(alpha=0.8)
-    a = bundle([0.0, 0.0], [1.0, 2.5])
-    y = shares(mp, np.array([0.4, -0.6]), a)
-    np.testing.assert_allclose(invert(md, y, a), logit_closed_form(mp, y.values, a),
+    a = market([0.0, 0.0], [1.0, 2.5])
+    y = observed(mp, [0.4, -0.6], a)
+    np.testing.assert_allclose(invert_rows(md, y, a), logit_closed_form(mp, y, a),
                                atol=1e-10)
 
 
 def test_no_convergence_reports_iterations_and_residual():
     m = mixed_logit(lognormal_mixing(0.0, 0.5))
-    a = bundle([0.0], [1.5])
-    y = shares(m, np.array([2.0]), a)
+    a = market([0.0], [1.5])
+    y = observed(m, [2.0], a)
     with pytest.raises(NoConvergence) as err:
-        invert(m, y, a, InversionConfig(tol=1e-12, max_iter=2))
+        invert_rows(m, y, a, InversionConfig(tol=1e-12, max_iter=2))
     assert err.value.iterations == 2
     assert err.value.residual > 0
 
 
 def test_contraction_reference_round_trip():
     m = mixed_logit(lognormal_mixing(0.0, 0.3))
-    a = bundle([0.0, 0.0], [1.0, 2.0])
-    y = shares(m, np.array([1.0, 0.5]), a)
-    np.testing.assert_allclose(contraction_reference(m, y, a), [1.0, 0.5], atol=1e-10)
+    a = market([0.0, 0.0], [1.0, 2.0])
+    y = observed(m, [1.0, 0.5], a)
+    np.testing.assert_allclose(contraction_reference(m, y, a), [[1.0, 0.5]], atol=1e-10)
     with pytest.raises(NoConvergence):
         contraction_reference(m, y, a, max_iter=3)
 
@@ -121,22 +129,23 @@ def test_config_validation():
 
 
 def test_structural_shock_round_trip():
+    """The shock xi is the inverted index less x1."""
     m = mixed_logit(lognormal_mixing(0.0, 0.3))
-    a = bundle([0.4, -0.1], [1.0, 2.0])
-    xi = np.array([0.3, -0.7])
-    y = shares(m, a.x1 + xi, a)
-    np.testing.assert_allclose(structural_shock(m, y, a), xi, atol=1e-10)
+    a = market([0.4, -0.1], [1.0, 2.0])
+    xi = np.array([[0.3, -0.7]])
+    y = observed(m, a.x1 + xi, a)
+    np.testing.assert_allclose(invert_rows(m, y, a) - a.x1, xi, atol=1e-10)
 
 
 def test_structural_shock_x1_shift_cancellation():
     """Shifting x1 by c and delta by c leaves the shock unchanged."""
     m = plain_logit(alpha=0.5)
-    a = bundle([0.2], [1.0])
-    y = shares(m, np.array([0.9]), a)
-    base = structural_shock(m, y, a)
+    a = market([0.2], [1.0])
+    y = observed(m, [0.9], a)
+    base = invert_rows(m, y, a) - a.x1
     shifted_a = a.replace(x1=a.x1 + 1.7)
-    y2 = shares(m, np.array([0.9 + 1.7]), shifted_a)
-    np.testing.assert_allclose(structural_shock(m, y2, shifted_a), base,
+    y2 = observed(m, [0.9 + 1.7], shifted_a)
+    np.testing.assert_allclose(invert_rows(m, y2, shifted_a) - shifted_a.x1, base,
                                atol=1e-14)
 
 
@@ -146,9 +155,9 @@ def test_newton_agrees_with_contraction_reference(J):
     rng = market_rng(11, J)
     for _ in range(3):
         delta = rng.uniform(-3.0, 1.0, J)
-        a = bundle(np.zeros(J), rng.uniform(0.5, 3.0, J))
-        y = shares(m, delta, a)
-        np.testing.assert_allclose(invert(m, y, a), contraction_reference(m, y, a),
+        a = market(np.zeros(J), rng.uniform(0.5, 3.0, J))
+        y = observed(m, delta, a)
+        np.testing.assert_allclose(invert_rows(m, y, a), contraction_reference(m, y, a),
                                    atol=1e-10, rtol=0)
 
 
@@ -206,17 +215,19 @@ def test_round_trip_property(J, log10_outside, mixing, mc_seed, seed):
     integration = gauss_hermite(16) if mc_seed is None else monte_carlo(500, mc_seed)
     m = mixed_logit(MIXINGS[mixing], integration=integration)
     rng = market_rng(seed, 0)
-    a = bundle(np.zeros(J), rng.uniform(0.5, 3.0, J))
+    a = market(np.zeros(J), rng.uniform(0.5, 3.0, J))
     # Utilities at price coefficient 1, shifted so that their plain-logit
     # outside share is 10**log10_outside; the mixing moves it a little.
     u = rng.uniform(-2.0, 2.0, J)
     s0 = 10.0 ** log10_outside
     delta = u + np.log1p(-s0) - np.log(s0) - np.log(np.exp(u).sum()) + a.p
-    y = shares(m, delta, a)
-    back = invert(m, y, a)
-    np.testing.assert_allclose(shares_array(m, back, a), y.values, atol=1e-12, rtol=0)
-    s = y.values
-    cond = np.linalg.norm(np.linalg.inv(share_jacobian(m, delta, a) / s[:, None]), np.inf)
+    y = observed(m, delta, a)
+    back = invert_rows(m, y, a)
+    np.testing.assert_allclose(shares_array(m, back, a), y, atol=1e-12, rtol=0)
+    P, w = _weighted_node_shares(m, delta, a, outside=True)
+    s = y[0]
+    jac = node_jacobian(P, w, w @ P)[0, :J]
+    cond = np.linalg.norm(np.linalg.inv(jac / s[:, None]), np.inf)
     # To first order the delta error is at most cond * tol; the factor 2
     # covers the rounding in y itself.
     assert np.max(np.abs(back - delta)) <= 1e-10 + 2 * 1e-12 * cond
@@ -229,13 +240,13 @@ def test_round_trip_with_inside_shares_near_simplex_eps(delta):
     curve solver and the J >= 2 Newton loop: delta comes back, and the shares
     match in logs, not only to the absolute tolerance they are below."""
     m = mixed_logit(lognormal_mixing(0.0, 0.3))
-    delta = np.array(delta)
-    a = bundle(np.zeros(len(delta)), np.linspace(1.0, 2.0, len(delta)))
-    y = shares(m, delta, a)
-    assert SIMPLEX_EPS < y.values.min() < 10 * SIMPLEX_EPS
-    back = invert(m, y, a)
+    delta = np.array([delta])
+    a = market(np.zeros(delta.shape[1]), np.linspace(1.0, 2.0, delta.shape[1]))
+    y = observed(m, delta, a)
+    assert SIMPLEX_EPS < y.min() < 10 * SIMPLEX_EPS
+    back = invert_rows(m, y, a)
     np.testing.assert_allclose(back, delta, atol=1e-10, rtol=0)
-    np.testing.assert_allclose(np.log(shares_array(m, back, a)), np.log(y.values),
+    np.testing.assert_allclose(np.log(shares_array(m, back, a)), np.log(y),
                                atol=1e-12, rtol=0)
 
 
@@ -246,8 +257,8 @@ def test_cost_guard_on_a_saturated_market(monkeypatch):
                           mixing_by_type=(lognormal_mixing(0.0, 0.3),),
                           type_probabilities=(1.0,), x1_law=laws.constant(2.3),
                           xi_law=laws.normal(0.0, 0.3), integration=gauss_hermite(32))
-    d = sample_population(spec)[0]
-    assert 0.01 < d.y.outside < 0.04
+    pop = sample_population(spec)
+    assert 0.01 < 1.0 - pop.y.sum() < 0.04
     calls = []
     node_shares = inversion._weighted_node_shares
 
@@ -256,9 +267,9 @@ def test_cost_guard_on_a_saturated_market(monkeypatch):
         return node_shares(*args, **kwargs)
 
     monkeypatch.setattr(inversion, "_weighted_node_shares", counting)
-    delta = invert(spec.share_map(0), d.y, d.a)
+    delta = invert_rows(spec.share_map(0), pop.y, pop.a)
     assert 0 < len(calls) <= 25
-    np.testing.assert_allclose(delta, d.a.x1 + d.xi, atol=1e-9)
+    np.testing.assert_allclose(delta, pop.a.x1 + pop.xi, atol=1e-9)
 
 
 
@@ -270,16 +281,16 @@ def test_outside_share_near_simplex_eps_is_refused_before_iterating(delta, p, mo
     of the shares alone moves it by 2e-5: both loops refuse such markets
     before any share evaluation."""
     m = mixed_logit(lognormal_mixing(0.0, 0.3))
-    a = bundle(np.zeros(len(p)), p)
-    y = shares(m, np.array(delta), a)
-    assert SIMPLEX_EPS < y.outside < 1e-11
+    a = market(np.zeros(len(p)), p)
+    y = observed(m, delta, a)
+    assert SIMPLEX_EPS < 1.0 - y.sum() < 1e-11
     calls = []
     for name in ("_weighted_node_shares", "expit_mixture"):
         fn = getattr(inversion, name)
         monkeypatch.setattr(inversion, name,
                             lambda *args, fn=fn, **kwargs: calls.append(1) or fn(*args, **kwargs))
     with pytest.raises(SimplexViolation, match="outside share"):
-        invert(m, y, a)
+        invert_rows(m, y, a)
     assert calls == []
 
 
@@ -290,29 +301,30 @@ def test_small_outside_share_is_matched_in_logs(delta, p):
     outside share in logs to OUTSIDE_TOL, so it is off only by what the
     rounding of the shares allows, about eps / y0 (it was 4e-5 at 1e-8)."""
     m = mixed_logit(lognormal_mixing(0.0, 0.3))
-    a = bundle(np.zeros(len(p)), p)
-    delta = np.array(delta)
-    y = shares(m, delta, a)
-    assert 1e-10 < y.outside < 5e-8
-    back = invert(m, y, a)
+    a = market(np.zeros(len(p)), p)
+    delta = np.array([delta])
+    y = observed(m, delta, a)
+    y0 = 1.0 - y.sum()
+    assert 1e-10 < y0 < 5e-8
+    back = invert_rows(m, y, a)
     S, w = _weighted_node_shares(m, back, a, outside=True)
-    assert abs(np.log(w @ S[:, -1]) - np.log(y.outside)) <= OUTSIDE_TOL
-    assert np.max(np.abs(back - delta)) <= 1e-10 + 2 * np.finfo(float).eps / y.outside
+    assert abs(np.log(w @ S[0, :, -1]) - np.log(y0)) <= OUTSIDE_TOL
+    assert np.max(np.abs(back - delta)) <= 1e-10 + 2 * np.finfo(float).eps / y0
 
 
 def _market_rows(m, J, saturated, seed):
     """Shares and bundles of one market per entry of `saturated`, each on its
     own prices: an outside share near 2 % where True, 0.1 to 0.6 elsewhere."""
     rng = market_rng(seed, J)
-    y, p = [], []
+    delta, p = [], []
     for sat in saturated:
         pj = rng.uniform(0.5, 3.0, J)
         u = rng.uniform(-2.0, 2.0, J)
         s0 = 0.02 if sat else rng.uniform(0.1, 0.6)
-        delta = u + np.log1p(-s0) - np.log(s0) - np.log(np.exp(u).sum()) + pj
-        y.append(shares(m, delta, bundle(np.zeros(J), pj)).values)
+        delta.append(u + np.log1p(-s0) - np.log(s0) - np.log(np.exp(u).sum()) + pj)
         p.append(pj)
-    return np.array(y), Bundles(np.zeros((len(p), J)), np.array(p), np.zeros((len(p), J, 0)))
+    a = Bundles(np.zeros((len(p), J)), np.array(p), np.zeros((len(p), J, 0)))
+    return observed(m, np.array(delta), a), a
 
 
 @settings(max_examples=12, deadline=None)
@@ -326,8 +338,7 @@ def test_batched_inversion_matches_one_market_solves(J, saturated, failing, seed
     the other rows come out bit for bit as without the failure."""
     m = mixed_logit(lognormal_mixing(0.0, 0.3), integration=gauss_hermite(16))
     y, a = _market_rows(m, J, saturated, seed)
-    one = np.array([invert(m, validate_shares(y[i]), bundle(np.zeros(J), a.p[i]))
-                    for i in range(len(y))])
+    one = np.concatenate([invert_rows(m, y[i:i + 1], a[i:i + 1]) for i in range(len(y))])
     batched = invert_rows(m, y, a)
     np.testing.assert_allclose(batched, one, atol=1e-12, rtol=0)
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdlab import demand, laws
-from cdlab.demand import monte_carlo, shares
+from cdlab.demand import monte_carlo, shares_array
 from cdlab.errors import ConfigError, SimplexViolation
 from cdlab.population import (
     Population,
@@ -12,10 +12,9 @@ from cdlab.population import (
     market_rng,
     market_rngs,
     sample_population,
-    true_counterfactual,
     true_counterfactuals,
 )
-from cdlab.types import Bundle, MarketDraw, SharesVector, bundle, lognormal_mixing, normal_mixing
+from cdlab.types import Bundle, Bundles, bundle, lognormal_mixing, normal_mixing
 
 
 def two_type_spec(n=50, seed=0, **kwargs):
@@ -44,24 +43,20 @@ def test_sampling_is_bit_identical_across_calls():
     spec = two_type_spec(n=20, seed=5)
     a = sample_population(spec)
     b = sample_population(spec)
-    for da, db in zip(a, b):
-        assert da.zeta == db.zeta
-        np.testing.assert_array_equal(da.xi, db.xi)
-        np.testing.assert_array_equal(da.a.p, db.a.p)
-        np.testing.assert_array_equal(da.y.values, db.y.values)
+    for va, vb in ((a.zeta, b.zeta), (a.xi, b.xi), (a.a.p, b.a.p), (a.y, b.y)):
+        np.testing.assert_array_equal(va, vb)
 
 
 def test_market_draw_depends_only_on_seed_and_index():
     """Market i is the same regardless of how many other markets exist."""
     small = two_type_spec(n=5, seed=9)
     large = two_type_spec(n=50, seed=9)
-    for da, db in zip(sample_population(small), sample_population(large)[:5]):
-        np.testing.assert_array_equal(da.y.values, db.y.values)
+    np.testing.assert_array_equal(sample_population(small).y, sample_population(large)[:5].y)
 
 
 def test_population_rows_and_markets():
-    """Slices and index arrays give read-only sub-populations; an int gives
-    that market's MarketDraw, so iteration visits every market."""
+    """Slices and index arrays give read-only sub-populations; a market is
+    the sub-population of one row."""
     spec = PopulationSpec(J=2, market_count=6, seed=3, x2_dim=1,
                           mixing_by_type=(lognormal_mixing(0.0, 0.5),),
                           type_probabilities=(1.0,))
@@ -75,12 +70,25 @@ def test_population_rows_and_markets():
         np.testing.assert_array_equal(sub.a.x2, pop.a.x2[rows])
         for v in (sub.zeta, sub.xi, sub.y, sub.a.x1, sub.a.p, sub.a.x2, sub.z):
             assert not v.flags.writeable
-    draws = list(pop)
-    assert len(draws) == 6 and all(isinstance(d, MarketDraw) for d in draws)
-    d = pop[np.int64(4)]
-    assert d.zeta == pop.zeta[4] and d.y == SharesVector(pop.y[4])
-    np.testing.assert_array_equal(d.a.x2, pop.a.x2[4])
-    np.testing.assert_array_equal(pop[-1].z, pop.z[5])
+    d = pop[4:5]
+    assert len(d) == 1 and d.zeta[0] == pop.zeta[4]
+    np.testing.assert_array_equal(d.y, pop.y[[4]])
+    np.testing.assert_array_equal(d.a.x2, pop.a.x2[[4]])
+    np.testing.assert_array_equal(pop[-1:].z, pop.z[[5]])
+
+
+def test_int_index_and_iteration_are_type_errors():
+    """An int index would drop the market axis, and iteration would never
+    stop, since a slice past the end raises no IndexError."""
+    pop = sample_population(two_type_spec(n=3))
+    for i in (1, np.int64(1), -1):
+        with pytest.raises(TypeError, match="slice or an index array"):
+            pop[i]
+    with pytest.raises(TypeError, match="slice or an index array"):
+        list(pop)
+    with pytest.raises(TypeError, match="slice or an index array"):
+        for _ in pop:
+            pass
 
 
 def test_market_rng_streams_are_distinct():
@@ -137,45 +145,45 @@ def test_market_rngs_reject_bad_seeds_and_keys(seed, keys, named):
 
 
 def test_observed_shares_reconstruct_from_latent_state():
+    """Each market's shares from its own share-kernel call, the batch of one."""
     spec = two_type_spec(n=10, seed=2)
-    for d in sample_population(spec):
-        y = shares(spec.share_map(d.zeta), d.a.x1 + d.xi, d.a)
-        np.testing.assert_array_equal(y.values, d.y.values)
+    pop = sample_population(spec)
+    for i, t in enumerate(pop.zeta):
+        one = pop[i:i + 1]
+        y = shares_array(spec.share_map(t), one.a.x1 + one.xi, one.a)
+        np.testing.assert_array_equal(y, one.y)
 
 
 def test_instruments_default_to_prices():
-    spec = two_type_spec(n=5)
-    for d in sample_population(spec):
-        np.testing.assert_array_equal(d.z, d.a.p)
+    pop = sample_population(two_type_spec(n=5))
+    np.testing.assert_array_equal(pop.z, pop.a.p)
 
 
 def test_instrument_law_overrides_prices():
-    spec = two_type_spec(n=5, instrument_law=laws.constant(7.0))
-    for d in sample_population(spec):
-        np.testing.assert_array_equal(d.z, [7.0])
+    pop = sample_population(two_type_spec(n=5, instrument_law=laws.constant(7.0)))
+    np.testing.assert_array_equal(pop.z, np.full((5, 1), 7.0))
 
 
 def test_price_law_is_config_not_hard_coded():
     spec = two_type_spec(n=20, price_law=laws.uniform(10.0, 11.0))
-    prices = [float(d.a.p[0]) for d in sample_population(spec)]
-    assert min(prices) >= 10.0 and max(prices) <= 11.0
+    prices = sample_population(spec).a.p
+    assert prices.min() >= 10.0 and prices.max() <= 11.0
 
 
 def test_true_counterfactual_at_observed_bundle_is_observed_outcome():
     spec = two_type_spec(n=8, seed=3)
-    for d in sample_population(spec):
-        y = true_counterfactual(spec, d, d.a)
-        np.testing.assert_array_equal(y.values, d.y.values)
+    pop = sample_population(spec)
+    np.testing.assert_array_equal(true_counterfactuals(spec, pop.xi, pop.zeta, pop.a), pop.y)
 
 
 def test_true_counterfactual_responds_to_price():
     spec = PopulationSpec(J=1, market_count=4,
                           mixing_by_type=(normal_mixing((1.0,), (0.1,)),),
                           type_probabilities=(1.0,), seed=0)
-    for d in sample_population(spec):
-        lo = true_counterfactual(spec, d, bundle(d.a.x1, [0.5]))
-        hi = true_counterfactual(spec, d, bundle(d.a.x1, [3.0]))
-        assert lo.values[0] > hi.values[0]  # demand slopes down
+    pop = sample_population(spec)
+    lo, hi = (true_counterfactuals(spec, pop.xi, pop.zeta, pop.a.replace(p=np.full((4, 1), p)))
+              for p in (0.5, 3.0))
+    assert np.all(lo > hi)  # demand slopes down
 
 
 # --- batched sampling and truth against the per-market share map ------------
@@ -209,19 +217,21 @@ def test_batched_sampling_and_truth_match_per_market_shares(spec, block, monkeyp
         M = len(demand.mixing_nodes(spec.mixing_by_type[0], spec.integration)[1])
         monkeypatch.setattr(demand, "MAX_BLOCK_ELEMENTS", block * M * spec.J)
     pop = sample_population(spec)
-    assert len({d.zeta for d in pop}) == spec.n_types
+    assert len(set(pop.zeta.tolist())) == spec.n_types
     J, d2 = spec.J, spec.x2_dim
     target = Bundle(np.full(J, 0.1), np.linspace(0.8, 2.0, J), np.full((J, d2), 0.25))
-    truth = true_counterfactuals(spec, np.array([d.xi for d in pop]),
-                                 np.array([d.zeta for d in pop]), target)
+    truth = true_counterfactuals(spec, pop.xi, pop.zeta, target)
     assert truth.shape == (len(pop), J)
-    for d, row in zip(pop, truth):
-        m = spec.share_map(d.zeta)
-        np.testing.assert_allclose(d.y.values, shares(m, d.a.x1 + d.xi, d.a).values,
+    for i, row in enumerate(truth):
+        one = pop[i:i + 1]
+        m = spec.share_map(one.zeta[0])
+        np.testing.assert_allclose(one.y, shares_array(m, one.a.x1 + one.xi, one.a),
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(row, shares(m, target.x1 + d.xi, target).values,
+        np.testing.assert_allclose([row], shares_array(m, target.x1 + one.xi,
+                                                       Bundles.repeat(target, 1)),
                                    rtol=0, atol=1e-12)
-        assert true_counterfactual(spec, d, target) == SharesVector(row)
+        np.testing.assert_array_equal(true_counterfactuals(spec, one.xi, one.zeta, target),
+                                      [row])
 
 
 TYPE_PROBABILITIES = [(1.0,), (0.5, 0.5), (0.4, 0.6), (0.999, 0.001),
@@ -271,11 +281,12 @@ def test_batched_sampling_and_truth_at_zero_and_one_market(n):
     assert len(pop) == n
     assert pop.y.shape == pop.xi.shape == (n, 1) and pop.a.x2.shape == (n, 1, 0)
     a = bundle([0.0], [2.0])
-    truth = true_counterfactuals(spec, np.array([d.xi for d in pop]),
-                                 np.array([d.zeta for d in pop], dtype=int), a)
+    truth = true_counterfactuals(spec, pop.xi, pop.zeta, a)
     assert truth.shape == (n, 1)
-    for d, row in zip(pop, truth):
-        np.testing.assert_array_equal(row, true_counterfactual(spec, d, a).values)
+    for i, row in enumerate(truth):
+        one = pop[i:i + 1]
+        np.testing.assert_array_equal(
+            [row], shares_array(spec.share_map(one.zeta[0]), a.x1 + one.xi, Bundles.repeat(a, 1)))
 
 
 def test_saturated_market_is_a_named_simplex_violation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cdlab.demand import mixed_logit, share_jacobian
+from cdlab.demand import _weighted_node_shares, mixed_logit, node_jacobian
 from cdlab.errors import InversionFailure
 from cdlab.transforms import LogitInverse, MixedLogitInverse
 from cdlab.types import Bundles, bundle, lognormal_mixing
@@ -49,7 +49,8 @@ def test_mixed_logit_inverse_round_trip_and_jacobian():
     y = np.array([0.3, 0.15])
     v = h.apply(y, a)
     np.testing.assert_allclose(h.invert(v, a), y, atol=1e-11)
-    np.testing.assert_allclose(np.linalg.inv(share_jacobian(h.map, v, a)),
+    P, w = _weighted_node_shares(h.map, v[None], Bundles.repeat(a, 1), outside=True)
+    np.testing.assert_allclose(np.linalg.inv(node_jacobian(P, w, w @ P)[0, :2]),
                                fd_jacobian(h, y, a), rtol=1e-4, atol=1e-6)
 
 

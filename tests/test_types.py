@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,50 +15,51 @@ from cdlab.types import (
     lognormal_mixing,
     normal_mixing,
     validate_share_rows,
-    validate_shares,
 )
 
 
 class TestValidateShares:
+    """validate_share_rows on one-row matrices: one market's share vector."""
+
     def test_accepts_interior_vector(self):
-        s = validate_shares([0.2, 0.3])
-        assert s.J == 2
-        assert s.outside == pytest.approx(0.5)
+        s = validate_share_rows([[0.2, 0.3]])
+        assert s.shape == (1, 2)
+        assert 1.0 - s.sum() == pytest.approx(0.5)
 
     def test_rejects_zero_and_one(self):
-        with pytest.raises(SimplexViolation):
-            validate_shares([0.0, 0.5])
-        with pytest.raises(SimplexViolation):
-            validate_shares([1.0])
+        with pytest.raises(SimplexViolation, match="market 0: share outside"):
+            validate_share_rows([[0.0, 0.5]])
+        with pytest.raises(SimplexViolation, match="share outside"):
+            validate_share_rows([[1.0]])
 
     def test_rejects_boundary_eps(self):
-        with pytest.raises(SimplexViolation):
-            validate_shares([SIMPLEX_EPS])
+        with pytest.raises(SimplexViolation, match="share outside"):
+            validate_share_rows([[SIMPLEX_EPS]])
 
     def test_rejects_sum_at_least_one(self):
-        with pytest.raises(SimplexViolation):
-            validate_shares([0.6, 0.4])
-        with pytest.raises(SimplexViolation):
-            validate_shares([0.7, 0.5])
+        with pytest.raises(SimplexViolation, match="shares sum to 1.0 >="):
+            validate_share_rows([[0.6, 0.4]])
+        with pytest.raises(SimplexViolation, match="shares sum to"):
+            validate_share_rows([[0.7, 0.5]])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(SimplexViolation):
-            validate_shares([np.nan])
-        with pytest.raises(SimplexViolation):
-            validate_shares([np.inf, 0.1])
+        with pytest.raises(SimplexViolation, match="non-finite"):
+            validate_share_rows([[np.nan]])
+        with pytest.raises(SimplexViolation, match="non-finite"):
+            validate_share_rows([[np.inf, 0.1]])
 
     def test_values_are_read_only(self):
-        s = validate_shares([0.5])
+        s = validate_share_rows([[0.5]])
         with pytest.raises(ValueError):
-            s.values[0] = 0.1
+            s[0, 0] = 0.1
 
     @given(st.lists(st.floats(1e-6, 0.9), min_size=1, max_size=6))
     def test_any_scaled_interior_vector_validates(self, raw):
         v = np.array(raw)
         v = v / v.sum() * 0.9  # total mass 0.9 leaves the outside positive
-        s = validate_shares(v)
-        assert np.array_equal(s.values, v)
-        assert s.outside > 0
+        s = validate_share_rows(v[None])
+        assert np.array_equal(s[0], v)
+        assert 1.0 - s.sum() > 0
 
 
 def _near_eps_rows():
@@ -68,21 +71,31 @@ def _near_eps_rows():
             [0.5, 0.5 - 2 * eps], [up, up], [0.3, np.nan], [np.inf, 0.1], [0.2, 0.3]]
 
 
+def _on_open_simplex(row) -> bool:
+    """The rule, written out: every entry finite and in (eps, 1 - eps), and
+    the row sum below 1 - eps, for eps = SIMPLEX_EPS."""
+    eps = SIMPLEX_EPS
+    return (all(math.isfinite(x) and eps < x < 1.0 - eps for x in row)
+            and sum(row) < 1.0 - eps)
+
+
 @pytest.mark.parametrize("row", _near_eps_rows())
 def test_batched_validation_agrees_with_validate_shares(row):
-    def accepted(check, values):
+    """validate_share_rows accepts a row exactly where the written-out rule
+    does, alone or between two good rows, and names the failing market."""
+    def accepted(values):
         try:
-            check(values)
+            validate_share_rows(values)
         except SimplexViolation:
             return False
         return True
 
-    single = accepted(validate_shares, row)
-    assert accepted(validate_share_rows, [row]) == single
+    expected = _on_open_simplex(row)
+    assert accepted([row]) == expected
     good = [0.1] * len(row)
     rows = np.array([good, row, good])
-    assert accepted(validate_share_rows, rows) == single
-    if not single:
+    assert accepted(rows) == expected
+    if not expected:
         with pytest.raises(SimplexViolation, match="market 7:"):
             validate_share_rows(rows, ids=[6, 7, 8])
 
