@@ -18,12 +18,12 @@ from scipy.special import expit
 from . import extrapolation as ex
 from . import micro as mi
 from .counterfactual import verify_theorem1
-from .demand import mixed_logit, share_curve_1d, shares_array
+from .demand import mixed_logit, plain_logit, share_curve_1d, shares_array
 from .dgps import ScaledX1Spec, sample_scaled_x1_population
 from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
+from .errors import ConfigError
 from .inversion import invert_rows
 from .population import PopulationSpec, market_rng, market_rngs, sample_population
-from .transforms import LogitInverse, MixedLogitInverse
 from .types import Bundles, bundle, lognormal_mixing, validate_share_rows
 
 
@@ -105,12 +105,12 @@ def criterion_2(seed: int) -> CriterionResult:
     a0 = bundle(np.zeros(spec.J), np.full(spec.J, 1.5))
     grid = [bundle(np.full(spec.J, x1), np.full(spec.J, p))
             for x1, p in zip(np.linspace(-0.5, 0.5, 10), np.linspace(0.6, 2.8, 10))]
-    rep = verify_theorem1(MixedLogitInverse(m), a0, grid, pop, spec.truth)
+    rep = verify_theorem1(m, a0, grid, pop, spec.truth)
 
     fig1 = Fig1Spec(market_count=100, seed=seed + 2)
     fspec = fig1.population_spec()
     fgrid = [bundle(0.0, p) for p in np.linspace(0.6, 2.8, 10)]
-    frep = verify_theorem1(MixedLogitInverse(mixed_logit(fig1.blue)), bundle(0.0, 1.5), fgrid,
+    frep = verify_theorem1(mixed_logit(fig1.blue), bundle(0.0, 1.5), fgrid,
                            sample_population(fspec), fspec.truth)
     return CriterionResult(2, "theorem 1 equivalence", checks=[
         Check("index_model", rep.max_index_model, 1e-8, "<="),
@@ -330,8 +330,7 @@ def criterion_9(seed: int) -> CriterionResult:
     """Price counterfactuals transport exactly; x1 counterfactuals do not."""
     spec = ScaledX1Spec(market_count=300, seed=seed + 9)
     pop = sample_scaled_x1_population(spec)
-    h = LogitInverse(alpha=spec.alpha, gamma=())
-    rep = ex.price_ccs_check(h, pop, spec.truth,
+    rep = ex.price_ccs_check(plain_logit(spec.alpha), pop, spec.truth,
                              price_grid=np.linspace(0.6, 2.8, 10))
     worst_x1 = max(rep.x1_error_by_type.values())
     return CriterionResult(9, "price-correctness contrast", checks=[
@@ -354,5 +353,11 @@ ALL_CRITERIA = {
 
 
 def run_criteria(numbers=None, seed: int = 0) -> list:
+    """Run the numbered criteria (default: all); a number that names no
+    criterion is a ConfigError."""
     numbers = sorted(numbers) if numbers else sorted(ALL_CRITERIA)
+    unknown = [n for n in numbers if n not in ALL_CRITERIA]
+    if unknown:
+        raise ConfigError(f"unknown acceptance criteria {unknown}; the criteria are "
+                          f"{min(ALL_CRITERIA)}-{max(ALL_CRITERIA)}")
     return [ALL_CRITERIA[n](seed) for n in numbers]

@@ -21,15 +21,14 @@ from . import acceptance as acc
 from . import extrapolation as ex
 from . import micro as mi
 from .config import EXPERIMENTS, ExperimentConfig, apply_overrides, load_config
-from .counterfactual import CounterfactualEngine, verify_theorem1
-from .demand import shares_array
+from .counterfactual import predict, verify_theorem1
+from .demand import plain_logit, shares_array
 from .dgps import ScaledX1Spec, sample_scaled_x1_population
 from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
 from .errors import CdlabError, ConfigError, RootNotBracketed
 from .inversion import invert_rows
 from .population import PopulationSpec, check_seed, sample_population
 from .svgplot import Panel, write_svg
-from .transforms import LogitInverse, MixedLogitInverse
 from .types import bundle, lognormal_mixing
 
 #: Marker colors per latent type, matching the two-type figure convention.
@@ -59,11 +58,14 @@ def _population(cfg: ExperimentConfig) -> PopulationSpec:
     return spec
 
 
-def _require_markets(n: int) -> int:
-    """n, the run's market count; a run over no markets is a ConfigError."""
+def _require_markets(n) -> int:
+    """n, the run's market count, as an int; a count that is not a whole
+    number, or a run over no markets, is a ConfigError."""
+    if isinstance(n, bool) or not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
+        raise ConfigError(f"market_count must be a whole number, got {n!r}")
     if n < 1:
         raise ConfigError(f"need at least 1 market, got market_count={n}")
-    return n
+    return int(n)
 
 
 def _market_rows(*columns):
@@ -104,13 +106,13 @@ def run_invert(cfg: ExperimentConfig, out: Path) -> None:
 
 def run_predict(cfg: ExperimentConfig, out: Path) -> None:
     spec = _population(cfg)
-    price_shift = float(cfg.options.get("price_shift", 0.5))
+    price_shift = float(cfg.option("price_shift"))
     pop = sample_population(spec)
     y, a = pop.y, pop.a
     target = a.replace(p=a.p + price_shift)
     pred = np.empty(y.shape)
     for t, r in _types(spec, pop.zeta):  # all markets of a type in one solve
-        pred[r] = CounterfactualEngine(spec.share_map(t)).predict(y[r], a[r], target[r])
+        pred[r] = predict(spec.share_map(t), y[r], a[r], target[r])
     write_csv(out / "predictions.csv",
               ["market_id", "product", "observed_share", "predicted_share",
                "true_share"],
@@ -119,9 +121,9 @@ def run_predict(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_fig1(cfg: ExperimentConfig, out: Path) -> None:
-    spec = Fig1Spec(market_count=_require_markets(int(cfg.options.get("market_count", 2000))),
+    spec = Fig1Spec(market_count=_require_markets(cfg.option("market_count")),
                     seed=cfg.seed)
-    plotted = int(cfg.options.get("curves_plotted", 12))
+    plotted = int(cfg.option("curves_plotted"))
     pop = sample_population(spec.population_spec())
     shown = pop[:plotted]
     rows = []
@@ -161,11 +163,10 @@ def run_verify_thm1(cfg: ExperimentConfig, out: Path) -> None:
     if len(spec.mixing_by_type) != 1:
         raise ConfigError("verify-thm1 requires a single-type population")
     pop = sample_population(spec)
-    m = spec.share_map(0)
     a0 = bundle(np.zeros(spec.J), np.full(spec.J, 1.5))
     grid = [bundle(np.full(spec.J, x1), np.full(spec.J, p))
             for x1, p in zip(np.linspace(-0.5, 0.5, 10), np.linspace(0.6, 2.8, 10))]
-    rep = verify_theorem1(MixedLogitInverse(m), a0, grid, pop, spec.truth)
+    rep = verify_theorem1(spec.share_map(0), a0, grid, pop, spec.truth)
     write_csv(out / "thm1_report.csv", ["check", "max_deviation", "passed"],
               [[name, val, passed] for name, val, passed in rep.rows()])
     if not rep.passed:
@@ -175,9 +176,9 @@ def run_verify_thm1(cfg: ExperimentConfig, out: Path) -> None:
 def _micro_setup(cfg: ExperimentConfig):
     dgp = acc.micro_dgp()
     spec = mi.MicroPopulationSpec(
-        market_count=int(cfg.options.get("market_count", 60)),
-        price_levels=tuple(cfg.options.get("price_levels", (0.5, 1.0, 1.5, 2.0))),
-        w_grid=tuple(cfg.options.get("w_grid", np.linspace(-1.0, 1.0, 20))),
+        market_count=_require_markets(cfg.option("market_count")),
+        price_levels=tuple(cfg.option("price_levels")),
+        w_grid=tuple(cfg.option("w_grid")),
         seed=cfg.seed, assignment="stratified")
     return dgp, spec, mi.simulate_micro(dgp, spec)
 
@@ -201,9 +202,9 @@ def run_verify_thm2(cfg: ExperimentConfig, out: Path) -> None:
 def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
     dgp = acc.micro_dgp()
     spec = mi.MicroPopulationSpec(
-        market_count=_require_markets(int(cfg.options.get("market_count", 12))),
+        market_count=_require_markets(cfg.option("market_count")),
         price_levels=(1.5,),
-        w_grid=tuple(cfg.options.get("w_grid", np.linspace(-1.0, 1.0, 20))),
+        w_grid=tuple(cfg.option("w_grid")),
         seed=cfg.seed)
     markets = mi.simulate_micro(dgp, spec)
     a = spec.level_bundle(dgp, 0)
@@ -233,7 +234,7 @@ def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_extrapolate(cfg: ExperimentConfig, out: Path) -> None:
-    n = int(cfg.options.get("n", 2000))
+    n = int(cfg.option("n"))
     data, _, mu = acc.demeaned_oracle_data(cfg.seed, n=n)
     fam, rep = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
     shown = data[:200]
@@ -260,7 +261,7 @@ def run_micro_identify(cfg: ExperimentConfig, out: Path) -> None:
     K = len(spec.price_levels)
     levels = [spec.level_bundle(dgp, k) for k in range(K)]
     fam = mi.sigma_family(dgp, alpha_fixed=0.0)
-    y0 = np.array([float(cfg.options.get("y0", 0.3))])
+    y0 = np.array([float(cfg.option("y0"))])
     cands = []
     for k in range(K):
         profs = [m.profile for m in markets if m.level == k]
@@ -286,11 +287,10 @@ def run_micro_identify(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_price_ccs(cfg: ExperimentConfig, out: Path) -> None:
-    spec = ScaledX1Spec(market_count=int(cfg.options.get("market_count", 300)),
+    spec = ScaledX1Spec(market_count=_require_markets(cfg.option("market_count")),
                         seed=cfg.seed)
     pop = sample_scaled_x1_population(spec)
-    h = LogitInverse(alpha=spec.alpha, gamma=())
-    rep = ex.price_ccs_check(h, pop, spec.truth,
+    rep = ex.price_ccs_check(plain_logit(spec.alpha), pop, spec.truth,
                              price_grid=np.linspace(0.6, 2.8, 10))
     rows = [["max_price_error", rep.max_price_error, rep.price_tol,
              rep.price_correct]]
@@ -302,7 +302,7 @@ def run_price_ccs(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_acceptance(cfg: ExperimentConfig, out: Path) -> None:
-    numbers = cfg.options.get("criteria")
+    numbers = cfg.option("criteria")
     numbers = [int(n) for n in numbers] if numbers else None
     results = acc.run_criteria(numbers, seed=cfg.seed)
     rows = []
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the output directory")
         p.add_argument("--set", action="append", dest="overrides", default=[],
-                       metavar="KEY=VALUE", help="override an option leaf")
+                       metavar="NAME=VALUE", help="override an option")
     return parser
 
 

@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import laws
 from .demand import Integration, gauss_hermite
 from .errors import ConfigError
@@ -19,11 +21,26 @@ from .types import MixingSpec
 
 SCHEMA_VERSION = 1
 
-EXPERIMENTS = (
-    "simulate", "invert", "predict", "fig1", "fig2", "verify-thm1",
-    "verify-thm2", "extrapolate", "prop32", "micro-identify", "price-ccs",
-    "acceptance",
-)
+_W_GRID = tuple(np.linspace(-1.0, 1.0, 20))
+_MICRO = {"market_count": 60, "price_levels": (0.5, 1.0, 1.5, 2.0), "w_grid": _W_GRID}
+
+#: Each subcommand's options and their defaults. A config file or `--set`
+#: that names any other option is a ConfigError.
+OPTIONS = {
+    "simulate": {},
+    "invert": {},
+    "predict": {"price_shift": 0.5},
+    "fig1": {"market_count": 2000, "curves_plotted": 12},
+    "fig2": {"market_count": 12, "w_grid": _W_GRID},
+    "verify-thm1": {},
+    "verify-thm2": _MICRO,
+    "extrapolate": {"n": 2000},
+    "prop32": {},
+    "micro-identify": {**_MICRO, "y0": 0.3},
+    "price-ccs": {"market_count": 300},
+    "acceptance": {"criteria": None},
+}
+EXPERIMENTS = tuple(OPTIONS)
 
 _TOP_KEYS = {"schema_version", "experiment", "output_dir", "seed",
              "population", "options"}
@@ -45,6 +62,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment: {self.experiment!r}")
+        self._check_options()
+
+    def _check_options(self) -> None:
+        """Raise ConfigError naming the first option that the subcommand
+        does not declare."""
+        declared = OPTIONS[self.experiment]
+        for name in self.options:
+            if name not in declared:
+                raise ConfigError(f"unknown option {name!r} for {self.experiment}; its "
+                                  f"options are: {', '.join(declared) or 'none'}")
+
+    def option(self, name: str):
+        """The option's value, or its declared default."""
+        return self.options.get(name, OPTIONS[self.experiment][name])
 
 
 def _reject_unknown(d: dict, allowed: set, where: str):
@@ -182,21 +213,15 @@ def dump_config(cfg: ExperimentConfig, path):
 
 
 def apply_overrides(cfg: ExperimentConfig, assignments) -> ExperimentConfig:
-    """Apply `key.path=value` overrides to option leaves; values parse as
-    JSON scalars, falling back to strings."""
+    """Apply `name=value` overrides to the options; values parse as JSON
+    scalars, falling back to strings."""
     for item in assignments or ():
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
+            cfg.options[key] = json.loads(raw)
         except json.JSONDecodeError:
-            value = raw
-        parts = key.split(".")
-        target = cfg.options
-        for part in parts[:-1]:
-            target = target.setdefault(part, {})
-            if not isinstance(target, dict):
-                raise ConfigError(f"override {key!r} traverses a non-mapping")
-        target[parts[-1]] = value
+            cfg.options[key] = raw
+    cfg._check_options()
     return cfg

@@ -1,11 +1,12 @@
-"""Unit-level counterfactual engine and homogeneity checks.
+"""Unit-level counterfactuals and homogeneity checks.
 
-`CounterfactualEngine.predict` routes observed (Y, A), stacked one market
-per row, through the share-map inversion to the target bundles in one call:
-the conversion map C_{a -> a'} of Theorem 1. The equivalence report checks,
-market by market, that the theorem's three formulations of homogeneity
-coincide on a simulated population for an invertible outcome transform h
-and a baseline bundle a0.
+`predict` routes observed (Y, A), stacked one market per row, through the
+share-map inversion to the target bundles in one call: the conversion map
+C_{a -> a'}(Y) = sigma(sigma^{-1}(Y, a) - x1 + x1', a') of Theorem 1, whose
+outcome transform h is the inverse share map sigma^{-1}(., a). The
+equivalence report checks, market by market, that the theorem's three
+formulations of homogeneity coincide on a simulated population for a share
+map and a baseline bundle a0.
 """
 
 from __future__ import annotations
@@ -17,29 +18,23 @@ import numpy as np
 
 from .demand import ShareMap, shares_array
 from .errors import ConfigError
-from .inversion import DEFAULT_INVERSION, InversionConfig, invert_rows
+from .inversion import invert_rows
 from .population import Population
-from .transforms import Transform
 from .types import Bundle, Bundles, validate_share_rows
 
 EQUIV_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class CounterfactualEngine:
-    map: ShareMap
-    inversion: InversionConfig = DEFAULT_INVERSION
+def predict(m: ShareMap, observed_y, observed_a: Bundles, target_a: Bundles) -> np.ndarray:
+    """Counterfactual shares at target_a implied by the observed markets:
+    the validated rows (n, J) of markets with shares observed_y (n, J)
+    under Bundles, solved in one call.
 
-    def predict(self, observed_y, observed_a: Bundles, target_a: Bundles) -> np.ndarray:
-        """Counterfactual shares at target_a implied by the observed markets:
-        the validated rows (n, J) of markets with shares observed_y (n, J)
-        under Bundles, solved in one call.
-
-        A deterministic function of (observed_y, observed_a, target_a)
-        alone: markets agreeing on observables receive identical predictions.
-        """
-        xi_hat = invert_rows(self.map, observed_y, observed_a, self.inversion) - observed_a.x1
-        return validate_share_rows(shares_array(self.map, target_a.x1 + xi_hat, target_a))
+    A deterministic function of (observed_y, observed_a, target_a)
+    alone: markets agreeing on observables receive identical predictions.
+    """
+    xi_hat = invert_rows(m, observed_y, observed_a) - observed_a.x1
+    return validate_share_rows(shares_array(m, target_a.x1 + xi_hat, target_a))
 
 
 @dataclass
@@ -66,30 +61,33 @@ class EquivalenceReport:
         ]
 
 
-def verify_theorem1(h: Transform, a0: Bundle, grid: Sequence[Bundle],
+def verify_theorem1(m: ShareMap, a0: Bundle, grid: Sequence[Bundle],
                     population: Population,
                     truth: Callable[[Population, Bundle], np.ndarray],
                     tol: float = EQUIV_TOL) -> EquivalenceReport:
     """Check the three equivalent homogeneity formulations numerically for
-    the outcome transform h with baseline bundle a0.
+    the outcome transform h = sigma^{-1}(., a) of the share map m, with
+    baseline bundle a0.
 
     `truth(population, a)` evaluates the markets' potential outcomes (n, J)
     at bundle a from their stored latent states. Each bundle takes one truth
-    call and one `apply` and one `invert` of h on the stacked markets. On a
-    population whose DGP satisfies homogeneity with the given (h, a0), all
-    three maxima should be at solver tolerance; on a heterogeneous
+    call, one `invert_rows` and one `shares_array` on the stacked markets.
+    On a population whose DGP satisfies homogeneity with the given (m, a0),
+    all three maxima should be at solver tolerance; on a heterogeneous
     (multi-type) population the transformed-shift check fails for any
-    single (h, a0). No markets is a ConfigError, not a vacuous pass.
+    single (m, a0). No markets is a ConfigError, not a vacuous pass.
     """
-    if not len(population):
+    n = len(population)
+    if not n:
         raise ConfigError("theorem 1 check needs at least 1 market, got 0")
     m1 = m2 = m3 = 0.0
-    h0 = h.apply(truth(population, a0), a0)
-    xi = h0 - a0.x1  # phi^{-1}(Y(a0)), phi the baseline map of (h, a0)
+    h0 = invert_rows(m, truth(population, a0), Bundles.repeat(a0, n))
+    xi = h0 - a0.x1  # phi^{-1}(Y(a0)), phi the baseline map of (m, a0)
     for a in grid:
+        rows = Bundles.repeat(a, n)
         ya = truth(population, a)
-        ha = h.apply(ya, a)
-        pred = h.invert(a.x1 + xi, a)
+        ha = invert_rows(m, ya, rows)
+        pred = shares_array(m, a.x1 + xi, rows)
         m1 = max(m1, float(np.max(np.abs(ya - pred))))
         m2 = max(m2, float(np.max(np.abs(a.x1 + xi - ha))))
         m3 = max(m3, float(np.max(np.abs(ha - h0 - (a.x1 - a0.x1)))))

@@ -213,23 +213,21 @@ def node_jacobian(P: np.ndarray, w: np.ndarray, s: np.ndarray) -> np.ndarray:
     return jac
 
 
-def shares_array(m: ShareMap, delta, a: Bundle | Bundles) -> np.ndarray:
-    """Market shares at index delta under the bundles a, unvalidated: the
-    callers validate all rows at once (`types.validate_share_rows`).
-
-    n markets: delta (n, J) under Bundles of n rows, in blocks of at most
-    MAX_BLOCK_ELEMENTS node shares, so the temporaries do not grow with n;
-    one market: delta (J,) under a Bundle. A delta whose J is not the
-    bundles' is a ConfigError.
+def shares_array(m: ShareMap, delta, a: Bundles) -> np.ndarray:
+    """Market shares (n, J) at index delta (n, J) under Bundles a of n
+    rows, unvalidated: the callers validate all rows at once
+    (`types.validate_share_rows`). Mixed-logit rows go in blocks of at most
+    MAX_BLOCK_ELEMENTS node shares, so the temporaries do not grow with n.
+    A delta that is not (n, J), or whose J is not the bundles', is a
+    ConfigError.
     """
     delta = np.asarray(delta, dtype=float)
+    if delta.ndim != 2:
+        raise ConfigError(f"delta shape {delta.shape} is not (markets, J)")
     if delta.shape[-1:] != np.shape(a.p)[-1:]:
         raise ConfigError(f"delta shape {delta.shape} does not match J={np.shape(a.p)[-1]}")
     if m.kind == "plain-logit":
         return _node_shares(delta + _fixed_index(m, a))
-    if delta.ndim == 1:
-        S, w = _weighted_node_shares(m, delta, a)
-        return w @ S
     n, J = delta.shape
     step = max(1, MAX_BLOCK_ELEMENTS // (len(mixing_nodes(m.mixing, m.integration)[1]) * J))
     out = np.empty((n, J))

@@ -21,9 +21,10 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import expit, logit
 
-from .counterfactual import CounterfactualEngine
-from .demand import plain_logit
+from .counterfactual import predict
+from .demand import ShareMap, plain_logit, shares_array
 from .errors import ConfigError, InversionFailure, NonUnique
+from .inversion import invert_rows
 from .population import Population
 from .types import Bundle, Bundles
 
@@ -359,9 +360,10 @@ def check_prop32(fitted: RuleFamily, data: ObsSet, targets) -> Prop32Report:
     The targets are treatment levels, or Bundles whose rows are the target
     bundles.
 
-    For the partially linear family the structural route goes through the
-    share-map inversion engine, an independent code path; for the demeaned
-    family the structural conversion map is composed explicitly.
+    For the partially linear family the structural route is
+    `counterfactual.predict` on the plain-logit share map of the fitted
+    coefficients, an independent code path; for the demeaned family the
+    structural conversion map is composed explicitly.
     """
     y, a = data.y, data.a
     gap = 0.0
@@ -376,11 +378,10 @@ def _structural_predict(fitted: RuleFamily, y: np.ndarray, a, target_a) -> np.nd
     """Structural predictions at target_a of the stacked observations (y, a)."""
     if fitted.kind == "partially-linear-index":
         coeffs = fitted._pl_coeffs()
-        engine = CounterfactualEngine(plain_logit(alpha=float(coeffs[0]),
-                                                  gamma=tuple(coeffs[1:])))
+        m = plain_logit(alpha=float(coeffs[0]), gamma=tuple(coeffs[1:]))
         if target_a.x1.ndim == 1:  # one bundle for every row
             target_a = Bundles.repeat(target_a, len(y))
-        return engine.predict(y[:, None], a, target_a)[:, 0]
+        return predict(m, y[:, None], a, target_a)[:, 0]
     if fitted.kind == "demeaned-transform":
         # conversion to the baseline level and back, composed explicitly
         fwd, inv = _F_TRANSFORMS[fitted.f]
@@ -406,28 +407,29 @@ class PriceCcsReport:
         return self.max_price_error <= self.price_tol
 
 
-def price_ccs_check(h_transform, population: Population, truth: Callable,
+def price_ccs_check(m: ShareMap, population: Population, truth: Callable,
                     price_grid: Sequence[float],
                     x1_shift: float = 1.0) -> PriceCcsReport:
     """On a population homogeneous in price response but heterogeneous in
-    the x1 response, model-implied price counterfactuals should match the
-    truth while x1 counterfactuals err for at least one type.
+    the x1 response, the price counterfactuals of the share map m should
+    match the truth while x1 counterfactuals err for at least one type.
 
     `truth(population, bundles)` evaluates the stored potential outcomes
-    (n, J) of the markets at Bundles, one row each: one `apply` of h, then
-    one `invert` and one truth call per target. No markets is a ConfigError.
+    (n, J) of the markets at Bundles, one row each: one `invert_rows` of
+    the observed shares, then one `shares_array` and one truth call per
+    target. No markets is a ConfigError.
     """
     if not len(population):
         raise ConfigError("the price-CCS check needs at least 1 market, got 0")
     y, a = population.y, population.a
-    v = h_transform.apply(y, a)
+    v = invert_rows(m, y, a)
     max_price = 0.0
     for pp in price_grid:
         target = a.replace(p=np.full(a.p.shape, float(pp)))
-        pred = h_transform.invert(v, target)  # price move: x1 unchanged
+        pred = shares_array(m, v, target)  # price move: x1 unchanged
         max_price = max(max_price, float(np.max(np.abs(pred - truth(population, target)))))
     target = a.replace(x1=a.x1 + x1_shift)
-    pred = h_transform.invert(v - a.x1 + target.x1, target)
+    pred = shares_array(m, v - a.x1 + target.x1, target)
     err = np.abs(pred - truth(population, target)).max(axis=1)
     zeta = population.zeta
     x1_err = {z: float(err[zeta == z].max()) for z in dict.fromkeys(zeta.tolist())}

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from cdlab import cli, laws
+from cdlab.config import OPTIONS
 from cdlab.errors import NoConvergence, RootNotBracketed
 
 
@@ -270,6 +271,47 @@ def test_zero_markets_exit_1_naming_the_market_count(tmp_path, capsys, cmd, sour
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "at least 1 market, got" in err and "0" in err.split("got", 1)[1]
+    assert not list(out.glob("*.csv"))
+
+
+def test_every_subcommand_declares_its_options():
+    assert set(OPTIONS) == set(cli.RUNNERS)
+
+
+@pytest.mark.parametrize("cmd", sorted(OPTIONS))
+def test_unknown_option_exits_1_naming_it(tmp_path, capsys, cmd):
+    """A mistyped option stops the run instead of running the default."""
+    out = tmp_path / "out"
+    assert run([cmd, "--out", out, "--set", "bogus_option=7"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: unknown option 'bogus_option' for {cmd}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unknown_option_in_a_config_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"schema_version": 1, "experiment": "predict",
+                                "options": {"price_shfit": 2.0}}))
+    assert run(["predict", "--config", path, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert "error: unknown option 'price_shfit' for predict; its options are: price_shift" in err
+
+
+@pytest.mark.parametrize("cmd,override,message", [
+    ("price-ccs", "market_count=-5", "need at least 1 market, got market_count=-5"),
+    ("micro-identify", "market_count=-5", "need at least 1 market, got market_count=-5"),
+    ("verify-thm2", "market_count=-5", "need at least 1 market, got market_count=-5"),
+    ("fig2", "market_count=2.5", "market_count must be a whole number, got 2.5"),
+    ("fig1", "market_count=true", "market_count must be a whole number, got True"),
+    ("acceptance", "criteria=[10]", "unknown acceptance criteria [10]; the criteria are 1-9"),
+])
+def test_bad_option_values_exit_1_with_a_named_error(tmp_path, capsys, cmd, override, message):
+    out = tmp_path / "out"
+    assert run([cmd, "--out", out, "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
     assert not list(out.glob("*.csv"))
 
 

@@ -24,17 +24,17 @@ def test_population_dict_round_trip():
 
 
 def test_config_round_trip_through_file(tmp_path):
-    c = cfg.ExperimentConfig(experiment="simulate", output_dir="artifacts",
+    c = cfg.ExperimentConfig(experiment="predict", output_dir="artifacts",
                              seed=3, population=sample_spec(),
-                             options={"markets": 5})
+                             options={"price_shift": 2.0})
     path = tmp_path / "run.json"
     cfg.dump_config(c, path)
     back = cfg.load_config(path)
-    assert back.experiment == "simulate"
+    assert back.experiment == "predict"
     assert back.output_dir == "artifacts"
     assert back.seed == 3
     assert back.population == c.population
-    assert back.options == {"markets": 5}
+    assert back.options == {"price_shift": 2.0}
 
 
 def test_schema_version_is_required():
@@ -72,22 +72,29 @@ def test_invalid_json_and_missing_file(tmp_path):
 
 
 def test_apply_overrides_parses_json_leaves():
-    c = cfg.ExperimentConfig(experiment="simulate")
-    cfg.apply_overrides(c, ["markets=25", "grid.lo=0.5", "grid.hi=2.5",
-                            "label=hello", "criteria=[9]"])
-    assert c.options["markets"] == 25
-    assert c.options["grid"] == {"lo": 0.5, "hi": 2.5}
-    assert c.options["label"] == "hello"
-    assert c.options["criteria"] == [9]
+    c = cfg.ExperimentConfig(experiment="micro-identify")
+    cfg.apply_overrides(c, ["market_count=25", "price_levels=[0.5, 2.5]", "y0=hello"])
+    assert c.options == {"market_count": 25, "price_levels": [0.5, 2.5], "y0": "hello"}
+    assert c.option("w_grid") == cfg.OPTIONS["micro-identify"]["w_grid"]
 
 
 def test_apply_overrides_rejects_malformed():
-    c = cfg.ExperimentConfig(experiment="simulate")
-    with pytest.raises(ConfigError):
-        cfg.apply_overrides(c, ["markets"])
-    c.options["markets"] = 3
-    with pytest.raises(ConfigError):
-        cfg.apply_overrides(c, ["markets.deep=1"])
+    c = cfg.ExperimentConfig(experiment="predict")
+    with pytest.raises(ConfigError, match="not of the form key=value"):
+        cfg.apply_overrides(c, ["price_shift"])
+    with pytest.raises(ConfigError, match="unknown option 'price_shift.deep' for predict"):
+        cfg.apply_overrides(c, ["price_shift.deep=1"])
+
+
+def test_unknown_options_fail_loudly():
+    with pytest.raises(ConfigError, match="unknown option 'markets' for simulate; "
+                                          "its options are: none"):
+        cfg.config_from_dict({"schema_version": 1, "experiment": "simulate",
+                              "options": {"markets": 5}})
+    c = cfg.ExperimentConfig(experiment="fig1")
+    with pytest.raises(ConfigError, match="unknown option 'curves' for fig1; "
+                                          "its options are: market_count, curves_plotted"):
+        cfg.apply_overrides(c, ["market_count=5", "curves=3"])
 
 
 def test_dump_is_stable_json(tmp_path):

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from cdlab.counterfactual import CounterfactualEngine, verify_theorem1
+from cdlab.counterfactual import predict, verify_theorem1
 from cdlab.demand import mixed_logit, plain_logit, shares_array
 from cdlab.diagnostics import Fig1Spec
 from cdlab.errors import SimplexViolation
 from cdlab.population import PopulationSpec, sample_population
-from cdlab.transforms import MixedLogitInverse
 from cdlab.types import Bundles, bundle, lognormal_mixing
 
 
@@ -17,23 +16,23 @@ def market(x1, p) -> Bundles:
 
 
 def test_predict_plain_logit_matches_hand_computation():
-    engine = CounterfactualEngine(plain_logit(alpha=0.5))
+    m = plain_logit(alpha=0.5)
     a = market([0.2], [1.0])
     xi = 0.3
-    y = shares_array(engine.map, a.x1 + xi, a)
+    y = shares_array(m, a.x1 + xi, a)
     target = market([0.6], [2.0])
-    pred = engine.predict(y, a, target)
+    pred = predict(m, y, a, target)
     expected = expit(0.6 + xi - 0.5 * 2.0)
     np.testing.assert_allclose(pred, [[expected]], atol=1e-14)
 
 
 def test_predict_depends_only_on_observables():
-    engine = CounterfactualEngine(mixed_logit(lognormal_mixing(0.0, 0.5)))
+    m = mixed_logit(lognormal_mixing(0.0, 0.5))
     a = market([0.0], [1.0])
     y = np.array([[0.35]])
     target = market([0.0], [2.0])
-    p1 = engine.predict(y, a, target)
-    p2 = engine.predict(np.array([[0.35]]), market([0.0], [1.0]), target)
+    p1 = predict(m, y, a, target)
+    p2 = predict(m, np.array([[0.35]]), market([0.0], [1.0]), target)
     np.testing.assert_array_equal(p1, p2)
 
 
@@ -43,34 +42,21 @@ def test_batched_predict_matches_one_market_predictions():
     spec = PopulationSpec(J=3, market_count=8, mixing_by_type=(lognormal_mixing(0.0, 0.4),),
                           type_probabilities=(1.0,), seed=2)
     pop = sample_population(spec)
-    engine = CounterfactualEngine(spec.share_map(0))
+    m = spec.share_map(0)
     a = pop.a
     target = a.replace(p=a.p + 0.5, x1=a.x1 - 0.2)
-    got = engine.predict(pop.y, a, target)
-    one = np.concatenate([engine.predict(pop.y[i:i + 1], a[i:i + 1], target[i:i + 1])
+    got = predict(m, pop.y, a, target)
+    one = np.concatenate([predict(m, pop.y[i:i + 1], a[i:i + 1], target[i:i + 1])
                           for i in range(len(pop))])
     np.testing.assert_allclose(got, one, atol=1e-12, rtol=0)
     np.testing.assert_allclose(got, spec.truth(pop, target), atol=1e-10, rtol=0)
-
-
-def test_convert_agrees_with_predict_for_inverse_transform():
-    """Conversion through the transform, h^{-1}(h(y, a) - x1 + x1', a'),
-    is the engine's prediction when h inverts the share map."""
-    m = mixed_logit(lognormal_mixing(0.0, 0.5))
-    engine = CounterfactualEngine(m)
-    h = MixedLogitInverse(m)
-    a = market([0.2], [1.0])
-    y = np.array([[0.3]])
-    target = market([-0.1], [2.2])
-    converted = h.invert(h.apply(y, a) - a.x1 + target.x1, target)
-    np.testing.assert_allclose(converted, engine.predict(y, a, target), atol=1e-10)
 
 
 class TestConversionGroupLaws:
     """The conversion maps C_{a -> a'} that `predict` computes form a group
     action: C_{a -> a} is the identity, C_{b -> c} C_{a -> b} = C_{a -> c}."""
 
-    engine = CounterfactualEngine(plain_logit(alpha=0.5))
+    m = plain_logit(alpha=0.5)
     bundles = [market([x1], [p]) for x1, p in
                [(0.0, 1.0), (0.5, 2.0), (-0.3, 0.7), (0.2, 2.8)]]
     y = np.array([[0.3]])
@@ -78,27 +64,26 @@ class TestConversionGroupLaws:
     def test_identity(self):
         for a in self.bundles:
             np.testing.assert_allclose(
-                self.engine.predict(self.y, a, a), self.y, atol=1e-14)
+                predict(self.m, self.y, a, a), self.y, atol=1e-14)
 
     def test_composition(self):
         a, b, c = self.bundles[:3]
-        via_b = self.engine.predict(self.engine.predict(self.y, a, b), b, c)
-        direct = self.engine.predict(self.y, a, c)
+        via_b = predict(self.m, predict(self.m, self.y, a, b), b, c)
+        direct = predict(self.m, self.y, a, c)
         np.testing.assert_allclose(via_b, direct, atol=1e-12)
 
     def test_inverse(self):
         a, b = self.bundles[:2]
-        back = self.engine.predict(self.engine.predict(self.y, a, b), b, a)
+        back = predict(self.m, predict(self.m, self.y, a, b), b, a)
         np.testing.assert_allclose(back, self.y, atol=1e-12)
 
 
 def test_convert_signals_simplex_exit():
-    engine = CounterfactualEngine(plain_logit(alpha=0.0))
     y = np.array([[1.0 - 1e-9]])
     with pytest.raises(SimplexViolation):
         # a huge positive x1 shift pushes the logit index past representable
         # shares, so the conversion leaves the open simplex
-        engine.predict(y, market([0.0], [1.0]), market([60.0], [1.0]))
+        predict(plain_logit(alpha=0.0), y, market([0.0], [1.0]), market([60.0], [1.0]))
 
 
 def _single_type_spec(n=30, seed=0):
@@ -112,8 +97,7 @@ def test_verify_theorem1_passes_on_homogeneous_population():
     pop = sample_population(spec)
     grid = [bundle([x1], [p]) for x1, p in
             zip(np.linspace(-0.5, 0.5, 5), np.linspace(0.7, 2.7, 5))]
-    rep = verify_theorem1(MixedLogitInverse(spec.share_map(0)), bundle([0.0], [1.5]), grid,
-                          pop, spec.truth)
+    rep = verify_theorem1(spec.share_map(0), bundle([0.0], [1.5]), grid, pop, spec.truth)
     assert rep.passed
     assert rep.max_index_model <= 1e-8
     assert len(rep.rows()) == 3
@@ -124,8 +108,8 @@ def test_verify_theorem1_fails_on_two_type_population():
     spec = fig1.population_spec()
     pop = sample_population(spec)
     grid = [bundle([0.0], [p]) for p in np.linspace(0.7, 2.7, 5)]
-    rep = verify_theorem1(MixedLogitInverse(mixed_logit(fig1.blue)), bundle([0.0], [1.5]),
-                          grid, pop, spec.truth)
+    rep = verify_theorem1(mixed_logit(fig1.blue), bundle([0.0], [1.5]), grid, pop,
+                          spec.truth)
     assert not rep.passed
     assert rep.max_transformed_shift > 0.01
 

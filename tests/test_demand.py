@@ -95,6 +95,9 @@ def test_delta_shape_and_finiteness_validated():
     a = market([0.0], [1.0])
     with pytest.raises(ConfigError, match="does not match J=1"):
         shares_array(plain_logit(), np.array([[0.1, 0.2]]), a)
+    for m in (plain_logit(), mixed_logit(lognormal_mixing(0.0, 0.5))):
+        with pytest.raises(ConfigError, match=r"delta shape \(1,\) is not \(markets, J\)"):
+            shares_array(m, np.array([0.1]), a)
     with pytest.raises(IntegrationFailure):
         shares_array(mixed_logit(lognormal_mixing(0.0, 0.5)), np.array([[np.nan]]), a)
     with pytest.raises(SimplexViolation, match="non-finite"):

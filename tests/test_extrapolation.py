@@ -4,11 +4,10 @@ from scipy.special import expit, logit
 
 from cdlab import extrapolation as ex
 from cdlab.acceptance import _pl_data, demeaned_oracle_data
-from cdlab.counterfactual import CounterfactualEngine
+from cdlab.counterfactual import predict
 from cdlab.demand import plain_logit
 from cdlab.errors import ConfigError, NonUnique
 from cdlab.population import market_rng
-from cdlab.transforms import LogitInverse
 from cdlab.types import Bundle, Bundles
 
 
@@ -190,8 +189,7 @@ def test_price_ccs_check_contrast():
 
     spec = ScaledX1Spec(market_count=60, seed=5)
     pop = sample_scaled_x1_population(spec)
-    h = LogitInverse(alpha=spec.alpha, gamma=())
-    rep = ex.price_ccs_check(h, pop, spec.truth,
+    rep = ex.price_ccs_check(plain_logit(spec.alpha), pop, spec.truth,
                              price_grid=np.linspace(0.6, 2.8, 5))
     assert rep.price_correct
     assert rep.max_price_error <= 1e-8
@@ -224,9 +222,9 @@ def _loop_structural(fam, o, t):
     before the rules took arrays."""
     if fam.kind == "partially-linear-index":
         c = fam._pl_coeffs()
-        engine = CounterfactualEngine(plain_logit(alpha=float(c[0]), gamma=tuple(c[1:])))
+        m = plain_logit(alpha=float(c[0]), gamma=tuple(c[1:]))
         one = [Bundles.repeat(Bundle(b.x1, b.p, b.x2), 1) for b in (o.a, t)]
-        return float(engine.predict(np.array([[o.y]]), *one)[0, 0])
+        return float(predict(m, np.array([[o.y]]), *one)[0, 0])
     base = fam.levels[0]
     if fam.kind == "demeaned-transform":
         mu = dict(zip(fam.levels, fam.theta))

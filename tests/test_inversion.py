@@ -375,3 +375,65 @@ def test_batched_inversion_blocks_and_names_the_failing_market(monkeypatch):
     bad[3] *= 1.0 / bad[3].sum()
     with pytest.raises(SimplexViolation, match="market 20:"):
         invert_rows(m, bad, a, ids=range(17, 22))
+
+
+# --- the inverse share map h = sigma^{-1}(., a) of Theorem 1 -------------------
+
+FD_STEP = 1e-5
+
+
+def fd_inverse_jacobian(m, y, a):
+    """Central finite differences in y of invert_rows on the one market y (J,)."""
+    cols = []
+    for k in range(len(y)):
+        e = np.zeros(len(y))
+        e[k] = FD_STEP
+        cols.append((invert_rows(m, [y + e], a) - invert_rows(m, [y - e], a))[0] / (2 * FD_STEP))
+    return np.column_stack(cols)
+
+
+def test_plain_logit_inverse_round_trip():
+    m = plain_logit(alpha=0.5, gamma=(0.2,))
+    a = market([0.0, 0.0], [1.0, 2.0], np.array([[0.3], [-0.4]]))
+    y = np.array([[0.3, 0.2]])
+    np.testing.assert_allclose(shares_array(m, invert_rows(m, y, a), a), y, atol=1e-14)
+
+
+def test_plain_logit_inverse_rejects_boundary_shares():
+    with pytest.raises(SimplexViolation, match="market 0: shares sum to"):
+        invert_rows(plain_logit(), np.array([[0.7, 0.3]]), market([0.0, 0.0], [0.0, 0.0]))
+
+
+def test_plain_logit_inverse_jacobian_matches_finite_differences():
+    """d delta / dy of the logit inverse is diag(1 / y) + 1 / outside."""
+    a = market([0.0, 0.0], [1.0, 2.0])
+    y = np.array([0.25, 0.35])
+    analytic = np.diag(1.0 / y) + 1.0 / (1.0 - y.sum())
+    np.testing.assert_allclose(analytic, fd_inverse_jacobian(plain_logit(alpha=0.5), y, a),
+                               atol=1e-6)
+
+
+def test_mixed_logit_inverse_round_trip_and_jacobian():
+    m = mixed_logit(lognormal_mixing(0.0, 0.5))
+    a = market([0.0, 0.0], [1.0, 2.0])
+    y = np.array([0.3, 0.15])
+    delta = invert_rows(m, [y], a)
+    np.testing.assert_allclose(shares_array(m, delta, a), [y], atol=1e-11)
+    P, w = _weighted_node_shares(m, delta, a, outside=True)
+    np.testing.assert_allclose(np.linalg.inv(node_jacobian(P, w, w @ P)[0, :2]),
+                               fd_inverse_jacobian(m, y, a), rtol=1e-4, atol=1e-6)
+
+
+@pytest.mark.parametrize("m", [plain_logit(alpha=0.5, gamma=(0.2,)),
+                               mixed_logit(lognormal_mixing(0.0, 0.5), gamma=(0.2,))],
+                         ids=["plain-logit", "mixed-logit"])
+def test_stacked_rows_match_one_market_calls(m):
+    """Rows under one bundle repeated, or under Bundles of their own, give
+    what each market gives on its own, and shares_array maps them back."""
+    y = np.array([[0.3, 0.2], [0.1, 0.6], [0.25, 0.25]])
+    a = bundle([0.0, 0.0], [1.0, 2.0], np.array([[0.3], [-0.4]]))
+    for rows in (Bundles.repeat(a, 3),
+                 Bundles.repeat(a, 3).replace(p=a.p + np.arange(3)[:, None])):
+        one = np.concatenate([invert_rows(m, y[k:k + 1], rows[k:k + 1]) for k in range(3)])
+        np.testing.assert_allclose(invert_rows(m, y, rows), one, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(shares_array(m, one, rows), y, rtol=0, atol=1e-11)
