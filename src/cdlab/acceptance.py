@@ -13,12 +13,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import extrapolation as ex
 from . import micro as mi
 from .counterfactual import verify_theorem1
-from .demand import mixed_logit, plain_logit, share_curve_1d, shares_array
+from .demand import expit, mixed_logit, plain_logit, share_curve_1d, shares_array
 from .dgps import ScaledX1Spec, sample_scaled_x1_population
 from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
 from .errors import ConfigError

@@ -68,6 +68,21 @@ def _require_markets(n) -> int:
     return int(n)
 
 
+def _option(cfg: ExperimentConfig, name: str, kind: type, many: bool = False):
+    """The option as `kind`, int or float, or as a tuple of them when `many`.
+    A value of another type (a string, a bool, or a fraction where a whole
+    number is due) is a ConfigError naming the option and the subcommand."""
+    value = cfg.option(name)
+    items = value if many else [value]
+    if not isinstance(items, (list, tuple)) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and (kind is float or float(v).is_integer()) for v in items):
+        what = "whole number" if kind is int else "number"
+        what = f"a list of {what}s" if many else f"a {what}"
+        raise ConfigError(f"option {name!r} for {cfg.experiment} must be {what}, got {value!r}")
+    return tuple(kind(v) for v in items) if many else kind(value)
+
+
 def _market_rows(*columns):
     """One CSV row per market and product, market by market, from columns
     that broadcast to (n, J): (n, 1) for a market's value, (J,) a product's."""
@@ -106,7 +121,7 @@ def run_invert(cfg: ExperimentConfig, out: Path) -> None:
 
 def run_predict(cfg: ExperimentConfig, out: Path) -> None:
     spec = _population(cfg)
-    price_shift = float(cfg.option("price_shift"))
+    price_shift = _option(cfg, "price_shift", float)
     pop = sample_population(spec)
     y, a = pop.y, pop.a
     target = a.replace(p=a.p + price_shift)
@@ -123,7 +138,7 @@ def run_predict(cfg: ExperimentConfig, out: Path) -> None:
 def run_fig1(cfg: ExperimentConfig, out: Path) -> None:
     spec = Fig1Spec(market_count=_require_markets(cfg.option("market_count")),
                     seed=cfg.seed)
-    plotted = int(cfg.option("curves_plotted"))
+    plotted = _option(cfg, "curves_plotted", int)
     pop = sample_population(spec.population_spec())
     shown = pop[:plotted]
     rows = []
@@ -177,8 +192,8 @@ def _micro_setup(cfg: ExperimentConfig):
     dgp = acc.micro_dgp()
     spec = mi.MicroPopulationSpec(
         market_count=_require_markets(cfg.option("market_count")),
-        price_levels=tuple(cfg.option("price_levels")),
-        w_grid=tuple(cfg.option("w_grid")),
+        price_levels=_option(cfg, "price_levels", float, many=True),
+        w_grid=_option(cfg, "w_grid", float, many=True),
         seed=cfg.seed, assignment="stratified")
     return dgp, spec, mi.simulate_micro(dgp, spec)
 
@@ -204,7 +219,7 @@ def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
     spec = mi.MicroPopulationSpec(
         market_count=_require_markets(cfg.option("market_count")),
         price_levels=(1.5,),
-        w_grid=tuple(cfg.option("w_grid")),
+        w_grid=_option(cfg, "w_grid", float, many=True),
         seed=cfg.seed)
     markets = mi.simulate_micro(dgp, spec)
     a = spec.level_bundle(dgp, 0)
@@ -234,7 +249,7 @@ def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_extrapolate(cfg: ExperimentConfig, out: Path) -> None:
-    n = int(cfg.option("n"))
+    n = _option(cfg, "n", int)
     data, _, mu = acc.demeaned_oracle_data(cfg.seed, n=n)
     fam, rep = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
     shown = data[:200]
@@ -257,11 +272,11 @@ def run_prop32(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_micro_identify(cfg: ExperimentConfig, out: Path) -> None:
+    y0 = np.array([_option(cfg, "y0", float)])
     dgp, spec, markets = _micro_setup(cfg)
     K = len(spec.price_levels)
     levels = [spec.level_bundle(dgp, k) for k in range(K)]
     fam = mi.sigma_family(dgp, alpha_fixed=0.0)
-    y0 = np.array([float(cfg.option("y0"))])
     cands = []
     for k in range(K):
         profs = [m.profile for m in markets if m.level == k]
@@ -303,7 +318,8 @@ def run_price_ccs(cfg: ExperimentConfig, out: Path) -> None:
 
 def run_acceptance(cfg: ExperimentConfig, out: Path) -> None:
     numbers = cfg.option("criteria")
-    numbers = [int(n) for n in numbers] if numbers else None
+    if numbers is not None:
+        numbers = _option(cfg, "criteria", int, many=True)
     results = acc.run_criteria(numbers, seed=cfg.seed)
     rows = []
     print(f"{'criterion':<42} {'check':<34} {'value':>12}  result")

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, IntegrationFailure
 from .types import Bundle, Bundles, MixingSpec
@@ -236,6 +235,25 @@ def shares_array(m: ShareMap, delta, a: Bundles) -> np.ndarray:
         S, w = _weighted_node_shares(m, delta[rows], a[rows])
         out[rows] = w @ S
     return out
+
+
+def expit(x, out=None):
+    """The logistic function 1 / (1 + exp(-x)), elementwise, into `out` when
+    given (which may be x itself). It is 0 and 1 in the far tails, with no
+    overflow warning."""
+    with np.errstate(over="ignore"):
+        if out is None:
+            return 1.0 / (1.0 + np.exp(np.negative(x)))
+        np.exp(np.negative(x, out=out), out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
+
+
+def logit(y):
+    """log(y / (1 - y)), elementwise: -inf at 0 and inf at 1, with no divide
+    warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(y / (1.0 - np.asarray(y)))
 
 
 def expit_mixture(delta, offsets, weights, slope_weights=None):

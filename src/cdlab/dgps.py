@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import laws
+from .demand import expit
 from .errors import ConfigError
 from .population import Population, market_rngs
 from .types import Bundles, validate_share_rows

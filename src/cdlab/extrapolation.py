@@ -19,10 +19,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .counterfactual import predict
-from .demand import ShareMap, plain_logit, shares_array
+from .demand import ShareMap, expit, logit, plain_logit, shares_array
 from .errors import ConfigError, InversionFailure, NonUnique
 from .inversion import invert_rows
 from .population import Population

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logit
 
 from .demand import (MAX_BLOCK_ELEMENTS, ShareMap, _fixed_index, _random_index,
-                     _weighted_node_shares, expit_mixture, mixing_nodes, node_jacobian)
+                     _weighted_node_shares, expit_mixture, logit, mixing_nodes,
+                     node_jacobian)
 from .errors import ConfigError, IntegrationFailure, NoConvergence, SimplexViolation
 from .types import Bundle, Bundles, validate_share_rows
 

@@ -401,6 +401,17 @@ class MicroCandidate:
         return y
 
 
+def _latin_hypercube_1d(n: int, seed: int) -> np.ndarray:
+    """n points in [0, 1), one uniform draw in each of n equal strata, in
+    shuffled order: the stream and arithmetic of scipy's
+    `qmc.LatinHypercube(d=1, seed=seed).random(n)[:, 0]`."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=(n, 1))[:, 0]
+    perm = np.arange(1, n + 1)
+    rng.shuffle(perm)
+    return (perm - u) / n
+
+
 def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
                      a: Bundle, y0: np.ndarray | None = None,
                      starts: int = 8, seed: int = 0,
@@ -420,7 +431,6 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
     ConfigError.
     """
     from scipy.optimize import minimize_scalar
-    from scipy.stats import qmc
 
     if len(profiles) < 2:
         raise ConfigError("need at least 2 markets")
@@ -443,7 +453,7 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
                 seen[x] = 1e6
         return seen[x]
 
-    draws = lo + (hi - lo) * qmc.LatinHypercube(d=1, seed=seed).random(starts)[:, 0]
+    draws = lo + (hi - lo) * _latin_hypercube_1d(starts, seed)
     xs = np.concatenate([[lo], np.sort(draws), [hi]])
     rs = np.array([objective(x) for x in xs])
     i = int(np.argmin(rs))

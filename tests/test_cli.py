@@ -305,6 +305,12 @@ def test_unknown_option_in_a_config_file_exits_1(tmp_path, capsys):
     ("fig2", "market_count=2.5", "market_count must be a whole number, got 2.5"),
     ("fig1", "market_count=true", "market_count must be a whole number, got True"),
     ("acceptance", "criteria=[10]", "unknown acceptance criteria [10]; the criteria are 1-9"),
+    ("fig1", "curves_plotted=abc", "option 'curves_plotted' for fig1 must be a whole number, got 'abc'"),
+    ("predict", "price_shift=abc", "option 'price_shift' for predict must be a number, got 'abc'"),
+    ("extrapolate", "n=abc", "option 'n' for extrapolate must be a whole number, got 'abc'"),
+    ("micro-identify", "y0=abc", "option 'y0' for micro-identify must be a number, got 'abc'"),
+    ("acceptance", "criteria=abc",
+     "option 'criteria' for acceptance must be a list of whole numbers, got 'abc'"),
 ])
 def test_bad_option_values_exit_1_with_a_named_error(tmp_path, capsys, cmd, override, message):
     out = tmp_path / "out"
@@ -315,14 +321,34 @@ def test_bad_option_values_exit_1_with_a_named_error(tmp_path, capsys, cmd, over
     assert not list(out.glob("*.csv"))
 
 
-def test_importing_the_cli_loads_neither_scipy_optimize_nor_scipy_stats():
-    """Every `cdl` run imports cdlab.cli; scipy.optimize and scipy.stats add
-    start-up time and memory to each, so only the code that needs them
-    imports them, inside the function."""
+def _loaded_scipy_modules(code):
+    """The sorted `scipy` modules loaded after running `code` in a fresh
+    interpreter that imports cdlab from this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, cdlab.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))")
+    code = ("import json, sys; " + code + "; print(json.dumps(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout)
+
+
+def test_importing_the_cli_loads_neither_scipy_optimize_nor_scipy_stats():
+    """Every `cdl` run imports cdlab.cli; SciPy adds start-up time and memory
+    to each, so no module on that path imports any of it."""
+    assert _loaded_scipy_modules("import cdlab.cli") == []
+
+
+def test_a_candidate_fit_loads_scipy_optimize_but_not_scipy_stats():
+    """The candidate search refines with scipy.optimize, imported inside the
+    function; its Latin-hypercube scan is drawn in numpy, without scipy.stats."""
+    loaded = _loaded_scipy_modules(
+        "import numpy as np; from cdlab import micro as mi; "
+        "dgp = mi.MicroDgp(Pi=np.array([[1.0]]), sigma=np.array([0.8]), alpha=1.0, nu_nodes=8); "
+        "spec = mi.MicroPopulationSpec(market_count=4, price_levels=(1.5,), "
+        "w_grid=tuple(np.linspace(-1.0, 1.0, 5)), seed=0); "
+        "mi.identify_h_and_g(mi.sigma_family(dgp, alpha_fixed=0.0), "
+        "[m.profile for m in mi.simulate_micro(dgp, spec)], spec.level_bundle(dgp, 0), "
+        "starts=3, seed=0)")
+    assert "scipy.optimize" in loaded
+    assert "scipy.stats" not in loaded  # a loaded submodule loads its package too

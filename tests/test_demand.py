@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.special
 
 from cdlab.demand import (
     Integration,
     _fixed_index,
     _node_shares,
     _weighted_node_shares,
+    expit,
+    logit,
     mixed_logit,
     mixing_nodes,
     monte_carlo,
@@ -215,3 +220,35 @@ def test_share_curve_1d_broadcasts():
     vec = share_curve_1d(mix, np.full(7, 0.3), grid)
     point = [float(share_curve_1d(mix, np.array(0.3), np.array(p))) for p in grid]
     np.testing.assert_allclose(vec, point, atol=1e-15)
+
+
+def test_expit_and_logit_are_silent_at_the_ends():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert expit(-800.0) == 0.0 and expit(800.0) == 1.0
+        np.testing.assert_array_equal(expit(np.array([-800.0, 800.0])), [0.0, 1.0])
+        assert logit(0.0) == -np.inf and logit(1.0) == np.inf
+        np.testing.assert_array_equal(logit(np.array([0.0, 1.0])), [-np.inf, np.inf])
+
+
+def test_expit_writes_in_place_into_out():
+    x = np.linspace(-5.0, 5.0, 11)
+    want = expit(x)
+    got = expit(x, out=x)
+    assert got is x
+    np.testing.assert_array_equal(x, want)
+
+
+def test_expit_agrees_with_scipy_to_rounding():
+    x = np.random.default_rng(0).normal(0.0, 3.0, 10**6)
+    ref = scipy.special.expit(x)
+    assert np.max(np.abs(expit(x) - ref) / ref) <= 4e-16
+
+
+def test_logit_inverts_expit():
+    """To the conditioning of the round trip: one rounding of y near 1 moves
+    logit(y) by about eps / (1 - y)."""
+    x = np.linspace(-30.0, 30.0, 60_001)
+    y = expit(x)
+    gap = np.abs(logit(y) - x)
+    assert np.all(gap <= 4 * np.finfo(float).eps / (1.0 - y))

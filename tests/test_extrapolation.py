@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
+from cdlab import demand
 from cdlab import extrapolation as ex
 from cdlab.acceptance import _pl_data, demeaned_oracle_data
 from cdlab.counterfactual import predict
@@ -29,7 +30,8 @@ def test_oracle_data_draws_each_block_once(n):
         ref_xi = float(market_rng(12, block, 1).normal(0.0, 0.8))
         lev = int(market_rng(12, block, 2).permutation(4)[pos])
         assert xi == ref_xi
-        assert (o.y, o.a, list(o.z)) == (float(expit(mu[lev] + ref_xi)), lev, [float(lev)])
+        # y to the bit: the reference applies the generator's own expit
+        assert (o.y, o.a, list(o.z)) == (float(demand.expit(mu[lev] + ref_xi)), lev, [float(lev)])
 
 
 def test_demeaned_fit_equals_per_cell_means():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.special import expit, logit
+from scipy.stats import qmc
 
 from cdlab import micro as mi
 from cdlab.acceptance import micro_dgp
@@ -351,6 +352,13 @@ def test_parallel_residual_single_profile_warns():
         r = mi.parallel_residual(mi.identity_candidate(),
                                  [markets[0].profile], spec.level_bundle(dgp, 0))
     assert r == 0.0
+
+
+def test_scan_draws_are_scipys_latin_hypercube():
+    for seed in range(200):
+        for n in (1, 3, 8, 17):
+            ref = qmc.LatinHypercube(d=1, seed=seed).random(n)[:, 0]
+            assert mi._latin_hypercube_1d(n, seed).tobytes() == ref.tobytes()
 
 
 def test_identify_h_and_g_recovers_sigma():
