@@ -78,9 +78,13 @@ def _option(cfg: ExperimentConfig, name: str, kind: type, many: bool = False):
             isinstance(v, (int, float)) and not isinstance(v, bool)
             and (kind is float or float(v).is_integer()) for v in items):
         what = "whole number" if kind is int else "number"
-        what = f"a list of {what}s" if many else f"a {what}"
-        raise ConfigError(f"option {name!r} for {cfg.experiment} must be {what}, got {value!r}")
+        raise _bad_option(cfg, name, f"a list of {what}s" if many else f"a {what}", value)
     return tuple(kind(v) for v in items) if many else kind(value)
+
+
+def _bad_option(cfg: ExperimentConfig, name: str, what: str, value) -> ConfigError:
+    """The ConfigError for an option value that is not `what`."""
+    return ConfigError(f"option {name!r} for {cfg.experiment} must be {what}, got {value!r}")
 
 
 def _market_rows(*columns):
@@ -139,6 +143,8 @@ def run_fig1(cfg: ExperimentConfig, out: Path) -> None:
     spec = Fig1Spec(market_count=_require_markets(cfg.option("market_count")),
                     seed=cfg.seed)
     plotted = _option(cfg, "curves_plotted", int)
+    if plotted < 1:  # pop[:plotted] would drop markets from the end, or plot none
+        raise _bad_option(cfg, "curves_plotted", "at least 1", plotted)
     pop = sample_population(spec.population_spec())
     shown = pop[:plotted]
     rows = []
@@ -272,7 +278,9 @@ def run_prop32(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_micro_identify(cfg: ExperimentConfig, out: Path) -> None:
-    y0 = np.array([_option(cfg, "y0", float)])
+    y0 = _option(cfg, "y0", float)
+    if not 0.0 < y0 < 1.0:
+        raise _bad_option(cfg, "y0", "a share in (0, 1)", y0)
     dgp, spec, markets = _micro_setup(cfg)
     K = len(spec.price_levels)
     levels = [spec.level_bundle(dgp, k) for k in range(K)]
@@ -280,7 +288,7 @@ def run_micro_identify(cfg: ExperimentConfig, out: Path) -> None:
     cands = []
     for k in range(K):
         profs = [m.profile for m in markets if m.level == k]
-        cands.append(mi.identify_h_and_g(fam, profs, levels[k], y0=y0,
+        cands.append(mi.identify_h_and_g(fam, profs, levels[k], y0=np.array([y0]),
                                          starts=3, seed=cfg.seed + k))
     model = mi.instrument_step(cands, markets, levels)
     write_csv(out / "g_hat.csv", ["w", "g_hat"],

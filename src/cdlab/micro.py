@@ -412,6 +412,150 @@ def _latin_hypercube_1d(n: int, seed: int) -> np.ndarray:
     return (perm - u) / n
 
 
+def _brent(func: Callable[[float], float], xa: float, xb: float, xc: float,
+           maxiter: int = 500) -> tuple[float, float]:
+    """Brent's method (Brent, 1973, ch. 5) from the strict bracket xa < xb < xc
+    with f(xb) < f(xa) and f(xb) < f(xc): the minimizer found and its value.
+
+    A line-for-line port of SciPy 1.17's `optimize.Brent.optimize` on a
+    3-point bracket at `xtol=1e-10` (BSD-3-Clause, Copyright (c) 2001-2002
+    Enthought, Inc., 2003 SciPy Developers), with its comparisons, operation
+    order and evaluations, so it returns the same point after the same calls.
+    """
+    _, fb, _ = func(xa), func(xb), func(xc)  # SciPy evaluates the whole bracket
+    tol, _mintol, _cg = 1e-10, 1.0e-11, 0.3819660
+    x = w = v = xb
+    fw = fv = fx = fb
+    a, b = (xa, xc) if xa < xc else (xc, xa)
+    deltax = 0.0
+    for _ in range(maxiter):
+        tol1 = tol * np.abs(x) + _mintol
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if np.abs(x - xmid) < (tol2 - 0.5 * (b - a)):
+            break
+        if np.abs(deltax) <= tol1:  # golden-section step
+            deltax = a - x if x >= xmid else b - x
+            rat = _cg * deltax
+        else:  # parabolic step
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = np.abs(tmp2)
+            dx_temp = deltax
+            deltax = rat
+            if ((p > tmp2 * (a - x)) and (p < tmp2 * (b - x))
+                    and (np.abs(p) < np.abs(0.5 * tmp2 * dx_temp))):
+                rat = p * 1.0 / tmp2
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:  # the parabola is no use: golden-section step
+                deltax = a - x if x >= xmid else b - x
+                rat = _cg * deltax
+        if np.abs(rat) < tol1:  # move by at least tol1
+            u = x + tol1 if rat >= 0 else x - tol1
+        else:
+            u = x + rat
+        fu = func(u)
+        if fu > fx:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if (fu <= fw) or (w == x):
+                v, w, fv, fw = w, u, fw, fu
+            elif (fu <= fv) or (v == x) or (v == w):
+                v, fv = u, fu
+        else:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+    return x, fx
+
+
+def _fminbound(func: Callable[[float], float], x1: float, x2: float,
+               maxfun: int = 500) -> tuple[float, float]:
+    """Brent's bounded minimization on [x1, x2] (golden section plus parabolic
+    steps): the minimizer found and its value.
+
+    A line-for-line port of SciPy 1.17's `_minimize_scalar_bounded` at
+    `xatol=1e-10` (BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc.,
+    2003 SciPy Developers), with its comparisons, operation order and
+    evaluations.
+    """
+    xatol, sqrt_eps = 1e-10, np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        if np.abs(e) > tol1:  # try a parabolic fit
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
+                    and (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+        if golden:  # golden-section step
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
                      a: Bundle, y0: np.ndarray | None = None,
                      starts: int = 8, seed: int = 0,
@@ -425,13 +569,11 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
     one up to a vertical shift. A flat family ties the whole scan, so it is
     caught here, before a refinement that needs a strict bracket.
     Refinement: Brent's method on the bracket formed by the best scan point
-    and its two neighbours; when the best scan point is a bound, a bounded
-    search between it and its neighbour. The scan point is kept when its
-    residual is lower. A family with more than one parameter is a
-    ConfigError.
+    and its two neighbours; when the best scan point is a bound, or ties a
+    neighbour so that the bracket is not strict, a bounded search between
+    its neighbours. The scan point is kept unless the refinement finds a
+    lower residual. A family with more than one parameter is a ConfigError.
     """
-    from scipy.optimize import minimize_scalar
-
     if len(profiles) < 2:
         raise ConfigError("need at least 2 markets")
     if len(family.bounds) != 1:
@@ -470,13 +612,11 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
                 raise NotIdentified("near-optimal candidates differ beyond a vertical shift",
                                     candidates=[xs[i:i + 1], xs[j:j + 1]])
 
-    if 0 < i < len(xs) - 1:
-        res = minimize_scalar(objective, bracket=(xs[i - 1], xs[i], xs[i + 1]),
-                              method="brent", options={"xtol": 1e-10})
+    if 0 < i < len(xs) - 1 and rs[i] < rs[i - 1] and rs[i] < rs[i + 1]:
+        x, fun = _brent(objective, xs[i - 1], xs[i], xs[i + 1])
     else:
-        res = minimize_scalar(objective, bounds=(xs[0], xs[1]) if i == 0 else (xs[-2], xs[-1]),
-                              method="bounded", options={"xatol": 1e-10})
-    best_x, best_res = (float(res.x), float(res.fun)) if res.fun < rs[i] else (xs[i], rs[i])
+        x, fun = _fminbound(objective, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)])
+    best_x, best_res = (float(x), float(fun)) if fun < rs[i] else (xs[i], rs[i])
     best_params = np.array([best_x])
     return _normalize_candidate(family.build(best_params), best_params, best_res,
                                 profiles, a, y0, failures)

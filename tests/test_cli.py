@@ -309,6 +309,11 @@ def test_unknown_option_in_a_config_file_exits_1(tmp_path, capsys):
     ("predict", "price_shift=abc", "option 'price_shift' for predict must be a number, got 'abc'"),
     ("extrapolate", "n=abc", "option 'n' for extrapolate must be a whole number, got 'abc'"),
     ("micro-identify", "y0=abc", "option 'y0' for micro-identify must be a number, got 'abc'"),
+    ("fig1", "curves_plotted=-1", "option 'curves_plotted' for fig1 must be at least 1, got -1"),
+    ("fig1", "curves_plotted=0", "option 'curves_plotted' for fig1 must be at least 1, got 0"),
+    ("micro-identify", "y0=1.5",
+     "option 'y0' for micro-identify must be a share in (0, 1), got 1.5"),
+    ("micro-identify", "y0=0", "option 'y0' for micro-identify must be a share in (0, 1), got 0.0"),
     ("acceptance", "criteria=abc",
      "option 'criteria' for acceptance must be a list of whole numbers, got 'abc'"),
 ])
@@ -339,16 +344,33 @@ def test_importing_the_cli_loads_neither_scipy_optimize_nor_scipy_stats():
     assert _loaded_scipy_modules("import cdlab.cli") == []
 
 
-def test_a_candidate_fit_loads_scipy_optimize_but_not_scipy_stats():
-    """The candidate search refines with scipy.optimize, imported inside the
-    function; its Latin-hypercube scan is drawn in numpy, without scipy.stats."""
+def test_a_candidate_fit_and_micro_identify_load_no_scipy(tmp_path):
+    """The candidate search draws its scan in numpy and refines it with
+    cdlab's own Brent loops, so neither a fit nor `cdl micro-identify`
+    loads any SciPy module."""
     loaded = _loaded_scipy_modules(
-        "import numpy as np; from cdlab import micro as mi; "
+        "import numpy as np; from cdlab import cli, micro as mi; "
         "dgp = mi.MicroDgp(Pi=np.array([[1.0]]), sigma=np.array([0.8]), alpha=1.0, nu_nodes=8); "
         "spec = mi.MicroPopulationSpec(market_count=4, price_levels=(1.5,), "
         "w_grid=tuple(np.linspace(-1.0, 1.0, 5)), seed=0); "
         "mi.identify_h_and_g(mi.sigma_family(dgp, alpha_fixed=0.0), "
         "[m.profile for m in mi.simulate_micro(dgp, spec)], spec.level_bundle(dgp, 0), "
-        "starts=3, seed=0)")
-    assert "scipy.optimize" in loaded
-    assert "scipy.stats" not in loaded  # a loaded submodule loads its package too
+        "starts=3, seed=0); "
+        f"assert cli.main(['micro-identify', '--out', {str(tmp_path / 'out')!r}, "
+        "'--set', 'market_count=8']) == 0")
+    assert loaded == []
+
+
+def test_micro_identify_runs_with_scipy_blocked(tmp_path):
+    """SciPy is a test dependency only: with every `scipy` import made to
+    fail, `cdl micro-identify` still runs and writes its artifacts."""
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.modules['scipy'] = None; from cdlab import cli; "
+            f"sys.exit(cli.main(['micro-identify', '--out', {str(out)!r}, "
+            "'--set', 'market_count=8']))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in out.glob("*.csv")) == [
+        "estimates.csv", "g_hat.csv", "h_hat.csv", "moment_report.csv"]

@@ -1,7 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.special import expit, logit
 from scipy.stats import qmc
 
@@ -359,6 +363,90 @@ def test_scan_draws_are_scipys_latin_hypercube():
         for n in (1, 3, 8, 17):
             ref = qmc.LatinHypercube(d=1, seed=seed).random(n)[:, 0]
             assert mi._latin_hypercube_1d(n, seed).tobytes() == ref.tobytes()
+
+
+#: One-dimensional objectives of a centre c and a scale s: smooth, kinked
+#: (slopes 1 and s), flat (zero on [c - s, c + s]) and stepped (steps of
+#: width s, so that evaluations tie).
+SCALAR_OBJECTIVES = {
+    "smooth": lambda c, s: lambda x: math.cosh(s * (x - c)) + 0.1 * x,
+    "kinked": lambda c, s: lambda x: abs(x - c) * (s if x > c else 1.0),
+    "flat": lambda c, s: lambda x: max(abs(x - c) - s, 0.0),
+    "stepped": lambda c, s: lambda x: float(math.floor(abs(x - c) / s)),
+}
+
+
+def recording(f):
+    """f with a list of the points it was called at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+objectives = dict(kind=st.sampled_from(sorted(SCALAR_OBJECTIVES)),
+                  c=st.floats(-3.0, 3.0), s=st.floats(0.05, 4.0),
+                  limit=st.sampled_from([3, 500]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(-1.0, 1.0), left=st.floats(1e-3, 4.0), right=st.floats(1e-3, 4.0),
+       **objectives)
+def test_brent_is_scipys_brent(kind, c, s, limit, t, left, right):
+    """Same minimizer, value and objective calls, in the same order, as
+    scipy's 3-point-bracket Brent, also when the iteration cap stops it."""
+    f = SCALAR_OBJECTIVES[kind](c, s)
+    xa, xb, xc = c + t - left, c + t, c + t + right
+    assume(xa < xb < xc and f(xb) < f(xa) and f(xb) < f(xc))
+    ours, our_calls = recording(f)
+    theirs, their_calls = recording(f)
+    x, fun = mi._brent(ours, xa, xb, xc, maxiter=limit)
+    ref = minimize_scalar(theirs, bracket=(xa, xb, xc), method="brent",
+                          options={"xtol": 1e-10, "maxiter": limit})
+    assert (x, fun) == (ref.x, ref.fun)
+    assert our_calls == their_calls and len(our_calls) == ref.nfev
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(-5.0, 5.0), width=st.floats(1e-3, 8.0), **objectives)
+def test_fminbound_is_scipys_bounded_search(kind, c, s, limit, lo, width):
+    f = SCALAR_OBJECTIVES[kind](c, s)
+    ours, our_calls = recording(f)
+    theirs, their_calls = recording(f)
+    x, fun = mi._fminbound(ours, lo, lo + width, maxfun=limit)
+    ref = minimize_scalar(theirs, bounds=(lo, lo + width), method="bounded",
+                          options={"xatol": 1e-10, "maxiter": limit})
+    assert (x, fun) == (ref.x, ref.fun)
+    assert our_calls == their_calls and len(our_calls) == ref.nfev
+
+
+def test_identify_refines_a_scan_minimum_that_ties_its_right_neighbour(monkeypatch):
+    """A family constant above sigma = 0.5 ties every scan point there, so
+    the best scan point ties its right neighbour and gives Brent's method
+    no strict bracket. The bounded search between its neighbours runs
+    instead, and the scan point stays: nothing on the plateau is lower."""
+    dgp = dgp_1d()
+    spec = spec_1d(n=20, seed=3)
+    markets = mi.simulate_micro(dgp, spec)
+    inner = mi.sigma_family(dgp)
+    fam = dataclasses.replace(inner, build=lambda p: inner.build(np.minimum(p, 0.5)),
+                              name="capped at 0.5")
+    profiles, a = [m.profile for m in markets], spec.level_bundle(dgp, 0)
+    real, searched = mi._fminbound, []
+
+    def fminbound(f, x1, x2):
+        searched.append((x1, x2))
+        return real(f, x1, x2)
+
+    monkeypatch.setattr(mi, "_fminbound", fminbound)
+    cand = mi.identify_h_and_g(fam, profiles, a, y0=np.array([0.3]), starts=8, seed=0)
+    [(x1, x2)] = searched
+    assert 0.0 < x1 < 0.5 < x2 < 4.0  # between interior neighbours, not at a bound
+    assert 0.5 < cand.params[0] < x2
+    assert cand.residual == mi.parallel_residual(inner.build(np.array([0.5])), profiles, a)
 
 
 def test_identify_h_and_g_recovers_sigma():
