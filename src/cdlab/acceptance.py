@@ -352,9 +352,11 @@ ALL_CRITERIA = {
 
 
 def run_criteria(numbers=None, seed: int = 0) -> list:
-    """Run the numbered criteria (default: all); a number that names no
-    criterion is a ConfigError."""
-    numbers = sorted(numbers) if numbers else sorted(ALL_CRITERIA)
+    """Run the numbered criteria (None: all); no number, or a number that
+    names no criterion, is a ConfigError."""
+    if numbers is not None and not numbers:
+        raise ConfigError("criteria must name at least 1 criterion, got []")
+    numbers = sorted(ALL_CRITERIA if numbers is None else numbers)
     unknown = [n for n in numbers if n not in ALL_CRITERIA]
     if unknown:
         raise ConfigError(f"unknown acceptance criteria {unknown}; the criteria are "

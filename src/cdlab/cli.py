@@ -20,7 +20,7 @@ import numpy as np
 from . import acceptance as acc
 from . import extrapolation as ex
 from . import micro as mi
-from .config import EXPERIMENTS, ExperimentConfig, apply_overrides, load_config
+from .config import OPTIONS, ExperimentConfig, apply_overrides, load_config
 from .counterfactual import predict, verify_theorem1
 from .demand import plain_logit, shares_array
 from .dgps import ScaledX1Spec, sample_scaled_x1_population
@@ -52,39 +52,7 @@ def _default_population(seed: int) -> PopulationSpec:
 
 
 def _population(cfg: ExperimentConfig) -> PopulationSpec:
-    """The config's population, or the default one; no markets is a ConfigError."""
-    spec = cfg.population if cfg.population is not None else _default_population(cfg.seed)
-    _require_markets(spec.market_count)
-    return spec
-
-
-def _require_markets(n) -> int:
-    """n, the run's market count, as an int; a count that is not a whole
-    number, or a run over no markets, is a ConfigError."""
-    if isinstance(n, bool) or not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
-        raise ConfigError(f"market_count must be a whole number, got {n!r}")
-    if n < 1:
-        raise ConfigError(f"need at least 1 market, got market_count={n}")
-    return int(n)
-
-
-def _option(cfg: ExperimentConfig, name: str, kind: type, many: bool = False):
-    """The option as `kind`, int or float, or as a tuple of them when `many`.
-    A value of another type (a string, a bool, or a fraction where a whole
-    number is due) is a ConfigError naming the option and the subcommand."""
-    value = cfg.option(name)
-    items = value if many else [value]
-    if not isinstance(items, (list, tuple)) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            and (kind is float or float(v).is_integer()) for v in items):
-        what = "whole number" if kind is int else "number"
-        raise _bad_option(cfg, name, f"a list of {what}s" if many else f"a {what}", value)
-    return tuple(kind(v) for v in items) if many else kind(value)
-
-
-def _bad_option(cfg: ExperimentConfig, name: str, what: str, value) -> ConfigError:
-    """The ConfigError for an option value that is not `what`."""
-    return ConfigError(f"option {name!r} for {cfg.experiment} must be {what}, got {value!r}")
+    return cfg.population if cfg.population is not None else _default_population(cfg.seed)
 
 
 def _market_rows(*columns):
@@ -125,7 +93,7 @@ def run_invert(cfg: ExperimentConfig, out: Path) -> None:
 
 def run_predict(cfg: ExperimentConfig, out: Path) -> None:
     spec = _population(cfg)
-    price_shift = _option(cfg, "price_shift", float)
+    price_shift = cfg.option("price_shift")
     pop = sample_population(spec)
     y, a = pop.y, pop.a
     target = a.replace(p=a.p + price_shift)
@@ -140,13 +108,9 @@ def run_predict(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_fig1(cfg: ExperimentConfig, out: Path) -> None:
-    spec = Fig1Spec(market_count=_require_markets(cfg.option("market_count")),
-                    seed=cfg.seed)
-    plotted = _option(cfg, "curves_plotted", int)
-    if plotted < 1:  # pop[:plotted] would drop markets from the end, or plot none
-        raise _bad_option(cfg, "curves_plotted", "at least 1", plotted)
+    spec = Fig1Spec(market_count=cfg.option("market_count"), seed=cfg.seed)
     pop = sample_population(spec.population_spec())
-    shown = pop[:plotted]
+    shown = pop[:cfg.option("curves_plotted")]
     rows = []
     panel = Panel(title="crossing demand curves", xlabel="price", ylabel="share")
     labels = {0: "type 0", 1: "type 1"}
@@ -197,9 +161,8 @@ def run_verify_thm1(cfg: ExperimentConfig, out: Path) -> None:
 def _micro_setup(cfg: ExperimentConfig):
     dgp = acc.micro_dgp()
     spec = mi.MicroPopulationSpec(
-        market_count=_require_markets(cfg.option("market_count")),
-        price_levels=_option(cfg, "price_levels", float, many=True),
-        w_grid=_option(cfg, "w_grid", float, many=True),
+        market_count=cfg.option("market_count"), price_levels=cfg.option("price_levels"),
+        w_grid=cfg.option("w_grid"),
         seed=cfg.seed, assignment="stratified")
     return dgp, spec, mi.simulate_micro(dgp, spec)
 
@@ -223,9 +186,8 @@ def run_verify_thm2(cfg: ExperimentConfig, out: Path) -> None:
 def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
     dgp = acc.micro_dgp()
     spec = mi.MicroPopulationSpec(
-        market_count=_require_markets(cfg.option("market_count")),
-        price_levels=(1.5,),
-        w_grid=_option(cfg, "w_grid", float, many=True),
+        market_count=cfg.option("market_count"), price_levels=(1.5,),
+        w_grid=cfg.option("w_grid"),
         seed=cfg.seed)
     markets = mi.simulate_micro(dgp, spec)
     a = spec.level_bundle(dgp, 0)
@@ -255,8 +217,7 @@ def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_extrapolate(cfg: ExperimentConfig, out: Path) -> None:
-    n = _option(cfg, "n", int)
-    data, _, mu = acc.demeaned_oracle_data(cfg.seed, n=n)
+    data, _, mu = acc.demeaned_oracle_data(cfg.seed, n=cfg.option("n"))
     fam, rep = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
     shown = data[:200]
     pred = np.array([ex.extrapolate(fam, shown.y, shown.a, t) for t in range(len(mu))])
@@ -278,19 +239,18 @@ def run_prop32(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_micro_identify(cfg: ExperimentConfig, out: Path) -> None:
-    y0 = _option(cfg, "y0", float)
-    if not 0.0 < y0 < 1.0:
-        raise _bad_option(cfg, "y0", "a share in (0, 1)", y0)
     dgp, spec, markets = _micro_setup(cfg)
     K = len(spec.price_levels)
     levels = [spec.level_bundle(dgp, k) for k in range(K)]
     fam = mi.sigma_family(dgp, alpha_fixed=0.0)
+    y0 = np.array([cfg.option("y0")])
     cands = []
     for k in range(K):
         profs = [m.profile for m in markets if m.level == k]
-        cands.append(mi.identify_h_and_g(fam, profs, levels[k], y0=np.array([y0]),
+        cands.append(mi.identify_h_and_g(fam, profs, levels[k], y0=y0,
                                          starts=3, seed=cfg.seed + k))
     model = mi.instrument_step(cands, markets, levels)
+    alpha_hat = mi.price_coefficient_from_levels(model)
     write_csv(out / "g_hat.csv", ["w", "g_hat"],
               [[float(wv), float(gv)] for wv, gv in
                zip(cands[0].w_grid[:, 0], cands[0].g_hat[:, 0])])
@@ -300,7 +260,6 @@ def run_micro_identify(cfg: ExperimentConfig, out: Path) -> None:
         vals = model.h_full(share_grid[:, None], k)[:, 0]
         h_rows.extend([[k, float(s), float(v)] for s, v in zip(share_grid, vals)])
     write_csv(out / "h_hat.csv", ["level", "share", "h_hat"], h_rows)
-    alpha_hat = mi.price_coefficient_from_levels(model)
     m_rows = [[k, float(levels[k].p[0]), float(model.levels_c[k, 0]),
                float(cands[k].residual)] for k in range(K)]
     write_csv(out / "moment_report.csv",
@@ -310,8 +269,7 @@ def run_micro_identify(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_price_ccs(cfg: ExperimentConfig, out: Path) -> None:
-    spec = ScaledX1Spec(market_count=_require_markets(cfg.option("market_count")),
-                        seed=cfg.seed)
+    spec = ScaledX1Spec(market_count=cfg.option("market_count"), seed=cfg.seed)
     pop = sample_scaled_x1_population(spec)
     rep = ex.price_ccs_check(plain_logit(spec.alpha), pop, spec.truth,
                              price_grid=np.linspace(0.6, 2.8, 10))
@@ -325,10 +283,7 @@ def run_price_ccs(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_acceptance(cfg: ExperimentConfig, out: Path) -> None:
-    numbers = cfg.option("criteria")
-    if numbers is not None:
-        numbers = _option(cfg, "criteria", int, many=True)
-    results = acc.run_criteria(numbers, seed=cfg.seed)
+    results = acc.run_criteria(cfg.option("criteria"), seed=cfg.seed)
     rows = []
     print(f"{'criterion':<42} {'check':<34} {'value':>12}  result")
     for r in results:
@@ -376,8 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdl", description="demand-model counterfactual laboratory")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name)
+    for name, options in OPTIONS.items():
+        listing = "".join(f"  {o}: {f}\n" for o, f in options.items())
+        p = sub.add_parser(name, epilog=listing and "options (--set NAME=VALUE):\n" + listing,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", help="JSON experiment manifest")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the output directory")

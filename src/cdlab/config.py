@@ -1,54 +1,198 @@
 """Experiment configuration: versioned JSON manifests.
 
 A config file is the authoritative description of an experiment run; CLI
-flags override leaf values. Unknown keys are rejected rather than ignored
-so typos fail loudly.
+flags override leaf values. Every value is read through one table of
+fields, so a config file and `--set` accept the same values. Unknown keys
+are rejected rather than ignored so typos fail loudly.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import laws
-from .demand import Integration, gauss_hermite
+from .demand import Integration
 from .errors import ConfigError
 from .population import PopulationSpec, check_seed
 from .types import MixingSpec
 
 SCHEMA_VERSION = 1
+REQUIRED = object()  # the default of a field that must be given
 
-_W_GRID = tuple(np.linspace(-1.0, 1.0, 20))
-_MICRO = {"market_count": 60, "price_levels": (0.5, 1.0, 1.5, 2.0), "w_grid": _W_GRID}
 
-#: Each subcommand's options and their defaults. A config file or `--set`
-#: that names any other option is a ConfigError.
+class Kind(NamedTuple):
+    """What a value must be: `name` is how --help and the error messages
+    call it, and `read(value, where)` returns the value typed, or None when
+    it is not of this kind (or raises a ConfigError naming `where`)."""
+
+    name: str
+    read: Callable
+
+
+def _number(value, where=None):
+    """The value as a finite float, or None: bools, strings, NaN and
+    Infinity (which JSON parsing accepts) are no number."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:
+        return float(value)
+    return None
+
+
+WHOLE = Kind("whole number", lambda v, where: (
+    int(v) if _number(v) is not None and float(v).is_integer() else None))
+NUMBER = Kind("finite number", _number)
+SHARE = Kind("share in (0, 1)", lambda v, where: (
+    v if _number(v) is not None and 0 < v < 1 else None))
+TEXT = Kind("string", lambda v, where: v if isinstance(v, str) else None)
+SEED = Kind("non-negative integer", check_seed)
+MAPPING = Kind("mapping", lambda v, where: dict(v) if isinstance(v, dict) else None)
+
+
+@dataclass(frozen=True)
+class Field:
+    """A config value: its kind (a list of values of the kind when `many`),
+    its default (None: null also means the default) and its least value, or
+    least length for a list."""
+
+    kind: Kind
+    default: object = None
+    least: int | None = None
+    many: bool = False
+
+    @property
+    def what(self) -> str:
+        return f"a list of {self.kind.name}s" if self.many else f"a {self.kind.name}"
+
+    @property
+    def limit(self) -> str:
+        return f"{'of length ' * self.many}at least {self.least}"
+
+    def __str__(self) -> str:
+        """The field as --help lists it, in the words of its error messages."""
+        limit = "" if self.least is None else f", {self.limit}"
+        return f"{self.what}{limit}; default {self.default!r}"
+
+    def read(self, value, where: str):
+        """The value typed: an int, float or string, the object a mapping
+        describes, or a tuple of them when `many`. A value of another kind
+        or below the least is a ConfigError naming `where` and the value."""
+        if value is None and self.default is None:
+            return None
+        items = value if self.many else [value]
+        typed = ([self.kind.read(v, f"{where}[{i}]" if self.many else where)
+                  for i, v in enumerate(items)] if isinstance(items, (list, tuple)) else [None])
+        if any(t is None for t in typed):
+            raise ConfigError(f"{where} must be {self.what}, got {value!r}")
+        if self.least is not None and (len(typed) if self.many else typed[0]) < self.least:
+            raise ConfigError(f"{where} must be {self.limit}, got {value!r}")
+        return tuple(typed) if self.many else typed[0]
+
+
+def read_fields(fields: dict, d, where: str) -> dict:
+    """The values the mapping d gives, read through `fields`, and the
+    defaults that are not None. A key that is not a field, a missing
+    required field or a value the field refuses is a ConfigError naming it."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a mapping, got {d!r}")
+    extra = set(d) - set(fields)
+    if extra:
+        raise ConfigError(f"unknown {where} keys: {sorted(extra)}")
+    for name, f in fields.items():
+        if f.default is REQUIRED and name not in d:
+            raise ConfigError(f"{where} requires {name!r}")
+    values = {name: f.read(d[name], f"{where} {name}") if name in d else f.default
+              for name, f in fields.items()}
+    return {name: v for name, v in values.items() if v is not None}
+
+
+def mixing_from_dict(d, where: str = "mixing") -> MixingSpec:
+    return MixingSpec(**read_fields(_MIXING, d, where))
+
+
+def integration_from_dict(d, where: str = "integration") -> Integration:
+    return Integration(**read_fields(_INTEGRATION, d, where))
+
+
+def law_from_dict(d, where: str = "law") -> laws.Law:
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in _LAWS:
+        raise ConfigError(f"{where} must be a mapping with a kind among "
+                          f"{', '.join(_LAWS)}, got {d!r}")
+    params = read_fields({"kind": Field(TEXT), **_LAWS[kind]}, d, where)
+    return laws.Law(params.pop("kind"), params)
+
+
+def population_from_dict(d, where: str = "population") -> PopulationSpec:
+    return PopulationSpec(**read_fields(_POPULATION, d, where))
+
+
+#: The fields of each part of a config. A field whose default is None takes
+#: the default of the object the part describes.
+MIXING = Kind("mapping", mixing_from_dict)
+LAW = Kind("mapping", law_from_dict)
+_MIXING = {"kind": Field(TEXT, REQUIRED), "loc": Field(NUMBER, many=True),
+           "scale": Field(NUMBER, many=True), "weights": Field(NUMBER, many=True),
+           "components": Field(MIXING, many=True)}
+_INTEGRATION = {"kind": Field(TEXT, "gauss-hermite"), "nodes": Field(WHOLE, least=1),
+                "draws": Field(WHOLE, least=1), "seed": Field(SEED)}
+_LAWS = {"constant": {"value": Field(NUMBER, REQUIRED)},
+         "uniform": {"lo": Field(NUMBER, REQUIRED), "hi": Field(NUMBER, REQUIRED)},
+         "normal": {"loc": Field(NUMBER, REQUIRED), "scale": Field(NUMBER, REQUIRED)},
+         "choice": {"values": Field(NUMBER, REQUIRED, least=1, many=True),
+                    "probs": Field(NUMBER, REQUIRED, least=1, many=True)}}
+_POPULATION = {
+    "J": Field(WHOLE, REQUIRED, least=1), "market_count": Field(WHOLE, REQUIRED, least=1),
+    "mixing_by_type": Field(MIXING, REQUIRED, least=1, many=True),
+    "type_probabilities": Field(NUMBER, REQUIRED, least=1, many=True),
+    "price_law": Field(LAW), "x1_law": Field(LAW), "x2_dim": Field(WHOLE, least=0),
+    "x2_law": Field(LAW), "xi_law": Field(LAW), "instrument_law": Field(LAW),
+    "gamma": Field(NUMBER, many=True),
+    "integration": Field(Kind("mapping", integration_from_dict)), "seed": Field(SEED)}
+_CONFIG = {"schema_version": Field(WHOLE, REQUIRED), "experiment": Field(TEXT, REQUIRED),
+           "output_dir": Field(TEXT), "seed": Field(SEED),
+           "population": Field(Kind("mapping", population_from_dict)),
+           "options": Field(MAPPING)}
+
+_MICRO = {"market_count": Field(WHOLE, 60, least=1),
+          "price_levels": Field(NUMBER, (0.5, 1.0, 1.5, 2.0), least=1, many=True),
+          "w_grid": Field(NUMBER, tuple(np.linspace(-1.0, 1.0, 20).tolist()), least=2, many=True)}
+
+#: Each subcommand's options. A config file or `--set` that names any
+#: other option, or gives a value its field refuses, is a ConfigError.
 OPTIONS = {
     "simulate": {},
     "invert": {},
-    "predict": {"price_shift": 0.5},
-    "fig1": {"market_count": 2000, "curves_plotted": 12},
-    "fig2": {"market_count": 12, "w_grid": _W_GRID},
+    "predict": {"price_shift": Field(NUMBER, 0.5)},
+    "fig1": {"market_count": Field(WHOLE, 2000, least=4),  # two bins of 2 markets
+             "curves_plotted": Field(WHOLE, 12, least=1)},
+    "fig2": {"market_count": Field(WHOLE, 12, least=1), "w_grid": _MICRO["w_grid"]},
     "verify-thm1": {},
     "verify-thm2": _MICRO,
-    "extrapolate": {"n": 2000},
+    "extrapolate": {"n": Field(WHOLE, 2000, least=1)},
     "prop32": {},
-    "micro-identify": {**_MICRO, "y0": 0.3},
-    "price-ccs": {"market_count": 300},
-    "acceptance": {"criteria": None},
+    "micro-identify": {**_MICRO, "y0": Field(SHARE, 0.3)},
+    "price-ccs": {"market_count": Field(WHOLE, 300, least=1)},
+    "acceptance": {"criteria": Field(WHOLE, None, least=1, many=True)},  # None: all
 }
-EXPERIMENTS = tuple(OPTIONS)
 
-_TOP_KEYS = {"schema_version", "experiment", "output_dir", "seed",
-             "population", "options"}
-_POPULATION_KEYS = {"J", "market_count", "mixing_by_type", "type_probabilities",
-                    "price_law", "x1_law", "x2_dim", "x2_law", "xi_law",
-                    "instrument_law", "gamma", "integration", "seed"}
-_MIXING_KEYS = {"kind", "loc", "scale", "weights", "components"}
-_INTEGRATION_KEYS = {"kind", "nodes", "draws", "seed"}
+
+def _markets_per_level(o: dict) -> None:
+    """micro-identify fits each price level on its own markets, at least 2;
+    stratified assignment splits the market count evenly over the levels."""
+    least = 2 * len(o["price_levels"])
+    if o["market_count"] < least:
+        raise ConfigError(f"option 'market_count' for micro-identify must be at least {least}, "
+                          f"2 per price level, got {o['market_count']}")
+
+
+#: Checks between one subcommand's options, made after each option's own.
+RELATIONS = {"micro-identify": _markets_per_level}
 
 
 @dataclass
@@ -60,131 +204,36 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in OPTIONS:
             raise ConfigError(f"unknown experiment: {self.experiment!r}")
         self._check_options()
 
     def _check_options(self) -> None:
         """Raise ConfigError naming the first option that the subcommand
-        does not declare."""
+        does not declare, or whose value its field refuses."""
         declared = OPTIONS[self.experiment]
         for name in self.options:
             if name not in declared:
                 raise ConfigError(f"unknown option {name!r} for {self.experiment}; its "
                                   f"options are: {', '.join(declared) or 'none'}")
+        values = {name: self.option(name) for name in declared}
+        if self.experiment in RELATIONS:
+            RELATIONS[self.experiment](values)
 
     def option(self, name: str):
-        """The option's value, or its declared default."""
-        return self.options.get(name, OPTIONS[self.experiment][name])
+        """The option's value, typed, or its declared default."""
+        f = OPTIONS[self.experiment][name]
+        if name not in self.options:
+            return f.default
+        return f.read(self.options[name], f"option {name!r} for {self.experiment}")
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    extra = set(d) - allowed
-    if extra:
-        raise ConfigError(f"unknown {where} keys: {sorted(extra)}")
-
-
-def mixing_from_dict(d: dict) -> MixingSpec:
-    _reject_unknown(d, _MIXING_KEYS, "mixing")
-    if "kind" not in d:
-        raise ConfigError("mixing spec requires a kind")
-    components = tuple(mixing_from_dict(c) for c in d.get("components", ()))
-    return MixingSpec(kind=d["kind"], loc=tuple(d.get("loc", (0.0,))),
-                      scale=tuple(d.get("scale", (1.0,))),
-                      weights=tuple(d.get("weights", ())),
-                      components=components)
-
-
-def mixing_to_dict(m: MixingSpec) -> dict:
-    out = {"kind": m.kind}
-    if m.kind == "finite-mixture":
-        out["weights"] = list(m.weights)
-        out["components"] = [mixing_to_dict(c) for c in m.components]
-    else:
-        out["loc"] = list(m.loc)
-        out["scale"] = list(m.scale)
-    return out
-
-
-def integration_from_dict(d: dict) -> Integration:
-    _reject_unknown(d, _INTEGRATION_KEYS, "integration")
-    return Integration(kind=d.get("kind", "gauss-hermite"),
-                       nodes=int(d.get("nodes", 32)),
-                       draws=int(d.get("draws", 1000)),
-                       seed=check_seed(d.get("seed", 0), "integration seed"))
-
-
-def integration_to_dict(i: Integration) -> dict:
-    out = {"kind": i.kind}
-    if i.kind == "gauss-hermite":
-        out["nodes"] = i.nodes
-    else:
-        out.update(draws=i.draws, seed=i.seed)
-    return out
-
-
-def population_from_dict(d: dict) -> PopulationSpec:
-    _reject_unknown(d, _POPULATION_KEYS, "population")
-    for key in ("J", "market_count", "mixing_by_type", "type_probabilities"):
-        if key not in d:
-            raise ConfigError(f"population requires {key!r}")
-    kwargs = dict(
-        J=int(d["J"]),
-        market_count=int(d["market_count"]),
-        mixing_by_type=tuple(mixing_from_dict(m) for m in d["mixing_by_type"]),
-        type_probabilities=tuple(float(p) for p in d["type_probabilities"]),
-        x2_dim=int(d.get("x2_dim", 0)),
-        gamma=tuple(float(g) for g in d.get("gamma", ())),
-        seed=check_seed(d.get("seed", 0), "population seed"),
-    )
-    for name in ("price_law", "x1_law", "x2_law", "xi_law"):
-        if name in d:
-            kwargs[name] = laws.Law.from_dict(d[name])
-    if d.get("instrument_law") is not None:
-        kwargs["instrument_law"] = laws.Law.from_dict(d["instrument_law"])
-    if "integration" in d:
-        kwargs["integration"] = integration_from_dict(d["integration"])
-    return PopulationSpec(**kwargs)
-
-
-def population_to_dict(spec: PopulationSpec) -> dict:
-    return {
-        "J": spec.J,
-        "market_count": spec.market_count,
-        "mixing_by_type": [mixing_to_dict(m) for m in spec.mixing_by_type],
-        "type_probabilities": list(spec.type_probabilities),
-        "price_law": spec.price_law.to_dict(),
-        "x1_law": spec.x1_law.to_dict(),
-        "x2_dim": spec.x2_dim,
-        "x2_law": spec.x2_law.to_dict(),
-        "xi_law": spec.xi_law.to_dict(),
-        "instrument_law": None if spec.instrument_law is None
-        else spec.instrument_law.to_dict(),
-        "gamma": list(spec.gamma),
-        "integration": integration_to_dict(spec.integration),
-        "seed": spec.seed,
-    }
-
-
-def config_from_dict(d: dict) -> ExperimentConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("config root must be a mapping")
-    _reject_unknown(d, _TOP_KEYS, "config")
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version must be {SCHEMA_VERSION}, got {d.get('schema_version')!r}")
-    if "experiment" not in d:
-        raise ConfigError("config requires an experiment")
-    population = None
-    if d.get("population") is not None:
-        population = population_from_dict(d["population"])
-    options = d.get("options", {})
-    if not isinstance(options, dict):
-        raise ConfigError("options must be a mapping")
-    return ExperimentConfig(experiment=d["experiment"],
-                            output_dir=str(d.get("output_dir", "out")),
-                            seed=check_seed(d.get("seed", 0)),
-                            population=population, options=dict(options))
+def config_from_dict(d) -> ExperimentConfig:
+    values = read_fields(_CONFIG, d, "config")
+    if values.pop("schema_version") != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, "
+                          f"got {d['schema_version']!r}")
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -197,19 +246,6 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(d)
-
-
-def dump_config(cfg: ExperimentConfig, path):
-    d = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": cfg.experiment,
-        "output_dir": cfg.output_dir,
-        "seed": cfg.seed,
-        "population": None if cfg.population is None
-        else population_to_dict(cfg.population),
-        "options": cfg.options,
-    }
-    Path(path).write_text(json.dumps(d, indent=2, sort_keys=True) + "\n")
 
 
 def apply_overrides(cfg: ExperimentConfig, assignments) -> ExperimentConfig:

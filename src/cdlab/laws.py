@@ -52,15 +52,6 @@ class Law:
         values = np.asarray(self.params["values"], dtype=float)
         return values[categorical(self.params["probs"])(rng, size)]
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **self.params}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Law":
-        d = dict(d)
-        kind = d.pop("kind")
-        return cls(kind=kind, params=d)
-
 
 def categorical(probs):
     """``draw(rng, size=None)``: rng.choice(len(probs), size, p=probs) bit
@@ -84,5 +75,5 @@ def normal(loc: float, scale: float) -> Law:
 
 
 def choice(values, probs) -> Law:
-    return Law("choice", {"values": [float(v) for v in values],
-                          "probs": [float(p) for p in probs]})
+    return Law("choice", {"values": tuple(float(v) for v in values),
+                          "probs": tuple(float(p) for p in probs)})

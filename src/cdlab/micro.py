@@ -181,6 +181,12 @@ class MicroPopulationSpec:
             raise ConfigError(f"unknown assignment scheme: {self.assignment!r}")
         if self.assignment == "stratified" and self.endogeneity != 0.0:
             raise ConfigError("stratified assignment is randomized by construction")
+        if not len(self.price_levels):
+            raise ConfigError(f"price_levels must hold at least 1 level, "
+                              f"got {self.price_levels!r}")
+        w = np.asarray(self.w_grid, dtype=float)
+        if len(w) < 2 or np.all(w == w[0]):  # parallel paths over one point are vacuous
+            raise ConfigError(f"w_grid must hold at least 2 distinct points, got {self.w_grid!r}")
 
     def level_bundle(self, dgp: MicroDgp, k: int) -> Bundle:
         p = np.atleast_1d(np.asarray(self.price_levels[k], dtype=float))
@@ -642,6 +648,9 @@ def _normalize_candidate(h_raw: Candidate, params, residual,
     dG = g_raw[near] - g_raw[w0]
     M, *_ = np.linalg.lstsq(dW, dG, rcond=None)  # g ~ w M, so dg/dw = M.T
     M = M.T
+    if np.linalg.matrix_rank(M) < J:
+        raise ConfigError(f"w_grid: dg/dw fitted on the {len(near)} points nearest w0 = "
+                          f"{W[w0].tolist()} has rank below J = {J}, got w_grid {W.tolist()}")
     Minv = np.linalg.inv(M)
 
     def h(y_matrix: np.ndarray, bundle: Bundle) -> np.ndarray:
@@ -691,6 +700,9 @@ def price_coefficient_from_levels(model: CompletedMicroModel) -> float:
     """
     p = np.array([float(b.p[0]) for b in model.dgp_levels])
     dp = p - p[0]
+    if not dp @ dp > 0:  # also when the squares underflow
+        raise ConfigError(f"price_levels must hold at least 2 distinct prices to fit "
+                          f"the price slope, got {p.tolist()}")
     slope = float(dp @ model.levels_c[:, 0] / (dp @ dp))
     return slope * float(model.candidates[0].scale[0, 0])
 

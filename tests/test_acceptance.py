@@ -11,6 +11,7 @@ import pytest
 
 from cdlab import acceptance as acc
 from cdlab import cli
+from cdlab.errors import ConfigError
 
 
 def checks_by_name(result):
@@ -109,3 +110,11 @@ def test_criterion_10_acceptance_artifacts_are_byte_identical(tmp_path):
     assert svgs == ["fig1.svg", "fig2.svg"]
     for name in svgs:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_run_criteria_refuses_an_empty_or_unknown_selection():
+    """None runs every criterion; an empty list would run none and pass."""
+    with pytest.raises(ConfigError, match=r"criteria must name at least 1 criterion, got \[\]"):
+        acc.run_criteria([])
+    with pytest.raises(ConfigError, match=r"unknown acceptance criteria \[10\]"):
+        acc.run_criteria([9, 10])

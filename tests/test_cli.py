@@ -270,7 +270,7 @@ def test_zero_markets_exit_1_naming_the_market_count(tmp_path, capsys, cmd, sour
     assert run(args) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "at least 1 market, got" in err and "0" in err.split("got", 1)[1]
+    assert "market_count" in err and "must be at least" in err and err.rstrip().endswith("got 0")
     assert not list(out.glob("*.csv"))
 
 
@@ -299,23 +299,56 @@ def test_unknown_option_in_a_config_file_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cmd,override,message", [
-    ("price-ccs", "market_count=-5", "need at least 1 market, got market_count=-5"),
-    ("micro-identify", "market_count=-5", "need at least 1 market, got market_count=-5"),
-    ("verify-thm2", "market_count=-5", "need at least 1 market, got market_count=-5"),
-    ("fig2", "market_count=2.5", "market_count must be a whole number, got 2.5"),
-    ("fig1", "market_count=true", "market_count must be a whole number, got True"),
+    ("price-ccs", "market_count=-5",
+     "option 'market_count' for price-ccs must be at least 1, got -5"),
+    ("micro-identify", "market_count=-5",
+     "option 'market_count' for micro-identify must be at least 1, got -5"),
+    ("verify-thm2", "market_count=-5",
+     "option 'market_count' for verify-thm2 must be at least 1, got -5"),
+    ("fig2", "market_count=2.5", "option 'market_count' for fig2 must be a whole number, got 2.5"),
+    ("fig1", "market_count=true", "option 'market_count' for fig1 must be a whole number, got True"),
     ("acceptance", "criteria=[10]", "unknown acceptance criteria [10]; the criteria are 1-9"),
     ("fig1", "curves_plotted=abc", "option 'curves_plotted' for fig1 must be a whole number, got 'abc'"),
-    ("predict", "price_shift=abc", "option 'price_shift' for predict must be a number, got 'abc'"),
+    ("predict", "price_shift=abc",
+     "option 'price_shift' for predict must be a finite number, got 'abc'"),
     ("extrapolate", "n=abc", "option 'n' for extrapolate must be a whole number, got 'abc'"),
-    ("micro-identify", "y0=abc", "option 'y0' for micro-identify must be a number, got 'abc'"),
+    ("micro-identify", "y0=abc",
+     "option 'y0' for micro-identify must be a share in (0, 1), got 'abc'"),
     ("fig1", "curves_plotted=-1", "option 'curves_plotted' for fig1 must be at least 1, got -1"),
     ("fig1", "curves_plotted=0", "option 'curves_plotted' for fig1 must be at least 1, got 0"),
     ("micro-identify", "y0=1.5",
      "option 'y0' for micro-identify must be a share in (0, 1), got 1.5"),
-    ("micro-identify", "y0=0", "option 'y0' for micro-identify must be a share in (0, 1), got 0.0"),
+    ("micro-identify", "y0=0", "option 'y0' for micro-identify must be a share in (0, 1), got 0"),
     ("acceptance", "criteria=abc",
      "option 'criteria' for acceptance must be a list of whole numbers, got 'abc'"),
+    ("acceptance", "criteria=[]",
+     "option 'criteria' for acceptance must be of length at least 1, got []"),
+    ("fig1", "market_count=1", "option 'market_count' for fig1 must be at least 4, got 1"),
+    ("fig1", "market_count=3", "option 'market_count' for fig1 must be at least 4, got 3"),
+    ("micro-identify", "market_count=7",
+     "option 'market_count' for micro-identify must be at least 8, 2 per price level, got 7"),
+    ("predict", "price_shift=NaN",
+     "option 'price_shift' for predict must be a finite number, got nan"),
+    ("predict", "price_shift=-Infinity",
+     "option 'price_shift' for predict must be a finite number, got -inf"),
+    ("fig2", "w_grid=[NaN,0.5]",
+     "option 'w_grid' for fig2 must be a list of finite numbers, got [nan, 0.5]"),
+    ("fig2", "w_grid=[]", "option 'w_grid' for fig2 must be of length at least 2, got []"),
+    ("verify-thm2", "w_grid=[0.5]",
+     "option 'w_grid' for verify-thm2 must be of length at least 2, got [0.5]"),
+    ("verify-thm2", "price_levels=[]",
+     "option 'price_levels' for verify-thm2 must be of length at least 1, got []"),
+    ("fig2", "w_grid=[0.5,0.5]", "w_grid must hold at least 2 distinct points, got (0.5, 0.5)"),
+    ("verify-thm2", "w_grid=[0.5,0.5]",
+     "w_grid must hold at least 2 distinct points, got (0.5, 0.5)"),
+    ("micro-identify", "w_grid=[0.5,0.5]",
+     "w_grid must hold at least 2 distinct points, got (0.5, 0.5)"),
+    ("micro-identify", "w_grid=[0.5,0.5,0.5,0.5,0.7]",
+     "w_grid: dg/dw fitted on the 3 points nearest w0 = [0.5] has rank below J = 1"),
+    ("micro-identify", "price_levels=[1.5]",
+     "price_levels must hold at least 2 distinct prices to fit the price slope, got [1.5]"),
+    ("micro-identify", "price_levels=[1.0,1.0]",
+     "price_levels must hold at least 2 distinct prices to fit the price slope, got [1.0, 1.0]"),
 ])
 def test_bad_option_values_exit_1_with_a_named_error(tmp_path, capsys, cmd, override, message):
     out = tmp_path / "out"
@@ -324,6 +357,68 @@ def test_bad_option_values_exit_1_with_a_named_error(tmp_path, capsys, cmd, over
     assert f"error: {message}" in err
     assert "Traceback" not in err
     assert not list(out.glob("*.csv"))
+
+
+#: Population fields that a config file gives and that its reader refuses.
+BAD_POPULATIONS = [
+    ({"J": 2.7}, "population J must be a whole number, got 2.7"),
+    ({"J": "abc"}, "population J must be a whole number, got 'abc'"),
+    ({"J": None}, "population J must be a whole number, got None"),
+    ({"market_count": 2.5}, "population market_count must be a whole number, got 2.5"),
+    ({"x2_dim": -1}, "population x2_dim must be at least 0, got -1"),
+    ({"gamma": ["a"]}, "population gamma must be a list of finite numbers, got ['a']"),
+    ({"mixing_by_type": [{"kind": "lognormal", "loc": ["a"]}]},
+     "population mixing_by_type[0] loc must be a list of finite numbers, got ['a']"),
+    ({"mixing_by_type": 5}, "population mixing_by_type must be a list of mappings, got 5"),
+    ({"type_probabilities": [float("nan")]},
+     "population type_probabilities must be a list of finite numbers, got [nan]"),
+    ({"price_law": "x"}, "population price_law must be a mapping with a kind among "
+                         "constant, uniform, normal, choice, got 'x'"),
+    ({"xi_law": {"kind": "normal", "loc": 0.0}}, "population xi_law requires 'scale'"),
+    ({"integration": {"nodes": 2.5}},
+     "population integration nodes must be a whole number, got 2.5"),
+    ({"integration": {"nodes": "x"}},
+     "population integration nodes must be a whole number, got 'x'"),
+]
+
+
+@pytest.mark.parametrize("population,message", BAD_POPULATIONS)
+def test_bad_population_values_exit_1_naming_the_field(tmp_path, capsys, population, message):
+    """A config file's population takes the values `--set` would: a fraction
+    is no whole number, and a string or null is no number."""
+    doc = {"schema_version": 1, "experiment": "invert",
+           "population": {"J": 1, "market_count": 3, "type_probabilities": [1.0],
+                          "mixing_by_type": [{"kind": "lognormal"}], **population}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(["invert", "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"error: config {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_micro_identify_runs_on_a_grid_with_a_repeated_point(tmp_path):
+    """w0 repeated once still leaves an increment near it to fit dg/dw on."""
+    out = tmp_path / "out"
+    assert run(["micro-identify", "--out", out, "--set", "market_count=8",
+                "--set", "w_grid=[0.5,0.5,0.7]"]) == 0
+    assert len(read_csv(out / "g_hat.csv")) == 4
+
+
+def test_help_lists_each_option_with_its_kind_least_and_default(capsys):
+    helps = {}
+    for cmd, options in OPTIONS.items():
+        with pytest.raises(SystemExit):
+            run([cmd, "--help"])
+        helps[cmd] = capsys.readouterr().out
+        assert all(f"  {name}: {field}\n" in helps[cmd] for name, field in options.items())
+    text = helps["micro-identify"]
+    assert "  market_count: a whole number, at least 1; default 60\n" in text
+    assert ("  price_levels: a list of finite numbers, of length at least 1; "
+            "default (0.5, 1.0, 1.5, 2.0)\n") in text
+    assert "  y0: a share in (0, 1); default 0.3\n" in text
 
 
 def _loaded_scipy_modules(code):

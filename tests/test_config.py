@@ -17,23 +17,37 @@ def sample_spec():
         type_probabilities=(0.4, 0.6), x2_dim=1, gamma=(0.3,), seed=7)
 
 
+#: sample_spec() as a config file writes it.
+SAMPLE_DICT = {
+    "J": 2, "market_count": 10,
+    "mixing_by_type": [{"kind": "lognormal", "loc": [0.0], "scale": [0.5]},
+                       {"kind": "finite-mixture", "weights": [0.3, 0.7],
+                        "components": [{"kind": "normal", "loc": [0.5], "scale": [0.1]},
+                                       {"kind": "lognormal", "loc": [-0.5], "scale": [2.0]}]}],
+    "type_probabilities": [0.4, 0.6], "x2_dim": 1, "gamma": [0.3], "seed": 7,
+    "price_law": {"kind": "uniform", "lo": 0.5, "hi": 3.0},
+    "x1_law": {"kind": "constant", "value": 0.0},
+    "x2_law": {"kind": "constant", "value": 0.0},
+    "xi_law": {"kind": "normal", "loc": 0.0, "scale": 1.0},
+    "instrument_law": None, "integration": {"kind": "gauss-hermite", "nodes": 32},
+}
+
+
 def test_population_dict_round_trip():
-    spec = sample_spec()
-    back = cfg.population_from_dict(cfg.population_to_dict(spec))
-    assert back == spec
+    assert cfg.population_from_dict(SAMPLE_DICT) == sample_spec()
 
 
 def test_config_round_trip_through_file(tmp_path):
-    c = cfg.ExperimentConfig(experiment="predict", output_dir="artifacts",
-                             seed=3, population=sample_spec(),
-                             options={"price_shift": 2.0})
     path = tmp_path / "run.json"
-    cfg.dump_config(c, path)
+    path.write_text(json.dumps({"schema_version": 1, "experiment": "predict",
+                                "output_dir": "artifacts", "seed": 3,
+                                "population": SAMPLE_DICT,
+                                "options": {"price_shift": 2.0}}))
     back = cfg.load_config(path)
     assert back.experiment == "predict"
     assert back.output_dir == "artifacts"
     assert back.seed == 3
-    assert back.population == c.population
+    assert back.population == sample_spec()
     assert back.options == {"price_shift": 2.0}
 
 
@@ -73,9 +87,13 @@ def test_invalid_json_and_missing_file(tmp_path):
 
 def test_apply_overrides_parses_json_leaves():
     c = cfg.ExperimentConfig(experiment="micro-identify")
-    cfg.apply_overrides(c, ["market_count=25", "price_levels=[0.5, 2.5]", "y0=hello"])
-    assert c.options == {"market_count": 25, "price_levels": [0.5, 2.5], "y0": "hello"}
-    assert c.option("w_grid") == cfg.OPTIONS["micro-identify"]["w_grid"]
+    cfg.apply_overrides(c, ["market_count=25", "price_levels=[0.5, 2.5]", "y0=0.25"])
+    assert c.options == {"market_count": 25, "price_levels": [0.5, 2.5], "y0": 0.25}
+    assert c.option("price_levels") == (0.5, 2.5)
+    assert c.option("w_grid") == cfg.OPTIONS["micro-identify"]["w_grid"].default
+    with pytest.raises(ConfigError, match="option 'y0' for micro-identify must be a share "
+                                          r"in \(0, 1\), got 'hello'"):
+        cfg.apply_overrides(c, ["y0=hello"])
 
 
 def test_apply_overrides_rejects_malformed():
@@ -96,11 +114,3 @@ def test_unknown_options_fail_loudly():
                                           "its options are: market_count, curves_plotted"):
         cfg.apply_overrides(c, ["market_count=5", "curves=3"])
 
-
-def test_dump_is_stable_json(tmp_path):
-    c = cfg.ExperimentConfig(experiment="invert", population=sample_spec())
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    cfg.dump_config(c, p1)
-    cfg.dump_config(c, p2)
-    assert p1.read_text() == p2.read_text()
-    json.loads(p1.read_text())  # well-formed

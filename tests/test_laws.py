@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cdlab import laws
+from cdlab.config import law_from_dict
 from cdlab.errors import ConfigError
 
 
@@ -50,10 +51,13 @@ def test_sampling_is_a_function_of_the_generator_state():
 
 
 @pytest.mark.parametrize("law", [
-    laws.constant(1.0),
-    laws.uniform(0.0, 1.0),
-    laws.normal(0.5, 2.0),
-    laws.choice([1.0, 2.0], [0.4, 0.6]),
+    ({"kind": "constant", "value": 1}, laws.constant(1.0)),
+    ({"kind": "uniform", "lo": 0.0, "hi": 1.0}, laws.uniform(0.0, 1.0)),
+    ({"kind": "normal", "loc": 0.5, "scale": 2.0}, laws.normal(0.5, 2.0)),
+    ({"kind": "choice", "values": [1.0, 2], "probs": [0.4, 0.6]},
+     laws.choice([1.0, 2.0], [0.4, 0.6])),
 ])
 def test_dict_round_trip(law):
-    assert laws.Law.from_dict(law.to_dict()) == law
+    """A config file's law mapping reads as the law its constructor makes."""
+    mapping, expected = law
+    assert law_from_dict(mapping) == expected

@@ -14,7 +14,7 @@ from cdlab.acceptance import micro_dgp
 from cdlab.demand import _gh_nodes
 from cdlab.errors import ConfigError, NoConvergence, NotIdentified, RootNotBracketed
 from cdlab.population import market_rng
-from cdlab.types import Bundle, normal_mixing
+from cdlab.types import Bundle, bundle, normal_mixing
 
 
 def dgp_1d(**kwargs):
@@ -174,6 +174,24 @@ def test_spec_validation():
         mi.MicroPopulationSpec(market_count=8, price_levels=(1.0, 2.0),
                                w_grid=(0.0, 1.0), assignment="stratified",
                                endogeneity=0.5)
+    with pytest.raises(ConfigError, match=r"price_levels must hold at least 1 level, got \(\)"):
+        mi.MicroPopulationSpec(market_count=8, price_levels=(), w_grid=(0.0, 1.0))
+    # parallel paths over one grid point, or over copies of one, are vacuous
+    for w_grid in [(), (0.5,), (0.5, 0.5), ((0.0, 1.0), (0.0, 1.0))]:
+        with pytest.raises(ConfigError, match="w_grid must hold at least 2 distinct points"):
+            mi.MicroPopulationSpec(market_count=8, price_levels=(1.0,), w_grid=w_grid)
+
+
+def test_a_collinear_grid_is_a_config_error_naming_w_grid():
+    """At J = 2, grid points on one line give dg/dw near w0 of rank 1."""
+    dgp = dgp_2d()
+    spec = mi.MicroPopulationSpec(market_count=6, price_levels=((1.0, 2.0),), seed=0,
+                                  w_grid=tuple((t, t) for t in np.linspace(-1.0, 1.0, 6)))
+    profiles = [m.profile for m in mi.simulate_micro(dgp, spec)]
+    with pytest.raises(ConfigError, match=r"w_grid: dg/dw fitted on the 4 points nearest "
+                                          r"w0 = \[-1.0, -1.0\] has rank below J = 2"):
+        mi.identify_h_and_g(mi.sigma_family(dgp, alpha_fixed=dgp.alpha), profiles,
+                            spec.level_bundle(dgp, 0), starts=3, seed=0)
 
 
 def test_simulate_micro_deterministic_and_prefix_stable():
@@ -599,6 +617,13 @@ def test_price_coefficient_from_levels():
     *_, model = complete_small_model()
     alpha_hat = mi.price_coefficient_from_levels(model)
     assert abs(alpha_hat - 1.0) < 1e-6
+    # one price, or one price twice, fits no slope: 0 / 0 would give nan
+    for prices in [(1.5,), (1.0, 1.0)]:
+        one = dataclasses.replace(model, dgp_levels=tuple(bundle(0.0, p) for p in prices),
+                                  levels_c=np.zeros((len(prices), 1)))
+        with pytest.raises(ConfigError, match=r"price_levels must hold at least 2 distinct "
+                                              rf"prices to fit the price slope, got \[{prices[0]}"):
+            mi.price_coefficient_from_levels(one)
 
 
 def test_verify_theorem2_passes_under_index_structure():
