@@ -22,7 +22,8 @@ from .dgps import ScaledX1Spec, sample_scaled_x1_population
 from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
 from .errors import ConfigError
 from .inversion import invert_rows
-from .population import PopulationSpec, market_rng, market_rngs, sample_population
+from .population import (PopulationSpec, block_keys, market_rng, market_streams,
+                         sample_population)
 from .types import Bundles, bundle, lognormal_mixing, validate_share_rows
 
 
@@ -167,11 +168,9 @@ def demeaned_oracle_data(seed: int, n: int = 10_000, levels: int = 4):
     permutation come from substreams (b, 1) and (b, 2).
     """
     mu = np.array([0.0, 0.7, -0.4, 1.2])[:levels]
-    blocks = range(-(-n // levels))
-    shocks = [r.normal(0.0, 0.8) for r in market_rngs(seed, [(b, 1) for b in blocks])]
-    perms = [r.permutation(levels) for r in market_rngs(seed, [(b, 2) for b in blocks])]
-    xi = np.repeat(np.array(shocks, dtype=float), levels)[:n]
-    lev = np.array(perms, dtype=int).reshape(-1)[:n]
+    blocks = np.arange(-(-n // levels))
+    xi = np.repeat(market_streams(seed, block_keys(blocks, 1)).normal(0.0, 0.8), levels)[:n]
+    lev = market_streams(seed, block_keys(blocks, 2)).permutation(levels).reshape(-1)[:n]
     y = validate_share_rows(expit(mu[lev] + xi)[:, None])[:, 0]
     return ex.ObsSet(y, lev, lev.astype(float)[:, None]), xi, mu
 
@@ -180,13 +179,11 @@ def _pl_data(seed: int, n: int, x2: bool = True):
     """Partially linear logit data, market i from substream i:
     Y = Lambda(x1 - 1.3 p + 0.6 x2 + xi), instruments (p, x2)."""
     d2 = int(x2)
-    draws = np.empty((n, 3 + d2))  # xi, x1, p and x2 of each market
-    for i, rng in enumerate(market_rngs(seed, range(n))):
-        draws[i, 0] = rng.normal(0.0, 0.5)
-        draws[i, 1] = rng.uniform(-1.0, 1.0)
-        draws[i, 2] = rng.uniform(0.5, 3.0)
-        if x2:
-            draws[i, 3] = rng.uniform(-1.0, 1.0)
+    rng = market_streams(seed, np.arange(n))
+    draws = [rng.normal(0.0, 0.5), rng.uniform(-1.0, 1.0), rng.uniform(0.5, 3.0)]
+    if x2:
+        draws.append(rng.uniform(-1.0, 1.0))
+    draws = np.column_stack(draws)  # xi, x1, p and x2 of each market
     xi, x1, p = draws[:, 0], draws[:, 1], draws[:, 2]
     index = x1 - 1.3 * p + 0.6 * draws[:, 3] if x2 else x1 - 1.3 * p
     y = validate_share_rows(expit(index + xi)[:, None])[:, 0]

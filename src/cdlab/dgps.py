@@ -14,7 +14,7 @@ import numpy as np
 from . import laws
 from .demand import expit
 from .errors import ConfigError
-from .population import Population, market_rngs
+from .population import Population, market_streams
 from .types import Bundles, validate_share_rows
 
 
@@ -58,16 +58,14 @@ class ScaledX1Spec:
 
 
 def sample_scaled_x1_population(spec: ScaledX1Spec) -> Population:
-    """Market i's type, shock, x1 and price from its own substream; the
-    outcomes of all markets at once."""
+    """Market i's type, shock, x1 and price from its own substream, all
+    markets' in one batch; the outcomes of all markets at once."""
     n = spec.market_count
-    zeta = np.empty(n, dtype=int)
+    rng = market_streams(spec.seed, np.arange(n))
+    zeta = laws.categorical(spec.type_probabilities)(rng)
     xi, x1, p = np.empty((n, 1)), np.empty((n, 1)), np.empty((n, 1))
-    draw_type = laws.categorical(spec.type_probabilities)
-    for i, rng in enumerate(market_rngs(spec.seed, range(n))):
-        zeta[i] = draw_type(rng)
-        xi[i] = spec.xi_law.sample(rng, 1)
-        x1[i] = spec.x1_law.sample(rng, 1)
-        p[i] = spec.price_law.sample(rng, 1)
+    xi[:] = spec.xi_law.sample(rng, 1)  # a constant law gives one row for all
+    x1[:] = spec.x1_law.sample(rng, 1)
+    p[:] = spec.price_law.sample(rng, 1)
     return Population.frozen(zeta, xi, spec.outcomes(zeta, x1[:, 0], p[:, 0], xi[:, 0]),
                              Bundles(x1, p, np.zeros((n, 1, 0))), p.copy())

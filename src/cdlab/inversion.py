@@ -24,7 +24,8 @@ Both root loops also match the outside share in logs. Near the simplex
 boundary the inside shares say little about delta: at an outside share of
 6e-12, inside shares within 1e-12 of their targets leave it 15 % off. Below
 MIN_OUTSIDE_SHARE the shares, being doubles, do not determine delta, and
-the loops raise SimplexViolation rather than iterate.
+the loops raise SimplexViolation rather than iterate; so they do for an
+inside share that is not positive, whose log is not finite.
 """
 
 from __future__ import annotations
@@ -74,6 +75,18 @@ def _check_outside(y0, ids=None) -> None:
         raise SimplexViolation(
             f"market {row if ids is None else ids[row]}: outside share "
             f"{np.ravel(y0)[row]:.3e} below {MIN_OUTSIDE_SHARE:g} does not determine delta")
+
+
+def _check_inside(y, ids=None) -> None:
+    """Raise SimplexViolation naming the first market (by its entry in `ids`,
+    default its row) whose inside share y is not positive: its log, and so
+    delta, is not finite."""
+    low = np.ravel(y) <= 0
+    if low.any():
+        row = int(np.argmax(low))
+        raise SimplexViolation(
+            f"market {row if ids is None else ids[row]}: inside share "
+            f"{np.ravel(y)[row]:.3e} is not positive, so delta is not finite")
 
 
 def logit_closed_form(m: ShareMap, y: np.ndarray, a: Bundle | Bundles) -> np.ndarray:
@@ -202,9 +215,10 @@ def _solve_block(node_shares: Callable, weights: np.ndarray, target: np.ndarray,
 
 
 def _solve_log_shares(node_shares: Callable, weights: np.ndarray, target: np.ndarray,
-                      delta: np.ndarray, cfg: InversionConfig, ids=None) -> np.ndarray:
+                      shift, cfg: InversionConfig, ids=None) -> np.ndarray:
     """Solve weights @ node_shares = target for the markets of target (n, J),
-    J >= 2, from the starts delta (n, J); returns the solutions (n, J).
+    J >= 2, from the plain-logit start log y - log y0 plus shift, which
+    broadcasts against (n, J); returns the solutions (n, J).
 
     `node_shares(delta, rows)` returns the node shares (k, M, J + 1), the
     outside good last, of the markets `rows` (indices into target) at delta
@@ -213,16 +227,18 @@ def _solve_log_shares(node_shares: Callable, weights: np.ndarray, target: np.nda
     max|log y - log s| over the inside goods are both within cfg.tol (the
     share residual alone says little about delta when shares are tiny) and
     |log y0 - log s0| of the outside good within OUTSIDE_TOL. Raises
-    SimplexViolation when an outside share is below MIN_OUTSIDE_SHARE, and
+    SimplexViolation when an inside share is not positive or an outside
+    share is below MIN_OUTSIDE_SHARE, and
     NoConvergence(iterations, residual, market), naming the first market
     that has not converged (its entry in `ids`, default its row), after
     cfg.max_iter iterations.
     """
     n, J = target.shape
     y0 = 1.0 - target.sum(axis=1)
+    _check_inside(target.min(axis=1), ids)
     _check_outside(y0, ids)
     log_target = np.log(np.column_stack([target, y0]))
-    delta = np.array(delta, dtype=float)
+    delta = log_target[:, :J] - log_target[:, J:] + shift
     block = max(1, MAX_BLOCK_ELEMENTS // (len(weights) * (J + 1)))
     for lo in range(0, n, block):
         _solve_block(node_shares, weights, target, log_target, delta,
@@ -246,11 +262,13 @@ def solve_share_curve(offsets, weights, y,
     leaves it or is not finite becomes its midpoint. A row stops moving once
     its share and log-share residuals are both within cfg.tol, so it is not
     moved on by the iterations that other rows of the batch still need.
-    Raises SimplexViolation when some 1 - y is below MIN_OUTSIDE_SHARE, and
+    Raises SimplexViolation when some y is not positive or some 1 - y is
+    below MIN_OUTSIDE_SHARE, and
     NoConvergence(iterations, residual) when some row has not converged
     after cfg.max_iter.
     """
     y = np.asarray(y, dtype=float)
+    _check_inside(y)
     _check_outside(1.0 - y)
     sign = 1.0
     mirror = (y > 0.5) & (1.0 - y < cfg.tol / OUTSIDE_TOL)
@@ -301,7 +319,6 @@ def invert_rows(m: ShareMap, y, a: Bundles, cfg: InversionConfig = DEFAULT_INVER
         offsets = _fixed_index(m, a) + _random_index(B, a)[..., 0]
         return solve_share_curve(offsets, w, y[:, 0], cfg)[:, None]
     # Plain-logit start ignoring the mixing and the fixed index.
-    start = np.log(y) - np.log(1.0 - y.sum(axis=1, keepdims=True))
     return _solve_log_shares(
         lambda d, rows: _weighted_node_shares(m, d, a[rows], outside=True)[0],
-        w, y, start, cfg, ids)
+        w, y, 0.0, cfg, ids)

@@ -1,7 +1,7 @@
 """Small declarative sampling laws used by population specs.
 
-Each law is a pure description; sampling takes an explicit Generator so the
-caller controls the stream.
+Each law is a pure description; sampling takes an explicit Generator, or a
+batch of market substreams, so the caller controls the stream.
 """
 
 from __future__ import annotations
@@ -41,7 +41,10 @@ class Law:
             if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-10:
                 raise ConfigError("choice law: probs must lie on the simplex")
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng, size: int) -> np.ndarray:
+        """size i.i.d. draws from rng, a numpy Generator (size,) or a
+        `population.MarketStreams` batch (n, size). A constant law draws
+        nothing and returns (size,) whichever it gets."""
         if self.kind == "constant":
             return np.full(size, float(self.params["value"]))
         if self.kind == "uniform":
@@ -56,7 +59,9 @@ class Law:
 def categorical(probs):
     """``draw(rng, size=None)``: rng.choice(len(probs), size, p=probs) bit
     for bit, leaving the stream where it does, from a CDF built once here
-    and without rng.choice's checks, which the caller makes."""
+    and without rng.choice's checks, which the caller makes. rng is a
+    Generator or a `population.MarketStreams` batch, whose draws gain a
+    leading market axis."""
     cdf = np.cumsum(probs, dtype=float)
     cdf /= cdf[-1]
     return lambda rng, size=None: cdf.searchsorted(rng.random(size), side="right")

@@ -22,7 +22,7 @@ from .demand import MAX_BLOCK_ELEMENTS, _node_shares, expit_mixture, hermite_gri
 from .errors import (ConfigError, IntegrationFailure, NoConvergence, NonUnique, NotIdentified,
                      RootNotBracketed)
 from .inversion import InversionConfig, _solve_log_shares, solve_share_curve
-from .population import market_rngs
+from .population import block_keys, market_streams
 from .types import Bundle, validate_share_rows
 
 PARALLEL_TOL = 1e-8
@@ -153,10 +153,9 @@ def micro_invert(dgp: MicroDgp, y: np.ndarray, p: np.ndarray,
     rows = np.atleast_2d(y)
     p = np.broadcast_to(np.asarray(p, dtype=float), rows.shape)
     nu, w = _nu_nodes(dgp.sigma, dgp.nu_nodes)
-    start = np.log(rows) - np.log(1.0 - rows.sum(axis=1, keepdims=True)) + dgp.alpha * p
     delta = _solve_log_shares(
         lambda d, k: _node_shares(d[:, None, :] + nu - dgp.alpha * p[k, None, :], outside=True),
-        w, rows, start, InversionConfig(tol=tol, max_iter=max_iter))
+        w, rows, dgp.alpha * p, InversionConfig(tol=tol, max_iter=max_iter))
     return delta.reshape(y.shape)
 
 
@@ -257,23 +256,21 @@ def simulate_micro(dgp: MicroDgp, spec: MicroPopulationSpec,
     The profiles come from the batched profile kernel and share one grid array.
     """
     n, K = spec.market_count, len(spec.price_levels)
-    xi, level = np.empty((n, dgp.J)), np.empty(n, dtype=int)
-    z_level = level  # randomized: each market's instrument is its level
+    xi = np.empty((n, dgp.J))
     if spec.assignment == "stratified":
         # block b's shock and permutation come from substreams (b, 1), (b, 2)
-        blocks = range(-(-n // K))
-        shocks = market_rngs(spec.seed, [(b, 1) for b in blocks])
-        perms = market_rngs(spec.seed, [(b, 2) for b in blocks])
-        for b, shock_rng, perm_rng in zip(blocks, shocks, perms):
-            xi[b * K:(b + 1) * K] = dgp.xi_law.sample(shock_rng, dgp.J)
-            level[b * K:(b + 1) * K] = perm_rng.permutation(K)[:n - b * K]
+        blocks = np.arange(-(-n // K))
+        shock = np.empty((len(blocks), dgp.J))
+        shock[:] = dgp.xi_law.sample(market_streams(spec.seed, block_keys(blocks, 1)), dgp.J)
+        xi[:] = np.repeat(shock, K, axis=0)[:n]
+        level = market_streams(spec.seed, block_keys(blocks, 2)).permutation(K).reshape(-1)[:n]
+        z_level = level  # randomized: each market's instrument is its level
     else:
-        z_level = np.empty(n, dtype=int)
-        for i, rng in enumerate(market_rngs(spec.seed, range(n))):
-            z_level[i] = rng.integers(K)
-            xi[i] = dgp.xi_law.sample(rng, dgp.J)
-            shift = int(np.round(spec.endogeneity * float(np.mean(xi[i]))))
-            level[i] = np.clip(z_level[i] + shift, 0, K - 1)
+        rng = market_streams(spec.seed, np.arange(n))
+        z_level = rng.integers(K)
+        xi[:] = dgp.xi_law.sample(rng, dgp.J)
+        shift = np.round(spec.endogeneity * xi.mean(axis=1)).astype(int)
+        level = np.clip(z_level + shift, 0, K - 1)
     xi.setflags(write=False)  # each market holds a view of its row
     W = _w_matrix(spec.w_grid, dgp.J)
     bundles = [spec.level_bundle(dgp, k) for k in range(K)]

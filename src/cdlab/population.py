@@ -6,23 +6,40 @@ per row, and its potential outcomes at any bundle come from
 
 Draw i depends only on (seed, i): each market gets its own counter-based
 substream, so serial and parallel generation produce bit-identical output.
+:func:`market_streams` draws the substreams of a whole batch of markets at
+once, from keys to words to draws, with a fallback:
 
-The substream of key (i, ...) is Philox keyed by
-``SeedSequence(seed, spawn_key=(i, ...))``. Philox is counter-based, so the
-stream is its 128-bit key alone, and :func:`market_rngs` derives the keys
-of a whole batch at once: numpy's own ``SeedSequence(seed)`` pool, then the
-rest of its entropy hash, one uint32 step per key word, vectorized over the
-batch (the hash constants do not depend on the data). The result is bit
-for bit numpy's, which keeps ``SeedSequence`` and Philox output stable
-across numpy versions under its stream-compatibility policy for seeding and
-bit generators (NEP 19).
+- Keys. The substream of key (i, ...) is Philox keyed by
+  ``SeedSequence(seed, spawn_key=(i, ...))``. Philox is counter-based, so
+  the stream is its 128-bit key alone. The keys of a batch come from
+  numpy's own ``SeedSequence(seed)`` pool, then the rest of its entropy
+  hash, one uint32 step per key word, vectorized over the batch (the hash
+  constants do not depend on the data).
+- Words. Word w of a stream is word w % 4 of the Philox4x64-10 block of
+  counter w // 4 + 1 (Salmon et al., 2011), as numpy's Philox numbers
+  them. A draw computes the blocks of all streams in one numpy pass, with
+  the 128-bit products from 32-bit halves.
+- Draws. Each method turns words into values as numpy's Generator does: a
+  uniform from the top 53 bits of a word, a normal from the one-word fast
+  branch of numpy's ziggurat (its tables are :mod:`cdlab.ziggurat`),
+  permutations and bounded integers from uint32 halves, low half first,
+  with rejections.
+- Fallback. A stream whose draw leaves a fast branch (the ziggurat's slow
+  branch, about 1.5 % of normals; rejections that use up the words drawn
+  for them; an ``integers`` range of 2**32 - 1 values or more) continues on
+  a numpy Generator placed at the word where that call began, and makes the
+  rest of its draws there.
+
+The keys and words are numpy's bit for bit, and NEP 19 keeps
+``SeedSequence`` and Philox output stable across numpy versions. It does
+not freeze the Generator's algorithms; the tests check the draws against
+the installed numpy's Generator.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -31,6 +48,7 @@ from . import laws
 from .demand import Integration, ShareMap, gauss_hermite, mixed_logit, shares_array
 from .errors import ConfigError
 from .types import Bundle, Bundles, validate_share_rows
+from .ziggurat import KI, WI
 
 
 @dataclass(frozen=True)
@@ -109,7 +127,6 @@ def _hash_constants(h: int, mult: int, n: int) -> np.ndarray:
 
 
 _STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, _POOL)
-_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)  # Philox's default, as an array: cheaper to set
 
 
 def _hashmix(value: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -155,17 +172,10 @@ def _philox_keys(seed: int, keys: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def market_rngs(seed: int, keys) -> Iterator[np.random.Generator]:
-    """One independent counter-based substream per key, a pure function of
-    (seed, key): the Generator of ``Philox(SeedSequence(seed, spawn_key=key))``
-    bit for bit.
-
-    keys is an (n,) array of one-word keys or an (n, k) array of k-word
-    keys; every word lies in [0, 2**32). The seed is any non-negative integer,
-    as for SeedSequence. The keys are checked and derived at once; the
-    Generators are built as the returned iterator reaches them, so a batch
-    holds one at a time.
-    """
+def _stream_keys(seed, keys) -> np.ndarray:
+    """The checked Philox keys (n, 2) of the substreams of (seed, key) for
+    the rows of keys, an (n,) array of one-word keys or an (n, k) array of
+    k-word keys, every word in [0, 2**32)."""
     seed = check_seed(seed)
     keys = np.asarray(keys)
     if keys.ndim == 1:
@@ -176,14 +186,272 @@ def market_rngs(seed: int, keys) -> Iterator[np.random.Generator]:
         bad = next(v for v in keys.flat
                    if not isinstance(v, (int, np.integer)) or not 0 <= v <= _MASK32)
         raise ConfigError(f"substream key words must be integers in [0, 2**32), got {bad}")
-    state = _philox_keys(seed, keys.astype(np.uint32))
-    return (np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_ZERO_COUNTER))
-            for key in state)
+    return _philox_keys(seed, keys.astype(np.uint32))
+
+
+def _philox_at(key: np.ndarray, word: int = 0, half: int = -1) -> np.random.Generator:
+    """The numpy Generator of the Philox stream with key `key` (2,), placed
+    at word `word` of the stream with the pending uint32 half `half` (-1 for
+    none). Philox computes block b of 4 words from counter b + 1, so counter
+    word // 4 starts at the block of that word."""
+    bits = np.random.Philox(_PhiloxKey(key), counter=np.array([word // 4, 0, 0, 0], np.uint64))
+    if word % 4:
+        bits.random_raw(int(word % 4))
+    if half >= 0:
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = 1, int(half)
+        bits.state = state
+    return np.random.Generator(bits)
 
 
 def market_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent counter-based substream: pure function of (seed, key)."""
-    return next(market_rngs(seed, [key]))
+    """The substream of (seed, key) as a numpy Generator:
+    ``Generator(Philox(SeedSequence(seed, spawn_key=key)))`` bit for bit."""
+    return _philox_at(_stream_keys(seed, [key])[0])
+
+
+# Philox4x64-10: round multipliers and key increments (Salmon et al., 2011).
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_U32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
+_M_LO, _M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _U32
+
+
+def _philox_blocks(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of the counters (c, 0, 0, 0) under the keys (2, m),
+    for the uint64 counters c (m,): the blocks (m, 4) of 64-bit words.
+
+    A round maps (v0, v1, v2, v3) to (hi1 ^ v1 ^ k0, lo1, hi0 ^ v3 ^ k1,
+    lo0), where (hi0, lo0) and (hi1, lo1) are the 128-bit products of v0 and
+    v2 by the two multipliers; both products come from 32-bit halves, as
+    rows 0 and 1 of (v0, v2), and the key (k0, k1) moves on by (W0, W1)
+    before each round but the first."""
+    even = np.zeros((2, len(counters)), dtype=np.uint64)  # v0, v2
+    even[0] = counters
+    odd = np.zeros_like(even)  # v1, v3
+    k = keys.copy()
+    for r in range(10):
+        if r:
+            k += _PHILOX_W
+        lo_x, hi_x = even & _LOW32, even >> _U32
+        ll = lo_x * _M_LO
+        t = hi_x * _M_LO + (ll >> _U32)
+        u = lo_x * _M_HI + (t & _LOW32)
+        hi = hi_x * _M_HI + (t >> _U32) + (u >> _U32)
+        even, odd = hi[::-1] ^ odd ^ k, even * _PHILOX_M
+        odd = odd[::-1]
+    return np.stack([even[0], odd[0], even[1], odd[1]], axis=1)
+
+
+class MarketStreams:
+    """n substreams drawn together: row i of each draw is what the numpy
+    Generator of stream i returns for the same sequence of calls.
+
+    The methods are the Generator methods cdlab calls, each with a leading
+    market axis: ``random``, ``uniform``, ``standard_normal`` and ``normal``
+    with a size of None or an int give (n,) or (n, size), ``integers(low,
+    high, size)`` gives int64 values in the same shapes, and
+    ``permutation(x)`` of an int x gives (n, x). Made by
+    :func:`market_streams`.
+    """
+
+    def __init__(self, keys: np.ndarray):
+        n = len(keys)
+        self._n = n
+        # The streams still drawn here: their rows, Philox keys (2, r), next
+        # words and pending uint32 halves (-1 for none), and the block of
+        # each next word when the last draw stopped inside it (None: no
+        # such blocks are held).
+        self._rows = np.arange(n)
+        self._keys = np.ascontiguousarray(keys.T)
+        self._word = np.zeros(n, dtype=np.int64)
+        self._half = np.full(n, -1, dtype=np.int64)
+        self._block = None
+        self._handed: dict[int, np.random.Generator] = {}  # row -> its Generator
+
+    def _words(self, m: int) -> np.ndarray:
+        """The next m words of each stream drawn here, (r, m), moving on by
+        m. The blocks come from one Philox pass over all streams, except the
+        block a stream's last draw stopped inside: that one is held, as
+        numpy's Philox holds it."""
+        word, r = self._word, len(self._word)
+        if not (r and m):
+            return np.empty((r, m), dtype=np.uint64)
+        first, off = word // 4, word % 4
+        nb = (int(off.max()) + m + 3) // 4
+        blocks = np.empty((r, nb, 4), dtype=np.uint64)
+        fresh = np.ones((r, nb), dtype=bool)
+        if self._block is not None:
+            blocks[:, 0] = self._block
+            fresh[:, 0] = off == 0
+        if fresh.any():
+            counters = first[:, None] + np.arange(1, nb + 1)
+            blocks[fresh] = _philox_blocks(np.repeat(self._keys, nb, axis=1)[:, fresh.ravel()],
+                                           counters[fresh].astype(np.uint64))
+        blocks = blocks.reshape(r, 4 * nb)
+        self._word = word + m
+        held = np.minimum(self._word // 4 - first, nb - 1)  # unused when a block ends
+        self._block = np.take_along_axis(blocks, 4 * held[:, None] + np.arange(4), axis=1)
+        return np.take_along_axis(blocks, off[:, None] + np.arange(m), axis=1)
+
+    def _draw(self, call, shape: tuple, fast=None, dtype=float) -> np.ndarray:
+        """Out (n, *shape): the streams drawn here take fast(m), for m =
+        prod(shape) values each, which returns the values (r, m) and whether
+        each stream kept to its fast branch. A stream that did not, and every
+        stream when fast is None, continues on a numpy Generator placed where
+        the call began, and call(generator) draws its row."""
+        out = np.empty((self._n, *shape), dtype=dtype)
+        word, half = self._word, self._half
+        ok = np.zeros(len(word), dtype=bool)
+        if fast is not None:
+            values, ok = fast(int(np.prod(shape)))
+            ok = np.broadcast_to(ok, len(word))
+            out[self._rows[ok]] = values.reshape(len(word), *shape)[ok]
+        if not ok.all():
+            for j in np.flatnonzero(~ok):
+                self._handed[int(self._rows[j])] = _philox_at(self._keys[:, j], word[j], half[j])
+            self._rows, self._keys = self._rows[ok], self._keys[:, ok]
+            self._word, self._half = self._word[ok], self._half[ok]
+            self._block = None if self._block is None else self._block[ok]
+        for row, rng in self._handed.items():
+            out[row] = call(rng)
+        return out
+
+    def _unit(self, m: int) -> np.ndarray:
+        return (self._words(m) >> np.uint64(11)) * 2.0**-53
+
+    def _gauss(self, m: int):
+        """The ziggurat's one-word branch: layer idx from the low byte, the
+        sign from the next bit, a 52-bit magnitude scaled by WI[idx] and
+        kept below KI[idx]; anything else is the slow branch."""
+        w = self._words(m)
+        idx = (w & np.uint64(0xFF)).astype(np.intp)
+        rabs = (w >> np.uint64(9)) & np.uint64(0xFFFFFFFFFFFFF)
+        z = rabs * WI[idx]
+        return np.where(w & np.uint64(0x100), -z, z), (rabs < KI[idx]).all(axis=1)
+
+    def random(self, size=None) -> np.ndarray:
+        """(word >> 11) * 2**-53."""
+        return self._draw(lambda rng: rng.random(size), _shape(size),
+                          lambda m: (self._unit(m), True))
+
+    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
+        """low + (high - low) * ((word >> 11) * 2**-53)."""
+        return self._draw(lambda rng: rng.uniform(low, high, size), _shape(size),
+                          lambda m: (low + (high - low) * self._unit(m), True))
+
+    def standard_normal(self, size=None) -> np.ndarray:
+        """The ziggurat's one-word branch, else numpy's."""
+        return self._draw(lambda rng: rng.standard_normal(size), _shape(size), self._gauss)
+
+    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
+        """loc + scale * standard_normal."""
+        def fast(m):
+            z, ok = self._gauss(m)
+            return loc + scale * z, ok
+        return self._draw(lambda rng: rng.normal(loc, scale, size), _shape(size), fast)
+
+    def integers(self, low, high=None, size=None) -> np.ndarray:
+        """numpy's int64 integers(low, high), for k = high - low values:
+        below 2**32 - 1 of them, Lemire's bounded draw on uint32 halves
+        (Lemire, 2019), which keeps the first half h with h * k mod 2**32 at
+        least (2**32 - k) % k and returns low + (h * k >> 32); above that,
+        numpy's own."""
+        low, high = (0, low) if high is None else (low, high)
+        k = operator.index(high) - operator.index(low)
+        threshold = (_MASK32 + 1 - k) % k if k > 0 else 0
+
+        def lemire(h):
+            m = h.astype(np.uint64) * np.uint64(k)
+            return low + (m >> _U32).astype(np.int64), m & _LOW32 >= threshold
+
+        def fast(m):
+            if k == 1:  # one value: numpy draws nothing
+                return np.full((len(self._word), m), low), True
+            return self._halves([lemire] * m)
+        return self._draw(lambda rng: rng.integers(low, high, size), _shape(size),
+                          fast if 1 <= k < _MASK32 else None, dtype=np.int64)
+
+    def permutation(self, x: int) -> np.ndarray:
+        """A permutation of arange(x) per stream, as numpy shuffles it: for i
+        from x - 1 down to 1, swap entries i and j, where j is the first
+        uint32 half, masked to the bit width of i, that is at most i."""
+        def fast(m):
+            steps = range(x - 1, 0, -1)
+            js, ok = self._halves([_masked(i) for i in steps])
+            out = np.tile(np.arange(x), (len(js), 1))
+            at = np.arange(len(js))
+            for j, i in zip(js.T, steps):
+                j = np.minimum(j, i)  # a stream that left the fast branch may hold any j
+                out[at, i], out[at, j] = out[at, j], out[at, i]
+            return out, ok
+        return self._draw(lambda rng: rng.permutation(x), (x,), fast, dtype=np.int64)
+
+    def _halves(self, tests):
+        """The values (r, len(tests)) that the uint32 halves of each stream
+        give under tests, in turn: test(h) maps halves h to values and
+        whether each is kept, and each test takes the first half it keeps.
+        The halves are the pending one, then the low and high halves of each
+        word, as numpy's next_uint32 hands them out. A stream whose
+        rejections use up the len(tests) + 1 words drawn for it leaves the
+        fast branch."""
+        r = len(self._word)
+        values = np.zeros((r, len(tests)), dtype=np.int64)
+        if not (r and tests):
+            return values, True
+        word, at = self._word, np.arange(r)
+        words = self._words(len(tests) + 1).astype("<u8").view("<u4")
+        halves = np.hstack([self._half[:, None], words])
+        last = halves.shape[1] - 1
+        cursor = (self._half < 0).astype(np.intp)
+        ok = np.ones(r, dtype=bool)
+        for t, test in enumerate(tests):
+            ok &= cursor <= last
+            cursor = np.minimum(cursor, last)
+            v, kept = test(halves[at, cursor])
+            redo = np.flatnonzero(~kept & (cursor < last))
+            while len(redo):
+                cursor[redo] += 1
+                v[redo], kept[redo] = test(halves[redo, cursor[redo]])
+                redo = redo[~kept[redo] & (cursor[redo] < last)]
+            ok &= kept
+            values[:, t] = v
+            cursor += 1
+        used = cursor - 1  # halves of words used
+        self._word = word + (used + 1) // 2
+        self._half = np.full(r, -1, dtype=np.int64)
+        odd = ok & (used % 2 == 1)  # the high half of the last word is pending
+        self._half[odd] = halves[at[odd], cursor[odd]]
+        self._block = None
+        return values, ok
+
+
+def _masked(i: int):
+    """numpy's random_interval(i) test: a half masked to the bit width of i,
+    kept when it is at most i."""
+    mask = (1 << i.bit_length()) - 1
+    return lambda h: (h & mask, (h & mask) <= i)
+
+
+def _shape(size) -> tuple:
+    return () if size is None else (operator.index(size),)
+
+
+def block_keys(blocks, j: int) -> np.ndarray:
+    """The two-word keys (b, j) of the blocks b: substream j of each block."""
+    return np.column_stack([blocks, np.full(len(blocks), j)])
+
+
+def market_streams(seed: int, keys) -> MarketStreams:
+    """One independent counter-based substream per key, a pure function of
+    (seed, key), drawn for all keys at once: row i of every draw is what
+    ``Generator(Philox(SeedSequence(seed, spawn_key=key_i)))`` returns.
+
+    keys is an (n,) array of one-word keys or an (n, k) array of k-word
+    keys; every word lies in [0, 2**32). The seed is any non-negative integer,
+    as for SeedSequence. Both are checked here.
+    """
+    return MarketStreams(_stream_keys(seed, keys))
 
 
 @dataclass(frozen=True)
@@ -219,21 +487,21 @@ class Population:
 
 def sample_population(spec: PopulationSpec) -> Population:
     """market_count i.i.d. draws; bit-identical across repeated calls. Each
-    market's latent state and bundle come from its own substream, then the
-    observed shares of all of them from one share-kernel call per type."""
+    market's latent state and bundle come from its own substream, all
+    markets' in one batch, then the observed shares of all of them from one
+    share-kernel call per type."""
     n, J, d2 = spec.market_count, spec.J, spec.x2_dim
-    zeta = np.empty(n, dtype=int)
+    rng = market_streams(spec.seed, np.arange(n))
+    zeta = laws.categorical(spec.type_probabilities)(rng)
     xi, x1, p, z = (np.empty((n, J)) for _ in range(4))
-    x2 = np.empty((n, J, d2))
-    draw_type = laws.categorical(spec.type_probabilities)
-    for k, rng in enumerate(market_rngs(spec.seed, range(n))):
-        zeta[k] = draw_type(rng)
-        xi[k] = spec.xi_law.sample(rng, J)
-        x1[k] = spec.x1_law.sample(rng, J)
-        p[k] = spec.price_law.sample(rng, J)
-        x2[k] = spec.x2_law.sample(rng, J * d2).reshape(J, d2)
-        z[k] = p[k] if spec.instrument_law is None else spec.instrument_law.sample(rng, J)
-    a = Bundles(x1, p, x2)
+    x2 = np.empty((n, J * d2))
+    # A constant law draws nothing and gives one row for every market.
+    xi[:] = spec.xi_law.sample(rng, J)
+    x1[:] = spec.x1_law.sample(rng, J)
+    p[:] = spec.price_law.sample(rng, J)
+    x2[:] = spec.x2_law.sample(rng, J * d2)
+    z[:] = p if spec.instrument_law is None else spec.instrument_law.sample(rng, J)
+    a = Bundles(x1, p, x2.reshape(n, J, d2))
     return Population.frozen(zeta, xi, _outcomes(spec, zeta, xi, a), a, z)
 
 

@@ -236,6 +236,18 @@ def test_saturated_shares_exit_2_naming_the_market(tmp_path, monkeypatch):
     assert read_csv(out / "report.csv")[1][1].startswith("market 0: share outside")
 
 
+def test_zero_inside_share_exits_2_naming_the_share(tmp_path, capsys):
+    """At price 715 the micro share underflows to 0, whose log is not finite:
+    `cdl verify-thm2` fails with a report naming the market and the share,
+    before any log warns (pytest turns a RuntimeWarning into an error)."""
+    out = tmp_path / "out"
+    assert run(["verify-thm2", "--out", out, "--set", "market_count=1",
+                "--set", "price_levels=[715.0, 0.0, 0.0]"]) == 2
+    failure = read_csv(out / "report.csv")[1][1]
+    assert failure == "market 0: inside share 0.000e+00 is not positive, so delta is not finite"
+    assert failure in capsys.readouterr().err
+
+
 def test_acceptance_subset_runs_and_reports(tmp_path):
     out = tmp_path / "out"
     assert run(["acceptance", "--out", out, "--set", "criteria=[9]"]) == 0

@@ -3,18 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlab import demand, laws
+from cdlab import demand, laws, population
 from cdlab.demand import monte_carlo, shares_array
 from cdlab.errors import ConfigError, SimplexViolation
 from cdlab.population import (
     Population,
     PopulationSpec,
     market_rng,
-    market_rngs,
+    market_streams,
     sample_population,
     true_counterfactuals,
 )
 from cdlab.types import Bundle, Bundles, bundle, lognormal_mixing, normal_mixing
+from cdlab.ziggurat import KI
 
 
 def two_type_spec(n=50, seed=0, **kwargs):
@@ -104,34 +105,104 @@ WORD = 2**32 - 1
 SEEDS = st.one_of(st.sampled_from([0, 1, WORD, 2**32, 2**64 - 1, 2**64, 2**128, 2**160 - 1]),
                   st.integers(0, 2**160 - 1))
 KEY_WORDS = st.one_of(st.sampled_from([0, 1, WORD]), st.integers(0, WORD))
+SIZES = st.one_of(st.none(), st.integers(0, 4))
+# One call of each Generator method the batch has: its name and arguments.
+CALLS = st.one_of(
+    st.tuples(st.just("random"), st.tuples(SIZES)),
+    st.tuples(st.just("uniform"), st.tuples(st.just(-1.5), st.just(2.0), SIZES)),
+    st.tuples(st.just("standard_normal"), st.tuples(SIZES)),
+    st.tuples(st.just("normal"), st.tuples(st.just(0.3), st.just(0.8), SIZES)),
+    st.tuples(st.just("permutation"), st.tuples(st.integers(0, 6))),
+    st.tuples(st.just("integers"), st.tuples(st.integers(-3, 2), st.integers(3, 12), SIZES)),
+    st.tuples(st.just("integers"), st.tuples(st.integers(1, 2**33), st.none(), SIZES)),
+)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=SEEDS, width=st.integers(1, 3), n=st.integers(1, 1000), data=st.data())
-def test_market_rngs_match_seed_sequence(seed, width, n, data):
-    """Each substream is Philox keyed by SeedSequence(seed, spawn_key=key):
-    the same 128-bit key and the same first draws, at any batch size."""
+def _reference(seed, key) -> np.random.Generator:
+    key = tuple(int(k) for k in np.atleast_1d(key))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def _assert_calls_match(seed, keys, calls):
+    """Each call on the batch of keys gives, row by row, what the per-key
+    Generators give for the same sequence of calls, down to the sign of zero."""
+    batch = market_streams(seed, keys)
+    refs = [_reference(seed, k) for k in keys]
+    for name, args in calls:
+        got = getattr(batch, name)(*args)
+        want = [getattr(r, name)(*args) for r in refs]
+        assert got.shape[0] == len(keys)
+        if want:
+            want = np.array(want)
+            assert got.dtype == want.dtype, (name, args)
+            np.testing.assert_array_equal(got, want, err_msg=f"{name}{args}")
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))  # -0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, width=st.integers(1, 3), n=st.integers(0, 1000), data=st.data())
+def test_market_streams_match_per_key_generators(seed, width, n, data):
+    """Row i of every draw is the draw of Generator(Philox(SeedSequence(seed,
+    spawn_key=key_i))), for a random sequence of the batch's six methods."""
     drawn = data.draw(st.lists(st.lists(KEY_WORDS, min_size=width, max_size=width),
-                               min_size=1, max_size=min(n, 20)))
-    keys = np.resize(np.array(drawn, dtype=np.int64), (n, width))  # repeats the drawn keys
-    checked = sorted({0, n - 1, *data.draw(st.lists(st.integers(0, n - 1), max_size=5))})
-    rngs = list(market_rngs(seed, keys))
-    assert len(rngs) == n
-    for i in checked:
-        ref = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in keys[i]))
-        got = rngs[i]
-        np.testing.assert_array_equal(got.bit_generator.state["state"]["key"],
-                                      ref.generate_state(2, np.uint64))
-        ref_rng = np.random.Generator(np.random.Philox(ref))
-        np.testing.assert_array_equal(got.random(3), ref_rng.random(3))
-        np.testing.assert_array_equal(got.standard_normal(3), ref_rng.standard_normal(3))
+                               min_size=min(n, 1), max_size=min(n, 5)))
+    spread = np.random.default_rng(data.draw(st.integers(0, WORD))).integers(
+        0, WORD, (n, width), endpoint=True)
+    keys = np.concatenate([np.array(drawn, dtype=np.int64).reshape(-1, width), spread])[:n]
+    _assert_calls_match(seed, keys, data.draw(st.lists(CALLS, min_size=1, max_size=6)))
+
+
+def test_market_streams_fast_branches_and_fallbacks():
+    """Normals over every ziggurat layer, the layer-0 tail and the slow
+    branch; a permutation(4) and an integers draw that reject a half; a
+    uint32 half carried from one call into the next, on the batch and across
+    a hand-off to numpy's Generator; an empty batch."""
+    n = 2000
+    keys = np.arange(n)
+    words = np.array([market_rng(17, k).bit_generator.random_raw(9) for k in keys])
+    idx = (words[:, 1:] & 0xFF).astype(int)
+    rabs = (words[:, 1:] >> 9) & (2**52 - 1)
+    assert set(idx.ravel().tolist()) == set(range(256))
+    assert np.any((idx == 0) & (rabs >= KI[0]))  # the tail
+    assert np.any((idx > 0) & (rabs >= KI[idx]))  # the slow branch
+    # permutation(2) takes the low half of word 0 and leaves its high half
+    # pending through the normals, which hand some streams off, for
+    # permutation(3) to take
+    one = market_rng(17, 0)
+    one.permutation(2)
+    assert one.bit_generator.state["has_uint32"] == 1
+    _assert_calls_match(17, keys, [("permutation", (2,)), ("standard_normal", (8,)),
+                                   ("normal", (0.5, 2.0, None)), ("permutation", (3,))])
+
+    # permutation(4) takes i = 3's index from the low half of word 0 and
+    # i = 2's from its high half, which it rejects when its low bits are 3.
+    # A half it leaves pending goes to permutation(2), and a half that one
+    # leaves stays pending past random()'s word for permutation(5)
+    assert np.any((words[:200, 0] >> 32) & 3 == 3)
+    calls = [("permutation", (4,)), ("permutation", (2,)), ("random", (None,)),
+             ("permutation", (5,)), ("uniform", (0.0, 1.0, 3))]
+    _assert_calls_match(17, keys[:200], calls)
+    # integers(k) keeps the half h when h * k mod 2**32 >= (2**32 - k) % k,
+    # about half the time at k = 2**31 + 1
+    k = 2**31 + 1
+    assert np.any((words[:200, 0] & WORD) * k % 2**32 < (2**32 - k) % k)
+    _assert_calls_match(17, keys[:200], [("integers", (k,)), ("integers", (-2, 5, 3)),
+                                         ("integers", (1, None, 2)), ("permutation", (3,))])
+
+    empty = market_streams(17, np.empty((0, 2), dtype=np.int64))
+    for name, args, shape in [("random", (None,), (0,)), ("uniform", (0.0, 1.0, 3), (0, 3)),
+                              ("standard_normal", (2,), (0, 2)), ("normal", (0.0, 1.0), (0,)),
+                              ("permutation", (4,), (0, 4)), ("integers", (3,), (0,)),
+                              ("integers", (2**40, None, 2), (0, 2))]:
+        assert getattr(empty, name)(*args).shape == shape
 
 
 def test_market_rng_is_the_batch_of_one():
     for key in [(), (7,), (3, 1), (0, WORD, 5)]:
-        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(11, spawn_key=key)))
-        np.testing.assert_array_equal(market_rng(11, *key).random(4), ref.random(4))
-    assert list(market_rngs(11, [])) == []
+        ref = _reference(11, key).random(4)
+        np.testing.assert_array_equal(market_rng(11, *key).random(4), ref)
+        np.testing.assert_array_equal(market_streams(11, [key]).random(4), [ref])
+    assert market_streams(11, []).random(4).shape == (0, 4)
 
 
 @pytest.mark.parametrize("seed,keys,named", [
@@ -139,9 +210,30 @@ def test_market_rng_is_the_batch_of_one():
     (3, [-1], "-1"), (3, [2**32], "4294967296"), (3, [[1, 2**70]], str(2**70)),
     (3, [0.5], "0.5"),
 ])
-def test_market_rngs_reject_bad_seeds_and_keys(seed, keys, named):
+def test_market_streams_reject_bad_seeds_and_keys(seed, keys, named):
     with pytest.raises(ConfigError, match=named):
-        market_rngs(seed, keys)
+        market_streams(seed, keys)
+
+
+@pytest.mark.parametrize("xi_law", [laws.uniform(-1.0, 1.0), laws.normal(0.0, 1.0)])
+def test_sampling_builds_a_numpy_philox_only_for_handed_off_streams(xi_law, monkeypatch):
+    """Uniform laws stay on the batch's fast path; a normal hands a stream
+    to a numpy Generator only when its word misses the ziggurat's one-word
+    branch. The type draw takes word 0 and the shock word 1."""
+    words = np.array([market_rng(21, k).bit_generator.random_raw(2)[1] for k in range(1000)])
+    idx = (words & 0xFF).astype(int)
+    slow = np.count_nonzero(((words >> 9) & (2**52 - 1)) >= KI[idx])
+    assert 0 < slow < 50
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return philox_at(*args)
+
+    philox_at = population._philox_at
+    monkeypatch.setattr(population, "_philox_at", counted)
+    sample_population(two_type_spec(n=1000, seed=21, xi_law=xi_law))
+    assert len(built) == (0 if xi_law.kind == "uniform" else slow)
 
 
 def test_observed_shares_reconstruct_from_latent_state():
@@ -253,17 +345,19 @@ def test_type_draws_match_rng_choice_and_keep_the_stream_position(probs):
                           type_probabilities=probs, seed=12)
     for s, pop in ((spec, sample_population(spec)),
                    (scaled, sample_scaled_x1_population(scaled))):
-        for k, rng in enumerate(market_rngs(s.seed, range(n))):
+        for k in range(n):
+            rng = market_rng(s.seed, k)
             assert pop.zeta[k] == rng.choice(len(probs), p=probs)
             np.testing.assert_array_equal(pop.xi[k], s.xi_law.sample(rng, 1))
     values = 1.5 * np.arange(len(probs)) - 1.0
     law = laws.choice(values, probs)
-    rngs = zip(market_rngs(13, range(n)), market_rngs(13, range(n)))
-    for k, (rng, ref) in enumerate(rngs):
-        size = 1 + k % 3
-        np.testing.assert_array_equal(law.sample(rng, size),
-                                      values[ref.choice(len(probs), size, p=probs)])
-        assert rng.standard_normal() == ref.standard_normal()
+    for size in (1, 2, 3):
+        batch = market_streams(13, np.arange(n))
+        got, after = law.sample(batch, size), batch.standard_normal()
+        for k in range(n):
+            ref = market_rng(13, k)
+            np.testing.assert_array_equal(got[k], values[ref.choice(len(probs), size, p=probs)])
+            assert after[k] == ref.standard_normal()
 
 
 @pytest.mark.parametrize("probs", [(0.5, 0.6), (1.2, -0.2), (1.0,)])
