@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -35,14 +36,49 @@ from .types import bundle, lognormal_mixing
 TYPE_COLORS = ("#1f77b4", "#ff7f0e")
 
 
+#: The `%` format of each cell type that csv.writer would never quote.
+CELL_FORMATS = {float: "%.17g", int: "%d", bool: "%s"}
+#: Lines joined into one write, so that a large table is not held whole.
+CSV_CHUNK = 4096
+
+
+def _line_format(kinds: tuple):
+    """The format of a row whose cells have exactly the types `kinds`, or
+    None when some type is not in CELL_FORMATS."""
+    if not all(k in CELL_FORMATS for k in kinds):
+        return None
+    return ",".join([CELL_FORMATS[k] for k in kinds]) + "\r\n"
+
+
 def write_csv(path, header, rows) -> None:
-    """RFC-4180 CSV with full round-trip float formatting."""
+    """RFC-4180 CSV with full round-trip float formatting.
+
+    A row of only float, int and bool cells is written by one `%` call with
+    the line format of its cell types. Any other row (str, None, numpy
+    scalars) goes through csv.writer, which quotes it; both write the same
+    bytes for the same cells.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
+        formats, lines = {}, []
         for row in rows:
-            writer.writerow(["%.17g" % v if isinstance(v, float) else v
-                             for v in row])
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                formats[kinds] = _line_format(kinds)
+            fmt = formats[kinds]
+            if fmt is None:  # the lines before this row are written first
+                fh.write("".join(lines))
+                lines.clear()
+                writer.writerow(["%.17g" % v if isinstance(v, float) else v
+                                 for v in row])
+                continue
+            lines.append(fmt % row)
+            if len(lines) == CSV_CHUNK:
+                fh.write("".join(lines))
+                lines.clear()
+        fh.write("".join(lines))
 
 
 def _default_population(seed: int) -> PopulationSpec:
@@ -111,22 +147,22 @@ def run_fig1(cfg: ExperimentConfig, out: Path) -> None:
     spec = Fig1Spec(market_count=cfg.option("market_count"), seed=cfg.seed)
     pop = sample_population(spec.population_spec())
     shown = pop[:cfg.option("curves_plotted")]
-    rows = []
+    pairs = crossing_curves(spec, shown)
     panel = Panel(title="crossing demand curves", xlabel="price", ylabel="share")
     labels = {0: "type 0", 1: "type 1"}
-    for i, (zeta, pair) in enumerate(zip(shown.zeta.tolist(), crossing_curves(spec, shown))):
+    for i, (zeta, pair) in enumerate(zip(shown.zeta.tolist(), pairs)):
         if pair is None:
             raise RootNotBracketed(f"market {i}: share {shown.y[i, 0]} unreachable "
                                    f"by the opposite type")
-        for g, own, opp in zip(pair.grid, pair.own, pair.opposite):
-            rows.append([i, zeta, float(g), float(own), float(opp)])
         panel.add(pair.grid, pair.own, color=TYPE_COLORS[zeta],
                   label=labels.pop(zeta, ""))
         panel.add(pair.grid, pair.opposite, color=TYPE_COLORS[1 - zeta],
                   label=labels.pop(1 - zeta, ""), dash="4,3")
     write_csv(out / "curves.csv",
               ["market_id", "type", "grid_price", "own_share", "opposite_share"],
-              rows)
+              _market_rows(np.arange(len(pairs))[:, None], shown.zeta[:, None], pairs[0].grid,
+                           np.array([p.own for p in pairs]),
+                           np.array([p.opposite for p in pairs])))
     write_svg(out / "fig1.svg", [panel])
 
     a, a_prime = bundle(0.0, 1.5), bundle(0.0, 2.0)
@@ -191,23 +227,23 @@ def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
         seed=cfg.seed)
     markets = mi.simulate_micro(dgp, spec)
     a = spec.level_bundle(dgp, 0)
-    w = np.asarray(spec.w_grid)
+    w = np.asarray(spec.w_grid, dtype=float)
+    ids = np.arange(len(markets))[:, None]
     candidates = [("identity", mi.identity_candidate()),
                   ("true", mi.truth_candidate(dgp))]
-    raw_rows, trans_rows = [], []
-    panels = []
+    raw_rows = _market_rows(ids, w, np.array([m.profile.shares[:, 0] for m in markets]),
+                            np.array("identity"))
+    trans_rows, panels = [], []
     for name, cand in candidates:
         title = ("(a) rejected candidate" if name == "identity"
                  else "(b) true transform")
         panel = Panel(title=title, xlabel="w", ylabel="transformed share")
+        centered = []
         for i, m in enumerate(markets):
             H = cand(m.profile.shares, a)[:, 0]
-            centered = H - H[m.profile.w0_index]
-            for wv, rv, tv in zip(w, m.profile.shares[:, 0], centered):
-                trans_rows.append([i, float(wv), float(tv), name])
-                if name == "identity":
-                    raw_rows.append([i, float(wv), float(rv), name])
-            panel.add(w, centered, color=TYPE_COLORS[i % 2])
+            centered.append(H - H[m.profile.w0_index])
+            panel.add(w, centered[-1], color=TYPE_COLORS[i % 2])
+        trans_rows += _market_rows(ids, w, np.array(centered), np.array(name))
         panels.append(panel)
     write_csv(out / "paths_raw.csv",
               ["market_id", "w", "value", "candidate_name"], raw_rows)
@@ -221,8 +257,8 @@ def run_extrapolate(cfg: ExperimentConfig, out: Path) -> None:
     fam, rep = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
     shown = data[:200]
     pred = np.array([ex.extrapolate(fam, shown.y, shown.a, t) for t in range(len(mu))])
-    rows = [[i, t, float(pred[t, i])] for i in range(len(shown)) for t in range(len(mu))]
-    write_csv(out / "predictions.csv", ["market_id", "target_a", "y_tilde"], rows)
+    write_csv(out / "predictions.csv", ["market_id", "target_a", "y_tilde"],
+              _market_rows(np.arange(len(shown))[:, None], np.arange(len(mu)), pred.T))
     # A fit that is not unique raises NonUnique, so `unique` is always True;
     # the column stays because perfbench's transport-rules check reads it.
     write_csv(out / "gmm_report.csv", ["parameter", "estimate", "criterion", "unique"],
@@ -327,7 +363,10 @@ RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `cdl` parser, built once per process: parse_args leaves it as it
+    was, and `--set`'s append action copies its default list."""
     parser = argparse.ArgumentParser(
         prog="cdl", description="demand-model counterfactual laboratory")
     sub = parser.add_subparsers(dest="experiment", required=True)

@@ -193,11 +193,13 @@ def _weighted_node_shares(m: ShareMap, delta: np.ndarray, a: Bundle | Bundles,
     """Node shares S (..., M, J) at delta (..., J), and the node weights;
     with `outside`, (..., M, J + 1) with the outside good last."""
     B, w = mixing_nodes(m.mixing, m.integration)
-    T = (delta + _fixed_index(m, a))[..., None, :] + _random_index(B, a)
-    S = _node_shares(T, outside)
-    if not np.all(np.isfinite(S)):
-        raise IntegrationFailure("non-finite node shares")
-    return S, w
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        T = (delta + _fixed_index(m, a))[..., None, :] + _random_index(B, a)
+    # A finite index gives finite shares: _node_shares shifts it by its peak.
+    if not np.all(np.isfinite(T)):
+        raise IntegrationFailure("non-finite utility index: delta or a price term "
+                                 "overflows or is NaN")
+    return _node_shares(T, outside), w
 
 
 def node_jacobian(P: np.ndarray, w: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -87,7 +87,8 @@ def _panel_svg(panel: Panel, ox: float) -> list:
         out.append(f'<text x="{left - 4}" y="{py}" text-anchor="end" '
                    f'font-size="10">{_fmt(value)}</text>')
     for s in panel.series:
-        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(s.x, s.y))
+        xy = np.column_stack([sx(s.x), sy(s.y)]).ravel().tolist()
+        pts = " ".join(["%.6g,%.6g"] * len(s.x)) % tuple(xy)
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
                    f'stroke-width="{s.width}"{dash}/>')

@@ -4,9 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdlab import cli, laws
 from cdlab.config import OPTIONS
@@ -20,6 +24,71 @@ def run(args):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def reference_write_csv(path, header, rows) -> None:
+    """`cli.write_csv` as it was before rows were formatted in bulk: every
+    row through csv.writer, floats as %.17g."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["%.17g" % v if isinstance(v, float) else v
+                             for v in row])
+
+
+CSV_HEADER = ["id", "a, b", 'say "x"']
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.5e-310, 1e308, -1e308, float("nan"), float("inf"),
+               float("-inf")]
+FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
+#: Cell strategies by kind; the first three are the kinds of the bulk path.
+CELLS = {
+    "int": st.integers(),
+    "float": FLOATS,
+    "bool": st.booleans(),
+    "None": st.none(),
+    "str": st.text(st.sampled_from('ab ,"\r\n\''), max_size=4),
+    "np.float64": FLOATS.map(np.float64),
+    "np.int64": st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+}
+CONTAINERS = {"list": list, "tuple": tuple, "generator": lambda r: (v for v in r)}
+
+
+@st.composite
+def csv_runs(draw):
+    """Runs of rows, each run of one shape (a cell kind per column), the
+    shape changing from run to run; each row's container drawn too."""
+    kind = st.sampled_from(["int", "float", "bool"]) | st.sampled_from(sorted(CELLS))
+    runs = []
+    for _ in range(draw(st.integers(0, 4))):
+        shape = draw(st.lists(kind, max_size=5))
+        rows = draw(st.lists(st.tuples(*[CELLS[k] for k in shape]), max_size=6))
+        runs += [(draw(st.sampled_from(sorted(CONTAINERS))), row) for row in rows]
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=csv_runs(), lazy=st.booleans())
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, runs, lazy):
+    """Bulk-formatted rows and csv.writer's rows are the same bytes, for
+    every cell kind, row container and shape change, and for no rows."""
+    tmp = tmp_path_factory.mktemp("csv")
+    reference_write_csv(tmp / "ref.csv", CSV_HEADER, [row for _, row in runs])
+    rows = (CONTAINERS[c](row) for c, row in runs)
+    cli.write_csv(tmp / "got.csv", CSV_HEADER, rows if lazy else list(rows))
+    assert (tmp / "got.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+
+def test_write_csv_keeps_row_order_across_its_chunks(tmp_path):
+    """Rows that csv.writer writes land between the bulk rows around them,
+    also where a chunk of bulk lines is full."""
+    n = cli.CSV_CHUNK
+    rows = [[i, i / 7.0, i % 3 == 0] for i in range(2 * n + 3)]
+    for i in (0, n - 1, n, 2 * n + 2):
+        rows[i] = [i, f"row {i}, quoted", None]
+    reference_write_csv(tmp_path / "ref.csv", CSV_HEADER, rows)
+    cli.write_csv(tmp_path / "got.csv", CSV_HEADER, rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_simulate_writes_population_csv(tmp_path):
@@ -246,6 +315,38 @@ def test_zero_inside_share_exits_2_naming_the_share(tmp_path, capsys):
     failure = read_csv(out / "report.csv")[1][1]
     assert failure == "market 0: inside share 0.000e+00 is not positive, so delta is not finite"
     assert failure in capsys.readouterr().err
+
+
+def test_overflowing_price_exits_2_naming_the_utility_index(tmp_path, capsys):
+    """A price shift near the largest float overflows price times the price
+    coefficient at the quadrature nodes: `cdl predict` fails there, naming
+    the utility index, and no overflow warns on the way."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["predict", "--out", out,
+                    "--set", "price_shift=8.98846567431158e+307"]) == 2
+    failure = read_csv(out / "report.csv")[1][1]
+    assert failure.startswith("non-finite utility index")
+    assert failure in capsys.readouterr().err
+
+
+def test_the_shared_parser_carries_no_override_into_the_next_run(tmp_path, monkeypatch):
+    """`cdl` builds its parser once per process; a run with `--set` leaves
+    nothing in it for the next run."""
+    seen, apply = [], cli.apply_overrides
+
+    def recording(cfg, overrides):
+        seen.append(list(overrides))
+        apply(cfg, overrides)
+
+    monkeypatch.setattr(cli, "apply_overrides", recording)
+    assert run(["predict", "--out", tmp_path / "a", "--set", "price_shift=0.25"]) == 0
+    assert run(["predict", "--out", tmp_path / "b"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert seen == [["price_shift=0.25"], []]
+    assert read_csv(tmp_path / "a" / "predictions.csv") != \
+        read_csv(tmp_path / "b" / "predictions.csv")
 
 
 def test_acceptance_subset_runs_and_reports(tmp_path):
