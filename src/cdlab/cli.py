@@ -241,7 +241,7 @@ def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
         centered = []
         for i, m in enumerate(markets):
             H = cand(m.profile.shares, a)[:, 0]
-            centered.append(H - H[m.profile.w0_index])
+            centered.append(H - H[0])
             panel.add(w, centered[-1], color=TYPE_COLORS[i % 2])
         trans_rows += _market_rows(ids, w, np.array(centered), np.array(name))
         panels.append(panel)

@@ -202,23 +202,22 @@ def _quantile_interp(sorted_sample: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 # --- instrument basis -------------------------------------------------------
 
-def instrument_basis(data: ObsSet, degree: int = 2,
-                     max_cells: int = 12) -> np.ndarray:
-    """b(Z) design: finite-support dummies when Z takes few values, else
-    polynomials up to `degree` with pairwise interactions."""
+def instrument_basis(data: ObsSet) -> np.ndarray:
+    """b(Z) design: finite-support dummies when Z takes at most 12 values,
+    else the quadratic polynomial (constant, each Z_k and each product
+    Z_k Z_l with k <= l)."""
     Z = data.z
     uniq = np.unique(Z, axis=0)
-    if len(uniq) <= max_cells:
+    if len(uniq) <= 12:
         cols = [np.all(Z == u, axis=1).astype(float) for u in uniq]
         return np.column_stack(cols)
     cols = [np.ones(len(Z))]
     d = Z.shape[1]
     for k in range(d):
         cols.append(Z[:, k])
-    if degree >= 2:
-        for k in range(d):
-            for l in range(k, d):
-                cols.append(Z[:, k] * Z[:, l])
+    for k in range(d):
+        for l in range(k, d):
+            cols.append(Z[:, k] * Z[:, l])
     return np.column_stack(cols)
 
 
@@ -407,8 +406,7 @@ class PriceCcsReport:
 
 
 def price_ccs_check(m: ShareMap, population: Population, truth: Callable,
-                    price_grid: Sequence[float],
-                    x1_shift: float = 1.0) -> PriceCcsReport:
+                    price_grid: Sequence[float]) -> PriceCcsReport:
     """On a population homogeneous in price response but heterogeneous in
     the x1 response, the price counterfactuals of the share map m should
     match the truth while x1 counterfactuals err for at least one type.
@@ -427,7 +425,7 @@ def price_ccs_check(m: ShareMap, population: Population, truth: Callable,
         target = a.replace(p=np.full(a.p.shape, float(pp)))
         pred = shares_array(m, v, target)  # price move: x1 unchanged
         max_price = max(max_price, float(np.max(np.abs(pred - truth(population, target)))))
-    target = a.replace(x1=a.x1 + x1_shift)
+    target = a.replace(x1=a.x1 + 1.0)
     pred = shares_array(m, v - a.x1 + target.x1, target)
     err = np.abs(pred - truth(population, target)).max(axis=1)
     zeta = population.zeta

@@ -66,27 +66,19 @@ class InversionConfig:
 DEFAULT_INVERSION = InversionConfig()
 
 
-def _check_outside(y0, ids=None) -> None:
+def _check_shares(y, y0, ids=None) -> None:
     """Raise SimplexViolation naming the first market (by its entry in `ids`,
-    default its row) whose outside share is below MIN_OUTSIDE_SHARE."""
-    low = np.ravel(y0) < MIN_OUTSIDE_SHARE
-    if low.any():
-        row = int(np.argmax(low))
-        raise SimplexViolation(
-            f"market {row if ids is None else ids[row]}: outside share "
-            f"{np.ravel(y0)[row]:.3e} below {MIN_OUTSIDE_SHARE:g} does not determine delta")
-
-
-def _check_inside(y, ids=None) -> None:
-    """Raise SimplexViolation naming the first market (by its entry in `ids`,
-    default its row) whose inside share y is not positive: its log, and so
-    delta, is not finite."""
-    low = np.ravel(y) <= 0
-    if low.any():
-        row = int(np.argmax(low))
-        raise SimplexViolation(
-            f"market {row if ids is None else ids[row]}: inside share "
-            f"{np.ravel(y)[row]:.3e} is not positive, so delta is not finite")
+    default its row) whose inside share y is not positive, so that its log
+    and delta are not finite; else the first whose outside share y0 is below
+    MIN_OUTSIDE_SHARE, which does not determine delta."""
+    for kind, share, low, why in (
+            ("inside", y, np.ravel(y) <= 0, "is not positive, so delta is not finite"),
+            ("outside", y0, np.ravel(y0) < MIN_OUTSIDE_SHARE,
+             f"below {MIN_OUTSIDE_SHARE:g} does not determine delta")):
+        if low.any():
+            row = int(np.argmax(low))
+            raise SimplexViolation(f"market {row if ids is None else ids[row]}: {kind} share "
+                                   f"{np.ravel(share)[row]:.3e} {why}")
 
 
 def logit_closed_form(m: ShareMap, y: np.ndarray, a: Bundle | Bundles) -> np.ndarray:
@@ -235,8 +227,7 @@ def _solve_log_shares(node_shares: Callable, weights: np.ndarray, target: np.nda
     """
     n, J = target.shape
     y0 = 1.0 - target.sum(axis=1)
-    _check_inside(target.min(axis=1), ids)
-    _check_outside(y0, ids)
+    _check_shares(target.min(axis=1), y0, ids)
     log_target = np.log(np.column_stack([target, y0]))
     delta = log_target[:, :J] - log_target[:, J:] + shift
     block = max(1, MAX_BLOCK_ELEMENTS // (len(weights) * (J + 1)))
@@ -268,8 +259,7 @@ def solve_share_curve(offsets, weights, y,
     after cfg.max_iter.
     """
     y = np.asarray(y, dtype=float)
-    _check_inside(y)
-    _check_outside(1.0 - y)
+    _check_shares(y, 1.0 - y)
     sign = 1.0
     mirror = (y > 0.5) & (1.0 - y < cfg.tol / OUTSIDE_TOL)
     if mirror.any():

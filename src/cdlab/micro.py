@@ -31,11 +31,11 @@ DEFAULT_NU_NODES = 16
 
 @dataclass(frozen=True)
 class Profile:
-    """Market shares at each demographic grid point (common grid)."""
+    """Market shares at each demographic grid point (common grid); the
+    baseline w0 is the first grid point."""
 
     w_grid: np.ndarray  # (G, J)
     shares: np.ndarray  # (G, J)
-    w0_index: int = 0
 
     def __post_init__(self):
         s = np.asarray(self.shares, dtype=float)
@@ -148,7 +148,7 @@ def micro_invert(dgp: MicroDgp, y: np.ndarray, p: np.ndarray,
     one share vector (J,) or rows (n, J), all solved in one call, and p
     (J,) or (n, J)."""
     if dgp.J == 1:
-        return micro_invert_1d(dgp, np.atleast_1d(y), np.atleast_1d(p), tol)
+        return micro_invert_1d(dgp, np.atleast_1d(y), np.atleast_1d(p), tol, max_iter)
     y = np.asarray(y, dtype=float)
     rows = np.atleast_2d(y)
     p = np.broadcast_to(np.asarray(p, dtype=float), rows.shape)
@@ -238,16 +238,14 @@ def _profile_shares(dgp: MicroDgp, xi: np.ndarray, p: np.ndarray,
     return out
 
 
-def true_profile(dgp: MicroDgp, xi: np.ndarray, a: Bundle, w_grid,
-                 w0_index: int = 0) -> Profile:
+def true_profile(dgp: MicroDgp, xi: np.ndarray, a: Bundle, w_grid) -> Profile:
     """The market's potential profile at bundle a from its stored shock."""
     W = _w_matrix(w_grid, dgp.J)
     s = _profile_shares(dgp, np.asarray(xi, dtype=float)[None], a.p[None], W)
-    return Profile(W, s[0], w0_index)
+    return Profile(W, s[0])
 
 
-def simulate_micro(dgp: MicroDgp, spec: MicroPopulationSpec,
-                   w0_index: int = 0) -> list[MicroMarket]:
+def simulate_micro(dgp: MicroDgp, spec: MicroPopulationSpec) -> list[MicroMarket]:
     """Deterministic in the seed: market i depends only on (seed, i).
 
     Under stratified assignment, markets come in blocks of K sharing one
@@ -275,7 +273,7 @@ def simulate_micro(dgp: MicroDgp, spec: MicroPopulationSpec,
     W = _w_matrix(spec.w_grid, dgp.J)
     bundles = [spec.level_bundle(dgp, k) for k in range(K)]
     S = _profile_shares(dgp, xi, np.array([b.p for b in bundles])[level], W)
-    return [MicroMarket(profile=Profile(W, s, w0_index), a=bundles[k], z=np.array([float(zk)]),
+    return [MicroMarket(profile=Profile(W, s), a=bundles[k], z=np.array([float(zk)]),
                         xi=x, level=k, z_level=zk)
             for s, x, k, zk in zip(S, xi, level.tolist(), z_level.tolist())]
 
@@ -356,10 +354,8 @@ def _stacked_increments(candidate_h: Callable, profiles: Sequence[Profile],
     """Transformed profile increments H - H[w0] (n, G, J), from one candidate
     call on the rows of all profiles stacked."""
     G, J = _common_grid(profiles).shape
-    n = len(profiles)
-    H = candidate_h(np.concatenate([p.shares for p in profiles]), a).reshape(n, G, J)
-    w0 = [p.w0_index for p in profiles]
-    return H - H[np.arange(n), w0][:, None, :]
+    H = candidate_h(np.concatenate([p.shares for p in profiles]), a).reshape(-1, G, J)
+    return H - H[:, :1]
 
 
 def parallel_residual(candidate_h: Callable, profiles: Sequence[Profile],
@@ -382,7 +378,6 @@ class MicroCandidate:
     h: Candidate  # normalized: h(y0, a) = 0 at the stored baseline
     g_hat: np.ndarray  # (G, J) on the grid, g_hat(w0) = 0
     w_grid: np.ndarray
-    w0_index: int
     params: np.ndarray
     residual: float
     scale: np.ndarray  # affine reparameterization enforcing dg/dw(w0) = I
@@ -415,21 +410,27 @@ def _latin_hypercube_1d(n: int, seed: int) -> np.ndarray:
     return (perm - u) / n
 
 
-def _brent(func: Callable[[float], float], xa: float, xb: float, xc: float,
+def _brent(func: Callable[[float], float], a: float, b: float, x: float | None = None,
            maxiter: int = 500) -> tuple[float, float]:
-    """Brent's method (Brent, 1973, ch. 5) from the strict bracket xa < xb < xc
-    with f(xb) < f(xa) and f(xb) < f(xc): the minimizer found and its value.
+    """Brent's method (Brent, 1973, ch. 5) on [a, b]: the minimizer found and
+    its value.
 
-    A line-for-line port of SciPy 1.17's `optimize.Brent.optimize` on a
-    3-point bracket at `xtol=1e-10` (BSD-3-Clause, Copyright (c) 2001-2002
+    From a start x, a < x < b with f(x) < f(a) and f(x) < f(b), this is a
+    line-for-line port of SciPy 1.17's `optimize.Brent.optimize` on the
+    bracket (a, x, b) at `xtol=1e-10` (BSD-3-Clause, Copyright (c) 2001-2002
     Enthought, Inc., 2003 SciPy Developers), with its comparisons, operation
     order and evaluations, so it returns the same point after the same calls.
+    With no start it evaluates only the golden point a + 0.3819660 (b - a),
+    as Brent's localmin does, and runs the same loop.
     """
-    _, fb, _ = func(xa), func(xb), func(xc)  # SciPy evaluates the whole bracket
     tol, _mintol, _cg = 1e-10, 1.0e-11, 0.3819660
-    x = w = v = xb
-    fw = fv = fx = fb
-    a, b = (xa, xc) if xa < xc else (xc, xa)
+    if x is None:
+        x = a + _cg * (b - a)
+        fx = func(x)
+    else:
+        _, fx, _ = func(a), func(x), func(b)  # SciPy evaluates the whole bracket
+    w = v = x
+    fw = fv = fx
     deltax = 0.0
     for _ in range(maxiter):
         tol1 = tol * np.abs(x) + _mintol
@@ -482,83 +483,6 @@ def _brent(func: Callable[[float], float], xa: float, xb: float, xc: float,
     return x, fx
 
 
-def _fminbound(func: Callable[[float], float], x1: float, x2: float,
-               maxfun: int = 500) -> tuple[float, float]:
-    """Brent's bounded minimization on [x1, x2] (golden section plus parabolic
-    steps): the minimizer found and its value.
-
-    A line-for-line port of SciPy 1.17's `_minimize_scalar_bounded` at
-    `xatol=1e-10` (BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc.,
-    2003 SciPy Developers), with its comparisons, operation order and
-    evaluations.
-    """
-    xatol, sqrt_eps = 1e-10, np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = 1
-        if np.abs(e) > tol1:  # try a parabolic fit
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
-                    and (p < q * (b - xf))):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:
-                golden = 1
-        if golden:  # golden-section step
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return xf, fx
-
-
 def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
                      a: Bundle, y0: np.ndarray | None = None,
                      starts: int = 8, seed: int = 0,
@@ -571,11 +495,11 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
     `tol` of the scan minimum must give candidates that agree with the best
     one up to a vertical shift. A flat family ties the whole scan, so it is
     caught here, before a refinement that needs a strict bracket.
-    Refinement: Brent's method on the bracket formed by the best scan point
-    and its two neighbours; when the best scan point is a bound, or ties a
-    neighbour so that the bracket is not strict, a bounded search between
-    its neighbours. The scan point is kept unless the refinement finds a
-    lower residual. A family with more than one parameter is a ConfigError.
+    Refinement: Brent's method between the best scan point's two neighbours,
+    started at the scan point when it is strictly below both, and at the
+    golden point when it is a bound or ties a neighbour. The scan point is
+    kept unless the refinement finds a lower residual. A family with more
+    than one parameter is a ConfigError.
     """
     if len(profiles) < 2:
         raise ConfigError("need at least 2 markets")
@@ -615,10 +539,9 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
                 raise NotIdentified("near-optimal candidates differ beyond a vertical shift",
                                     candidates=[xs[i:i + 1], xs[j:j + 1]])
 
-    if 0 < i < len(xs) - 1 and rs[i] < rs[i - 1] and rs[i] < rs[i + 1]:
-        x, fun = _brent(objective, xs[i - 1], xs[i], xs[i + 1])
-    else:
-        x, fun = _fminbound(objective, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)])
+    j, k = max(i - 1, 0), min(i + 1, len(xs) - 1)
+    strict = j < i < k and rs[i] < rs[j] and rs[i] < rs[k]
+    x, fun = _brent(objective, xs[j], xs[k], xs[i] if strict else None)
     best_x, best_res = (float(x), float(fun)) if fun < rs[i] else (xs[i], rs[i])
     best_params = np.array([best_x])
     return _normalize_candidate(family.build(best_params), best_params, best_res,
@@ -629,25 +552,24 @@ def _normalize_candidate(h_raw: Candidate, params, residual,
                          profiles: Sequence[Profile], a: Bundle,
                          y0: np.ndarray | None, failures: int) -> MicroCandidate:
     W = profiles[0].w_grid
-    w0 = profiles[0].w0_index
     J = W.shape[1]
     if y0 is None:
-        y0 = np.median(np.array([p.shares[w0] for p in profiles]), axis=0)
+        y0 = np.median(np.array([p.shares[0] for p in profiles]), axis=0)
     y0 = np.asarray(y0, dtype=float)
 
     base = h_raw(y0[None, :], a)[0]
     g_raw = np.median(_stacked_increments(h_raw, profiles, a), axis=0)  # (G, J), zero at w0
 
     # dg/dw at w0 by least squares on nearby grid points
-    order = np.argsort(np.linalg.norm(W - W[w0], axis=1))
+    order = np.argsort(np.linalg.norm(W - W[0], axis=1))
     near = order[1:1 + max(2 * J, 3)]
-    dW = W[near] - W[w0]
-    dG = g_raw[near] - g_raw[w0]
+    dW = W[near] - W[0]
+    dG = g_raw[near] - g_raw[0]
     M, *_ = np.linalg.lstsq(dW, dG, rcond=None)  # g ~ w M, so dg/dw = M.T
     M = M.T
     if np.linalg.matrix_rank(M) < J:
         raise ConfigError(f"w_grid: dg/dw fitted on the {len(near)} points nearest w0 = "
-                          f"{W[w0].tolist()} has rank below J = {J}, got w_grid {W.tolist()}")
+                          f"{W[0].tolist()} has rank below J = {J}, got w_grid {W.tolist()}")
     Minv = np.linalg.inv(M)
 
     def h(y_matrix: np.ndarray, bundle: Bundle) -> np.ndarray:
@@ -657,7 +579,7 @@ def _normalize_candidate(h_raw: Candidate, params, residual,
         return h_raw.shares(np.atleast_2d(vals) @ M.T + base, bundle)
 
     g_hat = g_raw @ Minv.T
-    return MicroCandidate(h=Candidate(h, shares), g_hat=g_hat, w_grid=W, w0_index=w0,
+    return MicroCandidate(h=Candidate(h, shares), g_hat=g_hat, w_grid=W,
                           params=np.asarray(params, dtype=float),
                           residual=float(residual), scale=M,
                           swallowed_failures=failures)
@@ -681,8 +603,7 @@ class CompletedMicroModel:
         """Counterfactual profile at a treatment level, from observables only."""
         cand_obs = self.candidates[market.level]
         g = cand_obs.g_hat
-        w0 = cand_obs.w0_index
-        xi_hat = self.h_full(market.profile.shares[w0][None, :], market.level)[0]
+        xi_hat = self.h_full(market.profile.shares[:1], market.level)[0]
         cand_t = self.candidates[target_level]
         vals = g + xi_hat - self.levels_c[target_level]
         return cand_t.h_inverse(vals, self.dgp_levels[target_level])
@@ -706,20 +627,16 @@ def price_coefficient_from_levels(model: CompletedMicroModel) -> float:
 
 def instrument_step(candidates: Sequence[MicroCandidate],
                     data: Sequence[MicroMarket],
-                    level_bundles: Sequence[Bundle],
-                    w_index: int | None = None,
-                    baseline_level: int = 0) -> CompletedMicroModel:
+                    level_bundles: Sequence[Bundle]) -> CompletedMicroModel:
     """Recover the level function h(y0, .) over the finite treatment grid.
 
-    Writes the parallel-trends-identified part as r_i = g(w) - h(Y_i[w], A_i)
-    at a fixed demographic point; the level constants then satisfy the
+    Writes the parallel-trends-identified part as r_i = g(w0) - h(Y_i[w0], A_i)
+    at the baseline grid point; the level constants then satisfy the
     linear moment E[(c_{A_i} - r_i) b(Z_i)] = const, solved with demeaned
-    instrument dummies and the normalization c[baseline] = 0.
+    instrument dummies and the normalization c[0] = 0.
     """
     K = len(level_bundles)
     J = level_bundles[0].J
-    if w_index is None:
-        w_index = candidates[0].w0_index
     n = len(data)
     level = np.array([mkt.level for mkt in data], dtype=int)
     D = np.zeros((n, K))
@@ -728,21 +645,20 @@ def instrument_step(candidates: Sequence[MicroCandidate],
     for k in np.unique(level):  # one candidate call per treatment level
         rows = np.flatnonzero(level == k)
         cand = candidates[k]
-        Y = np.array([data[i].profile.shares[w_index] for i in rows])
-        r[rows] = cand.g_hat[w_index] - cand.h(Y, level_bundles[k])
+        Y = np.array([data[i].profile.shares[0] for i in rows])
+        r[rows] = cand.g_hat[0] - cand.h(Y, level_bundles[k])
     zvals = np.array([mkt.z for mkt in data])
     uniq = np.unique(zvals, axis=0)
     B = np.column_stack([np.all(zvals == u, axis=1).astype(float) for u in uniq])
     B = B - B.mean(axis=0)  # constants drop from the moment
-    free = [k for k in range(K) if k != baseline_level]
+    free = range(1, K)
     G = B.T @ D[:, free] / n  # (n_basis, K-1)
     if np.linalg.matrix_rank(G, tol=1e-10) < len(free):
         raise NonUnique(f"rank-deficient level moment system ({len(free)} unknowns)")
     rhs = B.T @ (-r) / n  # moments: mean(b * (c_A + (-r))) = 0
     sol, *_ = np.linalg.lstsq(G, -rhs, rcond=None)
     c = np.zeros((K, J))
-    for idx, k in enumerate(free):
-        c[k] = sol[idx]
+    c[free] = sol
     return CompletedMicroModel(dgp_levels=tuple(level_bundles),
                                candidates=tuple(candidates), levels_c=c)
 
@@ -779,7 +695,6 @@ def verify_theorem2(dgp: MicroDgp, markets: Sequence[MicroMarket],
     h = truth_candidate(base)
     W = _common_grid([m.profile for m in markets])
     n, (G, J) = len(markets), W.shape
-    w0 = np.array([m.profile.w0_index for m in markets])
     prof_a0 = _profile_shares(dgp, np.array([m.xi for m in markets]),
                               np.broadcast_to(a0.p, (n, J)), W)
     # h of each observed profile at its own treatment
@@ -793,8 +708,8 @@ def verify_theorem2(dgp: MicroDgp, markets: Sequence[MicroMarket],
     m1 = np.max(np.abs(h.shares(delta.reshape(n * G, J), a0).reshape(n, G, J) - prof_a0))
     # (ii) parallel paths of the transformed baseline profile
     phi_vals = h(prof_a0.reshape(n * G, J), a0).reshape(n, G, J)
-    phi_w0 = phi_vals[np.arange(n), w0][:, None, :]
-    g = (W - W[w0][:, None, :]) @ base.Pi.T
+    phi_w0 = phi_vals[:, :1]
+    g = (W - W[0]) @ base.Pi.T
     m2 = np.max(np.abs(phi_vals - phi_w0 - g))
     # (iii) combined transformed-shift form
     m3 = np.max(np.abs(delta - phi_w0 - g))

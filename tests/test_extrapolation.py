@@ -169,7 +169,7 @@ def test_instrument_basis_dummies_vs_polynomials():
     B = ex.instrument_basis(few)
     assert B.shape == (30, 3)
     many = ex.ObsSet(y, a, market_rng(0, 0).normal(size=(30, 2)))
-    B2 = ex.instrument_basis(many, degree=2)
+    B2 = ex.instrument_basis(many)
     assert B2.shape == (30, 6)  # 1, z1, z2, z1^2, z1 z2, z2^2
 
 

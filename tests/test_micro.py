@@ -70,6 +70,17 @@ def test_micro_invert_round_trip_1d():
     np.testing.assert_allclose(mi.micro_invert_1d(dgp, y, p), delta, atol=1e-10)
 
 
+def test_micro_invert_passes_max_iter_to_the_1d_solver():
+    """At J = 1 micro_invert is micro_invert_1d, iteration cap included."""
+    dgp = dgp_1d()
+    y, p = np.array([0.3]), np.array([1.5])
+    for invert in (mi.micro_invert, mi.micro_invert_1d):
+        with pytest.raises(NoConvergence):
+            invert(dgp, y, p, max_iter=1)
+    np.testing.assert_array_equal(mi.micro_invert(dgp, y, p, max_iter=200),
+                                  mi.micro_invert_1d(dgp, y, p))
+
+
 def test_micro_invert_round_trip_2d():
     dgp = dgp_2d()
     p = np.array([1.0, 2.0])
@@ -246,15 +257,14 @@ def test_stratified_blocks_follow_their_substreams():
                                       seed=2)),
 ], ids=["iid", "stratified", "endogenous", "sigma-w-slope", "J2"])
 def test_simulate_micro_is_bit_identical_to_per_market_true_profile(dgp, spec):
-    markets = mi.simulate_micro(dgp, spec, w0_index=1)
+    markets = mi.simulate_micro(dgp, spec)
     assert len(markets) == spec.market_count
     for m in markets:
         a = spec.level_bundle(dgp, m.level)
         np.testing.assert_array_equal(m.a.p, a.p)
-        ref = mi.true_profile(dgp, m.xi, a, spec.w_grid, w0_index=1)
+        ref = mi.true_profile(dgp, m.xi, a, spec.w_grid)
         assert m.profile.shares.tobytes() == ref.shares.tobytes()
         np.testing.assert_array_equal(m.profile.w_grid, ref.w_grid)
-        assert m.profile.w0_index == 1
     assert len({id(m.profile.w_grid) for m in markets}) == 1  # one shared grid
 
 
@@ -320,7 +330,7 @@ def per_profile_residual(candidate_h, profiles, a):
     devs = []
     for prof in profiles:
         H = candidate_h(prof.shares, a)
-        devs.append(H - H[prof.w0_index])
+        devs.append(H - H[0])
     D = np.array(devs)
     return float(np.max(np.abs(D - np.median(D, axis=0))))
 
@@ -337,16 +347,6 @@ def criterion_7_profiles():
 def test_stacked_parallel_residual_equals_per_profile_loop(criterion_7_profiles, sigma):
     dgp, profiles, a = criterion_7_profiles
     cand = mi.sigma_family(dgp, alpha_fixed=0.0).build(np.array([sigma]))
-    assert mi.parallel_residual(cand, profiles, a) == per_profile_residual(cand, profiles, a)
-
-
-def test_parallel_residual_takes_each_profiles_own_baseline_row():
-    dgp = dgp_1d()
-    markets = mi.simulate_micro(dgp, spec_1d(n=6, seed=3))
-    a = markets[0].a
-    profiles = [dataclasses.replace(m.profile, w0_index=i % 3)
-                for i, m in enumerate(markets)]
-    cand = mi.identity_candidate()
     assert mi.parallel_residual(cand, profiles, a) == per_profile_residual(cand, profiles, a)
 
 
@@ -421,31 +421,42 @@ def test_brent_is_scipys_brent(kind, c, s, limit, t, left, right):
     assume(xa < xb < xc and f(xb) < f(xa) and f(xb) < f(xc))
     ours, our_calls = recording(f)
     theirs, their_calls = recording(f)
-    x, fun = mi._brent(ours, xa, xb, xc, maxiter=limit)
+    x, fun = mi._brent(ours, xa, xc, xb, maxiter=limit)
     ref = minimize_scalar(theirs, bracket=(xa, xb, xc), method="brent",
                           options={"xtol": 1e-10, "maxiter": limit})
     assert (x, fun) == (ref.x, ref.fun)
     assert our_calls == their_calls and len(our_calls) == ref.nfev
 
 
+#: The minimizer of each convex objective over the real line.
+ARGMIN = {
+    "smooth": lambda c, s: c - math.asinh(0.1 / s) / s,
+    "kinked": lambda c, s: c,
+}
+
+
 @settings(max_examples=300, deadline=None)
-@given(lo=st.floats(-5.0, 5.0), width=st.floats(1e-3, 8.0), **objectives)
-def test_fminbound_is_scipys_bounded_search(kind, c, s, limit, lo, width):
+@given(kind=st.sampled_from(sorted(ARGMIN)), c=st.floats(-3.0, 3.0), s=st.floats(0.05, 4.0),
+       lo=st.floats(-5.0, 5.0), width=st.floats(1e-3, 8.0))
+def test_brent_without_start_finds_the_bounded_minimum(kind, c, s, lo, width):
+    """From the golden point of [lo, hi], no higher than f there, and within
+    a relative 1e-8 in value of the convex objective's minimum on [lo, hi]."""
     f = SCALAR_OBJECTIVES[kind](c, s)
-    ours, our_calls = recording(f)
-    theirs, their_calls = recording(f)
-    x, fun = mi._fminbound(ours, lo, lo + width, maxfun=limit)
-    ref = minimize_scalar(theirs, bounds=(lo, lo + width), method="bounded",
-                          options={"xatol": 1e-10, "maxiter": limit})
-    assert (x, fun) == (ref.x, ref.fun)
-    assert our_calls == their_calls and len(our_calls) == ref.nfev
+    hi = lo + width
+    ours, calls = recording(f)
+    x, fun = mi._brent(ours, lo, hi)
+    assert calls[0] == lo + 0.3819660 * (hi - lo)
+    assert lo <= x <= hi
+    assert fun == f(x) and fun <= f(calls[0])
+    best = f(min(max(ARGMIN[kind](c, s), lo), hi))
+    assert fun - best <= 1e-8 * max(1.0, abs(best))
 
 
 def test_identify_refines_a_scan_minimum_that_ties_its_right_neighbour(monkeypatch):
     """A family constant above sigma = 0.5 ties every scan point there, so
     the best scan point ties its right neighbour and gives Brent's method
-    no strict bracket. The bounded search between its neighbours runs
-    instead, and the scan point stays: nothing on the plateau is lower."""
+    no strict bracket. Brent's method then runs between its neighbours with
+    no start, and the scan point stays: nothing on the plateau is lower."""
     dgp = dgp_1d()
     spec = spec_1d(n=20, seed=3)
     markets = mi.simulate_micro(dgp, spec)
@@ -453,15 +464,16 @@ def test_identify_refines_a_scan_minimum_that_ties_its_right_neighbour(monkeypat
     fam = dataclasses.replace(inner, build=lambda p: inner.build(np.minimum(p, 0.5)),
                               name="capped at 0.5")
     profiles, a = [m.profile for m in markets], spec.level_bundle(dgp, 0)
-    real, searched = mi._fminbound, []
+    real, searched = mi._brent, []
 
-    def fminbound(f, x1, x2):
-        searched.append((x1, x2))
-        return real(f, x1, x2)
+    def brent(f, lo, hi, x=None):
+        searched.append((lo, hi, x))
+        return real(f, lo, hi, x)
 
-    monkeypatch.setattr(mi, "_fminbound", fminbound)
+    monkeypatch.setattr(mi, "_brent", brent)
     cand = mi.identify_h_and_g(fam, profiles, a, y0=np.array([0.3]), starts=8, seed=0)
-    [(x1, x2)] = searched
+    [(x1, x2, start)] = searched
+    assert start is None
     assert 0.0 < x1 < 0.5 < x2 < 4.0  # between interior neighbours, not at a bound
     assert 0.5 < cand.params[0] < x2
     assert cand.residual == mi.parallel_residual(inner.build(np.array([0.5])), profiles, a)
@@ -479,7 +491,7 @@ def test_identify_h_and_g_recovers_sigma():
     assert cand.residual <= 1e-6
     assert cand.swallowed_failures == 0
     # recovered index matches Pi w - Pi w0 up to the enforced normalization
-    g_true = (cand.w_grid - cand.w_grid[cand.w0_index]) @ dgp.Pi.T
+    g_true = (cand.w_grid - cand.w_grid[0]) @ dgp.Pi.T
     np.testing.assert_allclose(cand.g_hat, g_true, atol=1e-5)
 
 
@@ -652,7 +664,7 @@ def test_verify_theorem2_fails_when_index_structure_breaks():
 
 def test_unreachable_candidate_value_is_a_numerical_failure():
     cand = mi.MicroCandidate(h=mi.identity_candidate(), g_hat=np.zeros((1, 1)),
-                             w_grid=np.zeros((1, 1)), w0_index=0,
+                             w_grid=np.zeros((1, 1)),
                              params=np.zeros(1), residual=0.0, scale=np.eye(1))
     a = Bundle(np.zeros(1), np.ones(1), np.zeros((1, 0)))
     with pytest.raises(RootNotBracketed) as err:
@@ -665,8 +677,7 @@ def test_vectorised_candidate_inversion_matches_row_bisection():
     dgp = dgp_1d()
     h = mi.truth_candidate(dgp)
     cand = mi.MicroCandidate(h=h, g_hat=np.zeros((1, 1)), w_grid=np.zeros((1, 1)),
-                             w0_index=0, params=np.zeros(1), residual=0.0,
-                             scale=np.eye(1))
+                             params=np.zeros(1), residual=0.0, scale=np.eye(1))
     a = Bundle(np.zeros(1), np.full(1, 1.5), np.zeros((1, 0)))
     y = np.linspace(0.02, 0.95, 15)[:, None]
     vals = h(y, a)
