@@ -36,27 +36,33 @@ from .types import bundle, lognormal_mixing
 TYPE_COLORS = ("#1f77b4", "#ff7f0e")
 
 
-#: The `%` format of each cell type that csv.writer would never quote.
-CELL_FORMATS = {float: "%.17g", int: "%d", bool: "%s"}
+#: The `%` format of each cell type that csv.writer would not quote: a str
+#: cell takes it unless it holds one of the characters QUOTED.
+CELL_FORMATS = {float: "%.17g", int: "%d", bool: "%s", str: "%s"}
+QUOTED = frozenset(',"\r\n')
 #: Lines joined into one write, so that a large table is not held whole.
 CSV_CHUNK = 4096
 
 
 def _line_format(kinds: tuple):
-    """The format of a row whose cells have exactly the types `kinds`, or
-    None when some type is not in CELL_FORMATS."""
-    if not all(k in CELL_FORMATS for k in kinds):
-        return None
-    return ",".join([CELL_FORMATS[k] for k in kinds]) + "\r\n"
+    """The format of a row whose cells have exactly the types `kinds`, and
+    the positions of its str cells. The format is None when some type is
+    not in CELL_FORMATS, and for a row of one str, which csv.writer quotes
+    when it is empty."""
+    if kinds == (str,) or not all(k in CELL_FORMATS for k in kinds):
+        return None, []
+    return (",".join([CELL_FORMATS[k] for k in kinds]) + "\r\n",
+            [i for i, k in enumerate(kinds) if k is str])
 
 
 def write_csv(path, header, rows) -> None:
     """RFC-4180 CSV with full round-trip float formatting.
 
-    A row of only float, int and bool cells is written by one `%` call with
-    the line format of its cell types. Any other row (str, None, numpy
-    scalars) goes through csv.writer, which quotes it; both write the same
-    bytes for the same cells.
+    A row of float, int, bool and str cells is written by one `%` call with
+    the line format of its cell types, unless some str cell needs quoting.
+    Any other row (with such a str, None or numpy scalars) goes through
+    csv.writer, which quotes what needs it; both write the same bytes for
+    the same cells.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
@@ -67,9 +73,9 @@ def write_csv(path, header, rows) -> None:
             kinds = tuple(map(type, row))
             if kinds not in formats:
                 formats[kinds] = _line_format(kinds)
-            fmt = formats[kinds]
-            if fmt is None:  # the lines before this row are written first
-                fh.write("".join(lines))
+            fmt, texts = formats[kinds]
+            if fmt is None or texts and not QUOTED.isdisjoint("".join([row[i] for i in texts])):
+                fh.write("".join(lines))  # the lines before this row go first
                 lines.clear()
                 writer.writerow(["%.17g" % v if isinstance(v, float) else v
                                  for v in row])

@@ -61,34 +61,50 @@ class EquivalenceReport:
         ]
 
 
+def stack_targets(population: Population,
+                  targets: Sequence[Bundles]) -> tuple[Population, Bundles]:
+    """The markets of `population` once per target, block after block, and
+    the targets, each the Bundles of those n markets, stacked to match: k
+    targets make k n rows, so one truth call, one `invert_rows` and one
+    `shares_array` cover them all. The stacked arrays are C-ordered, as a
+    row-wise copy is: numpy concatenates broadcast targets in Fortran order,
+    and the node-share average `w @ S` rounds differently on that layout."""
+    tiled = population[np.tile(np.arange(len(population)), len(targets))]
+    stacked = (np.concatenate([getattr(t, f) for t in targets]) for f in ("x1", "p", "x2"))
+    return tiled, Bundles(*map(np.ascontiguousarray, stacked))
+
+
 def verify_theorem1(m: ShareMap, a0: Bundle, grid: Sequence[Bundle],
                     population: Population,
-                    truth: Callable[[Population, Bundle], np.ndarray],
+                    truth: Callable[[Population, Bundles], np.ndarray],
                     tol: float = EQUIV_TOL) -> EquivalenceReport:
     """Check the three equivalent homogeneity formulations numerically for
     the outcome transform h = sigma^{-1}(., a) of the share map m, with
     baseline bundle a0.
 
     `truth(population, a)` evaluates the markets' potential outcomes (n, J)
-    at bundle a from their stored latent states. Each bundle takes one truth
-    call, one `invert_rows` and one `shares_array` on the stacked markets.
-    On a population whose DGP satisfies homogeneity with the given (m, a0),
-    all three maxima should be at solver tolerance; on a heterogeneous
-    (multi-type) population the transformed-shift check fails for any
-    single (m, a0). No markets is a ConfigError, not a vacuous pass.
+    at Bundles a, one row each, from their stored latent states. a0 and the
+    G grid bundles are stacked over the tiled markets (`stack_targets`), so
+    the check makes one truth call, one `invert_rows` and one `shares_array`
+    on (G + 1) n rows. On a population whose DGP satisfies homogeneity with
+    the given (m, a0), all three maxima should be at solver tolerance; on a
+    heterogeneous (multi-type) population the transformed-shift check fails
+    for any single (m, a0). No markets, or an empty grid, is a ConfigError,
+    not a vacuous pass.
     """
     n = len(population)
     if not n:
         raise ConfigError("theorem 1 check needs at least 1 market, got 0")
-    m1 = m2 = m3 = 0.0
-    h0 = invert_rows(m, truth(population, a0), Bundles.repeat(a0, n))
-    xi = h0 - a0.x1  # phi^{-1}(Y(a0)), phi the baseline map of (m, a0)
-    for a in grid:
-        rows = Bundles.repeat(a, n)
-        ya = truth(population, a)
-        ha = invert_rows(m, ya, rows)
-        pred = shares_array(m, a.x1 + xi, rows)
-        m1 = max(m1, float(np.max(np.abs(ya - pred))))
-        m2 = max(m2, float(np.max(np.abs(a.x1 + xi - ha))))
-        m3 = max(m3, float(np.max(np.abs(ha - h0 - (a.x1 - a0.x1)))))
-    return EquivalenceReport(m1, m2, m3, tol=tol)
+    if not len(grid):
+        raise ConfigError("theorem 1 check needs a grid of at least 1 bundle, got none")
+    bundles = [a0, *grid]
+    pop, rows = stack_targets(population, [Bundles.repeat(a, n) for a in bundles])
+    y = truth(pop, rows)
+    h = invert_rows(m, y, rows, ids=np.tile(np.arange(n), len(bundles)))
+    h = h.reshape(len(bundles), n, -1)
+    xi = h[0] - a0.x1  # phi^{-1}(Y(a0)), phi the baseline map of (m, a0)
+    x1 = np.array([a.x1 for a in grid])[:, None]  # (G, 1, J)
+    pred = shares_array(m, (x1 + xi).reshape(len(grid) * n, -1), rows[n:])
+    return EquivalenceReport(float(np.max(np.abs(y[n:] - pred))),
+                             float(np.max(np.abs(x1 + xi - h[1:]))),
+                             float(np.max(np.abs(h[1:] - h[0] - (x1 - a0.x1)))), tol=tol)

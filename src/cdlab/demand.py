@@ -20,6 +20,8 @@ from .types import Bundle, Bundles, MixingSpec
 DEFAULT_GH_NODES = 32
 MAX_GH_NODES = 2**20  # tensor-product grids grow as nodes ** dim
 MAX_BLOCK_ELEMENTS = 2**19  # markets x nodes x products per node-share block (4 MB)
+#: The fewest terms numpy's float sum adds pairwise rather than in order.
+PAIRWISE_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -180,12 +182,41 @@ def _random_index(B: np.ndarray, a: Bundle | Bundles) -> np.ndarray:
 def _node_shares(T: np.ndarray, outside: bool = False) -> np.ndarray:
     """Row-wise logit shares with an outside option, via log-sum-exp. With
     `outside`, the outside good's share exp(-lse) is appended as a last
-    column: accurate to rounding where 1 - sum(shares) is not."""
-    peak = np.maximum(T.max(axis=-1, keepdims=True), 0.0)
-    lse = peak + np.log(np.exp(-peak) + np.exp(T - peak).sum(axis=-1, keepdims=True))
-    if outside:
-        T = np.concatenate([T, np.zeros_like(lse)], axis=-1)
-    return np.exp(T - lse)
+    column: accurate to rounding where 1 - sum(shares) is not.
+
+    The peak and the sum over the J products take one elementwise ufunc
+    call per product slice. numpy's reduction along a short last axis runs
+    its loop once per row, which made `max` and `sum` cost 10-30x an `exp`
+    of the same array at J = 2. A max is exact in any order. Below
+    PAIRWISE_MIN terms numpy sums in order, so the slice sum gives the same
+    bits; from there on it sums pairwise, and `.sum` is both what it was and
+    faster than J slice additions.
+    """
+    J = T.shape[-1]
+    peak = np.maximum(T[..., 0], 0.0)
+    for j in range(1, J):
+        np.maximum(peak, T[..., j], out=peak)
+    peak = peak[..., None]
+    lse = peak + np.log(np.exp(-peak) + _sum_exp(T - peak))
+    if not outside:
+        return np.exp(T - lse)
+    out = np.empty(T.shape[:-1] + (J + 1,))
+    np.subtract(T, lse, out=out[..., :J])
+    np.negative(lse, out=out[..., J:])
+    return np.exp(out, out=out)
+
+
+def _sum_exp(x: np.ndarray) -> np.ndarray:
+    """The sum of exp(x) over the last axis, kept as an axis of 1, computed
+    in x's own memory: below PAIRWISE_MIN products the slices are added into
+    the first column."""
+    np.exp(x, out=x)
+    if x.shape[-1] >= PAIRWISE_MIN:
+        return x.sum(axis=-1, keepdims=True)
+    total = x[..., :1]
+    for j in range(1, x.shape[-1]):
+        total += x[..., j:j + 1]
+    return total
 
 
 def _weighted_node_shares(m: ShareMap, delta: np.ndarray, a: Bundle | Bundles,

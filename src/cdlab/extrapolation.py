@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .counterfactual import predict
+from .counterfactual import predict, stack_targets
 from .demand import ShareMap, expit, logit, plain_logit, shares_array
 from .errors import ConfigError, InversionFailure, NonUnique
 from .inversion import invert_rows
@@ -205,9 +205,11 @@ def _quantile_interp(sorted_sample: np.ndarray, u: np.ndarray) -> np.ndarray:
 def instrument_basis(data: ObsSet) -> np.ndarray:
     """b(Z) design: finite-support dummies when Z takes at most 12 values,
     else the quadratic polynomial (constant, each Z_k and each product
-    Z_k Z_l with k <= l)."""
+    Z_k Z_l with k <= l). The dummies follow Z's distinct rows in sorted
+    order; a one-column Z sorts as plain values, not as rows, which is the
+    same order and far faster."""
     Z = data.z
-    uniq = np.unique(Z, axis=0)
+    uniq = np.unique(Z[:, 0])[:, None] if Z.shape[1] == 1 else np.unique(Z, axis=0)
     if len(uniq) <= 12:
         cols = [np.all(Z == u, axis=1).astype(float) for u in uniq]
         return np.column_stack(cols)
@@ -412,22 +414,27 @@ def price_ccs_check(m: ShareMap, population: Population, truth: Callable,
     match the truth while x1 counterfactuals err for at least one type.
 
     `truth(population, bundles)` evaluates the stored potential outcomes
-    (n, J) of the markets at Bundles, one row each: one `invert_rows` of
-    the observed shares, then one `shares_array` and one truth call per
-    target. No markets is a ConfigError.
+    (n, J) of the markets at Bundles, one row each. The check makes one
+    `invert_rows` of the observed shares, then stacks the price targets and
+    the x1 target over the tiled markets (`stack_targets`) for one
+    `shares_array` and one truth call. No markets, or an empty price grid,
+    is a ConfigError.
     """
-    if not len(population):
+    n = len(population)
+    if not n:
         raise ConfigError("the price-CCS check needs at least 1 market, got 0")
+    if not len(price_grid):
+        raise ConfigError("the price-CCS check needs a price_grid of at least 1 price, got none")
     y, a = population.y, population.a
     v = invert_rows(m, y, a)
-    max_price = 0.0
-    for pp in price_grid:
-        target = a.replace(p=np.full(a.p.shape, float(pp)))
-        pred = shares_array(m, v, target)  # price move: x1 unchanged
-        max_price = max(max_price, float(np.max(np.abs(pred - truth(population, target)))))
-    target = a.replace(x1=a.x1 + 1.0)
-    pred = shares_array(m, v - a.x1 + target.x1, target)
-    err = np.abs(pred - truth(population, target)).max(axis=1)
+    x1_target = a.replace(x1=a.x1 + 1.0)
+    targets = [a.replace(p=np.full(a.p.shape, float(pp))) for pp in price_grid]
+    pop, rows = stack_targets(population, targets + [x1_target])
+    # A price move leaves x1, and so v, unchanged.
+    delta = np.concatenate([np.tile(v, (len(targets), 1)), v - a.x1 + x1_target.x1])
+    err = np.abs(shares_array(m, delta, rows) - truth(pop, rows))
+    max_price = float(err[:-n].max())
+    err = err[-n:].max(axis=1)
     zeta = population.zeta
     x1_err = {z: float(err[zeta == z].max()) for z in dict.fromkeys(zeta.tolist())}
     return PriceCcsReport(max_price, x1_err)

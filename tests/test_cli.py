@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdlab import cli, laws
@@ -69,9 +69,14 @@ def csv_runs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(runs=csv_runs(), lazy=st.booleans())
+@example(runs=[("list", ("",)), ("tuple", ("ab",)), ("list", ("", 1.5, "")),
+               ("tuple", ("a b'", True, "a,b")), ("list", (None,)), ("list", ("",))],
+         lazy=True)
 def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, runs, lazy):
     """Bulk-formatted rows and csv.writer's rows are the same bytes, for
-    every cell kind, row container and shape change, and for no rows."""
+    every cell kind, row container and shape change, and for no rows; the
+    example has one-cell rows and empty strings, which csv.writer quotes
+    only when an empty string is the whole row."""
     tmp = tmp_path_factory.mktemp("csv")
     reference_write_csv(tmp / "ref.csv", CSV_HEADER, [row for _, row in runs])
     rows = (CONTAINERS[c](row) for c, row in runs)
@@ -88,6 +93,30 @@ def test_write_csv_keeps_row_order_across_its_chunks(tmp_path):
         rows[i] = [i, f"row {i}, quoted", None]
     reference_write_csv(tmp_path / "ref.csv", CSV_HEADER, rows)
     cli.write_csv(tmp_path / "got.csv", CSV_HEADER, rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_formats_plain_str_cells_in_bulk(tmp_path, monkeypatch):
+    """A row whose str cells need no quotes, as fig2's candidate names, is
+    formatted in bulk: csv.writer writes only the header and the row that
+    needs quotes."""
+    written = []
+
+    class Writer:
+        def __init__(self, fh, **kwargs):
+            self.inner = real(fh, **kwargs)
+
+        def writerow(self, row):
+            written.append(list(row))
+            self.inner.writerow(row)
+
+    real = cli.csv.writer
+    rows = [[0, "demeaned-logit", 0.5], [1, "quantile rank", -1.0], [2, "a, b", 2.0]]
+    monkeypatch.setattr(cli.csv, "writer", Writer)
+    cli.write_csv(tmp_path / "got.csv", CSV_HEADER, rows)
+    monkeypatch.undo()
+    assert written == [CSV_HEADER, [2, "a, b", "2"]]
+    reference_write_csv(tmp_path / "ref.csv", CSV_HEADER, rows)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

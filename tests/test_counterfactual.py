@@ -1,13 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from cdlab import demand, inversion
+from cdlab.config import load_config
 from cdlab.counterfactual import predict, verify_theorem1
 from cdlab.demand import mixed_logit, plain_logit, shares_array
 from cdlab.diagnostics import Fig1Spec
-from cdlab.errors import SimplexViolation
+from cdlab.errors import ConfigError, SimplexViolation
+from cdlab.inversion import invert_rows
 from cdlab.population import PopulationSpec, sample_population
 from cdlab.types import Bundles, bundle, lognormal_mixing
+
+
+GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
 
 
 def market(x1, p) -> Bundles:
@@ -113,3 +121,90 @@ def test_verify_theorem1_fails_on_two_type_population():
     assert not rep.passed
     assert rep.max_transformed_shift > 0.01
 
+
+
+def per_bundle_theorem1(m, a0, grid, population, truth):
+    """The three maxima of `verify_theorem1` as it was: one truth call, one
+    `invert_rows` and one `shares_array` per bundle."""
+    n = len(population)
+    m1 = m2 = m3 = 0.0
+    h0 = invert_rows(m, truth(population, a0), Bundles.repeat(a0, n))
+    xi = h0 - a0.x1
+    for a in grid:
+        rows = Bundles.repeat(a, n)
+        ya = truth(population, a)
+        ha = invert_rows(m, ya, rows)
+        pred = shares_array(m, a.x1 + xi, rows)
+        m1 = max(m1, float(np.max(np.abs(ya - pred))))
+        m2 = max(m2, float(np.max(np.abs(a.x1 + xi - ha))))
+        m3 = max(m3, float(np.max(np.abs(ha - h0 - (a.x1 - a0.x1)))))
+    return m1, m2, m3
+
+
+def thm1_grid(J):
+    """`cdl verify-thm1`'s baseline bundle and grid."""
+    return bundle(np.zeros(J), np.full(J, 1.5)), [
+        bundle(np.full(J, x1), np.full(J, p))
+        for x1, p in zip(np.linspace(-0.5, 0.5, 10), np.linspace(0.6, 2.8, 10))]
+
+
+def golden_thm1_case(n=None):
+    spec = load_config(GOLDEN_CONFIGS / "verify-thm1.json").population
+    pop = sample_population(spec)
+    return (spec.share_map(0), *thm1_grid(spec.J), pop[:n], spec.truth)
+
+
+def bench_thm1_case():
+    """The benchmark's verify-thm1 config: 40 J = 2 markets at seed 7919 + 2."""
+    spec = PopulationSpec(J=2, market_count=40, mixing_by_type=(lognormal_mixing(0.0, 0.3),),
+                          type_probabilities=(1.0,), seed=7919 + 2)
+    return (spec.share_map(0), *thm1_grid(2), sample_population(spec), spec.truth)
+
+
+def two_type_thm1_case():
+    """Criterion 2's two-type J = 1 check at seed 0."""
+    fig1 = Fig1Spec(market_count=100, seed=2)
+    spec = fig1.population_spec()
+    return (mixed_logit(fig1.blue), bundle(0.0, 1.5),
+            [bundle(0.0, p) for p in np.linspace(0.6, 2.8, 10)],
+            sample_population(spec), spec.truth)
+
+
+@pytest.mark.parametrize("case", [golden_thm1_case, bench_thm1_case, two_type_thm1_case,
+                                  lambda: golden_thm1_case(n=1)],
+                         ids=["golden-verify-thm1", "bench-verify-thm1", "two-type-J1",
+                              "one-market"])
+def test_stacked_verify_theorem1_is_the_per_bundle_check(case):
+    """One solve over the stacked bundles gives each maximum's bits (on the
+    benchmark's config they moved in the last digits while the stacked
+    bundles were Fortran-ordered). At J = 1 the inversion's `lam @ weights`
+    can round a row by its place in the batch when n is not a multiple of 4,
+    so the J = 1 case has 100 markets."""
+    args = case()
+    rep = verify_theorem1(*args)
+    got = (rep.max_index_model, rep.max_inverse_model, rep.max_transformed_shift)
+    assert got == per_bundle_theorem1(*args)
+
+
+def test_verify_theorem1_makes_a_dozen_node_share_evaluations(monkeypatch):
+    """At the benchmark's verify-thm1 config (40 J = 2 markets, 10 grid
+    bundles), the check evaluates node shares at most 12 times; one solve
+    per bundle made 87 evaluations."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    real = demand._weighted_node_shares
+    args = bench_thm1_case()
+    monkeypatch.setattr(demand, "_weighted_node_shares", counted)
+    monkeypatch.setattr(inversion, "_weighted_node_shares", counted)
+    assert verify_theorem1(*args).passed
+    assert 3 <= len(calls) <= 12
+
+
+def test_verify_theorem1_with_an_empty_grid_is_a_config_error():
+    m, a0, _, pop, truth = golden_thm1_case()
+    with pytest.raises(ConfigError, match="grid"):
+        verify_theorem1(m, a0, [], pop, truth)

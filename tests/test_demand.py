@@ -96,6 +96,32 @@ def test_shares_overflow_safe_for_large_indices():
         validate_share_rows(s)
 
 
+def reduction_node_shares(T, outside=False):
+    """`_node_shares` as it was, with numpy's reductions along the product
+    axis."""
+    peak = np.maximum(T.max(axis=-1, keepdims=True), 0.0)
+    lse = peak + np.log(np.exp(-peak) + np.exp(T - peak).sum(axis=-1, keepdims=True))
+    if outside:
+        T = np.concatenate([T, np.zeros_like(lse)], axis=-1)
+    return np.exp(T - lse)
+
+
+@pytest.mark.parametrize("J", range(1, 31))
+def test_node_shares_are_the_bits_of_the_reduction_formula(J):
+    """Slice maxima and, below PAIRWISE_MIN products, slice sums give the
+    reductions' bits: for (k, M, J) and micro's (n, G, M, J) node indices,
+    moderate ones and ones up to +-700 (ties, underflowing terms, and rows
+    whose every product sits far below the outside good)."""
+    rng = np.random.default_rng(J)
+    for shape in [(5, 32, J), (3, 4, 6, J)]:
+        for T in (rng.normal(0.0, 3.0, shape), rng.uniform(-700.0, 700.0, shape),
+                  rng.uniform(-700.0, -690.0, shape), np.round(rng.normal(0.0, 2.0, shape))):
+            for outside in (False, True):
+                got = _node_shares(T, outside)
+                assert got.shape == shape[:-1] + (J + outside,)
+                assert np.array_equal(got, reduction_node_shares(T, outside))
+
+
 def test_delta_shape_and_finiteness_validated():
     a = market([0.0], [1.0])
     with pytest.raises(ConfigError, match="does not match J=1"):

@@ -6,8 +6,10 @@ from cdlab import demand
 from cdlab import extrapolation as ex
 from cdlab.acceptance import _pl_data, demeaned_oracle_data
 from cdlab.counterfactual import predict
-from cdlab.demand import plain_logit
+from cdlab.demand import plain_logit, shares_array
+from cdlab.dgps import ScaledX1Spec, sample_scaled_x1_population
 from cdlab.errors import ConfigError, NonUnique
+from cdlab.inversion import invert_rows
 from cdlab.population import market_rng
 from cdlab.types import Bundle, Bundles
 
@@ -173,6 +175,17 @@ def test_instrument_basis_dummies_vs_polynomials():
     assert B2.shape == (30, 6)  # 1, z1, z2, z1^2, z1 z2, z2^2
 
 
+def test_instrument_basis_orders_one_column_dummies_as_sorted_rows():
+    """A one-column Z's dummies follow the rows np.unique(Z, axis=0) sorts
+    (negative, signed zero and tiny values among them), so the GMM moments
+    keep their order."""
+    z = market_rng(0, 0).choice([2.5, -1.0, 0.0, -0.0, 7.0, 1e-300, -3e5], size=(80, 1))
+    data = ex.ObsSet(np.full(80, 0.5), np.zeros(80, dtype=int), z)
+    ref = np.column_stack([np.all(z == u, axis=1).astype(float)
+                           for u in np.unique(z, axis=0)])
+    assert np.array_equal(ex.instrument_basis(data), ref)
+
+
 def test_check_prop32_demeaned_and_partially_linear():
     data, _, mu = demeaned_oracle_data(seed=9, n=200)
     dfam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
@@ -187,8 +200,6 @@ def test_check_prop32_demeaned_and_partially_linear():
 
 
 def test_price_ccs_check_contrast():
-    from cdlab.dgps import ScaledX1Spec, sample_scaled_x1_population
-
     spec = ScaledX1Spec(market_count=60, seed=5)
     pop = sample_scaled_x1_population(spec)
     rep = ex.price_ccs_check(plain_logit(spec.alpha), pop, spec.truth,
@@ -196,6 +207,41 @@ def test_price_ccs_check_contrast():
     assert rep.price_correct
     assert rep.max_price_error <= 1e-8
     assert max(rep.x1_error_by_type.values()) > 0.01
+
+
+def per_target_price_ccs(m, population, truth, price_grid):
+    """`price_ccs_check` as it was: one `shares_array` and one truth call
+    per target."""
+    y, a = population.y, population.a
+    v = invert_rows(m, y, a)
+    max_price = 0.0
+    for pp in price_grid:
+        target = a.replace(p=np.full(a.p.shape, float(pp)))
+        pred = shares_array(m, v, target)
+        max_price = max(max_price, float(np.max(np.abs(pred - truth(population, target)))))
+    target = a.replace(x1=a.x1 + 1.0)
+    pred = shares_array(m, v - a.x1 + target.x1, target)
+    err = np.abs(pred - truth(population, target)).max(axis=1)
+    zeta = population.zeta
+    return max_price, {z: float(err[zeta == z].max()) for z in dict.fromkeys(zeta.tolist())}
+
+
+@pytest.mark.parametrize("n", [1, 60])
+def test_stacked_price_ccs_check_is_the_per_target_check(n):
+    """One `shares_array` and one truth call over the stacked targets give
+    the per-target errors' bits."""
+    spec = ScaledX1Spec(market_count=n, seed=5)
+    pop = sample_scaled_x1_population(spec)
+    args = (plain_logit(spec.alpha), pop, spec.truth, np.linspace(0.6, 2.8, 10))
+    rep = ex.price_ccs_check(*args)
+    assert (rep.max_price_error, rep.x1_error_by_type) == per_target_price_ccs(*args)
+
+
+def test_price_ccs_check_with_an_empty_grid_is_a_config_error():
+    spec = ScaledX1Spec(market_count=10, seed=5)
+    with pytest.raises(ConfigError, match="price_grid"):
+        ex.price_ccs_check(plain_logit(spec.alpha), sample_scaled_x1_population(spec),
+                           spec.truth, price_grid=[])
 
 
 def test_obs_set_rows():
