@@ -255,8 +255,10 @@ def criterion_7(seed: int) -> CriterionResult:
     ])
 
 
-def _micro_levels_rep(seed: int, negative_control: bool = False) -> np.ndarray:
-    """Fit level constants on an endogenously assigned micro population."""
+def _micro_levels_rep(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level constants of an endogenously assigned micro population, fitted
+    with its instrument and with the invalid instrument Z := A (the negative
+    control); both instrument steps share one simulation and one candidate."""
     dgp = micro_dgp()
     price_levels = (0.5, 1.25, 2.0)
     spec = mi.MicroPopulationSpec(market_count=400, price_levels=price_levels,
@@ -268,11 +270,11 @@ def _micro_levels_rep(seed: int, negative_control: bool = False) -> np.ndarray:
     profs0 = [m.profile for m in markets if m.level == 0][:30]
     cand = mi.identify_h_and_g(fam, profs0, levels[0], y0=np.array([0.3]),
                                starts=3, seed=seed)
-    if negative_control:
-        markets = [dataclasses.replace(m, z=np.array([float(m.level)]))
-                   for m in markets]
-    model = mi.instrument_step([cand] * len(price_levels), markets, levels)
-    return model.levels_c[:, 0].copy()
+    cands = [cand] * len(price_levels)
+    valid = mi.instrument_step(cands, markets, levels)
+    negative = mi.instrument_step(cands, [dataclasses.replace(m, z=np.array([float(m.level)]))
+                                          for m in markets], levels)
+    return valid.levels_c[:, 0].copy(), negative.levels_c[:, 0].copy()
 
 
 @_timed
@@ -305,9 +307,7 @@ def criterion_8(seed: int) -> CriterionResult:
 
     price_levels = (0.5, 1.25, 2.0)
     true_c = dgp.alpha * (np.array(price_levels) - price_levels[0])
-    reps = np.array([_micro_levels_rep(seed + 100 + s) for s in range(12)])
-    neg = np.array([_micro_levels_rep(seed + 100 + s, negative_control=True)
-                    for s in range(12)])
+    reps, neg = map(np.array, zip(*[_micro_levels_rep(seed + 100 + s) for s in range(12)]))
     mean = reps.mean(axis=0)
     se = reps.std(axis=0, ddof=1) / np.sqrt(len(reps))
     exo_dev = float(np.max(np.abs(mean - true_c)[1:] / se[1:]))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import sys
 from pathlib import Path
 
@@ -40,51 +41,49 @@ TYPE_COLORS = ("#1f77b4", "#ff7f0e")
 #: cell takes it unless it holds one of the characters QUOTED.
 CELL_FORMATS = {float: "%.17g", int: "%d", bool: "%s", str: "%s"}
 QUOTED = frozenset(',"\r\n')
-#: Lines joined into one write, so that a large table is not held whole.
-CSV_CHUNK = 4096
+#: Rows formatted and written together. Small enough that a chunk's
+#: temporaries are reused from pass to pass: at 1,024 rows, `cdl fig1`
+#: runs in one process kept about 0.3 MB more resident memory.
+CSV_CHUNK = 128
 
 
-def _line_format(kinds: tuple):
-    """The format of a row whose cells have exactly the types `kinds`, and
-    the positions of its str cells. The format is None when some type is
-    not in CELL_FORMATS, and for a row of one str, which csv.writer quotes
-    when it is empty."""
-    if kinds == (str,) or not all(k in CELL_FORMATS for k in kinds):
-        return None, []
-    return (",".join([CELL_FORMATS[k] for k in kinds]) + "\r\n",
-            [i for i, k in enumerate(kinds) if k is str])
+def _bulk_lines(rows):
+    """The lines of `rows`, formatted by one `%` call with their line format
+    repeated, when every row has the cell types of the first, each in
+    CELL_FORMATS, and no str cell needs quoting; "" for any other rows, and
+    for a row of one str, which csv.writer quotes when it is empty."""
+    kinds = tuple(map(type, rows[0]))
+    cells = list(itertools.chain.from_iterable(rows))
+    if (kinds == (str,) or not all(k in CELL_FORMATS for k in kinds)
+            or len(set(map(len, rows))) > 1 or list(map(type, cells)) != list(kinds) * len(rows)
+            or not QUOTED.isdisjoint("".join(["".join(cells[i::len(kinds)])
+                                              for i, k in enumerate(kinds) if k is str]))):
+        return ""
+    return (",".join(map(CELL_FORMATS.get, kinds)) + "\r\n") * len(rows) % tuple(cells)
 
 
 def write_csv(path, header, rows) -> None:
     """RFC-4180 CSV with full round-trip float formatting.
 
-    A row of float, int, bool and str cells is written by one `%` call with
-    the line format of its cell types, unless some str cell needs quoting.
-    Any other row (with such a str, None or numpy scalars) goes through
-    csv.writer, which quotes what needs it; both write the same bytes for
-    the same cells.
+    Rows are taken in chunks of CSV_CHUNK, and a chunk that `_bulk_lines`
+    formats is one write. Any other chunk goes row by row: a row that
+    `_bulk_lines` formats alone by its line, any other row (with a str that
+    needs quotes, None or numpy scalars) through csv.writer, which quotes
+    what needs it. Both write the same bytes for the same cells.
     """
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
-        formats, lines = {}, []
-        for row in rows:
-            row = tuple(row)
-            kinds = tuple(map(type, row))
-            if kinds not in formats:
-                formats[kinds] = _line_format(kinds)
-            fmt, texts = formats[kinds]
-            if fmt is None or texts and not QUOTED.isdisjoint("".join([row[i] for i in texts])):
-                fh.write("".join(lines))  # the lines before this row go first
-                lines.clear()
-                writer.writerow(["%.17g" % v if isinstance(v, float) else v
-                                 for v in row])
+        while chunk := list(map(tuple, itertools.islice(rows, CSV_CHUNK))):
+            if text := _bulk_lines(chunk):
+                fh.write(text)
                 continue
-            lines.append(fmt % row)
-            if len(lines) == CSV_CHUNK:
-                fh.write("".join(lines))
-                lines.clear()
-        fh.write("".join(lines))
+            for row in chunk:
+                if line := _bulk_lines([row]):
+                    fh.write(line)
+                else:
+                    writer.writerow(["%.17g" % v if isinstance(v, float) else v for v in row])
 
 
 def _default_population(seed: int) -> PopulationSpec:

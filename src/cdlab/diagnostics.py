@@ -77,6 +77,14 @@ def conditional_variance(population: Population, spec: PopulationSpec,
     partition Y(a) into equal-count groups; within each bin the variance of
     Y(a') is taken around a local polynomial fit in Y(a), which removes the
     bin-width component and isolates genuine cross-market heterogeneity.
+    A bin of fewer than 2 markets is InsufficientData, raised before any
+    fit; a bin with no more markets than regressors takes the variance
+    around its mean.
+
+    The bins of one size are fitted together, by one stacked SVD of their
+    designs at the rank cutoff of `lstsq(rcond=None)`: a bin whose Y(a) are
+    all equal (a rank-1 design) gets the minimum-norm fit, its mean, and
+    every residual agrees with a per-bin `lstsq` to rounding.
     """
     if len(population) < 2:
         raise InsufficientData(f"need at least 2 markets, got {len(population)}")
@@ -84,24 +92,30 @@ def conditional_variance(population: Population, spec: PopulationSpec,
     ya = true_counterfactuals(spec, xi, zeta, a)
     yap = true_counterfactuals(spec, xi, zeta, a_prime)
     groups = _partition(ya, bins)
+    fewest = min(map(len, groups))
+    if fewest < 2:
+        raise InsufficientData(f"bin with {fewest} markets; reduce bin count")
     worst = 0.0
-    for idx in groups:
-        if len(idx) < 2:
-            raise InsufficientData(f"bin with {len(idx)} markets; reduce bin count")
+    for size in sorted(set(map(len, groups))):
+        idx = np.array([g for g in groups if len(g) == size])  # (b, size)
+        Ya, Yap = ya[idx], yap[idx]  # (b, size, J)
         # Quintic polynomial regressors in each coordinate of Y(a); centered
         # and scaled per bin to keep the design well conditioned. Degree 5
         # pushes the smooth-map residual well below the 1e-10 floor even in
         # wide tail bins.
-        centered = ya[idx] - ya[idx].mean(axis=0)
-        scale = np.maximum(np.abs(centered).max(axis=0), 1e-300)
+        centered = Ya - Ya.mean(axis=1, keepdims=True)
+        scale = np.maximum(np.abs(centered).max(axis=1, keepdims=True), 1e-300)
         u = centered / scale
-        X = np.column_stack([np.ones(len(idx))] + [u**k for k in range(1, 6)])
-        if len(idx) <= X.shape[1]:
-            resid = yap[idx] - yap[idx].mean(axis=0)
+        X = np.concatenate([np.ones(idx.shape + (1,))] + [u**k for k in range(1, 6)], axis=-1)
+        if size <= X.shape[-1]:
+            resid = Yap - Yap.mean(axis=1, keepdims=True)
         else:
-            beta, *_ = np.linalg.lstsq(X, yap[idx], rcond=None)
-            resid = yap[idx] - X @ beta
-        worst = max(worst, float(np.max(np.mean(resid**2, axis=0))))
+            # The least-squares residual: Y(a') less its projection on the
+            # singular vectors that lstsq(rcond=None) keeps.
+            U, sv, _ = np.linalg.svd(X, full_matrices=False)
+            keep = sv > max(X.shape[-2:]) * np.finfo(float).eps * sv[..., :1]
+            resid = Yap - U @ ((U.mT @ Yap) * keep[..., None])
+        worst = max(worst, float(np.max(np.mean(resid**2, axis=1))))
     return worst
 
 

@@ -46,6 +46,15 @@ class Profile:
         object.__setattr__(self, "w_grid", w)
         object.__setattr__(self, "shares", s)
 
+    @classmethod
+    def _around(cls, w_grid: np.ndarray, shares: np.ndarray) -> "Profile":
+        """A profile around a read-only (G, J) grid and a block of share rows
+        that `validate_share_rows` has passed, without validating again."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "w_grid", w_grid)
+        object.__setattr__(profile, "shares", shares)
+        return profile
+
 
 @dataclass(frozen=True)
 class MicroDgp:
@@ -245,13 +254,25 @@ def true_profile(dgp: MicroDgp, xi: np.ndarray, a: Bundle, w_grid) -> Profile:
     return Profile(W, s[0])
 
 
+class _GridPoints:
+    """Names row r of stacked (G, J) profiles by its market and grid point."""
+
+    def __init__(self, G: int):
+        self.G = G
+
+    def __getitem__(self, r: int) -> str:
+        return f"{r // self.G} at grid point {r % self.G}"
+
+
 def simulate_micro(dgp: MicroDgp, spec: MicroPopulationSpec) -> list[MicroMarket]:
     """Deterministic in the seed: market i depends only on (seed, i).
 
     Under stratified assignment, markets come in blocks of K sharing one
     market shock, with each treatment level appearing exactly once per
     block: the shock distribution is balanced across cells by construction.
-    The profiles come from the batched profile kernel and share one grid array.
+    The profiles come from the batched profile kernel and share one grid
+    array. Their shares are validated once, stacked, and a share outside the
+    open simplex is a SimplexViolation naming the market and grid point.
     """
     n, K = spec.market_count, len(spec.price_levels)
     xi = np.empty((n, dgp.J))
@@ -271,9 +292,11 @@ def simulate_micro(dgp: MicroDgp, spec: MicroPopulationSpec) -> list[MicroMarket
         level = np.clip(z_level + shift, 0, K - 1)
     xi.setflags(write=False)  # each market holds a view of its row
     W = _w_matrix(spec.w_grid, dgp.J)
+    G = len(W)
     bundles = [spec.level_bundle(dgp, k) for k in range(K)]
     S = _profile_shares(dgp, xi, np.array([b.p for b in bundles])[level], W)
-    return [MicroMarket(profile=Profile(W, s), a=bundles[k], z=np.array([float(zk)]),
+    S = validate_share_rows(S.reshape(n * G, dgp.J), ids=_GridPoints(G)).reshape(S.shape)
+    return [MicroMarket(profile=Profile._around(W, s), a=bundles[k], z=np.array([float(zk)]),
                         xi=x, level=k, z_level=zk)
             for s, x, k, zk in zip(S, xi, level.tolist(), z_level.tolist())]
 
@@ -367,8 +390,16 @@ def parallel_residual(candidate_h: Callable, profiles: Sequence[Profile],
         warnings.warn("single profile is vacuously parallel", stacklevel=2)
         return 0.0
     D = _stacked_increments(candidate_h, profiles, a)
-    med = np.median(D, axis=0)
-    return float(np.max(np.abs(D - med)))
+    return float(np.max(np.abs(D - _median_rows(D))))
+
+
+def _median_rows(D: np.ndarray) -> np.ndarray:
+    """`np.median(D, axis=0)` by one sort: the middle row, or the mean of the
+    two middle rows; a column that holds a NaN is NaN."""
+    S = np.sort(D, axis=0)  # NaNs sort last
+    n = len(S)
+    med = S[n // 2] if n % 2 else (S[n // 2 - 1] + S[n // 2]) / 2.0
+    return np.where(np.isnan(S[-1]), S[-1], med)
 
 
 @dataclass

@@ -96,6 +96,30 @@ def test_write_csv_keeps_row_order_across_its_chunks(tmp_path):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_write_csv_writes_a_uniform_chunk_in_bulk(tmp_path, monkeypatch):
+    """From a generator of lists: the first CSV_CHUNK rows, all of one
+    shape, are one bulk write; the next chunk opens with a row of another
+    shape and goes row by row, and so does the last, whose int rows differ
+    in length; all give csv.writer's bytes."""
+    n = cli.CSV_CHUNK
+    rows = [[i, i / 7.0, i % 3 == 0, "plain"] for i in range(2 * n)] + [[1, 2], [3], [4, 5, 6]]
+    rows[n] = [n, None, "a, b", 1.5]
+    chunks = []
+
+    def bulk_lines(some):
+        text = real(some)
+        if len(some) > 1:
+            chunks.append((len(some), bool(text)))
+        return text
+
+    real = cli._bulk_lines
+    monkeypatch.setattr(cli, "_bulk_lines", bulk_lines)
+    cli.write_csv(tmp_path / "got.csv", CSV_HEADER, (list(r) for r in rows))
+    assert chunks == [(n, True), (n, False), (3, False)]
+    reference_write_csv(tmp_path / "ref.csv", CSV_HEADER, rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_write_csv_formats_plain_str_cells_in_bulk(tmp_path, monkeypatch):
     """A row whose str cells need no quotes, as fig2's candidate names, is
     formatted in bulk: csv.writer writes only the header and the row that

@@ -13,7 +13,7 @@ from cdlab.diagnostics import (
     crossing_curves,
 )
 from cdlab.errors import InsufficientData, RootNotBracketed
-from cdlab.population import PopulationSpec, sample_population
+from cdlab.population import PopulationSpec, sample_population, true_counterfactuals
 from cdlab.types import Bundles, bundle, lognormal_mixing
 
 
@@ -89,6 +89,78 @@ def test_conditional_variance_equals_per_market_reference(spec, monkeypatch):
 
     monkeypatch.setattr(diagnostics, "true_counterfactuals", per_market)
     assert conditional_variance(pop, spec, a, a_prime, bins=20) == batched
+
+
+def per_bin_lstsq_variance(ya, yap, bins):
+    """`conditional_variance` of Y(a) and Y(a') as one np.linalg.lstsq fit
+    per bin, with the bin sizes: the reference of the stacked solve."""
+    worst, groups = 0.0, _partition(ya, bins)
+    for idx in groups:
+        centered = ya[idx] - ya[idx].mean(axis=0)
+        u = centered / np.maximum(np.abs(centered).max(axis=0), 1e-300)
+        X = np.column_stack([np.ones(len(idx))] + [u**k for k in range(1, 6)])
+        if len(idx) <= X.shape[1]:
+            resid = yap[idx] - yap[idx].mean(axis=0)
+        else:
+            beta, *_ = np.linalg.lstsq(X, yap[idx], rcond=None)
+            resid = yap[idx] - X @ beta
+        worst = max(worst, float(np.max(np.mean(resid**2, axis=0))))
+    return worst, sorted({len(g) for g in groups})
+
+
+def two_type_spec(n, J=1, seed=0):
+    fig1 = Fig1Spec(market_count=n, seed=seed)
+    return dataclasses.replace(fig1.population_spec(), J=J)
+
+
+# (J, markets, bins, the bin sizes of the single-type population)
+VARIANCE_CASES = {
+    "equal-bins": (1, 1000, 50, [20]),
+    "unequal-bins": (1, 1003, 50, [20, 21]),
+    "bins-of-6-and-7": (1, 62, 10, [6, 7]),
+    "bins-of-5": (1, 40, 8, [5]),
+    "J2-leaves": (2, 1000, 50, [15, 16]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VARIANCE_CASES))
+def test_stacked_conditional_variance_is_the_per_bin_fit(case):
+    """One stacked solve per bin size against a per-bin lstsq loop: the
+    two-type value within 1e-12 relative, the single-type one (about 1e-15)
+    within 1e-20 absolute."""
+    J, n, bins, sizes = VARIANCE_CASES[case]
+    a, a_prime = bundle(np.zeros(J), np.full(J, 1.5)), bundle(np.zeros(J), np.full(J, 2.0))
+    one = dataclasses.replace(single_type_spec(n, seed=11), J=J)
+    two = two_type_spec(n, J=J, seed=11)
+    pop_one, pop_two = sample_population(one), sample_population(two)
+    ref_one, got_sizes = per_bin_lstsq_variance(
+        *(true_counterfactuals(one, pop_one.xi, pop_one.zeta, b) for b in (a, a_prime)), bins)
+    assert got_sizes == sizes
+    got = conditional_variance(pop_one, one, a, a_prime, bins=bins)
+    assert abs(got - ref_one) <= 1e-20
+    ref_two, _ = per_bin_lstsq_variance(
+        *(true_counterfactuals(two, pop_two.xi, pop_two.zeta, b) for b in (a, a_prime)), bins)
+    got = conditional_variance(pop_two, two, a, a_prime, bins=bins)
+    assert ref_two > 1e-6 and abs(got - ref_two) <= 1e-12 * ref_two
+
+
+def test_stacked_conditional_variance_fits_a_rank_deficient_bin(monkeypatch):
+    """Bins whose Y(a) are all equal get the minimum-norm fit, as lstsq
+    gives them: the variance around the mean. Here those bins hold the
+    widest spread of Y(a'), so they set the maximum."""
+    rng = np.random.default_rng(3)
+    ya = rng.uniform(0.1, 0.6, (200, 1))
+    ya[:60] = 0.3  # whole bins of 20 have a rank-1 design
+    yap = ya**2 + 1e-4 * rng.normal(size=(200, 1))
+    yap[:60] += 1e-2 * rng.normal(size=(60, 1))
+    assert sum(np.ptp(ya[g]) == 0.0 for g in _partition(ya, 10)) >= 2
+    a, a_prime = bundle(0.0, 1.5), bundle(0.0, 2.0)
+    monkeypatch.setattr(diagnostics, "true_counterfactuals",
+                        lambda spec, xi, zeta, b: ya if b is a else yap)
+    spec = single_type_spec(200)
+    ref, _ = per_bin_lstsq_variance(ya, yap, 10)
+    got = conditional_variance(sample_population(spec), spec, a, a_prime, bins=10)
+    assert ref > 1e-5 and abs(got - ref) <= 1e-12 * ref
 
 
 def test_invert_curve_xi_finds_exact_root():

@@ -12,7 +12,8 @@ from scipy.stats import qmc
 from cdlab import micro as mi
 from cdlab.acceptance import micro_dgp
 from cdlab.demand import _gh_nodes
-from cdlab.errors import ConfigError, NoConvergence, NotIdentified, RootNotBracketed
+from cdlab.errors import (ConfigError, NoConvergence, NotIdentified, RootNotBracketed,
+                          SimplexViolation)
 from cdlab.population import market_rng
 from cdlab.types import Bundle, bundle, normal_mixing
 
@@ -133,6 +134,40 @@ def test_sigma_family_checks_pi_once(monkeypatch):
 def test_profile_validation():
     with pytest.raises(ConfigError):
         mi.Profile(np.zeros((3, 1)), np.full((2, 1), 0.3))
+
+
+def test_simulated_profiles_are_validated_once_and_name_the_grid_point():
+    """simulate_micro validates the stacked shares and hands each profile a
+    read-only view of its rows; a share outside the open simplex names its
+    market and grid point, and a profile built directly still validates."""
+    dgp = dgp_1d()
+    markets = mi.simulate_micro(dgp, spec_1d(n=5, seed=2))
+    shares = [m.profile.shares for m in markets]
+    assert all(not s.flags.writeable and s.shape == (9, 1) for s in shares)
+    assert shares[0].base is not None and all(s.base is shares[0].base for s in shares)
+    # at w = 40 the first market's share rounds to 1
+    spec = mi.MicroPopulationSpec(market_count=3, price_levels=(1.5,),
+                                  w_grid=(0.0, 0.5, 40.0), seed=0)
+    with pytest.raises(SimplexViolation, match=r"^market 0 at grid point 2: share outside"):
+        mi.simulate_micro(dgp, spec)
+    with pytest.raises(SimplexViolation, match=r"^market 1: share outside"):
+        mi.Profile(np.linspace(-1.0, 1.0, 3), np.array([0.2, 1.0, 0.4]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 200])
+@pytest.mark.parametrize("nans", [0, 1, 3])
+def test_median_rows_are_the_bits_of_np_median(n, nans):
+    """The sorted middle row, or the mean of the two middle rows, against
+    np.median over axis 0; a column with a NaN is NaN, the others keep
+    their bits."""
+    rng = np.random.default_rng(n + 10 * nans)
+    D = rng.normal(size=(n, 7, 2)) * 10.0 ** rng.integers(-3, 4, size=(n, 7, 2))
+    D[rng.integers(0, n, 4), [0, 2, 3, 5], 1] = [0.0, -0.0, np.inf, -np.inf]
+    for _ in range(nans):
+        D[rng.integers(n), rng.integers(7), rng.integers(2)] = np.nan
+    got, ref = mi._median_rows(D), np.median(D, axis=0)
+    np.testing.assert_array_equal(got, ref)
+    assert np.isnan(got).sum() == np.isnan(D).any(axis=0).sum()
 
 
 def test_w_grid_is_g_by_j_or_1d_only_at_j_1():
