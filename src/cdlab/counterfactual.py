@@ -66,12 +66,10 @@ def stack_targets(population: Population,
     """The markets of `population` once per target, block after block, and
     the targets, each the Bundles of those n markets, stacked to match: k
     targets make k n rows, so one truth call, one `invert_rows` and one
-    `shares_array` cover them all. The stacked arrays are C-ordered, as a
-    row-wise copy is: numpy concatenates broadcast targets in Fortran order,
-    and the node-share average `w @ S` rounds differently on that layout."""
+    `shares_array` cover them all."""
     tiled = population[np.tile(np.arange(len(population)), len(targets))]
-    stacked = (np.concatenate([getattr(t, f) for t in targets]) for f in ("x1", "p", "x2"))
-    return tiled, Bundles(*map(np.ascontiguousarray, stacked))
+    return tiled, Bundles(*(np.concatenate([getattr(t, f) for t in targets])
+                            for f in ("x1", "p", "x2")))
 
 
 def verify_theorem1(m: ShareMap, a0: Bundle, grid: Sequence[Bundle],

@@ -165,7 +165,8 @@ def _fixed_index(m: ShareMap, a: Bundle | Bundles) -> np.ndarray:
         g -= m.alpha * a.p
     if m.gamma:
         k = min(len(m.gamma), a.x2.shape[-1])
-        g += a.x2[..., :k] @ np.asarray(m.gamma[:k])
+        for i in range(k):  # elementwise, so no row's bits depend on the layout
+            g += a.x2[..., i] * m.gamma[i]
     return g
 
 
@@ -175,7 +176,8 @@ def _random_index(B: np.ndarray, a: Bundle | Bundles) -> np.ndarray:
     extra = B.shape[1] - 1
     if extra:
         k = min(extra, a.x2.shape[-1])
-        out += B[:, 1:1 + k] @ np.swapaxes(a.x2[..., :k], -1, -2)
+        for i in range(k):
+            out += B[:, 1 + i, None] * a.x2[..., None, :, i]
     return out
 
 
@@ -266,8 +268,22 @@ def shares_array(m: ShareMap, delta, a: Bundles) -> np.ndarray:
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         S, w = _weighted_node_shares(m, delta[rows], a[rows])
-        out[rows] = w @ S
+        out[rows] = node_average(w, S)
     return out
+
+
+def node_average(w: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """sum_m w_m S[..., m, :] of node values S (..., M, J) under weights w
+    (M,), by numpy's own loop over a C-ordered S, so that each row's bits
+    depend on that row alone. A BLAS gemv (w @ S) rounds a row by its place
+    in the batch and by the layout of S."""
+    return np.einsum("m,...mj->...j", w, np.ascontiguousarray(S))
+
+
+def node_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_m w_m x[..., m] over the last axis of x (..., M), row by row as
+    :func:`node_average` sums."""
+    return np.einsum("...m,m->...", np.ascontiguousarray(x), w)
 
 
 def expit(x, out=None):
@@ -297,8 +313,8 @@ def expit_mixture(delta, offsets, weights, slope_weights=None):
     lam = np.asarray(delta, dtype=float)[..., None] + offsets
     expit(lam, out=lam)  # in place: one (..., M) temporary, not two
     if slope_weights is None:
-        return lam @ weights
-    return lam @ weights, (lam * (1.0 - lam)) @ slope_weights
+        return node_sum(lam, weights)
+    return node_sum(lam, weights), node_sum(lam * (1.0 - lam), slope_weights)
 
 
 def curve_offsets(mixing: MixingSpec, p, nodes: int = DEFAULT_GH_NODES):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .demand import (MAX_BLOCK_ELEMENTS, ShareMap, _fixed_index, _random_index,
                      _weighted_node_shares, expit_mixture, logit, mixing_nodes,
-                     node_jacobian)
+                     node_average, node_jacobian, node_sum)
 from .errors import ConfigError, IntegrationFailure, NoConvergence, SimplexViolation
 from .types import Bundle, Bundles, validate_share_rows
 
@@ -160,7 +160,7 @@ def _newton_steps(node_shares: Callable, weights: np.ndarray, log_target: np.nda
         rows = active[pending]
         trial = delta[rows] + t * step[pending]
         P_trial = _trial_node_shares(node_shares, trial, rows, len(weights))
-        s_trial = weights @ P_trial
+        s_trial = node_average(weights, P_trial)
         usable = np.isfinite(s_trial).all(axis=1) & (s_trial > 0.0).all(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             trial_merit = _merit(log_target[rows] - np.log(s_trial), odds[pending])
@@ -180,13 +180,13 @@ def _solve_block(node_shares: Callable, weights: np.ndarray, target: np.ndarray,
     J = target.shape[1]
     active = rows
     P = node_shares(delta[active], active)
-    s = weights @ P
+    s = node_average(weights, P)
     stale = np.zeros(len(active), dtype=bool)  # rows that took a contraction step
     odds = np.zeros(len(active), dtype=bool)  # rows on log-odds steps
     for _ in range(cfg.max_iter):
         if stale.any():
             P[stale] = node_shares(delta[active[stale]], active[stale])
-            s[stale] = weights @ P[stale]
+            s[stale] = node_average(weights, P[stale])
         F = log_target[active] - np.log(s)
         residual = np.abs(s[:, :J] - target[active]).max(axis=1)
         inside = (residual <= cfg.tol) & (np.abs(F[:, :J]).max(axis=1) <= cfg.tol)
@@ -270,7 +270,7 @@ def solve_share_curve(offsets, weights, y,
     z = logit(y)
     lo = z - offsets.max(axis=-1)
     hi = z - offsets.min(axis=-1)
-    delta = z - offsets @ weights
+    delta = z - node_sum(offsets, weights)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(cfg.max_iter):
             s, slope = expit_mixture(delta, offsets, weights, weights)

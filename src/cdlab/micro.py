@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import laws
-from .demand import MAX_BLOCK_ELEMENTS, _node_shares, expit_mixture, hermite_grid
+from .demand import MAX_BLOCK_ELEMENTS, _node_shares, expit_mixture, hermite_grid, node_average
 from .errors import (ConfigError, IntegrationFailure, NoConvergence, NonUnique, NotIdentified,
                      RootNotBracketed)
 from .inversion import InversionConfig, _solve_log_shares, solve_share_curve
@@ -123,7 +123,7 @@ def micro_shares(dgp: MicroDgp, delta: np.ndarray, p: np.ndarray) -> np.ndarray:
     and broadcasting over the leading axes."""
     nu, w = _nu_nodes(dgp.sigma, dgp.nu_nodes)
     T = delta[..., None, :] + nu - dgp.alpha * p[..., None, :]
-    s = w @ _node_shares(T)
+    s = node_average(w, _node_shares(T))
     if not np.all(np.isfinite(s)):
         raise IntegrationFailure("non-finite micro shares")
     return s

@@ -161,25 +161,25 @@ def bench_thm1_case():
     return (spec.share_map(0), *thm1_grid(2), sample_population(spec), spec.truth)
 
 
-def two_type_thm1_case():
-    """Criterion 2's two-type J = 1 check at seed 0."""
+def two_type_thm1_case(n=None):
+    """Criterion 2's two-type J = 1 check at seed 0, on its first n markets."""
     fig1 = Fig1Spec(market_count=100, seed=2)
     spec = fig1.population_spec()
     return (mixed_logit(fig1.blue), bundle(0.0, 1.5),
             [bundle(0.0, p) for p in np.linspace(0.6, 2.8, 10)],
-            sample_population(spec), spec.truth)
+            sample_population(spec)[:n], spec.truth)
 
 
 @pytest.mark.parametrize("case", [golden_thm1_case, bench_thm1_case, two_type_thm1_case,
+                                  lambda: two_type_thm1_case(n=37),
                                   lambda: golden_thm1_case(n=1)],
                          ids=["golden-verify-thm1", "bench-verify-thm1", "two-type-J1",
-                              "one-market"])
+                              "two-type-J1-37", "one-market"])
 def test_stacked_verify_theorem1_is_the_per_bundle_check(case):
-    """One solve over the stacked bundles gives each maximum's bits (on the
-    benchmark's config they moved in the last digits while the stacked
-    bundles were Fortran-ordered). At J = 1 the inversion's `lam @ weights`
-    can round a row by its place in the batch when n is not a multiple of 4,
-    so the J = 1 case has 100 markets."""
+    """One solve over the stacked bundles gives each maximum's bits, at J = 1
+    for any number of markets and on the Fortran-ordered stack that numpy
+    concatenates from broadcast targets: every node-weighted sum rounds a
+    row by that row alone."""
     args = case()
     rep = verify_theorem1(*args)
     got = (rep.max_index_model, rep.max_inverse_model, rep.max_transformed_shift)

@@ -436,3 +436,40 @@ def test_stacked_rows_match_one_market_calls(m):
         one = np.concatenate([invert_rows(m, y[k:k + 1], rows[k:k + 1]) for k in range(3)])
         np.testing.assert_allclose(invert_rows(m, y, rows), one, rtol=0, atol=1e-12)
         np.testing.assert_allclose(shares_array(m, one, rows), y, rtol=0, atol=1e-11)
+
+
+# --- a row's bits depend on that row alone -----------------------------------
+
+ROW_MAPS = [mixed_logit(lognormal_mixing(0.0, 0.5)),
+            mixed_logit(normal_mixing((1.0, 0.5), (0.3, 0.2)), gamma=(0.3, -0.2))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(J=st.sampled_from([1, 1, 2, 3]), which=st.sampled_from([0, 1]), n=st.integers(2, 24),
+       data=st.data())
+def test_each_row_has_the_bits_it_has_alone(J, which, n, data):
+    """shares_array and invert_rows give every row the bits it gets alone:
+    in any sub-batch, after a permutation of the rows, and on Fortran-ordered
+    Bundles and delta. A BLAS gemv or gemm would round a row by its place in
+    the batch and by the layout of its operands."""
+    m = ROW_MAPS[which]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    delta = rng.uniform(-3.0, 1.0, (n, J))
+    a = Bundles(rng.uniform(-1.0, 1.0, (n, J)), rng.uniform(0.5, 3.0, (n, J)),
+                rng.uniform(-1.0, 1.0, (n, J, 2)))
+    y = shares_array(m, delta, a)
+    back = invert_rows(m, y, a)
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    perm = rng.permutation(n)
+    fortran = Bundles(*(np.asfortranarray(v) for v in (a.x1, a.p, a.x2)))
+    for got, want in [
+            (shares_array(m, delta[rows], a[rows]), y[rows]),
+            (invert_rows(m, y[rows], a[rows]), back[rows]),
+            (shares_array(m, delta[perm], a[perm]), y[perm]),
+            (invert_rows(m, y[perm], a[perm]), back[perm]),
+            (shares_array(m, np.asfortranarray(delta), fortran), y),
+            (invert_rows(m, np.asfortranarray(y), fortran), back)]:
+        np.testing.assert_array_equal(got, want)
+    for i in rows[:3]:
+        np.testing.assert_array_equal(shares_array(m, delta[i:i + 1], a[i:i + 1]), y[[i]])
+        np.testing.assert_array_equal(invert_rows(m, y[i:i + 1], a[i:i + 1]), back[[i]])
