@@ -22,8 +22,7 @@ from .dgps import ScaledX1Spec, sample_scaled_x1_population
 from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
 from .errors import ConfigError
 from .inversion import invert_rows
-from .population import (PopulationSpec, block_keys, market_rng, market_streams,
-                         sample_population)
+from .population import PopulationSpec, block_keys, market_streams, sample_population
 from .types import Bundles, bundle, lognormal_mixing, validate_share_rows
 
 
@@ -74,12 +73,11 @@ def criterion_1(seed: int) -> CriterionResult:
     """Mixed-logit inversion round trip for J in {1, 5, 25}."""
     mixing = lognormal_mixing(0.0, 0.3)
     m = mixed_logit(mixing)
-    rng = market_rng(seed, 1)
-    draws = {J: [(rng.uniform(-5.0, 5.0, J), rng.uniform(0.5, 3.0, J)) for _ in range(100)]
-             for J in (1, 5, 25)}
+    rng = market_streams(seed, [1])
     worst = 0.0
-    for J, pairs in draws.items():  # 100 markets of each J in one solve
-        delta, p = (np.array(v) for v in zip(*pairs))
+    for J in (1, 5, 25):  # 100 markets of each J in one solve
+        delta = rng.uniform(-5.0, 5.0, 100 * J)[0].reshape(100, J)
+        p = rng.uniform(0.5, 3.0, 100 * J)[0].reshape(100, J)
         a = Bundles(np.zeros(delta.shape), p, np.zeros(delta.shape + (0,)))
         back = invert_rows(m, shares_array(m, delta, a), a)
         worst = max(worst, float(np.max(np.abs(back - delta))))

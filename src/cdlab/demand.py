@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, IntegrationFailure
+from .laws import categorical
 from .types import Bundle, Bundles, MixingSpec
 
 DEFAULT_GH_NODES = 32
@@ -105,8 +106,11 @@ def _gh_nodes_cached(mixing: MixingSpec, n: int):
 @lru_cache(maxsize=16)
 def _mc_nodes_cached(mixing: MixingSpec, integration: Integration):
     """The draws are a pure function of (mixing, integration), so they are
-    drawn once rather than on every share evaluation."""
-    rng = np.random.Generator(np.random.Philox(integration.seed))
+    drawn once rather than on every share evaluation, from substream (0,) of
+    the integration seed."""
+    from .population import market_streams  # population imports this module
+
+    rng = market_streams(integration.seed, [0])
     return _read_only(*_mc_nodes(mixing, integration.draws, rng))
 
 
@@ -143,15 +147,19 @@ def _gh_nodes(mixing: MixingSpec, n: int):
 
 
 def _mc_nodes(mixing: MixingSpec, draws: int, rng):
+    """Monte Carlo nodes (draws, dim) and equal weights from rng, a batch of
+    one `population.MarketStreams`: a finite mixture's component counts are
+    those of draws categorical draws."""
     if mixing.kind == "degenerate":
         return np.tile(mixing.loc, (draws, 1)), np.full(draws, 1.0 / draws)
     if mixing.kind == "finite-mixture":
-        counts = rng.multinomial(draws, mixing.weights)
+        counts = np.bincount(categorical(mixing.weights)(rng, draws)[0],
+                             minlength=len(mixing.weights))
         blocks = [_mc_nodes(c, max(int(k), 1), rng)[0][:k]
                   for k, c in zip(counts, mixing.components) if k > 0]
         b = np.vstack(blocks)
         return b, np.full(len(b), 1.0 / len(b))
-    z = rng.standard_normal((draws, mixing.dim))
+    z = rng.standard_normal(draws * mixing.dim)[0].reshape(draws, mixing.dim)
     b = np.asarray(mixing.loc) + np.asarray(mixing.scale) * z
     if mixing.kind == "lognormal":
         b = np.exp(b)

@@ -25,7 +25,7 @@ boundary the inside shares say little about delta: at an outside share of
 6e-12, inside shares within 1e-12 of their targets leave it 15 % off. Below
 MIN_OUTSIDE_SHARE the shares, being doubles, do not determine delta, and
 the loops raise SimplexViolation rather than iterate; so they do for an
-inside share that is not positive, whose log is not finite.
+inside share that is not positive, whose log is not finite, or subnormal.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ ARMIJO = 1e-4  # required fractional decrease of max|F| per unit step length
 MAX_HALVINGS = 6  # backtracking halvings before the contraction fallback
 #: Delta moves one for one with the log outside share log y0, which the
 #: inside shares fix only to J tol / y0. Both loops also match log y0 to
-#: this tolerance, which the inside tests already meet wherever y0 is above
-#: about 1e-3.
-OUTSIDE_TOL = 1e-9
+#: this tolerance, so that delta is recovered to about 1e-11 (criterion 1
+#: asks for 1e-10) wherever y0 is; the inside tests alone meet it only
+#: where J tol / y0 is below it.
+OUTSIDE_TOL = 1e-11
 #: y0 = 1 - sum(y) carries the rounding of the inside shares, about 1e-16:
 #: below this floor that is more than 1e-6 in delta.
 MIN_OUTSIDE_SHARE = 1e-10
@@ -69,10 +70,14 @@ DEFAULT_INVERSION = InversionConfig()
 def _check_shares(y, y0, ids=None) -> None:
     """Raise SimplexViolation naming the first market (by its entry in `ids`,
     default its row) whose inside share y is not positive, so that its log
-    and delta are not finite; else the first whose outside share y0 is below
-    MIN_OUTSIDE_SHARE, which does not determine delta."""
+    and delta are not finite; else the first whose inside share is
+    subnormal, too coarse for a log-share tolerance; else the first whose
+    outside share y0 is below MIN_OUTSIDE_SHARE, which does not determine
+    delta."""
     for kind, share, low, why in (
             ("inside", y, np.ravel(y) <= 0, "is not positive, so delta is not finite"),
+            ("inside", y, np.ravel(y) < np.finfo(float).tiny,
+             "is subnormal, so it does not determine delta"),
             ("outside", y0, np.ravel(y0) < MIN_OUTSIDE_SHARE,
              f"below {MIN_OUTSIDE_SHARE:g} does not determine delta")):
         if low.any():

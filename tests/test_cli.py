@@ -2,6 +2,7 @@ import csv
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -277,6 +278,14 @@ def test_negative_seed_flag_exits_1_naming_it(tmp_path, capsys):
     assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
+def test_seed_past_the_philox_key_exits_1_naming_it(tmp_path, capsys):
+    """The Philox key holds the seed's 128 bits; 2**128 - 1 runs."""
+    assert run(["simulate", "--seed", 2**128, "--out", tmp_path / "out"]) == 1
+    assert f"--seed must be below 2**128, the Philox key's 128 bits, got {2**128}" \
+        in capsys.readouterr().err
+    assert run(["simulate", "--seed", 2**128 - 1, "--out", tmp_path / "ok"]) == 0
+
+
 @pytest.mark.parametrize("where,cfg", [
     ("seed", {"seed": -1}),
     ("population seed", {"population": {"seed": -2}}),
@@ -359,14 +368,27 @@ def test_saturated_shares_exit_2_naming_the_market(tmp_path, monkeypatch):
 
 
 def test_zero_inside_share_exits_2_naming_the_share(tmp_path, capsys):
-    """At price 715 the micro share underflows to 0, whose log is not finite:
+    """At price 750 the micro share underflows to 0, whose log is not finite:
     `cdl verify-thm2` fails with a report naming the market and the share,
     before any log warns (pytest turns a RuntimeWarning into an error)."""
     out = tmp_path / "out"
     assert run(["verify-thm2", "--out", out, "--set", "market_count=1",
-                "--set", "price_levels=[715.0, 0.0, 0.0]"]) == 2
+                "--set", "price_levels=[750.0, 0.0, 0.0]"]) == 2
     failure = read_csv(out / "report.csv")[1][1]
     assert failure == "market 0: inside share 0.000e+00 is not positive, so delta is not finite"
+    assert failure in capsys.readouterr().err
+
+
+def test_subnormal_inside_share_exits_2_naming_the_share(tmp_path, capsys):
+    """At price 715 the micro share underflows to a subnormal double, too
+    coarse for the log-share tolerance: the report names it rather than
+    the solver running out of iterations."""
+    out = tmp_path / "out"
+    assert run(["verify-thm2", "--out", out, "--set", "market_count=1",
+                "--set", "price_levels=[715.0, 0.0, 0.0]"]) == 2
+    failure = read_csv(out / "report.csv")[1][1]
+    assert re.fullmatch(r"market 0: inside share \d\.\d{3}e-3\d\d is subnormal, "
+                        r"so it does not determine delta", failure)
     assert failure in capsys.readouterr().err
 
 
@@ -635,3 +657,26 @@ def test_micro_identify_runs_with_scipy_blocked(tmp_path):
     assert done.returncode == 0, done.stderr
     assert sorted(p.name for p in out.glob("*.csv")) == [
         "estimates.csv", "g_hat.csv", "h_hat.csv", "moment_report.csv"]
+
+
+@pytest.mark.parametrize("cmd,J,n", [("simulate", None, 12), ("invert", None, 12),
+                                     ("predict", None, 12), ("invert", 1, 30),
+                                     ("predict", 1, 30)])
+def test_first_markets_rows_do_not_depend_on_market_count(tmp_path, cmd, J, n):
+    """The golden configs (and J = 1 copies) at n and n + 1 markets write
+    the same bytes for the first n markets: each market's draws depend only
+    on (seed, i), and its shares and inverted delta on its own row."""
+    doc = json.loads((Path(__file__).parent / "golden" / "configs" / f"{cmd}.json").read_text())
+    doc["population"]["J"] = J = J or doc["population"]["J"]
+    name = {"simulate": "population.csv", "invert": "inversion.csv",
+            "predict": "predictions.csv"}[cmd]
+    lines = []
+    for count in (n, n + 1):
+        doc["population"]["market_count"] = count
+        path = tmp_path / f"{count}.json"
+        path.write_text(json.dumps(doc))
+        assert run([cmd, "--config", path, "--out", tmp_path / str(count)]) == 0
+        lines.append((tmp_path / str(count) / name).read_bytes().splitlines())
+    short, long = lines
+    assert len(short) == 1 + n * J and len(long) == 1 + (n + 1) * J
+    assert short == long[:len(short)]

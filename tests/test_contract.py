@@ -84,7 +84,7 @@ BAD_POPULATION_FIELDS = [
     ("x1_law", {"kind": "constant", "value": INF}),
     ("integration", {"nodes": 2.5}), ("integration", {"nodes": "x"}),
     ("integration", {"nodes": 0}), ("integration", {"kind": "monte-carlo", "draws": 0}),
-    ("seed", -1), ("seed", 1.5),
+    ("seed", -1), ("seed", 1.5), ("seed", 2**128),
 ]
 
 
@@ -181,6 +181,7 @@ def non_finite_cells(path):
 @example(("invert", {}, _population(mixing_by_type=5)))
 @example(("invert", {}, _population(price_law="x")))
 @example(("invert", {}, _population(integration={"nodes": "x"})))
+@example(("invert", {}, _population(seed=2**128)))
 def test_every_run_exits_0_1_or_2_and_a_pass_writes_finite_csvs(run):
     cmd, sets, population = run
     with tempfile.TemporaryDirectory() as tmp:

@@ -10,7 +10,7 @@ from cdlab.demand import plain_logit, shares_array
 from cdlab.dgps import ScaledX1Spec, sample_scaled_x1_population
 from cdlab.errors import ConfigError, NonUnique
 from cdlab.inversion import invert_rows
-from cdlab.population import market_rng
+from cdlab.population import market_streams
 from cdlab.types import Bundle, Bundles
 
 
@@ -29,8 +29,8 @@ def test_oracle_data_draws_each_block_once(n):
     assert len(data) == len(shocks) == n
     for i, (o, xi) in enumerate(zip(data, shocks)):
         block, pos = divmod(i, 4)
-        ref_xi = float(market_rng(12, block, 1).normal(0.0, 0.8))
-        lev = int(market_rng(12, block, 2).permutation(4)[pos])
+        ref_xi = float(market_streams(12, [[block, 1]]).normal(0.0, 0.8)[0])
+        lev = int(market_streams(12, [[block, 2]]).permutation(4)[0, pos])
         assert xi == ref_xi
         # y to the bit: the reference applies the generator's own expit
         assert (o.y, o.a, list(o.z)) == (float(demand.expit(mu[lev] + ref_xi)), lev, [float(lev)])
@@ -170,7 +170,7 @@ def test_instrument_basis_dummies_vs_polynomials():
     few = ex.ObsSet(y, a, (np.arange(30) % 3).astype(float)[:, None])
     B = ex.instrument_basis(few)
     assert B.shape == (30, 3)
-    many = ex.ObsSet(y, a, market_rng(0, 0).normal(size=(30, 2)))
+    many = ex.ObsSet(y, a, np.random.default_rng(0).normal(size=(30, 2)))
     B2 = ex.instrument_basis(many)
     assert B2.shape == (30, 6)  # 1, z1, z2, z1^2, z1 z2, z2^2
 
@@ -179,7 +179,7 @@ def test_instrument_basis_orders_one_column_dummies_as_sorted_rows():
     """A one-column Z's dummies follow the rows np.unique(Z, axis=0) sorts
     (negative, signed zero and tiny values among them), so the GMM moments
     keep their order."""
-    z = market_rng(0, 0).choice([2.5, -1.0, 0.0, -0.0, 7.0, 1e-300, -3e5], size=(80, 1))
+    z = np.random.default_rng(0).choice([2.5, -1.0, 0.0, -0.0, 7.0, 1e-300, -3e5], size=(80, 1))
     data = ex.ObsSet(np.full(80, 0.5), np.zeros(80, dtype=int), z)
     ref = np.column_stack([np.all(z == u, axis=1).astype(float)
                            for u in np.unique(z, axis=0)])

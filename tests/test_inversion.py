@@ -25,7 +25,7 @@ from cdlab.inversion import (
     logit_closed_form,
     solve_share_curve,
 )
-from cdlab.population import PopulationSpec, market_rng, sample_population
+from cdlab.population import PopulationSpec, sample_population
 from cdlab.types import (
     SIMPLEX_EPS,
     Bundles,
@@ -75,7 +75,7 @@ def test_plain_logit_closed_form_round_trip():
 def test_mixed_logit_round_trip_across_dimensions():
     """Ten markets of each J, solved in one call."""
     m = mixed_logit(lognormal_mixing(0.0, 0.3))
-    rng = market_rng(3, 0)
+    rng = np.random.default_rng([3, 0])
     for J in (1, 3, 8):
         draws = [(rng.uniform(-4.0, 4.0, J), rng.uniform(0.5, 3.0, J)) for _ in range(10)]
         delta, p = (np.array(v) for v in zip(*draws))
@@ -152,7 +152,7 @@ def test_structural_shock_x1_shift_cancellation():
 @pytest.mark.parametrize("J", [5, 25, 50])
 def test_newton_agrees_with_contraction_reference(J):
     m = mixed_logit(lognormal_mixing(0.0, 0.3))
-    rng = market_rng(11, J)
+    rng = np.random.default_rng([11, J])
     for _ in range(3):
         delta = rng.uniform(-3.0, 1.0, J)
         a = market(np.zeros(J), rng.uniform(0.5, 3.0, J))
@@ -214,7 +214,7 @@ def test_round_trip_property(J, log10_outside, mixing, mc_seed, seed):
     Jacobian, which grows like 1/s0."""
     integration = gauss_hermite(16) if mc_seed is None else monte_carlo(500, mc_seed)
     m = mixed_logit(MIXINGS[mixing], integration=integration)
-    rng = market_rng(seed, 0)
+    rng = np.random.default_rng([seed, 0])
     a = market(np.zeros(J), rng.uniform(0.5, 3.0, J))
     # Utilities at price coefficient 1, shifted so that their plain-logit
     # outside share is 10**log10_outside; the mixing moves it a little.
@@ -315,7 +315,7 @@ def test_small_outside_share_is_matched_in_logs(delta, p):
 def _market_rows(m, J, saturated, seed):
     """Shares and bundles of one market per entry of `saturated`, each on its
     own prices: an outside share near 2 % where True, 0.1 to 0.6 elsewhere."""
-    rng = market_rng(seed, J)
+    rng = np.random.default_rng([seed, J])
     delta, p = [], []
     for sat in saturated:
         pj = rng.uniform(0.5, 3.0, J)

@@ -14,7 +14,7 @@ from cdlab.acceptance import micro_dgp
 from cdlab.demand import _gh_nodes
 from cdlab.errors import (ConfigError, NoConvergence, NotIdentified, RootNotBracketed,
                           SimplexViolation)
-from cdlab.population import market_rng
+from cdlab.population import market_streams
 from cdlab.types import Bundle, bundle, normal_mixing
 
 
@@ -101,7 +101,7 @@ def test_truth_candidate_at_j2_matches_a_row_loop():
     dgp = dgp_2d()
     cand = mi.truth_candidate(dgp)
     a = Bundle(np.zeros(2), np.array([1.0, 2.0]), np.zeros((2, 0)))
-    rng = market_rng(5, 2)
+    rng = np.random.default_rng(5)
     Y = mi.micro_shares(dgp, rng.uniform(-2.0, 3.0, (12, 2)), a.p)
     V = cand(Y, a)
     assert V.shape == Y.shape
@@ -271,8 +271,8 @@ def test_stratified_blocks_follow_their_substreams():
     assert len(markets) == 7
     for i, m in enumerate(markets):
         block, pos = divmod(i, 3)
-        xi = dgp.xi_law.sample(market_rng(4, block, 1), 1)
-        level = int(market_rng(4, block, 2).permutation(3)[pos])
+        xi = dgp.xi_law.sample(market_streams(4, [[block, 1]]), 1)[0]
+        level = int(market_streams(4, [[block, 2]]).permutation(3)[0, pos])
         np.testing.assert_array_equal(m.xi, xi)
         assert (m.level, m.z_level) == (level, level)
     assert len({id(m.xi) for m in markets}) == 7  # no market shares its shock array

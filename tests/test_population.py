@@ -3,19 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlab import demand, laws, population
+from cdlab import demand, laws
 from cdlab.demand import monte_carlo, shares_array
 from cdlab.errors import ConfigError, SimplexViolation
 from cdlab.population import (
     Population,
     PopulationSpec,
-    market_rng,
     market_streams,
     sample_population,
     true_counterfactuals,
 )
 from cdlab.types import Bundle, Bundles, bundle, lognormal_mixing, normal_mixing
-from cdlab.ziggurat import KI
 
 
 def two_type_spec(n=50, seed=0, **kwargs):
@@ -92,148 +90,155 @@ def test_int_index_and_iteration_are_type_errors():
             pass
 
 
-def test_market_rng_streams_are_distinct():
-    a = market_rng(0, 1).standard_normal(4)
-    b = market_rng(0, 2).standard_normal(4)
-    c = market_rng(1, 1).standard_normal(4)
-    assert not np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-
+# --- the substream format ------------------------------------------------------
 
 WORD = 2**32 - 1
-# Seeds of one to five uint32 words, each word count with its edge values.
-SEEDS = st.one_of(st.sampled_from([0, 1, WORD, 2**32, 2**64 - 1, 2**64, 2**128, 2**160 - 1]),
-                  st.integers(0, 2**160 - 1))
+SEEDS = st.one_of(st.sampled_from([0, 1, 2**64 - 1, 2**64, 2**128 - 1]),
+                  st.integers(0, 2**128 - 1))
 KEY_WORDS = st.one_of(st.sampled_from([0, 1, WORD]), st.integers(0, WORD))
-SIZES = st.one_of(st.none(), st.integers(0, 4))
-# One call of each Generator method the batch has: its name and arguments.
+SIZES = st.one_of(st.none(), st.integers(0, 9))
+# One call of each method the batch has: its name and arguments.
 CALLS = st.one_of(
     st.tuples(st.just("random"), st.tuples(SIZES)),
     st.tuples(st.just("uniform"), st.tuples(st.just(-1.5), st.just(2.0), SIZES)),
     st.tuples(st.just("standard_normal"), st.tuples(SIZES)),
     st.tuples(st.just("normal"), st.tuples(st.just(0.3), st.just(0.8), SIZES)),
-    st.tuples(st.just("permutation"), st.tuples(st.integers(0, 6))),
+    st.tuples(st.just("permutation"), st.tuples(st.integers(0, 9))),
     st.tuples(st.just("integers"), st.tuples(st.integers(-3, 2), st.integers(3, 12), SIZES)),
-    st.tuples(st.just("integers"), st.tuples(st.integers(1, 2**33), st.none(), SIZES)),
+    st.tuples(st.just("integers"), st.tuples(st.integers(1, 2**63), st.none(), SIZES)),
 )
 
 
-def _reference(seed, key) -> np.random.Generator:
-    key = tuple(int(k) for k in np.atleast_1d(key))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+def philox_at(seed, key, b=0):
+    """numpy's Philox placed at block b of the substream (seed, key). It
+    moves its counter on before each block, so it starts from the counter
+    (b, k1, k2, len(key)) less one, as a 256-bit integer."""
+    k = list(key) + [0] * (2 - len(key))
+    counter = b + (k[0] << 64) + (k[1] << 128) + (len(key) << 192)
+    return np.random.Philox(key=np.array([seed % 2**64, seed >> 64], dtype=np.uint64),
+                            counter=(counter - 1) % 2**256)
 
 
-def _assert_calls_match(seed, keys, calls):
-    """Each call on the batch of keys gives, row by row, what the per-key
-    Generators give for the same sequence of calls, down to the sign of zero."""
-    batch = market_streams(seed, keys)
-    refs = [_reference(seed, k) for k in keys]
-    for name, args in calls:
-        got = getattr(batch, name)(*args)
-        want = [getattr(r, name)(*args) for r in refs]
-        assert got.shape[0] == len(keys)
-        if want:
-            want = np.array(want)
-            assert got.dtype == want.dtype, (name, args)
-            np.testing.assert_array_equal(got, want, err_msg=f"{name}{args}")
-            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))  # -0.0
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64, 2**100 + 12345, 2**128 - 1])
+@pytest.mark.parametrize("key", [(), (0,), (7,), (WORD,), (3, 1), (0, WORD)])
+def test_raw_words_are_numpys_philox_blocks(seed, key):
+    """Each call takes whole blocks, from the next block on: 3 words take
+    block 0, 5 take blocks 1 and 2, and a normal's two words take block 3."""
+    batch = market_streams(seed, [key])
+    want = np.concatenate([philox_at(seed, key, b).random_raw(4) for b in range(4)])
+    np.testing.assert_array_equal(batch._words(3)[0, 0], want[:3])
+    np.testing.assert_array_equal(batch._words(5)[0, 0], want[4:9])
+    np.testing.assert_array_equal(batch._words(None, 2)[:, 0], want[12:14])
+
+
+def test_known_answers():
+    """Pinned words and draws of a few (seed, key) pairs."""
+    assert [hex(w) for w in market_streams(0, [0])._words(4)[0, 0]] == [
+        "0xbcebd58167d0f31", "0x7834e0e0d3a96d3f", "0x956b8d281546d14f", "0xa7028ec2003149ea"]
+    batch = market_streams(2**128 - 1, [[5, 6]])
+    assert batch.random(2)[0].tolist() == [0.5107515620724346, 0.26281216533916374]
+    # a normal passes through log and cos, whose last bits may differ by host
+    assert batch.standard_normal()[0] == pytest.approx(1.1276387000272698, rel=1e-14)
+    assert batch.integers(10, size=4)[0].tolist() == [0, 8, 2, 8]
+    assert batch.permutation(6)[0].tolist() == [1, 2, 0, 3, 4, 5]
+
+
+def test_distinct_keys_and_seeds_give_distinct_streams():
+    """The key's length is in the counter, so (i,) and (i, 0), and () and
+    (0,), are distinct streams; so are seeds that differ in either word."""
+    keys = [(), (0,), (0, 0), (1,), (1, 0), (0, 1)]
+    first = {k: tuple(market_streams(5, [k])._words(4)[0, 0]) for k in keys}
+    assert len(set(first.values())) == len(keys)
+    seeds = [0, 1, 2**64, 2**64 + 1, 2**127]
+    assert len({tuple(market_streams(s, [3])._words(4)[0, 0]) for s in seeds}) == len(seeds)
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=SEEDS, width=st.integers(1, 3), n=st.integers(0, 1000), data=st.data())
-def test_market_streams_match_per_key_generators(seed, width, n, data):
-    """Row i of every draw is the draw of Generator(Philox(SeedSequence(seed,
-    spawn_key=key_i))), for a random sequence of the batch's six methods."""
-    drawn = data.draw(st.lists(st.lists(KEY_WORDS, min_size=width, max_size=width),
-                               min_size=min(n, 1), max_size=min(n, 5)))
-    spread = np.random.default_rng(data.draw(st.integers(0, WORD))).integers(
-        0, WORD, (n, width), endpoint=True)
-    keys = np.concatenate([np.array(drawn, dtype=np.int64).reshape(-1, width), spread])[:n]
-    _assert_calls_match(seed, keys, data.draw(st.lists(CALLS, min_size=1, max_size=6)))
+@given(seed=SEEDS, width=st.integers(0, 2), n=st.integers(0, 60), data=st.data())
+def test_row_i_depends_only_on_seed_and_key(seed, width, n, data):
+    """Row i of every draw, for a random sequence of calls, is the same at n
+    and n + 1 keys, in the batch of one, and after a permutation of the
+    keys, down to the sign of zero."""
+    keys = np.array(data.draw(st.lists(st.lists(KEY_WORDS, min_size=width, max_size=width),
+                                       min_size=n + 1, max_size=n + 1)),
+                    dtype=np.int64).reshape(n + 1, width)
+    perm = np.random.default_rng(n).permutation(n)
+    i = data.draw(st.integers(0, n))
+    batches = [market_streams(seed, keys[:n]), market_streams(seed, keys),
+               market_streams(seed, keys[i:i + 1]), market_streams(seed, keys[perm])]
+    for name, args in data.draw(st.lists(CALLS, min_size=1, max_size=6)):
+        short, full, one, permuted = (getattr(b, name)(*args) for b in batches)
+        assert short.shape[0] == n and full.shape[0] == n + 1
+        for got, want in ((short, full[:n]), (one, full[i:i + 1]), (permuted, full[perm])):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want, err_msg=f"{name}{args}")
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_market_streams_fast_branches_and_fallbacks():
-    """Normals over every ziggurat layer, the layer-0 tail and the slow
-    branch; a permutation(4) and an integers draw that reject a half; a
-    uint32 half carried from one call into the next, on the batch and across
-    a hand-off to numpy's Generator; an empty batch."""
-    n = 2000
-    keys = np.arange(n)
-    words = np.array([market_rng(17, k).bit_generator.random_raw(9) for k in keys])
-    idx = (words[:, 1:] & 0xFF).astype(int)
-    rabs = (words[:, 1:] >> 9) & (2**52 - 1)
-    assert set(idx.ravel().tolist()) == set(range(256))
-    assert np.any((idx == 0) & (rabs >= KI[0]))  # the tail
-    assert np.any((idx > 0) & (rabs >= KI[idx]))  # the slow branch
-    # permutation(2) takes the low half of word 0 and leaves its high half
-    # pending through the normals, which hand some streams off, for
-    # permutation(3) to take
-    one = market_rng(17, 0)
-    one.permutation(2)
-    assert one.bit_generator.state["has_uint32"] == 1
-    _assert_calls_match(17, keys, [("permutation", (2,)), ("standard_normal", (8,)),
-                                   ("normal", (0.5, 2.0, None)), ("permutation", (3,))])
+@pytest.mark.parametrize("word", [0, 2**64 - 1])
+def test_extreme_words_give_valid_draws(word, monkeypatch):
+    """Words of all zero and all one bits give finite normals, integers in
+    [low, high) and valid permutations."""
+    batch = market_streams(0, np.arange(3))
 
-    # permutation(4) takes i = 3's index from the low half of word 0 and
-    # i = 2's from its high half, which it rejects when its low bits are 3.
-    # A half it leaves pending goes to permutation(2), and a half that one
-    # leaves stays pending past random()'s word for permutation(5)
-    assert np.any((words[:200, 0] >> 32) & 3 == 3)
-    calls = [("permutation", (4,)), ("permutation", (2,)), ("random", (None,)),
-             ("permutation", (5,)), ("uniform", (0.0, 1.0, 3))]
-    _assert_calls_match(17, keys[:200], calls)
-    # integers(k) keeps the half h when h * k mod 2**32 >= (2**32 - k) % k,
-    # about half the time at k = 2**31 + 1
-    k = 2**31 + 1
-    assert np.any((words[:200, 0] & WORD) * k % 2**32 < (2**32 - k) % k)
-    _assert_calls_match(17, keys[:200], [("integers", (k,)), ("integers", (-2, 5, 3)),
-                                         ("integers", (1, None, 2)), ("permutation", (3,))])
+    def words(size, per_value=1):
+        shape = () if size is None else (size,)
+        return np.full((per_value, 3, *shape), word, dtype=np.uint64)
 
-    empty = market_streams(17, np.empty((0, 2), dtype=np.int64))
-    for name, args, shape in [("random", (None,), (0,)), ("uniform", (0.0, 1.0, 3), (0, 3)),
-                              ("standard_normal", (2,), (0, 2)), ("normal", (0.0, 1.0), (0,)),
-                              ("permutation", (4,), (0, 4)), ("integers", (3,), (0,)),
-                              ("integers", (2**40, None, 2), (0, 2))]:
-        assert getattr(empty, name)(*args).shape == shape
+    monkeypatch.setattr(batch, "_words", words)
+    u = batch.random(4)
+    assert np.all((0.0 <= u) & (u < 1.0))
+    assert np.all(np.isfinite(batch.standard_normal(4)))
+    assert np.all(np.isfinite(batch.normal(1.0, 2.0, 4)))
+    for low, high in ((0, 1), (0, 7), (-3, 5), (0, 2**63), (-2**62, 2**62)):
+        got = batch.integers(low, high, 4)
+        assert got.dtype == np.int64 and np.all((low <= got) & (got < high))
+    for x in (1, 2, 9):
+        assert np.array_equal(np.sort(batch.permutation(x), axis=1), np.tile(np.arange(x), (3, 1)))
 
 
-def test_market_rng_is_the_batch_of_one():
-    for key in [(), (7,), (3, 1), (0, WORD, 5)]:
-        ref = _reference(11, key).random(4)
-        np.testing.assert_array_equal(market_rng(11, *key).random(4), ref)
-        np.testing.assert_array_equal(market_streams(11, [key]).random(4), [ref])
-    assert market_streams(11, []).random(4).shape == (0, 4)
+def test_draws_follow_their_laws():
+    """Moments and goodness of fit for every draw type, over 4,000 streams
+    of one batch: uniforms and normals by Kolmogorov-Smirnov, integers,
+    permutations and categorical draws by chi-square, each at p > 1e-4."""
+    from scipy import stats
+
+    n = 4000
+    batch = market_streams(17, np.arange(n))
+    u = batch.random(3)
+    assert stats.kstest(u.ravel(), "uniform").pvalue > 1e-4
+    assert abs(np.corrcoef(u[:, 0], u[:, 1])[0, 1]) < 0.05  # words of one block
+    assert stats.kstest(batch.uniform(-1.5, 2.0, 2).ravel(), "uniform",
+                        args=(-1.5, 3.5)).pvalue > 1e-4
+    z = batch.standard_normal(5)
+    assert stats.kstest(z.ravel(), "norm").pvalue > 1e-4
+    assert abs(z.mean()) < 0.03 and abs(z.std() - 1.0) < 0.02
+    assert stats.kstest(batch.normal(0.3, 0.8).ravel(), "norm", args=(0.3, 0.8)).pvalue > 1e-4
+    for k in (2, 3, 7):
+        counts = np.bincount(batch.integers(k, size=3).ravel(), minlength=k)
+        assert stats.chisquare(counts).pvalue > 1e-4
+    perm = batch.permutation(4)
+    for column in perm.T:  # each position takes each value equally often
+        assert stats.chisquare(np.bincount(column, minlength=4)).pvalue > 1e-4
+    probs = (0.1, 0.2, 0.3, 0.4)
+    counts = np.bincount(laws.categorical(probs)(batch, 2).ravel(), minlength=4)
+    assert stats.chisquare(counts, 2 * n * np.array(probs)).pvalue > 1e-4
 
 
 @pytest.mark.parametrize("seed,keys,named", [
     (-1, [1], "-1"), (1.5, [1], "1.5"), ("3", [1], "'3'"),
     (3, [-1], "-1"), (3, [2**32], "4294967296"), (3, [[1, 2**70]], str(2**70)),
-    (3, [0.5], "0.5"),
+    (3, [0.5], "0.5"), (2**128, [1], str(2**128)), (3, [[1, 2, 3]], r"\(1, 3\)"),
 ])
 def test_market_streams_reject_bad_seeds_and_keys(seed, keys, named):
     with pytest.raises(ConfigError, match=named):
         market_streams(seed, keys)
 
 
-@pytest.mark.parametrize("xi_law", [laws.uniform(-1.0, 1.0), laws.normal(0.0, 1.0)])
-def test_sampling_builds_a_numpy_philox_only_for_handed_off_streams(xi_law, monkeypatch):
-    """Uniform laws stay on the batch's fast path; a normal hands a stream
-    to a numpy Generator only when its word misses the ziggurat's one-word
-    branch. The type draw takes word 0 and the shock word 1."""
-    words = np.array([market_rng(21, k).bit_generator.random_raw(2)[1] for k in range(1000)])
-    idx = (words & 0xFF).astype(int)
-    slow = np.count_nonzero(((words >> 9) & (2**52 - 1)) >= KI[idx])
-    assert 0 < slow < 50
-    built = []
-
-    def counted(*args):
-        built.append(args)
-        return philox_at(*args)
-
-    philox_at = population._philox_at
-    monkeypatch.setattr(population, "_philox_at", counted)
-    sample_population(two_type_spec(n=1000, seed=21, xi_law=xi_law))
-    assert len(built) == (0 if xi_law.kind == "uniform" else slow)
+@pytest.mark.parametrize("low,high", [(0, None), (3, 3), (5, 2), (0, 2**63 + 1)])
+def test_integers_need_one_to_2_63_values(low, high):
+    with pytest.raises(ConfigError, match="integers"):
+        market_streams(0, [1]).integers(low, high)
 
 
 def test_observed_shares_reconstruct_from_latent_state():
@@ -332,12 +337,14 @@ TYPE_PROBABILITIES = [(1.0,), (0.5, 0.5), (0.4, 0.6), (0.999, 0.001),
 
 @pytest.mark.parametrize("probs", TYPE_PROBABILITIES)
 def test_type_draws_match_rng_choice_and_keep_the_stream_position(probs):
-    """Reference: rng.choice(n_types, p=probs) on each market's substream,
-    then the shock law, whose draw is equal only if the type draw left the
-    stream where rng.choice leaves it. The choice law draws the same way."""
+    """Reference: rng.choice(n_types, p=probs) of numpy's Generator on the
+    Philox words of each market's substream, which searches the CDF for the
+    uniforms of those words as the type draw does. The type draw takes
+    block 0, so the shock law draws as it would after one `random()`. The
+    choice law draws the same way."""
     from cdlab.dgps import ScaledX1Spec, sample_scaled_x1_population
 
-    n = 1000
+    n = 300
     spec = PopulationSpec(J=1, market_count=n, seed=11,
                           mixing_by_type=tuple(lognormal_mixing(0.0, 0.5) for _ in probs),
                           type_probabilities=probs)
@@ -346,18 +353,21 @@ def test_type_draws_match_rng_choice_and_keep_the_stream_position(probs):
     for s, pop in ((spec, sample_population(spec)),
                    (scaled, sample_scaled_x1_population(scaled))):
         for k in range(n):
-            rng = market_rng(s.seed, k)
+            rng = np.random.Generator(philox_at(s.seed, (k,)))
             assert pop.zeta[k] == rng.choice(len(probs), p=probs)
-            np.testing.assert_array_equal(pop.xi[k], s.xi_law.sample(rng, 1))
+        after = market_streams(s.seed, np.arange(n))
+        after.random()
+        np.testing.assert_array_equal(pop.xi, s.xi_law.sample(after, 1))
     values = 1.5 * np.arange(len(probs)) - 1.0
     law = laws.choice(values, probs)
-    for size in (1, 2, 3):
-        batch = market_streams(13, np.arange(n))
+    for size in (1, 4, 5):
+        batch, ref = market_streams(13, np.arange(n)), market_streams(13, np.arange(n))
         got, after = law.sample(batch, size), batch.standard_normal()
+        ref.random(size)
+        np.testing.assert_array_equal(after, ref.standard_normal())
         for k in range(n):
-            ref = market_rng(13, k)
-            np.testing.assert_array_equal(got[k], values[ref.choice(len(probs), size, p=probs)])
-            assert after[k] == ref.standard_normal()
+            rng = np.random.Generator(philox_at(13, (k,)))
+            np.testing.assert_array_equal(got[k], values[rng.choice(len(probs), size, p=probs)])
 
 
 @pytest.mark.parametrize("probs", [(0.5, 0.6), (1.2, -0.2), (1.0,)])
