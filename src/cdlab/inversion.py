@@ -52,6 +52,7 @@ OUTSIDE_TOL = 1e-11
 #: y0 = 1 - sum(y) carries the rounding of the inside shares, about 1e-16:
 #: below this floor that is more than 1e-6 in delta.
 MIN_OUTSIDE_SHARE = 1e-10
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ def _check_shares(y, y0, ids=None) -> None:
     delta."""
     for kind, share, low, why in (
             ("inside", y, np.ravel(y) <= 0, "is not positive, so delta is not finite"),
-            ("inside", y, np.ravel(y) < np.finfo(float).tiny,
+            ("inside", y, np.ravel(y) < _SMALLEST_NORMAL,
              "is subnormal, so it does not determine delta"),
             ("outside", y0, np.ravel(y0) < MIN_OUTSIDE_SHARE,
              f"below {MIN_OUTSIDE_SHARE:g} does not determine delta")):

@@ -109,35 +109,40 @@ def check_seed(value, where: str = "seed") -> int:
 
 # Philox4x64-10: round multipliers and key increments (Salmon et al., 2011).
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _U32, _LOW32 = np.uint64(32), np.uint64(0xFFFFFFFF)
+_M_LO, _M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _U32
 _MAX_KEY_WORDS = 2
 
 
-def _mulhi(x: np.ndarray, m) -> np.ndarray:
+def _mulhi(x: np.ndarray, m_lo, m_hi) -> np.ndarray:
     """The high words of the 128-bit products x * m of uint64 values, from
-    their 32-bit halves."""
+    their 32-bit halves; m is given as its halves m_lo and m_hi."""
     lo_x, hi_x = x & _LOW32, x >> _U32
-    lo_m, hi_m = m & _LOW32, m >> _U32
-    t = hi_x * lo_m + (lo_x * lo_m >> _U32)
-    u = lo_x * hi_m + (t & _LOW32)
-    return hi_x * hi_m + (t >> _U32) + (u >> _U32)
+    t = hi_x * m_lo + (lo_x * m_lo >> _U32)
+    u = lo_x * m_hi + (t & _LOW32)
+    return hi_x * m_hi + (t >> _U32) + (u >> _U32)
 
 
-def _philox_blocks(key: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Philox4x64-10 under the key (2, 1) of the counters (4, m): the blocks
-    (m, 4) of 64-bit words.
+def _round_keys(seed: int) -> np.ndarray:
+    """The keys (10, 2, 1) of Philox's ten rounds: the seed's two 64-bit
+    words, low word first, moved on by (W0, W1) before each round but the
+    first."""
+    words = (seed & (2**64 - 1), seed >> 64)
+    return np.array([[[(k + r * w) % 2**64] for k, w in zip(words, _PHILOX_W)]
+                     for r in range(10)], dtype=np.uint64)
+
+
+def _philox_blocks(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 under the round keys (10, 2, 1) of the counters (4, m):
+    the blocks (m, 4) of 64-bit words.
 
     A round maps (v0, v1, v2, v3) to (hi1 ^ v1 ^ k0, lo1, hi0 ^ v3 ^ k1,
     lo0), where (hi0, lo0) and (hi1, lo1) are the 128-bit products of v0 and
-    v2 by the two multipliers, held here as rows 0 and 1 of (v0, v2); the
-    key (k0, k1) moves on by (W0, W1) before each round but the first."""
+    v2 by the two multipliers, held here as rows 0 and 1 of (v0, v2)."""
     even, odd = counters[[0, 2]], counters[[1, 3]]
-    k = key.copy()
-    for r in range(10):
-        if r:
-            k += _PHILOX_W
-        even, odd = _mulhi(even, _PHILOX_M)[::-1] ^ odd ^ k, (even * _PHILOX_M)[::-1]
+    for k in keys:
+        even, odd = _mulhi(even, _M_LO, _M_HI)[::-1] ^ odd ^ k, (even * _PHILOX_M)[::-1]
     return np.stack([even[0], odd[0], even[1], odd[1]], axis=1)
 
 
@@ -156,8 +161,8 @@ class MarketStreams:
     draws are this module's format. Made by :func:`market_streams`.
     """
 
-    def __init__(self, key: np.ndarray, counters: np.ndarray):
-        self._key = key  # (2, 1): the seed's words
+    def __init__(self, keys: np.ndarray, counters: np.ndarray):
+        self._keys = keys  # (10, 2, 1): the round keys of the seed
         self._counters = counters  # (4, n): each stream's counter at block 0
         self._block = 0  # the next block of every stream
 
@@ -172,7 +177,7 @@ class MarketStreams:
         counters = np.repeat(self._counters, nb, axis=1)
         counters[0] = np.tile(np.arange(self._block, self._block + nb, dtype=np.uint64), n)
         self._block += nb
-        words = _philox_blocks(self._key, counters).reshape(n, 4 * nb)[:, :m]
+        words = _philox_blocks(self._keys, counters).reshape(n, 4 * nb)[:, :m]
         return np.moveaxis(words.reshape(n, *shape, per_value), -1, 0)
 
     def random(self, size=None) -> np.ndarray:
@@ -202,7 +207,8 @@ class MarketStreams:
         k = operator.index(high) - operator.index(low)
         if not 0 < k <= 2**63:
             raise ConfigError(f"integers needs 1 to 2**63 values, got high - low = {k}")
-        return low + _mulhi(self._words(size)[0], np.uint64(k)).astype(np.int64)
+        w = self._words(size)[0]
+        return low + _mulhi(w, np.uint64(k & 0xFFFFFFFF), np.uint64(k >> 32)).astype(np.int64)
 
     def permutation(self, x: int) -> np.ndarray:
         """A permutation of arange(x) per stream: the stable argsort of x
@@ -238,8 +244,7 @@ def market_streams(seed: int, keys) -> MarketStreams:
     counters = np.zeros((4, n), dtype=np.uint64)
     counters[1:1 + width] = keys.T
     counters[3] = width
-    key = np.array([[seed & (2**64 - 1)], [seed >> 64]], dtype=np.uint64)
-    return MarketStreams(key, counters)
+    return MarketStreams(_round_keys(seed), counters)
 
 
 @dataclass(frozen=True)

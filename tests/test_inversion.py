@@ -17,6 +17,7 @@ from cdlab.demand import (
     plain_logit,
     shares_array,
 )
+from cdlab.counterfactual import predict
 from cdlab.errors import ConfigError, IntegrationFailure, NoConvergence, SimplexViolation
 from cdlab.inversion import (
     OUTSIDE_TOL,
@@ -448,10 +449,10 @@ ROW_MAPS = [mixed_logit(lognormal_mixing(0.0, 0.5)),
 @given(J=st.sampled_from([1, 1, 2, 3]), which=st.sampled_from([0, 1]), n=st.integers(2, 24),
        data=st.data())
 def test_each_row_has_the_bits_it_has_alone(J, which, n, data):
-    """shares_array and invert_rows give every row the bits it gets alone:
-    in any sub-batch, after a permutation of the rows, and on Fortran-ordered
-    Bundles and delta. A BLAS gemv or gemm would round a row by its place in
-    the batch and by the layout of its operands."""
+    """shares_array, invert_rows and predict give every row the bits it
+    gets alone: in any sub-batch, after a permutation of the rows, and on
+    Fortran-ordered Bundles and delta. A BLAS gemv or gemm would round a row
+    by its place in the batch and by the layout of its operands."""
     m = ROW_MAPS[which]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     delta = rng.uniform(-3.0, 1.0, (n, J))
@@ -459,14 +460,18 @@ def test_each_row_has_the_bits_it_has_alone(J, which, n, data):
                 rng.uniform(-1.0, 1.0, (n, J, 2)))
     y = shares_array(m, delta, a)
     back = invert_rows(m, y, a)
+    target = a.replace(p=a.p + 0.5)
+    pred = predict(m, y, a, target)
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     perm = rng.permutation(n)
     fortran = Bundles(*(np.asfortranarray(v) for v in (a.x1, a.p, a.x2)))
     for got, want in [
             (shares_array(m, delta[rows], a[rows]), y[rows]),
             (invert_rows(m, y[rows], a[rows]), back[rows]),
+            (predict(m, y[rows], a[rows], target[rows]), pred[rows]),
             (shares_array(m, delta[perm], a[perm]), y[perm]),
             (invert_rows(m, y[perm], a[perm]), back[perm]),
+            (predict(m, y[perm], a[perm], target[perm]), pred[perm]),
             (shares_array(m, np.asfortranarray(delta), fortran), y),
             (invert_rows(m, np.asfortranarray(y), fortran), back)]:
         np.testing.assert_array_equal(got, want)
