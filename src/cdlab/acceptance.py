@@ -22,7 +22,8 @@ from .dgps import ScaledX1Spec, sample_scaled_x1_population
 from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
 from .errors import ConfigError
 from .inversion import invert_rows
-from .population import PopulationSpec, block_keys, market_streams, sample_population
+from .population import PopulationSpec, sample_population
+from .streams import block_keys, market_streams
 from .types import Bundles, bundle, lognormal_mixing, validate_share_rows
 
 

@@ -19,7 +19,8 @@ import numpy as np
 from . import laws
 from .demand import Integration
 from .errors import ConfigError
-from .population import PopulationSpec, check_seed
+from .population import PopulationSpec
+from .streams import check_seed
 from .types import MixingSpec
 
 SCHEMA_VERSION = 1

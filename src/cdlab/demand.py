@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrationFailure
 from .laws import categorical
+from .streams import market_streams
 from .types import Bundle, Bundles, MixingSpec
 
 DEFAULT_GH_NODES = 32
@@ -108,8 +109,6 @@ def _mc_nodes_cached(mixing: MixingSpec, integration: Integration):
     """The draws are a pure function of (mixing, integration), so they are
     drawn once rather than on every share evaluation, from substream (0,) of
     the integration seed."""
-    from .population import market_streams  # population imports this module
-
     rng = market_streams(integration.seed, [0])
     return _read_only(*_mc_nodes(mixing, integration.draws, rng))
 
@@ -148,7 +147,7 @@ def _gh_nodes(mixing: MixingSpec, n: int):
 
 def _mc_nodes(mixing: MixingSpec, draws: int, rng):
     """Monte Carlo nodes (draws, dim) and equal weights from rng, a batch of
-    one `population.MarketStreams`: a finite mixture's component counts are
+    one `streams.MarketStreams`: a finite mixture's component counts are
     those of draws categorical draws."""
     if mixing.kind == "degenerate":
         return np.tile(mixing.loc, (draws, 1)), np.full(draws, 1.0 / draws)

@@ -14,7 +14,8 @@ import numpy as np
 from . import laws
 from .demand import expit
 from .errors import ConfigError
-from .population import Population, market_streams
+from .population import Population
+from .streams import market_streams
 from .types import Bundles, validate_share_rows
 
 

@@ -42,7 +42,7 @@ class Law:
                 raise ConfigError("choice law: probs must lie on the simplex")
 
     def sample(self, rng, size: int) -> np.ndarray:
-        """size i.i.d. draws from rng, a `population.MarketStreams` batch:
+        """size i.i.d. draws from rng, a `streams.MarketStreams` batch:
         (n, size), one row per stream. An rng of numpy's random API gives
         (size,). A constant law draws nothing and returns (size,) whichever
         it gets."""
@@ -60,7 +60,7 @@ class Law:
 def categorical(probs):
     """``draw(rng, size=None)``: indices into probs, one per uniform of
     ``rng.random(size)``, by a right-sided search of the CDF built once
-    here (the caller checks probs). rng is a `population.MarketStreams`
+    here (the caller checks probs). rng is a `streams.MarketStreams`
     batch, whose draws have a leading market axis."""
     cdf = np.cumsum(probs, dtype=float)
     cdf /= cdf[-1]

@@ -22,7 +22,7 @@ from .demand import MAX_BLOCK_ELEMENTS, _node_shares, expit_mixture, hermite_gri
 from .errors import (ConfigError, IntegrationFailure, NoConvergence, NonUnique, NotIdentified,
                      RootNotBracketed)
 from .inversion import InversionConfig, _solve_log_shares, solve_share_curve
-from .population import block_keys, market_streams
+from .streams import block_keys, market_streams
 from .types import Bundle, validate_share_rows
 
 PARALLEL_TOL = 1e-8

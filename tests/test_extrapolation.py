@@ -10,7 +10,7 @@ from cdlab.demand import plain_logit, shares_array
 from cdlab.dgps import ScaledX1Spec, sample_scaled_x1_population
 from cdlab.errors import ConfigError, NonUnique
 from cdlab.inversion import invert_rows
-from cdlab.population import market_streams
+from cdlab.streams import market_streams
 from cdlab.types import Bundle, Bundles
 
 

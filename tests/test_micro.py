@@ -14,7 +14,7 @@ from cdlab.acceptance import micro_dgp
 from cdlab.demand import _gh_nodes
 from cdlab.errors import (ConfigError, NoConvergence, NotIdentified, RootNotBracketed,
                           SimplexViolation)
-from cdlab.population import market_streams
+from cdlab.streams import market_streams
 from cdlab.types import Bundle, bundle, normal_mixing
 
 

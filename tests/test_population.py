@@ -6,13 +6,8 @@ from hypothesis import strategies as st
 from cdlab import demand, laws
 from cdlab.demand import monte_carlo, shares_array
 from cdlab.errors import ConfigError, SimplexViolation
-from cdlab.population import (
-    Population,
-    PopulationSpec,
-    market_streams,
-    sample_population,
-    true_counterfactuals,
-)
+from cdlab.population import Population, PopulationSpec, sample_population, true_counterfactuals
+from cdlab.streams import market_streams
 from cdlab.types import Bundle, Bundles, bundle, lognormal_mixing, normal_mixing
 
 
@@ -105,7 +100,7 @@ CALLS = st.one_of(
     st.tuples(st.just("normal"), st.tuples(st.just(0.3), st.just(0.8), SIZES)),
     st.tuples(st.just("permutation"), st.tuples(st.integers(0, 9))),
     st.tuples(st.just("integers"), st.tuples(st.integers(-3, 2), st.integers(3, 12), SIZES)),
-    st.tuples(st.just("integers"), st.tuples(st.integers(1, 2**63), st.none(), SIZES)),
+    st.tuples(st.just("integers"), st.tuples(st.integers(1, 2**32), st.none(), SIZES)),
 )
 
 
@@ -140,6 +135,9 @@ def test_known_answers():
     # a normal passes through log and cos, whose last bits may differ by host
     assert batch.standard_normal()[0] == pytest.approx(1.1276387000272698, rel=1e-14)
     assert batch.integers(10, size=4)[0].tolist() == [0, 8, 2, 8]
+    words = market_streams(0, [0])._words(4)[0, 0]  # 2**32 values: the high halves
+    assert market_streams(0, [0]).integers(2**32, size=4)[0].tolist() == [w >> 32 for w in
+                                                                        words.tolist()]
     assert batch.permutation(6)[0].tolist() == [1, 2, 0, 3, 4, 5]
 
 
@@ -190,7 +188,7 @@ def test_extreme_words_give_valid_draws(word, monkeypatch):
     assert np.all((0.0 <= u) & (u < 1.0))
     assert np.all(np.isfinite(batch.standard_normal(4)))
     assert np.all(np.isfinite(batch.normal(1.0, 2.0, 4)))
-    for low, high in ((0, 1), (0, 7), (-3, 5), (0, 2**63), (-2**62, 2**62)):
+    for low, high in ((0, 1), (0, 7), (-3, 5), (0, 2**32), (-2**31, 2**31)):
         got = batch.integers(low, high, 4)
         assert got.dtype == np.int64 and np.all((low <= got) & (got < high))
     for x in (1, 2, 9):
@@ -235,8 +233,8 @@ def test_market_streams_reject_bad_seeds_and_keys(seed, keys, named):
         market_streams(seed, keys)
 
 
-@pytest.mark.parametrize("low,high", [(0, None), (3, 3), (5, 2), (0, 2**63 + 1)])
-def test_integers_need_one_to_2_63_values(low, high):
+@pytest.mark.parametrize("low,high", [(0, None), (3, 3), (5, 2), (0, 2**32 + 1), (0, 2**63)])
+def test_integers_need_one_to_2_32_values(low, high):
     with pytest.raises(ConfigError, match="integers"):
         market_streams(0, [1]).integers(low, high)
 
@@ -341,10 +339,11 @@ def test_type_draws_match_rng_choice_and_keep_the_stream_position(probs):
     Philox words of each market's substream, which searches the CDF for the
     uniforms of those words as the type draw does. The type draw takes
     block 0, so the shock law draws as it would after one `random()`. The
-    choice law draws the same way."""
+    choice law draws the same way, and its draws reach every type, the rare
+    type of (0.999, 0.001) too."""
     from cdlab.dgps import ScaledX1Spec, sample_scaled_x1_population
 
-    n = 300
+    n = 1000
     spec = PopulationSpec(J=1, market_count=n, seed=11,
                           mixing_by_type=tuple(lognormal_mixing(0.0, 0.5) for _ in probs),
                           type_probabilities=probs)
@@ -360,7 +359,8 @@ def test_type_draws_match_rng_choice_and_keep_the_stream_position(probs):
         np.testing.assert_array_equal(pop.xi, s.xi_law.sample(after, 1))
     values = 1.5 * np.arange(len(probs)) - 1.0
     law = laws.choice(values, probs)
-    for size in (1, 4, 5):
+    drawn = set()
+    for size in (1, 4, 5, 40):
         batch, ref = market_streams(13, np.arange(n)), market_streams(13, np.arange(n))
         got, after = law.sample(batch, size), batch.standard_normal()
         ref.random(size)
@@ -368,6 +368,8 @@ def test_type_draws_match_rng_choice_and_keep_the_stream_position(probs):
         for k in range(n):
             rng = np.random.Generator(philox_at(13, (k,)))
             np.testing.assert_array_equal(got[k], values[rng.choice(len(probs), size, p=probs)])
+        drawn.update(got.ravel().tolist())
+    assert drawn == set(values.tolist())  # the 40 000 draws at size 40 reach every type
 
 
 @pytest.mark.parametrize("probs", [(0.5, 0.6), (1.2, -0.2), (1.0,)])
