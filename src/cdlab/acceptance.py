@@ -124,16 +124,16 @@ def criterion_3(seed: int) -> CriterionResult:
     """Crossing demand curves through each sampled market's (P, Y)."""
     spec = Fig1Spec(market_count=2000, seed=seed + 3)
     pop = sample_population(spec.population_spec())
-    good = 0
-    for i, pair in enumerate(crossing_curves(spec, pop)):
-        if pair is None:  # the opposite type cannot reach the observed share
-            continue
-        y_obs = float(pop.y[i, 0])
-        opp_mix = spec.mixing(1 - pop.zeta[i])
-        at_p = float(share_curve_1d(opp_mix, np.array(pair.xi_opposite),
-                                    pop.a.p[i, 0], spec.quad_nodes))
-        if abs(at_p - y_obs) <= 1e-8 and abs(pair.own_slope - pair.opposite_slope) > 1e-3:
-            good += 1
+    pairs = crossing_curves(spec, pop)
+    # None: the opposite type cannot reach the observed share
+    xi_opp, slope_gap = np.array([(pair.xi_opposite, abs(pair.own_slope - pair.opposite_slope))
+                                  if pair else (np.nan, 0.0) for pair in pairs]).T
+    at_p = np.full(len(pop), np.nan)
+    for t in (0, 1):  # each opposite curve at the observed price, one call per type
+        rows = np.flatnonzero(pop.zeta != t)
+        at_p[rows] = share_curve_1d(spec.mixing(t), xi_opp[rows], pop.a.p[rows, 0],
+                                    spec.quad_nodes)
+    good = np.count_nonzero((np.abs(at_p - pop.y[:, 0]) <= 1e-8) & (slope_gap > 1e-3))
     return CriterionResult(3, "crossing demand curves", budget=30.0, checks=[
         Check("fraction_with_crossing_witness", good / len(pop), 0.95, ">"),
     ])
@@ -192,22 +192,20 @@ def _pl_data(seed: int, n: int, x2: bool = True):
 
 @_timed
 def criterion_5(seed: int) -> CriterionResult:
-    """Extrapolation identity for all families; demeaned-family oracle."""
+    """Extrapolation identity for all rules; demeaned-rule oracle."""
     data, shocks, mu = demeaned_oracle_data(seed + 5)
-    dfam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
-    qfam, _ = ex.solve_orthogonality(ex.quantile_family(), data[:2000])
+    demeaned = ex.DemeanedRule.fit(data, "logit")
     pl_data = _pl_data(seed + 5, 300, x2=False)
-    pfam, _ = ex.solve_orthogonality(ex.partially_linear_family(n_params=1), pl_data)
-
     ident = 0.0
-    for fam, obs in ((dfam, data[:20]), (qfam, data[:20]), (pfam, pl_data[:20])):
-        same = ex.extrapolate(fam, obs.y, obs.a, obs.a)
+    for rule, obs in ((demeaned, data[:20]), (ex.QuantileRule.fit(data[:2000]), data[:20]),
+                      (ex.PartiallyLinearRule.fit(pl_data), pl_data[:20])):
+        same = ex.extrapolate(rule, obs.y, obs.a, obs.a)
         ident = max(ident, float(np.max(np.abs(same - obs.y))))
 
     head, xi = data[:1000], shocks[:1000]
     oracle = 0.0
     for t in range(len(mu)):
-        pred = ex.extrapolate(dfam, head.y, head.a, t)
+        pred = ex.extrapolate(demeaned, head.y, head.a, t)
         oracle = max(oracle, float(np.max(np.abs(pred - expit(mu[t] + xi)))))
     return CriterionResult(5, "extrapolation identity and oracle", checks=[
         Check("same_treatment_identity", ident, 0.0, "<="),
@@ -219,12 +217,11 @@ def criterion_5(seed: int) -> CriterionResult:
 def criterion_6(seed: int) -> CriterionResult:
     """Rule-based and structural predictions coincide (both directions)."""
     data, _, mu = demeaned_oracle_data(seed + 6, n=400)
-    dfam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
-    r1 = ex.check_prop32(dfam, data[:50], targets=list(range(len(mu))))
+    r1 = ex.check_prop32(ex.DemeanedRule.fit(data, "logit"), data[:50],
+                         targets=list(range(len(mu))))
     pl_data = _pl_data(seed + 6, 1000)
-    pfam, _ = ex.solve_orthogonality(ex.partially_linear_family(n_params=2), pl_data)
     targets = pl_data.a[:10].replace(p=np.linspace(0.6, 2.8, 10)[:, None])
-    r2 = ex.check_prop32(pfam, pl_data[:50], targets=targets)
+    r2 = ex.check_prop32(ex.PartiallyLinearRule.fit(pl_data), pl_data[:50], targets=targets)
     return CriterionResult(6, "rule/structural agreement", checks=[
         Check("demeaned_max_gap", r1.max_gap, 1e-10, "<="),
         Check("partially_linear_max_gap", r2.max_gap, 1e-10, "<="),

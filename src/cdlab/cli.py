@@ -29,7 +29,7 @@ from .dgps import ScaledX1Spec, sample_scaled_x1_population
 from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
 from .errors import CdlabError, ConfigError, RootNotBracketed
 from .inversion import invert_rows
-from .population import PopulationSpec, check_seed, sample_population
+from .population import PopulationSpec, sample_population
 from .svgplot import Panel, write_svg
 from .types import bundle, lognormal_mixing
 
@@ -259,15 +259,15 @@ def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
 
 def run_extrapolate(cfg: ExperimentConfig, out: Path) -> None:
     data, _, mu = acc.demeaned_oracle_data(cfg.seed, n=cfg.option("n"))
-    fam, rep = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
+    rule = ex.DemeanedRule.fit(data, "logit")
     shown = data[:200]
-    pred = np.array([ex.extrapolate(fam, shown.y, shown.a, t) for t in range(len(mu))])
+    pred = np.array([ex.extrapolate(rule, shown.y, shown.a, t) for t in range(len(mu))])
     write_csv(out / "predictions.csv", ["market_id", "target_a", "y_tilde"],
               _market_rows(np.arange(len(shown))[:, None], np.arange(len(mu)), pred.T))
     # A fit that is not unique raises NonUnique, so `unique` is always True;
     # the column stays because perfbench's transport-rules check reads it.
     write_csv(out / "gmm_report.csv", ["parameter", "estimate", "criterion", "unique"],
-              [[k, float(th), rep.criterion, True] for k, th in enumerate(rep.theta)])
+              [[k, mu_k, rule.criterion, True] for k, mu_k in enumerate(rule.mu)])
 
 
 def run_prop32(cfg: ExperimentConfig, out: Path) -> None:
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
         else:
             cfg = ExperimentConfig(args.experiment)
         if args.seed is not None:
-            cfg.seed = check_seed(args.seed, "--seed")
+            cfg.reseed(args.seed)
         if args.out is not None:
             cfg.output_dir = args.out
         apply_overrides(cfg, args.overrides)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -195,6 +195,10 @@ def _markets_per_level(o: dict) -> None:
 #: Checks between one subcommand's options, made after each option's own.
 RELATIONS = {"micro-identify": _markets_per_level}
 
+#: The subcommands that sample the config's population; the others build
+#: their own, so a population given to them is a ConfigError.
+POPULATED = ("simulate", "invert", "predict", "verify-thm1")
+
 
 @dataclass
 class ExperimentConfig:
@@ -207,7 +211,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in OPTIONS:
             raise ConfigError(f"unknown experiment: {self.experiment!r}")
+        if self.population is not None and self.experiment not in POPULATED:
+            raise ConfigError(f"config key 'population' is not read by {self.experiment}; "
+                              f"only {', '.join(POPULATED)} sample a population")
         self._check_options()
+
+    def reseed(self, seed) -> None:
+        """Set the seed from `--seed`, and the population's seed with it; a
+        Monte Carlo integration seed stays its own."""
+        self.seed = check_seed(seed, "--seed")
+        if self.population is not None:
+            self.population = replace(self.population, seed=self.seed)
 
     def _check_options(self) -> None:
         """Raise ConfigError naming the first option that the subcommand
@@ -230,10 +244,15 @@ class ExperimentConfig:
 
 
 def config_from_dict(d) -> ExperimentConfig:
+    """The config that the mapping d describes. A population with no seed of
+    its own takes the config's seed."""
     values = read_fields(_CONFIG, d, "config")
     if values.pop("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, "
                           f"got {d['schema_version']!r}")
+    pop = values.get("population")
+    if pop is not None and "seed" not in d["population"]:
+        values["population"] = replace(pop, seed=values.get("seed", 0))
     return ExperimentConfig(**values)
 
 

@@ -1,10 +1,11 @@
-"""Extrapolation-from-averages: rule families, the instrument-orthogonality
-GMM solve, unit-level prediction, and correctness diagnostics.
+"""Extrapolation-from-averages: three outcome rules fitted by instrument
+orthogonality, unit-level prediction, and correctness diagnostics.
 
-A rule family is a finite-dimensionally parameterized class of outcome
-transformations H(y, a), invertible in y. Instrument orthogonality selects
-one member; predictions then act as if the selected transformed outcome
-has zero individual treatment effects.
+A rule is an outcome transformation H(y, a), invertible in y, from a
+finite-dimensional class: `DemeanedRule`, `QuantileRule` or
+`PartiallyLinearRule`. Each class's `fit(data)` selects the member whose
+H(Y, A) is mean-independent of the instruments; predictions then act as if
+the transformed outcome has zero individual treatment effects.
 
 Observations are one `ObsSet` of stacked arrays, and rules act on arrays:
 `H`, `H_inverse` and `extrapolate` take one observation or a batch (an
@@ -15,7 +16,7 @@ and one structural prediction per target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,7 +48,12 @@ class ObsSet:
         return ObsSet(self.y[rows], self.a[rows], self.z[rows])
 
 
-# --- scalar monotone transforms for the demeaned family ---------------------
+# --- the three rules -------------------------------------------------------
+#
+# Each rule is built by its own `fit(data)`. For the demeaned and quantile
+# rules y is an outcome or an array of outcomes and a a treatment level or
+# an array of levels; for the partially linear rule y is the inside share
+# of J = 1 markets (a float or an (n,) array) under a Bundle or Bundles.
 
 _F_TRANSFORMS = {
     "identity": (lambda y: y, lambda v: v),
@@ -56,62 +62,76 @@ _F_TRANSFORMS = {
 }
 
 
+def _support(data: ObsSet) -> tuple:
+    """The sorted treatment levels of the observations; none is a ConfigError."""
+    if not len(data):
+        raise ConfigError("no observations to fit the rule on")
+    return tuple(sorted(set(data.a.tolist())))
+
+
+def _level_index(levels: tuple, a) -> np.ndarray:
+    """Position in `levels` of each treatment level in a."""
+    a = np.asarray(a)
+    hit = a[..., None] == np.asarray(levels)
+    found = hit.any(axis=-1)
+    if not found.all():
+        bad = np.atleast_1d(a)[~np.atleast_1d(found)][0].item()
+        raise ConfigError(f"treatment level {bad!r} outside the fitted support")
+    return hit.argmax(axis=-1)
+
+
 @dataclass(frozen=True)
-class RuleFamily:
-    """A parameterized class of invertible outcome transformations.
+class DemeanedRule:
+    """H(y, a) = f(y) - mu(a), with mu free per treatment level over the
+    fitted support `levels`; `criterion` is the GMM criterion at mu."""
 
-    kinds:
-      demeaned-transform      H(y, a) = f(y) - mu(a), mu free per treatment
-                              level over a finite support
-      quantile-rank           H(y, a) = smoothed empirical CDF of Y given
-                              A = a (scalar outcomes)
-      partially-linear-index  H(y, a) = logit(y) + alpha p - x2 gamma - x1,
-                              coefficients (alpha, gamma) = param_map theta
-    """
+    f: str
+    levels: tuple
+    mu: tuple
+    criterion: float
 
-    kind: str
-    f: str = "identity"  # demeaned kind
-    param_map: tuple = ()  # partially-linear: rows of the theta -> coeff map
-    theta: tuple | None = None  # fitted parameters
-    levels: tuple = ()  # demeaned/quantile: treatment support
-    samples: tuple = ()  # quantile: per-level sorted outcome samples
-    n_params: int = 1  # partially-linear without a param_map: len(theta)
-
-    def __post_init__(self):
-        kinds = ("demeaned-transform", "quantile-rank", "partially-linear-index")
-        if self.kind not in kinds:
-            raise ConfigError(f"unknown rule family kind: {self.kind!r}")
-        if self.kind == "demeaned-transform" and self.f not in _F_TRANSFORMS:
-            raise ConfigError(f"unknown transform f: {self.f!r}")
-
-    @property
-    def fitted(self) -> bool:
-        return self.theta is not None or bool(self.samples)
-
-    # -- transformed outcome and its inverse --------------------------------
-    #
-    # For the demeaned and quantile families y is an outcome or an array of
-    # outcomes and a a treatment level or an array of levels; for the
-    # partially linear family y is the inside share of J = 1 markets (a
-    # float or an (n,) array) under a Bundle or Bundles. A scalar input
-    # gives a float.
-
-    def _level_index(self, a) -> np.ndarray:
-        """Position in `levels` of each treatment level in a."""
-        a = np.asarray(a)
-        hit = a[..., None] == np.asarray(self.levels)
-        found = hit.any(axis=-1)
-        if not found.all():
-            bad = np.atleast_1d(a)[~np.atleast_1d(found)][0].item()
-            raise ConfigError(f"treatment level {bad!r} outside the fitted support")
-        return hit.argmax(axis=-1)
+    @classmethod
+    def fit(cls, data: ObsSet, f: str) -> "DemeanedRule":
+        """The mu orthogonal to the instruments, by closed-form two-step GMM,
+        for the transform f: "identity", "log" or "logit"."""
+        if f not in _F_TRANSFORMS:
+            raise ConfigError(f"unknown transform f: {f!r}")
+        levels = _support(data)
+        D = (data.a[:, None] == np.array(levels)).astype(float)
+        mu, crit = _fit_linear(_F_TRANSFORMS[f][0](data.y), D, instrument_basis(data))
+        return cls(f, levels, tuple(mu.tolist()), crit)
 
     def _mu(self, a) -> np.ndarray:
-        return np.asarray(self.theta, dtype=float)[self._level_index(a)]
+        return np.asarray(self.mu)[_level_index(self.levels, a)]
+
+    def H(self, y, a):
+        """Transformed outcome at (y, a)."""
+        return _F_TRANSFORMS[self.f][0](np.asarray(y, dtype=float)) - self._mu(a)
+
+    def H_inverse(self, v, a):
+        """The outcome y with H(y, a) = v."""
+        return _F_TRANSFORMS[self.f][1](np.asarray(v, dtype=float) + self._mu(a))
+
+
+@dataclass(frozen=True)
+class QuantileRule:
+    """H(y, a) = smoothed empirical CDF of Y given A = a (Athey & Imbens,
+    2006): `samples` holds the sorted outcomes of each level in `levels`."""
+
+    levels: tuple
+    samples: tuple
+
+    @classmethod
+    def fit(cls, data: ObsSet) -> "QuantileRule":
+        levels = _support(data)
+        samples = tuple(tuple(np.sort(data.y[data.a == lev]).tolist()) for lev in levels)
+        if any(len(s) < 2 for s in samples):
+            raise ConfigError("each treatment level needs at least 2 outcomes")
+        return cls(levels, samples)
 
     def _by_level(self, fn, x, a) -> np.ndarray:
         """fn(sorted sample of level k, entries of x at level k), for each k."""
-        idx = self._level_index(a)
+        idx = _level_index(self.levels, a)
         x, idx = np.broadcast_arrays(np.asarray(x, dtype=float), idx)
         out = np.empty(x.shape)
         for k in np.unique(idx):
@@ -119,61 +139,54 @@ class RuleFamily:
             out[rows] = fn(np.asarray(self.samples[k]), x[rows])
         return out
 
-    def _pl_coeffs(self) -> np.ndarray:
-        M = np.atleast_2d(np.asarray(self.param_map, dtype=float)) if self.param_map \
-            else np.eye(len(self.theta))
-        return M @ np.asarray(self.theta, dtype=float)
-
-    def _pl_index(self, a: Bundle | Bundles):
-        """alpha, and p, x2 gamma and x1 of the J = 1 markets at a."""
-        coeffs = self._pl_coeffs()
-        d2 = a.x2.shape[-1]
-        x2term = a.x2[..., 0, :] @ coeffs[1:1 + d2] if d2 else 0.0
-        return coeffs[0], a.p[..., 0], x2term, a.x1[..., 0]
-
     def H(self, y, a):
         """Transformed outcome at (y, a)."""
-        if self.kind == "demeaned-transform":
-            fwd, _ = _F_TRANSFORMS[self.f]
-            return _scalar(fwd(np.asarray(y, dtype=float)) - self._mu(a))
-        if self.kind == "quantile-rank":
-            return _scalar(self._by_level(_cdf_interp, y, a))
-        alpha, p, x2term, x1 = self._pl_index(a)
-        return _scalar(logit(np.asarray(y, dtype=float)) + alpha * p - x2term - x1)
+        return self._by_level(_cdf_interp, y, a)
 
     def H_inverse(self, v, a):
         """The outcome y with H(y, a) = v."""
-        v = np.asarray(v, dtype=float)
-        if self.kind == "demeaned-transform":
-            _, inv = _F_TRANSFORMS[self.f]
-            return _scalar(inv(v + self._mu(a)))
-        if self.kind == "quantile-rank":
-            return _scalar(self._by_level(_quantile_interp, v, a))
-        alpha, p, x2term, x1 = self._pl_index(a)
-        out = expit(v - alpha * p + x2term + x1)
+        return self._by_level(_quantile_interp, v, a)
+
+
+@dataclass(frozen=True)
+class PartiallyLinearRule:
+    """H(y, a) = logit(y) + alpha p - x2 gamma - x1 of J = 1 markets, with
+    theta = (alpha, gamma): one coefficient for the price and one per x2
+    column; `criterion` is the GMM criterion at theta."""
+
+    theta: tuple
+    criterion: float
+
+    @classmethod
+    def fit(cls, data: ObsSet) -> "PartiallyLinearRule":
+        """The theta orthogonal to the instruments, by closed-form two-step GMM."""
+        a = data.a
+        X = np.column_stack([a.p[:, 0], -a.x2[:, 0]])  # H = logit(y) - x1 + X theta
+        theta, crit = _fit_linear(logit(data.y) - a.x1[:, 0], -X, instrument_basis(data))
+        return cls(tuple(theta.tolist()), crit)
+
+    def _index(self, a: Bundle | Bundles):
+        """alpha, and p, x2 gamma and x1 of the J = 1 markets at a."""
+        x2term = a.x2[..., 0, :] @ np.asarray(self.theta[1:])
+        return self.theta[0], a.p[..., 0], x2term, a.x1[..., 0]
+
+    def H(self, y, a):
+        """Transformed outcome at (y, a)."""
+        alpha, p, x2term, x1 = self._index(a)
+        return logit(np.asarray(y, dtype=float)) + alpha * p - x2term - x1
+
+    def H_inverse(self, v, a):
+        """The outcome y with H(y, a) = v."""
+        alpha, p, x2term, x1 = self._index(a)
+        out = expit(np.asarray(v, dtype=float) - alpha * p + x2term + x1)
         inside = (0.0 < out) & (out < 1.0)
         if not inside.all():
             bad = np.atleast_1d(out)[~np.atleast_1d(inside)][0]
             raise InversionFailure(f"inverse left the outcome space: {bad}")
-        return _scalar(out)
+        return out
 
 
-def _scalar(x):
-    """A 0-d result as a float; arrays as they are."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
-def demeaned_family(f: str = "identity") -> RuleFamily:
-    return RuleFamily("demeaned-transform", f=f)
-
-
-def quantile_family() -> RuleFamily:
-    return RuleFamily("quantile-rank")
-
-
-def partially_linear_family(n_params: int = 1, param_map=()) -> RuleFamily:
-    return RuleFamily("partially-linear-index", n_params=n_params,
-                      param_map=tuple(tuple(row) for row in param_map))
+Rule = DemeanedRule | QuantileRule | PartiallyLinearRule
 
 
 def _ranks(m: int) -> np.ndarray:
@@ -225,112 +238,47 @@ def instrument_basis(data: ObsSet) -> np.ndarray:
 
 # --- GMM solve --------------------------------------------------------------
 
-@dataclass
-class FitReport:
-    theta: np.ndarray
-    criterion: float
-
-
 def _two_step_weight(contrib: np.ndarray) -> np.ndarray:
-    S = np.cov(contrib, rowvar=False, bias=True)
-    S = np.atleast_2d(S)
+    S = np.atleast_2d(np.cov(contrib, rowvar=False, bias=True))
     ridge = 1e-10 * max(np.trace(S) / len(S), 1e-30)
     return np.linalg.pinv(S + ridge * np.eye(len(S)))
 
 
-def solve_orthogonality(family: RuleFamily,
-                        data: ObsSet) -> tuple[RuleFamily, FitReport]:
-    """Select the family member orthogonal to the instruments.
+def _fit_linear(u: np.ndarray, D: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, float]:
+    """Two-step GMM on the mean-independence moments mean(b (u - D theta)) = 0,
+    in closed form: theta and its criterion.
 
-    Two-step GMM on the mean-independence moments E[H_theta(Y, A) b(Z)] = 0.
-    They are linear in theta for the demeaned and partially linear
-    families, so both are solved in closed form; raises NonUnique when the
-    moment system is rank deficient.
+    Fewer than 10 observations per parameter is a ConfigError. Raises
+    NonUnique when G = mean(b D') has rank below dim(theta); its candidates
+    are the least-squares theta and theta plus a null-space vector of G,
+    which attain the same criterion.
     """
-    if not len(data):
-        raise ConfigError("no observations to fit the rule family on")
-    if family.kind == "quantile-rank":
-        return _fit_quantile(family, data)
-    if family.kind == "demeaned-transform":
-        return _fit_demeaned(family, data)
-    return _fit_partially_linear(family, data)
-
-
-def _require_size(n: int, dim: int):
+    n, dim = D.shape
     if n < 10 * dim:
         raise ConfigError(f"need at least {10 * dim} observations for {dim} parameters, got {n}")
-
-
-def _fit_quantile(family: RuleFamily, data: ObsSet) -> tuple[RuleFamily, FitReport]:
-    y, a = data.y, data.a
-    levels = sorted(set(a.tolist()))
-    samples = tuple(tuple(np.sort(y[a == lev]).tolist()) for lev in levels)
-    if any(len(s) < 2 for s in samples):
-        raise ConfigError("each treatment level needs at least 2 outcomes")
-    return replace(family, levels=tuple(levels), samples=samples), FitReport(np.array([]), 0.0)
-
-
-def _fit_demeaned(family: RuleFamily, data: ObsSet) -> tuple[RuleFamily, FitReport]:
-    y, a = data.y, data.a
-    levels = sorted(set(a.tolist()))
-    _require_size(len(data), len(levels))
-    fwd, _ = _F_TRANSFORMS[family.f]
-    D = (a[:, None] == np.array(levels)).astype(float)
-    report = _fit_linear(fwd(y), D, instrument_basis(data))
-    return replace(family, theta=tuple(report.theta), levels=tuple(levels)), report
-
-
-def _fit_partially_linear(family: RuleFamily, data: ObsSet) -> tuple[RuleFamily, FitReport]:
-    M = np.atleast_2d(np.asarray(family.param_map, dtype=float)) if family.param_map \
-        else np.eye(family.n_params)
-    _require_size(len(data), M.shape[1])
-    y, a = data.y, data.a
-    # H = logit(y) - x1 + (p, -x2) M theta
-    X = np.column_stack([a.p[:, 0], -a.x2[:, 0]])
-    report = _fit_linear(logit(y) - a.x1[:, 0], -X @ M[:X.shape[1]], instrument_basis(data))
-    return replace(family, theta=tuple(report.theta)), report
-
-
-def _fit_linear(u: np.ndarray, D: np.ndarray, B: np.ndarray) -> FitReport:
-    """Two-step GMM on the moments mean(b (u - D theta)) = 0, in closed form.
-
-    Raises NonUnique when G = mean(b D') has rank below dim(theta); its
-    candidates are the least-squares theta and theta plus a null-space
-    vector of G, which attain the same criterion.
-    """
-    G = B.T @ D / len(u)
-    c = B.T @ u / len(u)
-    rank = np.linalg.matrix_rank(G, tol=1e-10)
-    if rank < D.shape[1]:
-        theta, *_ = np.linalg.lstsq(G, c, rcond=None)
-        null = np.linalg.svd(G)[2][-1]
-        raise NonUnique(f"moment system rank {rank} < {D.shape[1]} parameters",
-                        candidates=[theta, theta + null])
-    theta = _linear_gmm(G, c, lambda th: (u - D @ th)[:, None] * B)
-    crit = float(np.sum((c - G @ theta) ** 2))
-    return FitReport(theta, crit)
-
-
-def _linear_gmm(G: np.ndarray, c: np.ndarray, contrib_fn) -> np.ndarray:
+    G = B.T @ D / n
+    c = B.T @ u / n
     theta1, *_ = np.linalg.lstsq(G, c, rcond=None)
-    W = _two_step_weight(contrib_fn(theta1))
-    A = G.T @ W @ G
-    return np.linalg.solve(A, G.T @ W @ c)
+    rank = np.linalg.matrix_rank(G, tol=1e-10)
+    if rank < dim:
+        raise NonUnique(f"moment system rank {rank} < {dim} parameters",
+                        candidates=[theta1, theta1 + np.linalg.svd(G)[2][-1]])
+    W = _two_step_weight((u - D @ theta1)[:, None] * B)
+    theta = np.linalg.solve(G.T @ W @ G, G.T @ W @ c)
+    return theta, float(np.sum((c - G @ theta) ** 2))
 
 
-def extrapolate(fitted: RuleFamily, y, a, target_a):
+def extrapolate(rule: Rule, y, a, target_a):
     """Predicted outcome at target_a: H^{-1}(H(y, a), target_a).
 
-    y and a are one observation or a batch (see `RuleFamily.H`); target_a
+    y and a are one observation or a batch (see the rules above); target_a
     is one treatment for every row or one per row. Rows whose target equals
     their treatment return y exactly, and y itself when all of them do.
     """
-    if not fitted.fitted:
-        raise ConfigError("family must be fitted by solve_orthogonality first")
     same = _same_treatment(a, target_a)
     if same.all():
         return y
-    out = fitted.H_inverse(fitted.H(y, a), target_a)
+    out = rule.H_inverse(rule.H(y, a), target_a)
     return np.where(same, y, out) if same.any() else out
 
 
@@ -353,45 +301,37 @@ class Prop32Report:
         return self.max_gap <= self.tol
 
 
-def check_prop32(fitted: RuleFamily, data: ObsSet, targets) -> Prop32Report:
+def check_prop32(rule: Rule, data: ObsSet, targets) -> Prop32Report:
     """Agreement between rule-based extrapolation and the structural model
     constructed from the fitted rule, on every market and target: one
     extrapolation and one structural prediction of all markets per target.
     The targets are treatment levels, or Bundles whose rows are the target
     bundles.
 
-    For the partially linear family the structural route is
+    For the partially linear rule the structural route is
     `counterfactual.predict` on the plain-logit share map of the fitted
-    coefficients, an independent code path; for the demeaned family the
-    structural conversion map is composed explicitly.
+    coefficients, an independent code path; for the other rules it is the
+    conversion through the baseline level, the first of the support.
     """
     y, a = data.y, data.a
     gap = 0.0
     for t in targets:
-        tilde = extrapolate(fitted, y, a, t)
-        structural = _structural_predict(fitted, y, a, t)
+        tilde = extrapolate(rule, y, a, t)
+        structural = _structural_predict(rule, y, a, t)
         gap = max(gap, float(np.max(np.abs(tilde - structural))))
     return Prop32Report(gap)
 
 
-def _structural_predict(fitted: RuleFamily, y: np.ndarray, a, target_a) -> np.ndarray:
+def _structural_predict(rule: Rule, y: np.ndarray, a, target_a) -> np.ndarray:
     """Structural predictions at target_a of the stacked observations (y, a)."""
-    if fitted.kind == "partially-linear-index":
-        coeffs = fitted._pl_coeffs()
-        m = plain_logit(alpha=float(coeffs[0]), gamma=tuple(coeffs[1:]))
+    if isinstance(rule, PartiallyLinearRule):
+        m = plain_logit(alpha=rule.theta[0], gamma=rule.theta[1:])
         if target_a.x1.ndim == 1:  # one bundle for every row
             target_a = Bundles.repeat(target_a, len(y))
         return predict(m, y[:, None], a, target_a)[:, 0]
-    if fitted.kind == "demeaned-transform":
-        # conversion to the baseline level and back, composed explicitly
-        fwd, inv = _F_TRANSFORMS[fitted.f]
-        base = fitted.levels[0]
-        y0 = inv(fwd(y) - fitted._mu(a) + fitted._mu(base))
-        return inv(fwd(y0) - fitted._mu(base) + fitted._mu(target_a))
-    # quantile-rank: via the baseline-level quantile scale
-    base = fitted.levels[0]
-    y0 = fitted.H_inverse(fitted.H(y, a), base)
-    return fitted.H_inverse(fitted.H(y0, base), target_a)
+    base = rule.levels[0]
+    y0 = rule.H_inverse(rule.H(y, a), base)
+    return rule.H_inverse(rule.H(y0, base), target_a)
 
 
 @dataclass

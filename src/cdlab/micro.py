@@ -585,11 +585,11 @@ def _normalize_candidate(h_raw: Candidate, params, residual,
     W = profiles[0].w_grid
     J = W.shape[1]
     if y0 is None:
-        y0 = np.median(np.array([p.shares[0] for p in profiles]), axis=0)
+        y0 = _median_rows(np.array([p.shares[0] for p in profiles]))
     y0 = np.asarray(y0, dtype=float)
 
     base = h_raw(y0[None, :], a)[0]
-    g_raw = np.median(_stacked_increments(h_raw, profiles, a), axis=0)  # (G, J), zero at w0
+    g_raw = _median_rows(_stacked_increments(h_raw, profiles, a))  # (G, J), zero at w0
 
     # dg/dw at w0 by least squares on nearby grid points
     order = np.argsort(np.linalg.norm(W - W[0], axis=1))

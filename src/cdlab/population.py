@@ -16,7 +16,7 @@ import numpy as np
 from . import laws
 from .demand import Integration, ShareMap, gauss_hermite, mixed_logit, shares_array
 from .errors import ConfigError
-from .streams import check_seed, market_streams  # noqa: F401  (cli reads check_seed here)
+from .streams import market_streams
 from .types import Bundle, Bundles, validate_share_rows
 
 

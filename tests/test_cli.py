@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdlab import cli, laws
-from cdlab.config import OPTIONS
+from cdlab.config import OPTIONS, POPULATED, config_from_dict
 from cdlab.errors import NoConvergence, RootNotBracketed
 
 
@@ -301,6 +301,56 @@ def test_negative_config_seed_exits_1_naming_it(tmp_path, capsys, where, cfg):
     path.write_text(json.dumps(doc))
     assert run(["simulate", "--config", path, "--out", tmp_path / "out"]) == 1
     assert f"{where} must be a non-negative integer" in capsys.readouterr().err
+
+
+GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "configs"
+
+
+def test_seed_flag_seeds_the_population(tmp_path):
+    """`--seed 5` on the golden simulate config writes what a config with
+    both seeds at 5 writes, and not what `--seed 3` writes."""
+    doc = json.loads((GOLDEN_CONFIGS / "simulate.json").read_text())
+    doc["seed"] = doc["population"]["seed"] = 5
+    both = tmp_path / "both.json"
+    both.write_text(json.dumps(doc))
+    written = {}
+    for name, args in {"flag5": ["--config", GOLDEN_CONFIGS / "simulate.json", "--seed", 5],
+                       "flag3": ["--config", GOLDEN_CONFIGS / "simulate.json", "--seed", 3],
+                       "both5": ["--config", both]}.items():
+        assert run(["simulate", "--out", tmp_path / name, *args]) == 0
+        written[name] = (tmp_path / name / "population.csv").read_bytes()
+    assert written["flag5"] == written["both5"] != written["flag3"]
+
+
+def test_a_population_without_a_seed_takes_the_configs(tmp_path):
+    doc = json.loads((GOLDEN_CONFIGS / "simulate.json").read_text())
+    written = []
+    for seed in (2, 9):
+        doc["seed"] = seed
+        doc["population"].pop("seed", None)
+        unseeded = tmp_path / f"unseeded{seed}.json"
+        unseeded.write_text(json.dumps(doc))
+        doc["population"]["seed"] = seed
+        seeded = tmp_path / f"seeded{seed}.json"
+        seeded.write_text(json.dumps(doc))
+        for path in (unseeded, seeded):
+            assert run(["simulate", "--config", path, "--out", tmp_path / path.stem]) == 0
+            written.append((tmp_path / path.stem / "population.csv").read_bytes())
+    assert written[0] == written[1] != written[2] == written[3]
+
+
+@pytest.mark.parametrize("cmd", sorted(set(OPTIONS) - set(POPULATED)))
+def test_a_population_where_no_runner_reads_it_exits_1(tmp_path, capsys, cmd):
+    """Only the subcommands that sample the config's population take one;
+    a null population is one not given."""
+    doc = json.loads((GOLDEN_CONFIGS / "simulate.json").read_text())
+    doc["experiment"] = cmd
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert run([cmd, "--config", path, "--out", tmp_path / "out"]) == 1
+    assert f"config key 'population' is not read by {cmd}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert config_from_dict({**doc, "population": None}).population is None
 
 
 def test_multi_word_seed_runs(tmp_path):

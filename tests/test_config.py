@@ -114,3 +114,14 @@ def test_unknown_options_fail_loudly():
                                           "its options are: market_count, curves_plotted"):
         cfg.apply_overrides(c, ["market_count=5", "curves=3"])
 
+
+
+def test_reseed_moves_the_population_seed_but_not_an_integration_seed():
+    population = {**SAMPLE_DICT, "integration": {"kind": "monte-carlo", "draws": 10, "seed": 11}}
+    c = cfg.config_from_dict({"schema_version": 1, "experiment": "simulate", "seed": 3,
+                              "population": population})
+    assert (c.seed, c.population.seed) == (3, 7)
+    c.reseed(5)
+    assert (c.seed, c.population.seed, c.population.integration.seed) == (5, 5, 11)
+    with pytest.raises(ConfigError, match="--seed must be a non-negative integer"):
+        c.reseed(-1)

@@ -21,12 +21,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdlab import cli
-from cdlab.config import NUMBER, OPTIONS, SHARE, WHOLE
+from cdlab.config import NUMBER, OPTIONS, POPULATED, SHARE, WHOLE
 
 SMALL = 12  # the largest valid count drawn above a field's least
 UPPER = {"n": 400}  # extrapolate needs 10 observations per parameter
 FAST_CRITERIA = (1, 2, 5, 6, 7, 9)  # about 0.2 s together; 3, 4 and 8 take seconds
-POPULATED = ("simulate", "invert", "predict", "verify-thm1")
 NAN, INF = float("nan"), float("inf")
 
 

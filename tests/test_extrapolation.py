@@ -15,10 +15,9 @@ from cdlab.types import Bundle, Bundles
 
 
 def test_rule_family_validation():
-    with pytest.raises(ConfigError):
-        ex.RuleFamily("spline")
-    with pytest.raises(ConfigError):
-        ex.demeaned_family("sqrt")
+    data, _, _ = demeaned_oracle_data(seed=1, n=80)
+    with pytest.raises(ConfigError, match="unknown transform f: 'sqrt'"):
+        ex.DemeanedRule.fit(data, "sqrt")
 
 
 @pytest.mark.parametrize("n", [1, 7, 401])
@@ -40,51 +39,48 @@ def test_demeaned_fit_equals_per_cell_means():
     """With dummy instruments on a balanced design, the fitted mu are the
     per-level means of f(Y)."""
     data, _, _ = demeaned_oracle_data(seed=11, n=400)
-    fam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
+    rule = ex.DemeanedRule.fit(data, "logit")
     ly = np.array([logit(float(o.y)) for o in data])
     lev = np.array([o.a for o in data])
-    for k, level in enumerate(fam.levels):
-        np.testing.assert_allclose(fam.theta[k], ly[lev == level].mean(),
+    for k, level in enumerate(rule.levels):
+        np.testing.assert_allclose(rule.mu[k], ly[lev == level].mean(),
                                    atol=1e-8)
 
 
 def test_demeaned_oracle_recovers_counterfactuals_exactly():
     data, shocks, mu = demeaned_oracle_data(seed=3, n=800)
-    fam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
+    rule = ex.DemeanedRule.fit(data, "logit")
     worst = 0.0
     for o, xi in zip(data[:200], shocks[:200]):
         for t in range(len(mu)):
-            pred = ex.extrapolate(fam, o.y, o.a, t)
+            pred = ex.extrapolate(rule, o.y, o.a, t)
             worst = max(worst, abs(pred - float(expit(mu[t] + xi))))
     assert worst <= 1e-8
 
 
-def test_extrapolate_requires_fit_and_known_level():
-    with pytest.raises(ConfigError):
-        ex.extrapolate(ex.demeaned_family("logit"), 0.4, 0, 1)
+def test_extrapolate_requires_a_known_level():
     data, _, _ = demeaned_oracle_data(seed=1, n=80)
-    fam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
+    rule = ex.DemeanedRule.fit(data, "logit")
     with pytest.raises(ConfigError):
-        ex.extrapolate(fam, 0.4, 0, 99)
+        ex.extrapolate(rule, 0.4, 0, 99)
 
 
 def test_extrapolate_returns_y_at_same_treatment():
     data, _, _ = demeaned_oracle_data(seed=2, n=80)
-    for fam_proto in (ex.demeaned_family("logit"), ex.quantile_family()):
-        fam, _ = ex.solve_orthogonality(fam_proto, data)
+    for rule in (ex.DemeanedRule.fit(data, "logit"), ex.QuantileRule.fit(data)):
         o = data[7]
-        assert ex.extrapolate(fam, o.y, o.a, o.a) == o.y
+        assert ex.extrapolate(rule, o.y, o.a, o.a) == o.y
 
 
 def test_quantile_family_rank_round_trip():
     data, _, _ = demeaned_oracle_data(seed=4, n=400)
-    fam, _ = ex.solve_orthogonality(ex.quantile_family(), data)
+    rule = ex.QuantileRule.fit(data)
     o = data[10]
-    u = fam.H(float(o.y), o.a)
-    np.testing.assert_allclose(fam.H_inverse(u, o.a), float(o.y), atol=1e-10)
+    u = rule.H(float(o.y), o.a)
+    np.testing.assert_allclose(rule.H_inverse(u, o.a), float(o.y), atol=1e-10)
     # ranks transport monotonically across levels
-    lo = ex.extrapolate(fam, float(o.y), o.a, fam.levels[0])
-    hi = ex.extrapolate(fam, float(o.y) + 1e-3, o.a, fam.levels[0])
+    lo = ex.extrapolate(rule, float(o.y), o.a, rule.levels[0])
+    hi = ex.extrapolate(rule, float(o.y) + 1e-3, o.a, rule.levels[0])
     assert hi > lo
 
 
@@ -100,10 +96,15 @@ def test_interp_extrap_interior_tails_and_round_trip():
 
 def test_partially_linear_recovers_price_and_x2_coefficients():
     data = _pl_data(seed=6, n=1000)
-    fam, _ = ex.solve_orthogonality(ex.partially_linear_family(n_params=2), data)
-    alpha, gamma = fam.theta
+    alpha, gamma = ex.PartiallyLinearRule.fit(data).theta
     assert abs(alpha - 1.3) < 0.1
     assert abs(gamma - 0.6) < 0.1
+
+
+@pytest.mark.parametrize("x2", [True, False])
+def test_partially_linear_rule_fits_one_coefficient_per_price_and_x2_column(x2):
+    data = _pl_data(seed=6, n=200, x2=x2)
+    assert len(ex.PartiallyLinearRule.fit(data).theta) == 1 + data.a.x2.shape[-1] == 1 + x2
 
 
 def _nelder_mead_two_step(data):
@@ -135,34 +136,28 @@ def _nelder_mead_two_step(data):
 @pytest.mark.parametrize("seed,n,x2", [(6, 1000, True), (5, 300, False)])
 def test_partially_linear_closed_form_matches_nelder_mead(seed, n, x2):
     data = _pl_data(seed, n, x2=x2)
-    family = ex.partially_linear_family(n_params=2 if x2 else 1)
-    fam, _ = ex.solve_orthogonality(family, data)
-    np.testing.assert_allclose(fam.theta, _nelder_mead_two_step(data), atol=1e-7, rtol=0)
+    np.testing.assert_allclose(ex.PartiallyLinearRule.fit(data).theta,
+                               _nelder_mead_two_step(data), atol=1e-7, rtol=0)
 
 
-def test_refitting_a_fitted_family_keeps_its_dimension():
-    data = _pl_data(seed=6, n=200)
-    fam, _ = ex.solve_orthogonality(ex.partially_linear_family(n_params=2), data)
-    refit, _ = ex.solve_orthogonality(fam, data)
-    assert refit.n_params == 2
-    np.testing.assert_array_equal(refit.theta, fam.theta)
-
-
-def test_partially_linear_nonunique_with_redundant_param_map():
-    data = _pl_data(seed=7, n=200, x2=False)
-    fam = ex.partially_linear_family(param_map=((1.0, 1.0),))
+def test_partially_linear_nonunique_on_collinear_price_and_x2():
+    """With x2 := p only alpha - gamma is identified: the moments are rank deficient."""
+    data = _pl_data(seed=7, n=200)
+    a = data.a
+    collinear = ex.ObsSet(data.y, a.replace(x2=a.p[:, :, None]), data.z)
     with pytest.raises(NonUnique) as err:
-        ex.solve_orthogonality(fam, data)
+        ex.PartiallyLinearRule.fit(collinear)
     assert len(err.value.candidates) >= 2
 
 
 def test_sample_size_guard():
     data = _pl_data(seed=8, n=12)
-    with pytest.raises(ConfigError):
-        ex.solve_orthogonality(ex.partially_linear_family(n_params=2), data)
-    for family in (ex.demeaned_family("logit"), ex.quantile_family()):
+    with pytest.raises(ConfigError, match="need at least 20 observations for 2 parameters"):
+        ex.PartiallyLinearRule.fit(data)
+    empty = demeaned_oracle_data(seed=8, n=0)[0]
+    for fit in (lambda d: ex.DemeanedRule.fit(d, "logit"), ex.QuantileRule.fit):
         with pytest.raises(ConfigError, match="no observations"):
-            ex.solve_orthogonality(family, demeaned_oracle_data(seed=8, n=0)[0])
+            fit(empty)
 
 
 def test_instrument_basis_dummies_vs_polynomials():
@@ -188,14 +183,13 @@ def test_instrument_basis_orders_one_column_dummies_as_sorted_rows():
 
 def test_check_prop32_demeaned_and_partially_linear():
     data, _, mu = demeaned_oracle_data(seed=9, n=200)
-    dfam, _ = ex.solve_orthogonality(ex.demeaned_family("logit"), data)
-    rep = ex.check_prop32(dfam, data[:20], targets=list(range(len(mu))))
+    rep = ex.check_prop32(ex.DemeanedRule.fit(data, "logit"), data[:20],
+                          targets=list(range(len(mu))))
     assert rep.passed and rep.max_gap <= 1e-10
 
     pl_data = _pl_data(seed=9, n=400)
-    pfam, _ = ex.solve_orthogonality(ex.partially_linear_family(n_params=2), pl_data)
     targets = pl_data.a[:5].replace(p=np.linspace(0.6, 2.8, 5)[:, None])
-    rep2 = ex.check_prop32(pfam, pl_data[:20], targets=targets)
+    rep2 = ex.check_prop32(ex.PartiallyLinearRule.fit(pl_data), pl_data[:20], targets=targets)
     assert rep2.passed and rep2.max_gap <= 1e-10
 
 
@@ -260,35 +254,34 @@ def test_obs_set_rows():
 
 # --- batched rules against the per-observation loop ---------------------------
 
-def _loop_extrapolate(fam, data, targets):
+def _loop_extrapolate(rule, data, targets):
     """Reference: one observation at a time, each with its own target."""
-    return np.array([float(ex.extrapolate(fam, o.y, o.a, t)) for o, t in zip(data, targets)])
+    return np.array([float(ex.extrapolate(rule, o.y, o.a, t)) for o, t in zip(data, targets)])
 
 
-def _loop_structural(fam, o, t):
+def _loop_structural(rule, o, t):
     """Reference: the structural prediction of one observation, as composed
     before the rules took arrays."""
-    if fam.kind == "partially-linear-index":
-        c = fam._pl_coeffs()
-        m = plain_logit(alpha=float(c[0]), gamma=tuple(c[1:]))
+    if isinstance(rule, ex.PartiallyLinearRule):
+        m = plain_logit(alpha=rule.theta[0], gamma=rule.theta[1:])
         one = [Bundles.repeat(Bundle(b.x1, b.p, b.x2), 1) for b in (o.a, t)]
         return float(predict(m, np.array([[o.y]]), *one)[0, 0])
-    base = fam.levels[0]
-    if fam.kind == "demeaned-transform":
-        mu = dict(zip(fam.levels, fam.theta))
+    base = rule.levels[0]
+    if isinstance(rule, ex.DemeanedRule):
+        mu = dict(zip(rule.levels, rule.mu))
         y0 = expit(logit(o.y) - mu[o.a] + mu[base])
         return float(expit(logit(y0) - mu[base] + mu[t]))
-    y0 = fam.H_inverse(fam.H(float(o.y), o.a), base)
-    return float(fam.H_inverse(fam.H(y0, base), t))
+    y0 = rule.H_inverse(rule.H(float(o.y), o.a), base)
+    return float(rule.H_inverse(rule.H(y0, base), t))
 
 
-def _loop_prop32(fam, data, targets):
-    return max(abs(float(ex.extrapolate(fam, o.y, o.a, t)) - _loop_structural(fam, o, t))
+def _loop_prop32(rule, data, targets):
+    return max(abs(float(ex.extrapolate(rule, o.y, o.a, t)) - _loop_structural(rule, o, t))
                for o in data for t in targets)
 
 
 def _fitted_cases():
-    """The three families as criteria 5 and 6 fit them, each with observations
+    """The three rules as criteria 5 and 6 fit them, each with observations
     and targets: every level, or price moves of observed bundles."""
     d5, _, mu = demeaned_oracle_data(seed=5)
     d6, _, _ = demeaned_oracle_data(seed=6, n=400)
@@ -296,15 +289,12 @@ def _fitted_cases():
     p6 = _pl_data(6, 1000)
     levels = list(range(len(mu)))
     prices = np.linspace(0.6, 2.8, 10)
-    fit = lambda fam, data: ex.solve_orthogonality(fam, data)[0]  # noqa: E731
     return [
-        ("demeaned-5", fit(ex.demeaned_family("logit"), d5), d5[:200], levels),
-        ("quantile-5", fit(ex.quantile_family(), d5[:2000]), d5[:200], levels),
-        ("pl-5", fit(ex.partially_linear_family(n_params=1), p5), p5[:50],
-         p5.a[:10].replace(p=prices[:, None])),
-        ("demeaned-6", fit(ex.demeaned_family("logit"), d6), d6[:50], levels),
-        ("pl-6", fit(ex.partially_linear_family(n_params=2), p6), p6[:50],
-         p6.a[:10].replace(p=prices[:, None])),
+        ("demeaned-5", ex.DemeanedRule.fit(d5, "logit"), d5[:200], levels),
+        ("quantile-5", ex.QuantileRule.fit(d5[:2000]), d5[:200], levels),
+        ("pl-5", ex.PartiallyLinearRule.fit(p5), p5[:50], p5.a[:10].replace(p=prices[:, None])),
+        ("demeaned-6", ex.DemeanedRule.fit(d6, "logit"), d6[:50], levels),
+        ("pl-6", ex.PartiallyLinearRule.fit(p6), p6[:50], p6.a[:10].replace(p=prices[:, None])),
     ]
 
 
@@ -314,11 +304,11 @@ def fitted_cases():
 
 
 def test_batched_extrapolate_equals_the_per_observation_loop(fitted_cases):
-    for name, fam, data, targets in fitted_cases:
+    for name, rule, data, targets in fitted_cases:
         y, a = data.y, data.a
         for t in targets:  # one target for every row
-            got = ex.extrapolate(fam, y, a, t)
-            np.testing.assert_array_equal(got, _loop_extrapolate(fam, data, [t] * len(data)),
+            got = ex.extrapolate(rule, y, a, t)
+            np.testing.assert_array_equal(got, _loop_extrapolate(rule, data, [t] * len(data)),
                                           err_msg=name)
         # one target per row, every third row at its own treatment
         rows = np.arange(len(data))
@@ -327,25 +317,25 @@ def test_batched_extrapolate_equals_the_per_observation_loop(fitted_cases):
             moved = a.replace(p=np.where(own[:, None], a.p, a.p + 0.25))
             per_row = [o.a if k else o.a.replace(p=o.a.p + 0.25) for o, k in zip(data, own)]
         else:
-            moved = np.where(own, a, (a + 1) % len(fam.levels))
+            moved = np.where(own, a, (a + 1) % len(rule.levels))
             per_row = moved.tolist()
-        got = ex.extrapolate(fam, y, a, moved)
-        np.testing.assert_array_equal(got, _loop_extrapolate(fam, data, per_row), err_msg=name)
+        got = ex.extrapolate(rule, y, a, moved)
+        np.testing.assert_array_equal(got, _loop_extrapolate(rule, data, per_row), err_msg=name)
         np.testing.assert_array_equal(got[own], y[own], err_msg=name)
-        assert ex.extrapolate(fam, y, a, a) is y  # all rows at their own treatment
+        assert ex.extrapolate(rule, y, a, a) is y  # all rows at their own treatment
 
 
 def test_batched_check_prop32_equals_the_per_observation_loop(fitted_cases):
-    for name, fam, data, targets in fitted_cases:
-        got = ex.check_prop32(fam, data, targets).max_gap
-        assert got == _loop_prop32(fam, data, targets), name
+    for name, rule, data, targets in fitted_cases:
+        got = ex.check_prop32(rule, data, targets).max_gap
+        assert got == _loop_prop32(rule, data, targets), name
         assert got <= 1e-10, name
 
 
 def test_batched_rules_name_a_level_outside_the_support(fitted_cases):
-    _, fam, data, _ = fitted_cases[0]
+    _, rule, data, _ = fitted_cases[0]
     y, a = data[:8].y, data[:8].a
     with pytest.raises(ConfigError, match="treatment level 7 outside"):
-        ex.extrapolate(fam, y, a, np.where(np.arange(8) == 5, 7, a))
+        ex.extrapolate(rule, y, a, np.where(np.arange(8) == 5, 7, a))
     with pytest.raises(ConfigError, match="treatment level 9 outside"):
-        fam.H(y, np.full(8, 9))
+        rule.H(y, np.full(8, 9))
