@@ -3,7 +3,10 @@
 Each criterion builds its own fixed DGP from a base seed, measures the
 quantities under test, and returns a result with named checks. The CLI
 `acceptance` subcommand and the test suite both run these functions, so
-the shipped gate and the emitted summary cannot drift apart.
+the shipped gate and the emitted summary cannot drift apart. The checks
+that a `cdl` subcommand also writes (`theorem1_checks`, `variance_pair`,
+`complete_micro_model` and `price_ccs`) are set up here once, for the
+subcommand and its criterion alike.
 """
 
 from __future__ import annotations
@@ -22,25 +25,9 @@ from .dgps import ScaledX1Spec, sample_scaled_x1_population
 from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
 from .errors import ConfigError
 from .inversion import invert_rows
-from .population import PopulationSpec, sample_population
+from .population import Population, PopulationSpec, sample_population
 from .streams import block_keys, market_streams
-from .types import Bundles, bundle, lognormal_mixing, validate_share_rows
-
-
-@dataclass
-class Check:
-    name: str
-    value: float
-    threshold: float
-    op: str  # "<=" or ">"
-
-    @property
-    def passed(self) -> bool:
-        if self.op == "<=":
-            return self.value <= self.threshold
-        if self.op == ">":
-            return self.value > self.threshold
-        raise ValueError(f"unknown comparison {self.op!r}")
+from .types import Bundles, Check, bundle, lognormal_mixing, validate_share_rows
 
 
 @dataclass
@@ -95,27 +82,28 @@ def _single_type_spec(seed: int, market_count: int = 100, J: int = 2) -> Populat
     )
 
 
-@_timed
-def criterion_2(seed: int) -> CriterionResult:
-    """Three equivalent homogeneity formulations, plus the two-type failure."""
-    spec = _single_type_spec(seed + 2)
-    pop = sample_population(spec)
-    m = spec.share_map(0)
+def theorem1_checks(spec: PopulationSpec) -> list[Check]:
+    """`verify_theorem1` on a sample of the single-type population spec, at
+    the baseline bundle (x1, p) = (0, 1.5) and ten grid bundles from
+    (-0.5, 0.6) to (0.5, 2.8) in every product: criterion 2's three checks,
+    which `cdl verify-thm1` writes."""
     a0 = bundle(np.zeros(spec.J), np.full(spec.J, 1.5))
     grid = [bundle(np.full(spec.J, x1), np.full(spec.J, p))
             for x1, p in zip(np.linspace(-0.5, 0.5, 10), np.linspace(0.6, 2.8, 10))]
-    rep = verify_theorem1(m, a0, grid, pop, spec.truth)
+    return verify_theorem1(spec.share_map(0), a0, grid, sample_population(spec), spec.truth)
 
+
+@_timed
+def criterion_2(seed: int) -> CriterionResult:
+    """Three equivalent homogeneity formulations, plus the two-type failure."""
     fig1 = Fig1Spec(market_count=100, seed=seed + 2)
     fspec = fig1.population_spec()
     fgrid = [bundle(0.0, p) for p in np.linspace(0.6, 2.8, 10)]
-    frep = verify_theorem1(mixed_logit(fig1.blue), bundle(0.0, 1.5), fgrid,
-                           sample_population(fspec), fspec.truth)
+    *_, shift = verify_theorem1(mixed_logit(fig1.blue), bundle(0.0, 1.5), fgrid,
+                                sample_population(fspec), fspec.truth)
     return CriterionResult(2, "theorem 1 equivalence", checks=[
-        Check("index_model", rep.max_index_model, 1e-8, "<="),
-        Check("inverse_model", rep.max_inverse_model, 1e-8, "<="),
-        Check("transformed_shift", rep.max_transformed_shift, 1e-8, "<="),
-        Check("two_type_hom_gap", frep.max_transformed_shift, 0.01, ">"),
+        *theorem1_checks(_single_type_spec(seed + 2)),
+        Check("two_type_hom_gap", shift.value, 0.01, ">"),
     ])
 
 
@@ -139,18 +127,23 @@ def criterion_3(seed: int) -> CriterionResult:
     ])
 
 
+def variance_pair(spec: Fig1Spec, pop: Population, bins: int) -> tuple[float, float]:
+    """The conditional variance of Y(p = 2.0) given Y(p = 1.5), in `bins`
+    bins, of pop, a sample of spec's two-type population, and of a sample of
+    its first type alone at the same market count and seed: criterion 4's
+    two values, which `cdl fig1` writes."""
+    a, a_prime = bundle(0.0, 1.5), bundle(0.0, 2.0)
+    single = PopulationSpec(J=1, market_count=spec.market_count, mixing_by_type=(spec.blue,),
+                            type_probabilities=(1.0,), seed=spec.seed)
+    return (conditional_variance(pop, spec.population_spec(), a, a_prime, bins=bins),
+            conditional_variance(sample_population(single), single, a, a_prime, bins=bins))
+
+
 @_timed
 def criterion_4(seed: int) -> CriterionResult:
     """Zero conditional variance under one type; positive under two."""
-    a = bundle(0.0, 1.5)
-    a_prime = bundle(0.0, 2.0)
-    spec = PopulationSpec(J=1, market_count=10_000,
-                          mixing_by_type=(lognormal_mixing(0.0, 0.5),),
-                          type_probabilities=(1.0,), seed=seed + 4)
-    v_single = conditional_variance(sample_population(spec), spec, a, a_prime, bins=200)
     fig1 = Fig1Spec(market_count=10_000, seed=seed + 4)
-    fspec = fig1.population_spec()
-    v_two = conditional_variance(sample_population(fspec), fspec, a, a_prime, bins=200)
+    v_two, v_single = variance_pair(fig1, sample_population(fig1.population_spec()), 200)
     return CriterionResult(4, "zero-variance diagnostic", checks=[
         Check("single_type_conditional_variance", v_single, 1e-10, "<="),
         Check("two_type_conditional_variance", v_two, 1e-4, ">"),
@@ -194,7 +187,7 @@ def _pl_data(seed: int, n: int, x2: bool = True):
 def criterion_5(seed: int) -> CriterionResult:
     """Extrapolation identity for all rules; demeaned-rule oracle."""
     data, shocks, mu = demeaned_oracle_data(seed + 5)
-    demeaned = ex.DemeanedRule.fit(data, "logit")
+    demeaned = ex.DemeanedRule.fit(data)
     pl_data = _pl_data(seed + 5, 300, x2=False)
     ident = 0.0
     for rule, obs in ((demeaned, data[:20]), (ex.QuantileRule.fit(data[:2000]), data[:20]),
@@ -217,14 +210,13 @@ def criterion_5(seed: int) -> CriterionResult:
 def criterion_6(seed: int) -> CriterionResult:
     """Rule-based and structural predictions coincide (both directions)."""
     data, _, mu = demeaned_oracle_data(seed + 6, n=400)
-    r1 = ex.check_prop32(ex.DemeanedRule.fit(data, "logit"), data[:50],
-                         targets=list(range(len(mu))))
+    gap1 = ex.check_prop32(ex.DemeanedRule.fit(data), data[:50], targets=list(range(len(mu))))
     pl_data = _pl_data(seed + 6, 1000)
     targets = pl_data.a[:10].replace(p=np.linspace(0.6, 2.8, 10)[:, None])
-    r2 = ex.check_prop32(ex.PartiallyLinearRule.fit(pl_data), pl_data[:50], targets=targets)
+    gap2 = ex.check_prop32(ex.PartiallyLinearRule.fit(pl_data), pl_data[:50], targets=targets)
     return CriterionResult(6, "rule/structural agreement", checks=[
-        Check("demeaned_max_gap", r1.max_gap, 1e-10, "<="),
-        Check("partially_linear_max_gap", r2.max_gap, 1e-10, "<="),
+        Check("demeaned_max_gap", gap1, 1e-10, "<="),
+        Check("partially_linear_max_gap", gap2, 1e-10, "<="),
     ])
 
 
@@ -273,32 +265,38 @@ def _micro_levels_rep(seed: int) -> tuple[np.ndarray, np.ndarray]:
     return valid.levels_c[:, 0].copy(), negative.levels_c[:, 0].copy()
 
 
+def complete_micro_model(dgp: mi.MicroDgp, spec: mi.MicroPopulationSpec, markets,
+                         y0: float, seed: int) -> mi.CompletedMicroModel:
+    """The micro model completed from markets simulated from dgp under spec:
+    at each treatment level k, the sigma family fitted to that level's
+    profiles (3 starts, search seed seed + k, baseline share y0), then the
+    instrument step. Criterion 8's stratified completion, which
+    `cdl micro-identify` writes."""
+    levels = [spec.level_bundle(dgp, k) for k in range(len(spec.price_levels))]
+    fam = mi.sigma_family(dgp, alpha_fixed=0.0)
+    cands = [mi.identify_h_and_g(fam, [m.profile for m in markets if m.level == k], a,
+                                 y0=np.array([y0]), starts=3, seed=seed + k)
+             for k, a in enumerate(levels)]
+    return mi.instrument_step(cands, markets, levels)
+
+
 @_timed
 def criterion_8(seed: int) -> CriterionResult:
     """Completion of the micro model: exact under stratified randomization,
     unbiased under endogenous treatment with a valid instrument, and
     detectably biased under the invalid instrument Z := A."""
     dgp = micro_dgp()
-    K = 4
     spec = mi.MicroPopulationSpec(market_count=200,
                                   price_levels=(0.5, 1.0, 1.5, 2.0),
                                   w_grid=tuple(np.linspace(-1.0, 1.0, 20)),
                                   seed=seed + 8, assignment="stratified")
     markets = mi.simulate_micro(dgp, spec)
-    levels = [spec.level_bundle(dgp, k) for k in range(K)]
-    fam = mi.sigma_family(dgp, alpha_fixed=0.0)
-    y0 = np.array([0.3])
-    cands = []
-    for k in range(K):
-        profs = [m.profile for m in markets if m.level == k]
-        cands.append(mi.identify_h_and_g(fam, profs, levels[k], y0=y0,
-                                         starts=3, seed=seed + k))
-    model = mi.instrument_step(cands, markets, levels)
+    model = complete_micro_model(dgp, spec, markets, 0.3, seed)
     worst = 0.0
     for m in markets[:50]:
-        target = (m.level + 2) % K
+        target = (m.level + 2) % len(model.dgp_levels)
         pred = model.predict_profile(m, target)
-        true = mi.true_profile(dgp, m.xi, levels[target], spec.w_grid).shares
+        true = mi.true_profile(dgp, m.xi, model.dgp_levels[target], spec.w_grid).shares
         worst = max(worst, float(np.max(np.abs(pred - true))))
 
     price_levels = (0.5, 1.25, 2.0)
@@ -317,17 +315,20 @@ def criterion_8(seed: int) -> CriterionResult:
     ])
 
 
+def price_ccs(spec: ScaledX1Spec) -> tuple[Check, dict]:
+    """`price_ccs_check` of the plain-logit share map on a sample of spec's
+    population, at ten prices from 0.6 to 2.8: criterion 9's check, which
+    `cdl price-ccs` writes."""
+    return ex.price_ccs_check(plain_logit(spec.alpha), sample_scaled_x1_population(spec),
+                              spec.truth, price_grid=np.linspace(0.6, 2.8, 10))
+
+
 @_timed
 def criterion_9(seed: int) -> CriterionResult:
     """Price counterfactuals transport exactly; x1 counterfactuals do not."""
-    spec = ScaledX1Spec(market_count=300, seed=seed + 9)
-    pop = sample_scaled_x1_population(spec)
-    rep = ex.price_ccs_check(plain_logit(spec.alpha), pop, spec.truth,
-                             price_grid=np.linspace(0.6, 2.8, 10))
-    worst_x1 = max(rep.x1_error_by_type.values())
+    price, x1_error = price_ccs(ScaledX1Spec(market_count=300, seed=seed + 9))
     return CriterionResult(9, "price-correctness contrast", checks=[
-        Check("price_counterfactual_error", rep.max_price_error, 1e-8, "<="),
-        Check("x1_counterfactual_error", worst_x1, 0.01, ">"),
+        price, Check("x1_counterfactual_error", max(x1_error.values()), 0.01, ">"),
     ])
 
 

@@ -23,15 +23,15 @@ from . import acceptance as acc
 from . import extrapolation as ex
 from . import micro as mi
 from .config import OPTIONS, ExperimentConfig, apply_overrides, load_config
-from .counterfactual import predict, verify_theorem1
-from .demand import plain_logit, shares_array
-from .dgps import ScaledX1Spec, sample_scaled_x1_population
-from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
+from .counterfactual import predict
+from .demand import shares_array
+from .dgps import ScaledX1Spec
+from .diagnostics import Fig1Spec, crossing_curves
 from .errors import CdlabError, ConfigError, RootNotBracketed
 from .inversion import invert_rows
 from .population import PopulationSpec, sample_population
 from .svgplot import Panel, write_svg
-from .types import bundle, lognormal_mixing
+from .types import lognormal_mixing
 
 #: Marker colors per latent type, matching the two-type figure convention.
 TYPE_COLORS = ("#1f77b4", "#ff7f0e")
@@ -170,33 +170,26 @@ def run_fig1(cfg: ExperimentConfig, out: Path) -> None:
                            np.array([p.opposite for p in pairs])))
     write_svg(out / "fig1.svg", [panel])
 
-    a, a_prime = bundle(0.0, 1.5), bundle(0.0, 2.0)
-    pspec = spec.population_spec()
     bins = max(2, min(50, spec.market_count // 10))
-    v_two = conditional_variance(pop, pspec, a, a_prime, bins=bins)
-    single = PopulationSpec(J=1, market_count=spec.market_count,
-                            mixing_by_type=(spec.blue,),
-                            type_probabilities=(1.0,), seed=cfg.seed)
-    v_one = conditional_variance(sample_population(single), single, a, a_prime,
-                                 bins=bins)
+    v_two, v_one = acc.variance_pair(spec, pop, bins)
     write_csv(out / "variance_report.csv",
               ["population", "bins", "conditional_variance"],
               [["two-type", bins, v_two], ["single-type", bins, v_one]])
+
+
+def _write_equivalence(path: Path, theorem: int, checks) -> None:
+    """A theorem's equivalence report; any failed check is a CdlabError."""
+    write_csv(path, ["check", "max_deviation", "passed"],
+              [[c.name, c.value, c.passed] for c in checks])
+    if not all(c.passed for c in checks):
+        raise CdlabError(f"theorem {theorem} equivalence failed at tol {checks[0].threshold}")
 
 
 def run_verify_thm1(cfg: ExperimentConfig, out: Path) -> None:
     spec = _population(cfg)
     if len(spec.mixing_by_type) != 1:
         raise ConfigError("verify-thm1 requires a single-type population")
-    pop = sample_population(spec)
-    a0 = bundle(np.zeros(spec.J), np.full(spec.J, 1.5))
-    grid = [bundle(np.full(spec.J, x1), np.full(spec.J, p))
-            for x1, p in zip(np.linspace(-0.5, 0.5, 10), np.linspace(0.6, 2.8, 10))]
-    rep = verify_theorem1(spec.share_map(0), a0, grid, pop, spec.truth)
-    write_csv(out / "thm1_report.csv", ["check", "max_deviation", "passed"],
-              [[name, val, passed] for name, val, passed in rep.rows()])
-    if not rep.passed:
-        raise CdlabError(f"theorem 1 equivalence failed at tol {rep.tol}")
+    _write_equivalence(out / "thm1_report.csv", 1, acc.theorem1_checks(spec))
 
 
 def _micro_setup(cfg: ExperimentConfig):
@@ -210,18 +203,8 @@ def _micro_setup(cfg: ExperimentConfig):
 
 def run_verify_thm2(cfg: ExperimentConfig, out: Path) -> None:
     dgp, spec, markets = _micro_setup(cfg)
-    a0 = spec.level_bundle(dgp, 0)
-    rep = mi.verify_theorem2(dgp, markets[:20], a0)
-    write_csv(out / "thm2_report.csv", ["check", "max_deviation", "passed"], [
-        ["profile_conversion", rep.max_profile_conversion,
-         rep.max_profile_conversion <= rep.tol],
-        ["parallel_paths", rep.max_parallel_paths,
-         rep.max_parallel_paths <= rep.tol],
-        ["transformed_shift", rep.max_transformed_shift,
-         rep.max_transformed_shift <= rep.tol],
-    ])
-    if not rep.passed:
-        raise CdlabError(f"theorem 2 equivalence failed at tol {rep.tol}")
+    _write_equivalence(out / "thm2_report.csv", 2,
+                       mi.verify_theorem2(dgp, markets[:20], spec.level_bundle(dgp, 0)))
 
 
 def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
@@ -243,12 +226,10 @@ def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
         title = ("(a) rejected candidate" if name == "identity"
                  else "(b) true transform")
         panel = Panel(title=title, xlabel="w", ylabel="transformed share")
-        centered = []
-        for i, m in enumerate(markets):
-            H = cand(m.profile.shares, a)[:, 0]
-            centered.append(H - H[0])
-            panel.add(w, centered[-1], color=TYPE_COLORS[i % 2])
-        trans_rows += _market_rows(ids, w, np.array(centered), np.array(name))
+        centered = mi._stacked_increments(cand, [m.profile for m in markets], a)[:, :, 0]
+        for i, path in enumerate(centered):
+            panel.add(w, path, color=TYPE_COLORS[i % 2])
+        trans_rows += _market_rows(ids, w, centered, np.array(name))
         panels.append(panel)
     write_csv(out / "paths_raw.csv",
               ["market_id", "w", "value", "candidate_name"], raw_rows)
@@ -259,7 +240,7 @@ def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
 
 def run_extrapolate(cfg: ExperimentConfig, out: Path) -> None:
     data, _, mu = acc.demeaned_oracle_data(cfg.seed, n=cfg.option("n"))
-    rule = ex.DemeanedRule.fit(data, "logit")
+    rule = ex.DemeanedRule.fit(data)
     shown = data[:200]
     pred = np.array([ex.extrapolate(rule, shown.y, shown.a, t) for t in range(len(mu))])
     write_csv(out / "predictions.csv", ["market_id", "target_a", "y_tilde"],
@@ -280,17 +261,8 @@ def run_prop32(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_micro_identify(cfg: ExperimentConfig, out: Path) -> None:
-    dgp, spec, markets = _micro_setup(cfg)
-    K = len(spec.price_levels)
-    levels = [spec.level_bundle(dgp, k) for k in range(K)]
-    fam = mi.sigma_family(dgp, alpha_fixed=0.0)
-    y0 = np.array([cfg.option("y0")])
-    cands = []
-    for k in range(K):
-        profs = [m.profile for m in markets if m.level == k]
-        cands.append(mi.identify_h_and_g(fam, profs, levels[k], y0=y0,
-                                         starts=3, seed=cfg.seed + k))
-    model = mi.instrument_step(cands, markets, levels)
+    model = acc.complete_micro_model(*_micro_setup(cfg), cfg.option("y0"), cfg.seed)
+    cands, K = model.candidates, len(model.candidates)
     alpha_hat = mi.price_coefficient_from_levels(model)
     write_csv(out / "g_hat.csv", ["w", "g_hat"],
               [[float(wv), float(gv)] for wv, gv in
@@ -301,8 +273,8 @@ def run_micro_identify(cfg: ExperimentConfig, out: Path) -> None:
         vals = model.h_full(share_grid[:, None], k)[:, 0]
         h_rows.extend([[k, float(s), float(v)] for s, v in zip(share_grid, vals)])
     write_csv(out / "h_hat.csv", ["level", "share", "h_hat"], h_rows)
-    m_rows = [[k, float(levels[k].p[0]), float(model.levels_c[k, 0]),
-               float(cands[k].residual)] for k in range(K)]
+    m_rows = [[k, float(a.p[0]), float(model.levels_c[k, 0]),
+               float(cands[k].residual)] for k, a in enumerate(model.dgp_levels)]
     write_csv(out / "moment_report.csv",
               ["level", "price", "c_hat", "parallel_residual"], m_rows)
     write_csv(out / "estimates.csv", ["parameter", "estimate"],
@@ -310,17 +282,11 @@ def run_micro_identify(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_price_ccs(cfg: ExperimentConfig, out: Path) -> None:
-    spec = ScaledX1Spec(market_count=cfg.option("market_count"), seed=cfg.seed)
-    pop = sample_scaled_x1_population(spec)
-    rep = ex.price_ccs_check(plain_logit(spec.alpha), pop, spec.truth,
-                             price_grid=np.linspace(0.6, 2.8, 10))
-    rows = [["max_price_error", rep.max_price_error, rep.price_tol,
-             rep.price_correct]]
-    for zeta in sorted(rep.x1_error_by_type):
-        rows.append([f"x1_error_type_{zeta}", rep.x1_error_by_type[zeta],
-                     "", ""])
-    write_csv(out / "price_ccs_report.csv",
-              ["check", "value", "threshold", "passed"], rows)
+    price, x1_error = acc.price_ccs(ScaledX1Spec(market_count=cfg.option("market_count"),
+                                                 seed=cfg.seed))
+    write_csv(out / "price_ccs_report.csv", ["check", "value", "threshold", "passed"],
+              [["max_price_error", price.value, price.threshold, price.passed]]
+              + [[f"x1_error_type_{z}", x1_error[z], "", ""] for z in sorted(x1_error)])
 
 
 def run_acceptance(cfg: ExperimentConfig, out: Path) -> None:

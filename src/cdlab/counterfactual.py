@@ -3,15 +3,14 @@
 `predict` routes observed (Y, A), stacked one market per row, through the
 share-map inversion to the target bundles in one call: the conversion map
 C_{a -> a'}(Y) = sigma(sigma^{-1}(Y, a) - x1 + x1', a') of Theorem 1, whose
-outcome transform h is the inverse share map sigma^{-1}(., a). The
-equivalence report checks, market by market, that the theorem's three
+outcome transform h is the inverse share map sigma^{-1}(., a).
+`verify_theorem1` checks, market by market, that the theorem's three
 formulations of homogeneity coincide on a simulated population for a share
 map and a baseline bundle a0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,7 +19,7 @@ from .demand import ShareMap, shares_array
 from .errors import ConfigError
 from .inversion import invert_rows
 from .population import Population
-from .types import Bundle, Bundles, validate_share_rows
+from .types import Bundle, Bundles, Check, validate_share_rows
 
 EQUIV_TOL = 1e-8
 
@@ -37,30 +36,6 @@ def predict(m: ShareMap, observed_y, observed_a: Bundles, target_a: Bundles) -> 
     return validate_share_rows(shares_array(m, target_a.x1 + xi_hat, target_a))
 
 
-@dataclass
-class EquivalenceReport:
-    """Max deviations, over markets and grid bundles, of the three
-    formulations of the homogeneity restriction."""
-
-    max_index_model: float  # Y(a) vs h^{-1}(x1 + xi, a)
-    max_inverse_model: float  # x1 + xi vs h(Y(a), a)
-    max_transformed_shift: float  # h(Y(a),a) - h(Y(a0),a0) vs x1 - x10
-    tol: float = EQUIV_TOL
-
-    @property
-    def passed(self) -> bool:
-        return max(self.max_index_model, self.max_inverse_model,
-                   self.max_transformed_shift) <= self.tol
-
-    def rows(self):
-        return [
-            ("index_model", self.max_index_model, self.max_index_model <= self.tol),
-            ("inverse_model", self.max_inverse_model, self.max_inverse_model <= self.tol),
-            ("transformed_shift", self.max_transformed_shift,
-             self.max_transformed_shift <= self.tol),
-        ]
-
-
 def stack_targets(population: Population,
                   targets: Sequence[Bundles]) -> tuple[Population, Bundles]:
     """The markets of `population` once per target, block after block, and
@@ -74,11 +49,12 @@ def stack_targets(population: Population,
 
 def verify_theorem1(m: ShareMap, a0: Bundle, grid: Sequence[Bundle],
                     population: Population,
-                    truth: Callable[[Population, Bundles], np.ndarray],
-                    tol: float = EQUIV_TOL) -> EquivalenceReport:
+                    truth: Callable[[Population, Bundles], np.ndarray]) -> list[Check]:
     """Check the three equivalent homogeneity formulations numerically for
     the outcome transform h = sigma^{-1}(., a) of the share map m, with
-    baseline bundle a0.
+    baseline bundle a0: the largest deviation, over markets and grid
+    bundles, of each formulation, as the Checks "index_model",
+    "inverse_model" and "transformed_shift" at EQUIV_TOL.
 
     `truth(population, a)` evaluates the markets' potential outcomes (n, J)
     at Bundles a, one row each, from their stored latent states. a0 and the
@@ -103,6 +79,8 @@ def verify_theorem1(m: ShareMap, a0: Bundle, grid: Sequence[Bundle],
     xi = h[0] - a0.x1  # phi^{-1}(Y(a0)), phi the baseline map of (m, a0)
     x1 = np.array([a.x1 for a in grid])[:, None]  # (G, 1, J)
     pred = shares_array(m, (x1 + xi).reshape(len(grid) * n, -1), rows[n:])
-    return EquivalenceReport(float(np.max(np.abs(y[n:] - pred))),
-                             float(np.max(np.abs(x1 + xi - h[1:]))),
-                             float(np.max(np.abs(h[1:] - h[0] - (x1 - a0.x1)))), tol=tol)
+    return [Check(name, float(np.max(np.abs(gap))), EQUIV_TOL, "<=") for name, gap in (
+        ("index_model", y[n:] - pred),  # Y(a) vs h^{-1}(x1 + xi, a)
+        ("inverse_model", x1 + xi - h[1:]),  # x1 + xi vs h(Y(a), a)
+        ("transformed_shift", h[1:] - h[0] - (x1 - a0.x1)),  # h(Y(a),a) - h(Y(a0),a0) vs x1 - x10
+    )]

@@ -26,7 +26,10 @@ from .demand import ShareMap, expit, logit, plain_logit, shares_array
 from .errors import ConfigError, InversionFailure, NonUnique
 from .inversion import invert_rows
 from .population import Population
-from .types import Bundle, Bundles
+from .types import Bundle, Bundles, Check
+
+#: The largest price counterfactual error `price_ccs_check` passes.
+PRICE_CCS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -55,13 +58,6 @@ class ObsSet:
 # an array of levels; for the partially linear rule y is the inside share
 # of J = 1 markets (a float or an (n,) array) under a Bundle or Bundles.
 
-_F_TRANSFORMS = {
-    "identity": (lambda y: y, lambda v: v),
-    "log": (np.log, np.exp),
-    "logit": (logit, expit),
-}
-
-
 def _support(data: ObsSet) -> tuple:
     """The sorted treatment levels of the observations; none is a ConfigError."""
     if not len(data):
@@ -82,35 +78,31 @@ def _level_index(levels: tuple, a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DemeanedRule:
-    """H(y, a) = f(y) - mu(a), with mu free per treatment level over the
+    """H(y, a) = logit(y) - mu(a), with mu free per treatment level over the
     fitted support `levels`; `criterion` is the GMM criterion at mu."""
 
-    f: str
     levels: tuple
     mu: tuple
     criterion: float
 
     @classmethod
-    def fit(cls, data: ObsSet, f: str) -> "DemeanedRule":
-        """The mu orthogonal to the instruments, by closed-form two-step GMM,
-        for the transform f: "identity", "log" or "logit"."""
-        if f not in _F_TRANSFORMS:
-            raise ConfigError(f"unknown transform f: {f!r}")
+    def fit(cls, data: ObsSet) -> "DemeanedRule":
+        """The mu orthogonal to the instruments, by closed-form two-step GMM."""
         levels = _support(data)
         D = (data.a[:, None] == np.array(levels)).astype(float)
-        mu, crit = _fit_linear(_F_TRANSFORMS[f][0](data.y), D, instrument_basis(data))
-        return cls(f, levels, tuple(mu.tolist()), crit)
+        mu, crit = _fit_linear(logit(data.y), D, instrument_basis(data))
+        return cls(levels, tuple(mu.tolist()), crit)
 
     def _mu(self, a) -> np.ndarray:
         return np.asarray(self.mu)[_level_index(self.levels, a)]
 
     def H(self, y, a):
         """Transformed outcome at (y, a)."""
-        return _F_TRANSFORMS[self.f][0](np.asarray(y, dtype=float)) - self._mu(a)
+        return logit(np.asarray(y, dtype=float)) - self._mu(a)
 
     def H_inverse(self, v, a):
         """The outcome y with H(y, a) = v."""
-        return _F_TRANSFORMS[self.f][1](np.asarray(v, dtype=float) + self._mu(a))
+        return expit(np.asarray(v, dtype=float) + self._mu(a))
 
 
 @dataclass(frozen=True)
@@ -291,19 +283,9 @@ def _same_treatment(a, b) -> np.ndarray:
     return np.asarray(a) == np.asarray(b)
 
 
-@dataclass
-class Prop32Report:
-    max_gap: float
-    tol: float = 1e-10
-
-    @property
-    def passed(self) -> bool:
-        return self.max_gap <= self.tol
-
-
-def check_prop32(rule: Rule, data: ObsSet, targets) -> Prop32Report:
-    """Agreement between rule-based extrapolation and the structural model
-    constructed from the fitted rule, on every market and target: one
+def check_prop32(rule: Rule, data: ObsSet, targets) -> float:
+    """Largest gap between rule-based extrapolation and the structural model
+    constructed from the fitted rule, over every market and target: one
     extrapolation and one structural prediction of all markets per target.
     The targets are treatment levels, or Bundles whose rows are the target
     bundles.
@@ -319,7 +301,7 @@ def check_prop32(rule: Rule, data: ObsSet, targets) -> Prop32Report:
         tilde = extrapolate(rule, y, a, t)
         structural = _structural_predict(rule, y, a, t)
         gap = max(gap, float(np.max(np.abs(tilde - structural))))
-    return Prop32Report(gap)
+    return gap
 
 
 def _structural_predict(rule: Rule, y: np.ndarray, a, target_a) -> np.ndarray:
@@ -334,24 +316,14 @@ def _structural_predict(rule: Rule, y: np.ndarray, a, target_a) -> np.ndarray:
     return rule.H_inverse(rule.H(y0, base), target_a)
 
 
-@dataclass
-class PriceCcsReport:
-    """Price-transport correctness vs characteristic-transport failure."""
-
-    max_price_error: float
-    x1_error_by_type: dict
-    price_tol: float = 1e-8
-
-    @property
-    def price_correct(self) -> bool:
-        return self.max_price_error <= self.price_tol
-
-
 def price_ccs_check(m: ShareMap, population: Population, truth: Callable,
-                    price_grid: Sequence[float]) -> PriceCcsReport:
+                    price_grid: Sequence[float]) -> tuple[Check, dict]:
     """On a population homogeneous in price response but heterogeneous in
     the x1 response, the price counterfactuals of the share map m should
-    match the truth while x1 counterfactuals err for at least one type.
+    match the truth while x1 counterfactuals err for at least one type:
+    the largest price counterfactual error, as the Check
+    "price_counterfactual_error" at PRICE_CCS_TOL, and the largest x1
+    counterfactual error of each type, by type.
 
     `truth(population, bundles)` evaluates the stored potential outcomes
     (n, J) of the markets at Bundles, one row each. The check makes one
@@ -377,4 +349,4 @@ def price_ccs_check(m: ShareMap, population: Population, truth: Callable,
     err = err[-n:].max(axis=1)
     zeta = population.zeta
     x1_err = {z: float(err[zeta == z].max()) for z in dict.fromkeys(zeta.tolist())}
-    return PriceCcsReport(max_price, x1_err)
+    return Check("price_counterfactual_error", max_price, PRICE_CCS_TOL, "<="), x1_err

@@ -23,7 +23,7 @@ from .errors import (ConfigError, IntegrationFailure, NoConvergence, NonUnique, 
                      RootNotBracketed)
 from .inversion import InversionConfig, _solve_log_shares, solve_share_curve
 from .streams import block_keys, market_streams
-from .types import Bundle, validate_share_rows
+from .types import Bundle, Check, validate_share_rows
 
 PARALLEL_TOL = 1e-8
 DEFAULT_NU_NODES = 16
@@ -340,11 +340,11 @@ def identity_candidate() -> Candidate:
 
 @dataclass
 class CandidateFamily:
-    """Parametric family of candidate transforms for the parallelism search."""
+    """One-parameter family of candidate transforms for the parallelism
+    search: `build` makes the member at a (1,) parameter array in `bounds`."""
 
     build: Callable[[np.ndarray], Candidate]
-    bounds: tuple  # ((lo, hi), ...) per parameter
-    name: str = "candidate"
+    bounds: tuple  # (lo, hi)
 
 
 def sigma_family(template: MicroDgp, alpha_fixed: float = 0.0) -> CandidateFamily:
@@ -360,7 +360,7 @@ def sigma_family(template: MicroDgp, alpha_fixed: float = 0.0) -> CandidateFamil
         sigma = np.full(template.J, abs(params[0]))
         return truth_candidate(template.with_coefficients(sigma, alpha_fixed))
 
-    return CandidateFamily(build=build, bounds=((0.0, 4.0),), name="sigma-only")
+    return CandidateFamily(build=build, bounds=(0.0, 4.0))
 
 
 def _common_grid(profiles: Sequence[Profile]) -> np.ndarray:
@@ -529,15 +529,11 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
     Refinement: Brent's method between the best scan point's two neighbours,
     started at the scan point when it is strictly below both, and at the
     golden point when it is a bound or ties a neighbour. The scan point is
-    kept unless the refinement finds a lower residual. A family with more
-    than one parameter is a ConfigError.
+    kept unless the refinement finds a lower residual.
     """
     if len(profiles) < 2:
         raise ConfigError("need at least 2 markets")
-    if len(family.bounds) != 1:
-        raise ConfigError(f"candidate family {family.name!r} has {len(family.bounds)} "
-                          "parameters; the search takes one")
-    lo, hi = (float(b) for b in family.bounds[0])
+    lo, hi = (float(b) for b in family.bounds)
 
     failures = 0
     seen: dict[float, float] = {}  # the refinement re-evaluates its bracket
@@ -694,25 +690,14 @@ def instrument_step(candidates: Sequence[MicroCandidate],
                                candidates=tuple(candidates), levels_c=c)
 
 
-# --- equivalence report ------------------------------------------------------
-
-@dataclass
-class MicroEquivalenceReport:
-    max_profile_conversion: float  # sigma(sigma^{-1}(Y(a)[w]), a0) vs Y(a0)[w]
-    max_parallel_paths: float  # phi increments vs g(w)
-    max_transformed_shift: float  # combined form
-    tol: float = PARALLEL_TOL
-
-    @property
-    def passed(self) -> bool:
-        return max(self.max_profile_conversion, self.max_parallel_paths,
-                   self.max_transformed_shift) <= self.tol
-
+# --- theorem 2 check --------------------------------------------------------
 
 def verify_theorem2(dgp: MicroDgp, markets: Sequence[MicroMarket],
-                    a0: Bundle, tol: float = PARALLEL_TOL) -> MicroEquivalenceReport:
+                    a0: Bundle) -> list[Check]:
     """Numerically check the three equivalent micro-data formulations using
-    the DGP's own share map as the transform.
+    the DGP's own share map as the transform: the largest deviation of each,
+    as the Checks "profile_conversion", "parallel_paths" and
+    "transformed_shift" at PARALLEL_TOL.
 
     The markets share one demographic grid; markets of one treatment level
     share its bundle. The baseline profiles come from the batched profile
@@ -735,13 +720,12 @@ def verify_theorem2(dgp: MicroDgp, markets: Sequence[MicroMarket],
         idx = np.flatnonzero(level == k)
         Y = np.concatenate([markets[i].profile.shares for i in idx])
         delta[idx] = h(Y, markets[idx[0]].a).reshape(len(idx), G, J)
-    # (i) profile conversion through the baseline treatment
-    m1 = np.max(np.abs(h.shares(delta.reshape(n * G, J), a0).reshape(n, G, J) - prof_a0))
-    # (ii) parallel paths of the transformed baseline profile
     phi_vals = h(prof_a0.reshape(n * G, J), a0).reshape(n, G, J)
     phi_w0 = phi_vals[:, :1]
     g = (W - W[0]) @ base.Pi.T
-    m2 = np.max(np.abs(phi_vals - phi_w0 - g))
-    # (iii) combined transformed-shift form
-    m3 = np.max(np.abs(delta - phi_w0 - g))
-    return MicroEquivalenceReport(float(m1), float(m2), float(m3), tol=tol)
+    return [Check(name, float(np.max(np.abs(gap))), PARALLEL_TOL, "<=") for name, gap in (
+        ("profile_conversion",  # sigma(sigma^{-1}(Y(a)[w]), a0) vs Y(a0)[w]
+         h.shares(delta.reshape(n * G, J), a0).reshape(n, G, J) - prof_a0),
+        ("parallel_paths", phi_vals - phi_w0 - g),  # transformed baseline increments vs g(w)
+        ("transformed_shift", delta - phi_w0 - g),  # the combined form
+    )]

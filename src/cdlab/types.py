@@ -3,9 +3,11 @@
 Markets are rows: the bundles of n markets are one `Bundles` of stacked
 arrays, and their shares one (n, J) matrix, which `validate_share_rows`
 checks against the open simplex. A `Bundle` is one bundle, applied to every
-row or repeated over them. Bundle and MixingSpec copy their inputs and mark
-the arrays read-only, so instances are safe to share across threads;
-Bundles holds the arrays it is given.
+row or repeated over them. A `Check` is one measured value against its
+threshold, as the equivalence checks and the acceptance gate report it.
+Bundle and MixingSpec copy their inputs and mark the arrays read-only, so
+instances are safe to share across threads; Bundles holds the arrays it is
+given.
 """
 
 from __future__ import annotations
@@ -114,6 +116,25 @@ class Bundles:
     def replace(self, x1=None, p=None, x2=None) -> "Bundles":
         return Bundles(self.x1 if x1 is None else x1, self.p if p is None else p,
                        self.x2 if x2 is None else x2)
+
+
+@dataclass
+class Check:
+    """A named measured value and the threshold it must meet: value <=
+    threshold (op "<=") or value > threshold (op ">")."""
+
+    name: str
+    value: float
+    threshold: float
+    op: str  # "<=" or ">"
+
+    @property
+    def passed(self) -> bool:
+        if self.op == "<=":
+            return self.value <= self.threshold
+        if self.op == ">":
+            return self.value > self.threshold
+        raise ValueError(f"unknown comparison {self.op!r}")
 
 
 def bundle(x1, p, x2=None) -> Bundle:

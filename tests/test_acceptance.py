@@ -6,11 +6,15 @@ assert both the check values at their stated tolerances and, where a
 criterion carries one, the runtime budget.
 """
 
+import csv
+import json
+
 import numpy as np
 import pytest
 
 from cdlab import acceptance as acc
 from cdlab import cli
+from cdlab.config import load_config
 from cdlab.errors import ConfigError
 
 
@@ -93,6 +97,39 @@ def test_criterion_9_price_correctness_contrast():
     assert c["price_counterfactual_error"].value <= 1e-8
     assert c["x1_counterfactual_error"].value > 0.01
     assert r.passed
+
+
+def report_values(path, column):
+    """A `cdl` report CSV's values in `column`, by its `check` column."""
+    with open(path, newline="") as fh:
+        return {r["check"]: float(r[column]) for r in csv.DictReader(fh)}
+
+
+def test_verify_thm1_writes_criterion_2s_values(tmp_path):
+    """`cdl verify-thm1` on criterion 2's population at seed 0 (J = 2, 100
+    markets, seed 2) writes the criterion's first three values, bit for bit."""
+    config = tmp_path / "thm1.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "experiment": "verify-thm1", "population": {
+            "J": 2, "market_count": 100, "type_probabilities": [1.0], "seed": 2,
+            "mixing_by_type": [{"kind": "lognormal", "loc": [0.0], "scale": [0.3]}]}}))
+    assert load_config(config).population == acc._single_type_spec(2)
+    assert cli.main(["verify-thm1", "--config", str(config), "--out", str(tmp_path)]) == 0
+    written = report_values(tmp_path / "thm1_report.csv", "max_deviation")
+    assert written == {c.name: c.value for c in acc.criterion_2(0).checks[:3]}
+
+
+def test_price_ccs_writes_criterion_9s_values(tmp_path):
+    """`cdl price-ccs` on criterion 9's population at seed 0 (300 markets,
+    seed 9) writes the criterion's price error and, as its largest x1 error
+    by type, its x1 error, bit for bit."""
+    assert cli.main(["price-ccs", "--seed", "9", "--set", "market_count=300",
+                     "--out", str(tmp_path)]) == 0
+    written = report_values(tmp_path / "price_ccs_report.csv", "value")
+    price = written.pop("max_price_error")
+    c = checks_by_name(acc.criterion_9(0))
+    assert price == c["price_counterfactual_error"].value
+    assert max(written.values()) == c["x1_counterfactual_error"].value
 
 
 def test_criterion_10_acceptance_artifacts_are_byte_identical(tmp_path):

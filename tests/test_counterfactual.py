@@ -105,10 +105,12 @@ def test_verify_theorem1_passes_on_homogeneous_population():
     pop = sample_population(spec)
     grid = [bundle([x1], [p]) for x1, p in
             zip(np.linspace(-0.5, 0.5, 5), np.linspace(0.7, 2.7, 5))]
-    rep = verify_theorem1(spec.share_map(0), bundle([0.0], [1.5]), grid, pop, spec.truth)
-    assert rep.passed
-    assert rep.max_index_model <= 1e-8
-    assert len(rep.rows()) == 3
+    checks = verify_theorem1(spec.share_map(0), bundle([0.0], [1.5]), grid, pop, spec.truth)
+    assert [(c.name, c.threshold, c.op) for c in checks] == [
+        ("index_model", 1e-8, "<="), ("inverse_model", 1e-8, "<="),
+        ("transformed_shift", 1e-8, "<=")]
+    assert all(c.passed for c in checks)
+    assert checks[0].value <= 1e-8
 
 
 def test_verify_theorem1_fails_on_two_type_population():
@@ -116,10 +118,10 @@ def test_verify_theorem1_fails_on_two_type_population():
     spec = fig1.population_spec()
     pop = sample_population(spec)
     grid = [bundle([0.0], [p]) for p in np.linspace(0.7, 2.7, 5)]
-    rep = verify_theorem1(mixed_logit(fig1.blue), bundle([0.0], [1.5]), grid, pop,
-                          spec.truth)
-    assert not rep.passed
-    assert rep.max_transformed_shift > 0.01
+    *_, shift = verify_theorem1(mixed_logit(fig1.blue), bundle([0.0], [1.5]), grid, pop,
+                                spec.truth)
+    assert not shift.passed
+    assert shift.value > 0.01
 
 
 
@@ -181,8 +183,7 @@ def test_stacked_verify_theorem1_is_the_per_bundle_check(case):
     concatenates from broadcast targets: every node-weighted sum rounds a
     row by that row alone."""
     args = case()
-    rep = verify_theorem1(*args)
-    got = (rep.max_index_model, rep.max_inverse_model, rep.max_transformed_shift)
+    got = tuple(c.value for c in verify_theorem1(*args))
     assert got == per_bundle_theorem1(*args)
 
 
@@ -200,7 +201,7 @@ def test_verify_theorem1_makes_a_dozen_node_share_evaluations(monkeypatch):
     args = bench_thm1_case()
     monkeypatch.setattr(demand, "_weighted_node_shares", counted)
     monkeypatch.setattr(inversion, "_weighted_node_shares", counted)
-    assert verify_theorem1(*args).passed
+    assert all(c.passed for c in verify_theorem1(*args))
     assert 3 <= len(calls) <= 12
 
 

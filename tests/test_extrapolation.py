@@ -14,12 +14,6 @@ from cdlab.streams import market_streams
 from cdlab.types import Bundle, Bundles
 
 
-def test_rule_family_validation():
-    data, _, _ = demeaned_oracle_data(seed=1, n=80)
-    with pytest.raises(ConfigError, match="unknown transform f: 'sqrt'"):
-        ex.DemeanedRule.fit(data, "sqrt")
-
-
 @pytest.mark.parametrize("n", [1, 7, 401])
 def test_oracle_data_draws_each_block_once(n):
     """Reference: every observation redraws its block's shock and permutation
@@ -39,7 +33,7 @@ def test_demeaned_fit_equals_per_cell_means():
     """With dummy instruments on a balanced design, the fitted mu are the
     per-level means of f(Y)."""
     data, _, _ = demeaned_oracle_data(seed=11, n=400)
-    rule = ex.DemeanedRule.fit(data, "logit")
+    rule = ex.DemeanedRule.fit(data)
     ly = np.array([logit(float(o.y)) for o in data])
     lev = np.array([o.a for o in data])
     for k, level in enumerate(rule.levels):
@@ -49,7 +43,7 @@ def test_demeaned_fit_equals_per_cell_means():
 
 def test_demeaned_oracle_recovers_counterfactuals_exactly():
     data, shocks, mu = demeaned_oracle_data(seed=3, n=800)
-    rule = ex.DemeanedRule.fit(data, "logit")
+    rule = ex.DemeanedRule.fit(data)
     worst = 0.0
     for o, xi in zip(data[:200], shocks[:200]):
         for t in range(len(mu)):
@@ -60,14 +54,14 @@ def test_demeaned_oracle_recovers_counterfactuals_exactly():
 
 def test_extrapolate_requires_a_known_level():
     data, _, _ = demeaned_oracle_data(seed=1, n=80)
-    rule = ex.DemeanedRule.fit(data, "logit")
+    rule = ex.DemeanedRule.fit(data)
     with pytest.raises(ConfigError):
         ex.extrapolate(rule, 0.4, 0, 99)
 
 
 def test_extrapolate_returns_y_at_same_treatment():
     data, _, _ = demeaned_oracle_data(seed=2, n=80)
-    for rule in (ex.DemeanedRule.fit(data, "logit"), ex.QuantileRule.fit(data)):
+    for rule in (ex.DemeanedRule.fit(data), ex.QuantileRule.fit(data)):
         o = data[7]
         assert ex.extrapolate(rule, o.y, o.a, o.a) == o.y
 
@@ -155,7 +149,7 @@ def test_sample_size_guard():
     with pytest.raises(ConfigError, match="need at least 20 observations for 2 parameters"):
         ex.PartiallyLinearRule.fit(data)
     empty = demeaned_oracle_data(seed=8, n=0)[0]
-    for fit in (lambda d: ex.DemeanedRule.fit(d, "logit"), ex.QuantileRule.fit):
+    for fit in (ex.DemeanedRule.fit, ex.QuantileRule.fit):
         with pytest.raises(ConfigError, match="no observations"):
             fit(empty)
 
@@ -183,24 +177,23 @@ def test_instrument_basis_orders_one_column_dummies_as_sorted_rows():
 
 def test_check_prop32_demeaned_and_partially_linear():
     data, _, mu = demeaned_oracle_data(seed=9, n=200)
-    rep = ex.check_prop32(ex.DemeanedRule.fit(data, "logit"), data[:20],
-                          targets=list(range(len(mu))))
-    assert rep.passed and rep.max_gap <= 1e-10
+    gap = ex.check_prop32(ex.DemeanedRule.fit(data), data[:20], targets=list(range(len(mu))))
+    assert gap <= 1e-10
 
     pl_data = _pl_data(seed=9, n=400)
     targets = pl_data.a[:5].replace(p=np.linspace(0.6, 2.8, 5)[:, None])
-    rep2 = ex.check_prop32(ex.PartiallyLinearRule.fit(pl_data), pl_data[:20], targets=targets)
-    assert rep2.passed and rep2.max_gap <= 1e-10
+    assert ex.check_prop32(ex.PartiallyLinearRule.fit(pl_data), pl_data[:20], targets) <= 1e-10
 
 
 def test_price_ccs_check_contrast():
     spec = ScaledX1Spec(market_count=60, seed=5)
     pop = sample_scaled_x1_population(spec)
-    rep = ex.price_ccs_check(plain_logit(spec.alpha), pop, spec.truth,
-                             price_grid=np.linspace(0.6, 2.8, 5))
-    assert rep.price_correct
-    assert rep.max_price_error <= 1e-8
-    assert max(rep.x1_error_by_type.values()) > 0.01
+    price, x1_error = ex.price_ccs_check(plain_logit(spec.alpha), pop, spec.truth,
+                                         price_grid=np.linspace(0.6, 2.8, 5))
+    assert price.passed
+    assert (price.name, price.threshold, price.op) == ("price_counterfactual_error", 1e-8, "<=")
+    assert price.value <= 1e-8
+    assert max(x1_error.values()) > 0.01
 
 
 def per_target_price_ccs(m, population, truth, price_grid):
@@ -227,8 +220,8 @@ def test_stacked_price_ccs_check_is_the_per_target_check(n):
     spec = ScaledX1Spec(market_count=n, seed=5)
     pop = sample_scaled_x1_population(spec)
     args = (plain_logit(spec.alpha), pop, spec.truth, np.linspace(0.6, 2.8, 10))
-    rep = ex.price_ccs_check(*args)
-    assert (rep.max_price_error, rep.x1_error_by_type) == per_target_price_ccs(*args)
+    price, x1_error = ex.price_ccs_check(*args)
+    assert (price.value, x1_error) == per_target_price_ccs(*args)
 
 
 def test_price_ccs_check_with_an_empty_grid_is_a_config_error():
@@ -290,10 +283,10 @@ def _fitted_cases():
     levels = list(range(len(mu)))
     prices = np.linspace(0.6, 2.8, 10)
     return [
-        ("demeaned-5", ex.DemeanedRule.fit(d5, "logit"), d5[:200], levels),
+        ("demeaned-5", ex.DemeanedRule.fit(d5), d5[:200], levels),
         ("quantile-5", ex.QuantileRule.fit(d5[:2000]), d5[:200], levels),
         ("pl-5", ex.PartiallyLinearRule.fit(p5), p5[:50], p5.a[:10].replace(p=prices[:, None])),
-        ("demeaned-6", ex.DemeanedRule.fit(d6, "logit"), d6[:50], levels),
+        ("demeaned-6", ex.DemeanedRule.fit(d6), d6[:50], levels),
         ("pl-6", ex.PartiallyLinearRule.fit(p6), p6[:50], p6.a[:10].replace(p=prices[:, None])),
     ]
 
@@ -327,7 +320,7 @@ def test_batched_extrapolate_equals_the_per_observation_loop(fitted_cases):
 
 def test_batched_check_prop32_equals_the_per_observation_loop(fitted_cases):
     for name, rule, data, targets in fitted_cases:
-        got = ex.check_prop32(rule, data, targets).max_gap
+        got = ex.check_prop32(rule, data, targets)
         assert got == _loop_prop32(rule, data, targets), name
         assert got <= 1e-10, name
 
