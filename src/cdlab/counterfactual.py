@@ -54,7 +54,9 @@ def verify_theorem1(m: ShareMap, a0: Bundle, grid: Sequence[Bundle],
     the outcome transform h = sigma^{-1}(., a) of the share map m, with
     baseline bundle a0: the largest deviation, over markets and grid
     bundles, of each formulation, as the Checks "index_model",
-    "inverse_model" and "transformed_shift" at EQUIV_TOL.
+    "inverse_model" and "transformed_shift" at EQUIV_TOL. The inverse model
+    compares h(Y(a), a) with the population's own index x1 + xi, so it does
+    not share its arithmetic with the transformed shift, which uses only h.
 
     `truth(population, a)` evaluates the markets' potential outcomes (n, J)
     at Bundles a, one row each, from their stored latent states. a0 and the
@@ -81,6 +83,6 @@ def verify_theorem1(m: ShareMap, a0: Bundle, grid: Sequence[Bundle],
     pred = shares_array(m, (x1 + xi).reshape(len(grid) * n, -1), rows[n:])
     return [Check(name, float(np.max(np.abs(gap))), EQUIV_TOL, "<=") for name, gap in (
         ("index_model", y[n:] - pred),  # Y(a) vs h^{-1}(x1 + xi, a)
-        ("inverse_model", x1 + xi - h[1:]),  # x1 + xi vs h(Y(a), a)
+        ("inverse_model", x1 + population.xi - h[1:]),  # the DGP's x1 + xi vs h(Y(a), a)
         ("transformed_shift", h[1:] - h[0] - (x1 - a0.x1)),  # h(Y(a),a) - h(Y(a0),a0) vs x1 - x10
     )]

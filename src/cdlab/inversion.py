@@ -6,7 +6,10 @@ the batch of one. Plain logit has a closed form. A J = 1 mixed logit is one
 increasing curve per market, solved by bracketed Newton
 (:func:`solve_share_curve`). Mixed logit with J >= 2 runs a safeguarded
 Newton iteration over all markets at once (:func:`_solve_log_shares`), from
-the plain-logit start. Each iteration solves the stacked J x J Newton
+the logit inverse at the mixing's mean coefficients (:func:`_mean_index`).
+Near saturation the iteration count is set by how far the start is from the
+root, and the mean-coefficient index puts back the price and x2 terms that
+a plain-logit start log y - log y0 drops. Each iteration solves the stacked J x J Newton
 systems of the rows still active in one call, and each line-search trial
 evaluates the node shares of the rows still searching in one call. Each
 row's step is halved until the sup-norm of its log-share residual falls by
@@ -215,7 +218,7 @@ def _solve_block(node_shares: Callable, weights: np.ndarray, target: np.ndarray,
 def _solve_log_shares(node_shares: Callable, weights: np.ndarray, target: np.ndarray,
                       shift, cfg: InversionConfig, ids=None) -> np.ndarray:
     """Solve weights @ node_shares = target for the markets of target (n, J),
-    J >= 2, from the plain-logit start log y - log y0 plus shift, which
+    J >= 2, from the logit inverse log y - log y0 plus shift, which
     broadcasts against (n, J); returns the solutions (n, J).
 
     `node_shares(delta, rows)` returns the node shares (k, M, J + 1), the
@@ -297,6 +300,16 @@ def solve_share_curve(offsets, weights, y,
     raise NoConvergence(cfg.max_iter, float(abs(s - y).max()))
 
 
+def _mean_index(m: ShareMap, a: Bundles, B: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The non-random index plus the random index at the mean coefficients
+    w @ B of the nodes (M, dim): (n, J) for the bundles a of n rows. Its
+    negative shifts the logit inverse log y - log y0 to the J >= 2 start, as
+    `solve_share_curve` starts at the mean node offset. It is elementwise
+    per row and costs O(n J), not the (n, M, J) of the node indices."""
+    mean = node_average(w, B)[None]  # one node at the mean coefficients
+    return _fixed_index(m, a) + _random_index(mean, a)[..., 0, :]
+
+
 def invert_rows(m: ShareMap, y, a: Bundles, cfg: InversionConfig = DEFAULT_INVERSION,
                 ids=None) -> np.ndarray:
     """Solve shares_array(m, delta, a) = y for the markets of y (n, J) under
@@ -314,7 +327,7 @@ def invert_rows(m: ShareMap, y, a: Bundles, cfg: InversionConfig = DEFAULT_INVER
     if y.shape[1] == 1:
         offsets = _fixed_index(m, a) + _random_index(B, a)[..., 0]
         return solve_share_curve(offsets, w, y[:, 0], cfg)[:, None]
-    # Plain-logit start ignoring the mixing and the fixed index.
+    # Logit inverse at the mean coefficients: exact for a degenerate mixing.
     return _solve_log_shares(
         lambda d, rows: _weighted_node_shares(m, d, a[rows], outside=True)[0],
-        w, y, 0.0, cfg, ids)
+        w, y, -_mean_index(m, a, B, w), cfg, ids)

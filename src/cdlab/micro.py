@@ -153,9 +153,10 @@ def micro_invert_1d(dgp: MicroDgp, y, p, tol: float = 1e-12,
 def micro_invert(dgp: MicroDgp, y: np.ndarray, p: np.ndarray,
                  tol: float = 1e-12, max_iter: int = 10_000) -> np.ndarray:
     """Solve sigma(delta, p) = y for general J by the safeguarded Newton
-    inversion of :mod:`cdlab.inversion`, from the plain-logit start: y is
-    one share vector (J,) or rows (n, J), all solved in one call, and p
-    (J,) or (n, J)."""
+    inversion of :mod:`cdlab.inversion`, from the logit inverse at the mean
+    index, log y - log y0 + alpha p (the nodes nu have mean 0): y is one
+    share vector (J,) or rows (n, J), all solved in one call, and p (J,) or
+    (n, J)."""
     if dgp.J == 1:
         return micro_invert_1d(dgp, np.atleast_1d(y), np.atleast_1d(p), tol, max_iter)
     y = np.asarray(y, dtype=float)

@@ -138,7 +138,7 @@ def per_bundle_theorem1(m, a0, grid, population, truth):
         ha = invert_rows(m, ya, rows)
         pred = shares_array(m, a.x1 + xi, rows)
         m1 = max(m1, float(np.max(np.abs(ya - pred))))
-        m2 = max(m2, float(np.max(np.abs(a.x1 + xi - ha))))
+        m2 = max(m2, float(np.max(np.abs(a.x1 + population.xi - ha))))
         m3 = max(m3, float(np.max(np.abs(ha - h0 - (a.x1 - a0.x1)))))
     return m1, m2, m3
 
@@ -189,7 +189,7 @@ def test_stacked_verify_theorem1_is_the_per_bundle_check(case):
 
 def test_verify_theorem1_makes_a_dozen_node_share_evaluations(monkeypatch):
     """At the benchmark's verify-thm1 config (40 J = 2 markets, 10 grid
-    bundles), the check evaluates node shares at most 12 times; one solve
+    bundles), the check evaluates node shares at most 9 times; one solve
     per bundle made 87 evaluations."""
     calls = []
 
@@ -202,7 +202,7 @@ def test_verify_theorem1_makes_a_dozen_node_share_evaluations(monkeypatch):
     monkeypatch.setattr(demand, "_weighted_node_shares", counted)
     monkeypatch.setattr(inversion, "_weighted_node_shares", counted)
     assert all(c.passed for c in verify_theorem1(*args))
-    assert 3 <= len(calls) <= 12
+    assert 3 <= len(calls) <= 9
 
 
 def test_verify_theorem1_with_an_empty_grid_is_a_config_error():

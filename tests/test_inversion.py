@@ -12,6 +12,7 @@ from cdlab.demand import (
     expit_mixture,
     gauss_hermite,
     mixed_logit,
+    mixing_nodes,
     monte_carlo,
     node_jacobian,
     plain_logit,
@@ -251,26 +252,58 @@ def test_round_trip_with_inside_shares_near_simplex_eps(delta):
                                atol=1e-12, rtol=0)
 
 
-def test_cost_guard_on_a_saturated_market(monkeypatch):
-    """A J = 25 market at a ~2 % outside share: the contraction alone needs
-    about 250 share evaluations here."""
-    spec = PopulationSpec(J=25, market_count=1,
+def saturated_spec(markets, seed=0):
+    """J = 25 markets near a 2 % outside share, as in the benchmark's
+    invert-saturated config."""
+    return PopulationSpec(J=25, market_count=markets,
                           mixing_by_type=(lognormal_mixing(0.0, 0.3),),
                           type_probabilities=(1.0,), x1_law=laws.constant(2.3),
-                          xi_law=laws.normal(0.0, 0.3), integration=gauss_hermite(32))
-    pop = sample_population(spec)
-    assert 0.01 < 1.0 - pop.y.sum() < 0.04
-    calls = []
+                          xi_law=laws.normal(0.0, 0.3), integration=gauss_hermite(32),
+                          seed=seed)
+
+
+def counted_rows(monkeypatch):
+    """Record the number of rows of each node-share evaluation of
+    `invert_rows`."""
+    rows = []
     node_shares = inversion._weighted_node_shares
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return node_shares(*args, **kwargs)
+    def counting(m, delta, a, outside=False):
+        rows.append(len(delta))
+        return node_shares(m, delta, a, outside)
 
     monkeypatch.setattr(inversion, "_weighted_node_shares", counting)
+    return rows
+
+
+def test_cost_guard_on_a_saturated_market(monkeypatch):
+    """A J = 25 market at a ~2 % outside share: the contraction alone needs
+    about 250 share evaluations here, Newton from the plain-logit start 10."""
+    spec = saturated_spec(1)
+    pop = sample_population(spec)
+    assert 0.01 < 1.0 - pop.y.sum() < 0.04
+    calls = counted_rows(monkeypatch)
     delta = invert_rows(spec.share_map(0), pop.y, pop.a)
-    assert 0 < len(calls) <= 25
+    assert 0 < len(calls) <= 6
     np.testing.assert_allclose(delta, pop.a.x1 + pop.xi, atol=1e-9)
+
+
+def test_mean_coefficient_start_saves_node_share_rows(monkeypatch):
+    """On 40 saturated markets, Newton from the logit inverse at the mean
+    coefficients evaluates at most 60 % of the node-share rows that it
+    evaluates from the plain-logit start log y - log y0 (200 against 354)."""
+    spec = saturated_spec(40)
+    pop = sample_population(spec)
+    m = spec.share_map(0)
+    rows = counted_rows(monkeypatch)
+    plain = inversion._solve_log_shares(
+        lambda d, k: inversion._weighted_node_shares(m, d, pop.a[k], outside=True)[0],
+        mixing_nodes(m.mixing, m.integration)[1], pop.y, 0.0, InversionConfig())
+    plain_rows, rows[:] = sum(rows), []
+    delta = invert_rows(m, pop.y, pop.a)
+    assert 0 < sum(rows) <= 0.6 * plain_rows
+    for d in (plain, delta):
+        np.testing.assert_allclose(d, pop.a.x1 + pop.xi, atol=1e-10)
 
 
 
@@ -353,8 +386,9 @@ def test_batched_inversion_matches_one_market_solves(J, saturated, failing, seed
             raise IntegrationFailure("injected")
         return _weighted_node_shares(m, d, a[rows], outside=True)[0]
 
-    w = _weighted_node_shares(m, y[0], a[0:1])[1]
-    got = inversion._solve_log_shares(node_shares, w, y, 0.0, InversionConfig())
+    B, w = mixing_nodes(m.mixing, m.integration)
+    got = inversion._solve_log_shares(node_shares, w, y, -inversion._mean_index(m, a, B, w),
+                                      InversionConfig())
     assert sum(seen) > 3
     others = np.arange(len(y)) != failing
     np.testing.assert_array_equal(got[others], batched[others])
