@@ -7,13 +7,14 @@ increasing curve per market, solved by bracketed Newton
 (:func:`solve_share_curve`). Mixed logit with J >= 2 runs a safeguarded
 Newton iteration over all markets at once (:func:`_solve_log_shares`), from
 the logit inverse at the mixing's mean coefficients (:func:`_mean_index`).
-Near saturation the iteration count is set by how far the start is from the
-root, and the mean-coefficient index puts back the price and x2 terms that
-a plain-logit start log y - log y0 drops. Each iteration solves the stacked J x J Newton
-systems of the rows still active in one call, and each line-search trial
-evaluates the node shares of the rows still searching in one call. Each
-row's step is halved until the sup-norm of its log-share residual falls by
-an Armijo factor; a row whose trial point has unusable
+Near saturation the iteration count is set by how far the start is from
+the root, and that start keeps the price and x2 terms that the
+plain-logit start log y - log y0 drops: at a 2 % outside share and J = 25
+it halves the node-share evaluations. Each iteration solves the stacked
+J x J Newton systems of the rows still active in one call, and each
+line-search trial evaluates the node shares of the rows still searching in
+one call. Each row's step is halved until the sup-norm of its log-share
+residual falls by an Armijo factor; a row whose trial point has unusable
 shares (integration failure, non-positive or non-finite shares) is rejected
 on its own, like one that does not descend. A row whose halvings run out, or
 whose Jacobian is singular, takes one BLP contraction step
