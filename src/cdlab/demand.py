@@ -342,6 +342,6 @@ def share_curve_1d(mixing: MixingSpec, delta, p, nodes: int = DEFAULT_GH_NODES):
 
 def share_curve_slope_1d(mixing: MixingSpec, delta, p, nodes: int = DEFAULT_GH_NODES):
     """d/dp of :func:`share_curve_1d` at (delta, p)."""
-    B, w = _gh_nodes_cached(mixing, nodes)
-    offsets = -np.asarray(p, dtype=float)[..., None] * B[:, 0]
-    return expit_mixture(delta, offsets, w, slope_weights=-B[:, 0] * w)[1]
+    offsets, w = curve_offsets(mixing, p, nodes)
+    rates = curve_offsets(mixing, 1.0, nodes)[0]  # node m's index moves at -beta_m
+    return expit_mixture(delta, offsets, w, slope_weights=rates * w)[1]

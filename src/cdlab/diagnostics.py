@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import laws
-from .demand import curve_offsets, share_curve_1d, share_curve_slope_1d
-from .errors import InsufficientData, RootNotBracketed
-from .inversion import solve_share_curve
+from .demand import gauss_hermite, mixed_logit, share_curve_1d, share_curve_slope_1d
+from .errors import InsufficientData
+from .inversion import invert_rows
 from .population import Population, PopulationSpec, true_counterfactuals
 from .types import Bundle, MixingSpec, lognormal_mixing
 
@@ -119,18 +119,6 @@ def conditional_variance(population: Population, spec: PopulationSpec,
     return worst
 
 
-def _invert_curve_xi(mixing: MixingSpec, price, target, nodes: int) -> np.ndarray:
-    """The xi with share(xi, price) = target: J = 1 share inversions, one per
-    element of the broadcast price and target, in one solver call."""
-    price, target = np.broadcast_arrays(np.asarray(price, dtype=float),
-                                        np.asarray(target, dtype=float))
-    unreachable = ~((0.0 < target) & (target < 1.0))
-    if unreachable.any():
-        i = int(np.argmax(unreachable))
-        raise RootNotBracketed(f"share {target.flat[i]} unreachable at price {price.flat[i]}")
-    return solve_share_curve(*curve_offsets(mixing, price, nodes), target)
-
-
 @dataclass
 class CurvePair:
     """Own and opposite-type demand curves through one market's (P, Y)."""
@@ -148,10 +136,11 @@ def crossing_curves(spec: Fig1Spec, markets: Population) -> list:
 
     The own curve uses the market's stored latent state; the opposite-type
     curve uses the xi that makes the other mixing distribution pass through
-    (P, Y) exactly. Per mixing type, one inversion solves the markets that
-    have it as their opposite type, and one curve and one slope evaluation
-    each serve its own and its opposite curves. A market whose observed
-    share no curve can reach gets None in place of its pair.
+    (P, Y) exactly. Per mixing type, one `invert_rows` call under its share
+    map solves the markets that have it as their opposite type, and one
+    curve and one slope evaluation each serve its own and its opposite
+    curves. A market whose observed share no curve can reach gets None in
+    place of its pair, and is not inverted.
     """
     if markets.y.shape[1] != 1:
         raise ValueError("crossing curves are defined for J = 1")
@@ -167,7 +156,8 @@ def crossing_curves(spec: Fig1Spec, markets: Population) -> list:
         mine = np.flatnonzero(zeta == t)
         other = np.flatnonzero((zeta != t) & reachable)
         if len(other):
-            xi_opp[other] = _invert_curve_xi(mix, price[other], y_obs[other], spec.quad_nodes)
+            m = mixed_logit(mix, integration=gauss_hermite(spec.quad_nodes))
+            xi_opp[other] = invert_rows(m, markets.y[other], markets.a[other])[:, 0]
         for rows, d, curves, slopes in ((mine, delta, own, own_slope),
                                         (other, xi_opp, opp, opp_slope)):
             curves[rows] = share_curve_1d(mix, d[rows, None], grid, spec.quad_nodes)

@@ -118,10 +118,19 @@ def _nu_nodes(sigma: np.ndarray, n: int):
     return nu, wts
 
 
-def micro_shares(dgp: MicroDgp, delta: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sigma(delta, p): shares at mean utility delta and prices p, both (..., J)
-    and broadcasting over the leading axes."""
+def micro_shares(dgp: MicroDgp, delta, p, sigma_scale=None) -> np.ndarray:
+    """sigma(delta, p): shares (..., J) at mean utility delta and prices p,
+    both (..., J) and broadcasting over the leading axes, with the
+    random-coefficient scales sigma scaled by `sigma_scale` c (...) when
+    given. At J = 1 this is the share curve of `expit_mixture` at node
+    offsets c nu - alpha p; at J >= 2 the node average of the logit shares,
+    where non-finite shares are an IntegrationFailure."""
+    delta, p = np.asarray(delta, dtype=float), np.asarray(p, dtype=float)
     nu, w = _nu_nodes(dgp.sigma, dgp.nu_nodes)
+    if sigma_scale is not None:
+        nu = np.asarray(sigma_scale, dtype=float)[..., None, None] * nu
+    if dgp.J == 1:
+        return expit_mixture(delta[..., 0], nu[..., 0] - dgp.alpha * p, w)[..., None]
     T = delta[..., None, :] + nu - dgp.alpha * p[..., None, :]
     s = node_average(w, _node_shares(T))
     if not np.all(np.isfinite(s)):
@@ -129,43 +138,24 @@ def micro_shares(dgp: MicroDgp, delta: np.ndarray, p: np.ndarray) -> np.ndarray:
     return s
 
 
-def _curve_1d(dgp: MicroDgp, p, sigma_scale=None):
-    """Node offsets c nu_m - alpha p (..., M), for sigma scaled by c, and weights
-    of the J = 1 share curve; c and p broadcast."""
+def micro_invert(dgp: MicroDgp, y, p, tol: float = 1e-12,
+                 max_iter: int = 10_000) -> np.ndarray:
+    """Solve sigma(delta, p) = y for shares y (..., J) at prices p that
+    broadcast against them, all rows in one solver call; returns delta of
+    y's shape. Each row starts at the logit inverse at the mean index,
+    log y - log y0 + alpha p (the nodes nu have mean 0). At J = 1 this is the
+    bracketed share-curve solver of :mod:`cdlab.inversion`; at J >= 2 its
+    safeguarded Newton inversion."""
+    y, p = np.asarray(y, dtype=float), np.asarray(p, dtype=float)
     nu, w = _nu_nodes(dgp.sigma, dgp.nu_nodes)
-    nu = nu[:, 0] if sigma_scale is None else np.asarray(sigma_scale)[..., None] * nu[:, 0]
-    return nu - dgp.alpha * np.asarray(p, dtype=float)[..., None], w
-
-
-def micro_shares_1d(dgp: MicroDgp, delta, p, sigma_scale=None) -> np.ndarray:
-    """Vectorized J = 1 path: delta and p broadcast elementwise."""
-    return expit_mixture(delta, *_curve_1d(dgp, p, sigma_scale))
-
-
-def micro_invert_1d(dgp: MicroDgp, y, p, tol: float = 1e-12,
-                    max_iter: int = 200) -> np.ndarray:
-    """Solve sigma(delta, p) = y elementwise (J = 1) with the bracketed
-    share-curve solver of :mod:`cdlab.inversion`."""
-    return solve_share_curve(*_curve_1d(dgp, p), y,
-                             InversionConfig(tol=tol, max_iter=max_iter))
-
-
-def micro_invert(dgp: MicroDgp, y: np.ndarray, p: np.ndarray,
-                 tol: float = 1e-12, max_iter: int = 10_000) -> np.ndarray:
-    """Solve sigma(delta, p) = y for general J by the safeguarded Newton
-    inversion of :mod:`cdlab.inversion`, from the logit inverse at the mean
-    index, log y - log y0 + alpha p (the nodes nu have mean 0): y is one
-    share vector (J,) or rows (n, J), all solved in one call, and p (J,) or
-    (n, J)."""
+    cfg = InversionConfig(tol=tol, max_iter=max_iter)
     if dgp.J == 1:
-        return micro_invert_1d(dgp, np.atleast_1d(y), np.atleast_1d(p), tol, max_iter)
-    y = np.asarray(y, dtype=float)
-    rows = np.atleast_2d(y)
-    p = np.broadcast_to(np.asarray(p, dtype=float), rows.shape)
-    nu, w = _nu_nodes(dgp.sigma, dgp.nu_nodes)
+        return solve_share_curve(nu[:, 0] - dgp.alpha * p, w, y[..., 0], cfg)[..., None]
+    rows = y.reshape(-1, dgp.J)
+    p = np.broadcast_to(p, y.shape).reshape(rows.shape)
     delta = _solve_log_shares(
         lambda d, k: _node_shares(d[:, None, :] + nu - dgp.alpha * p[k, None, :], outside=True),
-        w, rows, dgp.alpha * p, InversionConfig(tol=tol, max_iter=max_iter))
+        w, rows, dgp.alpha * p, cfg)
     return delta.reshape(y.shape)
 
 
@@ -230,21 +220,17 @@ def _w_matrix(w_grid, J: int) -> np.ndarray:
 def _profile_shares(dgp: MicroDgp, xi: np.ndarray, p: np.ndarray,
                     W: np.ndarray) -> np.ndarray:
     """Shares (n, G, J) on the grid W (G, J) of n markets with shocks xi (n, J)
-    at prices p (n, J): one share-kernel call per block of markets with at
+    at prices p (n, J): one share-map call per block of markets with at
     most MAX_BLOCK_ELEMENTS node shares, so the temporaries do not grow with n."""
     n, (G, J) = len(xi), W.shape
     index = W @ dgp.Pi.T
+    scale = 1.0 + dgp.sigma_w_slope * W[:, 0]  # each grid point's scale on sigma
     nodes = len(_nu_nodes(dgp.sigma, dgp.nu_nodes)[1])
     step = max(1, MAX_BLOCK_ELEMENTS // (G * nodes * J))
     out = np.empty((n, G, J))
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        delta = index + xi[rows, None, :]
-        if J == 1:
-            out[rows, :, 0] = micro_shares_1d(dgp, delta[..., 0], p[rows],
-                                              sigma_scale=1.0 + dgp.sigma_w_slope * W[:, 0])
-        else:
-            out[rows] = micro_shares(dgp, delta, p[rows, None, :])
+        out[rows] = micro_shares(dgp, index + xi[rows, None, :], p[rows, None, :], scale)
     return out
 
 
@@ -318,18 +304,8 @@ class Candidate:
 
 def truth_candidate(dgp: MicroDgp) -> Candidate:
     """h = sigma^{-1}(., a) of the DGP itself; its forward map is sigma."""
-
-    def h(shares_matrix: np.ndarray, a: Bundle) -> np.ndarray:
-        if dgp.J == 1:
-            return micro_invert_1d(dgp, shares_matrix[:, 0], a.p[0])[:, None]
-        return micro_invert(dgp, shares_matrix, a.p)
-
-    def shares(v: np.ndarray, a: Bundle) -> np.ndarray:
-        if dgp.J == 1:
-            return micro_shares_1d(dgp, v[:, 0], a.p[0])[:, None]
-        return micro_shares(dgp, v, a.p)
-
-    return Candidate(h, shares)
+    return Candidate(lambda shares_matrix, a: micro_invert(dgp, shares_matrix, a.p),
+                     lambda v, a: micro_shares(dgp, v, a.p))
 
 
 def identity_candidate() -> Candidate:

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from cdlab import diagnostics
-from cdlab.demand import share_curve_1d, shares_array
+from cdlab.demand import gauss_hermite, mixed_logit, share_curve_1d, shares_array
 from cdlab.diagnostics import (
     Fig1Spec,
-    _invert_curve_xi,
     _partition,
     conditional_variance,
     crossing_curves,
 )
-from cdlab.errors import InsufficientData, RootNotBracketed
+from cdlab.errors import InsufficientData, SimplexViolation
+from cdlab.inversion import invert_rows
 from cdlab.population import PopulationSpec, sample_population, true_counterfactuals
 from cdlab.types import Bundles, bundle, lognormal_mixing
 
@@ -164,9 +164,16 @@ def test_stacked_conditional_variance_fits_a_rank_deficient_bin(monkeypatch):
     assert ref > 1e-5 and abs(got - ref) <= 1e-12 * ref
 
 
+def invert_curve_xi(mix, price, target, nodes=32):
+    """The xi with share_curve_1d(mix, xi, price, nodes) = target: the J = 1
+    `invert_rows` call that `crossing_curves` makes, on one market."""
+    m = mixed_logit(mix, integration=gauss_hermite(nodes))
+    return float(invert_rows(m, [[target]], Bundles.repeat(bundle(0.0, price), 1))[0, 0])
+
+
 def test_invert_curve_xi_finds_exact_root():
     mix = lognormal_mixing(-0.5, 2.0)
-    xi = _invert_curve_xi(mix, price=1.7, target=0.42, nodes=32)
+    xi = invert_curve_xi(mix, price=1.7, target=0.42)
     at = float(share_curve_1d(mix, np.array(xi), np.array(1.7), 32))
     assert abs(at - 0.42) < 1e-9
 
@@ -177,15 +184,16 @@ def test_invert_curve_xi_on_a_staircase_share_curve(price, target):
     """lognormal(-0.5, 2) at 32 nodes makes the share curve a staircase in
     xi; the inversion must still reach targets near 1."""
     mix = lognormal_mixing(-0.5, 2.0)
-    xi = _invert_curve_xi(mix, price, target, 32)
+    xi = invert_curve_xi(mix, price, target)
     at = float(share_curve_1d(mix, np.array(xi), np.array(price), 32))
     assert abs(np.log(at) - np.log(target)) <= 1e-12
 
 
 def test_invert_curve_xi_unreachable_target():
-    with pytest.raises(RootNotBracketed):
-        _invert_curve_xi(lognormal_mixing(0.0, 0.5), price=1.0, target=1.5,
-                         nodes=16)
+    """A share outside (0, 1) is not a share: `invert_rows` rejects it
+    before solving."""
+    with pytest.raises(SimplexViolation):
+        invert_curve_xi(lognormal_mixing(0.0, 0.5), price=1.0, target=1.5, nodes=16)
 
 
 class TestCrossingCurve:

@@ -65,21 +65,37 @@ def test_sigma_w_slope_is_rejected_above_one_product():
 
 def test_micro_invert_round_trip_1d():
     dgp = dgp_1d()
-    delta = np.linspace(-3.0, 3.0, 11)
-    p = np.full(11, 1.5)
-    y = mi.micro_shares_1d(dgp, delta, p)
-    np.testing.assert_allclose(mi.micro_invert_1d(dgp, y, p), delta, atol=1e-10)
+    delta = np.linspace(-3.0, 3.0, 11)[:, None]
+    p = np.full((11, 1), 1.5)
+    y = mi.micro_shares(dgp, delta, p)
+    np.testing.assert_allclose(mi.micro_invert(dgp, y, p), delta, atol=1e-10)
 
 
 def test_micro_invert_passes_max_iter_to_the_1d_solver():
-    """At J = 1 micro_invert is micro_invert_1d, iteration cap included."""
+    """At J = 1 micro_invert runs the share-curve solver under its own
+    iteration cap."""
     dgp = dgp_1d()
     y, p = np.array([0.3]), np.array([1.5])
-    for invert in (mi.micro_invert, mi.micro_invert_1d):
-        with pytest.raises(NoConvergence):
-            invert(dgp, y, p, max_iter=1)
-    np.testing.assert_array_equal(mi.micro_invert(dgp, y, p, max_iter=200),
-                                  mi.micro_invert_1d(dgp, y, p))
+    with pytest.raises(NoConvergence):
+        mi.micro_invert(dgp, y, p, max_iter=1)
+    np.testing.assert_allclose(mi.micro_shares(dgp, mi.micro_invert(dgp, y, p), p), y,
+                               atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("dgp", [dgp_1d(), dgp_2d()], ids=["J=1", "J=2"])
+def test_micro_share_map_and_inversion_are_row_by_row(dgp):
+    """On (k, G, J) inputs, micro_shares and micro_invert give each row the
+    bits it gets alone."""
+    rng = np.random.default_rng(dgp.J)
+    delta = rng.uniform(-2.0, 2.0, (3, 4, dgp.J))
+    p = rng.uniform(0.5, 2.0, (3, 1, dgp.J))
+    y = mi.micro_shares(dgp, delta, p)
+    back = mi.micro_invert(dgp, y, p)
+    assert y.shape == back.shape == delta.shape
+    for i, g in np.ndindex(3, 4):
+        assert mi.micro_shares(dgp, delta[i, g], p[i, 0]).tobytes() == y[i, g].tobytes()
+        assert mi.micro_invert(dgp, y[i, g], p[i, 0]).tobytes() == back[i, g].tobytes()
+    np.testing.assert_allclose(back, delta, atol=1e-9, rtol=0)
 
 
 def test_micro_invert_round_trip_2d():
@@ -331,9 +347,9 @@ def test_true_profile_matches_the_per_grid_point_share_map():
     dgp = dgp_1d(sigma_w_slope=0.6)
     w = np.linspace(-1.0, 1.0, 9)
     a = Bundle(np.zeros(1), np.array([1.5]), np.zeros((1, 0)))
-    ref = [mi.micro_shares_1d(dgp, wv + 0.3, 1.5, sigma_scale=1.0 + 0.6 * wv) for wv in w]
-    np.testing.assert_allclose(mi.true_profile(dgp, np.array([0.3]), a, w).shares[:, 0],
-                               ref, rtol=1e-14, atol=0)
+    ref = [mi.micro_shares(dgp, [wv + 0.3], a.p, sigma_scale=1.0 + 0.6 * wv) for wv in w]
+    np.testing.assert_allclose(mi.true_profile(dgp, np.array([0.3]), a, w).shares, ref,
+                               rtol=1e-14, atol=0)
 
 
 def test_endogeneity_correlates_level_with_shock():
