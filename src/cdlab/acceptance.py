@@ -5,8 +5,9 @@ quantities under test, and returns a result with named checks. The CLI
 `acceptance` subcommand and the test suite both run these functions, so
 the shipped gate and the emitted summary cannot drift apart. The checks
 that a `cdl` subcommand also writes (`theorem1_checks`, `variance_pair`,
-`complete_micro_model` and `price_ccs`) are set up here once, for the
-subcommand and its criterion alike.
+`complete_micro_model` and `price_ccs`), and the micro populations they
+share (`one_level_population` and `stratified_population`), are set up
+here once, for the subcommand and its criterion alike.
 """
 
 from __future__ import annotations
@@ -225,22 +226,49 @@ def micro_dgp() -> mi.MicroDgp:
                        alpha=1.0, nu_nodes=16)
 
 
+_MICRO_W_GRID = tuple(np.linspace(-1.0, 1.0, 20))
+
+
+def one_level_population(market_count: int, w_grid, seed: int):
+    """The one-level micro population (price 1.5) on which criterion 7 tests
+    parallelism and `cdl fig2` draws it: its markets, their bundle, and the
+    candidates compared on them, identity first, by name."""
+    dgp = micro_dgp()
+    spec = mi.MicroPopulationSpec(market_count=market_count, price_levels=(1.5,),
+                                  w_grid=w_grid, seed=seed)
+    return mi.simulate_micro(dgp, spec), spec.level_bundle(dgp, 0), {
+        "identity": mi.identity_candidate(), "true": mi.truth_candidate(dgp)}
+
+
 @_timed
 def criterion_7(seed: int) -> CriterionResult:
     """Parallelism accepts the true transform and rejects the identity."""
-    dgp = micro_dgp()
-    spec = mi.MicroPopulationSpec(market_count=200, price_levels=(1.5,),
-                                  w_grid=tuple(np.linspace(-1.0, 1.0, 20)),
-                                  seed=seed + 7)
-    markets = mi.simulate_micro(dgp, spec)
-    a = spec.level_bundle(dgp, 0)
+    markets, a, candidates = one_level_population(200, _MICRO_W_GRID, seed + 7)
     profiles = [m.profile for m in markets]
-    r_true = mi.parallel_residual(mi.truth_candidate(dgp), profiles, a)
-    r_ident = mi.parallel_residual(mi.identity_candidate(), profiles, a)
+    r_true, r_ident = (mi.parallel_residual(candidates[name], profiles, a)
+                       for name in ("true", "identity"))
     return CriterionResult(7, "parallel-trends candidate test", budget=60.0, checks=[
         Check("true_candidate_residual", r_true, 1e-8, "<="),
         Check("identity_candidate_residual", r_ident, 0.05, ">"),
     ])
+
+
+def stratified_population(market_count: int, price_levels, w_grid, seed: int):
+    """The stratified micro population that criterion 8 completes and
+    `cdl verify-thm2` and `cdl micro-identify` write from: dgp, spec and
+    markets."""
+    dgp = micro_dgp()
+    spec = mi.MicroPopulationSpec(market_count=market_count, price_levels=price_levels,
+                                  w_grid=w_grid, seed=seed, assignment="stratified")
+    return dgp, spec, mi.simulate_micro(dgp, spec)
+
+
+def _fit_sigma_family(dgp: mi.MicroDgp, profiles, a, y0: float,
+                      seed: int) -> mi.MicroCandidate:
+    """The sigma family of dgp (price coefficient pinned at 0) fitted to the
+    profiles at bundle a: 3 scan starts, search seed `seed`, baseline y0."""
+    return mi.identify_h_and_g(mi.sigma_family(dgp, alpha_fixed=0.0), profiles, a,
+                               y0=np.array([y0]), starts=3, seed=seed)
 
 
 def _micro_levels_rep(seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -254,11 +282,8 @@ def _micro_levels_rep(seed: int) -> tuple[np.ndarray, np.ndarray]:
                                   seed=seed, endogeneity=0.35)
     markets = mi.simulate_micro(dgp, spec)
     levels = [spec.level_bundle(dgp, k) for k in range(len(price_levels))]
-    fam = mi.sigma_family(dgp, alpha_fixed=0.0)
     profs0 = [m.profile for m in markets if m.level == 0][:30]
-    cand = mi.identify_h_and_g(fam, profs0, levels[0], y0=np.array([0.3]),
-                               starts=3, seed=seed)
-    cands = [cand] * len(price_levels)
+    cands = [_fit_sigma_family(dgp, profs0, levels[0], 0.3, seed)] * len(price_levels)
     valid = mi.instrument_step(cands, markets, levels)
     negative = mi.instrument_step(cands, [dataclasses.replace(m, z=np.array([float(m.level)]))
                                           for m in markets], levels)
@@ -269,13 +294,12 @@ def complete_micro_model(dgp: mi.MicroDgp, spec: mi.MicroPopulationSpec, markets
                          y0: float, seed: int) -> mi.CompletedMicroModel:
     """The micro model completed from markets simulated from dgp under spec:
     at each treatment level k, the sigma family fitted to that level's
-    profiles (3 starts, search seed seed + k, baseline share y0), then the
-    instrument step. Criterion 8's stratified completion, which
-    `cdl micro-identify` writes."""
+    profiles (search seed seed + k, baseline share y0), then the instrument
+    step. Criterion 8's stratified completion, which `cdl micro-identify`
+    writes."""
     levels = [spec.level_bundle(dgp, k) for k in range(len(spec.price_levels))]
-    fam = mi.sigma_family(dgp, alpha_fixed=0.0)
-    cands = [mi.identify_h_and_g(fam, [m.profile for m in markets if m.level == k], a,
-                                 y0=np.array([y0]), starts=3, seed=seed + k)
+    cands = [_fit_sigma_family(dgp, [m.profile for m in markets if m.level == k], a, y0,
+                               seed + k)
              for k, a in enumerate(levels)]
     return mi.instrument_step(cands, markets, levels)
 
@@ -285,12 +309,8 @@ def criterion_8(seed: int) -> CriterionResult:
     """Completion of the micro model: exact under stratified randomization,
     unbiased under endogenous treatment with a valid instrument, and
     detectably biased under the invalid instrument Z := A."""
-    dgp = micro_dgp()
-    spec = mi.MicroPopulationSpec(market_count=200,
-                                  price_levels=(0.5, 1.0, 1.5, 2.0),
-                                  w_grid=tuple(np.linspace(-1.0, 1.0, 20)),
-                                  seed=seed + 8, assignment="stratified")
-    markets = mi.simulate_micro(dgp, spec)
+    dgp, spec, markets = stratified_population(200, (0.5, 1.0, 1.5, 2.0), _MICRO_W_GRID,
+                                               seed + 8)
     model = complete_micro_model(dgp, spec, markets, 0.3, seed)
     worst = 0.0
     for m in markets[:50]:

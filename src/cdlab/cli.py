@@ -192,37 +192,22 @@ def run_verify_thm1(cfg: ExperimentConfig, out: Path) -> None:
     _write_equivalence(out / "thm1_report.csv", 1, acc.theorem1_checks(spec))
 
 
-def _micro_setup(cfg: ExperimentConfig):
-    dgp = acc.micro_dgp()
-    spec = mi.MicroPopulationSpec(
-        market_count=cfg.option("market_count"), price_levels=cfg.option("price_levels"),
-        w_grid=cfg.option("w_grid"),
-        seed=cfg.seed, assignment="stratified")
-    return dgp, spec, mi.simulate_micro(dgp, spec)
-
-
 def run_verify_thm2(cfg: ExperimentConfig, out: Path) -> None:
-    dgp, spec, markets = _micro_setup(cfg)
+    dgp, spec, markets = acc.stratified_population(
+        cfg.option("market_count"), cfg.option("price_levels"), cfg.option("w_grid"), cfg.seed)
     _write_equivalence(out / "thm2_report.csv", 2,
                        mi.verify_theorem2(dgp, markets[:20], spec.level_bundle(dgp, 0)))
 
 
 def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
-    dgp = acc.micro_dgp()
-    spec = mi.MicroPopulationSpec(
-        market_count=cfg.option("market_count"), price_levels=(1.5,),
-        w_grid=cfg.option("w_grid"),
-        seed=cfg.seed)
-    markets = mi.simulate_micro(dgp, spec)
-    a = spec.level_bundle(dgp, 0)
-    w = np.asarray(spec.w_grid, dtype=float)
+    markets, a, candidates = acc.one_level_population(cfg.option("market_count"),
+                                                      cfg.option("w_grid"), cfg.seed)
+    w = np.asarray(cfg.option("w_grid"), dtype=float)
     ids = np.arange(len(markets))[:, None]
-    candidates = [("identity", mi.identity_candidate()),
-                  ("true", mi.truth_candidate(dgp))]
     raw_rows = _market_rows(ids, w, np.array([m.profile.shares[:, 0] for m in markets]),
                             np.array("identity"))
     trans_rows, panels = [], []
-    for name, cand in candidates:
+    for name, cand in candidates.items():
         title = ("(a) rejected candidate" if name == "identity"
                  else "(b) true transform")
         panel = Panel(title=title, xlabel="w", ylabel="transformed share")
@@ -261,7 +246,9 @@ def run_prop32(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_micro_identify(cfg: ExperimentConfig, out: Path) -> None:
-    model = acc.complete_micro_model(*_micro_setup(cfg), cfg.option("y0"), cfg.seed)
+    dgp, spec, markets = acc.stratified_population(
+        cfg.option("market_count"), cfg.option("price_levels"), cfg.option("w_grid"), cfg.seed)
+    model = acc.complete_micro_model(dgp, spec, markets, cfg.option("y0"), cfg.seed)
     cands, K = model.candidates, len(model.candidates)
     alpha_hat = mi.price_coefficient_from_levels(model)
     write_csv(out / "g_hat.csv", ["w", "g_hat"],
