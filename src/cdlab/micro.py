@@ -409,13 +409,11 @@ class MicroCandidate:
 
 def _latin_hypercube_1d(n: int, seed: int) -> np.ndarray:
     """n points in [0, 1), one uniform draw in each of n equal strata, in
-    shuffled order: the stream and arithmetic of scipy's
-    `qmc.LatinHypercube(d=1, seed=seed).random(n)[:, 0]`."""
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(size=(n, 1))[:, 0]
-    perm = np.arange(1, n + 1)
-    rng.shuffle(perm)
-    return (perm - u) / n
+    shuffled order: (k - u) / n, from one draw of 2 n uniforms of substream
+    (0,) of the seed, u the first n and the strata k the stable argsort of
+    the other n, plus 1."""
+    v = market_streams(seed, [0]).random(2 * n)[0]
+    return (np.argsort(v[n:], kind="stable") + 1 - v[:n]) / n
 
 
 def _brent(func: Callable[[float], float], a: float, b: float, x: float | None = None,

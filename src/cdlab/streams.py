@@ -27,10 +27,6 @@ four raw words, for its counter c = (b, k1, k2, l) read as a 256-bit
 integer: numpy's Philox moves its counter on before each block. NEP 19
 keeps that output stable across numpy versions. Normals pass through
 numpy's ``log`` and ``cos``, whose last bits can differ between hosts.
-
-One draw is not in this format: `micro._latin_hypercube_1d`, the micro
-candidate scan, takes ``uniform`` and ``shuffle`` of
-``np.random.default_rng``, Generator algorithms that NEP 19 does not freeze.
 """
 
 from __future__ import annotations

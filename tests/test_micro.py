@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import expit, logit
-from scipy.stats import qmc
 
 from cdlab import micro as mi
 from cdlab.acceptance import micro_dgp
@@ -427,11 +426,31 @@ def test_parallel_residual_single_profile_warns():
     assert r == 0.0
 
 
-def test_scan_draws_are_scipys_latin_hypercube():
-    for seed in range(200):
+def scan_reference(n, seed):
+    """The scan points from numpy's own Philox: the words of substream (0,)
+    of the seed start at the counter (0, 0, 0, 1), and numpy moves its
+    counter on before each block. Of the 2 n uniforms (w >> 11) 2**-53, the
+    first n are u; point i lies in stratum k_i - 1, the index of the i-th
+    smallest of the other n, ties by index: x_i = (k_i - u_i) / n."""
+    philox = np.random.Philox(key=np.array([seed % 2**64, seed >> 64], dtype=np.uint64),
+                              counter=(1 << 192) - 1)
+    v = (philox.random_raw(2 * n) >> np.uint64(11)) * 2.0**-53
+    k = np.array(sorted(range(n), key=lambda i: (v[n + i], i))) + 1
+    return (k - v[:n]) / n
+
+
+def test_scan_draws_are_one_substream_draw():
+    for seed in (*range(100), 2**64 + 5, 2**128 - 1):
         for n in (1, 3, 8, 17):
-            ref = qmc.LatinHypercube(d=1, seed=seed).random(n)[:, 0]
-            assert mi._latin_hypercube_1d(n, seed).tobytes() == ref.tobytes()
+            assert mi._latin_hypercube_1d(n, seed).tobytes() == scan_reference(n, seed).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 100])
+def test_scan_draws_hold_one_point_per_stratum(n):
+    for seed in range(50):
+        x = mi._latin_hypercube_1d(n, seed)
+        assert np.all((0.0 <= x) & (x < 1.0))
+        assert sorted(np.floor(x * n).astype(int).tolist()) == list(range(n))
 
 
 #: One-dimensional objectives of a centre c and a scale s: smooth, kinked
