@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdlab
 from cdlab import demand, laws
 from cdlab.demand import monte_carlo, shares_array
 from cdlab.errors import ConfigError, SimplexViolation
@@ -404,3 +408,42 @@ def test_saturated_market_is_a_named_simplex_violation():
     xi = np.array([[0.0], [0.5], [60.0], [0.2]])
     with pytest.raises(SimplexViolation, match="market 2:"):
         true_counterfactuals(spec, xi, np.zeros(4, dtype=int), bundle([0.0], [1.0]))
+
+
+def numpy_random_uses(source: str) -> list[int]:
+    """The lines of source that import numpy.random or reach it as an
+    attribute of a name bound to numpy."""
+    tree = ast.parse(source)
+    aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "numpy"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.random") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(a.name == "random" for a in node.names))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "random"
+                   and isinstance(node.value, ast.Name) and node.value.id in aliases)
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_numpy_random_uses_are_found():
+    assert numpy_random_uses("import numpy as np\nrng = np.random.default_rng(0)\n") == [2]
+    assert numpy_random_uses("import numpy\nnumpy.random.seed(1)\n") == [2]
+    assert numpy_random_uses("from numpy.random import Generator\n") == [1]
+    assert numpy_random_uses("from numpy import random\n") == [1]
+    assert numpy_random_uses("import numpy.random as npr\n") == [1]
+    assert numpy_random_uses("import numpy as np\nu = streams.random(3)\n") == []
+
+
+def test_cdlab_draws_only_from_its_substream_format():
+    """No module of cdlab uses numpy.random: every draw goes through
+    `streams.market_streams`, whose format NEP 19 keeps stable."""
+    root = Path(cdlab.__file__).parent
+    found = {str(path.relative_to(root)): lines for path in sorted(root.rglob("*.py"))
+             if (lines := numpy_random_uses(path.read_text()))}
+    assert found == {}
