@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import sys
 from pathlib import Path
 
@@ -37,53 +36,73 @@ from .types import lognormal_mixing
 TYPE_COLORS = ("#1f77b4", "#ff7f0e")
 
 
-#: The `%` format of each cell type that csv.writer would not quote: a str
-#: cell takes it unless it holds one of the characters QUOTED.
-CELL_FORMATS = {float: "%.17g", int: "%d", bool: "%s", str: "%s"}
+#: The characters that make csv.writer quote a field.
 QUOTED = frozenset(',"\r\n')
-#: Rows formatted and written together. Small enough that a chunk's
-#: temporaries are reused from pass to pass: at 1,024 rows, `cdl fig1`
-#: runs in one process kept about 0.3 MB more resident memory.
+#: Lines of a per-market table formatted and written together. Small enough
+#: that a chunk's temporaries are reused from pass to pass: at 1,024 lines,
+#: `cdl fig1` runs in one process kept about 0.3 MB more resident memory.
 CSV_CHUNK = 128
 
 
-def _bulk_lines(rows):
-    """The lines of `rows`, formatted by one `%` call with their line format
-    repeated, when every row has the cell types of the first, each in
-    CELL_FORMATS, and no str cell needs quoting; "" for any other rows, and
-    for a row of one str, which csv.writer quotes when it is empty."""
-    kinds = tuple(map(type, rows[0]))
-    cells = list(itertools.chain.from_iterable(rows))
-    if (kinds == (str,) or not all(k in CELL_FORMATS for k in kinds)
-            or len(set(map(len, rows))) > 1 or list(map(type, cells)) != list(kinds) * len(rows)
-            or not QUOTED.isdisjoint("".join(["".join(cells[i::len(kinds)])
-                                              for i, k in enumerate(kinds) if k is str]))):
-        return ""
-    return (",".join(map(CELL_FORMATS.get, kinds)) + "\r\n") * len(rows) % tuple(cells)
+class Table(tuple):
+    """A per-market table: columns that broadcast to (n, J), one line per
+    market and product, market by market. An (n, 1) column holds a market's
+    value, a (J,) or 0-d column a product's."""
+
+    def __new__(cls, *columns):
+        return super().__new__(cls, map(np.asarray, columns))
+
+
+def _field(v, lone=False):
+    """A cell as csv.writer writes it, a float as %.17g; `lone` when it is
+    its line's only field, which csv.writer quotes when empty."""
+    s = "%.17g" % v if isinstance(v, float) else str(v)
+    return s if QUOTED.isdisjoint(s) and (s or not lone) else '"%s"' % s.replace('"', '""')
+
+
+def _write_table(fh, table: Table) -> None:
+    """The lines of a Table, each value formatted once along the axis on
+    which it is constant: a product's values (a (J,) or 0-d column) are
+    baked into the line format, a market's ((n, 1)) are formatted once per
+    market, and only (n, J) cells one by one. A chunk of about CSV_CHUNK
+    lines is one `%` call."""
+    n, J = np.broadcast_shapes(*(c.shape for c in table), (1, 1))
+    lone, slots, cells = len(table) == 1, [], []
+    for c in map(np.atleast_2d, table):
+        if len(c) == 1:  # one value per product
+            slots.append([_field(v, lone).replace("%", "%%") for v in
+                          np.broadcast_to(c, (1, J))[0].tolist()])
+        elif c.dtype.kind == "f" and c.shape[1] == J:
+            slots.append(["%.17g"] * J)
+            cells.append(c)
+        else:
+            slots.append(["%s"] * J)
+            cells.append(np.frompyfunc(_field, 2, 1)(c, lone))
+    line = "".join(",".join(f) + "\r\n" for f in zip(*slots))
+    step = max(1, CSV_CHUNK // max(J, 1))
+    for i in range(0, n, step):
+        chunk = np.empty((min(step, n - i), J, len(cells)), object)
+        for k, c in enumerate(cells):
+            chunk[:, :, k] = c[i:i + step]
+        fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def write_csv(path, header, rows) -> None:
-    """RFC-4180 CSV with full round-trip float formatting.
+    """RFC-4180 CSV: csv.writer's quoting, floats as %.17g (which round-trip),
+    CRLF line ends.
 
-    Rows are taken in chunks of CSV_CHUNK, and a chunk that `_bulk_lines`
-    formats is one write. Any other chunk goes row by row: a row that
-    `_bulk_lines` formats alone by its line, any other row (with a str that
-    needs quotes, None or numpy scalars) through csv.writer, which quotes
-    what needs it. Both write the same bytes for the same cells.
+    `rows` is a Table or an iterable of rows. A Table is formatted column by
+    column (`_write_table`) into the bytes that csv.writer writes for the
+    rows its columns broadcast to; rows go through csv.writer.
     """
-    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
-        while chunk := list(map(tuple, itertools.islice(rows, CSV_CHUNK))):
-            if text := _bulk_lines(chunk):
-                fh.write(text)
-                continue
-            for row in chunk:
-                if line := _bulk_lines([row]):
-                    fh.write(line)
-                else:
-                    writer.writerow(["%.17g" % v if isinstance(v, float) else v for v in row])
+        if isinstance(rows, Table):
+            _write_table(fh, rows)
+        else:
+            writer.writerows(["%.17g" % v if isinstance(v, float) else v for v in row]
+                             for row in rows)
 
 
 def _default_population(seed: int) -> PopulationSpec:
@@ -94,12 +113,6 @@ def _default_population(seed: int) -> PopulationSpec:
 
 def _population(cfg: ExperimentConfig) -> PopulationSpec:
     return cfg.population if cfg.population is not None else _default_population(cfg.seed)
-
-
-def _market_rows(*columns):
-    """One CSV row per market and product, market by market, from columns
-    that broadcast to (n, J): (n, 1) for a market's value, (J,) a product's."""
-    return zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*columns)))
 
 
 def _types(spec: PopulationSpec, zeta: np.ndarray):
@@ -113,7 +126,7 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> None:
     pop = sample_population(_population(cfg))
     write_csv(out / "population.csv",
               ["market_id", "type", "product", "x1", "p", "xi", "z", "share"],
-              _market_rows(np.arange(len(pop))[:, None], pop.zeta[:, None],
+              Table(np.arange(len(pop))[:, None], pop.zeta[:, None],
                            np.arange(pop.y.shape[1]), pop.a.x1, pop.a.p, pop.xi, pop.z, pop.y))
 
 
@@ -128,7 +141,7 @@ def run_invert(cfg: ExperimentConfig, out: Path) -> None:
         resid[r] = np.abs(shares_array(m, delta[r], a[r]) - y[r]).max(axis=1)
     write_csv(out / "inversion.csv",
               ["market_id", "product", "delta_hat", "delta_true", "residual"],
-              _market_rows(np.arange(len(pop))[:, None], np.arange(spec.J), delta,
+              Table(np.arange(len(pop))[:, None], np.arange(spec.J), delta,
                            a.x1 + pop.xi, resid[:, None]))
 
 
@@ -144,7 +157,7 @@ def run_predict(cfg: ExperimentConfig, out: Path) -> None:
     write_csv(out / "predictions.csv",
               ["market_id", "product", "observed_share", "predicted_share",
                "true_share"],
-              _market_rows(np.arange(len(pop))[:, None], np.arange(spec.J), y, pred,
+              Table(np.arange(len(pop))[:, None], np.arange(spec.J), y, pred,
                            spec.truth(pop, target)))
 
 
@@ -165,7 +178,7 @@ def run_fig1(cfg: ExperimentConfig, out: Path) -> None:
                   label=labels.pop(1 - zeta, ""), dash="4,3")
     write_csv(out / "curves.csv",
               ["market_id", "type", "grid_price", "own_share", "opposite_share"],
-              _market_rows(np.arange(len(pairs))[:, None], shown.zeta[:, None], pairs[0].grid,
+              Table(np.arange(len(pairs))[:, None], shown.zeta[:, None], pairs[0].grid,
                            np.array([p.own for p in pairs]),
                            np.array([p.opposite for p in pairs])))
     write_svg(out / "fig1.svg", [panel])
@@ -204,9 +217,7 @@ def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
                                                       cfg.option("w_grid"), cfg.seed)
     w = np.asarray(cfg.option("w_grid"), dtype=float)
     ids = np.arange(len(markets))[:, None]
-    raw_rows = _market_rows(ids, w, np.array([m.profile.shares[:, 0] for m in markets]),
-                            np.array("identity"))
-    trans_rows, panels = [], []
+    paths, panels = [], []
     for name, cand in candidates.items():
         title = ("(a) rejected candidate" if name == "identity"
                  else "(b) true transform")
@@ -214,12 +225,14 @@ def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
         centered = mi._stacked_increments(cand, [m.profile for m in markets], a)[:, :, 0]
         for i, path in enumerate(centered):
             panel.add(w, path, color=TYPE_COLORS[i % 2])
-        trans_rows += _market_rows(ids, w, centered, np.array(name))
+        paths.append(centered)
         panels.append(panel)
-    write_csv(out / "paths_raw.csv",
-              ["market_id", "w", "value", "candidate_name"], raw_rows)
-    write_csv(out / "paths_transformed.csv",
-              ["market_id", "w", "value", "candidate_name"], trans_rows)
+    write_csv(out / "paths_raw.csv", ["market_id", "w", "value", "candidate_name"],
+              Table(ids, w, np.array([m.profile.shares[:, 0] for m in markets]), "identity"))
+    # the candidates' paths stacked, candidate by candidate
+    write_csv(out / "paths_transformed.csv", ["market_id", "w", "value", "candidate_name"],
+              Table(np.tile(ids, (len(paths), 1)), w, np.concatenate(paths),
+                    np.repeat(list(candidates), len(markets))[:, None]))
     write_svg(out / "fig2.svg", panels)
 
 
@@ -229,7 +242,7 @@ def run_extrapolate(cfg: ExperimentConfig, out: Path) -> None:
     shown = data[:200]
     pred = np.array([ex.extrapolate(rule, shown.y, shown.a, t) for t in range(len(mu))])
     write_csv(out / "predictions.csv", ["market_id", "target_a", "y_tilde"],
-              _market_rows(np.arange(len(shown))[:, None], np.arange(len(mu)), pred.T))
+              Table(np.arange(len(shown))[:, None], np.arange(len(mu)), pred.T))
     # A fit that is not unique raises NonUnique, so `unique` is always True;
     # the column stays because perfbench's transport-rules check reads it.
     write_csv(out / "gmm_report.csv", ["parameter", "estimate", "criterion", "unique"],

@@ -86,9 +86,11 @@ def _panel_svg(panel: Panel, ox: float) -> list:
     for value, py in [(y0, top + h), (y1, top + 8)]:
         out.append(f'<text x="{left - 4}" y="{py}" text-anchor="end" '
                    f'font-size="10">{_fmt(value)}</text>')
+    points = {}  # each distinct x grid's points, with a %.6g slot for each y
     for s in panel.series:
-        xy = np.column_stack([sx(s.x), sy(s.y)]).ravel().tolist()
-        pts = " ".join(["%.6g,%.6g"] * len(s.x)) % tuple(xy)
+        if (key := s.x.tobytes()) not in points:
+            points[key] = " ".join(["%.6g,%%.6g"] * len(s.x)) % tuple(sx(s.x).tolist())
+        pts = points[key] % tuple(sy(s.y).tolist())
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
                    f'stroke-width="{s.width}"{dash}/>')
