@@ -91,9 +91,10 @@ def write_csv(path, header, rows) -> None:
     """RFC-4180 CSV: csv.writer's quoting, floats as %.17g (which round-trip),
     CRLF line ends.
 
-    `rows` is a Table or an iterable of rows. A Table is formatted column by
-    column (`_write_table`) into the bytes that csv.writer writes for the
-    rows its columns broadcast to; rows go through csv.writer.
+    `rows` is a Table or an iterable of rows. Rows go through csv.writer. A
+    Table is formatted column by column (`_write_table`) into the bytes that
+    csv.writer writes for the rows its columns broadcast to: its product
+    values once per product, its market values once per market.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")

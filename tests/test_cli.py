@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 import warnings
 from pathlib import Path
 
@@ -38,6 +39,7 @@ def reference_write_csv(path, header, rows) -> None:
                              for v in row])
 
 
+GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "configs"
 CSV_HEADER = ["id", "a, b", 'say "x"']
 EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.5e-310, 1e308, -1e308, float("nan"), float("inf"),
                float("-inf")]
@@ -85,46 +87,85 @@ def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, runs, lazy):
     assert (tmp / "got.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
 
+#: Cell strategies and dtypes of Table columns by kind.
+COLUMN_KINDS = {
+    "float": (FLOATS, float),
+    "int64": (st.integers(-2 ** 63, 2 ** 63 - 1) | st.sampled_from([-2 ** 63, 2 ** 63 - 1]),
+              np.int64),
+    "bool": (st.booleans(), bool),
+    "str": (st.text(st.sampled_from('ab ,"\r\n%'), max_size=3), str),
+}
+
+
+@st.composite
+def tables(draw):
+    """1-4 columns of every kind, each of one broadcast shape: 0-d, (J,),
+    (n, 1) or (n, J), for n and J from 1 to 4."""
+    n, J = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        cells, dtype = COLUMN_KINDS[draw(st.sampled_from(sorted(COLUMN_KINDS)))]
+        shape = draw(st.sampled_from([(), (J,), (n, 1), (n, J)]))
+        size = int(np.prod(shape))
+        values = draw(st.lists(cells, min_size=size, max_size=size))
+        columns.append(np.array(values, dtype=dtype).reshape(shape))
+    return columns
+
+
+def broadcast_rows(columns):
+    """The rows of a Table's columns, one per broadcast cell, as Python values."""
+    return list(zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*columns))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns=tables())
+@example(columns=[np.array(["", "a"])])
+@example(columns=[np.array([[1], [2]]), np.array("50%"), np.array([[0.5, -0.0]] * 2)])
+def test_write_csv_writes_a_table_as_csv_writer_writes_its_rows(tmp_path_factory, columns):
+    """A Table's bytes are csv.writer's bytes for the rows its columns
+    broadcast to, for every cell kind and broadcast shape; the examples hold
+    a one-column table with an empty str, which csv.writer quotes, and a
+    product value with a `%`, which the line format must escape."""
+    tmp = tmp_path_factory.mktemp("csv")
+    reference_write_csv(tmp / "ref.csv", CSV_HEADER, broadcast_rows(columns))
+    cli.write_csv(tmp / "got.csv", CSV_HEADER, cli.Table(*columns))
+    assert (tmp / "got.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+
 def test_write_csv_keeps_row_order_across_its_chunks(tmp_path):
-    """Rows that csv.writer writes land between the bulk rows around them,
-    also where a chunk of bulk lines is full."""
-    n = cli.CSV_CHUNK
-    rows = [[i, i / 7.0, i % 3 == 0] for i in range(2 * n + 3)]
-    for i in (0, n - 1, n, 2 * n + 2):
-        rows[i] = [i, f"row {i}, quoted", None]
-    reference_write_csv(tmp_path / "ref.csv", CSV_HEADER, rows)
-    cli.write_csv(tmp_path / "got.csv", CSV_HEADER, rows)
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    """A Table of more markets than fit a chunk, at J = 1, 3 and more than
+    CSV_CHUNK products, writes its lines market by market; the markets
+    that quote their name fall on chunk edges."""
+    for J in (1, 3, cli.CSV_CHUNK + 1):
+        n = 2 * cli.CSV_CHUNK // J + 3
+        names = np.array([f"row {i}, quoted" if i % 11 == 0 else f"row {i}" for i in range(n)])
+        columns = [np.arange(n)[:, None], np.arange(J) / 7.0, names[:, None],
+                   np.arange(n * J).reshape(n, J) % 3 == 0, np.linspace(0.0, 1.0, n * J).reshape(n, J)]
+        reference_write_csv(tmp_path / "ref.csv", CSV_HEADER, broadcast_rows(columns))
+        cli.write_csv(tmp_path / "got.csv", CSV_HEADER, cli.Table(*columns))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_write_csv_writes_a_uniform_chunk_in_bulk(tmp_path, monkeypatch):
-    """From a generator of lists: the first CSV_CHUNK rows, all of one
-    shape, are one bulk write; the next chunk opens with a row of another
-    shape and goes row by row, and so does the last, whose int rows differ
-    in length; all give csv.writer's bytes."""
-    n = cli.CSV_CHUNK
-    rows = [[i, i / 7.0, i % 3 == 0, "plain"] for i in range(2 * n)] + [[1, 2], [3], [4, 5, 6]]
-    rows[n] = [n, None, "a, b", 1.5]
-    chunks = []
+def test_write_csv_writes_a_uniform_chunk_in_bulk():
+    """A Table is written a chunk of markets at a time, each chunk one
+    write of about CSV_CHUNK lines, the last holding the markets left."""
+    n, J = 100, 61
+    writes = []
 
-    def bulk_lines(some):
-        text = real(some)
-        if len(some) > 1:
-            chunks.append((len(some), bool(text)))
-        return text
+    class File:
+        def write(self, text):
+            writes.append(text.count("\r\n"))
 
-    real = cli._bulk_lines
-    monkeypatch.setattr(cli, "_bulk_lines", bulk_lines)
-    cli.write_csv(tmp_path / "got.csv", CSV_HEADER, (list(r) for r in rows))
-    assert chunks == [(n, True), (n, False), (3, False)]
-    reference_write_csv(tmp_path / "ref.csv", CSV_HEADER, rows)
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    cli._write_table(File(), cli.Table(np.arange(n)[:, None], np.linspace(0.0, 1.0, J),
+                                       np.ones((n, J))))
+    step = cli.CSV_CHUNK // J
+    assert writes == [step * J] * (n // step) + [n % step * J] * (n % step > 0)
 
 
 def test_write_csv_formats_plain_str_cells_in_bulk(tmp_path, monkeypatch):
-    """A row whose str cells need no quotes, as fig2's candidate names, is
-    formatted in bulk: csv.writer writes only the header and the row that
-    needs quotes."""
+    """A Table's str columns, as fig2's candidate names, are formatted
+    without csv.writer, which writes only the header, and those that need
+    quotes are quoted as csv.writer quotes them."""
     written = []
 
     class Writer:
@@ -136,13 +177,65 @@ def test_write_csv_formats_plain_str_cells_in_bulk(tmp_path, monkeypatch):
             self.inner.writerow(row)
 
     real = cli.csv.writer
-    rows = [[0, "demeaned-logit", 0.5], [1, "quantile rank", -1.0], [2, "a, b", 2.0]]
+    columns = [np.arange(3)[:, None], np.array(["demeaned-logit", "quantile rank", "a, b"]),
+               np.array([[0.5, -1.0, 2.0]] * 3)]
     monkeypatch.setattr(cli.csv, "writer", Writer)
-    cli.write_csv(tmp_path / "got.csv", CSV_HEADER, rows)
+    cli.write_csv(tmp_path / "got.csv", CSV_HEADER, cli.Table(*columns))
     monkeypatch.undo()
-    assert written == [CSV_HEADER, [2, "a, b", "2"]]
-    reference_write_csv(tmp_path / "ref.csv", CSV_HEADER, rows)
+    assert written == [CSV_HEADER]
+    reference_write_csv(tmp_path / "ref.csv", CSV_HEADER, broadcast_rows(columns))
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+#: The per-market tables, small, with the columns that hold whole numbers.
+TABLE_RUNS = {
+    "simulate": (["--config", GOLDEN_CONFIGS / "simulate.json"], {"market_id", "type", "product"}),
+    "invert": (["--config", GOLDEN_CONFIGS / "invert.json"], {"market_id", "product"}),
+    "predict": (["--config", GOLDEN_CONFIGS / "predict.json"], {"market_id", "product"}),
+    "fig1": (["--set", "market_count=40", "--set", "curves_plotted=4"],
+             {"market_id", "type", "bins"}),
+    "fig2": (["--set", "market_count=6"], {"market_id"}),
+    "extrapolate": (["--set", "n=400"], {"market_id", "target_a", "parameter"}),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(TABLE_RUNS))
+def test_subcommand_tables_are_in_canonical_form(tmp_path, cmd):
+    """Each CSV, read back with each cell typed by its column (whole numbers,
+    True/False, floats, else str) and rewritten by csv.writer with floats
+    as %.17g, gives the same bytes: no cell is written in another format,
+    which the golden references, comparing numbers within 1e-12, miss."""
+    args, whole = TABLE_RUNS[cmd]
+    assert run([cmd, "--out", tmp_path / "out", *args]) == 0
+    for path in sorted((tmp_path / "out").glob("*.csv")):
+        header, *rows = read_csv(path)
+        typed = [[typed_cell(name in whole, v) for name, v in zip(header, row)] for row in rows]
+        reference_write_csv(tmp_path / "ref.csv", header, typed)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), path.name
+
+
+def typed_cell(whole, text):
+    if whole:
+        return int(text)
+    if text in ("True", "False"):
+        return text == "True"
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def test_cli_module_stays_below_4096_parser_tokens():
+    """Every process without cached bytecode compiles cli.py, and that
+    compile lands in its peak memory. CPython 3.11's compile of a module
+    steps up past 4,096 parser tokens: measured under tracemalloc, cli.py
+    peaked at 1,439 KB with up to 4,096 tokens and at 1,662 KB from 4,097
+    on. Tokens are counted as `tokenize` yields them, without comments and
+    non-logical newlines."""
+    with open(cli.__file__) as fh:
+        tokens = [t for t in tokenize.generate_tokens(fh.readline)
+                  if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    assert len(tokens) < 4096
 
 
 def test_simulate_writes_population_csv(tmp_path):
@@ -301,9 +394,6 @@ def test_negative_config_seed_exits_1_naming_it(tmp_path, capsys, where, cfg):
     path.write_text(json.dumps(doc))
     assert run(["simulate", "--config", path, "--out", tmp_path / "out"]) == 1
     assert f"{where} must be a non-negative integer" in capsys.readouterr().err
-
-
-GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "configs"
 
 
 def test_seed_flag_seeds_the_population(tmp_path):

@@ -100,6 +100,14 @@ FIGURES = {
     "negative": figure([(-X, -3.0 * X ** 2), (X - 0.5, np.sin(X) - 2.0)]),
     "near 1e-300": figure([(1e-300 * X, 3e-300 * X[::-1]), (2e-300 * X, 1e-300 * X)]),
     "several panels": figure([(X, X)], [(X, 1e6 * X), ([1.0], [1.0])], [(X, np.exp(-X))]),
+    "one shared x": figure([(X, X), (X, X ** 2), (X, -X)], [(X, X), (X[:3], X[:3])]),
+    "equal x in distinct arrays": figure([(X, np.sin(X)), (X.copy(), np.cos(X)), (X + 0.0, X)]),
+    "x reversed": figure([(X, X), (X[::-1], X), (X, X[::-1])]),
+    "x of -0.0 and 0.0": figure([(np.array([-0.0, 0.5, 1.0]), [0.1, 0.2, 0.3]),
+                                 (np.array([0.0, 0.5, 1.0]), [0.3, 0.2, 0.1])],
+                                [(np.array([-1.0, -0.0]), [1.0, 2.0]),
+                                 (np.array([-1.0, 0.0]), [2.0, 1.0])]),
+    "nan in y": figure([(X, np.where(X > 0.5, np.nan, X)), (X, X)]),
 }
 
 
