@@ -39,8 +39,8 @@ TYPE_COLORS = ("#1f77b4", "#ff7f0e")
 #: The characters that make csv.writer quote a field.
 QUOTED = frozenset(',"\r\n')
 #: Lines of a per-market table formatted and written together. Small enough
-#: that a chunk's temporaries are reused from pass to pass: at 1,024 lines,
-#: `cdl fig1` runs in one process kept about 0.3 MB more resident memory.
+#: that a chunk's temporaries are reused from pass to pass: chunks of 1,024
+#: rows kept about 0.3 MB more resident memory in `cdl fig1` runs.
 CSV_CHUNK = 128
 
 
@@ -53,7 +53,7 @@ class Table(tuple):
         return super().__new__(cls, map(np.asarray, columns))
 
 
-def _field(v, lone=False):
+def _field(v, lone):
     """A cell as csv.writer writes it, a float as %.17g; `lone` when it is
     its line's only field, which csv.writer quotes when empty."""
     s = "%.17g" % v if isinstance(v, float) else str(v)
@@ -128,7 +128,7 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> None:
     write_csv(out / "population.csv",
               ["market_id", "type", "product", "x1", "p", "xi", "z", "share"],
               Table(np.arange(len(pop))[:, None], pop.zeta[:, None],
-                           np.arange(pop.y.shape[1]), pop.a.x1, pop.a.p, pop.xi, pop.z, pop.y))
+                    np.arange(pop.y.shape[1]), pop.a.x1, pop.a.p, pop.xi, pop.z, pop.y))
 
 
 def run_invert(cfg: ExperimentConfig, out: Path) -> None:
@@ -143,7 +143,7 @@ def run_invert(cfg: ExperimentConfig, out: Path) -> None:
     write_csv(out / "inversion.csv",
               ["market_id", "product", "delta_hat", "delta_true", "residual"],
               Table(np.arange(len(pop))[:, None], np.arange(spec.J), delta,
-                           a.x1 + pop.xi, resid[:, None]))
+                    a.x1 + pop.xi, resid[:, None]))
 
 
 def run_predict(cfg: ExperimentConfig, out: Path) -> None:
@@ -159,7 +159,7 @@ def run_predict(cfg: ExperimentConfig, out: Path) -> None:
               ["market_id", "product", "observed_share", "predicted_share",
                "true_share"],
               Table(np.arange(len(pop))[:, None], np.arange(spec.J), y, pred,
-                           spec.truth(pop, target)))
+                    spec.truth(pop, target)))
 
 
 def run_fig1(cfg: ExperimentConfig, out: Path) -> None:
@@ -180,8 +180,7 @@ def run_fig1(cfg: ExperimentConfig, out: Path) -> None:
     write_csv(out / "curves.csv",
               ["market_id", "type", "grid_price", "own_share", "opposite_share"],
               Table(np.arange(len(pairs))[:, None], shown.zeta[:, None], pairs[0].grid,
-                           np.array([p.own for p in pairs]),
-                           np.array([p.opposite for p in pairs])))
+                    np.array([p.own for p in pairs]), np.array([p.opposite for p in pairs])))
     write_svg(out / "fig1.svg", [panel])
 
     bins = max(2, min(50, spec.market_count // 10))
@@ -230,7 +229,6 @@ def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
         panels.append(panel)
     write_csv(out / "paths_raw.csv", ["market_id", "w", "value", "candidate_name"],
               Table(ids, w, np.array([m.profile.shares[:, 0] for m in markets]), "identity"))
-    # the candidates' paths stacked, candidate by candidate
     write_csv(out / "paths_transformed.csv", ["market_id", "w", "value", "candidate_name"],
               Table(np.tile(ids, (len(paths), 1)), w, np.concatenate(paths),
                     np.repeat(list(candidates), len(markets))[:, None]))

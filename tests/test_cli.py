@@ -29,8 +29,8 @@ def read_csv(path):
 
 
 def reference_write_csv(path, header, rows) -> None:
-    """`cli.write_csv` as it was before rows were formatted in bulk: every
-    row through csv.writer, floats as %.17g."""
+    """The bytes that `cli.write_csv` writes, for rows and Tables alike:
+    every row through csv.writer, floats as %.17g."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
@@ -44,7 +44,7 @@ CSV_HEADER = ["id", "a, b", 'say "x"']
 EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.5e-310, 1e308, -1e308, float("nan"), float("inf"),
                float("-inf")]
 FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
-#: Cell strategies by kind; the first three are the kinds of the bulk path.
+#: Cell strategies of the row form by kind.
 CELLS = {
     "int": st.integers(),
     "float": FLOATS,
@@ -76,10 +76,10 @@ def csv_runs(draw):
                ("tuple", ("a b'", True, "a,b")), ("list", (None,)), ("list", ("",))],
          lazy=True)
 def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, runs, lazy):
-    """Bulk-formatted rows and csv.writer's rows are the same bytes, for
-    every cell kind, row container and shape change, and for no rows; the
-    example has one-cell rows and empty strings, which csv.writer quotes
-    only when an empty string is the whole row."""
+    """The row form writes csv.writer's bytes, for every cell kind, row
+    container and shape change, and for no rows; the example has one-cell
+    rows and empty strings, which csv.writer quotes only when an empty
+    string is the whole row."""
     tmp = tmp_path_factory.mktemp("csv")
     reference_write_csv(tmp / "ref.csv", CSV_HEADER, [row for _, row in runs])
     rows = (CONTAINERS[c](row) for c, row in runs)
@@ -134,13 +134,14 @@ def test_write_csv_writes_a_table_as_csv_writer_writes_its_rows(tmp_path_factory
 
 def test_write_csv_keeps_row_order_across_its_chunks(tmp_path):
     """A Table of more markets than fit a chunk, at J = 1, 3 and more than
-    CSV_CHUNK products, writes its lines market by market; the markets
-    that quote their name fall on chunk edges."""
+    CSV_CHUNK products, writes its lines market by market, with every
+    eleventh market's name quoted."""
     for J in (1, 3, cli.CSV_CHUNK + 1):
         n = 2 * cli.CSV_CHUNK // J + 3
         names = np.array([f"row {i}, quoted" if i % 11 == 0 else f"row {i}" for i in range(n)])
-        columns = [np.arange(n)[:, None], np.arange(J) / 7.0, names[:, None],
-                   np.arange(n * J).reshape(n, J) % 3 == 0, np.linspace(0.0, 1.0, n * J).reshape(n, J)]
+        cells = np.arange(n * J).reshape(n, J)
+        columns = [np.arange(n)[:, None], np.arange(J) / 7.0, names[:, None], cells % 3 == 0,
+                   cells / (n * J)]
         reference_write_csv(tmp_path / "ref.csv", CSV_HEADER, broadcast_rows(columns))
         cli.write_csv(tmp_path / "got.csv", CSV_HEADER, cli.Table(*columns))
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
