@@ -3,6 +3,7 @@
 Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py [CASE ...]
+    PYTHONPATH=src python tests/golden/regen.py --check [CASE ...]
 
 Each case runs one `cdl` subcommand at a fixed seed and small size (the
 micro cases through option overrides, the market cases through the
@@ -11,10 +12,18 @@ under tests/golden/<case>/. `tests/test_golden.py` reruns the same cases
 and compares against these files. Regenerate only when an output is meant
 to change, and say which reference moved and why; name the cases to
 regenerate only those (default: all).
+
+With --check nothing under tests/golden/ is written: the cases run into a
+temporary directory, each reference file whose bytes differ from the fresh
+output (or that the fresh run no longer writes, or does not have yet) is
+printed, and the exit status is 1 if any differs. `tests/test_golden.py`
+allows numeric cells to move by 1e-12; --check shows the references that
+lag the code within that tolerance.
 """
 
 from __future__ import annotations
 
+import argparse
 import shutil
 import sys
 import tempfile
@@ -57,11 +66,37 @@ def run_case(name: str, out: Path) -> list[Path]:
     return sorted(out.glob("*.csv"))
 
 
-def main(names=None) -> int:
-    unknown = set(names or ()) - set(CASES)
+def differing(names, golden: Path) -> list[str]:
+    """The reference files, as case/name.csv, of the cases `names` under
+    `golden` whose bytes differ from a fresh run's, including a reference
+    the run no longer writes and a fresh CSV that has no reference."""
+    out = []
+    for name in names:
+        with tempfile.TemporaryDirectory() as tmp:
+            fresh = {p.name: p.read_bytes() for p in run_case(name, Path(tmp))}
+        refs = {p.name: p.read_bytes() for p in (golden / name).glob("*.csv")}
+        out += [f"{name}/{f}" for f in sorted(fresh.keys() | refs.keys())
+                if fresh.get(f) != refs.get(f)]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; print the references that differ, exit 1 if any")
+    parser.add_argument("cases", nargs="*", metavar="CASE", help="default: all")
+    args = parser.parse_args(argv)
+    unknown = set(args.cases) - set(CASES)
     if unknown:
         raise SystemExit(f"unknown golden cases: {sorted(unknown)}")
-    for name in names or CASES:
+    names = args.cases or list(CASES)
+    if args.check:
+        stale = differing(names, GOLDEN)
+        for path in stale:
+            print(f"differs: {path}")
+        print(f"{len(stale)} of the references of {len(names)} cases differ")
+        return 1 if stale else 0
+    for name in names:
         dest = GOLDEN / name
         with tempfile.TemporaryDirectory() as tmp:
             csvs = run_case(name, Path(tmp))
@@ -75,4 +110,4 @@ def main(names=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

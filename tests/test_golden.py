@@ -10,6 +10,7 @@ Text and boolean cells match exactly.
 import csv
 import importlib.util
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,23 @@ def test_cell_comparison_rules():
 def test_every_subcommand_has_a_golden_case():
     from cdlab import cli
     assert set(cli.RUNNERS) == set(regen.CASES)
+
+
+def test_regen_check_names_a_reference_whose_bytes_differ(tmp_path, monkeypatch, capsys):
+    """`regen.py --check` passes on a copy of a case's references and, once
+    one digit of a copy moves within the cell tolerance above, names that
+    file and exits 1; it writes nothing into the reference tree."""
+    shutil.copytree(GOLDEN / "prop32", tmp_path / "prop32")
+    monkeypatch.setattr(regen, "GOLDEN", tmp_path)
+    assert regen.main(["--check", "prop32"]) == 0
+    assert "differs" not in capsys.readouterr().out
+    ref = tmp_path / "prop32" / "prop32_report.csv"
+    corrupted = ref.read_bytes().replace(b"1.6653345369377348e-16", b"1.6653345369377349e-16")
+    assert corrupted != ref.read_bytes()
+    ref.write_bytes(corrupted)
+    assert all(cells_agree(c, r) for c, r in zip(*(
+        sum(read_csv(p), []) for p in (GOLDEN / "prop32" / ref.name, ref))))
+    assert regen.main(["--check", "prop32"]) == 1
+    assert "differs: prop32/prop32_report.csv" in capsys.readouterr().out.splitlines()
+    assert ref.read_bytes() == corrupted
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["prop32", "prop32_report.csv"]
