@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .demand import (MAX_BLOCK_ELEMENTS, ShareMap, _fixed_index, _random_index,
-                     _weighted_node_shares, expit_mixture, logit, mixing_nodes,
+                     _weighted_node_shares, logit, mixing_nodes,
                      node_average, node_jacobian, node_sum)
 from .errors import ConfigError, IntegrationFailure, NoConvergence, SimplexViolation
 from .types import Bundle, Bundles, validate_share_rows
@@ -74,12 +74,13 @@ DEFAULT_INVERSION = InversionConfig()
 
 def _check_shares(y, y0, ids=None) -> None:
     """Raise SimplexViolation naming the first market (by its entry in `ids`,
-    default its row) whose inside share y is not positive, so that its log
-    and delta are not finite; else the first whose inside share is
-    subnormal, too coarse for a log-share tolerance; else the first whose
-    outside share y0 is below MIN_OUTSIDE_SHARE, which does not determine
-    delta."""
+    default its row) whose inside share y is not finite; else the first whose
+    inside share is not positive, so that its log and delta are not finite;
+    else the first whose inside share is subnormal, too coarse for a
+    log-share tolerance; else the first whose outside share y0 is below
+    MIN_OUTSIDE_SHARE, which does not determine delta."""
     for kind, share, low, why in (
+            ("inside", y, ~np.isfinite(np.ravel(y)), "is not finite"),
             ("inside", y, np.ravel(y) <= 0, "is not positive, so delta is not finite"),
             ("inside", y, np.ravel(y) < _SMALLEST_NORMAL,
              "is subnormal, so it does not determine delta"),
@@ -263,16 +264,23 @@ def solve_share_curve(offsets, weights, y,
     leaves it or is not finite becomes its midpoint. A row stops moving once
     its share and log-share residuals are both within cfg.tol, so it is not
     moved on by the iterations that other rows of the batch still need.
-    Raises SimplexViolation when some y is not positive or some 1 - y is
-    below MIN_OUTSIDE_SHARE, and
+    Raises SimplexViolation when some y is not finite or not positive or
+    some 1 - y is below MIN_OUTSIDE_SHARE, and
     NoConvergence(iterations, residual) when some row has not converged
     after cfg.max_iter.
+
+    The checks read the least and the largest y (1 - y falls as y rises),
+    and scan the rows only to name a failing one. Each iteration evaluates
+    the curve and its slope as `expit_mixture` does, in two (..., M) buffers
+    made once.
     """
     y = np.asarray(y, dtype=float)
-    _check_shares(y, 1.0 - y)
+    least, largest = y.min(), y.max()
+    if not (least >= _SMALLEST_NORMAL and 1.0 - largest >= MIN_OUTSIDE_SHARE):  # or a nan
+        _check_shares(y, 1.0 - y)
     sign = 1.0
-    mirror = (y > 0.5) & (1.0 - y < cfg.tol / OUTSIDE_TOL)
-    if mirror.any():
+    if largest > 0.5 and 1.0 - largest < cfg.tol / OUTSIDE_TOL:
+        mirror = (y > 0.5) & (1.0 - y < cfg.tol / OUTSIDE_TOL)
         sign = np.where(mirror, -1.0, 1.0)
         y = np.where(mirror, 1.0 - y, y)
         offsets = sign[..., None] * offsets
@@ -281,9 +289,16 @@ def solve_share_curve(offsets, weights, y,
     lo = z - offsets.max(axis=-1)
     hi = z - offsets.min(axis=-1)
     delta = z - node_sum(offsets, weights)
+    lam = np.empty(np.broadcast_shapes(np.shape(delta) + (1,), offsets.shape))
+    rate = np.empty_like(lam)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(cfg.max_iter):
-            s, slope = expit_mixture(delta, offsets, weights, weights)
+            np.add(delta[..., None], offsets, out=lam)
+            np.exp(np.negative(lam, out=lam), out=lam)  # expit(lam), in place
+            lam += 1.0
+            np.divide(1.0, lam, out=lam)
+            np.multiply(lam, np.subtract(1.0, lam, out=rate), out=rate)
+            s, slope = node_sum(lam, weights), node_sum(rate, weights)
             gap = log_y - np.log(s)
             gap_abs = abs(gap)
             done = None

@@ -11,10 +11,12 @@ from cdlab.demand import (
     _weighted_node_shares,
     expit_mixture,
     gauss_hermite,
+    logit,
     mixed_logit,
     mixing_nodes,
     monte_carlo,
     node_jacobian,
+    node_sum,
     plain_logit,
     shares_array,
 )
@@ -196,6 +198,122 @@ def test_share_curve_solver_matches_bisection():
     np.testing.assert_allclose(got[staircase], ref[staircase], atol=1e-10, rtol=0)
 
 
+def reference_share_curve(offsets, weights, y, cfg=InversionConfig()):
+    """`solve_share_curve` as it was before its loop ran in two buffers, the
+    reference that loop must match bit for bit: it scans every row in the
+    checks and allocates its (..., M) arrays in each iteration. It also
+    returns the number of iterations in which some row took a midpoint."""
+    y = np.asarray(y, dtype=float)
+    inversion._check_shares(y, 1.0 - y)
+    sign = 1.0
+    mirror = (y > 0.5) & (1.0 - y < cfg.tol / OUTSIDE_TOL)
+    if mirror.any():
+        sign = np.where(mirror, -1.0, 1.0)
+        y = np.where(mirror, 1.0 - y, y)
+        offsets = sign[..., None] * offsets
+    log_y = np.log(y)
+    z = logit(y)
+    lo = z - offsets.max(axis=-1)
+    hi = z - offsets.min(axis=-1)
+    delta = z - node_sum(offsets, weights)
+    midpoints = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(cfg.max_iter):
+            s, slope = expit_mixture(delta, offsets, weights, weights)
+            gap = log_y - np.log(s)
+            gap_abs = abs(gap)
+            done = None
+            if gap_abs.min() <= cfg.tol:  # a row may have converged
+                done = (abs(s - y) <= cfg.tol) & (gap_abs <= cfg.tol)
+                if done.all():
+                    return sign * delta, midpoints
+            below = s < y
+            lo = np.where(below, delta, lo)
+            hi = np.where(below, hi, delta)
+            step = delta + gap * s / slope
+            inside = (lo <= step) & (step <= hi)
+            midpoints += not inside.all()
+            step = step if inside.all() else np.where(inside, step, 0.5 * (lo + hi))
+            delta = step if done is None else np.where(done, delta, step)
+    raise NoConvergence(cfg.max_iter, float(abs(s - y).max()))
+
+
+def share_curve_outcome(solve, *args):
+    """What a solve returns, or the type and message of what it raises."""
+    try:
+        return solve(*args)
+    except (SimplexViolation, NoConvergence) as err:
+        return type(err), str(err)
+
+
+def assert_same_outcome(offsets, w, y, cfg):
+    got = share_curve_outcome(solve_share_curve, offsets, w, y, cfg)
+    want = share_curve_outcome(reference_share_curve, offsets, w, y, cfg)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return 0
+    want, midpoints = want
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    return midpoints
+
+
+#: Targets that _check_shares refuses (0, negative, subnormal, an outside
+#: share below MIN_OUTSIDE_SHARE, 1) and targets the mirror test sends
+#: through 1 - y (above 1 - tol / OUTSIDE_TOL = 0.9).
+EDGE_TARGETS = [0.0, -0.25, 5e-324, 1e-310, 1.0 - 1e-11, 1.0, 0.95, 0.999999, 1.0 - 1e-9]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from([(), (5,), (3, 4)]), full_offsets=st.booleans(),
+       max_iter=st.sampled_from([10_000, 3, 1]), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_share_curve_loop_is_the_reference_loop(shape, full_offsets, max_iter, seed, data):
+    """The in-place loop returns the reference loop's bits, or raises its
+    error with its message, on 0-d, (n,) and (k, n) targets, (M,) and
+    (..., M) offsets, mirrored targets, staircase curves (offsets of scale
+    12) on which rows take midpoints, refused targets and exhausted
+    iteration budgets."""
+    rng = np.random.default_rng(seed)
+    y = np.array(expit(rng.uniform(-12.0, 22.0, shape)))
+    if data.draw(st.integers(0, 3)) == 0:
+        edge = data.draw(st.sampled_from(EDGE_TARGETS))
+        y[np.unravel_index(data.draw(st.integers(0, y.size - 1)), shape)] = edge
+    M = rng.integers(1, 9)
+    scale = rng.choice([0.1, 2.0, 12.0])
+    offsets = scale * rng.standard_normal(shape + (M,) if full_offsets else (M,))
+    w = rng.uniform(0.05, 1.0, M)
+    assert_same_outcome(offsets, w / w.sum(), y, InversionConfig(max_iter=max_iter))
+
+
+def test_share_curve_loop_matches_the_reference_on_a_staircase():
+    """The staircase of `test_share_curve_solver_matches_bisection`, whose
+    rows take midpoints, and its targets one by one as 0-d arrays."""
+    B, w = _gh_nodes(lognormal_mixing(-0.5, 2.0), 32)
+    p = np.array([0.5, 1.0, 2.5, 3.0])[:, None]
+    y = np.array([0.02, 0.3, 0.7, 0.95, 0.98, 0.99, 0.999])
+    offsets = -p[..., None] * B[:, 0]  # (4, 1, M) against targets (7,)
+    assert assert_same_outcome(offsets, w, y, InversionConfig()) > 0
+    for o in offsets[:, 0]:
+        for t in y:
+            assert_same_outcome(o, w, np.array(t), InversionConfig())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_target_is_refused_before_iterating(bad, monkeypatch):
+    """A nan target used to pass the checks and run all 10,000 iterations
+    before NoConvergence with residual nan; each non-finite target is now a
+    SimplexViolation naming its market, before any share evaluation."""
+    B, w = _gh_nodes(lognormal_mixing(0.0, 0.3), 16)
+    y = np.array([0.3, bad, 0.5])
+    calls = []
+    monkeypatch.setattr(inversion, "node_sum",
+                        lambda *args, fn=inversion.node_sum: calls.append(1) or fn(*args))
+    with pytest.raises(SimplexViolation, match=f"market 1: inside share {bad:.3e} is not finite"):
+        solve_share_curve(-1.5 * B[:, 0], w, y)
+    assert calls == []
+
+
 MIXINGS = {
     "lognormal": lognormal_mixing(0.0, 0.3),
     "finite-mixture": finite_mixture((0.4, 0.6), (lognormal_mixing(-0.5, 0.2),
@@ -318,7 +436,7 @@ def test_outside_share_near_simplex_eps_is_refused_before_iterating(delta, p, mo
     y = observed(m, delta, a)
     assert SIMPLEX_EPS < 1.0 - y.sum() < 1e-11
     calls = []
-    for name in ("_weighted_node_shares", "expit_mixture"):
+    for name in ("_weighted_node_shares", "node_sum"):
         fn = getattr(inversion, name)
         monkeypatch.setattr(inversion, name,
                             lambda *args, fn=fn, **kwargs: calls.append(1) or fn(*args, **kwargs))
