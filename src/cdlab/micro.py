@@ -10,7 +10,6 @@ then pin down the remaining per-treatment levels.
 
 from __future__ import annotations
 
-import copy
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -21,7 +20,7 @@ from . import laws
 from .demand import MAX_BLOCK_ELEMENTS, _node_shares, expit_mixture, hermite_grid, node_average
 from .errors import (ConfigError, IntegrationFailure, NoConvergence, NonUnique, NotIdentified,
                      RootNotBracketed)
-from .inversion import InversionConfig, _solve_log_shares, solve_share_curve
+from .inversion import DEFAULT_INVERSION, InversionConfig, _solve_log_shares, solve_share_curve
 from .streams import block_keys, market_streams
 from .types import Bundle, Check, validate_share_rows
 
@@ -97,9 +96,8 @@ class MicroDgp:
         if sigma.shape != self.sigma.shape or np.any(sigma < 0):
             raise ConfigError(f"sigma must be {self.J} nonnegative scales, got {sigma}")
         sigma.setflags(write=False)
-        out = copy.copy(self)
-        object.__setattr__(out, "sigma", sigma)
-        object.__setattr__(out, "alpha", alpha)
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, sigma=sigma, alpha=alpha)
         return out
 
 
@@ -138,8 +136,8 @@ def micro_shares(dgp: MicroDgp, delta, p, sigma_scale=None) -> np.ndarray:
     return s
 
 
-def micro_invert(dgp: MicroDgp, y, p, tol: float = 1e-12,
-                 max_iter: int = 10_000) -> np.ndarray:
+def micro_invert(dgp: MicroDgp, y, p, tol: float = DEFAULT_INVERSION.tol,
+                 max_iter: int = DEFAULT_INVERSION.max_iter) -> np.ndarray:
     """Solve sigma(delta, p) = y for shares y (..., J) at prices p that
     broadcast against them, all rows in one solver call; returns delta of
     y's shape. Each row starts at the logit inverse at the mean index,
@@ -148,7 +146,8 @@ def micro_invert(dgp: MicroDgp, y, p, tol: float = 1e-12,
     safeguarded Newton inversion."""
     y, p = np.asarray(y, dtype=float), np.asarray(p, dtype=float)
     nu, w = _nu_nodes(dgp.sigma, dgp.nu_nodes)
-    cfg = InversionConfig(tol=tol, max_iter=max_iter)
+    default = (tol, max_iter) == (DEFAULT_INVERSION.tol, DEFAULT_INVERSION.max_iter)
+    cfg = DEFAULT_INVERSION if default else InversionConfig(tol=tol, max_iter=max_iter)
     if dgp.J == 1:
         return solve_share_curve(nu[:, 0] - dgp.alpha * p, w, y[..., 0], cfg)[..., None]
     rows = y.reshape(-1, dgp.J)
@@ -349,13 +348,31 @@ def _common_grid(profiles: Sequence[Profile]) -> np.ndarray:
     return W
 
 
+def _stacked_rows(profiles: Sequence[Profile]) -> tuple[np.ndarray, np.ndarray]:
+    """The share rows of all profiles stacked (n G, J), and their common grid
+    (G, J); ConfigError when the grids differ."""
+    W = _common_grid(profiles)
+    return np.concatenate([p.shares for p in profiles]), W
+
+
+def _increments(candidate_h: Callable, Y: np.ndarray, G: int, a: Bundle) -> np.ndarray:
+    """Transformed profile increments H - H[w0] (n, G, J) of the stacked rows
+    Y (n G, J) of profiles on G grid points, from one candidate call."""
+    H = candidate_h(Y, a).reshape(-1, G, Y.shape[1])
+    return H - H[:, :1]
+
+
 def _stacked_increments(candidate_h: Callable, profiles: Sequence[Profile],
                         a: Bundle) -> np.ndarray:
-    """Transformed profile increments H - H[w0] (n, G, J), from one candidate
-    call on the rows of all profiles stacked."""
-    G, J = _common_grid(profiles).shape
-    H = candidate_h(np.concatenate([p.shares for p in profiles]), a).reshape(-1, G, J)
-    return H - H[:, :1]
+    """Transformed profile increments H - H[w0] (n, G, J) of the profiles."""
+    Y, W = _stacked_rows(profiles)
+    return _increments(candidate_h, Y, len(W), a)
+
+
+def _spread(D: np.ndarray) -> float:
+    """Max deviation of the increments D (n, G, J) from their cross-market
+    median: the parallelism residual."""
+    return float(np.max(np.abs(D - _median_rows(D))))
 
 
 def parallel_residual(candidate_h: Callable, profiles: Sequence[Profile],
@@ -366,8 +383,7 @@ def parallel_residual(candidate_h: Callable, profiles: Sequence[Profile],
     if len(profiles) < 2:
         warnings.warn("single profile is vacuously parallel", stacklevel=2)
         return 0.0
-    D = _stacked_increments(candidate_h, profiles, a)
-    return float(np.max(np.abs(D - _median_rows(D))))
+    return _spread(_stacked_increments(candidate_h, profiles, a))
 
 
 def _median_rows(D: np.ndarray) -> np.ndarray:
@@ -505,24 +521,38 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
     started at the scan point when it is strictly below both, and at the
     golden point when it is a bound or ties a neighbour. The scan point is
     kept unless the refinement finds a lower residual.
+
+    The profiles are stacked once. Each point is built and evaluated once,
+    and its candidate and increments are kept: the tie test and the
+    normalization of the accepted point reuse them.
     """
     if len(profiles) < 2:
         raise ConfigError("need at least 2 markets")
     lo, hi = (float(b) for b in family.bounds)
+    Y, W = _stacked_rows(profiles)
+    G = len(W)
 
     failures = 0
-    seen: dict[float, float] = {}  # the refinement re-evaluates its bracket
+    # point -> (residual, candidate, increments); the refinement re-evaluates
+    # its bracket. A failed point keeps no candidate.
+    seen: dict[float, tuple] = {}
 
     def objective(x):
         nonlocal failures
         x = float(x)
         if x not in seen:
             try:
-                seen[x] = parallel_residual(family.build(np.array([x])), profiles, a)
+                cand = family.build(np.array([x]))
+                D = _increments(cand, Y, G, a)
+                seen[x] = (_spread(D), cand, D)
             except (NoConvergence, FloatingPointError):
                 failures += 1
-                seen[x] = 1e6
-        return seen[x]
+                seen[x] = (1e6, None, None)
+        return seen[x][0]
+
+    def candidate(x):
+        cand = seen[float(x)][1]
+        return family.build(np.array([float(x)])) if cand is None else cand
 
     draws = lo + (hi - lo) * _latin_hypercube_1d(starts, seed)
     xs = np.concatenate([[lo], np.sort(draws), [hi]])
@@ -533,9 +563,9 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
     near = [j for j in np.flatnonzero(rs <= rs[i] + tol) if j != i]
     if near:
         probe = profiles[0].shares
-        ref = family.build(xs[i:i + 1])(probe, a)
+        ref = candidate(xs[i])(probe, a)
         for j in near:
-            other = family.build(xs[j:j + 1])(probe, a)
+            other = candidate(xs[j])(probe, a)
             aligned = (other - other[0]) - (ref - ref[0])
             if np.max(np.abs(aligned)) > 100 * tol:
                 raise NotIdentified("near-optimal candidates differ beyond a vertical shift",
@@ -545,22 +575,25 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
     strict = j < i < k and rs[i] < rs[j] and rs[i] < rs[k]
     x, fun = _brent(objective, xs[j], xs[k], xs[i] if strict else None)
     best_x, best_res = (float(x), float(fun)) if fun < rs[i] else (xs[i], rs[i])
-    best_params = np.array([best_x])
-    return _normalize_candidate(family.build(best_params), best_params, best_res,
-                                profiles, a, y0, failures)
+    return _normalize_candidate(candidate(best_x), seen[float(best_x)][2],
+                                np.array([best_x]), best_res, Y, W, a, y0, failures)
 
 
-def _normalize_candidate(h_raw: Candidate, params, residual,
-                         profiles: Sequence[Profile], a: Bundle,
+def _normalize_candidate(h_raw: Candidate, D: np.ndarray | None, params, residual,
+                         Y: np.ndarray, W: np.ndarray, a: Bundle,
                          y0: np.ndarray | None, failures: int) -> MicroCandidate:
-    W = profiles[0].w_grid
-    J = W.shape[1]
+    """The accepted candidate h_raw normalized at the baseline y0, from its
+    increments D (computed here when None) on the stacked profile rows Y
+    over the grid W."""
+    G, J = W.shape
     if y0 is None:
-        y0 = _median_rows(np.array([p.shares[0] for p in profiles]))
+        y0 = _median_rows(Y[::G])
     y0 = np.asarray(y0, dtype=float)
 
     base = h_raw(y0[None, :], a)[0]
-    g_raw = _median_rows(_stacked_increments(h_raw, profiles, a))  # (G, J), zero at w0
+    if D is None:
+        D = _increments(h_raw, Y, G, a)
+    g_raw = _median_rows(D)  # (G, J), zero at w0
 
     # dg/dw at w0 by least squares on nearby grid points
     order = np.argsort(np.linalg.norm(W - W[0], axis=1))

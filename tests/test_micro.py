@@ -97,6 +97,16 @@ def test_micro_share_map_and_inversion_are_row_by_row(dgp):
     np.testing.assert_allclose(back, delta, atol=1e-9, rtol=0)
 
 
+@pytest.mark.parametrize("dgp", [dgp_1d(), dgp_2d()], ids=["J=1", "J=2"])
+def test_micro_invert_refuses_a_nan_share_naming_its_row(dgp):
+    """A nan share used to run the solver's whole iteration budget before
+    NoConvergence; it is a SimplexViolation naming the row."""
+    y = np.full((3, dgp.J), 0.2)
+    y[2, -1] = np.nan
+    with pytest.raises(SimplexViolation, match="market 2: inside share nan is not finite"):
+        mi.micro_invert(dgp, y, np.ones(dgp.J))
+
+
 def test_micro_invert_round_trip_2d():
     dgp = dgp_2d()
     p = np.array([1.0, 2.0])
@@ -617,7 +627,9 @@ def counting(family):
 
 def test_identify_builds_few_candidates_per_fit():
     """Cost guard on the micro-completion benchmark's level-0 fit at seed
-    7919: a scan of 5 points and one Brent refinement stay under 60 builds."""
+    7919: a scan of 5 points and one Brent refinement evaluate 40 distinct
+    points, and each is built once; the accepted point's candidate is
+    reused, not built again."""
     dgp = micro_dgp()
     spec = mi.MicroPopulationSpec(market_count=8, price_levels=(0.5, 1.0, 1.5, 2.0),
                                   w_grid=tuple(np.linspace(-1.0, 1.0, 20)),
@@ -627,7 +639,7 @@ def test_identify_builds_few_candidates_per_fit():
     cand = mi.identify_h_and_g(fam, [m.profile for m in markets if m.level == 0],
                                spec.level_bundle(dgp, 0), y0=np.array([0.3]),
                                starts=3, seed=7919)
-    assert len(calls) <= 60
+    assert len(calls) == len(set(calls)) <= 40
     assert abs(cand.params[0] - 0.8) < 1e-8
 
 
