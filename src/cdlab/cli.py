@@ -222,7 +222,8 @@ def run_fig2(cfg: ExperimentConfig, out: Path) -> None:
         title = ("(a) rejected candidate" if name == "identity"
                  else "(b) true transform")
         panel = Panel(title=title, xlabel="w", ylabel="transformed share")
-        centered = mi._stacked_increments(cand, [m.profile for m in markets], a)[:, :, 0]
+        centered = mi._increments(cand, *mi._stacked_rows([m.profile for m in markets]),
+                                  a)[:, :, 0]
         for i, path in enumerate(centered):
             panel.add(w, path, color=TYPE_COLORS[i % 2])
         paths.append(centered)

@@ -355,18 +355,11 @@ def _stacked_rows(profiles: Sequence[Profile]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([p.shares for p in profiles]), W
 
 
-def _increments(candidate_h: Callable, Y: np.ndarray, G: int, a: Bundle) -> np.ndarray:
+def _increments(candidate_h: Callable, Y: np.ndarray, W: np.ndarray, a: Bundle) -> np.ndarray:
     """Transformed profile increments H - H[w0] (n, G, J) of the stacked rows
-    Y (n G, J) of profiles on G grid points, from one candidate call."""
-    H = candidate_h(Y, a).reshape(-1, G, Y.shape[1])
+    Y (n G, J) of profiles on the grid W (G, J), from one candidate call."""
+    H = candidate_h(Y, a).reshape(-1, *W.shape)
     return H - H[:, :1]
-
-
-def _stacked_increments(candidate_h: Callable, profiles: Sequence[Profile],
-                        a: Bundle) -> np.ndarray:
-    """Transformed profile increments H - H[w0] (n, G, J) of the profiles."""
-    Y, W = _stacked_rows(profiles)
-    return _increments(candidate_h, Y, len(W), a)
 
 
 def _spread(D: np.ndarray) -> float:
@@ -383,7 +376,7 @@ def parallel_residual(candidate_h: Callable, profiles: Sequence[Profile],
     if len(profiles) < 2:
         warnings.warn("single profile is vacuously parallel", stacklevel=2)
         return 0.0
-    return _spread(_stacked_increments(candidate_h, profiles, a))
+    return _spread(_increments(candidate_h, *_stacked_rows(profiles), a))
 
 
 def _median_rows(D: np.ndarray) -> np.ndarray:
@@ -530,7 +523,6 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
         raise ConfigError("need at least 2 markets")
     lo, hi = (float(b) for b in family.bounds)
     Y, W = _stacked_rows(profiles)
-    G = len(W)
 
     failures = 0
     # point -> (residual, candidate, increments); the refinement re-evaluates
@@ -543,7 +535,7 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
         if x not in seen:
             try:
                 cand = family.build(np.array([x]))
-                D = _increments(cand, Y, G, a)
+                D = _increments(cand, Y, W, a)
                 seen[x] = (_spread(D), cand, D)
             except (NoConvergence, FloatingPointError):
                 failures += 1
@@ -592,7 +584,7 @@ def _normalize_candidate(h_raw: Candidate, D: np.ndarray | None, params, residua
 
     base = h_raw(y0[None, :], a)[0]
     if D is None:
-        D = _increments(h_raw, Y, G, a)
+        D = _increments(h_raw, Y, W, a)
     g_raw = _median_rows(D)  # (G, J), zero at w0
 
     # dg/dw at w0 by least squares on nearby grid points
