@@ -362,10 +362,12 @@ def _increments(candidate_h: Callable, Y: np.ndarray, W: np.ndarray, a: Bundle) 
     return H - H[:, :1]
 
 
-def _spread(D: np.ndarray) -> float:
-    """Max deviation of the increments D (n, G, J) from their cross-market
-    median: the parallelism residual."""
-    return float(np.max(np.abs(D - _median_rows(D))))
+def _spread(D: np.ndarray) -> tuple[float, float]:
+    """The deviations of the increments D (n, G, J) from their cross-market
+    median, by their largest absolute value (the parallelism residual) and
+    by their sum of squares."""
+    dev = D - _median_rows(D)
+    return float(np.max(np.abs(dev))), float(np.vdot(dev, dev))
 
 
 def parallel_residual(candidate_h: Callable, profiles: Sequence[Profile],
@@ -376,7 +378,7 @@ def parallel_residual(candidate_h: Callable, profiles: Sequence[Profile],
     if len(profiles) < 2:
         warnings.warn("single profile is vacuously parallel", stacklevel=2)
         return 0.0
-    return _spread(_increments(candidate_h, *_stacked_rows(profiles), a))
+    return _spread(_increments(candidate_h, *_stacked_rows(profiles), a))[0]
 
 
 def _median_rows(D: np.ndarray) -> np.ndarray:
@@ -510,10 +512,14 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
     `tol` of the scan minimum must give candidates that agree with the best
     one up to a vertical shift. A flat family ties the whole scan, so it is
     caught here, before a refinement that needs a strict bracket.
-    Refinement: Brent's method between the best scan point's two neighbours,
-    started at the scan point when it is strictly below both, and at the
-    golden point when it is a bound or ties a neighbour. The scan point is
-    kept unless the refinement finds a lower residual.
+    Refinement: Brent's method between the best scan point's two neighbours
+    on the sum of squares of the same deviations from the median, which is
+    smooth at the parallel member where the residual, their largest
+    absolute value, has a kink. It starts at the scan point when that point's
+    sum of squares is strictly below both neighbours', and at the golden
+    point otherwise. The refined point is kept only when its residual is
+    below the scan point's, so the result's residual is always the
+    parallelism residual of its candidate.
 
     The profiles are stacked once. Each point is built and evaluated once,
     and its candidate and increments are kept: the tie test and the
@@ -525,30 +531,30 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
     Y, W = _stacked_rows(profiles)
 
     failures = 0
-    # point -> (residual, candidate, increments); the refinement re-evaluates
-    # its bracket. A failed point keeps no candidate.
+    # point -> (residual, sum of squares, candidate, increments); the
+    # refinement re-evaluates its bracket. A failed point keeps no candidate.
     seen: dict[float, tuple] = {}
 
-    def objective(x):
+    def evaluate(x) -> tuple:
         nonlocal failures
         x = float(x)
         if x not in seen:
             try:
                 cand = family.build(np.array([x]))
                 D = _increments(cand, Y, W, a)
-                seen[x] = (_spread(D), cand, D)
+                seen[x] = (*_spread(D), cand, D)
             except (NoConvergence, FloatingPointError):
                 failures += 1
-                seen[x] = (1e6, None, None)
-        return seen[x][0]
+                seen[x] = (1e6, 1e6, None, None)
+        return seen[x]
 
     def candidate(x):
-        cand = seen[float(x)][1]
+        cand = seen[float(x)][2]
         return family.build(np.array([float(x)])) if cand is None else cand
 
     draws = lo + (hi - lo) * _latin_hypercube_1d(starts, seed)
     xs = np.concatenate([[lo], np.sort(draws), [hi]])
-    rs = np.array([objective(x) for x in xs])
+    rs, ss = np.array([evaluate(x)[:2] for x in xs]).T
     i = int(np.argmin(rs))
 
     # Near-optimal scan points must agree with the best one up to a vertical shift.
@@ -564,11 +570,12 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
                                     candidates=[xs[i:i + 1], xs[j:j + 1]])
 
     j, k = max(i - 1, 0), min(i + 1, len(xs) - 1)
-    strict = j < i < k and rs[i] < rs[j] and rs[i] < rs[k]
-    x, fun = _brent(objective, xs[j], xs[k], xs[i] if strict else None)
-    best_x, best_res = (float(x), float(fun)) if fun < rs[i] else (xs[i], rs[i])
-    return _normalize_candidate(candidate(best_x), seen[float(best_x)][2],
-                                np.array([best_x]), best_res, Y, W, a, y0, failures)
+    strict = j < i < k and ss[i] < ss[j] and ss[i] < ss[k]
+    x, _ = _brent(lambda x: evaluate(x)[1], xs[j], xs[k], xs[i] if strict else None)
+    best = float(x) if seen[float(x)][0] < rs[i] else float(xs[i])
+    residual, _, _, D = seen[best]
+    return _normalize_candidate(candidate(best), D, np.array([best]), residual, Y, W, a, y0,
+                                failures)
 
 
 def _normalize_candidate(h_raw: Candidate, D: np.ndarray | None, params, residual,
