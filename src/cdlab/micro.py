@@ -421,9 +421,11 @@ class MicroCandidate:
 def _latin_hypercube_1d(n: int, seed: int) -> np.ndarray:
     """n points in [0, 1), one uniform draw in each of n equal strata, in
     shuffled order: (k - u) / n, from one draw of 2 n uniforms of substream
-    (0,) of the seed, u the first n and the strata k the stable argsort of
-    the other n, plus 1."""
-    v = market_streams(seed, [0]).random(2 * n)[0]
+    (0, 0) of the seed, u the first n and the strata k the stable argsort of
+    the other n, plus 1. No sampler draws from that key: markets use one-word
+    keys (i,) and stratified blocks (b, 1) and (b, 2), so a search seeded
+    like the population it fits does not reuse market 0's words."""
+    v = market_streams(seed, [[0, 0]]).random(2 * n)[0]
     return (np.argsort(v[n:], kind="stable") + 1 - v[:n]) / n
 
 

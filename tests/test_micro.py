@@ -437,13 +437,13 @@ def test_parallel_residual_single_profile_warns():
 
 
 def scan_reference(n, seed):
-    """The scan points from numpy's own Philox: the words of substream (0,)
-    of the seed start at the counter (0, 0, 0, 1), and numpy moves its
-    counter on before each block. Of the 2 n uniforms (w >> 11) 2**-53, the
+    """The scan points from numpy's own Philox: the words of substream
+    (0, 0) of the seed start at the counter (0, 0, 0, 2), and numpy moves
+    its counter on before each block. Of the 2 n uniforms (w >> 11) 2**-53, the
     first n are u; point i lies in stratum k_i - 1, the index of the i-th
     smallest of the other n, ties by index: x_i = (k_i - u_i) / n."""
     philox = np.random.Philox(key=np.array([seed % 2**64, seed >> 64], dtype=np.uint64),
-                              counter=(1 << 192) - 1)
+                              counter=(2 << 192) - 1)
     v = (philox.random_raw(2 * n) >> np.uint64(11)) * 2.0**-53
     k = np.array(sorted(range(n), key=lambda i: (v[n + i], i))) + 1
     return (k - v[:n]) / n
@@ -453,6 +453,17 @@ def test_scan_draws_are_one_substream_draw():
     for seed in (*range(100), 2**64 + 5, 2**128 - 1):
         for n in (1, 3, 8, 17):
             assert mi._latin_hypercube_1d(n, seed).tobytes() == scan_reference(n, seed).tobytes()
+
+
+def test_scan_draws_are_not_market_0s_words():
+    """A search seeded like the population it fits draws its scan from a key
+    of its own: points built from market 0's substream (0,) the scan's way
+    share none of the scan's points."""
+    for seed in range(50):
+        for n in (1, 3, 8):
+            v = market_streams(seed, np.arange(3)).random(2 * n)[0]
+            market_0 = (np.argsort(v[n:], kind="stable") + 1 - v[:n]) / n
+            assert not np.any(mi._latin_hypercube_1d(n, seed) == market_0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 100])
