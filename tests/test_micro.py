@@ -636,26 +636,27 @@ def counting(family):
     return dataclasses.replace(family, build=build), calls
 
 
-@pytest.mark.parametrize("market_count, seed", [(8, 7919), (200, 0)])
-def test_identify_builds_few_candidates_per_fit(market_count, seed):
+def test_identify_builds_few_candidates_per_fit():
     """Cost guard on the level-0 fit of the micro-completion benchmark at seed
     7919 (2 markets of 20 grid points) and of criterion 8 at seed 0 (50
     markets): a scan of 5 points and one Brent refinement on the sum of
     squares build each point once and at most 20 points, and the accepted
     point's candidate is reused, not built again."""
     dgp = micro_dgp()
-    spec = mi.MicroPopulationSpec(market_count=market_count,
-                                  price_levels=(0.5, 1.0, 1.5, 2.0),
-                                  w_grid=tuple(np.linspace(-1.0, 1.0, 20)),
-                                  seed=seed + 8, assignment="stratified")
-    markets = mi.simulate_micro(dgp, spec)
-    profiles, a = [m.profile for m in markets if m.level == 0], spec.level_bundle(dgp, 0)
     inner = mi.sigma_family(dgp, alpha_fixed=0.0)
-    fam, calls = counting(inner)
-    cand = mi.identify_h_and_g(fam, profiles, a, y0=np.array([0.3]), starts=3, seed=seed)
-    assert len(calls) == len(set(calls)) <= 20
-    assert abs(cand.params[0] - 0.8) <= 1e-10
-    assert cand.residual == mi.parallel_residual(inner.build(cand.params), profiles, a)
+    for market_count, seed in ((8, 7919), (200, 0)):
+        spec = mi.MicroPopulationSpec(market_count=market_count,
+                                      price_levels=(0.5, 1.0, 1.5, 2.0),
+                                      w_grid=tuple(np.linspace(-1.0, 1.0, 20)),
+                                      seed=seed + 8, assignment="stratified")
+        markets = mi.simulate_micro(dgp, spec)
+        profiles = [m.profile for m in markets if m.level == 0]
+        a = spec.level_bundle(dgp, 0)
+        fam, calls = counting(inner)
+        cand = mi.identify_h_and_g(fam, profiles, a, y0=np.array([0.3]), starts=3, seed=seed)
+        assert len(calls) == len(set(calls)) <= 20
+        assert abs(cand.params[0] - 0.8) <= 1e-10
+        assert cand.residual == mi.parallel_residual(inner.build(cand.params), profiles, a)
 
 
 def test_identify_finds_a_minimum_at_a_bound():
