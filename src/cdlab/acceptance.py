@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import extrapolation as ex
+from . import laws
 from . import micro as mi
 from .counterfactual import verify_theorem1
 from .demand import expit, mixed_logit, plain_logit, share_curve_1d, shares_array
@@ -168,15 +169,20 @@ def demeaned_oracle_data(seed: int, n: int = 10_000, levels: int = 4):
     return ex.ObsSet(y, lev, lev.astype(float)[:, None]), xi, mu
 
 
+# The laws of xi, x1, p and x2 in `_pl_data`.
+_PL_LAWS = (laws.normal(0.0, 0.5), laws.uniform(-1.0, 1.0), laws.uniform(0.5, 3.0),
+            laws.uniform(-1.0, 1.0))
+
+
 def _pl_data(seed: int, n: int, x2: bool = True):
-    """Partially linear logit data, market i from substream i:
-    Y = Lambda(x1 - 1.3 p + 0.6 x2 + xi), instruments (p, x2)."""
+    """Partially linear logit data, market i from substream i, all markets'
+    in one cipher pass: Y = Lambda(x1 - 1.3 p + 0.6 x2 + xi), instruments
+    (p, x2)."""
     d2 = int(x2)
+    drawn = _PL_LAWS[:3 + d2]
     rng = market_streams(seed, np.arange(n))
-    draws = [rng.normal(0.0, 0.5), rng.uniform(-1.0, 1.0), rng.uniform(0.5, 3.0)]
-    if x2:
-        draws.append(rng.uniform(-1.0, 1.0))
-    draws = np.column_stack(draws)  # xi, x1, p and x2 of each market
+    rng.reserve(sum(law.blocks(1) for law in drawn))
+    draws = np.column_stack([law.sample(rng, 1) for law in drawn])  # xi, x1, p and x2
     xi, x1, p = draws[:, 0], draws[:, 1], draws[:, 2]
     index = x1 - 1.3 * p + 0.6 * draws[:, 3] if x2 else x1 - 1.3 * p
     y = validate_share_rows(expit(index + xi)[:, None])[:, 0]

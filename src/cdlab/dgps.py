@@ -15,7 +15,7 @@ from . import laws
 from .demand import expit
 from .errors import ConfigError
 from .population import Population
-from .streams import market_streams
+from .streams import draw_blocks, market_streams
 from .types import Bundles, validate_share_rows
 
 
@@ -60,9 +60,12 @@ class ScaledX1Spec:
 
 def sample_scaled_x1_population(spec: ScaledX1Spec) -> Population:
     """Market i's type, shock, x1 and price from its own substream, all
-    markets' in one batch; the outcomes of all markets at once."""
+    markets' in one batch and one cipher pass; the outcomes of all markets
+    at once."""
     n = spec.market_count
     rng = market_streams(spec.seed, np.arange(n))
+    rng.reserve(draw_blocks(1)  # the type takes one word
+                + sum(law.blocks(1) for law in (spec.xi_law, spec.x1_law, spec.price_law)))
     zeta = laws.categorical(spec.type_probabilities)(rng)
     xi, x1, p = np.empty((n, 1)), np.empty((n, 1)), np.empty((n, 1))
     xi[:] = spec.xi_law.sample(rng, 1)  # a constant law gives one row for all

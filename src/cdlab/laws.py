@@ -11,6 +11,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .streams import draw_blocks
+
+#: The words of one value of each kind's draw: a normal is Box-Muller on two
+#: words, a constant draws nothing.
+_WORDS_PER_VALUE = {"constant": 0, "uniform": 1, "normal": 2, "choice": 1}
 
 
 @dataclass(frozen=True)
@@ -56,12 +61,18 @@ class Law:
         values = np.asarray(self.params["values"], dtype=float)
         return values[categorical(self.params["probs"])(rng, size)]
 
+    def blocks(self, size: int) -> int:
+        """The blocks of every stream that ``sample(rng, size)`` takes from
+        a `streams.MarketStreams` batch, for its ``reserve``."""
+        return draw_blocks(_WORDS_PER_VALUE[self.kind] * size)
+
 
 def categorical(probs):
     """``draw(rng, size=None)``: indices into probs, one per uniform of
     ``rng.random(size)``, by a right-sided search of the CDF built once
     here (the caller checks probs). rng is a `streams.MarketStreams`
-    batch, whose draws have a leading market axis."""
+    batch, whose draws have a leading market axis. A draw takes
+    ``draw_blocks(size or 1)`` blocks, one word per value."""
     cdf = np.cumsum(probs, dtype=float)
     cdf /= cdf[-1]
     return lambda rng, size=None: cdf.searchsorted(rng.random(size), side="right")

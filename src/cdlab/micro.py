@@ -21,7 +21,7 @@ from .demand import MAX_BLOCK_ELEMENTS, _node_shares, expit_mixture, hermite_gri
 from .errors import (ConfigError, IntegrationFailure, NoConvergence, NonUnique, NotIdentified,
                      RootNotBracketed)
 from .inversion import DEFAULT_INVERSION, InversionConfig, _solve_log_shares, solve_share_curve
-from .streams import block_keys, market_streams
+from .streams import block_keys, draw_blocks, market_streams
 from .types import Bundle, Check, validate_share_rows
 
 PARALLEL_TOL = 1e-8
@@ -272,6 +272,7 @@ def simulate_micro(dgp: MicroDgp, spec: MicroPopulationSpec) -> list[MicroMarket
         z_level = level  # randomized: each market's instrument is its level
     else:
         rng = market_streams(spec.seed, np.arange(n))
+        rng.reserve(draw_blocks(1) + dgp.xi_law.blocks(dgp.J))  # the level takes one word
         z_level = rng.integers(K)
         xi[:] = dgp.xi_law.sample(rng, dgp.J)
         shift = np.round(spec.endogeneity * xi.mean(axis=1)).astype(int)

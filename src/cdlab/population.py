@@ -16,7 +16,7 @@ import numpy as np
 from . import laws
 from .demand import Integration, ShareMap, gauss_hermite, mixed_logit, shares_array
 from .errors import ConfigError
-from .streams import market_streams
+from .streams import draw_blocks, market_streams
 from .types import Bundle, Bundles, validate_share_rows
 
 
@@ -101,10 +101,15 @@ class Population:
 def sample_population(spec: PopulationSpec) -> Population:
     """market_count i.i.d. draws; bit-identical across repeated calls. Each
     market's latent state and bundle come from its own substream, all
-    markets' in one batch, then the observed shares of all of them from one
-    share-kernel call per type."""
+    markets' in one batch and one cipher pass, then the observed shares of
+    all of them from one share-kernel call per type."""
     n, J, d2 = spec.market_count, spec.J, spec.x2_dim
     rng = market_streams(spec.seed, np.arange(n))
+    instrument = () if spec.instrument_law is None else (spec.instrument_law,)
+    rng.reserve(draw_blocks(1)  # the type takes one word
+                + sum(law.blocks(J) for law in (spec.xi_law, spec.x1_law, spec.price_law,
+                                                *instrument))
+                + spec.x2_law.blocks(J * d2))
     zeta = laws.categorical(spec.type_probabilities)(rng)
     xi, x1, p, z = (np.empty((n, J)) for _ in range(4))
     x2 = np.empty((n, J * d2))

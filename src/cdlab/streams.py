@@ -12,9 +12,13 @@ substreams of a whole batch of markets at once, in this format:
   b = 0, 1, ..., with absent key words 0: the key's length l keeps (i,)
   and (i, 0) apart.
 - Calls. A batch holds one block counter b for all its streams. A draw of
-  m words takes the next ceil(m / 4) whole blocks of every stream, in one
-  cipher pass over the batch, and moves b past them; the words of a block
-  that a draw leaves unused are never drawn.
+  m words takes the next ceil(m / 4) whole blocks of every stream and moves
+  b past them; the words of a block that a draw leaves unused are never
+  drawn. A draw computes its blocks in one cipher pass over the batch,
+  unless ``MarketStreams.reserve`` computed them earlier with the blocks of
+  the draws before and after it: a sampler whose draws are known ahead
+  reserves them all and makes one pass. A draw of no words makes none.
+  Where a block was computed changes none of its words.
 - Draws. A uniform is (w >> 11) * 2**-53 of a word w. A normal is
   Box-Muller on two words, sqrt(-2 log u1) cos(2 pi u2) with u1 in (0, 1].
   ``integers`` of k values, k at most 2**32, is the high word of the
@@ -85,11 +89,37 @@ def _philox_blocks(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
 
     A round maps (v0, v1, v2, v3) to (hi1 ^ v1 ^ k0, lo1, hi0 ^ v3 ^ k1,
     lo0), where (hi0, lo0) and (hi1, lo1) are the 128-bit products of v0 and
-    v2 by the two multipliers, held here as rows 0 and 1 of (v0, v2)."""
+    v2 by the two multipliers, held here as rows 0 and 1 of (v0, v2). Each
+    round is :func:`_mulhi` run in place, in buffers made once per call: the
+    32-bit halves h of (v0, v2), their products a and b by the multipliers'
+    halves, and the partial sums t and u, which take a's memory."""
     even, odd = counters[[0, 2]], counters[[1, 3]]
+    h, a, b = (np.empty((2,) + even.shape, dtype=np.uint64) for _ in range(3))
+    (lo, hi), (t, u), (b_lo, b_hi) = h, a, b
+    high_words = b_hi[::-1]  # (hi1, hi0)
     for k in keys:
-        even, odd = _mulhi(even, _M_LO, _M_HI)[::-1] ^ odd ^ k, (even * _PHILOX_M)[::-1]
+        np.bitwise_and(even, _LOW32, out=lo)
+        np.right_shift(even, _U32, out=hi)
+        np.multiply(h, _M_LO, out=a)
+        np.multiply(h, _M_HI, out=b)
+        t >>= _U32
+        t += u  # hi m_lo + (lo m_lo >> 32)
+        np.bitwise_and(t, _LOW32, out=u)
+        u += b_lo  # lo m_hi + (t & LOW32)
+        a >>= _U32
+        b_hi += t
+        b_hi += u  # the high words (hi0, hi1)
+        odd ^= high_words
+        odd ^= k
+        even *= _PHILOX_M  # the low words (lo0, lo1)
+        even, odd = odd, even[::-1]
     return np.stack([even[0], odd[0], even[1], odd[1]], axis=1)
+
+
+def draw_blocks(words: int) -> int:
+    """The whole blocks of every stream that a draw of `words` words per
+    stream takes: ceil(words / 4)."""
+    return -(-words // 4)
 
 
 def _unit(w: np.ndarray) -> np.ndarray:
@@ -111,20 +141,43 @@ class MarketStreams:
         self._keys = keys  # (10, 2, 1): the round keys of the seed
         self._counters = counters  # (4, n): each stream's counter at block 0
         self._block = 0  # the next block of every stream
+        self._reserved = range(0)  # the blocks whose words _reserved_words holds
+        self._reserved_words = np.empty((counters.shape[1], 0), dtype=np.uint64)
+
+    def reserve(self, blocks: int) -> None:
+        """Compute the next `blocks` blocks of every stream in one cipher
+        pass. The draws that follow take their blocks from these while they
+        last; a draw they cannot cover computes its own. The words are the
+        same either way, so a reservation changes no draw, only the number
+        of cipher passes."""
+        self._reserved = range(self._block, self._block + blocks)
+        self._reserved_words = self._blocks(self._block, blocks)
+
+    def _blocks(self, start: int, count: int) -> np.ndarray:
+        """The words (n, 4 count) of blocks start, ..., start + count - 1 of
+        every stream, from one cipher pass, or none when there are no words."""
+        n = self._counters.shape[1]
+        if not count * n:
+            return np.empty((n, 4 * count), dtype=np.uint64)
+        counters = np.repeat(self._counters, count, axis=1)
+        counters[0] = np.tile(np.arange(start, start + count, dtype=np.uint64), n)
+        return _philox_blocks(self._keys, counters).reshape(n, 4 * count)
 
     def _words(self, size, per_value: int = 1) -> np.ndarray:
         """per_value words for each value of shape `size` in each stream:
         (per_value, n, *shape), value j taking words per_value j, ... of its
-        stream, from the next whole blocks of all streams."""
+        stream, from the next whole blocks of all streams: the reserved
+        ones when they cover the draw."""
         shape = () if size is None else (operator.index(size),)
         m = per_value * int(np.prod(shape))
-        nb = -(-m // 4)
-        n = self._counters.shape[1]
-        counters = np.repeat(self._counters, nb, axis=1)
-        counters[0] = np.tile(np.arange(self._block, self._block + nb, dtype=np.uint64), n)
+        nb = draw_blocks(m)
+        if self._block + nb <= self._reserved.stop:
+            at = 4 * (self._block - self._reserved.start)
+            words = self._reserved_words[:, at:at + m]
+        else:
+            words = self._blocks(self._block, nb)[:, :m]
         self._block += nb
-        words = _philox_blocks(self._keys, counters).reshape(n, 4 * nb)[:, :m]
-        return np.moveaxis(words.reshape(n, *shape, per_value), -1, 0)
+        return np.moveaxis(words.reshape(len(words), *shape, per_value), -1, 0)
 
     def random(self, size=None) -> np.ndarray:
         """(w >> 11) * 2**-53, in [0, 1)."""

@@ -1,4 +1,5 @@
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdlab
-from cdlab import demand, laws
+from cdlab import acceptance, demand, dgps, laws, streams
+from cdlab import micro as mi
 from cdlab.demand import monte_carlo, shares_array
 from cdlab.errors import ConfigError, SimplexViolation
 from cdlab.population import Population, PopulationSpec, sample_population, true_counterfactuals
@@ -175,6 +177,95 @@ def test_row_i_depends_only_on_seed_and_key(seed, width, n, data):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want, err_msg=f"{name}{args}")
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, n=st.integers(0, 6), data=st.data())
+def test_reserved_blocks_change_no_draw(seed, n, data):
+    """Reserving 0 to (total + 3) blocks, before the first call or between
+    calls, gives the draws of an unreserved batch, down to the sign of zero:
+    a draw that the reservation cannot cover computes its own blocks."""
+    calls = data.draw(st.lists(CALLS, min_size=1, max_size=6))
+    plain = market_streams(seed, np.arange(n))
+    want = [getattr(plain, name)(*args) for name, args in calls]
+    total = plain._block  # the blocks that the calls take
+    reserved = market_streams(seed, np.arange(n))
+    for (name, args), w in zip(calls, want):
+        if data.draw(st.booleans()):
+            reserved.reserve(data.draw(st.integers(0, total + 3)))
+        got = getattr(reserved, name)(*args)
+        assert got.dtype == w.dtype
+        np.testing.assert_array_equal(got, w, err_msg=f"{name}{args}")
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(w))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**128 - 1])
+def test_cipher_is_numpys_philox_on_one_large_batch(seed):
+    """The in-place kernel on one batch of 10,016 counters: the 16 whose
+    words are each all zero or all one bits, then random ones, against
+    numpy's Philox4x64-10 block by block."""
+    counters = np.random.default_rng(seed % 7).bit_generator.random_raw((4, 10_016))
+    counters[:, :16] = np.array(list(itertools.product([0, 2**64 - 1], repeat=4)),
+                                dtype=np.uint64).T
+    key = np.array([seed % 2**64, seed >> 64], dtype=np.uint64)
+    want = [np.random.Philox(key=key, counter=(sum(w << 64 * i for i, w in enumerate(c)) - 1)
+                             % 2**256).random_raw(4) for c in counters.T.tolist()]
+    np.testing.assert_array_equal(streams._philox_blocks(streams._round_keys(seed), counters),
+                                  want)
+
+
+def count_cipher_passes(monkeypatch) -> list:
+    """The cipher's calls, one entry each, from here on."""
+    passes, cipher = [], streams._philox_blocks
+    monkeypatch.setattr(streams, "_philox_blocks", lambda *args: passes.append(1) or cipher(*args))
+    return passes
+
+
+def test_a_draw_of_no_words_runs_no_cipher_pass(monkeypatch):
+    """No pass for a draw of no values, for a batch of no streams, or for a
+    reservation of no blocks; the block counter still moves on as before."""
+    passes = count_cipher_passes(monkeypatch)
+    batch = market_streams(3, np.arange(4))
+    batch.reserve(0)
+    assert batch.standard_normal(0).shape == (4, 0) and batch.permutation(0).shape == (4, 0)
+    assert batch.uniform(size=0).shape == (4, 0)
+    assert laws.normal(0.0, 1.0).sample(batch, 0).shape == (4, 0)
+    assert market_streams(3, np.arange(0)).normal(size=5).shape == (0, 5)
+    assert passes == [] and batch._block == 0
+    np.testing.assert_array_equal(batch.random(), market_streams(3, np.arange(4)).random())
+
+
+def test_each_sampler_makes_one_cipher_pass(monkeypatch):
+    """Population samplers whose draws are known ahead reserve their blocks
+    once: one cipher pass each, with every reserved block drawn. A
+    non-constant x2 law with no x2 columns reserves nothing for them."""
+    passes = count_cipher_passes(monkeypatch)
+    batches, reserve = [], streams.MarketStreams.reserve
+    monkeypatch.setattr(streams.MarketStreams, "reserve",
+                        lambda self, blocks: batches.append(self) or reserve(self, blocks))
+    mixing = (lognormal_mixing(0.0, 0.5), normal_mixing((1.0, 0.5), (0.3, 0.2)))
+    samplers = {
+        "sample_population": lambda: sample_population(PopulationSpec(
+            J=3, market_count=7, mixing_by_type=mixing, type_probabilities=(0.4, 0.6),
+            x1_law=laws.choice((0.0, 1.0), (0.5, 0.5)), x2_dim=2, x2_law=laws.normal(0.0, 1.0),
+            instrument_law=laws.uniform(0.0, 1.0), gamma=(0.2,), seed=5)),
+        "sample_population, no x2 columns": lambda: sample_population(
+            two_type_spec(n=6, x2_law=laws.uniform(-1.0, 1.0))),
+        "sample_scaled_x1_population": lambda: dgps.sample_scaled_x1_population(
+            dgps.ScaledX1Spec(market_count=6, seed=2)),
+        "_pl_data": lambda: acceptance._pl_data(4, 9),
+        "_pl_data without x2": lambda: acceptance._pl_data(4, 9, x2=False),
+        "simulate_micro, iid": lambda: mi.simulate_micro(acceptance.micro_dgp(),
+                                                         mi.MicroPopulationSpec(
+            market_count=5, price_levels=(1.0, 2.0), w_grid=(-1.0, 0.0, 1.0),
+            endogeneity=0.5, seed=1)),
+    }
+    for name, sample in samplers.items():
+        passes.clear()
+        batches.clear()
+        sample()
+        assert len(passes) == 1 and len(batches) == 1, name
+        assert batches[0]._block == batches[0]._reserved.stop, name
 
 
 @pytest.mark.parametrize("word", [0, 2**64 - 1])
