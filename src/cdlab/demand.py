@@ -24,6 +24,12 @@ MAX_GH_NODES = 2**20  # tensor-product grids grow as nodes ** dim
 MAX_BLOCK_ELEMENTS = 2**19  # markets x nodes x products per node-share block (4 MB)
 #: The fewest terms numpy's float sum adds pairwise rather than in order.
 PAIRWISE_MIN = 8
+#: The most products at which an index operation runs one ufunc call per
+#: product slice (`_by_product`). At 2 products the slices were faster at
+#: 40, 440 and 4,000 rows of 32 nodes; at 3 and 4 they lost at 40 or 4,000
+#: rows, where broadcasting is fast enough or the strided slices cost memory
+#: traffic (CHANGES.md has the table).
+SLICE_MAX = 2
 
 
 @dataclass(frozen=True)
@@ -178,13 +184,32 @@ def _fixed_index(m: ShareMap, a: Bundle | Bundles) -> np.ndarray:
 
 
 def _random_index(B: np.ndarray, a: Bundle | Bundles) -> np.ndarray:
-    """Per-node utility from random coefficients: (..., M, J)."""
-    out = -(B[:, :1] * a.p[..., None, :])
+    """Per-node utility from random coefficients: (..., M, J), the
+    elementwise -(B0 p) plus each B_i x2_i."""
+    p = a.p[..., None, :]
+    out = np.empty(p.shape[:-2] + (len(B), p.shape[-1]))
+    np.negative(_by_product(np.multiply, B[:, :1], p, out), out=out)
     extra = B.shape[1] - 1
     if extra:
-        k = min(extra, a.x2.shape[-1])
-        for i in range(k):
-            out += B[:, 1 + i, None] * a.x2[..., None, :, i]
+        term = np.empty(out.shape)
+        for i in range(min(extra, a.x2.shape[-1])):
+            out += _by_product(np.multiply, B[:, 1 + i, None], a.x2[..., None, :, i], term)
+    return out
+
+
+def _by_product(ufunc, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ufunc(x, y) into out (..., J), which x and y broadcast to, with one
+    call per product slice at 2 to SLICE_MAX products. A last axis of 1 in x
+    or y broadcasts to every slice. Broadcasting along a short last axis
+    runs numpy's inner loop once per row; a slice runs it along the node
+    axis. Each element is the same operation on the same operands, so the
+    bits are those of the broadcast call."""
+    J = out.shape[-1]
+    if not 1 < J <= SLICE_MAX:
+        return ufunc(x, y, out=out)
+    per_x, per_y = x.shape[-1] > 1, y.shape[-1] > 1
+    for j in range(J):
+        ufunc(x[..., j * per_x], y[..., j * per_y], out=out[..., j])
     return out
 
 
@@ -199,18 +224,22 @@ def _node_shares(T: np.ndarray, outside: bool = False) -> np.ndarray:
     of the same array at J = 2. A max is exact in any order. Below
     PAIRWISE_MIN terms numpy sums in order, so the slice sum gives the same
     bits; from there on it sums pairwise, and `.sum` is both what it was and
-    faster than J slice additions.
+    faster than J slice additions. The subtractions `T - peak` and
+    `T - lse` broadcast along the product axis, so up to SLICE_MAX products
+    they run by product slice too (`_by_product`), with the same bits.
     """
     J = T.shape[-1]
     peak = np.maximum(T[..., 0], 0.0)
     for j in range(1, J):
         np.maximum(peak, T[..., j], out=peak)
     peak = peak[..., None]
-    lse = peak + np.log(np.exp(-peak) + _sum_exp(T - peak))
+    lse = peak + np.log(np.exp(-peak) + _sum_exp(_by_product(np.subtract, T, peak,
+                                                             np.empty(T.shape))))
     if not outside:
-        return np.exp(T - lse)
+        x = _by_product(np.subtract, T, lse, np.empty(T.shape))
+        return np.exp(x, out=x)
     out = np.empty(T.shape[:-1] + (J + 1,))
-    np.subtract(T, lse, out=out[..., :J])
+    _by_product(np.subtract, T, lse, out[..., :J])
     np.negative(lse, out=out[..., J:])
     return np.exp(out, out=out)
 
@@ -234,7 +263,8 @@ def _weighted_node_shares(m: ShareMap, delta: np.ndarray, a: Bundle | Bundles,
     with `outside`, (..., M, J + 1) with the outside good last."""
     B, w = mixing_nodes(m.mixing, m.integration)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        T = (delta + _fixed_index(m, a))[..., None, :] + _random_index(B, a)
+        R = _random_index(B, a)
+        T = _by_product(np.add, (delta + _fixed_index(m, a))[..., None, :], R, R)
     # A finite index gives finite shares: _node_shares shifts it by its peak.
     if not np.all(np.isfinite(T)):
         raise IntegrationFailure("non-finite utility index: delta or a price term "

@@ -3,11 +3,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdlab.demand import (
     Integration,
     _fixed_index,
     _node_shares,
+    _sum_exp,
     _weighted_node_shares,
     expit,
     logit,
@@ -120,6 +123,56 @@ def test_node_shares_are_the_bits_of_the_reduction_formula(J):
                 got = _node_shares(T, outside)
                 assert got.shape == shape[:-1] + (J + outside,)
                 assert np.array_equal(got, reduction_node_shares(T, outside))
+
+
+def broadcast_weighted_node_shares(m, delta, a: Bundles, outside=False):
+    """`_weighted_node_shares` as it was before its index operations ran by
+    product slice: the random index -(B0 p) + B_i x2_i, the index
+    (delta + g) + R, `T - peak` and `T - lse` broadcast along the product
+    axis."""
+    B, w = mixing_nodes(m.mixing, m.integration)
+    R = -(B[:, :1] * a.p[..., None, :])
+    for i in range(min(B.shape[1] - 1, a.x2.shape[-1])):
+        R += B[:, 1 + i, None] * a.x2[..., None, :, i]
+    T = (delta + _fixed_index(m, a))[..., None, :] + R
+    J = T.shape[-1]
+    peak = np.maximum(T[..., 0], 0.0)
+    for j in range(1, J):
+        np.maximum(peak, T[..., j], out=peak)
+    peak = peak[..., None]
+    lse = peak + np.log(np.exp(-peak) + _sum_exp(T - peak))
+    if not outside:
+        return np.exp(T - lse), w
+    out = np.empty(T.shape[:-1] + (J + 1,))
+    np.subtract(T, lse, out=out[..., :J])
+    np.negative(lse, out=out[..., J:])
+    return np.exp(out, out=out), w
+
+
+SLICE_MAPS = [mixed_logit(lognormal_mixing(0.0, 0.5), gamma=(0.4,)),
+              mixed_logit(normal_mixing((1.0, 0.5), (0.3, 0.2)), gamma=(0.3, -0.2),
+                          integration=Integration("gauss-hermite", nodes=6))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(J=st.integers(1, 8), which=st.sampled_from([0, 1]), n=st.integers(1, 9),
+       scale=st.sampled_from([1.0, 200.0]), data=st.data())
+def test_product_slices_give_the_broadcast_bits(J, which, n, scale, data):
+    """Node shares by product slice equal the broadcast code's bit for bit,
+    signs of zero included, with and without the outside good: at one and
+    two random coefficients, two x2 columns under gamma, indices up to a
+    few hundred, and zero and negative prices."""
+    m = SLICE_MAPS[which]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    delta = rng.normal(0.0, scale, (n, J))
+    p = rng.uniform(-1.0, 3.0, (n, J))
+    p[rng.random((n, J)) < 0.2] = 0.0
+    a = Bundles(rng.uniform(-1.0, 1.0, (n, J)), p, rng.uniform(-1.0, 1.0, (n, J, 2)))
+    for outside in (False, True):
+        got, w = _weighted_node_shares(m, delta, a, outside)
+        want, w_want = broadcast_weighted_node_shares(m, delta, a, outside)
+        assert got.shape == (n, len(w), J + outside) and w is w_want
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_delta_shape_and_finiteness_validated():
