@@ -1,10 +1,13 @@
 """Golden references for `cdl` subcommands.
 
 `tests/golden/regen.py` wrote the reference CSVs; this test reruns each
-case and compares cell by cell. Numeric cells agree to a relative error of
-1e-12, with an absolute floor of 1e-12 for values near 0 (shares, utilities
-and prices here are of unit scale, so the floor is rounding at that scale).
-Text and boolean cells match exactly.
+case and compares cell by cell, then byte for byte. The cell comparison
+comes first because it names the row and column that moved: numeric cells
+agree to a relative error of 1e-12, with an absolute floor of 1e-12 for
+values near 0 (shares, utilities and prices here are of unit scale, so the
+floor is rounding at that scale), and text and boolean cells match exactly.
+Every CSV must then have its reference's bytes, so a change that moves an
+output within that tolerance still regenerates the reference.
 """
 
 import csv
@@ -58,6 +61,7 @@ def test_micro_subcommand_matches_golden_reference(case, tmp_path):
             for col, cell, ref_cell in zip(ref[0], row, ref_row):
                 assert cells_agree(cell, ref_cell), (
                     f"{case}/{path.name} row {i} {col}: {cell} != {ref_cell}")
+        assert path.read_bytes() == ref_path.read_bytes(), f"{case}/{path.name}: bytes"
 
 
 def test_cell_comparison_rules():
