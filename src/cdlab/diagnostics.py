@@ -114,7 +114,7 @@ def conditional_variance(population: Population, spec: PopulationSpec,
             # singular vectors that lstsq(rcond=None) keeps.
             U, sv, _ = np.linalg.svd(X, full_matrices=False)
             keep = sv > max(X.shape[-2:]) * np.finfo(float).eps * sv[..., :1]
-            resid = Yap - U @ ((U.mT @ Yap) * keep[..., None])
+            resid = Yap - U @ ((np.swapaxes(U, -1, -2) @ Yap) * keep[..., None])
         worst = max(worst, float(np.max(np.mean(resid**2, axis=1))))
     return worst
 
