@@ -136,18 +136,15 @@ def micro_shares(dgp: MicroDgp, delta, p, sigma_scale=None) -> np.ndarray:
     return s
 
 
-def micro_invert(dgp: MicroDgp, y, p, tol: float = DEFAULT_INVERSION.tol,
-                 max_iter: int = DEFAULT_INVERSION.max_iter) -> np.ndarray:
+def micro_invert(dgp: MicroDgp, y, p, cfg: InversionConfig = DEFAULT_INVERSION) -> np.ndarray:
     """Solve sigma(delta, p) = y for shares y (..., J) at prices p that
-    broadcast against them, all rows in one solver call; returns delta of
-    y's shape. Each row starts at the logit inverse at the mean index,
-    log y - log y0 + alpha p (the nodes nu have mean 0). At J = 1 this is the
-    bracketed share-curve solver of :mod:`cdlab.inversion`; at J >= 2 its
-    safeguarded Newton inversion."""
+    broadcast against them, all rows in one solver call under cfg; returns
+    delta of y's shape. Each row starts at the logit inverse at the mean
+    index, log y - log y0 + alpha p (the nodes nu have mean 0). At J = 1 this
+    is the bracketed share-curve solver of :mod:`cdlab.inversion`; at J >= 2
+    its safeguarded Newton inversion."""
     y, p = np.asarray(y, dtype=float), np.asarray(p, dtype=float)
     nu, w = _nu_nodes(dgp.sigma, dgp.nu_nodes)
-    default = (tol, max_iter) == (DEFAULT_INVERSION.tol, DEFAULT_INVERSION.max_iter)
-    cfg = DEFAULT_INVERSION if default else InversionConfig(tol=tol, max_iter=max_iter)
     if dgp.J == 1:
         return solve_share_curve(nu[:, 0] - dgp.alpha * p, w, y[..., 0], cfg)[..., None]
     rows = y.reshape(-1, dgp.J)

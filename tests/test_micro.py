@@ -13,6 +13,7 @@ from cdlab.acceptance import micro_dgp
 from cdlab.demand import _gh_nodes
 from cdlab.errors import (ConfigError, NoConvergence, NotIdentified, RootNotBracketed,
                           SimplexViolation)
+from cdlab.inversion import InversionConfig
 from cdlab.streams import market_streams
 from cdlab.types import Bundle, bundle, normal_mixing
 
@@ -71,12 +72,12 @@ def test_micro_invert_round_trip_1d():
 
 
 def test_micro_invert_passes_max_iter_to_the_1d_solver():
-    """At J = 1 micro_invert runs the share-curve solver under its own
-    iteration cap."""
+    """At J = 1 micro_invert runs the share-curve solver under the iteration
+    cap of its InversionConfig."""
     dgp = dgp_1d()
     y, p = np.array([0.3]), np.array([1.5])
     with pytest.raises(NoConvergence):
-        mi.micro_invert(dgp, y, p, max_iter=1)
+        mi.micro_invert(dgp, y, p, InversionConfig(max_iter=1))
     np.testing.assert_allclose(mi.micro_shares(dgp, mi.micro_invert(dgp, y, p), p), y,
                                atol=1e-12, rtol=0)
 
