@@ -360,12 +360,12 @@ def _increments(candidate_h: Callable, Y: np.ndarray, W: np.ndarray, a: Bundle) 
     return H - H[:, :1]
 
 
-def _spread(D: np.ndarray) -> tuple[float, float]:
+def _spread(D: np.ndarray) -> tuple[float, float, np.ndarray]:
     """The deviations of the increments D (n, G, J) from their cross-market
     median, by their largest absolute value (the parallelism residual) and
-    by their sum of squares."""
+    by their sum of squares, and the deviations themselves."""
     dev = D - _median_rows(D)
-    return float(np.max(np.abs(dev))), float(np.vdot(dev, dev))
+    return float(np.max(np.abs(dev))), float(np.vdot(dev, dev)), dev
 
 
 def parallel_residual(candidate_h: Callable, profiles: Sequence[Profile],
@@ -427,79 +427,6 @@ def _latin_hypercube_1d(n: int, seed: int) -> np.ndarray:
     return (np.argsort(v[n:], kind="stable") + 1 - v[:n]) / n
 
 
-def _brent(func: Callable[[float], float], a: float, b: float, x: float | None = None,
-           maxiter: int = 500) -> tuple[float, float]:
-    """Brent's method (Brent, 1973, ch. 5) on [a, b]: the minimizer found and
-    its value.
-
-    From a start x, a < x < b with f(x) < f(a) and f(x) < f(b), this is a
-    line-for-line port of SciPy 1.17's `optimize.Brent.optimize` on the
-    bracket (a, x, b) at `xtol=1e-10` (BSD-3-Clause, Copyright (c) 2001-2002
-    Enthought, Inc., 2003 SciPy Developers), with its comparisons, operation
-    order and evaluations, so it returns the same point after the same calls.
-    With no start it evaluates only the golden point a + 0.3819660 (b - a),
-    as Brent's localmin does, and runs the same loop.
-    """
-    tol, _mintol, _cg = 1e-10, 1.0e-11, 0.3819660
-    if x is None:
-        x = a + _cg * (b - a)
-        fx = func(x)
-    else:
-        _, fx, _ = func(a), func(x), func(b)  # SciPy evaluates the whole bracket
-    w = v = x
-    fw = fv = fx
-    deltax = 0.0
-    for _ in range(maxiter):
-        tol1 = tol * np.abs(x) + _mintol
-        tol2 = 2.0 * tol1
-        xmid = 0.5 * (a + b)
-        if np.abs(x - xmid) < (tol2 - 0.5 * (b - a)):
-            break
-        if np.abs(deltax) <= tol1:  # golden-section step
-            deltax = a - x if x >= xmid else b - x
-            rat = _cg * deltax
-        else:  # parabolic step
-            tmp1 = (x - w) * (fx - fv)
-            tmp2 = (x - v) * (fx - fw)
-            p = (x - v) * tmp2 - (x - w) * tmp1
-            tmp2 = 2.0 * (tmp2 - tmp1)
-            if tmp2 > 0.0:
-                p = -p
-            tmp2 = np.abs(tmp2)
-            dx_temp = deltax
-            deltax = rat
-            if ((p > tmp2 * (a - x)) and (p < tmp2 * (b - x))
-                    and (np.abs(p) < np.abs(0.5 * tmp2 * dx_temp))):
-                rat = p * 1.0 / tmp2
-                u = x + rat
-                if (u - a) < tol2 or (b - u) < tol2:
-                    rat = tol1 if xmid - x >= 0 else -tol1
-            else:  # the parabola is no use: golden-section step
-                deltax = a - x if x >= xmid else b - x
-                rat = _cg * deltax
-        if np.abs(rat) < tol1:  # move by at least tol1
-            u = x + tol1 if rat >= 0 else x - tol1
-        else:
-            u = x + rat
-        fu = func(u)
-        if fu > fx:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if (fu <= fw) or (w == x):
-                v, w, fv, fw = w, u, fw, fu
-            elif (fu <= fv) or (v == x) or (v == w):
-                v, fv = u, fu
-        else:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
-    return x, fx
-
-
 def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
                      a: Bundle, y0: np.ndarray | None = None,
                      starts: int = 8, seed: int = 0,
@@ -511,13 +438,19 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
     NotIdentified test, on the scan: scan points whose residual is within
     `tol` of the scan minimum must give candidates that agree with the best
     one up to a vertical shift. A flat family ties the whole scan, so it is
-    caught here, before a refinement that needs a strict bracket.
-    Refinement: Brent's method between the best scan point's two neighbours
-    on the sum of squares of the same deviations from the median, which is
-    smooth at the parallel member where the residual, their largest
-    absolute value, has a kink. It starts at the scan point when that point's
-    sum of squares is strictly below both neighbours', and at the golden
-    point otherwise. The refined point is kept only when its residual is
+    caught here, before the refinement.
+    Refinement: damped secant Gauss-Newton on the deviations r(x) of the
+    increments from their median, whose sum of squares is smooth at the
+    parallel member where the residual, their largest absolute value, has a
+    kink. From the best scan point, with its neighbour of lower sum of
+    squares as the previous point, each step is x <- x - <g, r(x)> / <g, g>,
+    g the secant slope of r through the current and the previous point. A
+    step that would leave the open interval between the scan point's
+    neighbours goes halfway to the bound it would pass, and a step that does
+    not lower the sum of squares is halved: with no parallel member the
+    deviations stay large, and full steps can overshoot the minimum forever.
+    A step below 1e-10 |x| + 1e-11, a zero slope, a failed point or a point
+    seen before ends it. Its current point is kept only when its residual is
     below the scan point's, so the result's residual is always the
     parallelism residual of its candidate.
 
@@ -531,8 +464,8 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
     Y, W = _stacked_rows(profiles)
 
     failures = 0
-    # point -> (residual, sum of squares, candidate, increments); the
-    # refinement re-evaluates its bracket. A failed point keeps no candidate.
+    # point -> (residual, sum of squares, deviations, candidate, increments).
+    # A failed point keeps no deviations, candidate or increments.
     seen: dict[float, tuple] = {}
 
     def evaluate(x) -> tuple:
@@ -545,11 +478,11 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
                 seen[x] = (*_spread(D), cand, D)
             except (NoConvergence, FloatingPointError):
                 failures += 1
-                seen[x] = (1e6, 1e6, None, None)
+                seen[x] = (1e6, 1e6, None, None, None)
         return seen[x]
 
     def candidate(x):
-        cand = seen[float(x)][2]
+        cand = seen[float(x)][3]
         return family.build(np.array([float(x)])) if cand is None else cand
 
     draws = lo + (hi - lo) * _latin_hypercube_1d(starts, seed)
@@ -569,11 +502,30 @@ def identify_h_and_g(family: CandidateFamily, profiles: Sequence[Profile],
                 raise NotIdentified("near-optimal candidates differ beyond a vertical shift",
                                     candidates=[xs[i:i + 1], xs[j:j + 1]])
 
+    # Damped secant Gauss-Newton: x1 the current point, x0 the previous one
+    # and x the trial point, None until a step makes one.
     j, k = max(i - 1, 0), min(i + 1, len(xs) - 1)
-    strict = j < i < k and ss[i] < ss[j] and ss[i] < ss[k]
-    x, _ = _brent(lambda x: evaluate(x)[1], xs[j], xs[k], xs[i] if strict else None)
-    best = float(x) if seen[float(x)][0] < rs[i] else float(xs[i])
-    residual, _, _, D = seen[best]
+    x0 = xs[j] if k == i or (j < i and ss[j] < ss[k]) else xs[k]
+    x0, x1, x = float(x0), float(xs[i]), None
+    while seen[x0][3] is not None and seen[x1][3] is not None:
+        if x is None:
+            g = (seen[x1][2] - seen[x0][2]) / (x1 - x0)  # secant slope of the deviations
+            gg = np.vdot(g, g)
+            if not gg > 0:
+                break
+            x = x1 - np.vdot(g, seen[x1][2]) / gg
+            if not xs[j] < x:  # halfway to the bound the step would pass
+                x = (x1 + xs[j]) / 2
+            elif not x < xs[k]:
+                x = (x1 + xs[k]) / 2
+        if abs(x - x1) < 1e-10 * abs(x1) + 1e-11 or x in seen or evaluate(x)[3] is None:
+            break
+        if seen[x][1] < seen[x1][1]:
+            x0, x1, x = x1, x, None
+        else:
+            x = (x1 + x) / 2  # no descent: halve the step
+    best = x1 if seen[x1][0] < rs[i] else float(xs[i])
+    residual, *_, D = seen[best]
     return _normalize_candidate(candidate(best), D, np.array([best]), residual, Y, W, a, y0,
                                 failures)
 

@@ -769,8 +769,8 @@ def test_importing_the_cli_loads_neither_scipy_optimize_nor_scipy_stats():
 
 
 def test_a_candidate_fit_and_micro_identify_load_no_scipy(tmp_path):
-    """The candidate search draws its scan in numpy and refines it with
-    cdlab's own Brent loops, so neither a fit nor `cdl micro-identify`
+    """The candidate search draws its scan in numpy and refines it with its
+    own secant Gauss-Newton loop, so neither a fit nor `cdl micro-identify`
     loads any SciPy module."""
     loaded = _loaded_scipy_modules(
         "import numpy as np; from cdlab import cli, micro as mi; "
