@@ -5,9 +5,10 @@ quantities under test, and returns a result with named checks. The CLI
 `acceptance` subcommand and the test suite both run these functions, so
 the shipped gate and the emitted summary cannot drift apart. The checks
 that a `cdl` subcommand also writes (`theorem1_checks`, `variance_pair`,
-`complete_micro_model` and `price_ccs`), and the micro populations they
-share (`one_level_population` and `stratified_population`), are set up
-here once, for the subcommand and its criterion alike.
+`complete_micro_model` and `price_ccs`), and the populations they share
+(`single_type_population`, `fig1_population`, `one_level_population` and
+`stratified_population`), are set up here once, for the subcommand and its
+criterion alike.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from . import extrapolation as ex
 from . import laws
 from . import micro as mi
 from .counterfactual import verify_theorem1
-from .demand import expit, mixed_logit, plain_logit, share_curve_1d, shares_array
+from .demand import expit, expit_mixture, mixed_logit, node_offsets, plain_logit, shares_array
 from .dgps import ScaledX1Spec, sample_scaled_x1_population
-from .diagnostics import Fig1Spec, conditional_variance, crossing_curves
+from .diagnostics import conditional_variance, crossing_curves
 from .errors import ConfigError
 from .inversion import invert_rows
 from .population import Population, PopulationSpec, sample_population
@@ -76,12 +77,24 @@ def criterion_1(seed: int) -> CriterionResult:
     ])
 
 
-def _single_type_spec(seed: int, market_count: int = 100, J: int = 2) -> PopulationSpec:
-    return PopulationSpec(
-        J=J, market_count=market_count,
-        mixing_by_type=(lognormal_mixing(0.0, 0.3),),
-        type_probabilities=(1.0,), seed=seed,
-    )
+def single_type_population(market_count: int, seed: int, J: int = 1) -> PopulationSpec:
+    """The single-type lognormal(0, 0.3) population of criterion 2's theorem
+    checks, and of `cdl simulate`, `invert`, `predict` and `verify-thm1`
+    when their config gives none."""
+    return PopulationSpec(J=J, market_count=market_count,
+                          mixing_by_type=(lognormal_mixing(0.0, 0.3),),
+                          type_probabilities=(1.0,), seed=seed)
+
+
+def fig1_population(market_count: int, seed: int) -> PopulationSpec:
+    """Fig. 1's two-type single-product population, types 0 and 1 equally
+    likely: both price coefficients are lognormal, (0, 0.5) and (-0.5, 2),
+    so type 1 is markedly more price sensitive in the tail. Criteria 2-4
+    and `cdl fig1` sample it."""
+    return PopulationSpec(J=1, market_count=market_count,
+                          mixing_by_type=(lognormal_mixing(0.0, 0.5),
+                                          lognormal_mixing(-0.5, 2.0)),
+                          type_probabilities=(0.5, 0.5), seed=seed)
 
 
 def theorem1_checks(spec: PopulationSpec) -> list[Check]:
@@ -98,13 +111,12 @@ def theorem1_checks(spec: PopulationSpec) -> list[Check]:
 @_timed
 def criterion_2(seed: int) -> CriterionResult:
     """Three equivalent homogeneity formulations, plus the two-type failure."""
-    fig1 = Fig1Spec(market_count=100, seed=seed + 2)
-    fspec = fig1.population_spec()
+    fspec = fig1_population(100, seed + 2)
     fgrid = [bundle(0.0, p) for p in np.linspace(0.6, 2.8, 10)]
-    *_, shift = verify_theorem1(mixed_logit(fig1.blue), bundle(0.0, 1.5), fgrid,
+    *_, shift = verify_theorem1(fspec.share_map(0), bundle(0.0, 1.5), fgrid,
                                 sample_population(fspec), fspec.truth)
     return CriterionResult(2, "theorem 1 equivalence", checks=[
-        *theorem1_checks(_single_type_spec(seed + 2)),
+        *theorem1_checks(single_type_population(100, seed + 2, J=2)),
         Check("two_type_hom_gap", shift.value, 0.01, ">"),
     ])
 
@@ -112,40 +124,37 @@ def criterion_2(seed: int) -> CriterionResult:
 @_timed
 def criterion_3(seed: int) -> CriterionResult:
     """Crossing demand curves through each sampled market's (P, Y)."""
-    spec = Fig1Spec(market_count=2000, seed=seed + 3)
-    pop = sample_population(spec.population_spec())
-    pairs = crossing_curves(spec, pop)
-    # None: the opposite type cannot reach the observed share
-    xi_opp, slope_gap = np.array([(pair.xi_opposite, abs(pair.own_slope - pair.opposite_slope))
-                                  if pair else (np.nan, 0.0) for pair in pairs]).T
-    at_p = np.full(len(pop), np.nan)
+    spec = fig1_population(2000, seed + 3)
+    pop = sample_population(spec)
+    _, _, own_slope, opp_slope, xi_opp = crossing_curves(spec, pop)  # NaN: unreachable
+    at_p = np.empty(len(pop))
     for t in (0, 1):  # each opposite curve at the observed price, one call per type
         rows = np.flatnonzero(pop.zeta != t)
-        at_p[rows] = share_curve_1d(spec.mixing(t), xi_opp[rows], pop.a.p[rows, 0],
-                                    spec.quad_nodes)
-    good = np.count_nonzero((np.abs(at_p - pop.y[:, 0]) <= 1e-8) & (slope_gap > 1e-3))
+        at_p[rows] = expit_mixture(xi_opp[rows], *node_offsets(spec.share_map(t), pop.a[rows]))
+    good = np.count_nonzero((np.abs(at_p - pop.y[:, 0]) <= 1e-8)
+                            & (np.abs(own_slope - opp_slope) > 1e-3))
     return CriterionResult(3, "crossing demand curves", budget=30.0, checks=[
         Check("fraction_with_crossing_witness", good / len(pop), 0.95, ">"),
     ])
 
 
-def variance_pair(spec: Fig1Spec, pop: Population, bins: int) -> tuple[float, float]:
+def variance_pair(spec: PopulationSpec, pop: Population, bins: int) -> tuple[float, float]:
     """The conditional variance of Y(p = 2.0) given Y(p = 1.5), in `bins`
-    bins, of pop, a sample of spec's two-type population, and of a sample of
-    its first type alone at the same market count and seed: criterion 4's
-    two values, which `cdl fig1` writes."""
+    bins, of pop, a sample of the two-type population spec, and of a sample
+    of its first type alone at the same market count and seed: criterion
+    4's two values, which `cdl fig1` writes."""
     a, a_prime = bundle(0.0, 1.5), bundle(0.0, 2.0)
-    single = PopulationSpec(J=1, market_count=spec.market_count, mixing_by_type=(spec.blue,),
-                            type_probabilities=(1.0,), seed=spec.seed)
-    return (conditional_variance(pop, spec.population_spec(), a, a_prime, bins=bins),
+    single = dataclasses.replace(spec, mixing_by_type=spec.mixing_by_type[:1],
+                                 type_probabilities=(1.0,))
+    return (conditional_variance(pop, spec, a, a_prime, bins=bins),
             conditional_variance(sample_population(single), single, a, a_prime, bins=bins))
 
 
 @_timed
 def criterion_4(seed: int) -> CriterionResult:
     """Zero conditional variance under one type; positive under two."""
-    fig1 = Fig1Spec(market_count=10_000, seed=seed + 4)
-    v_two, v_single = variance_pair(fig1, sample_population(fig1.population_spec()), 200)
+    spec = fig1_population(10_000, seed + 4)
+    v_two, v_single = variance_pair(spec, sample_population(spec), 200)
     return CriterionResult(4, "zero-variance diagnostic", checks=[
         Check("single_type_conditional_variance", v_single, 1e-10, "<="),
         Check("two_type_conditional_variance", v_two, 1e-4, ">"),

@@ -25,12 +25,11 @@ from .config import OPTIONS, ExperimentConfig, apply_overrides, load_config
 from .counterfactual import predict
 from .demand import shares_array
 from .dgps import ScaledX1Spec
-from .diagnostics import Fig1Spec, crossing_curves
-from .errors import CdlabError, ConfigError, RootNotBracketed
+from .diagnostics import CURVE_GRID, crossing_curves
+from .errors import CdlabError, ConfigError
 from .inversion import invert_rows
 from .population import PopulationSpec, sample_population
 from .svgplot import Panel, write_svg
-from .types import lognormal_mixing
 
 #: Marker colors per latent type, matching the two-type figure convention.
 TYPE_COLORS = ("#1f77b4", "#ff7f0e")
@@ -106,14 +105,10 @@ def write_csv(path, header, rows) -> None:
                              for row in rows)
 
 
-def _default_population(seed: int) -> PopulationSpec:
-    return PopulationSpec(J=1, market_count=200,
-                          mixing_by_type=(lognormal_mixing(0.0, 0.3),),
-                          type_probabilities=(1.0,), seed=seed)
-
-
 def _population(cfg: ExperimentConfig) -> PopulationSpec:
-    return cfg.population if cfg.population is not None else _default_population(cfg.seed)
+    if cfg.population is not None:
+        return cfg.population
+    return acc.single_type_population(200, cfg.seed)
 
 
 def _types(spec: PopulationSpec, zeta: np.ndarray):
@@ -163,24 +158,20 @@ def run_predict(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_fig1(cfg: ExperimentConfig, out: Path) -> None:
-    spec = Fig1Spec(market_count=cfg.option("market_count"), seed=cfg.seed)
-    pop = sample_population(spec.population_spec())
+    spec = acc.fig1_population(cfg.option("market_count"), cfg.seed)
+    pop = sample_population(spec)
     shown = pop[:cfg.option("curves_plotted")]
-    pairs = crossing_curves(spec, shown)
+    own, opposite = crossing_curves(spec, shown)[:2]  # sampled shares are all reachable
     panel = Panel(title="crossing demand curves", xlabel="price", ylabel="share")
     labels = {0: "type 0", 1: "type 1"}
-    for i, (zeta, pair) in enumerate(zip(shown.zeta.tolist(), pairs)):
-        if pair is None:
-            raise RootNotBracketed(f"market {i}: share {shown.y[i, 0]} unreachable "
-                                   f"by the opposite type")
-        panel.add(pair.grid, pair.own, color=TYPE_COLORS[zeta],
-                  label=labels.pop(zeta, ""))
-        panel.add(pair.grid, pair.opposite, color=TYPE_COLORS[1 - zeta],
+    for zeta, own_i, opposite_i in zip(shown.zeta.tolist(), own, opposite):
+        panel.add(CURVE_GRID, own_i, color=TYPE_COLORS[zeta], label=labels.pop(zeta, ""))
+        panel.add(CURVE_GRID, opposite_i, color=TYPE_COLORS[1 - zeta],
                   label=labels.pop(1 - zeta, ""), dash="4,3")
     write_csv(out / "curves.csv",
               ["market_id", "type", "grid_price", "own_share", "opposite_share"],
-              Table(np.arange(len(pairs))[:, None], shown.zeta[:, None], pairs[0].grid,
-                    np.array([p.own for p in pairs]), np.array([p.opposite for p in pairs])))
+              Table(np.arange(len(shown))[:, None], shown.zeta[:, None], CURVE_GRID,
+                    own, opposite))
     write_svg(out / "fig1.svg", [panel])
 
     bins = max(2, min(50, spec.market_count // 10))

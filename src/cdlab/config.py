@@ -192,8 +192,15 @@ def _markets_per_level(o: dict) -> None:
                           f"2 per price level, got {o['market_count']}")
 
 
+def _curves_of_markets(o: dict) -> None:
+    """fig1 draws the curves of its first curves_plotted markets."""
+    if o["curves_plotted"] > o["market_count"]:
+        raise ConfigError(f"option 'curves_plotted' for fig1 must be at most market_count "
+                          f"{o['market_count']}, got {o['curves_plotted']}")
+
+
 #: Checks between one subcommand's options, made after each option's own.
-RELATIONS = {"micro-identify": _markets_per_level}
+RELATIONS = {"micro-identify": _markets_per_level, "fig1": _curves_of_markets}
 
 #: The subcommands that sample the config's population; the others build
 #: their own, so a population given to them is a ConfigError.

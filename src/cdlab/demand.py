@@ -354,24 +354,10 @@ def expit_mixture(delta, offsets, weights, slope_weights=None):
     return node_sum(lam, weights), node_sum(lam * (1.0 - lam), slope_weights)
 
 
-def curve_offsets(mixing: MixingSpec, p, nodes: int = DEFAULT_GH_NODES):
-    """Node offsets -beta_m p (..., M) of the single-product price curve at
-    prices p (...), and the node weights."""
-    B, w = _gh_nodes_cached(mixing, nodes)
-    return -np.asarray(p, dtype=float)[..., None] * B[:, 0], w
-
-
-def share_curve_1d(mixing: MixingSpec, delta, p, nodes: int = DEFAULT_GH_NODES):
-    """Single-product mixed-logit shares integral(Lambda(delta - beta p)) dG.
-
-    `delta` and `p` broadcast; returns an array of the broadcast shape.
-    Vectorized across many markets or grid points at once.
-    """
-    return expit_mixture(delta, *curve_offsets(mixing, p, nodes))
-
-
-def share_curve_slope_1d(mixing: MixingSpec, delta, p, nodes: int = DEFAULT_GH_NODES):
-    """d/dp of :func:`share_curve_1d` at (delta, p)."""
-    offsets, w = curve_offsets(mixing, p, nodes)
-    rates = curve_offsets(mixing, 1.0, nodes)[0]  # node m's index moves at -beta_m
-    return expit_mixture(delta, offsets, w, slope_weights=rates * w)[1]
+def node_offsets(m: ShareMap, a: Bundle | Bundles):
+    """Node offsets o (..., M) of a single-product mixed logit at the bundles
+    a, whose p is (..., 1), and the node weights w: its share at delta (...)
+    is expit_mixture(delta, o, w), and node m's offset moves with the price
+    at rate -B[m, 0] of the nodes B."""
+    B, w = mixing_nodes(m.mixing, m.integration)
+    return _fixed_index(m, a) + _random_index(B, a)[..., 0], w

@@ -3,47 +3,19 @@ demand-curve-crossing detection on a two-type single-product population."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from . import laws
-from .demand import gauss_hermite, mixed_logit, share_curve_1d, share_curve_slope_1d
-from .errors import InsufficientData
+from .demand import expit_mixture, mixing_nodes, node_offsets
+from .errors import ConfigError, InsufficientData
 from .inversion import invert_rows
 from .population import Population, PopulationSpec, true_counterfactuals
-from .types import Bundle, MixingSpec, lognormal_mixing
+from .types import Bundle, Bundles
 
-
-@dataclass(frozen=True)
-class Fig1Spec:
-    """Two-type single-product population with crossing demand curves.
-
-    Both types have a positive random price coefficient; the second type is
-    markedly more price sensitive in the tail. The price assignment law is
-    explicit config, not hard-coded.
-    """
-
-    blue: MixingSpec = field(default_factory=lambda: lognormal_mixing(0.0, 0.5))
-    orange: MixingSpec = field(default_factory=lambda: lognormal_mixing(-0.5, 2.0))
-    type_probabilities: tuple = (0.5, 0.5)
-    price_law: laws.Law = field(default_factory=lambda: laws.uniform(0.5, 3.0))
-    xi_law: laws.Law = field(default_factory=lambda: laws.normal(0.0, 1.0))
-    market_count: int = 2000
-    seed: int = 0
-    curve_grid: tuple = tuple(np.round(np.linspace(0.25, 3.25, 61), 10))
-    quad_nodes: int = 32
-
-    def population_spec(self) -> PopulationSpec:
-        return PopulationSpec(
-            J=1, market_count=self.market_count,
-            mixing_by_type=(self.blue, self.orange),
-            type_probabilities=self.type_probabilities,
-            price_law=self.price_law, xi_law=self.xi_law, seed=self.seed,
-        )
-
-    def mixing(self, zeta: int) -> MixingSpec:
-        return (self.blue, self.orange)[zeta]
+#: The prices at which `crossing_curves` draws each curve.
+CURVE_GRID = np.round(np.linspace(0.25, 3.25, 61), 10)
+CURVE_GRID.setflags(write=False)
+_GRID_BUNDLES = Bundles(np.zeros((len(CURVE_GRID), 1)), CURVE_GRID[:, None],
+                        np.zeros((len(CURVE_GRID), 1, 0)))
 
 
 def _partition(values: np.ndarray, bins: int) -> list:
@@ -119,49 +91,46 @@ def conditional_variance(population: Population, spec: PopulationSpec,
     return worst
 
 
-@dataclass
-class CurvePair:
-    """Own and opposite-type demand curves through one market's (P, Y)."""
+def crossing_curves(spec: PopulationSpec, markets: Population):
+    """Single-product price curves through each market's observed point, on
+    the prices CURVE_GRID: own and opposite curves (n, G), own and opposite
+    slopes d share / d price at the observed price (n,), and the opposite
+    type's xi (n,).
 
-    grid: np.ndarray
-    own: np.ndarray
-    opposite: np.ndarray
-    own_slope: float  # d share / d price at the observed price
-    opposite_slope: float
-    xi_opposite: float
-
-
-def crossing_curves(spec: Fig1Spec, markets: Population) -> list:
-    """Single-product price curves through each market's observed point.
-
-    The own curve uses the market's stored latent state; the opposite-type
-    curve uses the xi that makes the other mixing distribution pass through
-    (P, Y) exactly. Per mixing type, one `invert_rows` call under its share
-    map solves the markets that have it as their opposite type, and one
-    curve and one slope evaluation each serve its own and its opposite
-    curves. A market whose observed share no curve can reach gets None in
-    place of its pair, and is not inverted.
+    spec is a J = 1 population of two types and no x2, and markets a sample
+    of it; another spec, or a market of a type other than 0 and 1, is a
+    ConfigError. The own curve uses the market's stored latent state; the
+    opposite-type curve uses the xi that makes the other type's share map
+    pass through (P, Y) exactly. Per type, one `invert_rows` call under its
+    share map solves the markets that have it as their opposite type, and
+    one curve and one slope evaluation each serve its own and its opposite
+    curves. A market whose observed share no curve can reach is not
+    inverted, and gets NaN in every output.
     """
-    if markets.y.shape[1] != 1:
-        raise ValueError("crossing curves are defined for J = 1")
-    grid = np.asarray(spec.curve_grid, dtype=float)
-    zeta, price, y_obs = markets.zeta, markets.a.p[:, 0], markets.y[:, 0]
+    if (spec.J, spec.n_types, spec.x2_dim) != (1, 2, 0):
+        raise ConfigError(f"crossing curves need a J = 1 population of 2 types and no x2, "
+                          f"got J = {spec.J}, {spec.n_types} types, x2_dim = {spec.x2_dim}")
+    zeta, y_obs = markets.zeta, markets.y[:, 0]
+    strange = (zeta != 0) & (zeta != 1)
+    if strange.any():
+        i = int(np.argmax(strange))
+        raise ConfigError(f"market {i} has type {zeta[i]}; crossing curves know types 0 and 1")
     delta = markets.a.x1[:, 0] + markets.xi[:, 0]
     n, reachable = len(markets), (0.0 < y_obs) & (y_obs < 1.0)
-    xi_opp = np.full(n, np.nan)
-    own, opp = np.empty((n, len(grid))), np.full((n, len(grid)), np.nan)
-    own_slope, opp_slope = np.empty(n), np.full(n, np.nan)
+    xi_opp, own_slope, opp_slope = np.full((3, n), np.nan)
+    own, opp = np.full((2, n, len(CURVE_GRID)), np.nan)
     for t in (0, 1):
-        mix = spec.mixing(t)
-        mine = np.flatnonzero(zeta == t)
+        m = spec.share_map(t)
+        B, w = mixing_nodes(m.mixing, m.integration)
+        at_grid = node_offsets(m, _GRID_BUNDLES)[0]
+        mine = np.flatnonzero((zeta == t) & reachable)
         other = np.flatnonzero((zeta != t) & reachable)
         if len(other):
-            m = mixed_logit(mix, integration=gauss_hermite(spec.quad_nodes))
             xi_opp[other] = invert_rows(m, markets.y[other], markets.a[other])[:, 0]
         for rows, d, curves, slopes in ((mine, delta, own, own_slope),
                                         (other, xi_opp, opp, opp_slope)):
-            curves[rows] = share_curve_1d(mix, d[rows, None], grid, spec.quad_nodes)
-            slopes[rows] = share_curve_slope_1d(mix, d[rows], price[rows], spec.quad_nodes)
-    return [CurvePair(grid, own[i], opp[i], float(own_slope[i]), float(opp_slope[i]),
-                      float(xi_opp[i])) if reachable[i] else None for i in range(n)]
-
+            curves[rows] = expit_mixture(d[rows, None], at_grid, w)
+            # node m's index moves with the price at -B[m, 0]
+            slopes[rows] = expit_mixture(d[rows], node_offsets(m, markets.a[rows])[0], w,
+                                         slope_weights=-B[:, 0] * w)[1]
+    return own, opp, own_slope, opp_slope, xi_opp

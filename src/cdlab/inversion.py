@@ -41,7 +41,7 @@ import numpy as np
 
 from .demand import (MAX_BLOCK_ELEMENTS, ShareMap, _fixed_index, _random_index,
                      _weighted_node_shares, logit, mixing_nodes,
-                     node_average, node_jacobian, node_sum)
+                     node_average, node_jacobian, node_offsets, node_sum)
 from .errors import ConfigError, IntegrationFailure, NoConvergence, SimplexViolation
 from .types import Bundle, Bundles, validate_share_rows
 
@@ -339,10 +339,9 @@ def invert_rows(m: ShareMap, y, a: Bundles, cfg: InversionConfig = DEFAULT_INVER
     y = validate_share_rows(y, ids)
     if m.kind == "plain-logit":
         return logit_closed_form(m, y, a)
-    B, w = mixing_nodes(m.mixing, m.integration)
     if y.shape[1] == 1:
-        offsets = _fixed_index(m, a) + _random_index(B, a)[..., 0]
-        return solve_share_curve(offsets, w, y[:, 0], cfg)[:, None]
+        return solve_share_curve(*node_offsets(m, a), y[:, 0], cfg)[:, None]
+    B, w = mixing_nodes(m.mixing, m.integration)
     # Logit inverse at the mean coefficients: exact for a degenerate mixing.
     return _solve_log_shares(
         lambda d, rows: _weighted_node_shares(m, d, a[rows], outside=True)[0],

@@ -113,7 +113,7 @@ def test_verify_thm1_writes_criterion_2s_values(tmp_path):
         "schema_version": 1, "experiment": "verify-thm1", "population": {
             "J": 2, "market_count": 100, "type_probabilities": [1.0], "seed": 2,
             "mixing_by_type": [{"kind": "lognormal", "loc": [0.0], "scale": [0.3]}]}}))
-    assert load_config(config).population == acc._single_type_spec(2)
+    assert load_config(config).population == acc.single_type_population(100, 2, J=2)
     assert cli.main(["verify-thm1", "--config", str(config), "--out", str(tmp_path)]) == 0
     written = report_values(tmp_path / "thm1_report.csv", "max_deviation")
     assert written == {c.name: c.value for c in acc.criterion_2(0).checks[:3]}

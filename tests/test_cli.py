@@ -1,5 +1,5 @@
 import csv
-import functools
+import dataclasses
 import json
 import os
 import re
@@ -501,8 +501,9 @@ def test_saturated_shares_exit_2_naming_the_market(tmp_path, monkeypatch):
     assert run(["simulate", "--config", path, "--out", out]) == 2
     assert read_csv(out / "report.csv")[1][1].startswith("market 0: share outside")
 
-    monkeypatch.setattr(cli, "Fig1Spec", functools.partial(
-        cli.Fig1Spec, xi_law=laws.constant(500.0), type_probabilities=(1.0, 0.0)))
+    fig1_population = cli.acc.fig1_population
+    monkeypatch.setattr(cli.acc, "fig1_population", lambda n, seed: dataclasses.replace(
+        fig1_population(n, seed), xi_law=laws.constant(500.0), type_probabilities=(1.0, 0.0)))
     out = tmp_path / "fig1"
     assert run(["fig1", "--out", out, "--set", "market_count=20"]) == 2
     assert read_csv(out / "report.csv")[1][1].startswith("market 0: share outside")
@@ -654,6 +655,8 @@ def test_unknown_option_in_a_config_file_exits_1(tmp_path, capsys):
      "option 'criteria' for acceptance must be of length at least 1, got []"),
     ("fig1", "market_count=1", "option 'market_count' for fig1 must be at least 4, got 1"),
     ("fig1", "market_count=3", "option 'market_count' for fig1 must be at least 4, got 3"),
+    ("fig1", "curves_plotted=2001",
+     "option 'curves_plotted' for fig1 must be at most market_count 2000, got 2001"),
     ("micro-identify", "market_count=7",
      "option 'market_count' for micro-identify must be at least 8, 2 per price level, got 7"),
     ("predict", "price_shift=NaN",

@@ -8,7 +8,7 @@ from cdlab import demand, inversion
 from cdlab.config import load_config
 from cdlab.counterfactual import predict, verify_theorem1
 from cdlab.demand import mixed_logit, plain_logit, shares_array
-from cdlab.diagnostics import Fig1Spec
+from cdlab.acceptance import fig1_population
 from cdlab.errors import ConfigError, SimplexViolation
 from cdlab.inversion import invert_rows
 from cdlab.population import PopulationSpec, sample_population
@@ -114,11 +114,10 @@ def test_verify_theorem1_passes_on_homogeneous_population():
 
 
 def test_verify_theorem1_fails_on_two_type_population():
-    fig1 = Fig1Spec(market_count=40, seed=1)
-    spec = fig1.population_spec()
+    spec = fig1_population(40, 1)
     pop = sample_population(spec)
     grid = [bundle([0.0], [p]) for p in np.linspace(0.7, 2.7, 5)]
-    *_, shift = verify_theorem1(mixed_logit(fig1.blue), bundle([0.0], [1.5]), grid, pop,
+    *_, shift = verify_theorem1(spec.share_map(0), bundle([0.0], [1.5]), grid, pop,
                                 spec.truth)
     assert not shift.passed
     assert shift.value > 0.01
@@ -165,9 +164,8 @@ def bench_thm1_case():
 
 def two_type_thm1_case(n=None):
     """Criterion 2's two-type J = 1 check at seed 0, on its first n markets."""
-    fig1 = Fig1Spec(market_count=100, seed=2)
-    spec = fig1.population_spec()
-    return (mixed_logit(fig1.blue), bundle(0.0, 1.5),
+    spec = fig1_population(100, 2)
+    return (spec.share_map(0), bundle(0.0, 1.5),
             [bundle(0.0, p) for p in np.linspace(0.6, 2.8, 10)],
             sample_population(spec)[:n], spec.truth)
 

@@ -13,14 +13,14 @@ from cdlab.demand import (
     _sum_exp,
     _weighted_node_shares,
     expit,
+    expit_mixture,
     logit,
     mixed_logit,
     mixing_nodes,
     monte_carlo,
     node_jacobian,
+    node_offsets,
     plain_logit,
-    share_curve_1d,
-    share_curve_slope_1d,
     shares_array,
 )
 from cdlab.errors import ConfigError, IntegrationFailure, SimplexViolation
@@ -279,26 +279,53 @@ def test_mixing_nodes_weights_sum_to_one():
         assert abs(w.sum() - 1.0) < 1e-12
 
 
-def test_share_curve_1d_matches_quadrature_oracle():
-    v = share_curve_1d(lognormal_mixing(0.0, 0.5), np.array(0.3), np.array(1.5))
+def price_bundles(p) -> Bundles:
+    """Single-product bundles at prices p (...), x1 = 0 and no x2."""
+    p = np.asarray(p, dtype=float)[..., None]
+    return Bundles(np.zeros(p.shape), p, np.zeros(p.shape + (0,)))
+
+
+def share_curve(m, delta, p, slope=False):
+    """The single-product share curve of the share map m at index delta and
+    prices p, as `diagnostics.crossing_curves` evaluates it; with `slope`,
+    its derivative in the price instead."""
+    offsets, w = node_offsets(m, price_bundles(p))
+    if not slope:
+        return expit_mixture(delta, offsets, w)
+    B = mixing_nodes(m.mixing, m.integration)[0]
+    return expit_mixture(delta, offsets, w, slope_weights=-B[:, 0] * w)[1]
+
+
+def test_share_curve_matches_quadrature_oracle():
+    v = share_curve(mixed_logit(lognormal_mixing(0.0, 0.5)), np.array(0.3), np.array(1.5))
     assert abs(float(v) - CURVE_ORACLE) < 1e-11
 
 
 def test_share_curve_slope_matches_finite_differences():
-    mix = lognormal_mixing(0.0, 0.5)
+    m = mixed_logit(lognormal_mixing(0.0, 0.5))
     delta, p, step = np.array(0.3), np.array(1.5), 1e-6
-    slope = float(share_curve_slope_1d(mix, delta, p))
-    fd = float(share_curve_1d(mix, delta, p + step)
-               - share_curve_1d(mix, delta, p - step)) / (2 * step)
+    slope = float(share_curve(m, delta, p, slope=True))
+    fd = float(share_curve(m, delta, p + step) - share_curve(m, delta, p - step)) / (2 * step)
     assert abs(slope - fd) < 1e-9
 
 
-def test_share_curve_1d_broadcasts():
-    mix = lognormal_mixing(0.0, 0.5)
+def test_share_curve_broadcasts():
+    m = mixed_logit(lognormal_mixing(0.0, 0.5))
     grid = np.linspace(0.5, 3.0, 7)
-    vec = share_curve_1d(mix, np.full(7, 0.3), grid)
-    point = [float(share_curve_1d(mix, np.array(0.3), np.array(p))) for p in grid]
+    vec = share_curve(m, np.full(7, 0.3), grid)
+    point = [float(share_curve(m, np.array(0.3), np.array(p))) for p in grid]
     np.testing.assert_allclose(vec, point, atol=1e-15)
+
+
+def test_node_offsets_are_the_share_maps_offsets():
+    """expit_mixture at the node offsets is the share map's own single-product
+    shares, with a fixed x2 term and random coefficients on price and x2."""
+    m = mixed_logit(lognormal_mixing((0.0, -0.5), (0.5, 0.3)), gamma=(0.4, -0.2))
+    a = Bundles(np.zeros((3, 1)), np.array([[0.7], [1.5], [2.6]]),
+                np.array([[[0.5, 1.0]], [[-1.0, 0.2]], [[0.0, 0.3]]]))
+    delta = np.array([0.3, -0.8, 1.1])
+    np.testing.assert_allclose(expit_mixture(delta, *node_offsets(m, a)),
+                               shares_array(m, delta[:, None], a)[:, 0], rtol=1e-13)
 
 
 def test_expit_and_logit_are_silent_at_the_ends():

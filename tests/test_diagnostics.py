@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from cdlab import diagnostics
-from cdlab.demand import gauss_hermite, mixed_logit, share_curve_1d, shares_array
+from cdlab.acceptance import fig1_population
+from cdlab.demand import (expit_mixture, gauss_hermite, mixed_logit, node_offsets,
+                          shares_array)
 from cdlab.diagnostics import (
-    Fig1Spec,
+    CURVE_GRID,
     _partition,
     conditional_variance,
     crossing_curves,
 )
-from cdlab.errors import InsufficientData, SimplexViolation
+from cdlab.errors import ConfigError, InsufficientData, SimplexViolation
 from cdlab.inversion import invert_rows
 from cdlab.population import PopulationSpec, sample_population, true_counterfactuals
 from cdlab.types import Bundles, bundle, lognormal_mixing
@@ -53,8 +55,7 @@ def test_conditional_variance_vanishes_under_homogeneity():
 
 
 def test_conditional_variance_positive_under_two_types():
-    fig1 = Fig1Spec(market_count=3000, seed=0)
-    spec = fig1.population_spec()
+    spec = fig1_population(3000, 0)
     pop = sample_population(spec)
     v = conditional_variance(pop, spec, bundle(0.0, 1.5), bundle(0.0, 2.0),
                              bins=60)
@@ -74,7 +75,7 @@ def test_conditional_variance_requires_enough_markets():
 
 
 @pytest.mark.parametrize("spec", [single_type_spec(400, seed=5),
-                                  Fig1Spec(market_count=400, seed=5).population_spec()])
+                                  fig1_population(400, 5)])
 def test_conditional_variance_equals_per_market_reference(spec, monkeypatch):
     """The batched truth against one share-kernel call per market and bundle,
     each on the batch of one."""
@@ -109,8 +110,7 @@ def per_bin_lstsq_variance(ya, yap, bins):
 
 
 def two_type_spec(n, J=1, seed=0):
-    fig1 = Fig1Spec(market_count=n, seed=seed)
-    return dataclasses.replace(fig1.population_spec(), J=J)
+    return dataclasses.replace(fig1_population(n, seed), J=J)
 
 
 # (J, markets, bins, the bin sizes of the single-type population)
@@ -164,18 +164,24 @@ def test_stacked_conditional_variance_fits_a_rank_deficient_bin(monkeypatch):
     assert ref > 1e-5 and abs(got - ref) <= 1e-12 * ref
 
 
+def curve_at(m, xi, price):
+    """The single-product share of the share map m at index xi and one price,
+    as `crossing_curves` evaluates its curves."""
+    a = Bundles.repeat(bundle(0.0, price), 1)
+    return float(expit_mixture(np.array([xi]), *node_offsets(m, a))[0])
+
+
 def invert_curve_xi(mix, price, target, nodes=32):
-    """The xi with share_curve_1d(mix, xi, price, nodes) = target: the J = 1
-    `invert_rows` call that `crossing_curves` makes, on one market."""
+    """The xi with curve_at(m, xi, price) = target under the mixed logit m of
+    mix at `nodes` nodes: the J = 1 `invert_rows` call that `crossing_curves`
+    makes, on one market. Returns (xi, m)."""
     m = mixed_logit(mix, integration=gauss_hermite(nodes))
-    return float(invert_rows(m, [[target]], Bundles.repeat(bundle(0.0, price), 1))[0, 0])
+    return float(invert_rows(m, [[target]], Bundles.repeat(bundle(0.0, price), 1))[0, 0]), m
 
 
 def test_invert_curve_xi_finds_exact_root():
-    mix = lognormal_mixing(-0.5, 2.0)
-    xi = invert_curve_xi(mix, price=1.7, target=0.42)
-    at = float(share_curve_1d(mix, np.array(xi), np.array(1.7), 32))
-    assert abs(at - 0.42) < 1e-9
+    xi, m = invert_curve_xi(lognormal_mixing(-0.5, 2.0), price=1.7, target=0.42)
+    assert abs(curve_at(m, xi, 1.7) - 0.42) < 1e-9
 
 
 @pytest.mark.parametrize("price", [1.0, 2.5, 3.0])
@@ -183,10 +189,8 @@ def test_invert_curve_xi_finds_exact_root():
 def test_invert_curve_xi_on_a_staircase_share_curve(price, target):
     """lognormal(-0.5, 2) at 32 nodes makes the share curve a staircase in
     xi; the inversion must still reach targets near 1."""
-    mix = lognormal_mixing(-0.5, 2.0)
-    xi = invert_curve_xi(mix, price, target)
-    at = float(share_curve_1d(mix, np.array(xi), np.array(price), 32))
-    assert abs(np.log(at) - np.log(target)) <= 1e-12
+    xi, m = invert_curve_xi(lognormal_mixing(-0.5, 2.0), price, target)
+    assert abs(np.log(curve_at(m, xi, price)) - np.log(target)) <= 1e-12
 
 
 def test_invert_curve_xi_unreachable_target():
@@ -199,69 +203,89 @@ def test_invert_curve_xi_unreachable_target():
 class TestCrossingCurve:
     """One market at a time: the batch of one."""
 
-    spec = Fig1Spec(market_count=30, seed=4)
+    spec = fig1_population(30, 4)
 
     def curve(self, pop, i):
-        return crossing_curves(self.spec, pop[[i]])[0]
+        """Market i's own and opposite curves, slopes and opposite xi."""
+        return [v[0] for v in crossing_curves(self.spec, pop[[i]])]
 
     def test_opposite_curve_passes_through_observed_point(self):
-        pop = sample_population(self.spec.population_spec())
+        pop = sample_population(self.spec)
         for i in range(10):
-            pair = self.curve(pop, i)
+            *_, xi_opp = self.curve(pop, i)
             price, y_obs = float(pop.a.p[i, 0]), float(pop.y[i, 0])
-            opp_mix = self.spec.mixing(1 - pop.zeta[i])
-            at_p = float(share_curve_1d(opp_mix, np.array(pair.xi_opposite),
-                                        np.array(price), self.spec.quad_nodes))
+            at_p = curve_at(self.spec.share_map(1 - pop.zeta[i]), xi_opp, price)
             assert abs(at_p - y_obs) < 1e-8
             assert abs(np.log(at_p) - np.log(y_obs)) <= 1e-12
 
     def test_slopes_differ_at_the_crossing(self):
-        pop = sample_population(self.spec.population_spec())
+        pop = sample_population(self.spec)
         for i in range(10):
-            pair = self.curve(pop, i)
-            assert abs(pair.own_slope - pair.opposite_slope) > 1e-3
+            _, _, own_slope, opp_slope, _ = self.curve(pop, i)
+            assert abs(own_slope - opp_slope) > 1e-3
 
     def test_curves_cross_once_the_grid_contains_the_observed_price(self):
-        pop = sample_population(self.spec.population_spec())
-        pair = self.curve(pop, 0)
+        pop = sample_population(self.spec)
+        own, opp, *_, xi_opp = self.curve(pop, 0)
         price, y_obs = float(pop.a.p[0, 0]), float(pop.y[0, 0])
-        opp_mix = self.spec.mixing(1 - pop.zeta[0])
-        at_p = float(share_curve_1d(opp_mix, np.array(pair.xi_opposite),
-                                    np.array(price), self.spec.quad_nodes))
-        own = np.append(pair.own, y_obs)
-        opp = np.append(pair.opposite, at_p)
-        gap = np.abs(own - opp)
+        at_p = curve_at(self.spec.share_map(1 - pop.zeta[0]), xi_opp, price)
+        gap = np.abs(np.append(own, y_obs) - np.append(opp, at_p))
         assert gap.min() <= 1e-8 < gap.max()  # they meet at P and only there
 
     def test_deterministic(self):
-        pop = sample_population(self.spec.population_spec())
-        a = self.curve(pop, 0)
-        b = self.curve(pop, 0)
-        np.testing.assert_array_equal(a.opposite, b.opposite)
+        pop = sample_population(self.spec)
+        np.testing.assert_array_equal(self.curve(pop, 0)[1], self.curve(pop, 0)[1])
 
 
 def test_crossing_curves_equal_per_market_curves():
-    spec = Fig1Spec(market_count=60, seed=7)
-    pop = sample_population(spec.population_spec())
-    pairs = crossing_curves(spec, pop)
+    spec = fig1_population(60, 7)
+    pop = sample_population(spec)
+    batch = crossing_curves(spec, pop)
     assert set(pop.zeta.tolist()) == {0, 1}
-    for i, pair in enumerate(pairs):
-        one = crossing_curves(spec, pop[[i]])[0]
-        np.testing.assert_allclose(pair.own, one.own, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(pair.opposite, one.opposite, rtol=0, atol=1e-12)
-        for name in ("own_slope", "opposite_slope", "xi_opposite"):
-            assert abs(getattr(pair, name) - getattr(one, name)) <= 1e-12
+    assert batch[0].shape == batch[1].shape == (60, len(CURVE_GRID))
+    for i in range(len(pop)):
+        for got, one in zip(batch, crossing_curves(spec, pop[[i]])):
+            np.testing.assert_allclose(got[i], one[0], rtol=0, atol=1e-12)
 
 
 def test_crossing_curves_skip_an_unreachable_market():
     """A share outside (0, 1) has no opposite-type curve through it: the
-    batch gives None for that market, alone or among others."""
-    spec = Fig1Spec(market_count=3, seed=1)
-    pop = sample_population(spec.population_spec())
+    batch gives that market NaN in every output, alone or among others, and
+    leaves the other markets' values as they are without it."""
+    spec = fig1_population(3, 1)
+    pop = sample_population(spec)
     y = pop.y.copy()
     y[1] = 1.5  # Population does not validate; the sampler would reject 1.5.
     bad = dataclasses.replace(pop, y=y)
-    pairs = crossing_curves(spec, bad)
-    assert pairs[1] is None
-    assert pairs[0] is not None and pairs[2] is not None
-    assert crossing_curves(spec, bad[[1]]) == [None]
+    for got, ref in zip(crossing_curves(spec, bad), crossing_curves(spec, pop)):
+        assert np.isnan(got[1]).all()
+        np.testing.assert_array_equal(got[[0, 2]], ref[[0, 2]])
+    assert all(np.isnan(v).all() for v in crossing_curves(spec, bad[[1]]))
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"J": 2}, "crossing curves need a J = 1 population of 2 types and no x2, "
+               "got J = 2, 2 types, x2_dim = 0"),
+    ({"x2_dim": 1}, "crossing curves need a J = 1 population of 2 types and no x2, "
+                    "got J = 1, 2 types, x2_dim = 1"),
+    ({"mixing_by_type": (lognormal_mixing(0.0, 0.5),) * 3,
+      "type_probabilities": (0.2, 0.3, 0.5)},
+     "crossing curves need a J = 1 population of 2 types and no x2, "
+     "got J = 1, 3 types, x2_dim = 0"),
+])
+def test_crossing_curves_refuse_another_population(change, message):
+    spec = dataclasses.replace(fig1_population(6, 2), **change)
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        crossing_curves(spec, sample_population(spec))
+
+
+def test_crossing_curves_refuse_a_market_of_another_type():
+    """A market of type 2 has neither of the two types' curves: no curve is
+    drawn for it from another type's."""
+    spec = fig1_population(6, 2)
+    pop = sample_population(spec)
+    zeta = pop.zeta.copy()
+    zeta[4] = 2
+    with pytest.raises(ConfigError, match="^market 4 has type 2; crossing curves know "
+                                          "types 0 and 1$"):
+        crossing_curves(spec, dataclasses.replace(pop, zeta=zeta))
